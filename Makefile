@@ -8,7 +8,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) PYTHONHASHSEED=0 python
 
-.PHONY: test test-par smoke chaos bench bench-fleet bench-replay bench-reporting bench-memory bench-serve bench-kernels bench-parallel lint format install
+.PHONY: test test-par smoke perfbench-test chaos bench bench-fleet bench-replay bench-reporting bench-memory bench-serve bench-kernels bench-parallel lint format install
 
 # tier-1: the full suite (the driver's acceptance gate)
 test:
@@ -22,6 +22,12 @@ test-par:
 # tier-1 smoke: skip @pytest.mark.slow for quick pre-commit iteration
 smoke:
 	$(PY) -m pytest -x -q -m "not slow"
+
+# the benchmark harness's own tests (tracing leaves results unchanged,
+# metric names match BENCHMARK.json); perfbench/ sits outside the
+# tier-1 testpaths, so it runs only through this target
+perfbench-test:
+	$(PY) -m pytest perfbench -q
 
 # chaos smoke: the whole sim suite under a seeded fault plan (worker
 # raises + hard crashes, recovered by default supervision with zero

@@ -38,21 +38,29 @@ class Encoder(abc.ABC):
         """Code for a single context vector."""
 
     def encode_batch(self, contexts: np.ndarray) -> np.ndarray:
-        """Vectorized encoding; default loops over rows.
+        """Codes ``(n,)`` for a batch of contexts ``(n, d)``.
 
         Contract: ``encode_batch(X)[i] == encode(X[i])`` *bit-exactly*,
         for every input — not just with high probability.  The default
-        row loop is trivially exact; overrides must keep row ``i``'s
-        float operations identical to the scalar path (elementwise
-        expressions with a broadcast leading axis, einsum contractions,
-        reductions along the trailing axis — never a BLAS expansion
-        whose accumulation differs from the scalar expression).  The
-        fleet engine's replay fast path batch-encodes entire horizons
-        through this method, and its bit-identity guarantee
-        (:mod:`repro.sim`) inherits this contract;
-        ``tests/encoding`` checks it on every implementation.
+        row loop is trivially exact; overrides of :meth:`_encode_rows`
+        must keep row ``i``'s float operations identical to the scalar
+        path (elementwise expressions with a broadcast leading axis,
+        einsum contractions, reductions along the trailing axis — never
+        a BLAS expansion whose accumulation differs from the scalar
+        expression).  The fleet engine encodes through this method
+        only — whole replay horizons at plan time, every stale agent of
+        a stationary or drifting shard in one call per encoder — and
+        its bit-identity guarantee (:mod:`repro.sim`) inherits this
+        contract; ``tests/encoding`` checks it on every implementation.
+        An empty ``(0, d)`` batch yields an empty code array.
         """
-        contexts = check_matrix(contexts, name="contexts", n_cols=self.n_features)
+        contexts = check_matrix(contexts, name="contexts", n_cols=self.n_features, allow_empty=True)
+        if contexts.shape[0] == 0:
+            return np.empty(0, dtype=np.intp)
+        return self._encode_rows(contexts)
+
+    def _encode_rows(self, contexts: np.ndarray) -> np.ndarray:
+        """:meth:`encode_batch` body for a validated, non-empty batch."""
         return np.array([self.encode(x) for x in contexts], dtype=np.intp)
 
     @abc.abstractmethod
@@ -98,13 +106,18 @@ class Encoder(abc.ABC):
     def decode_batch(self, codes: np.ndarray) -> np.ndarray:
         """Representative contexts ``(n, d)`` for a batch of codes.
 
-        Default loops over :meth:`decode`; subclasses with array
-        codebooks override with a gather.
+        Contract: ``decode_batch(codes)[i] == decode(codes[i])``
+        *bit-exactly* — the same guarantee as :meth:`encode_batch`,
+        because warm-private shards acting on centroids gather their
+        representations through this method.  The default decodes each
+        distinct code once with :meth:`decode` and gathers; subclasses
+        with array codebooks override with a direct gather.
         """
         codes = self._check_codes(codes)
         if codes.size == 0:
             return np.empty((0, self.n_features), dtype=np.float64)
-        return np.stack([self.decode(int(c)) for c in codes])
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        return np.stack([self.decode(int(c)) for c in distinct])[inverse]
 
     def _check_context(self, context: np.ndarray) -> np.ndarray:
         return check_vector(context, name="context", size=self.n_features)

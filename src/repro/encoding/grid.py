@@ -63,10 +63,7 @@ class GridEncoder(Encoder):
         counts = to_grid_integers(x, self.q)
         return composition_rank(counts, self._scale)
 
-    def encode_batch(self, contexts: np.ndarray) -> np.ndarray:
-        from ..utils.validation import check_matrix
-
-        contexts = check_matrix(contexts, name="contexts", n_cols=self.n_features)
+    def _encode_rows(self, contexts: np.ndarray) -> np.ndarray:
         counts = to_grid_integers(contexts, self.q)
         return np.array(
             [composition_rank(row, self._scale) for row in counts], dtype=np.intp
@@ -75,15 +72,4 @@ class GridEncoder(Encoder):
     def decode(self, code: int) -> np.ndarray:
         code = check_in_range(code, name="code", low=0, high=self.n_codes)
         parts = composition_unrank(code, self._scale, self.n_features)
-        return np.asarray(parts, dtype=np.float64) / self._scale
-
-    def decode_batch(self, codes: np.ndarray) -> np.ndarray:
-        """Unrank a batch of codes; the combinatorial unranking is
-        inherently per-code, but the normalization is one vector op."""
-        codes = self._check_codes(codes)
-        if codes.size == 0:
-            return np.empty((0, self.n_features), dtype=np.float64)
-        parts = np.stack(
-            [composition_unrank(int(c), self._scale, self.n_features) for c in codes]
-        )
         return np.asarray(parts, dtype=np.float64) / self._scale

@@ -146,7 +146,7 @@ class KMeansEncoder(Encoder):
         d2 = ((self.centers_ - x) ** 2).sum(axis=1)
         return int(np.argmin(d2))
 
-    def encode_batch(self, contexts: np.ndarray) -> np.ndarray:
+    def _encode_rows(self, contexts: np.ndarray) -> np.ndarray:
         """Batch nearest-centroid, bit-exact against :meth:`encode`.
 
         Uses the scalar path's direct squared-difference expression
@@ -159,7 +159,6 @@ class KMeansEncoder(Encoder):
         small at fleet-horizon batch sizes.
         """
         check_fitted(self, ["centers_"])
-        contexts = check_matrix(contexts, name="contexts", n_cols=self.n_features)
         Xq = quantize_simplex(contexts, self.q)
         out = np.empty(Xq.shape[0], dtype=np.intp)
         chunk = max(1, (1 << 22) // (self.n_codes * self.n_features))

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..utils.exceptions import ValidationError
 from ..utils.rng import ensure_rng
-from ..utils.validation import check_fitted, check_in_range, check_matrix, check_positive_int
+from ..utils.validation import check_fitted, check_in_range, check_positive_int
 from .base import Encoder
 from .quantization import quantize_simplex
 
@@ -91,9 +91,8 @@ class LSHEncoder(Encoder):
         bits = self._signature(x[None, :])[0]
         return int(bits @ self._powers)
 
-    def encode_batch(self, contexts: np.ndarray) -> np.ndarray:
+    def _encode_rows(self, contexts: np.ndarray) -> np.ndarray:
         check_fitted(self, ["hyperplanes_"])
-        contexts = check_matrix(contexts, name="contexts", n_cols=self.n_features)
         Xq = quantize_simplex(contexts, self.q)
         return (self._signature(Xq) @ self._powers).astype(np.intp)
 
@@ -114,26 +113,3 @@ class LSHEncoder(Encoder):
         from ..utils.math import project_to_simplex
 
         return project_to_simplex(x)
-
-    def decode_batch(self, codes: np.ndarray) -> np.ndarray:
-        """Vectorized pre-images: one multi-RHS least-squares solve.
-
-        Diagnostics-only fast path (codebook visualization, centroid
-        ablations): LAPACK's multi-RHS solve is not guaranteed to round
-        identically to per-code :meth:`decode` calls, which is fine
-        because decoded pre-images never feed the exactness-sensitive
-        fleet path for LSH.
-        """
-        check_fitted(self, ["hyperplanes_"])
-        codes = self._check_codes(codes)
-        if codes.size == 0:
-            return np.empty((0, self.n_features), dtype=np.float64)
-        bits = (codes[:, None] >> np.arange(self.n_bits)[None, :]) & 1
-        targets = np.where(bits > 0, 1.0, -1.0)  # (n, b)
-        X, *_ = np.linalg.lstsq(self.hyperplanes_, targets.T, rcond=None)  # (d, n)
-        X = X.T
-        if self.center:
-            X = X + 1.0 / self.n_features
-        from ..utils.math import project_to_simplex
-
-        return np.stack([project_to_simplex(x) for x in X])

@@ -59,16 +59,16 @@ def to_grid_integers(x: np.ndarray, q: int) -> np.ndarray:
     scaled = arr * scale
     floors = np.floor(scaled).astype(np.int64)
     remainders = scaled - floors
+    # the floors never overshoot: each row's floor sum is an integer at
+    # most sum(scaled) < scale + 1, so the deficit is non-negative
     deficit = scale - floors.sum(axis=1)
-    # hand the missing units to the largest remainders, ties by index
+    # hand the missing units to the largest remainders, ties by index:
+    # rank[i, j] is entry j's position in row i's stable descending
+    # order (the inverse permutation), so the first `deficit` ranks win
     order = np.argsort(-remainders, axis=1, kind="stable")
-    out = floors
-    for i in range(out.shape[0]):
-        need = int(deficit[i])
-        if need > 0:
-            out[i, order[i, :need]] += 1
-        elif need < 0:  # pragma: no cover - cannot happen after floor
-            out[i, order[i, need:]] -= 1
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(order.shape[1])[None, :], axis=1)
+    out = floors + (rank < deficit[:, None])
     return out[0] if squeeze else out
 
 

@@ -48,7 +48,10 @@ posterior normals from that agent's own generator.
 Per-round *session* calls additionally vanish for shards whose
 sessions advertise a plan capability (class flags on
 :class:`~repro.data.environment.UserSession`): ``has_reward_plan``
-sessions (synthetic, stationary) pre-realize their reward noise, and
+sessions (synthetic, stationary or drifting) pre-realize their reward
+noise, and warm-private shards over them encode every agent whose
+context changed in one row-exact :meth:`Encoder.encode_batch` call per
+encoder (centroids through the equally row-exact ``decode_batch``), and
 ``has_trace_plan`` sessions (dataset replay: multilabel, Criteo)
 pre-materialize their row walk into per-step context and
 reward-table arrays — both by contract exact stand-ins for the

@@ -27,7 +27,10 @@ pre-materialize their horizon (capability flags on
 
 * ``has_reward_plan`` — stationary sessions (the synthetic benchmark)
   pre-realize reward noise (:class:`StationaryRewardPlan`); rewards
-  become one gather + clip per round;
+  become one gather + clip per round, and warm-private shards encode
+  their stale agents in one ``encode_batch`` call per encoder (drifting
+  sessions re-plan at each drift boundary, re-encoding only the agents
+  whose context moved);
 * ``has_trace_plan`` — dataset-replay sessions (multilabel, Criteo)
   pre-materialize their row walk (:class:`TracePlan`); per-step
   contexts and per-action reward tables become array gathers;
@@ -78,15 +81,20 @@ What stays per-agent Python (all O(1) per agent per round):
   batch encodings, actions/rewards from the result matrices — into a
   per-shard :class:`~repro.core.payload.ReportLog`; agent outboxes
   reference their rows and materialize objects only if the object API
-  is touched;
-* context encoding on *cache miss* — encoders are deterministic (the
-  ``eps_bar = 0`` premise), so re-encoding an unchanged context is pure
-  waste; each shard memoizes per agent and only calls the scalar
-  ``encode`` when the context actually changes.  Fixed-preference
-  populations (the paper's synthetic benchmark) therefore encode once
-  per agent total — and *traced* shards skip per-round encoding
-  entirely by batch-encoding the whole horizon at plan time
-  (:meth:`Encoder.encode_batch` is row-exact by contract).
+  is touched (``record_interaction`` also encodes each report's
+  context, one agent at a time).
+
+Acting-time encoding is never per-agent Python: encoders are
+deterministic (the ``eps_bar = 0`` premise), so re-encoding an
+unchanged context is pure waste.  Each shard caches the last context
+and code of every agent in arrays, finds the stale agents with one
+vectorized comparison, and encodes them in one
+:meth:`Encoder.encode_batch` call per encoder (row-exact by contract;
+centroids come from the equally row-exact ``decode_batch``).
+Fixed-preference populations (the paper's synthetic benchmark)
+therefore encode once per agent total, and *traced* shards skip
+per-round encoding entirely by batch-encoding the whole horizon at
+plan time.
 
 Everything O(d²)–O(k·d²) — scoring, Cholesky refreshes,
 Sherman–Morrison updates — runs as stacked kernel calls, one set per
@@ -374,10 +382,12 @@ class _Shard:
         self._plan_form = plan_form
         # acting-representation caches (warm-private only) — persist
         # across runs: encoders are deterministic, and _refresh_acting
-        # validates each entry against the live context
-        self._cached_ctx: list[np.ndarray | None] = [None] * self.n
+        # validates each row against the live context; the (n, d)
+        # arrays are allocated on the first refresh
+        self._cache_valid = np.zeros(self.n, dtype=bool)
+        self._cached_ctx: np.ndarray | None = None
         self._cached_code = np.empty(self.n, dtype=np.intp)
-        self._cached_rep: list[np.ndarray | None] = [None] * self.n
+        self._cached_rep: np.ndarray | None = None
         # deterministic encoder-group caches (persist across runs)
         self._enc_groups: list[np.ndarray] | None = None
         self._agent_group: np.ndarray | None = None
@@ -739,8 +749,6 @@ class _Shard:
         for g, members in enumerate(self._encoder_groups()):
             visited = np.unique(chunk_rows[members])
             new = visited[~self._row_encoded[g, visited]]
-            if new.size == 0:
-                continue
             encoder = self.agents[members[0]].encoder
             codes = encoder.encode_batch(self._row_table.contexts[new])
             self._row_codes[g, new] = codes
@@ -1183,38 +1191,38 @@ class _Shard:
     def _refresh_acting(self, X: np.ndarray) -> np.ndarray:
         if self.mode != AgentMode.WARM_PRIVATE:
             return X
-        stale = np.asarray(
-            [
-                j
-                for j in range(self.n)
-                if self._cached_ctx[j] is None
-                or not np.array_equal(X[j], self._cached_ctx[j])
-            ],
-            dtype=np.intp,
-        )
+        if self._cached_ctx is None:
+            self._cached_ctx = np.empty_like(X)
+            if self.private_context == "centroid":
+                self._cached_rep = np.empty_like(X)
+        stale = ~self._cache_valid | (X != self._cached_ctx).any(axis=1)
         return self._acting_representation(X, stale)
 
     def _acting_representation(self, X: np.ndarray, stale: np.ndarray) -> np.ndarray:
         """The representation the stacked policy consumes for contexts ``X``.
 
-        ``stale`` lists shard-local agent indices whose cached encoding
+        ``stale`` masks the shard-local agents whose cached encoding
         must be refreshed (all of them on the first call).  Encoders are
         deterministic — the ``eps_bar = 0`` premise — so serving a code
-        from cache is exact, not approximate.
+        from cache is exact, not approximate; the stale rows are encoded
+        in one :meth:`Encoder.encode_batch` call per encoder group (row-
+        exact against scalar ``encode`` by contract).
         """
-        if self.mode != AgentMode.WARM_PRIVATE:
-            return X
-        for j in stale:
-            j = int(j)
-            self._cached_ctx[j] = X[j].copy()
-            encoder = self.agents[j].encoder
-            self._cached_code[j] = encoder.encode(X[j])
-            if self.private_context == "centroid":
-                self._cached_rep[j] = encoder.decode(int(self._cached_code[j]))
+        for members in self._encoder_groups():
+            rows = members[stale[members]]
+            if rows.size == 0:
+                continue
+            encoder = self.agents[members[0]].encoder
+            codes = encoder.encode_batch(X[rows])
+            self._cached_code[rows] = codes
+            if self._cached_rep is not None:
+                self._cached_rep[rows] = encoder.decode_batch(codes)
+        self._cached_ctx[stale] = X[stale]
+        self._cache_valid[stale] = True
         if self.stacked.wants_codes:
             return self._cached_code
-        if self.private_context == "centroid":
-            return np.stack(self._cached_rep)
+        if self._cached_rep is not None:
+            return self._cached_rep
         return self.agents[0].encoder.one_hot_batch(self._cached_code)  # type: ignore[union-attr]
 
 

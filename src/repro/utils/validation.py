@@ -73,9 +73,11 @@ def check_array(
     return arr
 
 
-def check_matrix(x: Any, *, name: str = "X", n_cols: int | None = None) -> np.ndarray:
+def check_matrix(
+    x: Any, *, name: str = "X", n_cols: int | None = None, allow_empty: bool = False
+) -> np.ndarray:
     """Validate a 2-D float matrix, optionally with a fixed column count."""
-    arr = check_array(x, name=name, ndim=2)
+    arr = check_array(x, name=name, ndim=2, allow_empty=allow_empty)
     if n_cols is not None and arr.shape[1] != n_cols:
         raise ValidationError(f"{name} must have {n_cols} columns, got {arr.shape[1]}")
     return arr

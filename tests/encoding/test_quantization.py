@@ -3,11 +3,26 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.encoding import grid_resolution, is_on_grid, quantize_simplex, to_grid_integers
+from repro.utils.math import normalize_simplex
+
+
+def _largest_remainder_loop(X: np.ndarray, q: int) -> np.ndarray:
+    """Reference: floor, then one extra unit per row to the largest
+    remainders in stable descending order, one row at a time."""
+    scale = 10**q
+    scaled = normalize_simplex(X, axis=1) * scale
+    out = np.floor(scaled).astype(np.int64)
+    for i in range(out.shape[0]):
+        need = scale - int(out[i].sum())
+        order = np.argsort(-(scaled[i] - out[i]), kind="stable")
+        out[i, order[:need]] += 1
+    return out
 
 
 class TestToGridIntegers:
@@ -36,6 +51,30 @@ class TestToGridIntegers:
         out = to_grid_integers(np.array([0.123, 0.877]), 2)
         assert out.sum() == 100
         np.testing.assert_array_equal(out, [12, 88])
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_batch_equals_row_by_row_on_ties(self, q):
+        """The rank-mask distribution of leftover units matches both the
+        row-by-row call and a plain largest-remainder loop, on inputs
+        built to tie: equal remainders must go to the lowest index."""
+        d = 6
+        rows = [
+            np.full(d, 1 / 3),  # uniform thirds: every remainder ties
+            np.full(d, 1 / d),
+            np.full(d, 7.0),  # constant rows
+            np.zeros(d),  # all-zero: maps to uniform
+            np.array([-1.0, 0.5, -0.25, 2.0, 0.0, -1.0]),  # negatives
+            np.array([-2.0, -2.0, -2.0, 1.0, 1.0, 1.0]),
+            np.array([0.5, 0.2, 0.1, 0.1, 0.1, 0.0]),  # exact grid points
+            np.array([0.25, 0.25, 0.25, 0.25, 0.0, 0.0]),
+        ]
+        rows += list(np.eye(d))  # one-hot rows
+        X = np.stack(rows)
+        batch = to_grid_integers(X, q)
+        row_by_row = np.stack([to_grid_integers(x, q) for x in X])
+        np.testing.assert_array_equal(batch, row_by_row)
+        np.testing.assert_array_equal(batch, _largest_remainder_loop(X, q))
+        assert (batch.sum(axis=1) == 10**q).all()
 
     @given(
         hnp.arrays(
