@@ -1,24 +1,23 @@
-"""Traced-plan memory record: shared row tables vs per-agent tables.
+"""Traced-plan memory record: shared row tables vs per-agent traces.
 
-The ROADMAP's scaling ceiling before this record was plan memory:
-dense trace plans materialize ``(T, d)`` contexts plus a ``(T, A)``
-reward table *per agent*, so the §5.2 workload (mediamill-like, d=20,
-A=40, T=100) costs ~21 KB of plan per agent — ``n x T x A`` growth
-that caps the population well short of the million-agent north star.
-The shared-row-table form (``plan_form="indexed"``) keeps one
-``(rows, d)`` context table and one ``(rows, A)`` reward table per
-*dataset* (for multilabel they alias the dataset arrays outright) plus
-an ``(n, T)`` row-index walk, cutting per-agent plan bytes roughly
-A-fold; chunked horizons (``plan_chunk_size``) bound the dense form at
-``O(n x chunk)`` for sessions that cannot share a table.
+Per-step trace plans (:meth:`UserSession.plan_trace`) materialize
+``(T, d)`` contexts plus a ``(T, A)`` reward table *per agent*, so the
+§5.2 workload (mediamill-like, d=20, A=40, T=100) costs ~20 KB of plan
+per agent — ``n x T x A`` growth that caps the population well short of
+the million-agent north star.  The fleet engine's traced shards instead
+keep one ``(rows, d)`` context table and one ``(rows, A)`` reward table
+per *dataset* (for multilabel they alias the dataset arrays outright)
+plus an ``(n, T)`` row-index walk, cutting per-agent plan bytes roughly
+A-fold.
 
-This bench measures all of it on the §5.2 protocol — exact byte
-accounting via ``_Shard.plan_nbytes`` (deterministic: the assertion
-floor is not timing-sensitive), ``tracemalloc`` peaks around plan
-materialization, and process peak RSS for a large indexed replay run —
-and asserts the ISSUE's acceptance floor: the indexed form reduces
-per-agent traced-plan bytes by at least ``A/2`` (= 20 on this
-workload; ``BENCH_MEMORY_MIN_REDUCTION`` overrides).  Writes
+This bench measures it on the §5.2 protocol — exact byte accounting
+via ``_Shard.plan_nbytes`` against the arrays ``plan_trace`` builds for
+an identically seeded population (deterministic: the assertion floor
+is not timing-sensitive), ``tracemalloc`` peaks around plan
+materialization, and process peak RSS for a large traced replay run —
+and asserts the acceptance floor: the row-table walk reduces per-agent
+traced-plan bytes by at least ``A/2`` (= 20 on this workload;
+``BENCH_MEMORY_MIN_REDUCTION`` overrides).  Writes
 ``benchmarks/results/BENCH_memory.json``.
 
 The ``fast_tier`` section measures the next ceiling after plan memory:
@@ -112,7 +111,30 @@ def _population(n_agents):
     return agents, sessions
 
 
-def _plan_record(n_agents, *, plan_form, plan_chunk_size=None):
+def _dense_baseline_record(n_agents):
+    """Per-agent bytes of the per-step arrays ``plan_trace`` builds.
+
+    The baseline the row-table walk is measured against: for an
+    identically seeded population, each session's ``(T, d)`` contexts
+    and ``(T, A)`` reward table, plus the expected channel when it does
+    not alias the rewards.
+    """
+    _, sessions = _population(n_agents)
+    total = 0
+    for session in sessions:
+        plan = session.plan_trace(N_INTERACTIONS)
+        total += plan.contexts.nbytes + plan.action_rewards.nbytes
+        if plan.expected is not None and plan.expected is not plan.action_rewards:
+            total += plan.expected.nbytes
+    return {
+        "n_agents": n_agents,
+        "source": "UserSession.plan_trace",
+        "plan_bytes_total": total,
+        "plan_bytes_per_agent": round(total / n_agents, 1),
+    }
+
+
+def _plan_record(n_agents, *, plan_chunk_size=None):
     """Prepare one shard and account its plan bytes exactly.
 
     ``tracemalloc`` brackets the prepare call (numpy registers its data
@@ -124,7 +146,6 @@ def _plan_record(n_agents, *, plan_form, plan_chunk_size=None):
         np.arange(n_agents, dtype=np.intp),
         agents,
         sessions,
-        plan_form=plan_form,
         plan_chunk_size=plan_chunk_size,
     )
     tracemalloc.start()
@@ -135,7 +156,6 @@ def _plan_record(n_agents, *, plan_form, plan_chunk_size=None):
     per_agent_total = (sizes["per_agent"] + sizes["shared"]) / n_agents
     return {
         "n_agents": n_agents,
-        "plan_form": plan_form,
         "plan_chunk_size": plan_chunk_size,
         "plan_bytes_per_agent_arrays": round(sizes["per_agent"] / n_agents, 1),
         "plan_bytes_shared_tables": sizes["shared"],
@@ -146,9 +166,9 @@ def _plan_record(n_agents, *, plan_form, plan_chunk_size=None):
 
 
 def _indexed_run_record():
-    """Run the large indexed population end to end; record peak RSS."""
+    """Run the large traced population end to end; record peak RSS."""
     agents, sessions = _population(N_AGENTS)
-    runner = FleetRunner(agents, sessions, plan_form="indexed")
+    runner = FleetRunner(agents, sessions)
     t0 = time.perf_counter()
     runner.run(N_INTERACTIONS)
     elapsed = time.perf_counter() - t0
@@ -164,24 +184,12 @@ def _indexed_run_record():
 
 
 def test_shared_row_table_memory_reduction(record_json):
-    dense = _plan_record(N_DENSE_AGENTS, plan_form="dense")
-    dense_chunked = _plan_record(
-        N_DENSE_AGENTS, plan_form="dense", plan_chunk_size=PLAN_CHUNK
-    )
-    indexed = _plan_record(N_AGENTS, plan_form="indexed")
-    indexed_chunked = _plan_record(
-        N_AGENTS, plan_form="indexed", plan_chunk_size=PLAN_CHUNK
-    )
+    dense = _dense_baseline_record(N_DENSE_AGENTS)
+    indexed = _plan_record(N_AGENTS)
+    indexed_chunked = _plan_record(N_AGENTS, plan_chunk_size=PLAN_CHUNK)
     run = _indexed_run_record()
 
-    reduction = (
-        dense["plan_bytes_per_agent_amortized"]
-        / indexed["plan_bytes_per_agent_amortized"]
-    )
-    chunk_bound = (
-        dense_chunked["plan_bytes_per_agent_arrays"]
-        / dense["plan_bytes_per_agent_arrays"]
-    )
+    reduction = dense["plan_bytes_per_agent"] / indexed["plan_bytes_per_agent_amortized"]
     record_json(
         "memory",
         {
@@ -194,13 +202,11 @@ def test_shared_row_table_memory_reduction(record_json):
                 "n_interactions": N_INTERACTIONS,
                 "plan_chunk_size": PLAN_CHUNK,
             },
-            "dense": dense,
-            "dense_chunked": dense_chunked,
+            "dense_baseline": dense,
             "indexed": indexed,
             "indexed_chunked": indexed_chunked,
             "indexed_run": run,
             "reduction_per_agent_plan_bytes": round(reduction, 2),
-            "dense_chunked_fraction_of_unchunked": round(chunk_bound, 3),
         },
     )
     # the tentpole's acceptance floor: byte accounting is exact and
@@ -208,12 +214,6 @@ def test_shared_row_table_memory_reduction(record_json):
     assert reduction >= MIN_REDUCTION, (
         f"shared-row-table plans must cut per-agent traced-plan bytes "
         f">= {MIN_REDUCTION}x on the §5.2 workload, got {reduction:.1f}x"
-    )
-    # chunking must bound dense per-agent plan arrays to ~chunk/T of the
-    # full materialization (the history tail adds a little)
-    assert chunk_bound <= 2.5 * PLAN_CHUNK / N_INTERACTIONS, (
-        f"chunked dense plans should hold ~{PLAN_CHUNK}/{N_INTERACTIONS} "
-        f"of the full horizon, got fraction {chunk_bound:.3f}"
     )
     # the indexed per-agent walk is exactly T intp entries
     assert indexed["plan_bytes_per_agent_arrays"] == N_INTERACTIONS * np.intp(0).nbytes
@@ -235,15 +235,13 @@ def _tier_run_record(n_agents, exactness):
         np.arange(n_agents, dtype=np.intp),
         agents,
         sessions,
-        plan_form="indexed",
         exactness=exactness,
-        result_window=width,
     )
     rewards = np.empty((n_agents, width), dtype=np.float64)
     actions = np.empty((n_agents, width), dtype=np.intp)
     expected_ok = np.zeros(n_agents, dtype=bool)
     t0 = time.perf_counter()
-    shard.prepare(N_INTERACTIONS)
+    shard.prepare(N_INTERACTIONS, result_window=width)
     for t in range(N_INTERACTIONS):
         shard.step(t, rewards, actions, None, expected_ok)
     state_bytes = shard.stacked.state_nbytes()

@@ -240,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=_positive_int,
             default=None,
             help="fleet plan-chunk size: materialize session plans in "
-            "horizon slices of this many steps instead of whole horizons, "
-            "bounding plan memory at large population scale (results are "
+            "horizon slices of this many steps instead of whole horizons "
+            "(slices stationary noise and plan calls; results are "
             "bit-identical for every chunk size; default: unchunked)",
         )
         p.add_argument(

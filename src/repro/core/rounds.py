@@ -80,8 +80,9 @@ class DeploymentLoop:
         per-round stats are identical either way (the sim contract).
     plan_chunk_size:
         Fleet plan-chunk size per round (default ``None`` = whole
-        horizons): session plans materialize in bounded slices, and a
-        chunk size at or above ``interactions_per_round`` degenerates
+        horizons): session plans materialize in slices (stationary
+        noise and plan calls; traced row walks are allocated whole),
+        and a chunk size at or above ``interactions_per_round`` degenerates
         to the unchunked path.  Collection rounds compose freely with
         chunking — a report buffered mid-chunk is collected with the
         identical payload (the sim contract) — so the per-round stats
@@ -110,7 +111,6 @@ class DeploymentLoop:
     n_workers: int = 1
     worker_backend: str = "thread"
     plan_chunk_size: int | None = None
-    plan_form: str = "auto"
     exactness: str = "bit"
     kernel_block_size: int | None = None
 
@@ -133,7 +133,6 @@ class DeploymentLoop:
                 self.n_workers != 1
                 or self.worker_backend != "thread"
                 or self.plan_chunk_size is not None
-                or self.plan_form != "auto"
                 or self.exactness != "bit"
                 or self.kernel_block_size is not None
             )
@@ -152,7 +151,6 @@ class DeploymentLoop:
             self.n_workers = cfg.n_workers
             self.worker_backend = cfg.worker_backend
             self.plan_chunk_size = cfg.plan_chunk_size
-            self.plan_form = cfg.plan_form
             self.exactness = cfg.exactness
             self.kernel_block_size = getattr(cfg, "kernel_block_size", None)
         check_positive_int(self.n_workers, name="n_workers")
@@ -164,16 +162,12 @@ class DeploymentLoop:
             raise ConfigError(
                 f"engine must be 'auto', 'sequential' or 'fleet', got {self.engine!r}"
             )
-        from ..sim import EXACTNESS_TIERS, PLAN_FORMS, WORKER_BACKENDS
+        from ..sim import EXACTNESS_TIERS, WORKER_BACKENDS
 
         if self.worker_backend not in WORKER_BACKENDS:
             raise ConfigError(
                 f"worker_backend must be one of {WORKER_BACKENDS}, "
                 f"got {self.worker_backend!r}"
-            )
-        if self.plan_form not in PLAN_FORMS:
-            raise ConfigError(
-                f"plan_form must be one of {PLAN_FORMS}, got {self.plan_form!r}"
             )
         if self.exactness not in EXACTNESS_TIERS:
             raise ConfigError(
@@ -220,7 +214,8 @@ class DeploymentLoop:
         """One round of local interactions; returns the reward matrix.
 
         Both engines fill the same ``(n_users, interactions_per_round)``
-        matrix (sequential user-major, fleet round-major) and the round
+        matrix (sequential user-major; fleet shard by shard, round-major
+        within each shard) and the round
         statistic is computed from the matrix, so the engines agree on
         it bit-for-bit whenever the per-cell rewards agree.
         """
@@ -244,7 +239,6 @@ class DeploymentLoop:
                     n_workers=self.n_workers,
                     worker_backend=self.worker_backend,
                     plan_chunk_size=self.plan_chunk_size,
-                    plan_form=self.plan_form,
                     exactness=self.exactness,
                     kernel_block_size=self.kernel_block_size,
                 )

@@ -289,14 +289,11 @@ class CriteoUserSession(ReplayUserSession):
     deterministic row lookups, so the session is traceable for the
     fleet engine (``has_trace_plan`` via :class:`ReplayUserSession`):
     row ``i``'s reward table is the one-hot of the logged action,
-    zeroed when the impression was not clicked.  The one-hot expansion
-    is also available as a shared per-dataset row table
-    (``has_indexed_trace_plan``) — materialized once per dataset (a
-    boolean ``(n, A)`` view of ``actions``/``clicked``) instead of once
-    per agent per step.
+    zeroed when the impression was not clicked.  The fleet engine
+    gathers the one-hot expansion through a shared per-dataset row
+    table — materialized once per dataset (a boolean ``(n, A)`` view of
+    ``actions``/``clicked``) instead of once per agent per step.
     """
-
-    has_indexed_trace_plan = True
 
     def __init__(
         self, dataset: CriteoBanditDataset, indices: np.ndarray, rng: np.random.Generator

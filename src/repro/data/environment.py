@@ -22,29 +22,28 @@ Plan capabilities
 
 The fleet engine (:mod:`repro.sim`) collapses per-round session calls
 into array gathers when a session can pre-materialize its horizon.
-Three plan kinds exist, advertised by class-level capability flags so
+Two plan kinds exist, advertised by class-level capability flags so
 subclasses inherit fast-path eligibility (the engine keys off the
 flags, never off method identity):
 
 * ``has_reward_plan`` → :meth:`UserSession.plan_rewards` returns a
   :class:`StationaryRewardPlan` (fixed context, pre-drawn noise —
   the synthetic benchmark);
-* ``has_trace_plan`` → :meth:`UserSession.plan_trace` returns a
-  :class:`TracePlan` (per-step contexts plus a per-step-per-action
-  reward table — dataset replay: multilabel, Criteo);
-* ``has_indexed_trace_plan`` → :meth:`ReplayUserSession.plan_trace_indexed`
-  returns an :class:`IndexedTracePlan` — the *shared-row-table* form
-  of a trace plan: a per-agent ``(horizon,)`` row-index walk into one
-  per-dataset :class:`TraceRowTable` that every session over the same
-  dataset shares.  Same realized values as :meth:`plan_trace`, A-fold
-  less memory per agent (the reward table is stored once per dataset,
-  not once per agent per step).
+* ``has_trace_plan`` — dataset replay (multilabel, Criteo), set by
+  every :class:`ReplayUserSession`.  The engine plans through
+  :meth:`ReplayUserSession.plan_trace_indexed`, which returns an
+  :class:`IndexedTracePlan`: a per-agent ``(horizon,)`` row-index walk
+  into one per-dataset :class:`TraceRowTable` that every session over
+  the same dataset shares.  :meth:`UserSession.plan_trace` realizes
+  the same walk as a per-step :class:`TracePlan` (contexts plus a
+  per-step-per-action reward table) — the reference form tests check
+  the row tables against.
 
 Every plan must be an *exact* stand-in for ``horizon`` iterations of
 ``next_context()`` + ``reward()``: same values, same generator
 consumption, session left in the same state.  In particular, planning
-a horizon in consecutive slices (``plan_trace(c)`` called repeatedly —
-the fleet engine's ``plan_chunk_size``) must realize exactly the same
+a horizon in consecutive slices (``plan_trace_indexed(c)`` called
+repeatedly — the fleet engine's ``plan_chunk_size``) must realize exactly the same
 walk as one full-horizon plan.  ``tests/sim`` pins all of this.
 """
 
@@ -210,8 +209,9 @@ class IndexedTracePlan:
     row-table contract — but the per-agent payload is only the
     ``(horizon,)`` index walk; the tables live once per dataset.
     Sessions over the same dataset return the *same* table object, so a
-    fleet shard can verify sharing by identity and gather every
-    context, reward and encoding through one table.
+    fleet shard can detect sharing by identity and gather every
+    context, reward and encoding through one table (a shard over
+    several datasets concatenates their tables).
     """
 
     rows: np.ndarray  #: per-step dataset row indices, shape (horizon,)
@@ -229,29 +229,6 @@ class IndexedTracePlan:
     def horizon(self) -> int:
         return self.rows.shape[0]
 
-    def densify(self) -> TracePlan:
-        """The equivalent dense per-agent :class:`TracePlan` (gathers).
-
-        Used by the fleet engine when sessions of one shard walk
-        *different* datasets (no single table to share); bit-identical
-        to what :meth:`ReplayUserSession.plan_trace` would have built
-        from the same walk.
-        """
-        rewards = self.table.action_rewards[self.rows]
-        if self.table.expected is None:
-            expected = None
-        elif self.table.expected is self.table.action_rewards:
-            # preserve the aliasing convention so densified plans keep
-            # the expected-equals-realized fast path
-            expected = rewards
-        else:
-            expected = self.table.expected[self.rows]
-        return TracePlan(
-            contexts=self.table.contexts[self.rows],
-            action_rewards=rewards,
-            expected=expected,
-        )
-
     def realize(self, actions: np.ndarray) -> np.ndarray:
         """Realized rewards for one action per step, shape ``(horizon,)``."""
         actions = np.asarray(actions, dtype=np.intp).ravel()
@@ -267,10 +244,10 @@ class UserSession(abc.ABC):
     #: dispatch keys off these (never off method identity), so
     #: subclasses that inherit a working plan stay on the fast path.
     has_reward_plan: bool = False  #: :meth:`plan_rewards` is implemented
-    has_trace_plan: bool = False  #: :meth:`plan_trace` is implemented
-    #: :meth:`ReplayUserSession.plan_trace_indexed` is implemented —
-    #: the session's dataset exposes a shared :class:`TraceRowTable`
-    has_indexed_trace_plan: bool = False
+    #: the session walks a :class:`TraceRowTable` (``trace_row_table``,
+    #: ``plan_trace_indexed`` and :meth:`plan_trace` are implemented —
+    #: :class:`ReplayUserSession` provides all three)
+    has_trace_plan: bool = False
 
     @abc.abstractmethod
     def next_context(self) -> np.ndarray:
@@ -320,11 +297,13 @@ class UserSession(abc.ABC):
         return None
 
     def plan_trace(self, horizon: int) -> TracePlan:
-        """Optional fleet fast path: pre-materialize a replay horizon.
+        """Pre-materialize a replay horizon as per-step arrays.
 
         For sessions that walk logged dataset rows with deterministic
-        per-row rewards (set ``has_trace_plan = True`` alongside).  The
-        same exactness contract as :meth:`plan_rewards` applies: the
+        per-row rewards (``has_trace_plan``).  The fleet engine plans
+        through the row-table form instead; this per-step form is the
+        reference walk the row tables are checked against.  The same
+        exactness contract as :meth:`plan_rewards` applies: the
         materialized walk must consume the session's generator exactly
         as ``horizon`` ``next_context()`` calls would, and leave the
         session in the identical state.
@@ -354,13 +333,10 @@ class ReplayUserSession(UserSession):
     * :meth:`_reward_rows` — the per-action realized-reward table of a
       block of rows (any dtype exact under ``float64`` cast);
     * :meth:`_expected_rows` — the ground-truth channel (defaults to
-      the realized table: for logged data they coincide).
-
-    Subclasses whose views are pure *dataset-row* lookups additionally
-    opt into the shared-row-table plan form by setting
-    ``has_indexed_trace_plan = True`` and implementing
-    :meth:`_row_table_owner` + :meth:`_build_row_table`; see
-    :meth:`plan_trace_indexed`.
+      the realized table: for logged data they coincide);
+    * :meth:`_row_table_owner` + :meth:`_build_row_table` — the
+      dataset's shared :class:`TraceRowTable`, which the fleet engine
+      gathers through (see :meth:`plan_trace_indexed`).
     """
 
     has_trace_plan = True
@@ -424,7 +400,7 @@ class ReplayUserSession(UserSession):
         return self._context_rows(self._advance_rows(1))[0]
 
     def plan_trace(self, horizon: int) -> TracePlan:
-        """Materialize ``horizon`` steps of the walk (fleet fast path).
+        """Materialize ``horizon`` steps of the walk (reference form).
 
         Generator consumption and walk state match ``horizon``
         sequential ``next_context()`` calls exactly (``reward()``
@@ -444,9 +420,8 @@ class ReplayUserSession(UserSession):
     def trace_row_table(self) -> TraceRowTable:
         """The per-dataset :class:`TraceRowTable` this session walks.
 
-        Subclasses that set ``has_indexed_trace_plan = True`` override
-        :meth:`_build_row_table`; the table is built **once per dataset
-        object** and cached on it, so every session over the same
+        Built by :meth:`_build_row_table` **once per dataset object**
+        and cached on it, so every session over the same
         dataset — across environments, shards and runs — returns the
         identical object.  The row-table contract (pinned by
         ``tests/sim``): for any rows ``r``,
@@ -454,8 +429,8 @@ class ReplayUserSession(UserSession):
         ``table.action_rewards[r] == _reward_rows(r)``.
 
         Building and caching the table consumes no randomness, so
-        probing it (the fleet engine does, to decide the plan form)
-        never perturbs a session's stream.
+        probing it (the fleet engine does, to find which sessions share
+        a table) never perturbs a session's stream.
         """
         dataset = self._row_table_owner()
         table = getattr(dataset, "_p2b_row_table", None)
@@ -478,17 +453,13 @@ class ReplayUserSession(UserSession):
                         pass
         return table
 
+    @abc.abstractmethod
     def _row_table_owner(self):
         """The object the cached row table lives on (the dataset)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no shared row table"
-        )
 
+    @abc.abstractmethod
     def _build_row_table(self) -> TraceRowTable:
         """Construct the dataset's row table (cache miss only)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no shared row table"
-        )
 
     def plan_trace_indexed(self, horizon: int) -> IndexedTracePlan:
         """Shared-row-table variant of :meth:`plan_trace`.
@@ -498,8 +469,7 @@ class ReplayUserSession(UserSession):
         the identical horizon), but returns only the ``(horizon,)``
         row-index walk plus the shared per-dataset table: per-agent
         plan memory drops from ``horizon × (d + A)`` values to
-        ``horizon`` integers.  Only available when
-        ``has_indexed_trace_plan`` is set.
+        ``horizon`` integers.
         """
         horizon = check_positive_int(horizon, name="horizon")
         table = self.trace_row_table()

@@ -213,14 +213,10 @@ class MultilabelUserSession(ReplayUserSession):
     also makes the whole horizon traceable for the fleet engine
     (``has_trace_plan``): the reward of action ``a`` at a sample is the
     deterministic label lookup ``Y[sample, a]``.  Because that lookup
-    is a pure dataset-row view, the session also supports the
-    shared-row-table plan form (``has_indexed_trace_plan``): the
-    dataset's own ``(X, Y)`` arrays *are* the row table — sharing them
-    across a population allocates nothing per agent beyond the
-    row-index walk.
+    is a pure dataset-row view, the dataset's own ``(X, Y)`` arrays
+    *are* the shared row table — sharing them across a population
+    allocates nothing per agent beyond the row-index walk.
     """
-
-    has_indexed_trace_plan = True
 
     def __init__(
         self,

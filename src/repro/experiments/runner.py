@@ -34,7 +34,6 @@ from ..core.system import P2BSystem
 from ..data.environment import Environment
 from ..sim import (
     EXACTNESS_TIERS,
-    PLAN_FORMS,
     WORKER_BACKENDS,
     FaultPolicy,
     FleetRunner,
@@ -100,14 +99,6 @@ def _check_worker_backend(worker_backend: str) -> str:
     return worker_backend
 
 
-def _check_plan_form(plan_form: str) -> str:
-    if plan_form not in PLAN_FORMS:
-        from ..utils.exceptions import ConfigError
-
-        raise ConfigError(f"plan_form must be one of {PLAN_FORMS}, got {plan_form!r}")
-    return plan_form
-
-
 #: default-argument sentinel distinguishing "not passed" (use the
 #: process default) from an explicit ``None`` (``None`` is itself a
 #: meaningful chunk size: whole horizons); shared by the sweep
@@ -121,8 +112,7 @@ class EngineConfig:
 
     Replaces the kwarg pile that grew one parameter per PR (``engine``,
     ``n_workers``, ``worker_backend``, ``plan_chunk_size``,
-    ``plan_form``, ``exactness``, ``sink``,
-    ``kernel_block_size``): build one ``EngineConfig``
+    ``exactness``, ``sink``, ``kernel_block_size``): build one ``EngineConfig``
     and hand it to any entry point — ``run_setting(engine=cfg)``,
     ``compare_settings(engine=cfg)``, the sweeps, ``DeploymentLoop``,
     ``FleetRunner(config=cfg)``, ``FleetService(engine=cfg)`` —
@@ -170,7 +160,6 @@ class EngineConfig:
     n_workers: int = 1
     worker_backend: str = "thread"
     plan_chunk_size: int | None = None
-    plan_form: str = "auto"
     exactness: str = "bit"
     sink: object | None = None
     fault_policy: FaultPolicy | None = None
@@ -184,7 +173,6 @@ class EngineConfig:
         _check_worker_backend(self.worker_backend)
         if self.plan_chunk_size is not None:
             check_positive_int(self.plan_chunk_size, name="plan_chunk_size")
-        _check_plan_form(self.plan_form)
         _check_exactness(self.exactness)
         if self.kernel_block_size is not None:
             check_positive_int(self.kernel_block_size, name="kernel_block_size")
@@ -492,8 +480,9 @@ def run_setting(
     plan_chunk_size:
         Legacy kwarg (prefer :class:`EngineConfig`): fleet plan-chunk
         size (omit for the process default): session plans materialize
-        in horizon slices of this many steps, bounding plan memory;
-        ``None`` materializes whole horizons.  Results are identical
+        in horizon slices of this many steps (stationary noise and plan
+        calls; traced row walks are allocated whole); ``None``
+        materializes whole horizons.  Results are identical
         for every chunk size (the :mod:`repro.sim` contract).
     exactness:
         Legacy kwarg (prefer :class:`EngineConfig`): contract tier for
@@ -601,7 +590,6 @@ def run_setting(
                 n_workers=cfg.n_workers,
                 worker_backend=cfg.worker_backend,
                 plan_chunk_size=cfg.plan_chunk_size,
-                plan_form=cfg.plan_form,
                 exactness=tier,
                 kernel_block_size=cfg.kernel_block_size,
                 fault_policy=cfg.fault_policy,
@@ -734,7 +722,6 @@ def _eval_phase(
             n_workers=cfg.n_workers,
             worker_backend=cfg.worker_backend,
             plan_chunk_size=cfg.plan_chunk_size,
-            plan_form=cfg.plan_form,
             exactness=tier,
             kernel_block_size=cfg.kernel_block_size,
             fault_policy=cfg.fault_policy,

@@ -74,9 +74,9 @@ class FleetService:
         non-stationary traffic.
     engine:
         Optional :class:`~repro.experiments.runner.EngineConfig`
-        bundling the fleet knobs (workers, chunking, plan form,
-        exactness).  ``engine="sequential"`` is rejected — the service
-        *is* the hot fleet — and ``sink`` must be ``None`` (requests
+        bundling the fleet knobs (workers, chunking, exactness).
+        ``engine="sequential"`` is rejected — the service *is* the hot
+        fleet — and ``sink`` must be ``None`` (requests
         return their results directly).  ``sweep_workers`` is
         normalized to 1: there is no sweep here, just one persistent
         population (a process-wide default config with sweep

@@ -28,18 +28,17 @@ whenever:
    :meth:`~repro.bandits.base.BanditPolicy.fleet_key`;
 2. randomness is per-agent: each agent's policy / participation /
    session generators are independent streams (the ``spawn_seeds``
-   tree), so stepping round-major instead of agent-major consumes
-   every stream in the same within-agent order.
+   tree), so stepping a shard round-major instead of agent-major
+   consumes every stream in the same within-agent order.
 
 Homogeneity is **not** a condition: heterogeneous populations are
 partitioned into *shards* by :func:`~repro.sim.fleet.shard_key` —
 (mode, private-context, codebook size, policy kind and
-hyperparameters) — and each shard runs on its own stacked state.  The
-combined run interleaves shards round-major (every shard performs
-interaction ``t`` before any shard performs ``t + 1``); because
-condition 2 makes agent order within a round unobservable, shard order
-is too, and the mixed run stays bit-identical to the sequential
-reference.  Policies whose selection *consumes* randomness join the
+hyperparameters) — and each shard runs on its own stacked state.
+Execution is shard-major: one function runs a shard's whole horizon,
+and every backend maps it over the shards.  Because condition 2 makes
+agent order unobservable, shard order is too, and the mixed run stays
+bit-identical to the sequential reference.  Policies whose selection *consumes* randomness join the
 contract by defining their draw order — Thompson sampling draws
 arm-major per selection, so :class:`~repro.sim.stacked.StackedThompson`
 batches the O(d²) Cholesky/scoring math while drawing each agent's
@@ -53,25 +52,24 @@ noise, and warm-private shards over them encode every agent whose
 context changed in one row-exact :meth:`Encoder.encode_batch` call per
 encoder (centroids through the equally row-exact ``decode_batch``), and
 ``has_trace_plan`` sessions (dataset replay: multilabel, Criteo)
-pre-materialize their row walk into per-step context and
-reward-table arrays — both by contract exact stand-ins for the
+pre-materialize their walk of dataset rows — both by contract exact
+stand-ins for the
 sequential calls (same values, same generator consumption, session
 left in the same state), so the fast paths stay inside the
 bit-identity guarantee.  A shard mixing plan-capable and plan-less
 sessions falls back to per-round session stepping, still
 bit-identical.
 
-Traced plans take the **shared-row-table** form whenever every session
-of a shard walks the same per-dataset
-:class:`~repro.data.environment.TraceRowTable`
-(``has_indexed_trace_plan``): the shard keeps one row-index walk per
-agent and gathers contexts, rewards and plan-time encodings through
-tables that exist once per dataset — traced-plan memory drops A-fold
-and each distinct dataset row is encoded at most once per encoder.
-``FleetRunner(plan_chunk_size=C)`` additionally materializes plans in
-bounded horizon slices; both knobs preserve bit-identity (chunk
-boundaries straddle participation windows through a short history
-tail, and slice-by-slice planning is exact by the plan contract).
+Traced plans have one form, the **shared row table**: the shard keeps
+one row-index walk per agent and gathers contexts, rewards and
+plan-time encodings through the per-dataset
+:class:`~repro.data.environment.TraceRowTable` its sessions share — or,
+when they walk several datasets, through one shard-private
+concatenation of those tables.  Traced-plan memory is A-fold below a
+per-agent table, and each distinct row is encoded at most once per
+encoder.  ``FleetRunner(plan_chunk_size=C)`` materializes plans in
+horizon slices of ``C`` steps; slice-by-slice planning is exact by the
+plan contract, so every chunk size is bit-identical.
 
 The *reporting* pipeline is columnar on the same plan-capable shards:
 participation advances through
@@ -141,7 +139,6 @@ from .faults import (
     active_plan,
 )
 from .fleet import (
-    PLAN_FORMS,
     WORKER_BACKENDS,
     DroppedShard,
     FaultPolicy,
@@ -194,7 +191,6 @@ __all__ = [
     "aggregate_plan_nbytes",
     "EXACTNESS_TIERS",
     "WORKER_BACKENDS",
-    "PLAN_FORMS",
     "SHM_ENV_VAR",
     "ShmArrayRef",
     "ShmPool",

@@ -1,22 +1,24 @@
 """The vectorized fleet engine: simulate an agent population per round.
 
 :class:`FleetRunner` drives ``n`` ``(LocalAgent, UserSession)`` pairs
-round-major — every agent performs interaction ``t`` before any agent
-performs ``t + 1`` — with the policy math executed on stacked arrays
-(:mod:`repro.sim.stacked`).  Because every agent owns independent RNG
-streams (policy, participation, session), round-major stepping consumes
-each stream in exactly the order the sequential agent-major loop does,
-so the two engines are interchangeable; ``tests/sim/`` pins the
-equivalence bit-for-bit.
+on stacked arrays (:mod:`repro.sim.stacked`).  Agents are partitioned
+into **shards** by :func:`shard_key` — (mode, private-context, codebook
+size, policy kind and hyperparameters) — and each shard steps its
+agents round-major on its own stacked state: every agent of the shard
+performs interaction ``t`` before any performs ``t + 1``.  Because
+every agent owns independent RNG streams (policy, participation,
+session), round-major stepping consumes each stream in exactly the
+order the sequential agent-major loop does, so the two engines are
+interchangeable; ``tests/sim/`` pins the equivalence bit-for-bit.
 
-Heterogeneous populations run **sharded**: agents are partitioned by
-:func:`shard_key` — (mode, private-context, codebook size, policy kind
-and hyperparameters) — and each shard steps on its own stacked state.
-Within one round the shards execute in first-appearance order, but
-since no RNG stream is shared across agents, shard order (like agent
-order) is unobservable: a mixed LinUCB + Thompson + epsilon-greedy
-population, warm-private and cold side by side, produces bit-identical
-actions, rewards, policy states and reports to the sequential loop.
+Execution is **shard-major**: one function, :func:`_run_shard_horizon`,
+runs a shard's whole horizon (prepare, ``step`` x T, finish,
+writeback), and every backend maps it over the shards — serially, on a
+thread pool, or in worker processes.  Shards share no RNG stream and
+no mutable state, so shard order (like agent order) is unobservable: a
+mixed LinUCB + Thompson + epsilon-greedy population, warm-private and
+cold side by side, produces bit-identical actions, rewards, policy
+states and reports to the sequential loop.
 
 Plan fast paths
 ---------------
@@ -32,37 +34,29 @@ pre-materialize their horizon (capability flags on
   sessions re-plan at each drift boundary, re-encoding only the agents
   whose context moved);
 * ``has_trace_plan`` — dataset-replay sessions (multilabel, Criteo)
-  pre-materialize their row walk (:class:`TracePlan`); per-step
-  contexts and per-action reward tables become array gathers;
-* ``has_indexed_trace_plan`` — replay sessions whose dataset exposes a
-  shared :class:`~repro.data.environment.TraceRowTable` take the
-  **shared-row-table** form when every session of the shard walks the
-  *same* table: the shard holds one ``(n, T)`` row-index walk and
-  gathers contexts, rewards, expected rewards — and, warm-private,
-  codes and centroid representations — through per-dataset tables that
-  exist once, not once per agent.  Traced-plan memory drops A-fold and
-  each distinct dataset row is encoded at most once per encoder,
-  however many agents and steps visit it.  ``plan_form="dense"``
-  forces the per-agent form (the memory bench compares the two);
-  ``plan_form="indexed"`` insists and raises when unavailable.
+  walk rows of a per-dataset
+  :class:`~repro.data.environment.TraceRowTable`.  The shard holds one
+  ``(n, T)`` row-index walk and gathers contexts, rewards, expected
+  rewards — and, warm-private, codes and centroid representations —
+  through row tables that exist once per dataset, not once per agent.
+  A shard whose sessions walk several datasets gathers through one
+  shard-private concatenation of their tables (each agent's walk
+  offset into its dataset's block; the gathered values are the same).
+  Each distinct row is encoded at most once per encoder, however many
+  agents and steps visit it.
 
 A shard mixing plan-capable and plan-less sessions falls back to the
 generic per-round session loop — still bit-identical, just slower.
 
-Chunked horizons (``plan_chunk_size``) bound the plan materialization:
-instead of planning all ``T`` steps up front, a shard re-plans its
-sessions every ``C`` steps — exact by the plan contract (planning a
-horizon in consecutive slices consumes session streams identically to
-one full plan) — so dense traced-plan memory is ``O(n x C)`` instead
-of ``O(n x T)``.  Chunk boundaries are invisible to everything else:
-participation windows straddle them through a short history tail (a
-report may sample an interaction up to ``window - 1`` steps back, so
-dense shards retain that many trailing steps of context/codes), the
-columnar report gathers and ``finish``'s buffer rebuild read through
-the same tail, and ``plan_chunk_size >= T`` (or ``None``) degenerates
-to exactly the unchunked path — one chunk, no tail.  Indexed shards
-need no tail at all: the full row walk plus the shared tables
-regenerate any past step.
+Chunked horizons (``plan_chunk_size``) re-plan a shard's sessions every
+``C`` steps instead of planning all ``T`` up front — exact by the plan
+contract (planning a horizon in consecutive slices consumes session
+streams identically to one full plan).  Chunking slices the stationary
+noise and the plan calls; it does not bound traced memory, because the
+``(n, T)`` row walk is allocated whole (the full walk plus the row
+tables regenerate any past step, so report gathers and ``finish``'s
+buffer rebuild need no history tail).  ``plan_chunk_size >= T`` (or
+``None``) is exactly the unchunked path.
 
 What stays per-agent Python (all O(1) per agent per round):
 
@@ -93,8 +87,8 @@ vectorized comparison, and encodes them in one
 centroids come from the equally row-exact ``decode_batch``).
 Fixed-preference populations (the paper's synthetic benchmark)
 therefore encode once per agent total, and *traced* shards skip
-per-round encoding entirely by batch-encoding the whole horizon at
-plan time.
+per-round encoding entirely by batch-encoding each newly visited row
+at plan time.
 
 Everything O(d²)–O(k·d²) — scoring, Cholesky refreshes,
 Sherman–Morrison updates — runs as stacked kernel calls, one set per
@@ -104,18 +98,16 @@ Parallel shard stepping
 -----------------------
 
 Shards share no mutable state — disjoint agents, disjoint result rows,
-per-agent RNG/session/outbox — and they never synchronize: the
-round-major interleaving across shards is purely cosmetic, because
-agent streams are per-agent.  ``FleetRunner(..., n_workers=k)``
-therefore runs each shard's *entire horizon* as one thread-pool task
-(no per-round barrier or submit overhead; the einsum kernels release
-the GIL, so compute-bound shards overlap); results are identical to
-serial stepping because nothing observable depends on shard order.
+per-agent RNG/session/outbox — and they never synchronize, so the
+serial backend is a plain ``map`` of :func:`_run_shard_horizon` over
+the shards and ``FleetRunner(..., n_workers=k)`` is a thread-pool map
+of the same function (no per-round barrier or submit overhead; the
+einsum kernels release the GIL, so compute-bound shards overlap).
 ``worker_backend="process"`` is the escape hatch for populations whose
-per-agent Python dominates: the same whole-horizon tasks run in worker
-processes instead, and the mutated agent/session state is adopted back
-into the caller's objects — see :func:`_run_shard_remote` for the
-(documented) identity caveats.
+per-agent Python dominates: the same whole-horizon function runs in
+worker processes instead, and the mutated agent/session state is
+adopted back into the caller's objects — see :func:`_run_shard_remote`
+for the (documented) identity caveats.
 """
 
 from __future__ import annotations
@@ -131,12 +123,7 @@ from ..core.agent import LocalAgent
 from ..core.config import AgentMode
 from ..core.participation import StackedParticipation
 from ..core.payload import EncodedReport, RawReport, ReportLog
-from ..data.environment import (
-    StationaryRewardPlan,
-    TracePlan,
-    TraceRowTable,
-    UserSession,
-)
+from ..data.environment import StationaryRewardPlan, TraceRowTable, UserSession
 from ..utils.exceptions import CheckpointError, ConfigError, WorkerError
 from ..utils.validation import check_positive_int
 from .faults import FaultPlan, active_plan
@@ -152,23 +139,14 @@ __all__ = [
     "shard_indices",
     "aggregate_plan_nbytes",
     "WORKER_BACKENDS",
-    "PLAN_FORMS",
     "EXACTNESS_TIERS",
 ]
 
-#: recognized shard-parallelism backends: ``thread`` steps shards of
-#: each round on a thread pool (GIL-releasing kernels, zero copy),
+#: recognized shard-parallelism backends: ``thread`` runs each shard's
+#: whole horizon on a thread pool (GIL-releasing kernels, zero copy),
 #: ``process`` runs each shard's whole horizon in a worker process
 #: (serialization-heavy escape hatch for Python-bound populations).
 WORKER_BACKENDS = ("thread", "process")
-
-#: recognized traced-plan forms: ``auto`` uses the shared-row-table
-#: ("indexed") form whenever every session of a shard walks the same
-#: :class:`~repro.data.environment.TraceRowTable` and falls back to
-#: per-agent ("dense") trace tables otherwise; ``dense`` forces the
-#: per-agent form; ``indexed`` insists on the shared form and raises
-#: when a shard cannot take it.  All forms are bit-identical.
-PLAN_FORMS = ("auto", "indexed", "dense")
 
 
 @dataclass(frozen=True)
@@ -348,9 +326,9 @@ class _Shard:
 
     Owns the per-shard context/encoding caches and — when every session
     in the shard advertises a plan capability — the plan
-    materialization: stationary reward plans, per-agent replay traces
-    ("dense"), or a shared-row-table walk ("indexed").  Plans
-    materialize in horizon chunks of ``plan_chunk_size`` steps (the
+    materialization: stationary reward plans or a row-index walk into
+    the sessions' row tables (traced).  Plans materialize in horizon
+    chunks of ``plan_chunk_size`` steps (the
     whole horizon when ``None``).  ``step`` writes outcomes into the
     *global* result matrices at this shard's agent indices.
     """
@@ -362,7 +340,6 @@ class _Shard:
         sessions: list[UserSession],
         *,
         plan_chunk_size: int | None = None,
-        plan_form: str = "auto",
         exactness: str = "bit",
         kernel_block_size: int | None = None,
     ) -> None:
@@ -379,7 +356,6 @@ class _Shard:
         )
         self._rows = np.arange(self.n)
         self._plan_chunk_size = plan_chunk_size
-        self._plan_form = plan_form
         # acting-representation caches (warm-private only) — persist
         # across runs: encoders are deterministic, and _refresh_acting
         # validates each row against the live context; the (n, d)
@@ -391,13 +367,17 @@ class _Shard:
         # deterministic encoder-group caches (persist across runs)
         self._enc_groups: list[np.ndarray] | None = None
         self._agent_group: np.ndarray | None = None
-        # shared per-row encoding tables (persist while the row table
-        # is the same object — each dataset row encoded at most once
-        # per encoder across a persistent shard's whole lifetime)
+        # traced shards: the row table the walk indexes and its per-row
+        # encoding tables.  Both persist while the sessions walk the same
+        # source tables (held by reference, compared with ``is`` — the
+        # id() of a freed concatenation could be reused by the next), so
+        # each row is encoded at most once per encoder across a
+        # persistent shard's whole lifetime
+        self._row_sources: tuple[TraceRowTable, ...] = ()
+        self._row_table: TraceRowTable | None = None
         self._row_codes: np.ndarray | None = None  # (groups, n_rows) intp
         self._row_reps: np.ndarray | None = None  # (groups, n_rows, d)
         self._row_encoded: np.ndarray | None = None  # (groups, n_rows) bool
-        self._row_codes_table: int | None = None  # id() of the table they cover
         # raw contexts, allocated on the first generic-path round
         self._X: np.ndarray | None = None
         # armed fault injection (chaos harness): set per attempt by the
@@ -413,8 +393,8 @@ class _Shard:
         """Clear every per-run field (a persistent shard runs many times).
 
         Deterministic caches — stacked policy state, acting-encoding
-        caches, encoder groups, shared per-row code tables — survive;
-        plan materializations, chunk cursors, history tails and the
+        caches, encoder groups, row tables and their per-row code
+        tables — survive; plan materializations, chunk cursors and the
         columnar-recording state are strictly per-run and reset here
         (``prepare`` calls this first, so a reused shard can never see
         a previous run's plan path or recording buffers).
@@ -425,7 +405,6 @@ class _Shard:
         self._colmod: int | None = None
         # which plan fast path this shard runs on (None = generic loop)
         self._plan_path: str | None = None
-        self._track_expected = False
         # chunk state: plan arrays cover global steps
         # [_chunk_start, _chunk_start + _chunk_len)
         self._chunk = 0
@@ -438,25 +417,13 @@ class _Shard:
         # whether any session's stationarity expires mid-horizon
         # (drifting sessions): chunks then re-gather means/contexts
         self._plan_limited = False
-        # dense trace-plan arrays (per-agent, chunk-local)
-        self._trace_ctx: np.ndarray | None = None
-        self._trace_rewards: np.ndarray | None = None
-        self._trace_expected: np.ndarray | None = None
-        self._trace_expected_ok: np.ndarray | None = None
-        self._trace_codes: np.ndarray | None = None
-        self._trace_reps: np.ndarray | None = None
-        self._trace_expected_is_rewards = False
-        # shared-row-table state (indexed shards): the full-horizon row
-        # walk (the per-dataset code tables persist across runs)
-        self._row_table: TraceRowTable | None = None
+        # traced shards: the full-horizon walk of row-table indices,
+        # each agent's offset into a concatenated table (None when the
+        # shard walks one dataset's table), and the expected channel
         self._trace_rows: np.ndarray | None = None  # (n, T) intp
-        # history tail (dense traced chunked shards): the last
-        # ``max(window) - 1`` steps of context/codes before the current
-        # chunk, for report gathers and buffer rebuilds that straddle a
-        # chunk boundary
-        self._hist_len = 0
-        self._hist_ctx: np.ndarray | None = None
-        self._hist_codes: np.ndarray | None = None
+        self._row_offset: np.ndarray | None = None  # (n,) intp
+        self._trace_expected_ok: np.ndarray | None = None
+        self._trace_expected_is_rewards = False
         # columnar reporting state (plan-capable shards only)
         self._batch_recording = False
         self._horizon = 0
@@ -493,7 +460,6 @@ class _Shard:
         self,
         n_interactions: int,
         *,
-        track_expected: bool = False,
         result_window: int | None = None,
     ) -> None:
         """Pick the plan fast path and materialize its first chunk.
@@ -511,7 +477,6 @@ class _Shard:
         self._reset_run_state()
         self._colmod = result_window
         self._horizon = n_interactions
-        self._track_expected = track_expected
         if all(s.has_reward_plan for s in self.sessions):
             path = "stationary"
             # drifting sessions advertise a finite stationarity horizon;
@@ -522,15 +487,9 @@ class _Shard:
                 s.plan_horizon_limit() is not None for s in self.sessions
             )
         elif all(s.has_trace_plan for s in self.sessions):
-            path = self._pick_trace_form()
+            path = "traced"
         else:
             path = None
-        if path in (None, "stationary") and self._plan_form == "indexed":
-            raise ConfigError(
-                "plan_form='indexed' requested but a shard's sessions have no "
-                "trace plans to share (plan-less or stationary sessions); use "
-                "plan_form='auto'"
-            )
         if path is None:
             return
         self._plan_path = path
@@ -539,10 +498,10 @@ class _Shard:
             if self._plan_chunk_size is None
             else min(self._plan_chunk_size, n_interactions)
         )
-        if path == "indexed":
-            # the per-agent half of the shared-row-table form: one row
-            # index per step — everything else lives in the shared
-            # per-dataset tables
+        if path == "traced":
+            # the per-agent half of a traced plan: one row index per
+            # step — everything else lives in the row tables
+            self._bind_row_table()
             self._trace_rows = np.empty((self.n, n_interactions), dtype=np.intp)
             self._init_row_encodings()
         if not (path == "stationary" and self._plan_limited):
@@ -553,39 +512,50 @@ class _Shard:
             # current chunk's context is exact (within a chunk the
             # context is constant by construction)
             self._init_batch_recording(n_interactions)
-        self._init_history()
         self._materialize_chunk(0)
 
-    def _pick_trace_form(self) -> str:
-        """Shared-row-table ("indexed") or per-agent ("dense") traces.
+    def _bind_row_table(self) -> None:
+        """Bind the row table this shard's walks index into.
 
-        The shared form applies when every session advertises
-        ``has_indexed_trace_plan`` *and* they all walk the same
-        :class:`TraceRowTable` (sessions over one dataset share the
-        table by identity; probing it consumes no randomness).  Mixed
-        datasets within one shard fall back to dense per-agent tables —
-        bit-identical either way.  ``plan_form`` forces the choice.
+        Sessions over one dataset share its
+        :class:`~repro.data.environment.TraceRowTable` by identity
+        (probing it consumes no randomness).  When the shard's sessions
+        walk several tables, the shard gathers through one private
+        concatenation of them in first-appearance order, and each
+        agent's walk is offset to its table's block — the gathered
+        floats are the same values, so results stay bit-identical.
         """
-        if self._plan_form == "dense":
-            return "dense"
-        if all(s.has_indexed_trace_plan for s in self.sessions):
-            tables = [s.trace_row_table() for s in self.sessions]
-            if all(t is tables[0] for t in tables):
-                self._row_table = tables[0]
-                return "indexed"
-            why = "its sessions walk different datasets (no single row table to share)"
-        else:
-            why = "not every session has a shared-row-table plan"
-        if self._plan_form == "indexed":
-            raise ConfigError(f"plan_form='indexed' requested but {why}")
-        return "dense"
+        tables = [s.trace_row_table() for s in self.sessions]
+        first: dict[int, int] = {}  # id(table) -> position in sources
+        sources: list[TraceRowTable] = []
+        for table in tables:
+            if first.setdefault(id(table), len(sources)) == len(sources):
+                sources.append(table)
+        which = np.array([first[id(t)] for t in tables], dtype=np.intp)
+        if len(sources) != len(self._row_sources) or not all(
+            a is b for a, b in zip(sources, self._row_sources)
+        ):
+            # new sources: rebuild the table and drop its code tables
+            self._row_sources = tuple(sources)
+            self._row_table = (
+                sources[0] if len(sources) == 1 else _concat_row_tables(sources)
+            )
+            self._row_codes = self._row_reps = self._row_encoded = None
+        if len(sources) > 1:
+            starts = np.cumsum([0] + [t.n_rows for t in sources[:-1]])
+            self._row_offset = starts[which].astype(np.intp)
+        self._trace_expected_ok = np.array(
+            [sources[k].expected is not None for k in which], dtype=bool
+        )
+        table = self._row_table
+        self._trace_expected_is_rewards = table.expected is table.action_rewards
 
     def _encoder_groups(self) -> list[np.ndarray]:
         """Shard-local agent indices grouped by encoder object (cached).
 
         Shards only guarantee equal codebook *size*, so batch encodings
-        group agents by the encoder they actually hold; both trace
-        forms — and every chunk — reuse this one grouping.
+        group agents by the encoder they actually hold; stationary and
+        traced encodings — and every chunk — reuse this one grouping.
         """
         if self._enc_groups is None:
             groups: dict[int, list[int]] = {}
@@ -595,7 +565,7 @@ class _Shard:
         return self._enc_groups
 
     def _init_row_encodings(self) -> None:
-        """Allocate the shared per-row code tables (warm-private only).
+        """Allocate the per-row code tables (warm-private only).
 
         Each encoder group owns one ``(n_rows,)`` code table (plus a
         centroid table when acting on centroids) filled lazily by
@@ -603,11 +573,8 @@ class _Shard:
         """
         if self.mode != AgentMode.WARM_PRIVATE:
             return
-        if (
-            self._row_codes is not None
-            and self._row_codes_table == id(self._row_table)
-        ):
-            return  # persistent reuse: rows already encoded stay encoded
+        if self._row_codes is not None:
+            return  # same source tables: rows already encoded stay encoded
         groups = self._encoder_groups()
         self._agent_group = np.empty(self.n, dtype=np.intp)
         for g, members in enumerate(groups):
@@ -615,29 +582,9 @@ class _Shard:
         shape = (len(groups), self._row_table.n_rows)
         self._row_codes = np.zeros(shape, dtype=np.intp)
         self._row_encoded = np.zeros(shape, dtype=bool)
-        self._row_codes_table = id(self._row_table)
         if self.private_context == "centroid":
             d = self._row_table.contexts.shape[1]
             self._row_reps = np.zeros((*shape, d), dtype=np.float64)
-
-    def _init_history(self) -> None:
-        """Size the cross-chunk history tail (dense chunked shards only).
-
-        A report samples an interaction at most ``window - 1`` steps
-        back, and ``finish`` rebuilds at most ``window - 1`` buffered
-        items (a window that never fills holds at most that many
-        in-run steps), so retaining ``max(window) - 1`` trailing steps
-        of context/codes bridges every chunk boundary.  Indexed shards
-        regenerate any step from the full row walk plus the shared
-        tables; stationary contexts never change; cold shards never
-        report — none of them need a tail.
-        """
-        self._hist_len = 0
-        if self._plan_path != "dense" or self._chunk >= self._horizon:
-            return
-        if self._part is None:
-            return
-        self._hist_len = int(self._part.window.max()) - 1
 
     def _materialize_chunk(self, start: int) -> None:
         """Materialize plan arrays for global steps ``[start, start + C)``.
@@ -676,71 +623,20 @@ class _Shard:
                 self._X = np.stack([p.context for p in plans])
                 self._plan_means = np.stack([p.mean_rewards for p in plans])  # (n, A)
                 self._plan_acting = self._refresh_acting(self._X)
-        elif self._plan_path == "indexed":
+        else:  # traced
             rows = np.stack(
                 [s.plan_trace_indexed(length).rows for s in self.sessions]
             )
+            if self._row_offset is not None:
+                rows += self._row_offset[:, None]
             self._trace_rows[:, start : start + length] = rows
-            if start == 0:
-                table = self._row_table
-                self._trace_expected_ok = np.full(
-                    self.n, table.expected is not None, dtype=bool
-                )
-                self._trace_expected_is_rewards = (
-                    table.expected is table.action_rewards
-                )
             if self.mode == AgentMode.WARM_PRIVATE:
                 self._encode_new_rows(rows)
-        else:  # dense per-agent traces
-            traces: list[TracePlan] = [s.plan_trace(length) for s in self.sessions]
-            self._trace_ctx = np.stack([p.contexts for p in traces])  # (n, C, d)
-            self._trace_rewards = np.stack(
-                [p.action_rewards for p in traces]
-            )  # (n, C, A)
-            if start == 0:
-                self._trace_expected_ok = np.asarray(
-                    [p.expected is not None for p in traces], dtype=bool
-                )
-            # the expected channel is only materialized when the run
-            # tracks it; logged-data plans usually alias it to the
-            # reward table (expected == realized), in which case the
-            # per-step values fall out of the reward gather for free
-            self._trace_expected = None
-            if self._track_expected and self._trace_expected_ok.any():
-                if all(p.expected is p.action_rewards for p in traces):
-                    self._trace_expected_is_rewards = True
-                else:
-                    # absent expected channels stay zero; their agents
-                    # are masked out of the expected matrix at step 0
-                    ref = next(p.expected for p in traces if p.expected is not None)
-                    self._trace_expected = np.zeros(
-                        (self.n, *ref.shape), dtype=np.float64
-                    )
-                    for j, p in enumerate(traces):
-                        if p.expected is not None:
-                            self._trace_expected[j] = p.expected
-            if self.mode == AgentMode.WARM_PRIVATE:
-                self._precompute_trace_codes()
-
-    def _roll_history(self) -> None:
-        """Retain the chunk tail needed across the boundary (dense only)."""
-        if self._hist_len <= 0:
-            return
-        keep = self._hist_len
-
-        def tail(hist: np.ndarray | None, chunk: np.ndarray) -> np.ndarray:
-            joined = chunk if hist is None else np.concatenate([hist, chunk], axis=1)
-            return joined[:, max(0, joined.shape[1] - keep) :].copy()
-
-        self._hist_ctx = tail(self._hist_ctx, self._trace_ctx)
-        if self._trace_codes is not None:
-            self._hist_codes = tail(self._hist_codes, self._trace_codes)
 
     def _encode_new_rows(self, chunk_rows: np.ndarray) -> None:
-        """Extend the shared code tables to cover this chunk's rows.
+        """Extend the per-row code tables to cover this chunk's rows.
 
-        The indexed counterpart of :meth:`_precompute_trace_codes`:
-        encoders are deterministic and ``encode_batch`` row-exact, so
+        Encoders are deterministic and ``encode_batch`` row-exact, so
         each distinct *dataset row* is encoded at most once per
         encoder — no matter how many agents or steps visit it, and no
         matter how the horizon is chunked — and every later use
@@ -760,7 +656,7 @@ class _Shard:
         """Switch this shard's reporting pipeline to the columnar path.
 
         Plan-capable shards keep their whole context history in arrays
-        (fixed plan contexts or the trace tensor), so the sampled
+        (fixed plan contexts or the row walk), so the sampled
         window item of any report is a pure gather — the per-agent
         ``record_interaction`` loop is replaced by
         :class:`StackedParticipation` masks plus per-round appends into
@@ -786,34 +682,6 @@ class _Shard:
         for j, agent in enumerate(self.agents):
             agent.adopt_report_log(self._log, j)
 
-    def _precompute_trace_codes(self) -> None:
-        """Batch-encode the whole trace (warm-private traced shards).
-
-        Encoders are deterministic and :meth:`Encoder.encode_batch` is
-        row-exact against scalar ``encode`` (the base-class contract),
-        so encoding at plan time instead of per round is exact — and
-        collapses the last per-agent-per-round Python of the replay
-        fast path into one batched call per *distinct encoder* (shards
-        only guarantee equal codebook size, so agents are grouped by
-        encoder object).
-        """
-        n, horizon, d = self._trace_ctx.shape
-        codes = np.empty((n, horizon), dtype=np.intp)
-        groups = self._encoder_groups()
-        for members in groups:
-            encoder = self.agents[members[0]].encoder
-            block = self._trace_ctx[members].reshape(members.size * horizon, d)
-            codes[members] = encoder.encode_batch(block).reshape(members.size, horizon)
-        self._trace_codes = codes
-        if self.private_context == "centroid":
-            reps = np.empty((n, horizon, d), dtype=np.float64)
-            for members in groups:
-                encoder = self.agents[members[0]].encoder
-                reps[members] = encoder.decode_batch(codes[members].ravel()).reshape(
-                    members.size, horizon, d
-                )
-            self._trace_reps = reps
-
     @property
     def stationary(self) -> bool:
         """This shard runs on pre-realized stationary reward plans."""
@@ -821,13 +689,11 @@ class _Shard:
 
     @property
     def traced(self) -> bool:
-        """This shard runs on pre-materialized replay traces (either form)."""
-        return self._plan_path in ("dense", "indexed")
+        """This shard runs on a row-table walk of replay sessions."""
+        return self._plan_path == "traced"
 
-    @property
-    def indexed(self) -> bool:
-        """This shard runs on the shared-row-table trace form."""
-        return self._plan_path == "indexed"
+    #: every traced shard gathers through a row table ("indexed")
+    indexed = traced
 
     def _col(self, t):
         """Result-matrix column for global step ``t`` (scalar or array).
@@ -841,47 +707,36 @@ class _Shard:
     def plan_nbytes(self, *, seen: set[int] | None = None) -> dict[str, int]:
         """Bytes currently held by this shard's plan materialization.
 
-        ``per_agent`` counts arrays scaling with ``n_agents x steps``
-        (dense trace blocks, history tails, row walks, stationary
-        noise); ``shared`` counts per-dataset arrays whose size is
-        independent of the population (the row table and the per-row
-        code/centroid tables).  The memory bench
-        (``benchmarks/bench_memory.py``) records both; the
-        shared-row-table claim is their ratio.
+        ``per_agent`` counts arrays scaling with the population (row
+        walks and offsets, stationary noise, contexts and means);
+        ``shared`` counts the traced row table and its per-row
+        code/centroid tables, whose size is independent of the
+        population.  The memory bench (``benchmarks/bench_memory.py``)
+        records both.
 
-        ``seen`` (a set of ``id(row_table)``) dedupes the shared row
+        ``seen`` (a set of ``id(row_table)``) dedupes a shared row
         table across shards that gather through the *same* object —
         without it a multi-shard sum attributes those bytes once per
         shard.  :func:`aggregate_plan_nbytes` threads one ``seen``
         through a whole shard list.
         """
-        arrays = [
-            self._plan_noise,
-            self._trace_ctx,
-            self._trace_rewards,
-            self._trace_expected,
-            self._trace_codes,
-            self._trace_reps,
-            self._trace_rows,
-            self._hist_ctx,
-            self._hist_codes,
-        ]
+        arrays = [self._plan_noise, self._trace_rows, self._row_offset]
         if self.stationary:
             arrays += [self._X, self._plan_means]
             if self._plan_acting is not self._X:  # aliased when acting on raw contexts
                 arrays.append(self._plan_acting)
         per_agent = sum(a.nbytes for a in arrays if a is not None)
         shared = 0
-        if self._row_table is not None:
+        if self.traced:
             if seen is None or id(self._row_table) not in seen:
                 shared = self._row_table.nbytes()
                 if seen is not None:
                     seen.add(id(self._row_table))
-        shared += sum(
-            a.nbytes
-            for a in (self._row_codes, self._row_reps, self._row_encoded)
-            if a is not None
-        )
+            shared += sum(
+                a.nbytes
+                for a in (self._row_codes, self._row_reps, self._row_encoded)
+                if a is not None
+            )
         return {"per_agent": per_agent, "shared": shared, "total": per_agent + shared}
 
     # ------------------------------------------------------------------ #
@@ -908,21 +763,16 @@ class _Shard:
                 in_worker=self._fault_in_worker,
             )
         if self._plan_path is not None and t == self._chunk_start + self._chunk_len:
-            self._roll_history()
             self._materialize_chunk(t)
-        s = t - self._chunk_start  # chunk-local step into the plan arrays
         tc = self._col(t)  # result-matrix column (ring when streaming)
         rows_t = None
         if self.stationary:
             acting = self._plan_acting
             X = self._X
-        elif self.indexed:
+        elif self.traced:
             rows_t = self._trace_rows[:, t]
             acting = self._indexed_acting(rows_t)
-            X = None  # every gather goes through the shared row table
-        elif self.traced:
-            X = self._trace_ctx[:, s]
-            acting = self._trace_acting(s, X)
+            X = None  # every gather goes through the row table
         else:
             X = self._next_contexts()
             acting = self._refresh_acting(X)
@@ -935,14 +785,15 @@ class _Shard:
             # one step: mean[a] + z, clipped — the same elementwise ops
             # as session.reward (a test pins the plan to the sequential
             # reward stream)
+            s = t - self._chunk_start  # chunk-local step into the noise
             r = np.clip(self._plan_means[self._rows, acts] + self._plan_noise[:, s], 0.0, 1.0)
             rewards[self.indices, tc] = r
             if expected is not None:
                 expected[self.indices, tc] = self._plan_means[self._rows, acts]
-        elif self.indexed:
+        elif self.traced:
             # IndexedTracePlan.realize, vectorized across agents for one
-            # step: a gather through the *shared* per-dataset reward
-            # table — replay rewards are deterministic
+            # step: a gather through the row table's reward column —
+            # replay rewards are deterministic
             r = self._row_table.action_rewards[rows_t, acts].astype(np.float64)
             rewards[self.indices, tc] = r
             if expected is not None:
@@ -952,18 +803,6 @@ class _Shard:
                     expected[self.indices, tc] = r
                 elif self._row_table.expected is not None:
                     expected[self.indices, tc] = self._row_table.expected[rows_t, acts]
-        elif self.traced:
-            # TracePlan.realize, vectorized across agents for one step:
-            # a pure table gather — replay rewards are deterministic
-            r = self._trace_rewards[self._rows, s, acts].astype(np.float64)
-            rewards[self.indices, tc] = r
-            if expected is not None:
-                if t == 0:
-                    expected_ok[self.indices] &= self._trace_expected_ok
-                if self._trace_expected_is_rewards:
-                    expected[self.indices, tc] = r
-                elif self._trace_expected is not None:
-                    expected[self.indices, tc] = self._trace_expected[self._rows, s, acts]
         else:
             r = np.empty(self.n, dtype=np.float64)
             for j in range(self.n):
@@ -1001,8 +840,8 @@ class _Shard:
         through :class:`StackedParticipation` (vectorized masks,
         per-agent RNG draws in the scalar order); report payloads are
         *gathered* — codes from the plan-time batch encodings
-        (``_trace_codes`` / the stationary encode cache), contexts from
-        the plan arrays, sampled actions/rewards from the already
+        (the per-row code tables / the stationary encode cache),
+        contexts from the plan arrays, sampled actions/rewards from the already
         filled result matrices — instead of re-encoded or re-built per
         report.
         """
@@ -1097,27 +936,11 @@ class _Shard:
                 self._X[j] = self.sessions[j].next_context()
         return self._X
 
-    def _trace_acting(self, s: int, X: np.ndarray) -> np.ndarray:
-        """Acting representation for chunk-local step ``s`` (dense form).
-
-        Warm-private representations come from the plan-time batch
-        encoding (:meth:`_precompute_trace_codes`) — pure gathers, no
-        per-agent calls.
-        """
-        if self.mode != AgentMode.WARM_PRIVATE:
-            return X
-        if self.stacked.wants_codes:
-            return self._trace_codes[:, s]
-        if self.private_context == "centroid":
-            return self._trace_reps[:, s]
-        encoder = self.agents[0].encoder
-        return encoder.one_hot_batch(self._trace_codes[:, s])  # type: ignore[union-attr]
-
     def _indexed_acting(self, rows_t: np.ndarray) -> np.ndarray:
-        """Acting representation for one step of an indexed shard.
+        """Acting representation for one step of a traced shard.
 
-        Every form is a gather through the shared per-dataset tables —
-        raw contexts from the row table, codes / centroid
+        Every form is a gather through the row tables — raw contexts
+        from the row table, codes / centroid
         representations from the per-row encoding tables filled by
         :meth:`_encode_new_rows`.
         """
@@ -1132,39 +955,23 @@ class _Shard:
 
     def _ctx_dim(self) -> int:
         """Context dimension of this shard's raw-payload source."""
-        if self.indexed:
-            return self._row_table.contexts.shape[1]
         if self.traced:
-            return self._trace_ctx.shape[2]
+            return self._row_table.contexts.shape[1]
         return self._X.shape[1]
 
     def _codes_at(self, agent_rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Plan-time codes of ``(shard-local agent, global step)`` pairs.
 
-        Serves the columnar report-payload gathers: indexed shards read
-        the shared per-row code tables through the full row walk (any
-        step, any chunk), dense traced shards read the current chunk
-        block or its history tail (a window straddling the boundary
-        looks back at most ``window - 1 <= hist_len`` steps), and
-        stationary shards read the per-agent encode cache (contexts are
-        fixed, so the cached code *is* the step's code).  Codes are
-        never re-encoded on any path.
+        Serves the columnar report-payload gathers: traced shards read
+        the per-row code tables through the full row walk (any step,
+        any chunk), and stationary shards read the per-agent encode
+        cache (contexts are fixed, so the cached code *is* the step's
+        code).  Codes are never re-encoded on any path.
         """
-        if self.indexed:
+        if self.traced:
             return self._row_codes[
                 self._agent_group[agent_rows], self._trace_rows[agent_rows, steps]
             ]
-        if self.traced:
-            out = np.empty(agent_rows.size, dtype=np.intp)
-            loc = steps - self._chunk_start
-            cur = loc >= 0
-            out[cur] = self._trace_codes[agent_rows[cur], loc[cur]]
-            if not cur.all():
-                past = ~cur
-                out[past] = self._hist_codes[
-                    agent_rows[past], self._hist_codes.shape[1] + loc[past]
-                ]
-            return out
         return self._cached_code[agent_rows]
 
     def _contexts_at(self, agent_rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -1173,19 +980,8 @@ class _Shard:
         Same dispatch as :meth:`_codes_at`; serves the raw report
         payloads and :meth:`finish`'s participation-buffer rebuild.
         """
-        if self.indexed:
-            return self._row_table.contexts[self._trace_rows[agent_rows, steps]]
         if self.traced:
-            out = np.empty((agent_rows.size, self._trace_ctx.shape[2]), dtype=np.float64)
-            loc = steps - self._chunk_start
-            cur = loc >= 0
-            out[cur] = self._trace_ctx[agent_rows[cur], loc[cur]]
-            if not cur.all():
-                past = ~cur
-                out[past] = self._hist_ctx[
-                    agent_rows[past], self._hist_ctx.shape[1] + loc[past]
-                ]
-            return out
+            return self._row_table.contexts[self._trace_rows[agent_rows, steps]]
         return self._X[agent_rows]
 
     def _refresh_acting(self, X: np.ndarray) -> np.ndarray:
@@ -1226,6 +1022,33 @@ class _Shard:
         return self.agents[0].encoder.one_hot_batch(self._cached_code)  # type: ignore[union-attr]
 
 
+def _concat_row_tables(tables: Sequence[TraceRowTable]) -> TraceRowTable:
+    """One shard-private row table stacking ``tables`` in order.
+
+    The expected channel keeps the row-table convention: aliased to the
+    rewards when every source aliases it, ``None`` when no source has
+    one, and otherwise zero rows where a source has none (those agents
+    are masked out of the expected matrix).
+    """
+    rewards = np.concatenate([t.action_rewards for t in tables])
+    if all(t.expected is t.action_rewards for t in tables):
+        expected = rewards
+    elif all(t.expected is None for t in tables):
+        expected = None
+    else:
+        expected = np.concatenate(
+            [
+                np.zeros(t.action_rewards.shape) if t.expected is None else t.expected
+                for t in tables
+            ]
+        )
+    return TraceRowTable(
+        contexts=np.concatenate([t.contexts for t in tables]),
+        action_rewards=rewards,
+        expected=expected,
+    )
+
+
 def aggregate_plan_nbytes(shards: Sequence[_Shard]) -> dict[str, int]:
     """Sum :meth:`_Shard.plan_nbytes` over ``shards`` without double counting.
 
@@ -1242,6 +1065,33 @@ def aggregate_plan_nbytes(shards: Sequence[_Shard]) -> dict[str, int]:
         for key, value in shard.plan_nbytes(seen=seen).items():
             totals[key] += value
     return totals
+
+
+def _run_shard_horizon(
+    shard: _Shard,
+    n_interactions: int,
+    rewards: np.ndarray,
+    actions: np.ndarray,
+    expected: np.ndarray | None,
+    expected_ok: np.ndarray,
+    *,
+    result_window: int | None = None,
+    emit=None,
+) -> None:
+    """Run one shard's whole horizon: prepare, step x T, finish, writeback.
+
+    The one loop body of every backend — serial, thread pool, worker
+    process and supervised retries all call it.  Outcomes land in the
+    given result matrices at the shard's rows; ``emit(rows, t)``, when
+    given, streams each round's columns as soon as they are written.
+    """
+    shard.prepare(n_interactions, result_window=result_window)
+    for t in range(n_interactions):
+        shard.step(t, rewards, actions, expected, expected_ok)
+        if emit is not None:
+            emit(shard.indices, t)
+    shard.finish(rewards, actions)
+    shard.stacked.writeback()
 
 
 def _run_shard_remote(payload: bytes, fault_ctx: tuple | None = None) -> bytes:
@@ -1280,7 +1130,6 @@ def _run_shard_remote(payload: bytes, fault_ctx: tuple | None = None) -> bytes:
         n_interactions,
         track_expected,
         plan_chunk_size,
-        plan_form,
         exactness,
         kernel_block_size,
         result_refs,
@@ -1297,7 +1146,6 @@ def _run_shard_remote(payload: bytes, fault_ctx: tuple | None = None) -> bytes:
         agents,
         sessions,
         plan_chunk_size=plan_chunk_size,
-        plan_form=plan_form,
         exactness=exactness,
         kernel_block_size=kernel_block_size,
     )
@@ -1306,7 +1154,6 @@ def _run_shard_remote(payload: bytes, fault_ctx: tuple | None = None) -> bytes:
         shard.arm_faults(
             FaultPlan.parse(spec), shard_index, attempt, in_worker=True
         )
-    shard.prepare(n_interactions, track_expected=track_expected)
     if result_refs is None:
         rewards = np.empty((n, n_interactions), dtype=np.float64)
         actions = np.empty((n, n_interactions), dtype=np.intp)
@@ -1320,10 +1167,7 @@ def _run_shard_remote(payload: bytes, fault_ctx: tuple | None = None) -> bytes:
         actions = attach(actions_ref)
         expected = None if expected_ref is None else attach(expected_ref)
         expected_ok = attach(ok_ref)
-    for t in range(n_interactions):
-        shard.step(t, rewards, actions, expected, expected_ok)
-    shard.finish(rewards, actions)
-    shard.stacked.writeback()
+    _run_shard_horizon(shard, n_interactions, rewards, actions, expected, expected_ok)
     if result_refs is None:
         return pickle.dumps((rewards, actions, expected, expected_ok, agents, sessions))
     # results already live in the parent's matrices; ship only the
@@ -1372,20 +1216,13 @@ class FleetRunner:
         references through the agent, not to its parts.
     plan_chunk_size:
         Materialize session plans in horizon slices of this many steps
-        instead of all at once (default ``None`` = the whole horizon) —
-        bounds dense traced-plan memory at ``O(n_agents x chunk)``.
-        Any chunk size produces bit-identical results (the plan
-        contract makes slice-by-slice planning exact; participation
-        windows straddle chunk boundaries through a short history
-        tail), and a chunk size ``>= n_interactions`` *is* the
-        unchunked path.  Only affects plan-capable shards.
-    plan_form:
-        Traced-plan representation, one of :data:`PLAN_FORMS`
-        (default ``"auto"``: shared-row-table gathers whenever every
-        session of a shard walks the same per-dataset
-        :class:`~repro.data.environment.TraceRowTable`, per-agent
-        tables otherwise).  All forms are bit-identical; the knob
-        exists so benches and tests can pin a form.
+        instead of all at once (default ``None`` = the whole horizon).
+        Chunking slices the stationary reward noise and the session
+        plan calls; it does not bound traced memory (the ``(n, T)``
+        row walk is allocated whole).  Any chunk size produces
+        bit-identical results (the plan contract makes slice-by-slice
+        planning exact), and a chunk size ``>= n_interactions`` *is*
+        the unchunked path.  Only affects plan-capable shards.
     exactness:
         Contract tier, one of :data:`EXACTNESS_TIERS` (default
         ``"bit"``: every result bit-identical to the sequential loop,
@@ -1433,7 +1270,6 @@ class FleetRunner:
         n_workers: int = 1,
         worker_backend: str = "thread",
         plan_chunk_size: int | None = None,
-        plan_form: str = "auto",
         exactness: str = "bit",
         kernel_block_size: int | None = None,
         persistent: bool = False,
@@ -1450,7 +1286,6 @@ class FleetRunner:
                 n_workers != 1
                 or worker_backend != "thread"
                 or plan_chunk_size is not None
-                or plan_form != "auto"
                 or exactness != "bit"
                 or kernel_block_size is not None
                 or fault_policy is not None
@@ -1462,7 +1297,6 @@ class FleetRunner:
             n_workers = config.n_workers
             worker_backend = config.worker_backend
             plan_chunk_size = config.plan_chunk_size
-            plan_form = config.plan_form
             exactness = config.exactness
             kernel_block_size = getattr(config, "kernel_block_size", None)
             fault_policy = getattr(config, "fault_policy", None)
@@ -1480,9 +1314,6 @@ class FleetRunner:
         if plan_chunk_size is not None:
             plan_chunk_size = check_positive_int(plan_chunk_size, name="plan_chunk_size")
         self.plan_chunk_size = plan_chunk_size
-        if plan_form not in PLAN_FORMS:
-            raise ConfigError(f"plan_form must be one of {PLAN_FORMS}, got {plan_form!r}")
-        self.plan_form = plan_form
         if exactness not in EXACTNESS_TIERS:
             raise ConfigError(
                 f"exactness must be one of {EXACTNESS_TIERS}, got {exactness!r}"
@@ -1627,25 +1458,29 @@ class FleetRunner:
         self._shards.clear()
 
     # ------------------------------------------------------------------ #
-    def _shard_for(
-        self, key: tuple, members: list[int], rows: list[int] | None = None
+    def _build_shard(
+        self, key: tuple | None, members: list[int], rows: list[int]
     ) -> _Shard:
-        """The shard for one group — cached in persistent mode.
+        """The shard of one execution spec — cached in persistent mode.
 
-        A cached shard is reused only when its member agent list is
+        Specs with a key are full shard groups.  In persistent mode a
+        cached shard is reused only when its member agent list is
         *identity*-equal to the current one (same objects, same order);
         reuse then skips ``stack_policies`` entirely, which is bitwise
         safe because ``writeback`` leaves the stacked arrays equal to
         the policy state and ``prepare`` resets all per-run state.
         Global indices may have shifted under churn, so they (and the
-        session bindings) are refreshed on every run.  ``rows``
-        overrides the result-matrix rows the shard writes (subset runs
-        write at subset-local positions, not global indices).
+        session bindings) are refreshed on every run.  A ``None`` key
+        marks a partial-shard subset run, which always builds an
+        ephemeral shard (cached stacked state belongs to the full
+        membership).  ``rows`` are the result-matrix rows the shard
+        writes (subset runs write at subset-local positions).
         """
-        idx = np.asarray(members if rows is None else rows, dtype=np.intp)
+        idx = np.asarray(rows, dtype=np.intp)
         agents = [self.agents[i] for i in members]
         sessions = [self.sessions[i] for i in members]
-        shard = self._shards.get(key) if self.persistent else None
+        cacheable = self.persistent and key is not None
+        shard = self._shards.get(key) if cacheable else None
         if (
             shard is not None
             and len(shard.agents) == len(agents)
@@ -1659,35 +1494,12 @@ class FleetRunner:
             agents,
             sessions,
             plan_chunk_size=self.plan_chunk_size,
-            plan_form=self.plan_form,
             exactness=self.exactness,
             kernel_block_size=self.kernel_block_size,
         )
-        if self.persistent:
+        if cacheable:
             self._shards[key] = shard
         return shard
-
-    def _build_shard(
-        self, key: tuple | None, members: list[int], rows: list[int]
-    ) -> _Shard:
-        """Materialize the shard of one execution spec.
-
-        Specs with a key are full shard groups (cache-eligible); a
-        ``None`` key marks a partial-shard subset run, which always
-        builds an ephemeral shard (cached stacked state belongs to the
-        full membership).
-        """
-        if key is not None:
-            return self._shard_for(key, members, rows=rows)
-        return _Shard(
-            np.asarray(rows, dtype=np.intp),
-            [self.agents[i] for i in members],
-            [self.sessions[i] for i in members],
-            plan_chunk_size=self.plan_chunk_size,
-            plan_form=self.plan_form,
-            exactness=self.exactness,
-            kernel_block_size=self.kernel_block_size,
-        )
 
     def _result_window(self, n_interactions: int) -> int:
         """Ring width for streaming runs: every lookback fits.
@@ -1939,6 +1751,13 @@ class FleetRunner:
         self, specs: list[tuple], n_rows: int, n_interactions: int,
         *, track_expected: bool, sink,
     ) -> FleetResult | None:
+        """Run every spec's shard horizon in this process, shard-major.
+
+        Serial runs map :func:`_run_shard_horizon` over the shards;
+        ``n_workers > 1`` maps it on a thread pool.  Shards never
+        interact, so the two are identical — and a ``sink`` still sees
+        each round's shard columns in shard order on the serial path.
+        """
         plan = self._active_fault_plan()
         policy = self._effective_fault_policy(plan)
         supervised = policy is not None
@@ -1957,7 +1776,9 @@ class FleetRunner:
         actions_mat = np.empty((n_rows, width), dtype=np.intp)
         expected = np.empty((n_rows, width), dtype=np.float64) if track_expected else None
         expected_ok = np.full(n_rows, track_expected, dtype=bool)
+        mats = (rewards, actions_mat, expected, expected_ok)
 
+        emit = None
         if sink is not None:
             sink.begin(n_rows, n_interactions)
             import threading
@@ -1973,78 +1794,28 @@ class FleetRunner:
 
         dropped: list[DroppedShard] = []
         if supervised:
-            def run_spec(si: int, spec: tuple) -> DroppedShard | None:
-                key, members, rows = spec
-                return self._run_shard_supervised(
-                    si, key, members, rows, n_interactions,
-                    track_expected=track_expected, policy=policy, plan=plan,
-                    rewards=rewards, actions_mat=actions_mat,
-                    expected=expected, expected_ok=expected_ok,
-                )
-
-            n_workers = min(self.n_workers, len(specs))
-            if n_workers > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                    futures = [
-                        pool.submit(run_spec, si, spec)
-                        for si, spec in enumerate(specs)
-                    ]
-                    outcomes = [f.result() for f in futures]
-            else:
-                outcomes = [run_spec(si, spec) for si, spec in enumerate(specs)]
-            for (key, members, rows), outcome in zip(specs, outcomes):
+            outcomes = self._map_shards(
+                lambda si, spec: self._run_shard_supervised(
+                    si, *spec, n_interactions, policy=policy, plan=plan, mats=mats
+                ),
+                specs,
+            )
+            for (_, _, rows), outcome in zip(specs, outcomes):
                 if outcome is not None:
                     dropped.append(outcome)
-                elif sink is not None:
+                elif emit is not None:
                     rows_np = np.asarray(rows, dtype=np.intp)
                     for t in range(n_interactions):
                         emit(rows_np, t)
         else:
             shards = [self._build_shard(*spec) for spec in specs]
-            n_workers = min(self.n_workers, len(shards))
-            if n_workers > 1:
-                # shards never interact — round-major interleaving across
-                # shards is purely cosmetic (streams are per-agent) — so
-                # each shard's *whole horizon*, plan materialization
-                # included, runs as one task: no per-round barrier, no
-                # per-round submit overhead; all writes land at the
-                # shard's disjoint agent rows
-                from concurrent.futures import ThreadPoolExecutor
-
-                def run_shard(shard: _Shard) -> None:
-                    shard.prepare(
-                        n_interactions,
-                        track_expected=track_expected,
-                        result_window=result_window,
-                    )
-                    for t in range(n_interactions):
-                        shard.step(t, rewards, actions_mat, expected, expected_ok)
-                        if sink is not None:
-                            emit(shard.indices, t)
-                    shard.finish(rewards, actions_mat)
-
-                with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                    for future in [pool.submit(run_shard, shard) for shard in shards]:
-                        future.result()
-            else:
-                for shard in shards:
-                    shard.prepare(
-                        n_interactions,
-                        track_expected=track_expected,
-                        result_window=result_window,
-                    )
-                for t in range(n_interactions):
-                    for shard in shards:
-                        shard.step(t, rewards, actions_mat, expected, expected_ok)
-                        if sink is not None:
-                            emit(shard.indices, t)
-                for shard in shards:
-                    shard.finish(rewards, actions_mat)
-
-            for shard in shards:
-                shard.stacked.writeback()
+            self._map_shards(
+                lambda _, shard: _run_shard_horizon(
+                    shard, n_interactions, *mats,
+                    result_window=result_window, emit=emit,
+                ),
+                shards,
+            )
 
         if sink is not None:
             sink.finish()
@@ -2057,12 +1828,24 @@ class FleetRunner:
             dropped=tuple(dropped),
         )
 
+    def _map_shards(self, fn, items: list) -> list:
+        """``[fn(i, item) for each item]`` — serial, or on a thread pool.
+
+        Results keep item order; the first failure (in item order)
+        propagates, exactly as the serial loop would raise it.
+        """
+        n_workers = min(self.n_workers, len(items))
+        if n_workers <= 1:
+            return [fn(i, item) for i, item in enumerate(items)]
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            return list(pool.map(fn, range(len(items)), items))
+
     def _run_shard_supervised(
         self, si: int, key: tuple | None, members: list[int], rows: list[int],
-        n_interactions: int, *, track_expected: bool,
-        policy: FaultPolicy, plan: FaultPlan | None,
-        rewards: np.ndarray, actions_mat: np.ndarray,
-        expected: np.ndarray | None, expected_ok: np.ndarray,
+        n_interactions: int, *, policy: FaultPolicy, plan: FaultPlan | None,
+        mats: tuple,
     ) -> DroppedShard | None:
         """One shard's whole horizon under retry supervision (thread path).
 
@@ -2077,7 +1860,6 @@ class FleetRunner:
         Returns ``None`` on success, a :class:`DroppedShard` when the
         policy degrades the shard out after exhaustion.
         """
-        rows_np = np.asarray(rows, dtype=np.intp)
         agents = [self.agents[i] for i in members]
         sessions = [self.sessions[i] for i in members]
         try:
@@ -2093,12 +1875,9 @@ class FleetRunner:
             # caller asked for nothing): an unsnapshotable shard cannot
             # be retried, so it runs clean and unsupervised — the knob
             # must harden runs, never turn a passing one into a crash
-            shard = self._build_shard(key, members, rows)
-            shard.prepare(n_interactions, track_expected=track_expected)
-            for t in range(n_interactions):
-                shard.step(t, rewards, actions_mat, expected, expected_ok)
-            shard.finish(rewards, actions_mat)
-            shard.stacked.writeback()
+            _run_shard_horizon(
+                self._build_shard(key, members, rows), n_interactions, *mats
+            )
             return None
         attempt = 0
         while True:
@@ -2106,15 +1885,9 @@ class FleetRunner:
             if plan is not None:
                 shard.arm_faults(plan, si, attempt)
             try:
-                shard.prepare(n_interactions, track_expected=track_expected)
-                for t in range(n_interactions):
-                    shard.step(t, rewards, actions_mat, expected, expected_ok)
-                shard.finish(rewards, actions_mat)
-                shard.stacked.writeback()
-                shard.arm_faults(None)
+                _run_shard_horizon(shard, n_interactions, *mats)
                 return None
             except Exception as exc:
-                shard.arm_faults(None)
                 # restore the canonical objects to their pre-run state
                 # (same object identities, adopted state) and drop any
                 # cached stacked view of the failed attempt
@@ -2127,6 +1900,8 @@ class FleetRunner:
                 attempt += 1
                 if attempt > policy.max_retries:
                     if policy.on_exhausted == "skip_shard":
+                        rewards, actions_mat, expected, expected_ok = mats
+                        rows_np = np.asarray(rows, dtype=np.intp)
                         rewards[rows_np] = np.nan
                         actions_mat[rows_np] = -1
                         if expected is not None:
@@ -2149,6 +1924,8 @@ class FleetRunner:
                     ) from exc
                 if policy.backoff:
                     time.sleep(policy.sleep_for(attempt - 1))
+            finally:
+                shard.arm_faults(None)
 
     # ------------------------------------------------------------------ #
     def _run_process(
@@ -2248,7 +2025,7 @@ class FleetRunner:
             for _, members, _ in specs:
                 for i in members:
                     session = self.sessions[i]
-                    if not getattr(session, "has_indexed_trace_plan", False):
+                    if not session.has_trace_plan:
                         continue
                     try:
                         table = session.trace_row_table()
@@ -2280,7 +2057,6 @@ class FleetRunner:
                             n_interactions,
                             track_expected,
                             self.plan_chunk_size,
-                            self.plan_form,
                             self.exactness,
                             self.kernel_block_size,
                             result_refs,
@@ -2462,7 +2238,6 @@ class FleetRunner:
             "n_workers": self.n_workers,
             "worker_backend": self.worker_backend,
             "plan_chunk_size": self.plan_chunk_size,
-            "plan_form": self.plan_form,
             "exactness": self.exactness,
             "kernel_block_size": self.kernel_block_size,
             "persistent": self.persistent,
@@ -2541,7 +2316,9 @@ class FleetRunner:
 
         The returned runner holds the unpickled population (identical
         RNG streams, counters, outboxes) under the engine knobs the
-        snapshot was taken with; when the snapshot was mid-run,
+        snapshot was taken with (engine keys this release no longer
+        knows are ignored, so older snapshots stay loadable); when the
+        snapshot was mid-run,
         :meth:`resume_run` finishes that run bit-identically to the
         uninterrupted one.  Supervision knobs are per-process, not part
         of the snapshot — pass them here if the resumed run should be
@@ -2564,7 +2341,6 @@ class FleetRunner:
             n_workers=int(engine.get("n_workers", 1)),
             worker_backend=engine.get("worker_backend", "thread"),
             plan_chunk_size=engine.get("plan_chunk_size"),
-            plan_form=engine.get("plan_form", "auto"),
             exactness=engine.get("exactness", "bit"),
             kernel_block_size=engine.get("kernel_block_size"),
             persistent=bool(engine.get("persistent", False)),

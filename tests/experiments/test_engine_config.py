@@ -37,7 +37,6 @@ class TestConstruction:
         assert cfg.n_workers == 1
         assert cfg.worker_backend == "thread"
         assert cfg.plan_chunk_size is None
-        assert cfg.plan_form == "auto"
         assert cfg.exactness == "bit"
         assert cfg.sink is None
 
@@ -54,7 +53,6 @@ class TestConstruction:
             {"n_workers": -3},
             {"worker_backend": "fork"},
             {"plan_chunk_size": 0},
-            {"plan_form": "columnar"},
             {"exactness": "approximate"},
         ],
     )

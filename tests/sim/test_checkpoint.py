@@ -3,11 +3,13 @@
 The golden test: run a horizon with checkpointing, crash mid-horizon
 (the dispatcher raises partway through), resume from the snapshot —
 rewards, actions and every policy's state must equal the run that was
-never interrupted.  Pinned across backends, exactness tiers, plan
-forms and chunked plans.
+never interrupted.  Pinned across backends, exactness tiers and
+chunked plans.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from repro.core.agent import LocalAgent
 from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_dataset
 from repro.data.synthetic import SyntheticPreferenceEnvironment
 from repro.sim import CHECKPOINT_VERSION, FleetRunner, load_checkpoint
-from repro.sim.checkpoint import CHECKPOINT_MAGIC
+from repro.sim.checkpoint import CHECKPOINT_MAGIC, save_checkpoint
 from repro.utils.exceptions import CheckpointError, ConfigError
 from repro.utils.rng import spawn_seeds
 from repro.utils.serialization import state_to_bytes
@@ -43,18 +45,23 @@ def _population(seed, n_agents=9):
 
 
 _ML_DATASET = make_multilabel_dataset(90, N_FEATURES, N_ACTIONS, n_clusters=4, seed=0)
+_ML_DATASET_B = make_multilabel_dataset(70, N_FEATURES, N_ACTIONS, n_clusters=3, seed=4)
 
 
-def _traced_population(seed, n_agents=6):
-    """Multilabel (trace-plan) sessions: every plan form applies."""
-    env = MultilabelBanditEnvironment(_ML_DATASET, samples_per_user=6, seed=1)
+def _traced_population(seed, n_agents=6, n_datasets=1):
+    """Multilabel (trace-plan) sessions; with two datasets the agents
+    alternate between them, so each shard concatenates two tables."""
+    envs = [
+        MultilabelBanditEnvironment(dataset, samples_per_user=6, seed=1)
+        for dataset in (_ML_DATASET, _ML_DATASET_B)[:n_datasets]
+    ]
     kinds = [LinUCB, EpsilonGreedy, UCB1]
     agents, sessions = [], []
     for i, s in enumerate(spawn_seeds(seed, n_agents)):
         policy_seed, session_seed = s.spawn(2)
         policy = kinds[i % 3](n_arms=N_ACTIONS, n_features=N_FEATURES, seed=policy_seed)
         agents.append(LocalAgent(f"u{i}", policy, mode="cold"))
-        sessions.append(env.new_user(session_seed))
+        sessions.append(envs[i % n_datasets].new_user(session_seed))
     return agents, sessions
 
 
@@ -119,22 +126,21 @@ class TestGoldenCrashAndResume:
 class TestRoundTripMatrix:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("exactness", ["bit", "fast"])
-    @pytest.mark.parametrize("plan_form", ["indexed", "dense"])
+    @pytest.mark.parametrize("n_datasets", [1, 2], ids=["one-table", "two-tables"])
     @pytest.mark.parametrize("chunk", [None, 2])
     def test_checkpointed_equals_uninterrupted(
-        self, backend, exactness, plan_form, chunk, tmp_path, monkeypatch
+        self, backend, exactness, n_datasets, chunk, tmp_path, monkeypatch
     ):
         path = tmp_path / "fleet.ckpt"
         knobs = dict(
             worker_backend=backend,
             exactness=exactness,
-            plan_form=plan_form,
             plan_chunk_size=chunk,
         )
-        agents_a, sessions_a = _traced_population(2)
+        agents_a, sessions_a = _traced_population(2, n_datasets=n_datasets)
         base = FleetRunner(agents_a, sessions_a, **knobs).run(6)
 
-        agents_b, sessions_b = _traced_population(2)
+        agents_b, sessions_b = _traced_population(2, n_datasets=n_datasets)
         runner = FleetRunner(agents_b, sessions_b, **knobs)
         restore = _crash_on_call(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="simulated crash"):
@@ -145,6 +151,31 @@ class TestRoundTripMatrix:
         # the snapshot carries the engine knobs verbatim
         for key, value in knobs.items():
             assert resumed._engine_dict()[key] == value
+        result = resumed.resume_run()
+        _assert_run_identical(base, result, agents_a, resumed.agents)
+
+    def test_stale_engine_key_is_ignored_on_resume(self, tmp_path, monkeypatch):
+        """A snapshot from a release that still had the ``plan_form``
+        knob resumes bit-identically: unknown engine keys are ignored."""
+        path = tmp_path / "fleet.ckpt"
+        agents_a, sessions_a = _traced_population(4)
+        base = FleetRunner(agents_a, sessions_a).run(6)
+
+        def save_with_stale_key(p, ckpt):
+            engine = {**ckpt.engine, "plan_form": "dense"}
+            save_checkpoint(p, dataclasses.replace(ckpt, engine=engine))
+
+        monkeypatch.setattr("repro.sim.checkpoint.save_checkpoint", save_with_stale_key)
+        agents_b, sessions_b = _traced_population(4)
+        runner = FleetRunner(agents_b, sessions_b)
+        restore = _crash_on_call(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            runner.run(6, checkpoint_every=3, checkpoint_path=path)
+        restore()
+        assert load_checkpoint(path).engine["plan_form"] == "dense"
+
+        resumed = FleetRunner.resume(path)
+        assert "plan_form" not in resumed._engine_dict()
         result = resumed.resume_run()
         _assert_run_identical(base, result, agents_a, resumed.agents)
 

@@ -2,12 +2,11 @@
 
 ``FleetRunner(plan_chunk_size=C)`` re-plans sessions every ``C`` steps
 instead of materializing the whole horizon.  These suites pin the edge
-cases the ISSUE names: horizons not divisible by the chunk size,
-participation windows straddling a chunk boundary (the dense history
-tail), collection rounds landing mid-chunk (``DeploymentLoop``), and
-chunk sizes at or above the horizon degenerating to exactly the
-unchunked path — all bit-identical to the sequential reference on both
-trace forms and on stationary plans.
+cases: horizons not divisible by the chunk size, participation windows
+straddling a chunk boundary, collection rounds landing mid-chunk
+(``DeploymentLoop``), and chunk sizes at or above the horizon
+degenerating to exactly the unchunked path — all bit-identical to the
+sequential reference on traced and on stationary plans.
 """
 
 from __future__ import annotations
@@ -44,8 +43,15 @@ _CRITEO_DATASET = build_criteo_actions(
 )
 
 
+_ML_DATASET_B = make_multilabel_dataset(80, N_FEATURES, N_ACTIONS, n_clusters=3, seed=5)
+
+
 def _ml_env():
     return MultilabelBanditEnvironment(_ML_DATASET, samples_per_user=7, seed=1)
+
+
+def _ml_env_b():
+    return MultilabelBanditEnvironment(_ML_DATASET_B, samples_per_user=6, seed=2)
 
 
 def _criteo_env():
@@ -73,8 +79,12 @@ def make_population(
     p: float = 0.8,
     window: int = 3,
     max_reports: int = 2,
+    partner_env_factory=None,
 ):
+    """With ``partner_env_factory``, odd agents walk the partner's
+    dataset, so each traced shard gathers through a concatenated table."""
     env = env_factory()
+    partner = env if partner_env_factory is None else partner_env_factory()
     if mode == AgentMode.WARM_PRIVATE and private_context == "one-hot":
         acting_dim = encoder.n_codes
     else:
@@ -99,7 +109,7 @@ def make_population(
                 private_context=private_context,
             )
         )
-        sessions.append(env.new_user(session_seed))
+        sessions.append((partner if i % 2 else env).new_user(session_seed))
     return agents, sessions
 
 
@@ -128,31 +138,34 @@ def _assert_agents_identical(agents_a, agents_b):
 
 
 # --------------------------------------------------------------------- #
-# chunked == sequential, both trace forms, awkward chunk sizes
+# chunked == sequential, awkward chunk sizes
 # --------------------------------------------------------------------- #
+_TABLES = {"one-table": None, "two-tables": _ml_env_b}
+
+
 @pytest.mark.parametrize("env_factory", [_ml_env, _criteo_env], ids=["multilabel", "criteo"])
-@pytest.mark.parametrize("plan_form", ["indexed", "dense"])
+@pytest.mark.parametrize("tables", list(_TABLES))
 @pytest.mark.parametrize("chunk", [1, 5, 7, 16, 40])
-def test_chunked_replay_matches_sequential(env_factory, plan_form, chunk, encoder):
+def test_chunked_replay_matches_sequential(env_factory, tables, chunk, encoder):
     """T = 16 with chunks of 1 / 5 / 7 (not divisors), 16 (exact) and
     40 (> T): warm-private populations with window-3 participation —
     windows straddle every chunk boundary — stay bit-identical to the
-    sequential loop, reports and buffers included."""
+    sequential loop, reports and buffers included; on one dataset's
+    table and on a shard that concatenates two."""
     n_agents, n_interactions, seed = 9, 16, 42
+    kwargs = dict(encoder=encoder, partner_env_factory=_TABLES[tables])
     seq_agents, seq_sessions = make_population(
-        env_factory, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed,
-        encoder=encoder,
+        env_factory, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed, **kwargs
     )
     for agent, session in zip(seq_agents, seq_sessions):
         _simulate_agent(agent, session, n_interactions)
 
     fleet_agents, fleet_sessions = make_population(
-        env_factory, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed,
-        encoder=encoder,
+        env_factory, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed, **kwargs
     )
-    FleetRunner(
-        fleet_agents, fleet_sessions, plan_form=plan_form, plan_chunk_size=chunk
-    ).run(n_interactions)
+    FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=chunk).run(
+        n_interactions
+    )
     _assert_agents_identical(seq_agents, fleet_agents)
 
 
@@ -209,13 +222,13 @@ def test_block_noise_draws_split_like_scalar_draws():
 
 
 # --------------------------------------------------------------------- #
-# participation windows straddling chunk boundaries (the history tail)
+# participation windows straddling chunk boundaries
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("env_factory", [_ml_env, _criteo_env], ids=["multilabel", "criteo"])
 def test_window_larger_than_chunk_straddles_boundaries(env_factory, encoder):
     """window = 5 > chunk = 2 with p = 1: every report samples from a
     window spanning multiple chunks, so the payload gather must reach
-    through the dense history tail — still identical reports."""
+    back across chunk boundaries — still identical reports."""
     n_agents, n_interactions, seed = 8, 17, 31
     kwargs = dict(encoder=encoder, p=1.0, window=5, max_reports=3)
     seq_agents, seq_sessions = make_population(
@@ -228,9 +241,7 @@ def test_window_larger_than_chunk_straddles_boundaries(env_factory, encoder):
     fleet_agents, fleet_sessions = make_population(
         env_factory, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed, **kwargs
     )
-    FleetRunner(
-        fleet_agents, fleet_sessions, plan_form="dense", plan_chunk_size=2
-    ).run(n_interactions)
+    FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=2).run(n_interactions)
     _assert_agents_identical(seq_agents, fleet_agents)
 
 
@@ -249,18 +260,17 @@ def test_window_never_fills_across_chunks(encoder):
     fleet_agents, fleet_sessions = make_population(
         _ml_env, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed, **kwargs
     )
-    FleetRunner(
-        fleet_agents, fleet_sessions, plan_form="dense", plan_chunk_size=3
-    ).run(n_interactions)
+    FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=3).run(n_interactions)
     _assert_agents_identical(seq_agents, fleet_agents)
 
 
-@pytest.mark.parametrize("plan_form", ["indexed", "dense"])
-def test_raw_payloads_straddle_boundaries(plan_form, encoder):
+@pytest.mark.parametrize("tables", list(_TABLES))
+def test_raw_payloads_straddle_boundaries(tables, encoder):
     """Warm-nonprivate shards carry raw contexts in reports; the
-    context gather crosses chunk boundaries too."""
+    context gather crosses chunk boundaries too, through one table or
+    a concatenation of two."""
     n_agents, n_interactions, seed = 7, 13, 23
-    kwargs = dict(p=1.0, window=4, max_reports=3)
+    kwargs = dict(p=1.0, window=4, max_reports=3, partner_env_factory=_TABLES[tables])
     seq_agents, seq_sessions = make_population(
         _ml_env, _linucb, AgentMode.WARM_NONPRIVATE, n_agents, seed, **kwargs
     )
@@ -270,9 +280,7 @@ def test_raw_payloads_straddle_boundaries(plan_form, encoder):
     fleet_agents, fleet_sessions = make_population(
         _ml_env, _linucb, AgentMode.WARM_NONPRIVATE, n_agents, seed, **kwargs
     )
-    FleetRunner(
-        fleet_agents, fleet_sessions, plan_form=plan_form, plan_chunk_size=3
-    ).run(n_interactions)
+    FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=3).run(n_interactions)
     _assert_agents_identical(seq_agents, fleet_agents)
 
 
@@ -281,7 +289,7 @@ def test_raw_payloads_straddle_boundaries(plan_form, encoder):
 # --------------------------------------------------------------------- #
 def test_chunk_at_least_horizon_is_the_unchunked_path(encoder):
     """chunk >= T resolves to a single whole-horizon chunk: one plan
-    call per session, no history tail — the unchunked path, exactly."""
+    call per session — the unchunked path, exactly."""
     agents, sessions = make_population(
         _ml_env, _code_linucb, AgentMode.WARM_PRIVATE, 5, 2, encoder=encoder
     )
@@ -299,7 +307,6 @@ def test_chunk_at_least_horizon_is_the_unchunked_path(encoder):
     finally:
         type(sessions[0]).plan_trace_indexed = real
     assert shard._chunk == 8 and shard._chunk_len == 8
-    assert shard._hist_len == 0
     assert calls["n"] == len(sessions)
 
 

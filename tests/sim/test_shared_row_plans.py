@@ -1,15 +1,16 @@
-"""Shared-row-table trace plans: the indexed plan form end to end.
+"""Shared-row-table trace plans: the one traced plan form end to end.
 
 Pins the :meth:`plan_trace_indexed` contract (same walk, same generator
-consumption, same realized values as the dense ``plan_trace``), the
+consumption, same realized values as the reference ``plan_trace``), the
 per-dataset table sharing (one :class:`TraceRowTable` object per
 dataset, aliasing the dataset's own arrays where possible), and the
-fleet-engine consequences: indexed shards are bit-identical to the
-dense form and to the sequential reference on the multilabel and
-Criteo populations across every mode, report payloads gather through
-the same row indices (each dataset row encoded at most once per
-encoder), and the per-agent plan footprint shrinks by the A-fold the
-ROADMAP promises.
+fleet-engine consequences: traced shards are bit-identical to the
+sequential reference on the multilabel and Criteo populations across
+every mode — including shards whose sessions walk several datasets
+through a concatenated table — report payloads gather through the same
+row indices (each dataset row encoded at most once per encoder), and
+the per-agent plan footprint is A-fold below the per-step ``plan_trace``
+arrays.
 """
 
 from __future__ import annotations
@@ -26,12 +27,15 @@ from repro.data.criteo import (
     build_criteo_actions,
     make_criteo_like,
 )
-from repro.data.environment import TracePlan
-from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_dataset
+from repro.data.environment import TraceRowTable
+from repro.data.multilabel import (
+    MultilabelBanditEnvironment,
+    MultilabelUserSession,
+    make_multilabel_dataset,
+)
 from repro.experiments.runner import _simulate_agent
 from repro.sim import FleetRunner
 from repro.sim.fleet import _Shard
-from repro.utils.exceptions import ConfigError
 from repro.utils.rng import spawn_seeds
 
 from _testkit import assert_outboxes_equal, assert_states_equal
@@ -100,6 +104,30 @@ def make_population(
     return agents, sessions
 
 
+def _sequential(agents, sessions, n_interactions):
+    """The spec loop per agent: rewards, actions and expected rewards
+    (``None`` for a session without ground truth)."""
+    rewards, actions, expected = [], [], []
+    for agent, session in zip(agents, sessions):
+        r = np.empty(n_interactions)
+        a = np.empty(n_interactions, dtype=np.intp)
+        e: np.ndarray | None = np.empty(n_interactions)
+        for t in range(n_interactions):
+            x = session.next_context()
+            a[t] = agent.act(x)
+            r[t] = session.reward(int(a[t]))
+            agent.learn(x, int(a[t]), r[t])
+            if e is not None:
+                try:
+                    e[t] = session.expected_rewards()[a[t]]
+                except NotImplementedError:
+                    e = None
+        rewards.append(r)
+        actions.append(a)
+        expected.append(e)
+    return np.stack(rewards), np.stack(actions), expected
+
+
 def _linucb(n_arms, n_features, seed):
     return LinUCB(n_arms=n_arms, n_features=n_features, seed=seed)
 
@@ -127,13 +155,8 @@ def test_indexed_plan_realizes_the_dense_walk(env_factory):
     np.testing.assert_array_equal(dense.action_rewards, table.action_rewards[indexed.rows])
     actions = np.random.default_rng(5).integers(0, N_ACTIONS, size=horizon)
     np.testing.assert_array_equal(dense.realize(actions), indexed.realize(actions))
-
-    densified = indexed.densify()
-    assert isinstance(densified, TracePlan)
-    np.testing.assert_array_equal(dense.contexts, densified.contexts)
-    np.testing.assert_array_equal(dense.action_rewards, densified.action_rewards)
     # logged data: expected aliases realized in both forms
-    assert densified.expected is densified.action_rewards
+    assert dense.expected is dense.action_rewards
     assert table.expected is table.action_rewards
 
     # generator and walk state: the two plan forms are interchangeable
@@ -183,7 +206,7 @@ def test_criteo_table_matches_reward_rows():
 
 
 # --------------------------------------------------------------------- #
-# golden fleet equivalence: indexed vs dense vs sequential
+# golden fleet equivalence: traced shards vs sequential
 # --------------------------------------------------------------------- #
 def _combos():
     yield _linucb, AgentMode.COLD, "one-hot"
@@ -201,9 +224,8 @@ def _combos():
 def test_indexed_fleet_matches_sequential(
     env_factory, factory, mode, private_context, encoder
 ):
-    """The tentpole golden: the shared-row-table engine (insisted via
-    ``plan_form='indexed'``) reproduces the sequential loop bit for bit
-    on both datasets across every mode."""
+    """The golden: the shared-row-table engine reproduces the
+    sequential loop bit for bit on both datasets across every mode."""
     n_agents, n_interactions, seed = 9, 16, 42
     seq_agents, seq_sessions = make_population(
         env_factory, factory, mode, n_agents, seed,
@@ -220,7 +242,7 @@ def test_indexed_fleet_matches_sequential(
             for a, s in zip(seq_agents, seq_sessions)
         ]
     )
-    runner = FleetRunner(fleet_agents, fleet_sessions, plan_form="indexed")
+    runner = FleetRunner(fleet_agents, fleet_sessions)
     result = runner.run(n_interactions)
     np.testing.assert_array_equal(seq_rewards, result.rewards)
     for sa, fa in zip(seq_agents, fleet_agents):
@@ -230,46 +252,17 @@ def test_indexed_fleet_matches_sequential(
     assert_outboxes_equal(seq_agents, fleet_agents)
 
 
-@pytest.mark.parametrize("env_factory", [_ml_env, _criteo_env], ids=["multilabel", "criteo"])
-def test_indexed_and_dense_forms_are_interchangeable(env_factory, encoder):
-    """``plan_form`` never changes results: rewards, actions, policy
-    states and reports agree bit-for-bit between the two trace forms."""
-    n_agents, n_interactions, seed = 10, 14, 7
-
-    def run(plan_form):
-        agents, sessions = make_population(
-            env_factory, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed,
-            encoder=encoder,
-        )
-        result = FleetRunner(agents, sessions, plan_form=plan_form).run(n_interactions)
-        return agents, result
-
-    idx_agents, idx_result = run("indexed")
-    dense_agents, dense_result = run("dense")
-    np.testing.assert_array_equal(idx_result.rewards, dense_result.rewards)
-    np.testing.assert_array_equal(idx_result.actions, dense_result.actions)
-    for ia, da in zip(idx_agents, dense_agents):
-        assert_states_equal(ia.policy, da.policy)
-    assert_outboxes_equal(idx_agents, dense_agents)
-
-
-def test_expected_channel_identical_across_forms(encoder):
+def test_expected_channel_matches_sequential():
     """``track_expected`` gathers through the shared expected table."""
     n_agents, n_interactions, seed = 8, 12, 3
-
-    def run(plan_form):
-        agents, sessions = make_population(
-            _ml_env, _linucb, AgentMode.COLD, n_agents, seed
-        )
-        return FleetRunner(agents, sessions, plan_form=plan_form).run(
-            n_interactions, track_expected=True
-        )
-
-    idx, dense = run("indexed"), run("dense")
-    assert idx.expected is not None and dense.expected is not None
-    np.testing.assert_array_equal(idx.expected, dense.expected)
-    np.testing.assert_array_equal(idx.expected_mask, dense.expected_mask)
-    np.testing.assert_array_equal(idx.measured(), dense.measured())
+    seq_agents, seq_sessions = make_population(
+        _ml_env, _linucb, AgentMode.COLD, n_agents, seed
+    )
+    _, _, seq_expected = _sequential(seq_agents, seq_sessions, n_interactions)
+    agents, sessions = make_population(_ml_env, _linucb, AgentMode.COLD, n_agents, seed)
+    result = FleetRunner(agents, sessions).run(n_interactions, track_expected=True)
+    assert result.expected_mask.all()
+    np.testing.assert_array_equal(result.expected, np.stack(seq_expected))
 
 
 # --------------------------------------------------------------------- #
@@ -292,59 +285,192 @@ def test_auto_picks_indexed_for_one_dataset():
     assert shard.indexed and shard.traced and not shard.stationary
 
 
-def test_mixed_dataset_shard_falls_back_to_dense():
-    """Sessions over *different* datasets share no table, so the shard
-    takes the dense per-agent form — and stays bit-identical."""
-    other = make_multilabel_dataset(90, N_FEATURES, N_ACTIONS, n_clusters=3, seed=5)
+_OTHER_DATASET = make_multilabel_dataset(90, N_FEATURES, N_ACTIONS, n_clusters=3, seed=5)
 
-    def build(seed):
-        env_a = _ml_env()
-        env_b = MultilabelBanditEnvironment(other, samples_per_user=6, seed=2)
-        agents = _cold_agents(6, seed)
+
+def _other_ml_env():
+    return MultilabelBanditEnvironment(_OTHER_DATASET, samples_per_user=6, seed=2)
+
+
+def _two_dataset_population(
+    policy_factory, mode, n_agents, seed, *, encoder=None,
+    private_context="one-hot", second_env=_other_ml_env,
+):
+    """Sessions alternate between two datasets; one policy config, so
+    the whole population is one shard walking two row tables."""
+    agents, _ = make_population(
+        _ml_env, policy_factory, mode, n_agents, seed,
+        encoder=encoder, private_context=private_context,
+    )
+    env_a, env_b = _ml_env(), second_env()
+    sessions = [
+        (env_b if i % 2 else env_a).new_user(s)
+        for i, s in enumerate(spawn_seeds(seed + 50, n_agents))
+    ]
+    return agents, sessions
+
+
+@pytest.mark.parametrize("chunk", [None, 2], ids=["whole", "chunk2"])
+@pytest.mark.parametrize(
+    "factory,mode,private_context",
+    [
+        (_linucb, AgentMode.COLD, "one-hot"),
+        (_code_linucb, AgentMode.WARM_PRIVATE, "one-hot"),
+        (_linucb, AgentMode.WARM_PRIVATE, "centroid"),
+    ],
+    ids=["cold", "private-onehot", "private-centroid"],
+)
+def test_mixed_dataset_shard_concatenates_tables(
+    factory, mode, private_context, chunk, encoder
+):
+    """Sessions over *different* datasets gather through one
+    shard-private concatenation of their row tables — still the indexed
+    form, and bit-identical to the sequential loop on rewards, actions,
+    the expected channel, policy states and reports."""
+    n_agents, n_interactions, seed = 6, 11, 13
+
+    def build():
+        return _two_dataset_population(
+            factory, mode, n_agents, seed,
+            encoder=encoder, private_context=private_context,
+        )
+
+    probe = _Shard(np.arange(n_agents), *build(), plan_chunk_size=chunk)
+    probe.prepare(5)
+    assert probe.indexed and probe.traced
+    assert probe._row_table.n_rows == _ML_DATASET.n_samples + _OTHER_DATASET.n_samples
+    # both multilabel tables alias their expected channel: so does the join
+    assert probe._row_table.expected is probe._row_table.action_rewards
+
+    seq_agents, seq_sessions = build()
+    seq_rewards, seq_actions, seq_expected = _sequential(
+        seq_agents, seq_sessions, n_interactions
+    )
+    fleet_agents, fleet_sessions = build()
+    result = FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=chunk).run(
+        n_interactions, track_expected=True
+    )
+    np.testing.assert_array_equal(seq_rewards, result.rewards)
+    np.testing.assert_array_equal(seq_actions, result.actions)
+    assert result.expected_mask.all()
+    np.testing.assert_array_equal(np.stack(seq_expected), result.expected)
+    for sa, fa in zip(seq_agents, fleet_agents):
+        assert sa.n_interactions == fa.n_interactions
+        assert sa.total_reward == fa.total_reward
+        assert_states_equal(sa.policy, fa.policy)
+    assert_outboxes_equal(seq_agents, fleet_agents)
+
+
+def test_multilabel_and_criteo_share_one_shard(encoder):
+    """Tables of different reward dtypes concatenate by value: a shard
+    walking a multilabel and a Criteo table stays bit-identical."""
+    n_agents, n_interactions, seed = 6, 12, 29
+
+    def build():
+        return _two_dataset_population(
+            _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed,
+            encoder=encoder, second_env=_criteo_env,
+        )
+
+    seq_agents, seq_sessions = build()
+    seq_rewards, seq_actions, _ = _sequential(seq_agents, seq_sessions, n_interactions)
+    fleet_agents, fleet_sessions = build()
+    result = FleetRunner(fleet_agents, fleet_sessions).run(n_interactions)
+    np.testing.assert_array_equal(seq_rewards, result.rewards)
+    np.testing.assert_array_equal(seq_actions, result.actions)
+    for sa, fa in zip(seq_agents, fleet_agents):
+        assert_states_equal(sa.policy, fa.policy)
+    assert_outboxes_equal(seq_agents, fleet_agents)
+
+
+class _NoTruthSession(MultilabelUserSession):
+    """A replay session whose row table has no expected channel."""
+
+    def _build_row_table(self) -> TraceRowTable:
+        return TraceRowTable(contexts=self._dataset.X, action_rewards=self._dataset.Y)
+
+    def expected_rewards(self) -> np.ndarray:
+        raise NotImplementedError("no ground truth")
+
+
+def test_mixed_expected_channels_are_masked_per_agent():
+    """Concatenating a table with an expected channel and one without
+    zero-fills the missing rows and masks those agents out — the
+    sequential loop drops their expected channel the same way."""
+    n_agents, n_interactions, seed = 6, 9, 4
+
+    def build():
+        # a fresh dataset object: its row table is cached on it
+        dataset = make_multilabel_dataset(80, N_FEATURES, N_ACTIONS, n_clusters=3, seed=9)
+        env_b = MultilabelBanditEnvironment(dataset, samples_per_user=5, seed=3)
+        agents, sessions = _two_dataset_population(
+            _linucb, AgentMode.COLD, n_agents, seed,
+            second_env=lambda: env_b,
+        )
         sessions = [
-            (env_a if i % 2 else env_b).new_user(s)
-            for i, s in enumerate(spawn_seeds(seed + 50, 6))
+            _NoTruthSession(s._dataset, s._indices, s._rng) if i % 2 else s
+            for i, s in enumerate(sessions)
         ]
         return agents, sessions
 
-    agents, sessions = build(9)
-    shard = _Shard(np.arange(6), agents, sessions)
-    shard.prepare(5)
-    assert shard.traced and not shard.indexed
+    probe = _Shard(np.arange(n_agents), *build())
+    probe.prepare(3)
+    assert probe.indexed
+    assert probe._row_table.expected is not probe._row_table.action_rewards
 
-    with pytest.raises(ConfigError, match="different datasets"):
-        probe = _Shard(np.arange(6), *build(9), plan_form="indexed")
-        probe.prepare(5)
-
-    seq_agents, seq_sessions = build(13)
-    seq_rewards = np.stack(
-        [_simulate_agent(a, s, 8)[0] for a, s in zip(seq_agents, seq_sessions)]
+    seq_agents, seq_sessions = build()
+    seq_rewards, seq_actions, seq_expected = _sequential(
+        seq_agents, seq_sessions, n_interactions
     )
-    fleet_agents, fleet_sessions = build(13)
-    result = FleetRunner(fleet_agents, fleet_sessions).run(8)
+    fleet_agents, fleet_sessions = build()
+    result = FleetRunner(fleet_agents, fleet_sessions).run(
+        n_interactions, track_expected=True
+    )
     np.testing.assert_array_equal(seq_rewards, result.rewards)
-    for sa, fa in zip(seq_agents, fleet_agents):
-        assert_states_equal(sa.policy, fa.policy)
-
-
-def test_plan_form_indexed_insists_on_trace_support():
-    """Stationary (and plan-less) shards cannot take the indexed form;
-    insisting raises instead of silently running another path."""
-    from repro.data.synthetic import SyntheticPreferenceEnvironment
-
-    syn = SyntheticPreferenceEnvironment(
-        n_actions=N_ACTIONS, n_features=N_FEATURES, seed=2
+    np.testing.assert_array_equal(seq_actions, result.actions)
+    np.testing.assert_array_equal(
+        result.expected_mask, [e is not None for e in seq_expected]
     )
-    sessions = [syn.new_user(s) for s in spawn_seeds(4, 3)]
-    shard = _Shard(np.arange(3), _cold_agents(3, 1), sessions, plan_form="indexed")
-    with pytest.raises(ConfigError, match="plan_form='indexed'"):
-        shard.prepare(4)
+    for i, e in enumerate(seq_expected):
+        if e is not None:
+            np.testing.assert_array_equal(e, result.expected[i])
 
 
-def test_plan_form_validated_at_construction():
-    agents, sessions = make_population(_ml_env, _linucb, AgentMode.COLD, 2, 0)
-    with pytest.raises(ConfigError, match="plan_form"):
-        FleetRunner(agents, sessions, plan_form="sparse")
+def test_persistent_mixed_shard_encodes_each_row_once(encoder, monkeypatch):
+    """A persistent runner keeps the concatenated table and its code
+    tables across runs (keyed on the source tables, not on the id of a
+    rebuilt join): once the first run has visited every assigned row,
+    the second run encodes nothing — and both runs together still equal
+    one sequential horizon."""
+    n_agents, horizon, seed = 6, 8, 41  # 8 > samples per user: all rows seen
+
+    def build():
+        return _two_dataset_population(
+            _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed, encoder=encoder
+        )
+
+    seq_agents, seq_sessions = build()
+    seq_rewards, _, _ = _sequential(seq_agents, seq_sessions, 2 * horizon)
+
+    encoded_rows: list[int] = []
+    real_batch = type(encoder).encode_batch
+
+    def counting_batch(self, X):
+        encoded_rows.append(X.shape[0])
+        return real_batch(self, X)
+
+    monkeypatch.setattr(type(encoder), "encode_batch", counting_batch)
+    runner = FleetRunner(*build(), persistent=True)
+    first = runner.run(horizon)
+    assert 0 < sum(encoded_rows) <= _ML_DATASET.n_samples + _OTHER_DATASET.n_samples
+    encoded_rows.clear()
+    second = runner.run(horizon)
+    assert sum(encoded_rows) == 0
+    np.testing.assert_array_equal(
+        seq_rewards, np.concatenate([first.rewards, second.rewards], axis=1)
+    )
+    for sa, fa in zip(seq_agents, runner.agents):
+        assert_states_equal(sa.policy, fa.policy)
 
 
 # --------------------------------------------------------------------- #
@@ -369,7 +495,7 @@ def test_each_dataset_row_encoded_at_most_once(encoder, monkeypatch):
 
     monkeypatch.setattr(type(encoder), "encode_batch", counting_batch)
     monkeypatch.setattr(type(encoder), "encode", no_scalar)
-    FleetRunner(agents, sessions, plan_form="indexed").run(30)
+    FleetRunner(agents, sessions).run(30)
     # one batched call (one encoder group, one chunk), bounded by the
     # dataset size — not by agents x steps = 270
     assert sum(seen_rows) <= _ML_DATASET.n_samples
@@ -378,8 +504,7 @@ def test_each_dataset_row_encoded_at_most_once(encoder, monkeypatch):
 def test_concurrent_shards_share_one_table():
     """Two shards over one dataset, stepped with ``n_workers=2`` on a
     cold table cache: both must receive the identical row table (the
-    build is serialized by a lock), so the insisting ``indexed`` form
-    never spuriously falls back or raises — and parallel equals serial."""
+    build is serialized by a lock) — and parallel equals serial."""
     from repro.bandits import EpsilonGreedy
 
     dataset = make_multilabel_dataset(100, N_FEATURES, N_ACTIONS, n_clusters=4, seed=8)
@@ -400,34 +525,38 @@ def test_concurrent_shards_share_one_table():
             sessions.append(env.new_user(session_seed))
         return agents, sessions
 
-    runner = FleetRunner(*build(), n_workers=2, plan_form="indexed")
+    runner = FleetRunner(*build(), n_workers=2)
     assert runner.n_shards == 2
     parallel = runner.run(10)
-    serial = FleetRunner(*build(), plan_form="indexed").run(10)
+    serial = FleetRunner(*build()).run(10)
     np.testing.assert_array_equal(parallel.rewards, serial.rewards)
     np.testing.assert_array_equal(parallel.actions, serial.actions)
 
 
 def test_indexed_plan_bytes_shrink_a_fold(encoder):
     """The ROADMAP claim in miniature: per-agent plan bytes of the
-    indexed form are a small fraction of the dense form's."""
+    row-table walk are a small fraction of the per-step arrays
+    ``plan_trace`` materializes for the same walk."""
     n_agents, horizon = 12, 20
+    agents, sessions = make_population(
+        _ml_env, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, 17, encoder=encoder
+    )
+    shard = _Shard(np.arange(n_agents), agents, sessions)
+    shard.prepare(horizon)
+    indexed = shard.plan_nbytes()
 
-    def prepared(plan_form):
-        agents, sessions = make_population(
-            _ml_env, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, 17,
-            encoder=encoder,
-        )
-        shard = _Shard(np.arange(n_agents), agents, sessions, plan_form=plan_form)
-        shard.prepare(horizon)
-        return shard.plan_nbytes()
-
-    dense = prepared("dense")
-    indexed = prepared("indexed")
-    assert dense["shared"] == 0
+    _, ref_sessions = make_population(
+        _ml_env, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, 17, encoder=encoder
+    )
+    dense = 0
+    for session in ref_sessions:
+        plan = session.plan_trace(horizon)
+        dense += plan.contexts.nbytes + plan.action_rewards.nbytes
+        if plan.expected is not plan.action_rewards:
+            dense += plan.expected.nbytes
     # the per-agent side is exactly the row walk: horizon intp entries
     assert indexed["per_agent"] == n_agents * horizon * np.intp(0).nbytes
-    # dense carries (T, d) float contexts + (T, A) rewards + (T,) codes
-    # per agent — at least A-fold more than the walk even at this toy
-    # scale (the §5.2-scale ratio is asserted in bench_memory)
-    assert dense["per_agent"] >= N_ACTIONS * indexed["per_agent"]
+    # per-step (T, d) float contexts + (T, A) rewards per agent are at
+    # least A-fold more than the walk even at this toy scale (the
+    # §5.2-scale ratio is asserted in bench_memory)
+    assert dense >= N_ACTIONS * indexed["per_agent"]

@@ -36,6 +36,7 @@ HORIZON = 12
 EVERY = 5
 
 _ML_DATASET = make_multilabel_dataset(90, N_FEATURES, N_ACTIONS, n_clusters=4, seed=0)
+_ML_DATASET_B = make_multilabel_dataset(70, N_FEATURES, N_ACTIONS, n_clusters=3, seed=4)
 
 
 def _env_grid():
@@ -57,11 +58,15 @@ GRID = _env_grid()
 
 def _population(seed=SEED, n_agents=12):
     """Six shards: three policy kinds × {cold, participating-warm},
-    over traced (multilabel) and stationary (synthetic) sessions."""
+    over traced (multilabel) and stationary (synthetic) sessions.  The
+    traced agents alternate between two datasets, so every traced shard
+    gathers through a concatenated row table — built inside the worker
+    from shared-memory source tables on the process backend."""
     syn = SyntheticPreferenceEnvironment(
         n_actions=N_ACTIONS, n_features=N_FEATURES, seed=7
     )
     ml = MultilabelBanditEnvironment(_ML_DATASET, samples_per_user=6, seed=1)
+    ml_b = MultilabelBanditEnvironment(_ML_DATASET_B, samples_per_user=5, seed=2)
     kinds = [LinUCB, EpsilonGreedy, UCB1]
     agents, sessions = [], []
     for i, s in enumerate(spawn_seeds(seed, n_agents)):
@@ -80,7 +85,8 @@ def _population(seed=SEED, n_agents=12):
             )
         else:
             agents.append(LocalAgent(f"u{i}", policy, mode="cold"))
-        sessions.append((ml if i % 2 else syn).new_user(session_seed))
+        env = syn if i % 2 == 0 else (ml_b if i % 4 == 3 else ml)
+        sessions.append(env.new_user(session_seed))
     return agents, sessions
 
 

@@ -352,7 +352,7 @@ def test_property_columnar_collection_matches_sequential(
     def build():
         system = P2BSystem(config, mode=mode, encoder=encoder, seed=0)
         syn = SyntheticPreferenceEnvironment(n_actions=3, n_features=4, seed=13)
-        ml = MultilabelBanditEnvironment(_replay_dataset(), samples_per_user=5, seed=2)
+        ml = MultilabelBanditEnvironment(_replay_datasets()[0], samples_per_user=5, seed=2)
         agents, sessions = [], []
         for i, s in enumerate(spawn_seeds(seed, len(specs))):
             policy_seed, part_seed, session_seed = s.spawn(3)
@@ -391,16 +391,19 @@ def test_property_columnar_collection_matches_sequential(
         assert seq_system._collected_codes == fleet_system._collected_codes
 
 
-_REPLAY_ML_DATASET = None
+_REPLAY_ML_DATASETS: list = []
 
 
-def _replay_dataset():
-    global _REPLAY_ML_DATASET
-    if _REPLAY_ML_DATASET is None:
+def _replay_datasets():
+    """Two multilabel datasets of one shape (built once)."""
+    if not _REPLAY_ML_DATASETS:
         from repro.data.multilabel import make_multilabel_dataset
 
-        _REPLAY_ML_DATASET = make_multilabel_dataset(70, 4, 3, n_clusters=3, seed=17)
-    return _REPLAY_ML_DATASET
+        _REPLAY_ML_DATASETS.extend(
+            make_multilabel_dataset(n, 4, 3, n_clusters=3, seed=seed)
+            for n, seed in ((70, 17), (55, 23))
+        )
+    return _REPLAY_ML_DATASETS
 
 
 @given(
@@ -415,13 +418,14 @@ def _replay_dataset():
     ),
     st.integers(3, 14),
     st.sampled_from([None, 1, 2, 3, 5, 20]),
-    st.sampled_from(["auto", "dense"]),
+    st.sampled_from([1, 2]),  # multilabel datasets the replay agents walk
+    st.sampled_from([1, 2]),  # n_workers: serial map vs thread-pool map
     st.sampled_from(["bit", "fast"]),
     st.sampled_from([None, 1, 3, 50]),
 )
 @settings(max_examples=25, deadline=None)
 def test_property_replay_and_synthetic_mixtures_match_sequential(
-    seed, specs, n_interactions, plan_chunk_size, plan_form, exactness,
+    seed, specs, n_interactions, plan_chunk_size, n_datasets, n_workers, exactness,
     kernel_block_size,
 ):
     """Arbitrary per-agent mixtures of *planned dataset sessions*
@@ -429,9 +433,11 @@ def test_property_replay_and_synthetic_mixtures_match_sequential(
     (`has_reward_plan`) across policy shards stay bit-identical to the
     sequential reference — including shards that mix both session
     kinds and therefore fall back to the generic per-round path, and
-    under any plan chunk size / traced-plan form (replay shards take
-    the shared-row-table form on ``auto``; ``dense`` forces per-agent
-    tables; chunking slices the horizon arbitrarily).  The exactness
+    under any plan chunk size (chunking slices the horizon
+    arbitrarily).  With two datasets drawn, replay agents alternate
+    between them, so replay shards gather through a concatenated row
+    table; ``n_workers`` runs the shards as a serial map or a
+    thread-pool map of the same shard-horizon loop.  The exactness
     tier and the scoring-kernel block size are drawn too: blocked
     kernels are bitwise identical to unblocked for every block size,
     and ``"fast"`` must degenerate to the bit tier — bitwise — for
@@ -455,14 +461,18 @@ def test_property_replay_and_synthetic_mixtures_match_sequential(
 
     def build():
         syn = SyntheticPreferenceEnvironment(n_actions=3, n_features=4, seed=13)
-        ml = MultilabelBanditEnvironment(_replay_dataset(), samples_per_user=5, seed=2)
+        mls = [
+            MultilabelBanditEnvironment(dataset, samples_per_user=5, seed=2)
+            for dataset in _replay_datasets()[:n_datasets]
+        ]
         agents, sessions = [], []
         for i, s in enumerate(spawn_seeds(seed, len(specs))):
             policy_seed, session_seed = s.spawn(2)
             kind, replay = specs[i]
             policy = classes[kind](n_arms=3, n_features=4, seed=policy_seed)
             agents.append(LocalAgent(f"u{i}", policy, mode="cold"))
-            sessions.append((ml if replay else syn).new_user(session_seed))
+            env = mls[i % n_datasets] if replay else syn
+            sessions.append(env.new_user(session_seed))
         return agents, sessions
 
     seq_agents, seq_sessions = build()
@@ -477,8 +487,8 @@ def test_property_replay_and_synthetic_mixtures_match_sequential(
     runner = FleetRunner(
         fleet_agents,
         fleet_sessions,
+        n_workers=n_workers,
         plan_chunk_size=plan_chunk_size,
-        plan_form=plan_form,
         exactness=exactness,
         kernel_block_size=kernel_block_size,
     )
