@@ -29,17 +29,17 @@ smoke:
 perfbench-test:
 	$(PY) -m pytest perfbench -q
 
-# chaos smoke: the whole sim suite under a seeded fault plan (worker
-# raises + hard crashes, recovered by default supervision with zero
+# chaos smoke: the whole sim suite under a seeded fault plan (injected
+# raise and crash faults, recovered by default supervision with zero
 # unhandled crashes and zero bitwise drift), then a multi-worker pass
-# of the parallel/shm/invariance suites (chaos recovery must also be
-# worker-count-invariant and leak no shm segments), then the
+# of the parallel/invariance suites (chaos recovery must also be
+# worker-count-invariant), then the
 # deterministic counter report (benchmarks/chaos_summary.py; CI pipes
 # it into the step summary)
 chaos:
 	REPRO_FAULTS="seed=7;raise=0.03;crash=0.03" $(PY) -m pytest tests/sim -q
 	REPRO_FAULTS="seed=7;raise=0.03;crash=0.03" REPRO_PARALLEL_WORKERS="2,4" \
-		$(PY) -m pytest tests/sim/test_parallel.py tests/sim/test_shm.py \
+		$(PY) -m pytest tests/sim/test_parallel.py \
 		tests/sim/test_worker_invariance.py -q
 	$(PY) benchmarks/chaos_summary.py
 
@@ -65,8 +65,9 @@ bench-replay:
 bench-reporting:
 	$(PY) -m pytest benchmarks/bench_reporting.py -q
 
-# traced-plan memory record: shared row tables vs per-agent tables +
-# chunked horizons (writes benchmarks/results/BENCH_memory.json; the
+# traced-plan memory record: shared row tables vs per-agent plan_trace
+# arrays, plus fast-tier policy-state bytes (writes
+# benchmarks/results/BENCH_memory.json; the
 # byte-accounting floor is deterministic, tunable via
 # BENCH_MEMORY_MIN_REDUCTION)
 bench-memory:
@@ -86,10 +87,10 @@ bench-serve:
 bench-kernels:
 	$(PY) -m pytest benchmarks/bench_kernels.py -q
 
-# parallel-backend scaling record: serial vs n_workers on both
-# backends + sweep-level fan-out, every run asserted bit-identical
-# (writes benchmarks/results/BENCH_parallel.json with cpu_count; the
-# process-backend floor BENCH_PARALLEL_MIN_SPEEDUP is enforced only
+# parallel scaling record: serial vs n_workers on the thread pool +
+# sweep-level fan-out, every run asserted bit-identical (writes
+# benchmarks/results/BENCH_parallel.json with cpu_count; the
+# thread-pool floor BENCH_PARALLEL_MIN_SPEEDUP is enforced only
 # when set — worker scaling needs cores, so CI's multi-core runners
 # set it; scale via BENCH_PARALLEL_N_AGENTS / _N_INTERACTIONS)
 bench-parallel:

@@ -1,4 +1,4 @@
-"""Parallel-backend scaling: serial vs ``n_workers`` on both backends.
+"""Parallel shard scaling: serial vs ``n_workers`` on the thread pool.
 
 The workload is an eight-shard homogeneous-cost population (eight
 LinUCB hyperparameter variants over one synthetic environment), so the
@@ -7,7 +7,7 @@ the same — worker scaling measured here is scheduling, not luck.  Each
 timed run is asserted bit-identical to the serial reference, so the
 bench doubles as an equivalence check at bench scale.
 
-Records, per backend and worker count, ``interactions_per_second`` and
+Records, per worker count, ``interactions_per_second`` and
 ``workers_speedup`` (throughput relative to the serial run), plus a
 sweep-level section timing ``compare_settings`` with
 ``sweep_workers > 1`` against the serial sweep.  Every record carries
@@ -17,7 +17,7 @@ capped by the core count, so a single-core machine honestly records
 where the floor applies.
 
 The throughput floor ``BENCH_PARALLEL_MIN_SPEEDUP`` gates the *best*
-process-backend speedup and is enforced only when the variable is set
+thread-pool speedup and is enforced only when the variable is set
 (CI sets it on the 4-vCPU runners); scale knobs
 (``BENCH_PARALLEL_N_AGENTS``, ``BENCH_PARALLEL_N_INTERACTIONS``,
 ``BENCH_PARALLEL_WORKER_COUNTS``) let the bench-smoke job run reduced.
@@ -52,7 +52,7 @@ N_FEATURES = 10
 N_SHARDS = 8
 SEED = 0
 
-#: floor on the best process-backend workers_speedup — enforced only
+#: floor on the best thread-pool workers_speedup — enforced only
 #: when set (worker scaling needs cores; CI's multi-core runners set it)
 _FLOOR = os.environ.get("BENCH_PARALLEL_MIN_SPEEDUP")
 MIN_SPEEDUP = float(_FLOOR) if _FLOOR else 0.0
@@ -87,14 +87,12 @@ def _population(n_agents: int):
     return agents, sessions
 
 
-def _timed_run(n_workers: int | None, backend: str):
+def _timed_run(n_workers: int | None):
     agents, sessions = _population(N_AGENTS)
     if n_workers is None:
         runner = FleetRunner(agents, sessions)
     else:
-        runner = FleetRunner(
-            agents, sessions, n_workers=n_workers, worker_backend=backend
-        )
+        runner = FleetRunner(agents, sessions, n_workers=n_workers)
     assert runner.n_shards == N_SHARDS
     t0 = time.perf_counter()
     result = runner.run(N_INTERACTIONS)
@@ -108,22 +106,19 @@ def test_worker_scaling(record_json):
     agents, sessions = _population(min(N_AGENTS, 256))
     FleetRunner(agents, sessions).run(5)
 
-    serial_seconds, serial_rewards = _timed_run(None, "thread")
+    serial_seconds, serial_rewards = _timed_run(None)
     serial_ips = N_AGENTS * N_INTERACTIONS / serial_seconds
-    backends = {}
-    for backend in ("thread", "process"):
-        per_workers = {}
-        for w in WORKER_COUNTS:
-            seconds, rewards = _timed_run(w, backend)
-            # worker scaling must never buy its throughput with drift
-            np.testing.assert_array_equal(rewards, serial_rewards)
-            ips = N_AGENTS * N_INTERACTIONS / seconds
-            per_workers[f"n_workers_{w}"] = {
-                "seconds": round(seconds, 4),
-                "interactions_per_second": round(ips, 1),
-                "workers_speedup": round(ips / serial_ips, 2),
-            }
-        backends[backend] = per_workers
+    per_workers = {}
+    for w in WORKER_COUNTS:
+        seconds, rewards = _timed_run(w)
+        # worker scaling must never buy its throughput with drift
+        np.testing.assert_array_equal(rewards, serial_rewards)
+        ips = N_AGENTS * N_INTERACTIONS / seconds
+        per_workers[f"n_workers_{w}"] = {
+            "seconds": round(seconds, 4),
+            "interactions_per_second": round(ips, 1),
+            "workers_speedup": round(ips / serial_ips, 2),
+        }
     record_json(
         "parallel",
         {
@@ -137,17 +132,14 @@ def test_worker_scaling(record_json):
                 "seconds": round(serial_seconds, 4),
                 "interactions_per_second": round(serial_ips, 1),
             },
-            "thread": backends["thread"],
-            "process": backends["process"],
+            "thread": per_workers,
         },
         merge=True,
     )
     if MIN_SPEEDUP:
-        best = max(
-            entry["workers_speedup"] for entry in backends["process"].values()
-        )
+        best = max(entry["workers_speedup"] for entry in per_workers.values())
         assert best >= MIN_SPEEDUP, (
-            f"process backend's best workers_speedup {best}x is below the "
+            f"thread pool's best workers_speedup {best}x is below the "
             f"BENCH_PARALLEL_MIN_SPEEDUP floor {MIN_SPEEDUP}x "
             f"(cpu_count={os.cpu_count()})"
         )

@@ -109,7 +109,6 @@ class DeploymentLoop:
     seed: int | None = None
     engine: "str | object" = "auto"
     n_workers: int = 1
-    worker_backend: str = "thread"
     plan_chunk_size: int | None = None
     exactness: str = "bit"
     kernel_block_size: int | None = None
@@ -131,7 +130,6 @@ class DeploymentLoop:
                 )
             explicit = (
                 self.n_workers != 1
-                or self.worker_backend != "thread"
                 or self.plan_chunk_size is not None
                 or self.exactness != "bit"
                 or self.kernel_block_size is not None
@@ -149,7 +147,6 @@ class DeploymentLoop:
                 )
             self.engine = cfg.engine
             self.n_workers = cfg.n_workers
-            self.worker_backend = cfg.worker_backend
             self.plan_chunk_size = cfg.plan_chunk_size
             self.exactness = cfg.exactness
             self.kernel_block_size = getattr(cfg, "kernel_block_size", None)
@@ -162,13 +159,8 @@ class DeploymentLoop:
             raise ConfigError(
                 f"engine must be 'auto', 'sequential' or 'fleet', got {self.engine!r}"
             )
-        from ..sim import EXACTNESS_TIERS, WORKER_BACKENDS
+        from ..sim import EXACTNESS_TIERS
 
-        if self.worker_backend not in WORKER_BACKENDS:
-            raise ConfigError(
-                f"worker_backend must be one of {WORKER_BACKENDS}, "
-                f"got {self.worker_backend!r}"
-            )
         if self.exactness not in EXACTNESS_TIERS:
             raise ConfigError(
                 f"exactness must be one of {EXACTNESS_TIERS}, got {self.exactness!r}"
@@ -237,7 +229,6 @@ class DeploymentLoop:
                     agents,
                     sessions,
                     n_workers=self.n_workers,
-                    worker_backend=self.worker_backend,
                     plan_chunk_size=self.plan_chunk_size,
                     exactness=self.exactness,
                     kernel_block_size=self.kernel_block_size,

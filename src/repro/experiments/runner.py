@@ -34,7 +34,6 @@ from ..core.system import P2BSystem
 from ..data.environment import Environment
 from ..sim import (
     EXACTNESS_TIERS,
-    WORKER_BACKENDS,
     FaultPolicy,
     FleetRunner,
     fleet_supported,
@@ -89,16 +88,6 @@ def _check_exactness(exactness: str) -> str:
     return exactness
 
 
-def _check_worker_backend(worker_backend: str) -> str:
-    if worker_backend not in WORKER_BACKENDS:
-        from ..utils.exceptions import ConfigError
-
-        raise ConfigError(
-            f"worker_backend must be one of {WORKER_BACKENDS}, got {worker_backend!r}"
-        )
-    return worker_backend
-
-
 #: default-argument sentinel distinguishing "not passed" (use the
 #: process default) from an explicit ``None`` (``None`` is itself a
 #: meaningful chunk size: whole horizons); shared by the sweep
@@ -111,8 +100,8 @@ class EngineConfig:
     """One immutable bundle of every simulation-engine knob.
 
     Replaces the kwarg pile that grew one parameter per PR (``engine``,
-    ``n_workers``, ``worker_backend``, ``plan_chunk_size``,
-    ``exactness``, ``sink``, ``kernel_block_size``): build one ``EngineConfig``
+    ``n_workers``, ``plan_chunk_size``, ``exactness``, ``sink``,
+    ``kernel_block_size``): build one ``EngineConfig``
     and hand it to any entry point — ``run_setting(engine=cfg)``,
     ``compare_settings(engine=cfg)``, the sweeps, ``DeploymentLoop``,
     ``FleetRunner(config=cfg)``, ``FleetService(engine=cfg)`` —
@@ -158,7 +147,6 @@ class EngineConfig:
 
     engine: str = "auto"
     n_workers: int = 1
-    worker_backend: str = "thread"
     plan_chunk_size: int | None = None
     exactness: str = "bit"
     sink: object | None = None
@@ -170,7 +158,6 @@ class EngineConfig:
         _check_engine(self.engine)
         check_positive_int(self.n_workers, name="n_workers")
         check_positive_int(self.sweep_workers, name="sweep_workers")
-        _check_worker_backend(self.worker_backend)
         if self.plan_chunk_size is not None:
             check_positive_int(self.plan_chunk_size, name="plan_chunk_size")
         _check_exactness(self.exactness)
@@ -194,11 +181,12 @@ class EngineConfig:
         # checkpoints pickle the EngineConfig into their context blob;
         # a snapshot written before a field existed (sweep_workers
         # postdates the checkpoint format) must still restore — missing
-        # fields take their defaults
+        # fields take their defaults — and keys of retired knobs
+        # (the plan form, the worker backend) are dropped
         for f in dataclasses.fields(self):
-            if f.name not in state and f.default is not dataclasses.MISSING:
-                state[f.name] = f.default
-        self.__dict__.update(state)
+            value = state.get(f.name, f.default)
+            if value is not dataclasses.MISSING:
+                self.__dict__[f.name] = value
 
 
 _default_config = EngineConfig()
@@ -588,7 +576,6 @@ def run_setting(
                 contributors,
                 sessions,
                 n_workers=cfg.n_workers,
-                worker_backend=cfg.worker_backend,
                 plan_chunk_size=cfg.plan_chunk_size,
                 exactness=tier,
                 kernel_block_size=cfg.kernel_block_size,
@@ -720,7 +707,6 @@ def _eval_phase(
             eval_agents,
             eval_sessions,
             n_workers=cfg.n_workers,
-            worker_backend=cfg.worker_backend,
             plan_chunk_size=cfg.plan_chunk_size,
             exactness=tier,
             kernel_block_size=cfg.kernel_block_size,

@@ -36,7 +36,7 @@ partitioned into *shards* by :func:`~repro.sim.fleet.shard_key` —
 (mode, private-context, codebook size, policy kind and
 hyperparameters) — and each shard runs on its own stacked state.
 Execution is shard-major: one function runs a shard's whole horizon,
-and every backend maps it over the shards.  Because condition 2 makes
+mapped over the shards serially or on a thread pool.  Because condition 2 makes
 agent order unobservable, shard order is too, and the mixed run stays
 bit-identical to the sequential reference.  Policies whose selection *consumes* randomness join the
 contract by defining their draw order — Thompson sampling draws
@@ -88,8 +88,7 @@ object path, with no payload object ever built on the fast path.
 
 Because shards share no mutable state and never synchronize,
 ``FleetRunner(n_workers=k)`` runs each shard's whole horizon as one
-concurrent task — on a thread pool, or in worker processes with
-``worker_backend="process"`` — again without leaving the contract:
+concurrent task on a thread pool — again without leaving the contract:
 shard order is unobservable, so parallel results are identical to
 serial ones.
 
@@ -139,7 +138,6 @@ from .faults import (
     active_plan,
 )
 from .fleet import (
-    WORKER_BACKENDS,
     DroppedShard,
     FaultPolicy,
     FleetResult,
@@ -148,13 +146,6 @@ from .fleet import (
     fleet_supported,
     shard_indices,
     shard_key,
-)
-from .shm import (
-    SHM_ENV_VAR,
-    ShmArrayRef,
-    ShmPool,
-    leaked_segments,
-    shm_enabled,
 )
 from .stacked import (
     EXACTNESS_TIERS,
@@ -190,12 +181,6 @@ __all__ = [
     "shard_indices",
     "aggregate_plan_nbytes",
     "EXACTNESS_TIERS",
-    "WORKER_BACKENDS",
-    "SHM_ENV_VAR",
-    "ShmArrayRef",
-    "ShmPool",
-    "leaked_segments",
-    "shm_enabled",
     "StackedPolicies",
     "StackedLinUCB",
     "StackedLinUCBFast",

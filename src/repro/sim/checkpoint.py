@@ -22,15 +22,13 @@ refuses files written by a different version (or by anything that is
 not a fleet checkpoint at all) with a
 :class:`~repro.utils.exceptions.CheckpointError` naming the mismatch.
 
-Snapshots are transport-agnostic by design: the process backend's
-shared-memory blocks (:mod:`repro.sim.shm`) are per-dispatch plumbing
-— created when a segment starts, unlinked when it ends — so the
-matrices stored here are always ordinary owned arrays, and a
-checkpointed run resumes bit-identically on any backend/worker-count
-combination (``tests/sim/test_worker_invariance.py`` pins this).
-Engine knobs added after a snapshot was written restore to their
-defaults (``resume`` reads them with ``.get``), so old checkpoints
-stay loadable across engine growth.
+The matrices stored here are ordinary owned arrays, and a
+checkpointed run resumes bit-identically at any worker count
+(``tests/sim/test_worker_invariance.py`` pins this).  Engine knobs
+added after a snapshot was written restore to their defaults
+(``resume`` reads them with ``.get``), and knobs a release no longer
+has (the retired worker-backend choice, say) are ignored, so old
+checkpoints stay loadable as the engine changes.
 """
 
 from __future__ import annotations

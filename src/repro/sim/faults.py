@@ -3,9 +3,9 @@
 Production fault tolerance is only trustworthy if failure paths are
 *exercised*, and failure paths are only testable if failures are
 reproducible.  A :class:`FaultPlan` injects faults into well-defined
-points of the execution engine — a shard step raising, a worker
-process dying, a report batch being corrupted, a shard stalling past a
-timeout — **deterministically**: the same plan injects the same faults
+points of the execution engine — a shard step raising or crashing, a
+report batch being corrupted, a shard stalling past a timeout —
+**deterministically**: the same plan injects the same faults
 at the same (shard, round) coordinates on every run, so a chaos
 failure found in CI replays locally from its spec string alone.
 
@@ -14,10 +14,10 @@ Injection points
 
 * ``_Shard.step`` calls :meth:`FaultPlan.on_step` once per round when a
   plan is armed (``FleetRunner(fault_plan=...)`` or the env knob).  A
-  matched spec raises :class:`InjectedFault` (kind ``raise``), kills
-  the hosting worker process (kind ``crash`` — downgraded to a raise on
-  the thread backend, where exiting would kill the caller), or sleeps
-  (kind ``delay``).
+  matched spec raises :class:`InjectedFault` (kinds ``raise`` and
+  ``crash``, which differ only in their hash stream and message) or
+  sleeps (kind ``delay``).  ``crash`` stays a spec kind so plan
+  strings recorded from older failures still replay.
 * :meth:`~repro.core.system.P2BSystem.collect` (and the async variant)
   pass drained report columns through :meth:`FaultPlan.corrupt_batch`,
   which deterministically mangles a fraction of tuples (negative codes,
@@ -32,8 +32,7 @@ retried runs are bitwise equal to fault-free runs.
 The env knob
 ------------
 
-``REPRO_FAULTS`` activates a plan process-wide (worker processes
-inherit it, so process-backend chaos needs no extra plumbing)::
+``REPRO_FAULTS`` activates a plan process-wide::
 
     REPRO_FAULTS="seed=7;raise=0.05;crash=0.02;corrupt=0.1"
 
@@ -57,7 +56,7 @@ Randomness is *stateless*: each potential fault site hashes
 ``(seed, kind, shard, round)`` through a ``SeedSequence`` to a uniform
 in ``[0, 1)`` and fires iff it lands under the configured probability.
 No counters, no RNG objects — the same plan string fires identically
-in any process, any backend, any retry order.
+in any process, at any worker count, in any retry order.
 """
 
 from __future__ import annotations
@@ -84,8 +83,8 @@ __all__ = [
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 
 #: recognized step-fault kinds: ``raise`` throws :class:`InjectedFault`
-#: inside the shard step, ``crash`` kills the hosting worker process
-#: (a raise on the thread backend), ``delay`` sleeps the shard.
+#: inside the shard step, ``crash`` does too (under its own hash
+#: stream, kept so old plan strings replay), ``delay`` sleeps the shard.
 FAULT_KINDS = ("raise", "crash", "delay")
 
 
@@ -123,9 +122,9 @@ def _hash01(seed: int, *keys) -> float:
 
     ``SeedSequence`` mixing is stable across processes and platforms —
     string keys digest through ``crc32``, never ``hash()``, whose
-    per-process randomization would make worker processes disagree
-    with the parent — which is what makes plans replayable without
-    shipping RNG state.
+    per-process randomization would make a replay in a fresh
+    interpreter disagree with the original run — which is what makes
+    plans replayable without shipping RNG state.
     """
     entropy = [int(seed) & 0xFFFFFFFF]
     for key in keys:
@@ -272,24 +271,14 @@ class FaultPlan:
                     return kind
         return None
 
-    def on_step(
-        self, shard: int, t: int, attempt: int, *, in_worker: bool = False
-    ) -> None:
-        """Fire whatever fault is armed at this step (the engine hook).
-
-        ``in_worker`` distinguishes a disposable worker process (where a
-        crash fault genuinely kills the process, exercising pool
-        respawn) from the caller's own process (where it degrades to a
-        raise — killing the caller would take the test suite with it).
-        """
+    def on_step(self, shard: int, t: int, attempt: int) -> None:
+        """Fire whatever fault is armed at this step (the engine hook)."""
         kind = self.step_fault(shard, t, attempt)
         if kind is None:
             return
         if kind == "delay":
             time.sleep(self.delay_s)
             return
-        if kind == "crash" and in_worker:
-            os._exit(17)  # simulate a hard worker death (no cleanup)
         raise InjectedFault(
             f"injected {kind} fault in shard {shard} at round {t} "
             f"(attempt {attempt})"

@@ -13,8 +13,8 @@ interchangeable; ``tests/sim/`` pins the equivalence bit-for-bit.
 
 Execution is **shard-major**: one function, :func:`_run_shard_horizon`,
 runs a shard's whole horizon (prepare, ``step`` x T, finish,
-writeback), and every backend maps it over the shards — serially, on a
-thread pool, or in worker processes.  Shards share no RNG stream and
+writeback), and the runner maps it over the shards — serially or on a
+thread pool.  Shards share no RNG stream and
 no mutable state, so shard order (like agent order) is unobservable: a
 mixed LinUCB + Thompson + epsilon-greedy population, warm-private and
 cold side by side, produces bit-identical actions, rewards, policy
@@ -98,16 +98,13 @@ Parallel shard stepping
 -----------------------
 
 Shards share no mutable state — disjoint agents, disjoint result rows,
-per-agent RNG/session/outbox — and they never synchronize, so the
-serial backend is a plain ``map`` of :func:`_run_shard_horizon` over
+per-agent RNG/session/outbox — and they never synchronize, so a
+serial run is a plain ``map`` of :func:`_run_shard_horizon` over
 the shards and ``FleetRunner(..., n_workers=k)`` is a thread-pool map
 of the same function (no per-round barrier or submit overhead; the
 einsum kernels release the GIL, so compute-bound shards overlap).
-``worker_backend="process"`` is the escape hatch for populations whose
-per-agent Python dominates: the same whole-horizon function runs in
-worker processes instead, and the mutated agent/session state is
-adopted back into the caller's objects — see :func:`_run_shard_remote`
-for the (documented) identity caveats.
+Threads are the only parallel backend: every shard mutates the
+caller's own agent and session objects in place.
 """
 
 from __future__ import annotations
@@ -138,24 +135,17 @@ __all__ = [
     "shard_key",
     "shard_indices",
     "aggregate_plan_nbytes",
-    "WORKER_BACKENDS",
     "EXACTNESS_TIERS",
 ]
-
-#: recognized shard-parallelism backends: ``thread`` runs each shard's
-#: whole horizon on a thread pool (GIL-releasing kernels, zero copy),
-#: ``process`` runs each shard's whole horizon in a worker process
-#: (serialization-heavy escape hatch for Python-bound populations).
-WORKER_BACKENDS = ("thread", "process")
 
 
 @dataclass(frozen=True)
 class FaultPolicy:
     """How the fleet supervises failing shard work.
 
-    When a shard's horizon raises (or its worker process dies), the
-    supervisor restores the shard's agents and sessions from the
-    snapshot taken before the attempt and replays the whole horizon.
+    When a shard's horizon raises, the supervisor restores the shard's
+    agents and sessions from the snapshot taken before the attempt and
+    replays the whole horizon.
     Because the snapshot round-trips every RNG stream bit-exactly and
     shard horizons are deterministic given that state, a successful
     retry is bitwise indistinguishable from a run that never failed.
@@ -386,7 +376,6 @@ class _Shard:
         self._faults: FaultPlan | None = None
         self._fault_shard = 0
         self._fault_attempt = 0
-        self._fault_in_worker = False
         self._reset_run_state()
 
     def _reset_run_state(self) -> None:
@@ -434,12 +423,7 @@ class _Shard:
         self._pre_buffers: list[list] | None = None
 
     def arm_faults(
-        self,
-        plan: FaultPlan | None,
-        shard_index: int = 0,
-        attempt: int = 0,
-        *,
-        in_worker: bool = False,
+        self, plan: FaultPlan | None, shard_index: int = 0, attempt: int = 0
     ) -> None:
         """Arm (or, with ``None``, disarm) deterministic fault injection.
 
@@ -447,13 +431,10 @@ class _Shard:
         fault fires at ``(shard_index, t, attempt)`` — the supervisor
         re-arms with the new attempt number on each retry, so a fault
         scheduled for attempt 0 does not re-fire on the replay.
-        ``in_worker`` marks process-pool execution, where ``crash``
-        faults hard-kill the interpreter instead of raising.
         """
         self._faults = plan
         self._fault_shard = int(shard_index)
         self._fault_attempt = int(attempt)
-        self._fault_in_worker = bool(in_worker)
 
     # ------------------------------------------------------------------ #
     def prepare(
@@ -756,12 +737,7 @@ class _Shard:
         owned by this shard alone.
         """
         if self._faults is not None:
-            self._faults.on_step(
-                self._fault_shard,
-                t,
-                self._fault_attempt,
-                in_worker=self._fault_in_worker,
-            )
+            self._faults.on_step(self._fault_shard, t, self._fault_attempt)
         if self._plan_path is not None and t == self._chunk_start + self._chunk_len:
             self._materialize_chunk(t)
         tc = self._col(t)  # result-matrix column (ring when streaming)
@@ -1080,10 +1056,10 @@ def _run_shard_horizon(
 ) -> None:
     """Run one shard's whole horizon: prepare, step x T, finish, writeback.
 
-    The one loop body of every backend — serial, thread pool, worker
-    process and supervised retries all call it.  Outcomes land in the
-    given result matrices at the shard's rows; ``emit(rows, t)``, when
-    given, streams each round's columns as soon as they are written.
+    The one loop body — serial, thread-pool and supervised runs all
+    call it.  Outcomes land in the given result matrices at the shard's
+    rows; ``emit(rows, t)``, when given, streams each round's columns
+    as soon as they are written.
     """
     shard.prepare(n_interactions, result_window=result_window)
     for t in range(n_interactions):
@@ -1092,90 +1068,6 @@ def _run_shard_horizon(
             emit(shard.indices, t)
     shard.finish(rewards, actions)
     shard.stacked.writeback()
-
-
-def _run_shard_remote(payload: bytes, fault_ctx: tuple | None = None) -> bytes:
-    """Worker-process body for ``worker_backend="process"``.
-
-    Receives one pickled shard population, runs its *entire* horizon
-    (shards never interact, so no per-round synchronization with the
-    parent is needed), and ships back the mutated agents and sessions.
-    The parent adopts the returned state into its own objects
-    (:meth:`FleetRunner._adopt`).
-
-    Results travel one of two ways.  On the shared-memory protocol
-    (:mod:`repro.sim.shm`) the payload carries :class:`~repro.sim.shm.
-    ShmArrayRef` descriptors of the parent's *global* result matrices
-    plus this shard's global row indices; the worker attaches the
-    blocks (cached per process, so retries and pool re-spawns just
-    re-attach by name) and writes results directly at its disjoint
-    rows — the thread backend's memory model, across a process
-    boundary.  On the legacy fallback (``REPRO_NO_SHM``, or platforms
-    without POSIX shared memory) it builds local matrices and pickles
-    them back, as before.
-
-    ``fault_ctx`` is ``(plan_spec, shard_index, attempt)`` when the
-    parent runs supervised with a fault plan armed: the *parent* decides
-    the plan (including the env knob) and ships it explicitly, so a
-    retry's incremented attempt number reaches the worker and random
-    faults stay silent on the replay.  Partial shared-memory writes of
-    a crashed attempt are fully overwritten by the retry (or NaN-filled
-    by the parent on a skip), exactly like the thread path's.
-    """
-    from .shm import attach, shm_loads
-
-    (
-        agents,
-        sessions,
-        n_interactions,
-        track_expected,
-        plan_chunk_size,
-        exactness,
-        kernel_block_size,
-        result_refs,
-        rows,
-    ) = shm_loads(payload)
-    n = len(agents)
-    indices = (
-        np.arange(n, dtype=np.intp)
-        if result_refs is None
-        else np.asarray(rows, dtype=np.intp)
-    )
-    shard = _Shard(
-        indices,
-        agents,
-        sessions,
-        plan_chunk_size=plan_chunk_size,
-        exactness=exactness,
-        kernel_block_size=kernel_block_size,
-    )
-    if fault_ctx is not None:
-        spec, shard_index, attempt = fault_ctx
-        shard.arm_faults(
-            FaultPlan.parse(spec), shard_index, attempt, in_worker=True
-        )
-    if result_refs is None:
-        rewards = np.empty((n, n_interactions), dtype=np.float64)
-        actions = np.empty((n, n_interactions), dtype=np.intp)
-        expected = (
-            np.empty((n, n_interactions), dtype=np.float64) if track_expected else None
-        )
-        expected_ok = np.full(n, track_expected, dtype=bool)
-    else:
-        rewards_ref, actions_ref, expected_ref, ok_ref = result_refs
-        rewards = attach(rewards_ref)
-        actions = attach(actions_ref)
-        expected = None if expected_ref is None else attach(expected_ref)
-        expected_ok = attach(ok_ref)
-    _run_shard_horizon(shard, n_interactions, rewards, actions, expected, expected_ok)
-    if result_refs is None:
-        return pickle.dumps((rewards, actions, expected, expected_ok, agents, sessions))
-    # results already live in the parent's matrices; ship only the
-    # mutated population — attached arrays the sessions reference (a
-    # dataset's row tables) collapse back into their descriptors
-    from .shm import shm_dumps
-
-    return shm_dumps((agents, sessions))
 
 
 class FleetRunner:
@@ -1204,16 +1096,6 @@ class FleetRunner:
         stepping (shard order is unobservable;
         ``tests/sim/test_parallel.py`` pins it).  Only populations
         with more than one shard can benefit from threads.
-    worker_backend:
-        ``"thread"`` (default) or ``"process"`` — see
-        :data:`WORKER_BACKENDS`.  Choosing ``"process"`` is always
-        honored (even with ``n_workers=1`` or a single shard), so its
-        semantics never silently vary.  The process backend requires a
-        picklable population and, as it must ship mutated state back,
-        *rebinds the component objects* of each agent/session (the
-        ``LocalAgent`` and session objects keep their identity, but
-        e.g. ``agent.policy`` becomes a state-equal replacement); hold
-        references through the agent, not to its parts.
     plan_chunk_size:
         Materialize session plans in horizon slices of this many steps
         instead of all at once (default ``None`` = the whole horizon).
@@ -1245,12 +1127,11 @@ class FleetRunner:
         affected shards; mutating a policy *outside* the fleet (e.g.
         ``warm_start``) requires :meth:`invalidate`.
     fault_policy:
-        A :class:`FaultPolicy` enabling worker supervision: failed
+        A :class:`FaultPolicy` enabling shard supervision: failed
         shard horizons are retried from a pre-attempt state snapshot
-        (bitwise-invisible when a retry succeeds), dead worker
-        processes are respawned, and exhausted shards either raise
-        :class:`~repro.utils.exceptions.WorkerError` or degrade out
-        (``on_exhausted="skip_shard"``).  ``None`` (default) keeps the
+        (bitwise-invisible when a retry succeeds), and exhausted shards
+        either raise :class:`~repro.utils.exceptions.WorkerError` or
+        degrade out (``on_exhausted="skip_shard"``).  ``None`` (default) keeps the
         historical fail-fast path — unless a fault plan is armed, in
         which case a forgiving default policy switches supervision on
         (the chaos knob must never turn a passing run into a crash).
@@ -1268,7 +1149,6 @@ class FleetRunner:
         *,
         config=None,
         n_workers: int = 1,
-        worker_backend: str = "thread",
         plan_chunk_size: int | None = None,
         exactness: str = "bit",
         kernel_block_size: int | None = None,
@@ -1284,7 +1164,6 @@ class FleetRunner:
             # fleet engine) and `sink` stays per-run (see run()).
             if (
                 n_workers != 1
-                or worker_backend != "thread"
                 or plan_chunk_size is not None
                 or exactness != "bit"
                 or kernel_block_size is not None
@@ -1295,7 +1174,6 @@ class FleetRunner:
                     "kwargs, not both (the EngineConfig already carries them)"
                 )
             n_workers = config.n_workers
-            worker_backend = config.worker_backend
             plan_chunk_size = config.plan_chunk_size
             exactness = config.exactness
             kernel_block_size = getattr(config, "kernel_block_size", None)
@@ -1306,11 +1184,6 @@ class FleetRunner:
         self.agents = list(agents)
         self.sessions = list(sessions)
         self.n_workers = check_positive_int(n_workers, name="n_workers")
-        if worker_backend not in WORKER_BACKENDS:
-            raise ConfigError(
-                f"worker_backend must be one of {WORKER_BACKENDS}, got {worker_backend!r}"
-            )
-        self.worker_backend = worker_backend
         if plan_chunk_size is not None:
             plan_chunk_size = check_positive_int(plan_chunk_size, name="plan_chunk_size")
         self.plan_chunk_size = plan_chunk_size
@@ -1646,7 +1519,7 @@ class FleetRunner:
                 context=checkpoint_context,
                 prefix=None,
             )
-        return self._dispatch(
+        return self._run_thread(
             self._full_specs(),
             len(self.agents),
             n_interactions,
@@ -1714,7 +1587,7 @@ class FleetRunner:
             if not full:
                 partial_keys.append(key)
         try:
-            return self._dispatch(
+            return self._run_thread(
                 specs, len(idx), n_interactions,
                 track_expected=track_expected, sink=None,
             )
@@ -1723,29 +1596,6 @@ class FleetRunner:
             # outside their cached stacked state — restack on next use
             for key in partial_keys:
                 self._shards.pop(key, None)
-
-    def _dispatch(
-        self, specs: list[tuple], n_rows: int, n_interactions: int,
-        *, track_expected: bool, sink,
-    ) -> FleetResult | None:
-        """Route execution specs to the configured backend."""
-        if n_rows == 0 or not specs:
-            return self._empty_result(
-                n_interactions, track_expected=track_expected, sink=sink
-            )
-        # an explicit process request is always honored — regardless of
-        # shard count or n_workers — so the documented process-backend
-        # semantics (pickling requirements, component-object rebinding)
-        # never silently vary with the population's shape
-        if self.worker_backend == "process":
-            return self._run_process(
-                specs, n_rows, n_interactions,
-                track_expected=track_expected, sink=sink,
-            )
-        return self._run_thread(
-            specs, n_rows, n_interactions,
-            track_expected=track_expected, sink=sink,
-        )
 
     def _run_thread(
         self, specs: list[tuple], n_rows: int, n_interactions: int,
@@ -1758,6 +1608,10 @@ class FleetRunner:
         interact, so the two are identical — and a ``sink`` still sees
         each round's shard columns in shard order on the serial path.
         """
+        if n_rows == 0 or not specs:
+            return self._empty_result(
+                n_interactions, track_expected=track_expected, sink=sink
+            )
         plan = self._active_fault_plan()
         policy = self._effective_fault_policy(plan)
         supervised = policy is not None
@@ -1847,7 +1701,7 @@ class FleetRunner:
         n_interactions: int, *, policy: FaultPolicy, plan: FaultPlan | None,
         mats: tuple,
     ) -> DroppedShard | None:
-        """One shard's whole horizon under retry supervision (thread path).
+        """One shard's whole horizon under retry supervision.
 
         Before each attempt the shard's agents and sessions are held as
         a pickle snapshot; a failure restores them (``_adopt`` keeps the
@@ -1928,315 +1782,11 @@ class FleetRunner:
                 shard.arm_faults(None)
 
     # ------------------------------------------------------------------ #
-    def _run_process(
-        self, specs: list[tuple], n_rows: int, n_interactions: int,
-        *, track_expected: bool, sink=None,
-    ) -> FleetResult | None:
-        """Process-pool escape hatch: one whole-horizon task per shard.
-
-        Shards never interact, so instead of a per-round barrier each
-        worker runs its shard start to finish and returns the mutated
-        population; the parent merges result rows and adopts the state
-        back into the caller-visible objects.  With a ``sink`` the
-        parent never materializes the global matrices — each returned
-        shard's columns are emitted then dropped (the workers still
-        build per-shard matrices; the streaming saving here is the
-        parent-side O(n x T), not the workers').
-
-        Supervision is simpler here than on the thread path: workers
-        mutate *copies*, so the parent's objects stay good until a
-        shard's result is adopted — a failed shard just resubmits its
-        immutable payload.  A dead worker process poisons its whole
-        ``ProcessPoolExecutor`` (every in-flight future raises
-        ``BrokenProcessPool``); the supervisor replaces the executor
-        once per round of failures and the poisoned victims retry from
-        their payloads.  Without a policy, failures propagate as-is
-        (the historical fail-fast behavior).
-
-        On platforms with POSIX shared memory (and unless disabled via
-        ``REPRO_NO_SHM``) the matrices workers write and the per-dataset
-        row tables they read live in :mod:`repro.sim.shm` blocks:
-        payloads carry descriptors plus each shard's global row
-        indices, workers write results in place, and the return trip
-        is only the mutated population.  Blocks are created here and
-        unlinked here — exactly once, normal exit, degraded exit or
-        crash alike.  Results are bit-identical on either protocol.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        from .shm import ShmPool, shm_dumps, shm_enabled, shm_loads
-
-        plan = self._active_fault_plan()
-        policy = self._effective_fault_policy(plan)
-        spec_str = None if plan is None else plan.to_spec()
-
-        # workers ship back state-equal *replacement* component objects
-        # (_adopt rebinds agent.policy etc.), so any cached shard's
-        # stacked references would go stale — drop them
-        for key, _, _ in specs:
-            if key is not None:
-                self._shards.pop(key, None)
-
-        shm_pool: ShmPool | None = ShmPool() if shm_enabled() else None
-        try:
-            return self._run_process_inner(
-                specs, n_rows, n_interactions,
-                track_expected=track_expected, sink=sink,
-                shm_pool=shm_pool, spec_str=spec_str, policy=policy,
-                executor_cls=ProcessPoolExecutor,
-                broken_pool_exc=BrokenProcessPool,
-                dumps=shm_dumps, loads=shm_loads,
-            )
-        finally:
-            if shm_pool is not None:
-                shm_pool.close()
-
-    def _run_process_inner(
-        self, specs: list[tuple], n_rows: int, n_interactions: int,
-        *, track_expected: bool, sink, shm_pool, spec_str, policy,
-        executor_cls, broken_pool_exc, dumps, loads,
-    ) -> FleetResult | None:
-        """Body of :meth:`_run_process` (split out so the shared-memory
-        pool's unlink-exactly-once ``finally`` wraps everything)."""
-        # global result matrices in shared memory: workers write their
-        # shard's rows directly, the thread backend's memory model.
-        # Streaming runs keep the legacy per-shard return protocol (the
-        # parent-side saving there is *not* materializing O(n x T)).
-        shm_results = None
-        if shm_pool is not None and sink is None:
-            try:
-                shm_results = (
-                    shm_pool.empty((n_rows, n_interactions), np.float64),
-                    shm_pool.empty((n_rows, n_interactions), np.intp),
-                    shm_pool.empty((n_rows, n_interactions), np.float64)
-                    if track_expected
-                    else None,
-                    shm_pool.empty((n_rows,), np.bool_),
-                )
-                shm_results[3][:] = track_expected
-            except OSError:  # /dev/shm full or restricted: fall back
-                shm_results = None
-        if shm_pool is not None:
-            # mirror each dataset's shared row tables once — every
-            # session over that dataset then ships a descriptor instead
-            # of the tables' bytes (the tables alias dataset storage,
-            # so this also dedupes the dataset arrays themselves)
-            for _, members, _ in specs:
-                for i in members:
-                    session = self.sessions[i]
-                    if not session.has_trace_plan:
-                        continue
-                    try:
-                        table = session.trace_row_table()
-                        shm_pool.share(table.contexts)
-                        shm_pool.share(table.action_rewards)
-                        if table.expected is not None:
-                            shm_pool.share(table.expected)
-                    except OSError:  # /dev/shm full: pickle by value
-                        break
-
-        result_refs = None
-        if shm_results is not None:
-            rewards_g, actions_g, expected_g, ok_g = shm_results
-            result_refs = (
-                shm_pool.ref_for(rewards_g),
-                shm_pool.ref_for(actions_g),
-                None if expected_g is None else shm_pool.ref_for(expected_g),
-                shm_pool.ref_for(ok_g),
-            )
-
-        payloads = []
-        for _, members, rows in specs:
-            try:
-                payloads.append(
-                    dumps(
-                        (
-                            [self.agents[i] for i in members],
-                            [self.sessions[i] for i in members],
-                            n_interactions,
-                            track_expected,
-                            self.plan_chunk_size,
-                            self.exactness,
-                            self.kernel_block_size,
-                            result_refs,
-                            np.asarray(rows, dtype=np.intp),
-                        ),
-                        shm_pool,
-                    )
-                )
-            except Exception as exc:  # pickle errors vary by payload
-                raise ConfigError(
-                    "worker_backend='process' requires a picklable population "
-                    f"(pickling a shard failed: {exc}); use the thread backend"
-                ) from exc
-
-        outputs: dict[int, tuple] = {}
-        dropped: dict[int, DroppedShard] = {}
-        attempts = [0] * len(specs)
-        queue = list(range(len(specs)))
-        n_workers = min(self.n_workers, len(payloads))
-        pool = executor_cls(max_workers=n_workers)
-        # after a pool breakage, fall back to one shard in flight at a
-        # time: a dead worker poisons every pending future on the
-        # executor with BrokenProcessPool, so in a batch round the
-        # exception cannot be attributed to the shard that actually
-        # crashed — collateral victims must not be charged retry budget
-        # (a crashing sibling could otherwise exhaust an innocent
-        # shard's retries, making drops racy).  Solo, a breakage is
-        # unambiguously the running shard's own.
-        solo = False
-        try:
-            while queue:
-                batch, queue = (queue[:1], queue[1:]) if solo else (queue, [])
-                futures = {
-                    si: pool.submit(
-                        _run_shard_remote,
-                        payloads[si],
-                        None
-                        if spec_str is None
-                        else (spec_str, si, attempts[si]),
-                    )
-                    for si in batch
-                }
-                pool_broken = False
-                retry_wait = 0.0
-                for si, future in futures.items():
-                    try:
-                        outputs[si] = loads(future.result(), shm_pool)
-                        continue
-                    except Exception as exc:
-                        if policy is None:
-                            raise  # fail-fast: the historical behavior
-                        if isinstance(exc, broken_pool_exc):
-                            pool_broken = True
-                            if not solo:
-                                # collateral damage: requeue uncharged;
-                                # the solo rounds below identify and
-                                # charge the real culprit
-                                queue.append(si)
-                                continue
-                        failure = exc
-                    attempts[si] += 1
-                    members = specs[si][1]
-                    if attempts[si] > policy.max_retries:
-                        if policy.on_exhausted == "skip_shard":
-                            dropped[si] = DroppedShard(
-                                shard=si,
-                                n_agents=len(members),
-                                agent_ids=tuple(
-                                    self.agents[i].agent_id for i in members
-                                ),
-                                attempts=attempts[si],
-                                error=f"{type(failure).__name__}: {failure}",
-                            )
-                        else:
-                            raise WorkerError(
-                                f"shard {si} ({len(members)} agents) failed in "
-                                f"a worker process on all {attempts[si]} "
-                                f"attempts (max_retries={policy.max_retries}):"
-                                f" {type(failure).__name__}: {failure}; the "
-                                "parent's population is untouched (workers "
-                                "mutate copies) — retry with a higher budget "
-                                "or use on_exhausted='skip_shard'"
-                            ) from failure
-                    else:
-                        queue.append(si)
-                        retry_wait = max(
-                            retry_wait, policy.sleep_for(attempts[si] - 1)
-                        )
-                if pool_broken:
-                    # a dead worker poisons the whole executor — replace
-                    # it and switch to solo submission for the rest of
-                    # the run; queued shards rerun from their immutable
-                    # payloads (charged shards with the incremented
-                    # attempt number), and the fresh workers re-attach
-                    # any shared blocks by name: the parent has not
-                    # unlinked them yet
-                    solo = True
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    pool = executor_cls(max_workers=n_workers)
-                if queue and retry_wait:
-                    time.sleep(retry_wait)
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-        if sink is None:
-            if shm_results is not None:
-                rewards, actions_mat, expected, expected_ok = shm_results
-            else:
-                rewards = np.empty((n_rows, n_interactions), dtype=np.float64)
-                actions_mat = np.empty((n_rows, n_interactions), dtype=np.intp)
-                expected = (
-                    np.empty((n_rows, n_interactions), dtype=np.float64)
-                    if track_expected
-                    else None
-                )
-                expected_ok = np.full(n_rows, track_expected, dtype=bool)
-        else:
-            sink.begin(n_rows, n_interactions)
-
-        for si, (key, members, rows) in enumerate(specs):
-            rows_np = np.asarray(rows, dtype=np.intp)
-            if si in dropped:
-                if sink is None:
-                    rewards[rows_np] = np.nan
-                    actions_mat[rows_np] = -1
-                    if expected is not None:
-                        expected[rows_np] = np.nan
-                    expected_ok[rows_np] = False
-                continue
-            if shm_results is not None:
-                # results already landed at this shard's rows in the
-                # shared matrices; only the population came back
-                s_agents, s_sessions = outputs[si]
-            else:
-                s_rewards, s_actions, s_expected, s_ok, s_agents, s_sessions = (
-                    outputs[si]
-                )
-                if sink is None:
-                    rewards[rows_np] = s_rewards
-                    actions_mat[rows_np] = s_actions
-                    if expected is not None and s_expected is not None:
-                        expected[rows_np] = s_expected
-                    expected_ok[rows_np] = s_ok
-                else:
-                    for t in range(n_interactions):
-                        sink.emit(
-                            t,
-                            rows_np,
-                            s_rewards[:, t],
-                            None if s_expected is None else s_expected[:, t],
-                            s_ok,
-                        )
-            for i, agent, session in zip(members, s_agents, s_sessions):
-                self._adopt(self.agents[i], agent)
-                self._adopt(self.sessions[i], session)
-        if sink is not None:
-            sink.finish()
-            return None
-        if shm_results is not None:
-            # copy out of the blocks before the caller's finally unlinks
-            # them — the returned result must outlive the pool
-            rewards = np.array(rewards)
-            actions_mat = np.array(actions_mat)
-            expected = None if expected is None else np.array(expected)
-            expected_ok = np.array(expected_ok)
-        return FleetResult(
-            rewards=rewards,
-            actions=actions_mat,
-            expected=expected,
-            expected_mask=expected_ok,
-            dropped=tuple(dropped[si] for si in sorted(dropped)),
-        )
-
-    # ------------------------------------------------------------------ #
     # checkpoint / resume
     def _engine_dict(self) -> dict:
         """The engine knobs a checkpoint must restore to replay exactly."""
         return {
             "n_workers": self.n_workers,
-            "worker_backend": self.worker_backend,
             "plan_chunk_size": self.plan_chunk_size,
             "exactness": self.exactness,
             "kernel_block_size": self.kernel_block_size,
@@ -2339,7 +1889,6 @@ class FleetRunner:
             agents,
             sessions,
             n_workers=int(engine.get("n_workers", 1)),
-            worker_backend=engine.get("worker_backend", "thread"),
             plan_chunk_size=engine.get("plan_chunk_size"),
             exactness=engine.get("exactness", "bit"),
             kernel_block_size=engine.get("kernel_block_size"),
@@ -2422,7 +1971,7 @@ class FleetRunner:
         dropped = [] if prefix is None else list(prefix.dropped)
         while completed < n_total:
             seg = min(every, n_total - completed)
-            res = self._dispatch(
+            res = self._run_thread(
                 self._full_specs(),
                 len(self.agents),
                 seg,
@@ -2462,15 +2011,16 @@ class FleetRunner:
 
     @staticmethod
     def _adopt(mine, theirs) -> None:
-        """Adopt a worker-mutated object's state into the caller's object.
+        """Adopt a snapshot copy's state into the caller's object.
 
         Keeps the caller-visible object identity (the ``LocalAgent`` /
         session instances the caller constructed) while taking every
         attribute — policy state, outbox, participation budget, walk
-        cursors, generator state — from the worker's copy.  Component
-        objects hanging off the adopted one (``agent.policy``, a
-        session's dataset reference) are *rebound* to the worker's
-        copies; that is the documented process-backend caveat.
+        cursors, generator state — from the copy.  Component objects
+        hanging off the adopted one (``agent.policy``, a session's
+        dataset reference) are *rebound* to the copy's, so a shard
+        restored after a failed attempt holds state-equal replacements
+        of them.
         """
         mine.__dict__.clear()
         mine.__dict__.update(theirs.__dict__)

@@ -11,6 +11,7 @@ configured the old way and the new way are bit-identical.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ class TestConstruction:
         cfg = EngineConfig()
         assert cfg.engine == "auto"
         assert cfg.n_workers == 1
-        assert cfg.worker_backend == "thread"
         assert cfg.plan_chunk_size is None
         assert cfg.exactness == "bit"
         assert cfg.sink is None
@@ -51,7 +51,7 @@ class TestConstruction:
             {"engine": "warp"},
             {"n_workers": 0},
             {"n_workers": -3},
-            {"worker_backend": "fork"},
+            {"sweep_workers": 0},
             {"plan_chunk_size": 0},
             {"exactness": "approximate"},
         ],
@@ -60,6 +60,21 @@ class TestConstruction:
         with pytest.raises((ConfigError, Exception)) as excinfo:
             EngineConfig(**kwargs)
         assert "must be" in str(excinfo.value)
+
+    def test_pickle_round_trip_drops_retired_keys(self):
+        """A context blob pickled by an older release carries keys of
+        knobs that no longer exist; they must not come back as stray
+        attributes, while missing newer fields take their defaults."""
+        cfg = EngineConfig(engine="fleet", n_workers=3)
+        state = dict(cfg.__dict__)
+        del state["sweep_workers"]
+        state.update(plan_form="dense", worker_backend="process")
+        old = EngineConfig.__new__(EngineConfig)
+        old.__setstate__(state)
+        assert not hasattr(old, "plan_form")
+        assert not hasattr(old, "worker_backend")
+        assert old == cfg
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
 
     def test_replace_validates(self):
         cfg = EngineConfig()

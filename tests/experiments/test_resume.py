@@ -36,7 +36,7 @@ def _env(seed=0):
 
 
 def _crash_on_call(monkeypatch, n):
-    real = FleetRunner._dispatch
+    real = FleetRunner._run_thread
     calls = {"n": 0}
 
     def crashing(self, *args, **kwargs):
@@ -45,8 +45,8 @@ def _crash_on_call(monkeypatch, n):
             raise RuntimeError("simulated crash")
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(FleetRunner, "_dispatch", crashing)
-    return lambda: monkeypatch.setattr(FleetRunner, "_dispatch", real)
+    monkeypatch.setattr(FleetRunner, "_run_thread", crashing)
+    return lambda: monkeypatch.setattr(FleetRunner, "_run_thread", real)
 
 
 def _assert_results_equal(a, b):

@@ -3,7 +3,7 @@
 The golden test: run a horizon with checkpointing, crash mid-horizon
 (the dispatcher raises partway through), resume from the snapshot —
 rewards, actions and every policy's state must equal the run that was
-never interrupted.  Pinned across backends, exactness tiers and
+never interrupted.  Pinned across worker counts, exactness tiers and
 chunked plans.
 """
 
@@ -66,8 +66,8 @@ def _traced_population(seed, n_agents=6, n_datasets=1):
 
 
 def _crash_on_call(monkeypatch, n):
-    """Patch the dispatcher to die on its n-th call, then run clean."""
-    real = FleetRunner._dispatch
+    """Patch the shard runner to die on its n-th call, then run clean."""
+    real = FleetRunner._run_thread
     calls = {"n": 0}
 
     def crashing(self, *args, **kwargs):
@@ -76,8 +76,8 @@ def _crash_on_call(monkeypatch, n):
             raise RuntimeError("simulated crash")
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(FleetRunner, "_dispatch", crashing)
-    return lambda: monkeypatch.setattr(FleetRunner, "_dispatch", real)
+    monkeypatch.setattr(FleetRunner, "_run_thread", crashing)
+    return lambda: monkeypatch.setattr(FleetRunner, "_run_thread", real)
 
 
 def _assert_run_identical(base, resumed_result, agents_base, agents_resumed):
@@ -89,16 +89,16 @@ def _assert_run_identical(base, resumed_result, agents_base, agents_resumed):
 
 
 class TestGoldenCrashAndResume:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("n_workers", [1, 2])
     def test_crash_mid_horizon_resumes_bit_identically(
-        self, backend, tmp_path, monkeypatch
+        self, n_workers, tmp_path, monkeypatch
     ):
         path = tmp_path / "fleet.ckpt"
         agents_a, sessions_a = _population(0)
-        base = FleetRunner(agents_a, sessions_a, worker_backend=backend).run(12)
+        base = FleetRunner(agents_a, sessions_a, n_workers=n_workers).run(12)
 
         agents_b, sessions_b = _population(0)
-        runner = FleetRunner(agents_b, sessions_b, worker_backend=backend)
+        runner = FleetRunner(agents_b, sessions_b, n_workers=n_workers)
         # 12 rounds at every=4 => 3 segments; the crash lands in the
         # third, after two snapshots are already on disk
         restore = _crash_on_call(monkeypatch, 3)
@@ -124,16 +124,16 @@ class TestGoldenCrashAndResume:
 
 
 class TestRoundTripMatrix:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("n_workers", [1, 2])
     @pytest.mark.parametrize("exactness", ["bit", "fast"])
     @pytest.mark.parametrize("n_datasets", [1, 2], ids=["one-table", "two-tables"])
     @pytest.mark.parametrize("chunk", [None, 2])
     def test_checkpointed_equals_uninterrupted(
-        self, backend, exactness, n_datasets, chunk, tmp_path, monkeypatch
+        self, n_workers, exactness, n_datasets, chunk, tmp_path, monkeypatch
     ):
         path = tmp_path / "fleet.ckpt"
         knobs = dict(
-            worker_backend=backend,
+            n_workers=n_workers,
             exactness=exactness,
             plan_chunk_size=chunk,
         )
@@ -154,15 +154,22 @@ class TestRoundTripMatrix:
         result = resumed.resume_run()
         _assert_run_identical(base, result, agents_a, resumed.agents)
 
-    def test_stale_engine_key_is_ignored_on_resume(self, tmp_path, monkeypatch):
-        """A snapshot from a release that still had the ``plan_form``
-        knob resumes bit-identically: unknown engine keys are ignored."""
+    @pytest.mark.parametrize(
+        ("stale_key", "stale_value"),
+        [("plan_form", "dense"), ("worker_backend", "process")],
+    )
+    def test_stale_engine_key_is_ignored_on_resume(
+        self, stale_key, stale_value, tmp_path, monkeypatch
+    ):
+        """A snapshot from a release that still had a retired knob (the
+        ``plan_form`` choice, the process worker backend) resumes
+        bit-identically on threads: unknown engine keys are ignored."""
         path = tmp_path / "fleet.ckpt"
         agents_a, sessions_a = _traced_population(4)
         base = FleetRunner(agents_a, sessions_a).run(6)
 
         def save_with_stale_key(p, ckpt):
-            engine = {**ckpt.engine, "plan_form": "dense"}
+            engine = {**ckpt.engine, stale_key: stale_value}
             save_checkpoint(p, dataclasses.replace(ckpt, engine=engine))
 
         monkeypatch.setattr("repro.sim.checkpoint.save_checkpoint", save_with_stale_key)
@@ -172,10 +179,11 @@ class TestRoundTripMatrix:
         with pytest.raises(RuntimeError, match="simulated crash"):
             runner.run(6, checkpoint_every=3, checkpoint_path=path)
         restore()
-        assert load_checkpoint(path).engine["plan_form"] == "dense"
+        assert load_checkpoint(path).engine[stale_key] == stale_value
 
         resumed = FleetRunner.resume(path)
-        assert "plan_form" not in resumed._engine_dict()
+        assert stale_key not in resumed._engine_dict()
+        assert not hasattr(resumed, stale_key)
         result = resumed.resume_run()
         _assert_run_identical(base, result, agents_a, resumed.agents)
 

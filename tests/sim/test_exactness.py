@@ -10,8 +10,8 @@ Gates the tier the way the contract defines it:
 * the sparse and densified representations of
   :class:`StackedCodeLinUCBFast` are bitwise interchangeable (both
   compute the same float32 values);
-* empty populations short-circuit on every backend instead of raising
-  from ``max_workers=0`` pools;
+* empty populations short-circuit at every worker count instead of
+  raising from ``max_workers=0`` pools;
 * multi-shard plan accounting counts a shared
   :class:`TraceRowTable` once, not once per shard.
 """
@@ -37,6 +37,9 @@ from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_d
 from repro.experiments.results import CurveSink, NullSink
 from repro.sim import (
     EXACTNESS_TIERS,
+    FaultPlan,
+    FaultPolicy,
+    FaultSpec,
     FleetRunner,
     StackedCodeLinUCB,
     StackedCodeLinUCBFast,
@@ -482,31 +485,46 @@ class TestResultSinks:
             assert_states_equal(x.policy, y.policy)
         assert_outboxes_equal(agents_m, agents_s)
 
-    def test_process_backend_streams_into_sink(self):
-        agents_m, sessions_m = self._mixed_population(11)
-        reference = FleetRunner(agents_m, sessions_m).run(8).rewards.mean(axis=0)
-        agents_p, sessions_p = self._mixed_population(11)
-        sink = CurveSink()
-        out = FleetRunner(agents_p, sessions_p, worker_backend="process").run(
-            8, sink=sink
-        )
+    def test_supervised_pooled_run_defers_emission_exactly(self):
+        """A supervised run emits each shard's columns only after its
+        horizon succeeded (a retried attempt never double-emits); the
+        deferred stream equals the unsupervised one."""
+        agents_u, sessions_u = self._mixed_population(11)
+        unsupervised = CurveSink()
+        FleetRunner(agents_u, sessions_u).run(8, sink=unsupervised)
+        agents_s, sessions_s = self._mixed_population(11)
+        supervised = CurveSink()
+        out = FleetRunner(
+            agents_s,
+            sessions_s,
+            n_workers=2,
+            fault_plan=FaultPlan([FaultSpec("raise", 1, 3)]),
+            fault_policy=FaultPolicy(max_retries=2, backoff=0.0),
+        ).run(8, sink=supervised)
         assert out is None
-        np.testing.assert_allclose(sink.curve, reference, atol=1e-12)
+        assert supervised.n_agents == unsupervised.n_agents
+        np.testing.assert_array_equal(supervised.curve, unsupervised.curve)
+        for x, y in zip(agents_u, agents_s):
+            assert_states_equal(x.policy, y.policy)
+        assert_outboxes_equal(agents_u, agents_s)
 
 
 # --------------------------------------------------------------------- #
 # empty populations: no max_workers=0 pools
 # --------------------------------------------------------------------- #
 class TestEmptyPopulation:
-    @pytest.mark.parametrize("n_workers", [1, 4])
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_empty_run_returns_empty_shapes(self, backend, n_workers):
-        runner = FleetRunner([], [], n_workers=n_workers, worker_backend=backend)
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    @pytest.mark.parametrize("track_expected", [False, True])
+    def test_empty_run_returns_empty_shapes(self, n_workers, track_expected):
+        runner = FleetRunner([], [], n_workers=n_workers)
         assert runner.n_shards == 0
-        result = runner.run(6, track_expected=True)
+        result = runner.run(6, track_expected=track_expected)
         assert result.rewards.shape == (0, 6)
         assert result.actions.shape == (0, 6)
-        assert result.expected.shape == (0, 6)
+        if track_expected:
+            assert result.expected.shape == (0, 6)
+        else:
+            assert result.expected is None
         assert result.expected_mask.shape == (0,)
         assert runner.drain_outboxes() == []
 

@@ -1,8 +1,8 @@
 """Fault injection + worker supervision: chaos must be invisible.
 
-A supervised retry of an injected fault (raise on the thread backend,
-hard worker death on the process backend) must leave results bitwise
-equal to the fault-free run; exhausted retries either raise a typed
+A supervised retry of an injected fault (either step-fault kind, serial
+or on a thread pool) must leave results bitwise equal to the
+fault-free run; exhausted retries either raise a typed
 ``WorkerError`` or degrade gracefully (``skip_shard``), reporting
 exactly which shards dropped.
 """
@@ -138,31 +138,33 @@ class TestFaultPolicy:
         assert waits == sorted(waits) and waits[0] == pytest.approx(0.1)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("n_workers", [1, 2])
 class TestRetryInvisibility:
-    def test_injected_fault_below_retries_is_bitwise_invisible(self, backend):
-        kind = "raise" if backend == "thread" else "crash"
+    @pytest.mark.parametrize("kind", ["raise", "crash"])
+    def test_injected_fault_below_retries_is_bitwise_invisible(
+        self, n_workers, kind
+    ):
         plan = FaultPlan([FaultSpec(kind, 1, 3)])
         agents_a, sessions_a = _population(0)
         agents_b, sessions_b = _population(0)
-        base = FleetRunner(agents_a, sessions_a, worker_backend=backend).run(8)
+        base = FleetRunner(agents_a, sessions_a, n_workers=n_workers).run(8)
         chaos = FleetRunner(
             agents_b,
             sessions_b,
-            worker_backend=backend,
+            n_workers=n_workers,
             fault_plan=plan,
             fault_policy=FaultPolicy(max_retries=2, backoff=0.0),
         ).run(8)
         assert chaos.dropped == ()
         _assert_identical(base, chaos, agents_a, agents_b)
 
-    def test_unsupervised_run_fails_fast(self, backend):
+    def test_unsupervised_run_fails_fast(self, n_workers):
         plan = FaultPlan([FaultSpec("raise", 0, 2)])
         agents, sessions = _population(1)
         runner = FleetRunner(
             agents,
             sessions,
-            worker_backend=backend,
+            n_workers=n_workers,
             fault_plan=plan,
             fault_policy=FaultPolicy(max_retries=0, backoff=0.0),
         )
@@ -171,8 +173,8 @@ class TestRetryInvisibility:
 
 
 class TestDegradedMode:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_skip_shard_drops_exactly_the_faulty_shard(self, backend):
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_skip_shard_drops_exactly_the_faulty_shard(self, n_workers):
         # the same explicit fault on every attempt => retries exhaust
         specs = [FaultSpec("raise", 1, 2, attempt=k) for k in range(3)]
         agents_a, sessions_a = _population(2)
@@ -181,7 +183,7 @@ class TestDegradedMode:
         degraded = FleetRunner(
             agents_b,
             sessions_b,
-            worker_backend=backend,
+            n_workers=n_workers,
             fault_plan=FaultPlan(specs),
             fault_policy=FaultPolicy(
                 max_retries=2, backoff=0.0, on_exhausted="skip_shard"
@@ -215,3 +217,43 @@ class TestDegradedMode:
         with pytest.raises(WorkerError) as err:
             runner.run(4)
         assert "raise" in str(err.value)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+class TestUnsnapshotablePopulation:
+    """Supervision snapshots a shard by pickling it before each attempt;
+    a shard holding an unpicklable object cannot be snapshotted."""
+
+    @staticmethod
+    def _unpicklable(seed):
+        agents, sessions = _population(seed)
+        sessions[1].hook = lambda: None  # shard 1 can no longer pickle
+        return agents, sessions
+
+    def test_explicit_policy_raises_config_error(self, n_workers):
+        agents, sessions = self._unpicklable(4)
+        runner = FleetRunner(
+            agents,
+            sessions,
+            n_workers=n_workers,
+            fault_policy=FaultPolicy(max_retries=1, backoff=0.0),
+        )
+        with pytest.raises(ConfigError, match="picklable"):
+            runner.run(4)
+
+    def test_env_knob_runs_that_shard_clean(self, n_workers, monkeypatch):
+        """Implicit supervision (the knob armed, no policy asked for)
+        must never turn a passing run into a crash: the unsnapshotable
+        shard runs unarmed, the others recover their faults."""
+        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+        agents_a, sessions_a = _population(4)
+        base = FleetRunner(agents_a, sessions_a).run(10)
+        spec = "seed=2;raise=0.1;crash=0.1"
+        assert any(
+            FaultPlan.parse(spec).step_fault(s, t, 0) for s in (0, 2) for t in range(10)
+        )
+        monkeypatch.setenv(FAULTS_ENV_VAR, spec)
+        agents_b, sessions_b = self._unpicklable(4)
+        chaos = FleetRunner(agents_b, sessions_b, n_workers=n_workers).run(10)
+        assert chaos.dropped == ()
+        _assert_identical(base, chaos, agents_a, agents_b)

@@ -1,11 +1,11 @@
 """Parallel shard stepping: identical to serial, by construction.
 
-Shards share no mutable state, so ``FleetRunner(n_workers=k)`` stepping
-them concurrently (threads) — or running whole shards in worker
-processes (``worker_backend="process"``) — must produce bit-identical
-rewards, actions, policy states and outboxes.  These tests pin that,
-plus the ``n_workers`` plumbing through ``run_setting`` and
-``DeploymentLoop`` and the validation guard rails.
+Shards share no mutable state, so ``FleetRunner(n_workers=k)`` running
+them concurrently on a thread pool must produce bit-identical rewards,
+actions, policy states and outboxes.  These tests pin that, plus
+``run_subset`` on pooled and supervised fleets, the ``n_workers``
+plumbing through ``run_setting`` and ``DeploymentLoop`` and the
+validation guard rails.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 from repro.bandits import UCB1, EpsilonGreedy, LinUCB
 from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode, P2BConfig
+from repro.core.participation import RandomizedParticipation
 from repro.core.rounds import DeploymentLoop
 from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_dataset
 from repro.data.synthetic import SyntheticPreferenceEnvironment
@@ -24,8 +25,7 @@ from repro.experiments.runner import (
     run_setting,
     set_default_n_workers,
 )
-from repro.sim import FleetRunner
-from repro.utils.exceptions import ConfigError
+from repro.sim import FAULTS_ENV_VAR, FaultPlan, FaultPolicy, FaultSpec, FleetRunner
 from repro.utils.rng import spawn_seeds
 
 from _testkit import N_FEATURES, assert_outboxes_equal, assert_states_equal
@@ -108,90 +108,96 @@ class TestThreadBackend:
         _assert_runs_identical(r1, r2, a1, a2)
 
 
-class TestProcessBackend:
-    def test_process_identical_to_serial(self):
-        a1, s1 = _mixed_population(1)
-        r1 = FleetRunner(a1, s1).run(10, track_expected=True)
-
-        a2, s2 = _mixed_population(1)
-        r2 = FleetRunner(a2, s2, n_workers=3, worker_backend="process").run(
-            10, track_expected=True
+def _participating_population(seed, n_agents=6):
+    """Warm participating agents of two policy kinds => two shards."""
+    syn = SyntheticPreferenceEnvironment(
+        n_actions=N_ACTIONS, n_features=N_FEATURES, seed=7
+    )
+    agents, sessions = [], []
+    for i, s in enumerate(spawn_seeds(seed, n_agents)):
+        ps, parts, ss = s.spawn(3)
+        kind = LinUCB if i % 2 else EpsilonGreedy
+        agents.append(
+            LocalAgent(
+                f"u{i}",
+                kind(n_arms=N_ACTIONS, n_features=N_FEATURES, seed=ps),
+                mode=AgentMode.WARM_NONPRIVATE,
+                participation=RandomizedParticipation(
+                    p=0.9, window=3, max_reports=2, seed=parts
+                ),
+            )
         )
-        _assert_runs_identical(r1, r2, a1, a2)
+        sessions.append(syn.new_user(ss))
+    return agents, sessions
 
-    def test_process_preserves_agent_and_session_identity(self):
-        agents, sessions = _mixed_population(2)
-        runner = FleetRunner(agents, sessions, n_workers=2, worker_backend="process")
+
+class TestPooledIdentity:
+    def test_pooled_run_keeps_component_identity(self, monkeypatch):
+        """Threads mutate the caller's objects in place: agents, their
+        policies and participation states, and sessions keep identity.
+        (A shard restored after a failed attempt holds state-equal
+        replacements of its components, so this pins a fault-free run.)"""
+        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+        agents, sessions = _participating_population(2)
+        policies = [a.policy for a in agents]
+        participations = [a.participation for a in agents]
+        runner = FleetRunner(agents, sessions, n_workers=2)
+        assert runner.n_shards == 2
         runner.run(5)
-        # the caller-visible objects are the ones that got the state
-        assert runner.agents[0] is agents[0]
-        assert runner.sessions[0] is sessions[0]
+        assert all(x is y for x, y in zip(runner.agents, agents))
+        assert all(x is y for x, y in zip(runner.sessions, sessions))
+        assert all(a.policy is p for a, p in zip(agents, policies))
+        assert all(a.participation is p for a, p in zip(agents, participations))
         assert all(a.n_interactions == 5 for a in agents)
-        # a second run continues from the adopted state (streams moved)
+        # a second run continues from the same objects (streams moved)
         again = runner.run(5)
         assert again.rewards.shape == (len(agents), 5)
         assert all(a.n_interactions == 10 for a in agents)
+        assert all(a.policy is p for a, p in zip(agents, policies))
 
-    def test_process_backend_honored_for_single_shard(self):
-        """An explicit process request is not silently dropped when the
-        population happens to form one shard."""
 
-        def build(seed):
-            env = SyntheticPreferenceEnvironment(
-                n_actions=N_ACTIONS, n_features=N_FEATURES, seed=7
+class TestRunSubset:
+    # shard 0 (LinUCB: agents 0, 3, 6, 9) runs whole; shard 1
+    # (EpsilonGreedy: agents 1, 4, 7, 10) runs two of its four members
+    SUBSET = (9, 1, 0, 6, 4, 3)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("persistent", [False, True])
+    @pytest.mark.parametrize("supervised", [False, True], ids=["plain", "armed"])
+    def test_subset_equals_fresh_runner(self, n_workers, persistent, supervised):
+        agents_a, sessions_a = _mixed_population(6)
+        agents_b, sessions_b = _mixed_population(6)
+        knobs = dict(n_workers=n_workers, persistent=persistent)
+        if supervised:
+            # faults in both subset shards, on every run of this runner
+            knobs.update(
+                fault_plan=FaultPlan([FaultSpec("raise", 0, 2), FaultSpec("crash", 1, 3)]),
+                fault_policy=FaultPolicy(max_retries=2, backoff=0.0),
             )
-            agents, sessions = [], []
-            for i, s in enumerate(spawn_seeds(seed, 4)):
-                ps, ss = s.spawn(2)
-                agents.append(
-                    LocalAgent(
-                        f"u{i}",
-                        LinUCB(n_arms=N_ACTIONS, n_features=N_FEATURES, seed=ps),
-                        mode="cold",
-                    )
-                )
-                sessions.append(env.new_user(ss))
-            return agents, sessions
+        runner = FleetRunner(agents_b, sessions_b, **knobs)
+        full_key, partial_key, _ = runner._groups
+        # warm up: a whole-population run fills the persistent cache
+        FleetRunner(agents_a, sessions_a).run(4)
+        runner.run(4)
+        assert (full_key in runner._shards) is persistent
 
-        a1, s1 = build(6)
-        r1 = FleetRunner(a1, s1).run(6)
-        a2, s2 = build(6)
-        runner = FleetRunner(a2, s2, n_workers=2, worker_backend="process")
-        assert runner.n_shards == 1
-        r2 = runner.run(6)
-        _assert_runs_identical(r1, r2, a1, a2)
+        subset = [agents_b[i] for i in self.SUBSET]
+        result = runner.run_subset(subset, 6, track_expected=True)
+        fresh = FleetRunner(
+            [agents_a[i] for i in self.SUBSET], [sessions_a[i] for i in self.SUBSET]
+        ).run(6, track_expected=True)
+        assert result.dropped == ()
+        _assert_runs_identical(fresh, result, agents_a, agents_b)
 
-    def test_process_drain_outboxes_sees_adopted_reports(self):
-        def build(seed):
-            syn = SyntheticPreferenceEnvironment(
-                n_actions=N_ACTIONS, n_features=N_FEATURES, seed=7
-            )
-            from repro.core.participation import RandomizedParticipation
+        # the partial shard's cached stack no longer mirrors its advanced
+        # members and is dropped; the whole shard's cache is kept
+        assert partial_key not in runner._shards
+        assert (full_key in runner._shards) is persistent
 
-            agents, sessions = [], []
-            for i, s in enumerate(spawn_seeds(seed, 6)):
-                ps, parts, ss = s.spawn(3)
-                kind = LinUCB if i % 2 else EpsilonGreedy
-                agents.append(
-                    LocalAgent(
-                        f"u{i}",
-                        kind(n_arms=N_ACTIONS, n_features=N_FEATURES, seed=ps),
-                        mode=AgentMode.WARM_NONPRIVATE,
-                        participation=RandomizedParticipation(
-                            p=0.9, window=3, max_reports=2, seed=parts
-                        ),
-                    )
-                )
-                sessions.append(syn.new_user(ss))
-            return agents, sessions
-
-        a1, s1 = build(5)
-        serial = FleetRunner(a1, s1)
-        serial.run(8)
-        a2, s2 = build(5)
-        parallel = FleetRunner(a2, s2, n_workers=2, worker_backend="process")
-        parallel.run(8)
-        assert serial.drain_outboxes() == parallel.drain_outboxes()
+        # and the next whole-population run sees the advanced state
+        r_a = FleetRunner(agents_a, sessions_a).run(3)
+        r_b = runner.run(3)
+        _assert_runs_identical(r_a, r_b, agents_a, agents_b)
 
 
 class TestValidationAndPlumbing:
@@ -199,11 +205,6 @@ class TestValidationAndPlumbing:
         agents, sessions = _mixed_population(0, n_agents=3)
         with pytest.raises(Exception):
             FleetRunner(agents, sessions, n_workers=0)
-
-    def test_invalid_backend_rejected(self):
-        agents, sessions = _mixed_population(0, n_agents=3)
-        with pytest.raises(ConfigError, match="worker_backend"):
-            FleetRunner(agents, sessions, worker_backend="gpu")
 
     def test_default_n_workers_round_trip(self):
         assert get_default_n_workers() == 1

@@ -1,12 +1,14 @@
 """Worker-count invariance: ``n_workers`` must be unobservable.
 
-One serial reference per population; every ``backend × n_workers``
-combination must reproduce it bitwise — results, mid-run checkpoint
-snapshots, resumed runs, shuffler statistics, and runs under a seeded
-fault plan.  The grid is env-tunable so the CI matrix can pin one
-combination per cell while local runs sweep the full grid:
+One serial reference per exactness tier; every ``exactness ×
+n_workers`` combination must reproduce it bitwise — results, mid-run
+checkpoint snapshots, resumed runs, shuffler statistics, and runs under
+a seeded fault plan.  The fast tier's contract is bitwise identity to
+a serial fast run with the *same* checkpoint cadence (a segment
+boundary restacks its float32 state), so its checkpoint test compares
+against that run.  The worker axis is env-tunable so the CI matrix can
+pin one count per cell while local runs sweep the full grid:
 
-* ``REPRO_PARALLEL_BACKENDS`` — comma list, default ``thread,process``
 * ``REPRO_PARALLEL_WORKERS`` — comma list, default ``1,2,4``
 """
 
@@ -40,17 +42,14 @@ _ML_DATASET_B = make_multilabel_dataset(70, N_FEATURES, N_ACTIONS, n_clusters=3,
 
 
 def _env_grid():
-    backends = [
-        t.strip()
-        for t in os.environ.get("REPRO_PARALLEL_BACKENDS", "thread,process").split(",")
-        if t.strip()
-    ]
     workers = [
         int(t)
         for t in os.environ.get("REPRO_PARALLEL_WORKERS", "1,2,4").split(",")
         if t.strip()
     ]
-    return [pytest.param(b, w, id=f"{b}-w{w}") for b in backends for w in workers]
+    return [
+        pytest.param(x, w, id=f"{x}-w{w}") for x in ("bit", "fast") for w in workers
+    ]
 
 
 GRID = _env_grid()
@@ -60,8 +59,7 @@ def _population(seed=SEED, n_agents=12):
     """Six shards: three policy kinds × {cold, participating-warm},
     over traced (multilabel) and stationary (synthetic) sessions.  The
     traced agents alternate between two datasets, so every traced shard
-    gathers through a concatenated row table — built inside the worker
-    from shared-memory source tables on the process backend."""
+    gathers through a concatenated row table."""
     syn = SyntheticPreferenceEnvironment(
         n_actions=N_ACTIONS, n_features=N_FEATURES, seed=7
     )
@@ -117,18 +115,44 @@ def _stats_signature(system, agents):
 
 
 @pytest.fixture(scope="module")
-def serial_ref():
-    """The uninterrupted serial run every combination must reproduce."""
-    agents, sessions = _population()
-    result = FleetRunner(agents, sessions).run(HORIZON, track_expected=True)
-    return result, agents
+def serial_ref(tmp_path_factory):
+    """The serial runs every combination must reproduce, built once per
+    ``(exactness, every)``: uninterrupted when ``every`` is ``None``,
+    else checkpointed at that cadence (the fast tier's checkpoint
+    reference)."""
+    refs = {}
+    ckpt_dir = tmp_path_factory.mktemp("serial-ref")
+
+    def ref(exactness, every=None):
+        if (exactness, every) not in refs:
+            agents, sessions = _population()
+            kwargs = {}
+            if every is not None:
+                kwargs = dict(
+                    checkpoint_every=every,
+                    checkpoint_path=ckpt_dir / f"{exactness}.ckpt",
+                )
+            result = FleetRunner(agents, sessions, exactness=exactness).run(
+                HORIZON, track_expected=True, **kwargs
+            )
+            refs[exactness, every] = (result, agents)
+        return refs[exactness, every]
+
+    return ref
 
 
 @pytest.fixture(scope="module")
 def serial_stats_ref():
-    system, agents, sessions = _private_population()
-    FleetRunner(agents, sessions).run(9)
-    return _stats_signature(system, agents)
+    refs = {}
+
+    def ref(exactness):
+        if exactness not in refs:
+            system, agents, sessions = _private_population()
+            FleetRunner(agents, sessions, exactness=exactness).run(9)
+            refs[exactness] = _stats_signature(system, agents)
+        return refs[exactness]
+
+    return ref
 
 
 def _assert_matches_ref(ref_result, ref_agents, result, agents):
@@ -141,23 +165,25 @@ def _assert_matches_ref(ref_result, ref_agents, result, agents):
     assert_outboxes_equal(ref_agents, agents)
 
 
-@pytest.mark.parametrize(("backend", "workers"), GRID)
+@pytest.mark.parametrize(("exactness", "workers"), GRID)
 class TestWorkerInvariance:
-    def test_results_bitwise_identical(self, backend, workers, serial_ref):
-        ref_result, ref_agents = serial_ref
+    def test_results_bitwise_identical(self, exactness, workers, serial_ref):
+        ref_result, ref_agents = serial_ref(exactness)
         agents, sessions = _population()
         result = FleetRunner(
-            agents, sessions, n_workers=workers, worker_backend=backend
+            agents, sessions, n_workers=workers, exactness=exactness
         ).run(HORIZON, track_expected=True)
         _assert_matches_ref(ref_result, ref_agents, result, agents)
 
     def test_midrun_checkpoints_and_resume_identical(
-        self, backend, workers, serial_ref, tmp_path
+        self, exactness, workers, serial_ref, tmp_path
     ):
-        ref_result, ref_agents = serial_ref
+        ref_result, ref_agents = serial_ref(
+            exactness, None if exactness == "bit" else EVERY
+        )
         agents, sessions = _population()
         runner = FleetRunner(
-            agents, sessions, n_workers=workers, worker_backend=backend
+            agents, sessions, n_workers=workers, exactness=exactness
         )
         path = tmp_path / "fleet.ckpt"
         orig_checkpoint = runner.checkpoint
@@ -178,7 +204,7 @@ class TestWorkerInvariance:
         _assert_matches_ref(ref_result, ref_agents, result, agents)
 
         # every mid-run snapshot is a prefix of the serial reference,
-        # independent of the backend/worker-count that wrote it
+        # independent of the worker count that wrote it
         for done in range(EVERY, HORIZON, EVERY):
             snap = load_checkpoint(tmp_path / f"mid-{done}.ckpt")
             assert snap.completed == done and snap.n_interactions == HORIZON
@@ -196,17 +222,16 @@ class TestWorkerInvariance:
         for a, b in zip(ref_agents, resumed.agents):
             assert_states_equal(a.policy, b.policy, a.agent_id)
 
-    def test_shuffler_stats_identical(self, backend, workers, serial_stats_ref):
+    def test_shuffler_stats_identical(self, exactness, workers, serial_stats_ref):
         system, agents, sessions = _private_population()
         FleetRunner(
-            agents, sessions, n_workers=workers, worker_backend=backend
+            agents, sessions, n_workers=workers, exactness=exactness
         ).run(9)
-        assert _stats_signature(system, agents) == serial_stats_ref
+        assert _stats_signature(system, agents) == serial_stats_ref(exactness)
 
-    def test_seeded_fault_plan_is_invisible(self, backend, workers, serial_ref):
-        ref_result, ref_agents = serial_ref
-        kind = "crash" if backend == "process" else "raise"
-        spec = f"seed=3;{kind}=0.07"
+    def test_seeded_fault_plan_is_invisible(self, exactness, workers, serial_ref):
+        ref_result, ref_agents = serial_ref(exactness)
+        spec = "seed=3;raise=0.04;crash=0.04"
         plan = FaultPlan.parse(spec)
         assert any(
             plan.step_fault(s, t, 0) for s in range(6) for t in range(HORIZON)
@@ -216,7 +241,7 @@ class TestWorkerInvariance:
             agents,
             sessions,
             n_workers=workers,
-            worker_backend=backend,
+            exactness=exactness,
             fault_plan=spec,
             fault_policy=FaultPolicy(max_retries=8, backoff=0.0),
         ).run(HORIZON, track_expected=True)
