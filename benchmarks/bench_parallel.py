@@ -92,7 +92,7 @@ def _timed_run(n_workers: int | None):
     if n_workers is None:
         runner = FleetRunner(agents, sessions)
     else:
-        runner = FleetRunner(agents, sessions, n_workers=n_workers)
+        runner = FleetRunner(agents, sessions, config=EngineConfig(n_workers=n_workers))
     assert runner.n_shards == N_SHARDS
     t0 = time.perf_counter()
     result = runner.run(N_INTERACTIONS)

@@ -54,7 +54,7 @@ from repro.core.system import P2BSystem
 from repro.data.criteo import CriteoBanditEnvironment, build_criteo_actions, make_criteo_like
 from repro.data.multilabel import MultilabelBanditEnvironment, make_mediamill_like
 from repro.experiments.runner import _simulate_agent
-from repro.sim import FleetRunner
+from repro.sim import EngineConfig, FleetRunner
 from repro.utils.rng import spawn_seeds
 
 # population scale is env-tunable so the CI bench-smoke job can run a
@@ -180,7 +180,7 @@ def _throughputs(make_population, n_fleet=N_AGENTS, n_seq=N_SEQ_AGENTS, *, exact
     seq_elapsed = time.perf_counter() - t0
 
     fleet_agents, fleet_sessions = make_population(n_fleet)
-    runner = FleetRunner(fleet_agents, fleet_sessions, exactness=exactness)
+    runner = FleetRunner(fleet_agents, fleet_sessions, config=EngineConfig(exactness=exactness))
     t0 = time.perf_counter()
     result = runner.run(N_INTERACTIONS)
     fleet_elapsed = time.perf_counter() - t0
@@ -254,7 +254,11 @@ def _parallel_record(n_agents=None):
 
     par_agents, par_sessions = _mixed_population(n_agents)
     t0 = time.perf_counter()
-    parallel = FleetRunner(par_agents, par_sessions, n_workers=2).run(N_INTERACTIONS)
+    parallel = FleetRunner(
+        par_agents,
+        par_sessions,
+        config=EngineConfig(n_workers=2),
+    ).run(N_INTERACTIONS)
     parallel_elapsed = time.perf_counter() - t0
 
     np.testing.assert_array_equal(serial.rewards, parallel.rewards)

@@ -25,7 +25,7 @@ from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode, P2BConfig
 from repro.core.system import P2BSystem
 from repro.data.synthetic import SyntheticPreferenceEnvironment
-from repro.sim import FaultPlan, FaultPolicy, FaultSpec, FleetRunner
+from repro.sim import EngineConfig, FaultPlan, FaultPolicy, FaultSpec, FleetRunner
 from repro.utils.rng import spawn_seeds
 
 N_ACTIONS, N_FEATURES, N_AGENTS, HORIZON = 4, 5, 12, 10
@@ -54,8 +54,10 @@ def recovery_counters() -> tuple[int, bool]:
     base = FleetRunner(agents_a, sessions_a).run(HORIZON)
     agents_b, sessions_b = _population(0)
     chaos = FleetRunner(
-        agents_b, sessions_b, fault_plan=plan,
-        fault_policy=FaultPolicy(max_retries=3, backoff=0.0),
+        agents_b,
+        sessions_b,
+        fault_plan=plan,
+        config=EngineConfig(fault_policy=FaultPolicy(max_retries=3, backoff=0.0)),
     ).run(HORIZON)
     invisible = (
         chaos.dropped == ()
@@ -69,8 +71,12 @@ def degraded_counters() -> tuple[int, int]:
     specs = [FaultSpec("raise", 1, 2, attempt=k) for k in range(3)]
     agents, sessions = _population(1)
     result = FleetRunner(
-        agents, sessions, fault_plan=FaultPlan(specs),
-        fault_policy=FaultPolicy(max_retries=2, backoff=0.0, on_exhausted="skip_shard"),
+        agents,
+        sessions,
+        fault_plan=FaultPlan(specs),
+        config=EngineConfig(
+            fault_policy=FaultPolicy(max_retries=2, backoff=0.0, on_exhausted="skip_shard")
+        ),
     ).run(HORIZON)
     return len(result.dropped), sum(d.n_agents for d in result.dropped)
 

@@ -245,15 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
             "bit-identical for every chunk size; default: unchunked)",
         )
         p.add_argument(
-            "--kernel-block-size",
-            type=_positive_int,
-            default=None,
-            help="dense scoring-kernel block: evaluate the stacked "
-            "(agents, arms, d, d) contractions in chunks of this many "
-            "agents (results are bit-identical for every block size; "
-            "default: auto-sized to cache)",
-        )
-        p.add_argument(
             "--exactness",
             choices=list(runner.EXACTNESS_TIERS),
             default="bit",
@@ -385,7 +376,6 @@ def main(argv: list[str] | None = None) -> int:
             n_workers=args.workers,
             plan_chunk_size=args.plan_chunk_size,
             exactness=args.exactness,
-            kernel_block_size=args.kernel_block_size,
             sweep_workers=args.sweep_workers,
         )
     )

@@ -17,6 +17,7 @@ implements that loop with per-round privacy accounting:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from ..utils.validation import check_positive_int
 from .agent import LocalAgent
 from .config import AgentMode, P2BConfig
 from .system import P2BSystem
+
+if TYPE_CHECKING:
+    from ..sim import EngineConfig
 
 __all__ = ["DeploymentLoop", "RoundStats"]
 
@@ -65,41 +69,21 @@ class DeploymentLoop:
     seed:
         Root seed.
     engine:
-        ``"auto"`` (default) steps each round through the vectorized
-        sharded fleet engine (:mod:`repro.sim`) when the enrolled
-        population supports it — bit-identical to the loop by the sim
-        contract; mixed cohorts shard by configuration —
-        ``"sequential"`` forces the reference loop, ``"fleet"`` insists
-        and raises when unsupported.  Fleet rounds record reports
-        columnar-side, so each round's collection flows arrays straight
-        through the shuffler into the server
+        The :class:`~repro.sim.EngineConfig` every round runs under
+        (its fields document the engine knobs), or just an engine name,
+        taken as ``EngineConfig(engine=name)``.  ``"auto"`` (default)
+        steps each round through the vectorized sharded fleet engine
+        (:mod:`repro.sim`) when the enrolled population supports it —
+        bit-identical to the loop by the sim contract; mixed cohorts
+        shard by configuration — ``"sequential"`` forces the reference
+        loop, ``"fleet"`` insists and raises when unsupported.  Fleet
+        rounds record reports columnar-side, so each round's collection
+        flows arrays straight through the shuffler into the server
         (:meth:`~repro.core.system.P2BSystem.collect`'s fast path) —
         no per-report objects anywhere in the cycle, same round stats.
-    n_workers:
-        Fleet shard parallelism per round (default 1 = serial); the
-        per-round stats are identical either way (the sim contract).
-    plan_chunk_size:
-        Fleet plan-chunk size per round (default ``None`` = whole
-        horizons): session plans materialize in slices (stationary
-        noise and plan calls; traced row walks are allocated whole),
-        and a chunk size at or above ``interactions_per_round`` degenerates
-        to the unchunked path.  Collection rounds compose freely with
-        chunking — a report buffered mid-chunk is collected with the
-        identical payload (the sim contract) — so the per-round stats
-        never depend on the chunk size.
-    exactness:
-        Fleet contract tier per round, one of
-        :data:`~repro.sim.EXACTNESS_TIERS` (default ``"bit"`` =
-        bit-identical to the sequential loop).  ``"fast"`` runs
-        memory-lean policy state; round statistics become
-        statistically, not bitwise, equivalent.  Sequential rounds
-        ignore the tier.
-
-    ``engine`` also accepts a full
-    :class:`~repro.experiments.runner.EngineConfig`, in which case the
-    remaining engine knobs must stay at their defaults (pass the
-    settings inside the config instead) and the config's ``sink`` must
-    be ``None`` — rounds compute their own statistics.
+        The config's ``sink`` must be ``None``: rounds compute their
+        own statistics.  Resolved to an ``EngineConfig`` at
+        construction.
     """
 
     config: P2BConfig
@@ -107,11 +91,7 @@ class DeploymentLoop:
     interactions_per_round: int = 10
     refresh: bool = True
     seed: int | None = None
-    engine: "str | object" = "auto"
-    n_workers: int = 1
-    plan_chunk_size: int | None = None
-    exactness: str = "bit"
-    kernel_block_size: int | None = None
+    engine: "str | EngineConfig" = "auto"
 
     system: P2BSystem = field(init=False)
     rounds: list[RoundStats] = field(init=False, default_factory=list)
@@ -119,51 +99,20 @@ class DeploymentLoop:
 
     def __post_init__(self) -> None:
         check_positive_int(self.interactions_per_round, name="interactions_per_round")
-        if not isinstance(self.engine, str):
-            # a full EngineConfig bundle (duck-typed: core must not
-            # import experiments at module scope)
-            cfg = self.engine
-            if not all(hasattr(cfg, f) for f in ("engine", "n_workers", "exactness")):
-                raise ConfigError(
-                    "engine must be 'auto', 'sequential', 'fleet' or an "
-                    f"EngineConfig, got {cfg!r}"
-                )
-            explicit = (
-                self.n_workers != 1
-                or self.plan_chunk_size is not None
-                or self.exactness != "bit"
-                or self.kernel_block_size is not None
-            )
-            if explicit:
-                raise ConfigError(
-                    "pass engine settings either as one EngineConfig or as "
-                    "individual fields, not both (the config already bundles "
-                    "them)"
-                )
-            if getattr(cfg, "sink", None) is not None:
-                raise ConfigError(
-                    "EngineConfig.sink is not supported by DeploymentLoop; "
-                    "rounds compute their own statistics"
-                )
-            self.engine = cfg.engine
-            self.n_workers = cfg.n_workers
-            self.plan_chunk_size = cfg.plan_chunk_size
-            self.exactness = cfg.exactness
-            self.kernel_block_size = getattr(cfg, "kernel_block_size", None)
-        check_positive_int(self.n_workers, name="n_workers")
-        if self.plan_chunk_size is not None:
-            check_positive_int(self.plan_chunk_size, name="plan_chunk_size")
-        if self.kernel_block_size is not None:
-            check_positive_int(self.kernel_block_size, name="kernel_block_size")
-        if self.engine not in ("auto", "sequential", "fleet"):
-            raise ConfigError(
-                f"engine must be 'auto', 'sequential' or 'fleet', got {self.engine!r}"
-            )
-        from ..sim import EXACTNESS_TIERS
+        # core imports sim lazily: sim builds on core's agents
+        from ..sim import EngineConfig
 
-        if self.exactness not in EXACTNESS_TIERS:
+        if isinstance(self.engine, str):
+            self.engine = EngineConfig(engine=self.engine)
+        elif not isinstance(self.engine, EngineConfig):
             raise ConfigError(
-                f"exactness must be one of {EXACTNESS_TIERS}, got {self.exactness!r}"
+                "engine must be 'auto', 'sequential', 'fleet' or an "
+                f"EngineConfig, got {self.engine!r}"
+            )
+        if self.engine.sink is not None:
+            raise ConfigError(
+                "EngineConfig.sink is not supported by DeploymentLoop; "
+                "rounds compute their own statistics"
             )
         sys_seed, self._user_seed_root = spawn_seeds(self.seed, 2)
         self.system = P2BSystem(self.config, mode=AgentMode.WARM_PRIVATE, seed=sys_seed)
@@ -214,28 +163,20 @@ class DeploymentLoop:
         agents = [agent for agent, _ in self._users]
         sessions = [session for _, session in self._users]
         use_fleet = False
-        if self.engine != "sequential":
+        if self.engine.engine != "sequential":
             from ..sim import FleetRunner, fleet_supported
 
             use_fleet = fleet_supported(agents)
-            if self.engine == "fleet" and not use_fleet:
+            if self.engine.engine == "fleet" and not use_fleet:
                 raise ConfigError(
                     "engine='fleet' requested but the enrolled population is "
                     "not fleet-capable"
                 )
         if use_fleet:
-            return (
-                FleetRunner(
-                    agents,
-                    sessions,
-                    n_workers=self.n_workers,
-                    plan_chunk_size=self.plan_chunk_size,
-                    exactness=self.exactness,
-                    kernel_block_size=self.kernel_block_size,
-                )
-                .run(self.interactions_per_round)
-                .rewards
+            result = FleetRunner(agents, sessions, config=self.engine).run(
+                self.interactions_per_round
             )
+            return result.rewards
         rewards = np.empty((len(agents), self.interactions_per_round), dtype=np.float64)
         for u, (agent, session) in enumerate(self._users):
             for t in range(self.interactions_per_round):

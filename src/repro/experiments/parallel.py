@@ -13,7 +13,7 @@ process by pickling ``(fn, item)``, and returns results **in item
 order** regardless of completion order — parallel sweeps are
 deterministic, bit-identical to serial ones (each setting seeds its own
 streams from the same root seed either way).  Entry points reach it
-through :attr:`~repro.experiments.runner.EngineConfig.sweep_workers`
+through :attr:`~repro.sim.EngineConfig.sweep_workers`
 (CLI ``--sweep-workers``).
 
 Because work crosses a process boundary, ``fn`` and the items must be

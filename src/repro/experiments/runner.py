@@ -20,11 +20,8 @@ every setting faces the same users in the same order.
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
-import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,8 +30,9 @@ from ..core.config import AgentMode, P2BConfig
 from ..core.system import P2BSystem
 from ..data.environment import Environment
 from ..sim import (
+    ENGINES,
     EXACTNESS_TIERS,
-    FaultPolicy,
+    EngineConfig,
     FleetRunner,
     fleet_supported,
 )
@@ -49,145 +47,9 @@ __all__ = [
     "set_default_config",
     "get_default_config",
     "use_config",
-    "set_default_engine",
-    "get_default_engine",
-    "set_default_n_workers",
-    "get_default_n_workers",
-    "set_default_plan_chunk_size",
-    "get_default_plan_chunk_size",
-    "set_default_exactness",
-    "get_default_exactness",
     "ENGINES",
     "EXACTNESS_TIERS",
-    "UNSET",
 ]
-
-#: recognized simulation engines: ``sequential`` is the reference
-#: per-agent loop, ``fleet`` the vectorized sharded population engine
-#: (:mod:`repro.sim` — heterogeneous populations partition into one
-#: stacked state per policy/mode configuration), ``auto`` picks fleet
-#: whenever every agent's policy supports it (bit-identical by the sim
-#: contract) and falls back otherwise.
-ENGINES = ("auto", "sequential", "fleet")
-
-def _check_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        from ..utils.exceptions import ConfigError
-
-        raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
-    return engine
-
-
-def _check_exactness(exactness: str) -> str:
-    if exactness not in EXACTNESS_TIERS:
-        from ..utils.exceptions import ConfigError
-
-        raise ConfigError(
-            f"exactness must be one of {EXACTNESS_TIERS}, got {exactness!r}"
-        )
-    return exactness
-
-
-#: default-argument sentinel distinguishing "not passed" (use the
-#: process default) from an explicit ``None`` (``None`` is itself a
-#: meaningful chunk size: whole horizons); shared by the sweep
-#: functions, which forward their ``plan_chunk_size`` here
-UNSET = object()
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """One immutable bundle of every simulation-engine knob.
-
-    Replaces the kwarg pile that grew one parameter per PR (``engine``,
-    ``n_workers``, ``plan_chunk_size``, ``exactness``, ``sink``,
-    ``kernel_block_size``): build one ``EngineConfig``
-    and hand it to any entry point — ``run_setting(engine=cfg)``,
-    ``compare_settings(engine=cfg)``, the sweeps, ``DeploymentLoop``,
-    ``FleetRunner(config=cfg)``, ``FleetService(engine=cfg)`` —
-    or install it process-wide with :func:`set_default_config` /
-    scoped with :func:`use_config`.
-
-    The defaults reproduce the reference behavior exactly: auto engine
-    selection, serial stepping, whole-horizon plans, bit exactness, no
-    sink.  Validation happens at construction, so an ``EngineConfig``
-    in hand is known-good.  ``sink`` is a per-run streaming target (a
-    :class:`~repro.experiments.results.ResultSink`); it is only
-    meaningful for fleet-engine runs and is rejected by entry points
-    that run several settings (a shared sink would interleave them).
-
-    The legacy per-call kwargs (``engine="fleet"``, ``n_workers=4``,
-    ...) and the ``set_default_*`` setter pairs keep working as
-    deprecation shims; mixing an ``EngineConfig`` with explicit legacy
-    kwargs in the same call is an error (ambiguous precedence).
-
-    ``fault_policy`` (a :class:`~repro.sim.FaultPolicy`) supervises
-    fleet shard execution: a failed shard is retried from its last
-    good state with exponential backoff, and exhausted retries either
-    raise a :class:`~repro.utils.exceptions.WorkerError` or degrade
-    the run by skipping the shard (``on_exhausted="skip_shard"``).
-    ``None`` (the default) keeps the historical fail-fast behavior.
-
-    ``kernel_block_size`` chunks the dense scoring kernels over the
-    agent axis (``repro.bandits.kernels``); ``None`` (the default)
-    auto-sizes the block to cache.  Blocked and unblocked evaluation
-    are bitwise identical on every tier, so this knob is pure
-    performance tuning.
-
-    ``sweep_workers`` parallelizes one level *above* the engine: entry
-    points that run several independent settings —
-    :func:`compare_settings` and the sweeps built on it — fan them
-    across worker processes through
-    :class:`~repro.experiments.parallel.ParallelMap` (results ordered
-    deterministically, bit-identical to the serial loop).  It requires
-    picklable workloads (module-level env factories, not closures) and
-    composes with ``n_workers``: each setting's fleet still parallelizes
-    its shards inside its worker process.
-    """
-
-    engine: str = "auto"
-    n_workers: int = 1
-    plan_chunk_size: int | None = None
-    exactness: str = "bit"
-    sink: object | None = None
-    fault_policy: FaultPolicy | None = None
-    kernel_block_size: int | None = None
-    sweep_workers: int = 1
-
-    def __post_init__(self) -> None:
-        _check_engine(self.engine)
-        check_positive_int(self.n_workers, name="n_workers")
-        check_positive_int(self.sweep_workers, name="sweep_workers")
-        if self.plan_chunk_size is not None:
-            check_positive_int(self.plan_chunk_size, name="plan_chunk_size")
-        _check_exactness(self.exactness)
-        if self.kernel_block_size is not None:
-            check_positive_int(self.kernel_block_size, name="kernel_block_size")
-        if self.fault_policy is not None and not isinstance(
-            self.fault_policy, FaultPolicy
-        ):
-            from ..utils.exceptions import ConfigError
-
-            raise ConfigError(
-                f"fault_policy must be a FaultPolicy or None, "
-                f"got {self.fault_policy!r}"
-            )
-
-    def replace(self, **changes) -> "EngineConfig":
-        """A copy with ``changes`` applied (validated like a fresh one)."""
-        return dataclasses.replace(self, **changes)
-
-    def __setstate__(self, state: dict) -> None:
-        # checkpoints pickle the EngineConfig into their context blob;
-        # a snapshot written before a field existed (sweep_workers
-        # postdates the checkpoint format) must still restore — missing
-        # fields take their defaults — and keys of retired knobs
-        # (the plan form, the worker backend) are dropped
-        for f in dataclasses.fields(self):
-            value = state.get(f.name, f.default)
-            if value is not dataclasses.MISSING:
-                self.__dict__[f.name] = value
-
 
 _default_config = EngineConfig()
 
@@ -198,8 +60,7 @@ def set_default_config(config: EngineConfig) -> None:
     Used when callers do not pass an engine configuration explicitly.
     Exists for entry points (the CLI flags) that sit many layers above
     :func:`run_setting` and should not thread parameters through every
-    figure/sweep signature.  Replaces the five legacy
-    ``set_default_*`` pairs, which now shim onto this.
+    figure/sweep signature.
     """
     global _default_config
     if not isinstance(config, EngineConfig):
@@ -237,116 +98,18 @@ def use_config(config: EngineConfig | None = None, **overrides):
         set_default_config(previous)
 
 
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+def _resolve_config(engine: "str | EngineConfig | None" = None) -> EngineConfig:
+    """The :class:`EngineConfig` one call runs under.
 
-
-def set_default_engine(engine: str) -> None:
-    """Deprecated shim: ``set_default_config(cfg.replace(engine=...))``."""
-    _warn_deprecated("set_default_engine", "set_default_config / use_config")
-    set_default_config(_default_config.replace(engine=_check_engine(engine)))
-
-
-def get_default_engine() -> str:
-    """Deprecated shim: ``get_default_config().engine``."""
-    _warn_deprecated("get_default_engine", "get_default_config().engine")
-    return _default_config.engine
-
-
-def set_default_n_workers(n_workers: int) -> None:
-    """Deprecated shim: ``set_default_config(cfg.replace(n_workers=...))``."""
-    _warn_deprecated("set_default_n_workers", "set_default_config / use_config")
-    set_default_config(
-        _default_config.replace(
-            n_workers=check_positive_int(n_workers, name="n_workers")
-        )
-    )
-
-
-def get_default_n_workers() -> int:
-    """Deprecated shim: ``get_default_config().n_workers``."""
-    _warn_deprecated("get_default_n_workers", "get_default_config().n_workers")
-    return _default_config.n_workers
-
-
-def set_default_plan_chunk_size(plan_chunk_size: int | None) -> None:
-    """Deprecated shim: ``set_default_config(cfg.replace(plan_chunk_size=...))``."""
-    _warn_deprecated("set_default_plan_chunk_size", "set_default_config / use_config")
-    if plan_chunk_size is not None:
-        plan_chunk_size = check_positive_int(plan_chunk_size, name="plan_chunk_size")
-    set_default_config(_default_config.replace(plan_chunk_size=plan_chunk_size))
-
-
-def get_default_plan_chunk_size() -> int | None:
-    """Deprecated shim: ``get_default_config().plan_chunk_size``."""
-    _warn_deprecated(
-        "get_default_plan_chunk_size", "get_default_config().plan_chunk_size"
-    )
-    return _default_config.plan_chunk_size
-
-
-def set_default_exactness(exactness: str) -> None:
-    """Deprecated shim: ``set_default_config(cfg.replace(exactness=...))``."""
-    _warn_deprecated("set_default_exactness", "set_default_config / use_config")
-    set_default_config(_default_config.replace(exactness=_check_exactness(exactness)))
-
-
-def get_default_exactness() -> str:
-    """Deprecated shim: ``get_default_config().exactness``."""
-    _warn_deprecated("get_default_exactness", "get_default_config().exactness")
-    return _default_config.exactness
-
-
-def _resolve_config(
-    engine: "str | EngineConfig | None" = None,
-    *,
-    n_workers: int | None = None,
-    plan_chunk_size=UNSET,
-    exactness: str | None = None,
-) -> EngineConfig:
-    """Fold one call's engine arguments into a single :class:`EngineConfig`.
-
-    ``engine`` accepts the new form — an :class:`EngineConfig`, taken
-    verbatim — or the legacy string (``"auto"``/``"sequential"``/
-    ``"fleet"``).  Legacy per-field kwargs override the process
-    default; mixing them with an ``EngineConfig`` is rejected (the
-    config already carries those fields, so precedence would be
-    ambiguous).
+    An ``EngineConfig`` is taken verbatim; an engine name
+    (``"auto"``/``"sequential"``/``"fleet"``) or ``None`` goes onto the
+    process default (:func:`set_default_config`).
     """
     if isinstance(engine, EngineConfig):
-        if (
-            n_workers is not None
-            or plan_chunk_size is not UNSET
-            or exactness is not None
-        ):
-            from ..utils.exceptions import ConfigError
-
-            raise ConfigError(
-                "pass engine settings either as one EngineConfig or as "
-                "individual kwargs, not both (the EngineConfig already "
-                "carries n_workers/plan_chunk_size/exactness)"
-            )
         return engine
-    changes: dict = {}
-    if engine is not None:
-        changes["engine"] = _check_engine(engine)
-    if n_workers is not None:
-        changes["n_workers"] = check_positive_int(n_workers, name="n_workers")
-    if plan_chunk_size is not UNSET:
-        if plan_chunk_size is not None:
-            plan_chunk_size = check_positive_int(
-                plan_chunk_size, name="plan_chunk_size"
-            )
-        changes["plan_chunk_size"] = plan_chunk_size
-    if exactness is not None:
-        changes["exactness"] = _check_exactness(exactness)
-    if not changes:
+    if engine is None:
         return _default_config
-    return _default_config.replace(**changes)
+    return _default_config.replace(engine=engine)
 
 
 def _resolve_engine(engine: str, agents) -> bool:
@@ -355,7 +118,6 @@ def _resolve_engine(engine: str, agents) -> bool:
     ``"fleet"`` insists (raising if the population is not
     fleet-capable); ``"auto"`` probes; ``"sequential"`` never.
     """
-    engine = _check_engine(engine)
     if engine == "sequential":
         return False
     supported = fleet_supported(agents)
@@ -413,9 +175,6 @@ def run_setting(
     encoder=None,
     measure: str = "realized",
     engine: "str | EngineConfig | None" = None,
-    n_workers: int | None = None,
-    plan_chunk_size: int | None = UNSET,  # type: ignore[assignment]
-    exactness: str | None = None,
     checkpoint_every: int | None = None,
     checkpoint_path=None,
     resume_from=None,
@@ -451,36 +210,11 @@ def run_setting(
         environment provides it (falls back to realized otherwise).
         Learning always uses realized rewards.
     engine:
-        The preferred form is an :class:`EngineConfig` carrying every
-        engine knob at once.  The legacy string form —
-        ``"sequential"``, ``"fleet"``, ``"auto"`` (fleet when every
-        agent's policy supports it; heterogeneous populations shard
-        into one stacked state per configuration) — still works, as
-        does ``None`` for the process default (see
-        :func:`set_default_config`).  Fleet and sequential produce
-        bit-identical results whenever both run (the :mod:`repro.sim`
-        contract, pinned by ``tests/sim/``).
-    n_workers:
-        Legacy kwarg (prefer :class:`EngineConfig`): fleet shard
-        parallelism (``None`` for the process default).  Multi-shard
-        populations step their shards concurrently; results stay
-        identical to serial.
-    plan_chunk_size:
-        Legacy kwarg (prefer :class:`EngineConfig`): fleet plan-chunk
-        size (omit for the process default): session plans materialize
-        in horizon slices of this many steps (stationary noise and plan
-        calls; traced row walks are allocated whole); ``None``
-        materializes whole horizons.  Results are identical
-        for every chunk size (the :mod:`repro.sim` contract).
-    exactness:
-        Legacy kwarg (prefer :class:`EngineConfig`): contract tier for
-        fleet runs, one of :data:`~repro.sim.EXACTNESS_TIERS`, or
-        ``None`` for the process default.  ``"bit"`` (the initial
-        default) is bit-identical to the sequential loop; ``"fast"``
-        holds memory-lean policy state and streams curve sums instead
-        of materializing result matrices — statistically equivalent
-        curves, not bitwise (sequential-engine runs ignore the tier;
-        they are the bit reference by definition).
+        The :class:`EngineConfig` to run under (its fields document
+        every engine knob), or just an engine name —
+        ``"sequential"``, ``"fleet"``, ``"auto"`` — applied to the
+        process default, or ``None`` for the process default itself
+        (see :func:`set_default_config`).
     checkpoint_every, checkpoint_path:
         Make the run restartable: the fleet phases execute in segments
         of ``checkpoint_every`` rounds and snapshot population state,
@@ -495,8 +229,8 @@ def run_setting(
         original call would have.  ``mode`` must match the snapshot's;
         the other workload arguments are taken from the snapshot (the
         environment is restored mid-walk, not rebuilt).  Supervision is
-        per-process: pass ``fault_policy`` again if the resumed run
-        should be supervised too.
+        per-process: pass an ``engine`` carrying a ``fault_policy`` if
+        the resumed run should be supervised too.
     """
     if measure not in ("realized", "expected"):
         from ..utils.exceptions import ConfigError
@@ -512,12 +246,7 @@ def run_setting(
             f"match config ({config.n_actions} actions, {config.n_features} features)"
         )
     sys_seed, contrib_users_seed, eval_users_seed = spawn_seeds(seed, 3)
-    cfg = _resolve_config(
-        engine,
-        n_workers=n_workers,
-        plan_chunk_size=plan_chunk_size,
-        exactness=exactness,
-    )
+    cfg = _resolve_config(engine)
     checkpointing = checkpoint_every is not None or checkpoint_path is not None
     if checkpointing or resume_from is not None:
         _check_checkpointable(cfg)
@@ -547,7 +276,9 @@ def run_setting(
                 "sequential engine fills result matrices directly (drop the "
                 "sink or pick engine='auto'/'fleet')"
             )
-        if not (hasattr(cfg.sink, "curve") and hasattr(cfg.sink, "mean_reward")):
+        # probe the class: on a fresh sink the properties have no data yet
+        sink_type = type(cfg.sink)
+        if not (hasattr(sink_type, "curve") and hasattr(sink_type, "mean_reward")):
             from ..utils.exceptions import ConfigError
 
             raise ConfigError(
@@ -572,15 +303,9 @@ def run_setting(
             env.new_user(s) for s in spawn_seeds(contrib_users_seed, n_contributors)
         ]
         if _resolve_engine(cfg.engine, contributors):
-            runner = FleetRunner(
-                contributors,
-                sessions,
-                n_workers=cfg.n_workers,
-                plan_chunk_size=cfg.plan_chunk_size,
-                exactness=tier,
-                kernel_block_size=cfg.kernel_block_size,
-                fault_policy=cfg.fault_policy,
-            )
+            # the caller's sink is for the evaluation curve; the
+            # contributor phase must never stream into it
+            runner = FleetRunner(contributors, sessions, config=cfg.replace(sink=None))
             if checkpointing:
                 # the phase context makes the snapshot self-contained:
                 # everything _resume_setting needs to finish the whole
@@ -703,15 +428,7 @@ def _eval_phase(
     dropped: tuple = ()
     if _resolve_engine(cfg.engine, eval_agents):
         eval_sessions = [env.new_user(s) for s in eval_seeds]
-        fleet = FleetRunner(
-            eval_agents,
-            eval_sessions,
-            n_workers=cfg.n_workers,
-            plan_chunk_size=cfg.plan_chunk_size,
-            exactness=tier,
-            kernel_block_size=cfg.kernel_block_size,
-            fault_policy=cfg.fault_policy,
-        )
+        fleet = FleetRunner(eval_agents, eval_sessions, config=cfg)
         if checkpoint_every is not None:
             # phase context for restarts of *this* phase: the system is
             # snapshotted post-collection, so privacy accounting and
@@ -945,9 +662,6 @@ def compare_settings(
     encoder=None,
     measure: str = "realized",
     engine: "str | EngineConfig | None" = None,
-    n_workers: int | None = None,
-    plan_chunk_size: int | None = UNSET,  # type: ignore[assignment]
-    exactness: str | None = None,
 ) -> SettingComparison:
     """Run the three §5 settings on identically seeded workloads.
 
@@ -965,12 +679,7 @@ def compare_settings(
     ``seed`` either way, so the comparison is bit-identical to the
     serial loop, in the same deterministic ``modes`` order.
     """
-    cfg = _resolve_config(
-        engine,
-        n_workers=n_workers,
-        plan_chunk_size=plan_chunk_size,
-        exactness=exactness,
-    )
+    cfg = _resolve_config(engine)
     if cfg.sink is not None:
         from ..utils.exceptions import ConfigError
 

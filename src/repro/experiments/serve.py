@@ -36,11 +36,10 @@ from ..core.agent import LocalAgent
 from ..core.config import AgentMode, P2BConfig
 from ..core.system import CollectionResult, P2BSystem
 from ..data.environment import Environment
-from ..sim import FleetResult, FleetRunner
+from ..sim import EngineConfig, FleetResult, FleetRunner
 from ..utils.exceptions import ConfigError, ServiceError, ServiceTimeout
 from ..utils.rng import spawn_seeds
 from ..utils.validation import check_positive_int
-from .runner import EngineConfig
 
 __all__ = ["FleetService", "ServeStats"]
 
@@ -73,8 +72,8 @@ class FleetService:
         :class:`~repro.data.DriftingSyntheticEnvironment` for
         non-stationary traffic.
     engine:
-        Optional :class:`~repro.experiments.runner.EngineConfig`
-        bundling the fleet knobs (workers, chunking, exactness).
+        Optional :class:`~repro.sim.EngineConfig` bundling the fleet
+        knobs (its fields document them).
         ``engine="sequential"`` is rejected — the service *is* the hot
         fleet — and ``sink`` must be ``None`` (requests
         return their results directly).  ``sweep_workers`` is

@@ -13,6 +13,11 @@ ParallelMap`); points land in the figure in grid order regardless of
 completion order, bit-identical to the serial sweep.  Parallel grids
 require picklable factories — pass module-level ``env_factory`` /
 ``make_config`` callables, not lambdas.
+
+Every sweep takes its engine knobs as one ``engine`` argument, exactly
+as :func:`~repro.experiments.runner.compare_settings` does: an
+:class:`~repro.sim.EngineConfig` (whose fields document the knobs), an
+engine name, or ``None`` for the process default.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from ..encoding.kmeans_encoder import KMeansEncoder
 from ..privacy.accounting import epsilon_from_p
 from .parallel import ParallelMap
 from .results import FigureResult
-from .runner import UNSET, EngineConfig, _resolve_config, compare_settings
+from .runner import EngineConfig, _resolve_config, compare_settings
 
 __all__ = [
     "population_sweep",
@@ -58,10 +63,8 @@ def _sweep_point(job: tuple):
     return compare_settings(env_factory, config, **kwargs)
 
 
-def _grid_plan(
-    engine, n_workers, plan_chunk_size, exactness
-) -> tuple[int, EngineConfig]:
-    """Resolve a sweep's engine arguments into ``(grid_workers, cfg)``.
+def _grid_plan(engine: str | EngineConfig | None) -> tuple[int, EngineConfig]:
+    """Resolve a sweep's ``engine`` argument into ``(grid_workers, cfg)``.
 
     ``grid_workers`` fans the sweep's *points*; each point then runs
     with ``sweep_workers=1`` (one fan-out level — a point's settings
@@ -70,12 +73,7 @@ def _grid_plan(
     ``sweep_workers`` so :func:`compare_settings` can fan the settings
     instead.
     """
-    cfg = _resolve_config(
-        engine,
-        n_workers=n_workers,
-        plan_chunk_size=plan_chunk_size,
-        exactness=exactness,
-    )
+    cfg = _resolve_config(engine)
     grid_workers = cfg.sweep_workers
     point_cfg = cfg.replace(sweep_workers=1) if grid_workers > 1 else cfg
     return grid_workers, point_cfg
@@ -116,9 +114,6 @@ def population_sweep(
     description: str = "average reward vs population size U",
     measure: str = "realized",
     engine: str | EngineConfig | None = None,
-    n_workers: int | None = None,
-    plan_chunk_size: int | None = UNSET,  # type: ignore[assignment]
-    exactness: str | None = None,
 ) -> FigureResult:
     """Fig. 4's x-axis: grow the contributing population ``U``."""
     result = FigureResult(
@@ -135,7 +130,7 @@ def population_sweep(
         },
     )
     encoder = _shared_encoder(config, seed)
-    grid_workers, point_cfg = _grid_plan(engine, n_workers, plan_chunk_size, exactness)
+    grid_workers, point_cfg = _grid_plan(engine)
     jobs = [
         (
             env_factory,
@@ -177,9 +172,6 @@ def dimension_sweep(
     description: str = "average reward vs context dimension d",
     measure: str = "realized",
     engine: str | EngineConfig | None = None,
-    n_workers: int | None = None,
-    plan_chunk_size: int | None = UNSET,  # type: ignore[assignment]
-    exactness: str | None = None,
 ) -> FigureResult:
     """Fig. 5's x-axis: grow the context dimension ``d``.
 
@@ -193,7 +185,7 @@ def dimension_sweep(
         x_values=[],
         notes={"A": n_actions, "U": n_contributors},
     )
-    grid_workers, point_cfg = _grid_plan(engine, n_workers, plan_chunk_size, exactness)
+    grid_workers, point_cfg = _grid_plan(engine)
     jobs = [
         (
             _SyntheticEnvFactory(n_actions, int(d), 8.0, env_seed),
@@ -232,9 +224,6 @@ def codebook_sweep(
     figure_id: str = "ablation-k",
     description: str = "reward vs codebook size k (warm-private)",
     engine: str | EngineConfig | None = None,
-    n_workers: int | None = None,
-    plan_chunk_size: int | None = UNSET,  # type: ignore[assignment]
-    exactness: str | None = None,
 ) -> FigureResult:
     """Ablation axis: codebook size ``k`` (Fig. 7 compares 2^5 vs 2^7)."""
     from dataclasses import replace
@@ -245,7 +234,7 @@ def codebook_sweep(
         x_name="k",
         x_values=[],
     )
-    grid_workers, point_cfg = _grid_plan(engine, n_workers, plan_chunk_size, exactness)
+    grid_workers, point_cfg = _grid_plan(engine)
     jobs = [
         (
             env_factory,
@@ -284,9 +273,6 @@ def participation_sweep(
     figure_id: str = "ablation-p",
     description: str = "privacy/utility trade-off over participation p",
     engine: str | EngineConfig | None = None,
-    n_workers: int | None = None,
-    plan_chunk_size: int | None = UNSET,  # type: ignore[assignment]
-    exactness: str | None = None,
 ) -> FigureResult:
     """Ablation axis: participation probability ``p`` — the privacy lever.
 
@@ -301,7 +287,7 @@ def participation_sweep(
         x_name="p",
         x_values=[],
     )
-    grid_workers, point_cfg = _grid_plan(engine, n_workers, plan_chunk_size, exactness)
+    grid_workers, point_cfg = _grid_plan(engine)
     jobs = [
         (
             env_factory,

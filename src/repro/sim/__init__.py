@@ -67,7 +67,7 @@ plan-time encodings through the per-dataset
 when they walk several datasets, through one shard-private
 concatenation of those tables.  Traced-plan memory is A-fold below a
 per-agent table, and each distinct row is encoded at most once per
-encoder.  ``FleetRunner(plan_chunk_size=C)`` materializes plans in
+encoder.  ``EngineConfig(plan_chunk_size=C)`` materializes plans in
 horizon slices of ``C`` steps; slice-by-slice planning is exact by the
 plan contract, so every chunk size is bit-identical.
 
@@ -87,7 +87,7 @@ straight through ``Shuffler.process_arrays`` into
 object path, with no payload object ever built on the fast path.
 
 Because shards share no mutable state and never synchronize,
-``FleetRunner(n_workers=k)`` runs each shard's whole horizon as one
+``EngineConfig(n_workers=k)`` runs each shard's whole horizon as one
 concurrent task on a thread pool — again without leaving the contract:
 shard order is unobservable, so parallel results are identical to
 serial ones.
@@ -96,7 +96,7 @@ Exactness tiers
 ---------------
 
 Bit-identity is the default **contract tier** (``exactness="bit"``),
-not the only one.  ``FleetRunner(exactness="fast")`` opts into a
+not the only one.  ``EngineConfig(exactness="fast")`` opts into a
 memory-lean tier for the million-agent regime: policy kinds with a
 fast stacker (currently ``code_linucb`` via
 :class:`~repro.sim.stacked.StackedCodeLinUCBFast`) hold float32
@@ -111,6 +111,12 @@ cells up to float32 rounding, which can flip near-exact tie-breaks):
 tolerance bands across seeds.  Kinds without a fast stacker run their
 bit stacker unchanged, so ``"fast"`` degenerates to ``"bit"`` —
 bitwise — for them.
+
+Every engine knob — the engine choice, ``n_workers``,
+``plan_chunk_size``, ``exactness``, ``sink``, ``fault_policy`` and
+``sweep_workers`` — is a field of one frozen
+:class:`~repro.sim.fleet.EngineConfig`, documented there and handed to
+``FleetRunner(config=...)`` or to any experiment entry point.
 
 When any condition fails — a policy without fleet support
 (``RandomPolicy``, ``HybridLinUCB``) — ``engine="auto"`` callers fall
@@ -138,7 +144,9 @@ from .faults import (
     active_plan,
 )
 from .fleet import (
+    ENGINES,
     DroppedShard,
+    EngineConfig,
     FaultPolicy,
     FleetResult,
     FleetRunner,
@@ -165,6 +173,8 @@ from .stacked import (
 __all__ = [
     "FleetRunner",
     "FleetResult",
+    "EngineConfig",
+    "ENGINES",
     "FaultPolicy",
     "FaultPlan",
     "FaultSpec",

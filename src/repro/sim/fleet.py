@@ -100,7 +100,7 @@ Parallel shard stepping
 Shards share no mutable state — disjoint agents, disjoint result rows,
 per-agent RNG/session/outbox — and they never synchronize, so a
 serial run is a plain ``map`` of :func:`_run_shard_horizon` over
-the shards and ``FleetRunner(..., n_workers=k)`` is a thread-pool map
+the shards and ``EngineConfig(n_workers=k)`` makes it a thread-pool map
 of the same function (no per-round barrier or submit overhead; the
 einsum kernels release the GIL, so compute-bound shards overlap).
 Threads are the only parallel backend: every shard mutates the
@@ -109,6 +109,7 @@ caller's own agent and session objects in place.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import time
 from dataclasses import dataclass
@@ -129,6 +130,8 @@ from .stacked import EXACTNESS_TIERS, stack_policies
 __all__ = [
     "FleetRunner",
     "FleetResult",
+    "EngineConfig",
+    "ENGINES",
     "FaultPolicy",
     "DroppedShard",
     "fleet_supported",
@@ -201,6 +204,128 @@ class FaultPolicy:
         """Seconds to back off before re-running attempt ``attempt + 1``."""
         base = self.backoff * (2.0**attempt)
         return base * (1.0 + self.jitter * ((attempt * 0.6180339887498949) % 1.0))
+
+
+#: recognized simulation engines: ``sequential`` is the reference
+#: per-agent loop, ``fleet`` this vectorized sharded population engine
+#: (heterogeneous populations partition into one stacked state per
+#: policy/mode configuration), ``auto`` picks fleet whenever every
+#: agent's policy supports it (bit-identical by the sim contract) and
+#: falls back otherwise.
+ENGINES = ("auto", "sequential", "fleet")
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """One immutable bundle of every simulation-engine knob.
+
+    The single place engine knobs are set: build one ``EngineConfig``
+    and hand it to any entry point — ``FleetRunner(config=cfg)``,
+    ``DeploymentLoop(engine=cfg)``,
+    :func:`~repro.experiments.runner.run_setting` /
+    :func:`~repro.experiments.runner.compare_settings` / the sweeps
+    (``engine=cfg``), ``FleetService(engine=cfg)`` — or install it
+    process-wide with
+    :func:`~repro.experiments.runner.set_default_config` / scoped with
+    :func:`~repro.experiments.runner.use_config`.  The defaults
+    reproduce the reference behavior exactly, and validation happens at
+    construction, so an ``EngineConfig`` in hand is known-good.
+
+    Parameters
+    ----------
+    engine:
+        One of :data:`ENGINES` (default ``"auto"``).  Fleet and
+        sequential produce bit-identical results whenever both run (the
+        :mod:`repro.sim` contract).  :class:`FleetRunner` ignores it —
+        it *is* the fleet engine.
+    n_workers:
+        Shard-level parallelism (default 1 = serial).  Shards are fully
+        independent, so ``n_workers > 1`` runs each shard's whole
+        horizon concurrently on a thread pool — results are identical
+        to serial stepping (shard order is unobservable).  Only
+        populations with more than one shard can benefit.
+    plan_chunk_size:
+        Materialize session plans in horizon slices of this many steps
+        (default ``None`` = whole horizons).  Chunking slices the
+        stationary reward noise and the session plan calls; it does not
+        bound traced memory (the ``(n, T)`` row walk is allocated
+        whole).  Every chunk size is bit-identical (slice-by-slice
+        planning is exact by the plan contract), and one at or above
+        the horizon *is* the unchunked path.
+    exactness:
+        Contract tier, one of :data:`EXACTNESS_TIERS` (default
+        ``"bit"``: bit-identical to the sequential loop).  ``"fast"``
+        holds memory-lean policy state for kinds with a fast stacker
+        (currently ``code_linucb``) and lets curve-only callers stream
+        results — statistically, not bitwise, equivalent; kinds without
+        a fast stacker run bitwise as under ``"bit"``.  Sequential runs
+        ignore the tier: they are the bit reference by definition.
+    sink:
+        A per-run streaming target (a
+        :class:`~repro.experiments.results.ResultSink`), meaningful
+        only for fleet runs; entry points that run several settings
+        reject it (a shared sink would interleave them).
+    fault_policy:
+        A :class:`FaultPolicy` supervising fleet shard execution: a
+        failed shard is retried from its last good state with
+        exponential backoff, and exhausted retries either raise a
+        :class:`~repro.utils.exceptions.WorkerError` or degrade the run
+        by skipping the shard (``on_exhausted="skip_shard"``).  ``None``
+        (the default) keeps the fail-fast path unless a fault plan is
+        armed (see :class:`FleetRunner`).
+    sweep_workers:
+        Parallelism one level *above* the engine: entry points that run
+        several independent settings —
+        :func:`~repro.experiments.runner.compare_settings` and the
+        sweeps built on it — fan them across worker processes through
+        :class:`~repro.experiments.parallel.ParallelMap` (results
+        ordered deterministically, bit-identical to the serial loop).
+        It requires picklable workloads (module-level env factories,
+        not closures) and composes with ``n_workers``.
+    """
+
+    engine: str = "auto"
+    n_workers: int = 1
+    plan_chunk_size: int | None = None
+    exactness: str = "bit"
+    sink: object | None = None
+    fault_policy: FaultPolicy | None = None
+    sweep_workers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
+        check_positive_int(self.n_workers, name="n_workers")
+        check_positive_int(self.sweep_workers, name="sweep_workers")
+        if self.plan_chunk_size is not None:
+            check_positive_int(self.plan_chunk_size, name="plan_chunk_size")
+        if self.exactness not in EXACTNESS_TIERS:
+            raise ConfigError(
+                f"exactness must be one of {EXACTNESS_TIERS}, got {self.exactness!r}"
+            )
+        if self.fault_policy is not None and not isinstance(
+            self.fault_policy, FaultPolicy
+        ):
+            raise ConfigError(
+                f"fault_policy must be a FaultPolicy or None, "
+                f"got {self.fault_policy!r}"
+            )
+
+    def replace(self, **changes) -> "EngineConfig":
+        """A copy with ``changes`` applied (validated like a fresh one)."""
+        return dataclasses.replace(self, **changes)
+
+    def __setstate__(self, state: dict) -> None:
+        # checkpoints pickle the EngineConfig into their context blob;
+        # a snapshot written before a field existed (sweep_workers
+        # postdates the checkpoint format) must still restore — missing
+        # fields take their defaults — and keys of retired knobs
+        # (the plan form, the worker backend, the kernel block size)
+        # are dropped
+        for f in dataclasses.fields(self):
+            value = state.get(f.name, f.default)
+            if value is not dataclasses.MISSING:
+                self.__dict__[f.name] = value
 
 
 @dataclass(frozen=True)
@@ -331,7 +456,6 @@ class _Shard:
         *,
         plan_chunk_size: int | None = None,
         exactness: str = "bit",
-        kernel_block_size: int | None = None,
     ) -> None:
         self.indices = indices
         self.agents = agents
@@ -339,11 +463,7 @@ class _Shard:
         self.n = len(agents)
         self.mode = agents[0].mode
         self.private_context = agents[0].private_context
-        self.stacked = stack_policies(
-            [a.policy for a in agents],
-            exactness=exactness,
-            kernel_block_size=kernel_block_size,
-        )
+        self.stacked = stack_policies([a.policy for a in agents], exactness=exactness)
         self._rows = np.arange(self.n)
         self._plan_chunk_size = plan_chunk_size
         # acting-representation caches (warm-private only) — persist
@@ -1083,38 +1203,14 @@ class FleetRunner:
     sessions:
         One user session per agent, aligned by index.
     config:
-        An :class:`~repro.experiments.runner.EngineConfig` carrying
-        every engine knob at once (duck-typed; this module never
-        imports :mod:`repro.experiments`).  Mutually exclusive with
-        the individual kwargs below.  Its ``engine`` field is ignored
-        (this class *is* the fleet engine); its ``sink`` becomes the
-        default streaming target for :meth:`run`.
-    n_workers:
-        Shard-level parallelism (default 1 = serial).  Shards are
-        fully independent, so ``n_workers > 1`` runs each shard's
-        whole horizon concurrently — results are identical to serial
-        stepping (shard order is unobservable;
-        ``tests/sim/test_parallel.py`` pins it).  Only populations
-        with more than one shard can benefit from threads.
-    plan_chunk_size:
-        Materialize session plans in horizon slices of this many steps
-        instead of all at once (default ``None`` = the whole horizon).
-        Chunking slices the stationary reward noise and the session
-        plan calls; it does not bound traced memory (the ``(n, T)``
-        row walk is allocated whole).  Any chunk size produces
-        bit-identical results (the plan contract makes slice-by-slice
-        planning exact), and a chunk size ``>= n_interactions`` *is*
-        the unchunked path.  Only affects plan-capable shards.
-    exactness:
-        Contract tier, one of :data:`EXACTNESS_TIERS` (default
-        ``"bit"``: every result bit-identical to the sequential loop,
-        today's behavior).  ``"fast"`` trades bit-identity for memory:
-        policy kinds with a fast stacker (currently ``code_linucb``)
-        hold float32 sparse state — trajectories are *statistically*
-        equivalent to the bit tier (``tests/sim/test_exactness.py``
-        pins tolerance bands), not bitwise; kinds without one run
-        their bit stacker unchanged, so ``"fast"`` degenerates to
-        ``"bit"`` for them.
+        The :class:`EngineConfig` carrying every engine knob (default
+        ``EngineConfig()``: serial, whole-horizon plans, bit tier, no
+        supervision); its fields are documented there.  Its ``engine``
+        field is ignored (this class *is* the fleet engine) and its
+        ``sink`` becomes the default streaming target for :meth:`run`.
+        With ``fault_policy=None`` an armed fault plan switches a
+        forgiving default policy on (the chaos knob must never turn a
+        passing run into a crash).
     persistent:
         Keep each shard's stacked state warm between :meth:`run` calls
         (default ``False`` = restack per run, the historical
@@ -1126,15 +1222,6 @@ class FleetRunner:
         (:meth:`add_agents` / :meth:`remove_agents`) restacks only the
         affected shards; mutating a policy *outside* the fleet (e.g.
         ``warm_start``) requires :meth:`invalidate`.
-    fault_policy:
-        A :class:`FaultPolicy` enabling shard supervision: failed
-        shard horizons are retried from a pre-attempt state snapshot
-        (bitwise-invisible when a retry succeeds), and exhausted shards
-        either raise :class:`~repro.utils.exceptions.WorkerError` or
-        degrade out (``on_exhausted="skip_shard"``).  ``None`` (default) keeps the
-        historical fail-fast path — unless a fault plan is armed, in
-        which case a forgiving default policy switches supervision on
-        (the chaos knob must never turn a passing run into a crash).
     fault_plan:
         A :class:`~repro.sim.faults.FaultPlan` (or its spec string)
         injecting deterministic faults into this runner's shard steps —
@@ -1147,62 +1234,20 @@ class FleetRunner:
         agents: Sequence[LocalAgent],
         sessions: Sequence[UserSession],
         *,
-        config=None,
-        n_workers: int = 1,
-        plan_chunk_size: int | None = None,
-        exactness: str = "bit",
-        kernel_block_size: int | None = None,
+        config: EngineConfig = EngineConfig(),
         persistent: bool = False,
-        fault_policy: FaultPolicy | None = None,
         fault_plan: "FaultPlan | str | None" = None,
     ) -> None:
-        if config is not None:
-            # an EngineConfig (duck-typed: sim must not import
-            # experiments) — it already carries every engine field, so
-            # mixing it with explicit kwargs would leave precedence
-            # ambiguous; its `engine` field is moot here (this *is* the
-            # fleet engine) and `sink` stays per-run (see run()).
-            if (
-                n_workers != 1
-                or plan_chunk_size is not None
-                or exactness != "bit"
-                or kernel_block_size is not None
-                or fault_policy is not None
-            ):
-                raise ConfigError(
-                    "pass engine settings either via config= or as individual "
-                    "kwargs, not both (the EngineConfig already carries them)"
-                )
-            n_workers = config.n_workers
-            plan_chunk_size = config.plan_chunk_size
-            exactness = config.exactness
-            kernel_block_size = getattr(config, "kernel_block_size", None)
-            fault_policy = getattr(config, "fault_policy", None)
-            self._config_sink = getattr(config, "sink", None)
-        else:
-            self._config_sink = None
+        if not isinstance(config, EngineConfig):
+            raise ConfigError(f"config must be an EngineConfig, got {config!r}")
+        self.config = config
         self.agents = list(agents)
         self.sessions = list(sessions)
-        self.n_workers = check_positive_int(n_workers, name="n_workers")
-        if plan_chunk_size is not None:
-            plan_chunk_size = check_positive_int(plan_chunk_size, name="plan_chunk_size")
-        self.plan_chunk_size = plan_chunk_size
-        if exactness not in EXACTNESS_TIERS:
-            raise ConfigError(
-                f"exactness must be one of {EXACTNESS_TIERS}, got {exactness!r}"
-            )
-        self.exactness = exactness
-        if kernel_block_size is not None:
-            kernel_block_size = check_positive_int(
-                kernel_block_size, name="kernel_block_size"
-            )
-        self.kernel_block_size = kernel_block_size
+        self.n_workers = config.n_workers
+        self.plan_chunk_size = config.plan_chunk_size
+        self.exactness = config.exactness
+        self.fault_policy = config.fault_policy
         self.persistent = bool(persistent)
-        if fault_policy is not None and not isinstance(fault_policy, FaultPolicy):
-            raise ConfigError(
-                f"fault_policy must be a FaultPolicy or None, got {fault_policy!r}"
-            )
-        self.fault_policy = fault_policy
         if isinstance(fault_plan, str):
             fault_plan = FaultPlan.parse(fault_plan)
         if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
@@ -1368,7 +1413,6 @@ class FleetRunner:
             sessions,
             plan_chunk_size=self.plan_chunk_size,
             exactness=self.exactness,
-            kernel_block_size=self.kernel_block_size,
         )
         if cacheable:
             self._shards[key] = shard
@@ -1493,7 +1537,7 @@ class FleetRunner:
         """
         n_interactions = check_positive_int(n_interactions, name="n_interactions")
         if sink is None:
-            sink = self._config_sink
+            sink = self.config.sink
         if checkpoint_every is not None or checkpoint_path is not None:
             if checkpoint_path is None:
                 raise ConfigError(
@@ -1789,7 +1833,6 @@ class FleetRunner:
             "n_workers": self.n_workers,
             "plan_chunk_size": self.plan_chunk_size,
             "exactness": self.exactness,
-            "kernel_block_size": self.kernel_block_size,
             "persistent": self.persistent,
         }
 
@@ -1885,15 +1928,17 @@ class FleetRunner:
                 f"pickle: {exc}"
             ) from exc
         engine = dict(ckpt.engine)
-        runner = cls(
-            agents,
-            sessions,
+        config = EngineConfig(
             n_workers=int(engine.get("n_workers", 1)),
             plan_chunk_size=engine.get("plan_chunk_size"),
             exactness=engine.get("exactness", "bit"),
-            kernel_block_size=engine.get("kernel_block_size"),
-            persistent=bool(engine.get("persistent", False)),
             fault_policy=fault_policy,
+        )
+        runner = cls(
+            agents,
+            sessions,
+            config=config,
+            persistent=bool(engine.get("persistent", False)),
             fault_plan=fault_plan,
         )
         runner._resume_ckpt = ckpt

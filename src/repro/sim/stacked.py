@@ -118,14 +118,6 @@ class StackedPolicies(abc.ABC):
     #: (one-hot specialists) rather than dense context rows.
     wants_codes: bool = False
 
-    #: rows per blocked-kernel chunk for the dense scoring contractions
-    #: (see :mod:`repro.bandits.kernels`); ``None`` auto-sizes to cache
-    #: from the stacked state's row footprint.  Set by
-    #: :func:`stack_policies` from the engine's ``kernel_block_size``
-    #: knob — blocked and unblocked evaluation are bitwise identical,
-    #: so any value preserves the exactness contract.
-    kernel_block_size: int | None = None
-
     def __init__(self, policies: Sequence[BanditPolicy]) -> None:
         policies = list(policies)
         if not policies:
@@ -184,9 +176,8 @@ class _StackedDenseLinear(StackedPolicies):
         self.theta = np.stack([p.theta for p in policies])  # (n, k, d)
 
     def _score_block(self) -> int:
-        """Rows per blocked scoring chunk: explicit knob or cache-sized."""
-        if self.kernel_block_size is not None:
-            return self.kernel_block_size
+        """Rows per blocked scoring chunk, sized to cache (blocked and
+        unblocked evaluation are bitwise identical)."""
         return auto_block_size(self.A_inv[0].nbytes)
 
     def _dense_update(
@@ -199,9 +190,7 @@ class _StackedDenseLinear(StackedPolicies):
         b_sel += rewards[:, None] * contexts
         self.A_inv[idx, actions] = A_sel
         self.b[idx, actions] = b_sel
-        self.theta[idx, actions] = theta_refresh(
-            A_sel, b_sel, block_size=self.kernel_block_size
-        )
+        self.theta[idx, actions] = theta_refresh(A_sel, b_sel)
         self.t += 1
 
     def _writeback_dense(self) -> None:
@@ -767,7 +756,6 @@ def stack_policies(
     policies: Sequence[BanditPolicy],
     *,
     exactness: str = "bit",
-    kernel_block_size: int | None = None,
 ) -> StackedPolicies:
     """Stack a homogeneous policy population for the fleet engine.
 
@@ -775,25 +763,11 @@ def stack_policies(
     ``"bit"`` always uses the bit-identical stackers; ``"fast"`` uses a
     memory-lean stacker for kinds that have one and silently falls back
     to the bit stacker for the rest.
-
-    ``kernel_block_size`` chunks the dense scoring contractions over
-    the agent axis (:attr:`StackedPolicies.kernel_block_size`); ``None``
-    auto-sizes to cache.  Blocked evaluation is bitwise identical to
-    unblocked, so the knob is pure tuning on either tier.
     """
     if exactness not in EXACTNESS_TIERS:
         raise ConfigError(
             f"unknown exactness tier {exactness!r}; "
             f"expected one of {EXACTNESS_TIERS}"
-        )
-    if kernel_block_size is not None and (
-        not isinstance(kernel_block_size, (int, np.integer))
-        or isinstance(kernel_block_size, bool)
-        or kernel_block_size < 1
-    ):
-        raise ConfigError(
-            f"kernel_block_size must be a positive int or None, "
-            f"got {kernel_block_size!r}"
         )
     policies = list(policies)
     if not policies:
@@ -809,8 +783,4 @@ def stack_policies(
         if exactness == "fast" and kind in _FAST_STACKERS
         else _STACKERS[kind]
     )
-    stacked = cls(policies)
-    stacked.kernel_block_size = (
-        None if kernel_block_size is None else int(kernel_block_size)
-    )
-    return stacked
+    return cls(policies)

@@ -17,7 +17,7 @@ from repro.bandits.linucb import LinUCB
 from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode
 from repro.data import DriftingSyntheticEnvironment
-from repro.sim import FleetRunner
+from repro.sim import EngineConfig, FleetRunner
 from repro.utils.exceptions import ValidationError
 from repro.utils.rng import spawn_seeds
 
@@ -135,7 +135,9 @@ class TestFleetBitIdentity:
 
         seq_rewards = _sequential(seq_agents, seq_sessions, horizon)
         result = FleetRunner(
-            fleet_agents, fleet_sessions, plan_chunk_size=chunk
+            fleet_agents,
+            fleet_sessions,
+            config=EngineConfig(plan_chunk_size=chunk),
         ).run(horizon)
 
         np.testing.assert_array_equal(seq_rewards, result.rewards)
@@ -176,7 +178,9 @@ class TestFleetBitIdentity:
         seq_agents, seq_sessions = build()
         fleet_agents, fleet_sessions = build()
         seq_rewards = _sequential(seq_agents, seq_sessions, 2 * EPOCH)
-        result = FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=4).run(
-            2 * EPOCH
-        )
+        result = FleetRunner(
+            fleet_agents,
+            fleet_sessions,
+            config=EngineConfig(plan_chunk_size=4),
+        ).run(2 * EPOCH)
         np.testing.assert_array_equal(seq_rewards, result.rewards)

@@ -64,21 +64,16 @@ class TestEngineFlag:
         from repro.cli import main
         from repro.experiments import runner
 
+        previous = runner.get_default_config()
         try:
             assert main(["fig3", "--engine", "sequential"]) == 0
-            assert runner.get_default_engine() == "sequential"
+            assert runner.get_default_config().engine == "sequential"
         finally:
-            runner.set_default_engine("auto")
+            runner.set_default_config(previous)
         capsys.readouterr()
 
 
 class TestExactnessFlag:
-    def test_kernel_block_size_registered(self):
-        parser = build_parser()
-        assert parser.parse_args(["fig3"]).kernel_block_size is None
-        args = parser.parse_args(["fig3", "--kernel-block-size", "64"])
-        assert args.kernel_block_size == 64
-
     def test_exactness_choices_registered(self):
         parser = build_parser()
         assert parser.parse_args(["fig3", "--exactness", "fast"]).exactness == "fast"
@@ -94,11 +89,12 @@ class TestExactnessFlag:
     def test_exactness_flag_sets_process_default(self, capsys):
         from repro.experiments import runner
 
+        previous = runner.get_default_config()
         try:
             assert main(["fig3", "--exactness", "fast"]) == 0
-            assert runner.get_default_exactness() == "fast"
+            assert runner.get_default_config().exactness == "fast"
         finally:
-            runner.set_default_exactness("bit")
+            runner.set_default_config(previous)
         capsys.readouterr()
 
 
@@ -115,9 +111,6 @@ class TestFlagErrorPaths:
             ["fig3", "--plan-chunk-size", "0"],
             ["fig3", "--plan-chunk-size", "-1"],
             ["fig3", "--plan-chunk-size", "many"],
-            ["fig3", "--kernel-block-size", "0"],
-            ["fig3", "--kernel-block-size", "-8"],
-            ["fig3", "--kernel-block-size", "tiny"],
         ],
     )
     def test_bad_values_exit_with_usage_error(self, argv, capsys):

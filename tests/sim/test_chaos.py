@@ -19,7 +19,7 @@ from repro.core.config import AgentMode, P2BConfig
 from repro.core.system import P2BSystem
 from repro.data.synthetic import SyntheticPreferenceEnvironment
 from repro.experiments import runner
-from repro.sim import FleetRunner
+from repro.sim import EngineConfig, FleetRunner
 from repro.sim.faults import FAULTS_ENV_VAR, FaultPlan
 from repro.utils.rng import spawn_seeds
 
@@ -50,7 +50,7 @@ class TestEnvKnobChaos:
         supervision retries every fired fault, and retries run clean."""
         monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
         agents_a, sessions_a = _population(0)
-        base = FleetRunner(agents_a, sessions_a, n_workers=n_workers).run(10)
+        base = FleetRunner(agents_a, sessions_a, config=EngineConfig(n_workers=n_workers)).run(10)
 
         spec = "seed=2;raise=0.1;crash=0.1"
         monkeypatch.setenv(FAULTS_ENV_VAR, spec)
@@ -61,7 +61,7 @@ class TestEnvKnobChaos:
             plan.step_fault(s, t, 0) for s in range(3) for t in range(10)
         ), "chaos spec never fires; raise the rates"
         agents_b, sessions_b = _population(0)
-        chaos = FleetRunner(agents_b, sessions_b, n_workers=n_workers).run(10)
+        chaos = FleetRunner(agents_b, sessions_b, config=EngineConfig(n_workers=n_workers)).run(10)
 
         assert chaos.dropped == ()
         np.testing.assert_array_equal(base.rewards, chaos.rewards)

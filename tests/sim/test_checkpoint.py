@@ -18,7 +18,7 @@ from repro.bandits import UCB1, EpsilonGreedy, LinUCB
 from repro.core.agent import LocalAgent
 from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_dataset
 from repro.data.synthetic import SyntheticPreferenceEnvironment
-from repro.sim import CHECKPOINT_VERSION, FleetRunner, load_checkpoint
+from repro.sim import CHECKPOINT_VERSION, EngineConfig, FleetRunner, load_checkpoint
 from repro.sim.checkpoint import CHECKPOINT_MAGIC, save_checkpoint
 from repro.utils.exceptions import CheckpointError, ConfigError
 from repro.utils.rng import spawn_seeds
@@ -95,10 +95,10 @@ class TestGoldenCrashAndResume:
     ):
         path = tmp_path / "fleet.ckpt"
         agents_a, sessions_a = _population(0)
-        base = FleetRunner(agents_a, sessions_a, n_workers=n_workers).run(12)
+        base = FleetRunner(agents_a, sessions_a, config=EngineConfig(n_workers=n_workers)).run(12)
 
         agents_b, sessions_b = _population(0)
-        runner = FleetRunner(agents_b, sessions_b, n_workers=n_workers)
+        runner = FleetRunner(agents_b, sessions_b, config=EngineConfig(n_workers=n_workers))
         # 12 rounds at every=4 => 3 segments; the crash lands in the
         # third, after two snapshots are already on disk
         restore = _crash_on_call(monkeypatch, 3)
@@ -115,9 +115,7 @@ class TestGoldenCrashAndResume:
     def test_resume_of_finished_run_returns_the_saved_result(self, tmp_path):
         path = tmp_path / "fleet.ckpt"
         agents, sessions = _population(1)
-        full = FleetRunner(agents, sessions).run(
-            6, checkpoint_every=3, checkpoint_path=path
-        )
+        full = FleetRunner(agents, sessions).run(6, checkpoint_every=3, checkpoint_path=path)
         replay = FleetRunner.resume(path).resume_run()
         np.testing.assert_array_equal(full.rewards, replay.rewards)
         np.testing.assert_array_equal(full.actions, replay.actions)
@@ -138,10 +136,11 @@ class TestRoundTripMatrix:
             plan_chunk_size=chunk,
         )
         agents_a, sessions_a = _traced_population(2, n_datasets=n_datasets)
-        base = FleetRunner(agents_a, sessions_a, **knobs).run(6)
+        config = EngineConfig(**knobs)
+        base = FleetRunner(agents_a, sessions_a, config=config).run(6)
 
         agents_b, sessions_b = _traced_population(2, n_datasets=n_datasets)
-        runner = FleetRunner(agents_b, sessions_b, **knobs)
+        runner = FleetRunner(agents_b, sessions_b, config=config)
         restore = _crash_on_call(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="simulated crash"):
             runner.run(6, checkpoint_every=2, checkpoint_path=path)
@@ -156,14 +155,19 @@ class TestRoundTripMatrix:
 
     @pytest.mark.parametrize(
         ("stale_key", "stale_value"),
-        [("plan_form", "dense"), ("worker_backend", "process")],
+        [
+            ("plan_form", "dense"),
+            ("worker_backend", "process"),
+            ("kernel_block_size", 7),
+        ],
     )
     def test_stale_engine_key_is_ignored_on_resume(
         self, stale_key, stale_value, tmp_path, monkeypatch
     ):
         """A snapshot from a release that still had a retired knob (the
-        ``plan_form`` choice, the process worker backend) resumes
-        bit-identically on threads: unknown engine keys are ignored."""
+        ``plan_form`` choice, the process worker backend, the scoring
+        kernel block size) resumes bit-identically on threads: unknown
+        engine keys are ignored."""
         path = tmp_path / "fleet.ckpt"
         agents_a, sessions_a = _traced_population(4)
         base = FleetRunner(agents_a, sessions_a).run(6)

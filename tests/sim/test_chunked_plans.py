@@ -27,7 +27,7 @@ from repro.data.criteo import (
 from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_dataset
 from repro.data.synthetic import SyntheticPreferenceEnvironment
 from repro.experiments.runner import _simulate_agent, run_setting
-from repro.sim import FleetRunner
+from repro.sim import EngineConfig, FleetRunner
 from repro.sim.fleet import _Shard
 from repro.utils.exceptions import ValidationError
 from repro.utils.rng import spawn_seeds
@@ -163,7 +163,7 @@ def test_chunked_replay_matches_sequential(env_factory, tables, chunk, encoder):
     fleet_agents, fleet_sessions = make_population(
         env_factory, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed, **kwargs
     )
-    FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=chunk).run(
+    FleetRunner(fleet_agents, fleet_sessions, config=EngineConfig(plan_chunk_size=chunk)).run(
         n_interactions
     )
     _assert_agents_identical(seq_agents, fleet_agents)
@@ -202,9 +202,11 @@ def test_chunked_stationary_matches_sequential(chunk):
         ]
     )
     fleet_agents, fleet_sessions = build()
-    result = FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=chunk).run(
-        n_interactions
-    )
+    result = FleetRunner(
+        fleet_agents,
+        fleet_sessions,
+        config=EngineConfig(plan_chunk_size=chunk),
+    ).run(n_interactions)
     np.testing.assert_array_equal(seq_rewards, result.rewards)
     for sa, fa in zip(seq_agents, fleet_agents):
         assert_states_equal(sa.policy, fa.policy)
@@ -241,7 +243,11 @@ def test_window_larger_than_chunk_straddles_boundaries(env_factory, encoder):
     fleet_agents, fleet_sessions = make_population(
         env_factory, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed, **kwargs
     )
-    FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=2).run(n_interactions)
+    FleetRunner(
+        fleet_agents,
+        fleet_sessions,
+        config=EngineConfig(plan_chunk_size=2),
+    ).run(n_interactions)
     _assert_agents_identical(seq_agents, fleet_agents)
 
 
@@ -260,7 +266,11 @@ def test_window_never_fills_across_chunks(encoder):
     fleet_agents, fleet_sessions = make_population(
         _ml_env, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed, **kwargs
     )
-    FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=3).run(n_interactions)
+    FleetRunner(
+        fleet_agents,
+        fleet_sessions,
+        config=EngineConfig(plan_chunk_size=3),
+    ).run(n_interactions)
     _assert_agents_identical(seq_agents, fleet_agents)
 
 
@@ -280,7 +290,11 @@ def test_raw_payloads_straddle_boundaries(tables, encoder):
     fleet_agents, fleet_sessions = make_population(
         _ml_env, _linucb, AgentMode.WARM_NONPRIVATE, n_agents, seed, **kwargs
     )
-    FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=3).run(n_interactions)
+    FleetRunner(
+        fleet_agents,
+        fleet_sessions,
+        config=EngineConfig(plan_chunk_size=3),
+    ).run(n_interactions)
     _assert_agents_identical(seq_agents, fleet_agents)
 
 
@@ -315,7 +329,7 @@ def test_chunk_size_validation():
 
     agents, sessions = make_population(_ml_env, _linucb, AgentMode.COLD, 2, 0)
     with pytest.raises((ConfigError, ValidationError)):
-        FleetRunner(agents, sessions, plan_chunk_size=0)
+        FleetRunner(agents, sessions, config=EngineConfig(plan_chunk_size=0))
 
 
 # --------------------------------------------------------------------- #
@@ -344,8 +358,7 @@ def test_deployment_loop_collects_mid_chunk():
             _ml_env(),
             interactions_per_round=10,
             seed=11,
-            engine=engine,
-            plan_chunk_size=plan_chunk_size,
+            engine=EngineConfig(engine=engine, plan_chunk_size=plan_chunk_size),
         )
 
     loop_seq = build("sequential")
@@ -386,8 +399,7 @@ def test_run_setting_identical_with_chunking(encoder):
             eval_interactions=10,
             seed=31,
             encoder=encoder,
-            engine=engine,
-            plan_chunk_size=chunk,
+            engine=EngineConfig(engine=engine, plan_chunk_size=chunk),
         )
     seq, fleet = results["sequential"], results["fleet"]
     assert seq.mean_reward == fleet.mean_reward

@@ -27,6 +27,7 @@ from repro.bandits import (
     LinearThompsonSampling,
     LinUCB,
     UCB1,
+    kernels,
     policy_state_nbytes,
 )
 from repro.bandits.kernels import linear_scores, ucb_explore
@@ -37,6 +38,7 @@ from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_d
 from repro.experiments.results import CurveSink, NullSink
 from repro.sim import (
     EXACTNESS_TIERS,
+    EngineConfig,
     FaultPlan,
     FaultPolicy,
     FaultSpec,
@@ -49,7 +51,7 @@ from repro.sim import (
     stack_policies,
 )
 from repro.sim.fleet import _Shard
-from repro.utils.exceptions import ConfigError, ValidationError
+from repro.utils.exceptions import ConfigError
 from repro.utils.rng import spawn_seeds
 
 from _testkit import (
@@ -117,21 +119,6 @@ class TestTierSelection:
         ts = [LinearThompsonSampling(N_ACTIONS, N_FEATURES, seed=i) for i in range(3)]
         assert isinstance(stack_policies(ts, exactness="fast"), StackedThompsonFast)
 
-    def test_kernel_block_size_propagates_and_validates(self):
-        policies = [LinUCB(N_ACTIONS, N_FEATURES, seed=i) for i in range(3)]
-        assert stack_policies(policies).kernel_block_size is None
-        assert stack_policies(policies, kernel_block_size=2).kernel_block_size == 2
-        for bad in (0, -1, 1.5, True):
-            with pytest.raises(ConfigError, match="kernel_block_size"):
-                stack_policies(policies, kernel_block_size=bad)
-        agents, sessions = make_population(
-            lambda A, d, s: LinUCB(A, d, seed=s), AgentMode.COLD, 2, 0
-        )
-        with pytest.raises(ValidationError, match="kernel_block_size"):
-            FleetRunner(agents, sessions, kernel_block_size=0)
-        runner = FleetRunner(agents, sessions, kernel_block_size=7)
-        assert runner.kernel_block_size == 7
-
     def test_unknown_tier_rejected_everywhere(self):
         policies = [LinUCB(N_ACTIONS, N_FEATURES, seed=0)]
         with pytest.raises(ConfigError, match="exactness"):
@@ -140,19 +127,7 @@ class TestTierSelection:
             lambda A, d, s: LinUCB(A, d, seed=s), AgentMode.COLD, 2, 0
         )
         with pytest.raises(ConfigError, match="exactness"):
-            FleetRunner(agents, sessions, exactness="warp")
-
-    def test_deployment_loop_validates_tier(self):
-        from repro.core.config import P2BConfig
-        from repro.core.rounds import DeploymentLoop
-        from repro.data.synthetic import SyntheticPreferenceEnvironment
-
-        config = P2BConfig(n_actions=N_ACTIONS, n_features=N_FEATURES, n_codes=8)
-        env = SyntheticPreferenceEnvironment(
-            n_actions=N_ACTIONS, n_features=N_FEATURES, seed=0
-        )
-        with pytest.raises(ConfigError, match="exactness"):
-            DeploymentLoop(config=config, env=env, seed=0, exactness="warp")
+            FleetRunner(agents, sessions, config=EngineConfig(exactness="warp"))
 
 
 # --------------------------------------------------------------------- #
@@ -178,7 +153,7 @@ class TestFastDegeneratesToBit:
         a_bit, s_bit = build(4)
         a_fast, s_fast = build(4)
         r_bit = FleetRunner(a_bit, s_bit).run(15)
-        r_fast = FleetRunner(a_fast, s_fast, exactness="fast").run(15)
+        r_fast = FleetRunner(a_fast, s_fast, config=EngineConfig(exactness="fast")).run(15)
         np.testing.assert_array_equal(r_bit.rewards, r_fast.rewards)
         np.testing.assert_array_equal(r_bit.actions, r_fast.actions)
         for x, y in zip(a_bit, a_fast):
@@ -190,31 +165,42 @@ class TestFastDegeneratesToBit:
 # blocked kernels stay inside the bit contract at fleet level
 # --------------------------------------------------------------------- #
 class TestBlockedBitIdentity:
+    """Scoring blocks are auto-sized from a byte budget; shrinking the
+    budget forces small blocks through the whole fleet stack."""
+
+    @staticmethod
+    def _force_block_rows(mp, policies, rows, exactness="bit"):
+        row_nbytes = stack_policies(policies, exactness=exactness).A_inv[0].nbytes
+        mp.setattr(kernels, "DEFAULT_KERNEL_BLOCK_BYTES", rows * row_nbytes)
+        assert stack_policies(policies, exactness=exactness)._score_block() == rows
+
     @pytest.mark.parametrize("block", [1, 3, 10_000])
-    def test_fleet_blocked_matches_sequential_bitwise(self, block):
+    def test_fleet_blocked_matches_sequential_bitwise(self, block, monkeypatch):
         def factory(A, d, s):
             return LinUCB(A, d, alpha=0.5, seed=s)
 
         a_seq, s_seq = make_population(factory, AgentMode.COLD, 8, 11)
         a_flt, s_flt = make_population(factory, AgentMode.COLD, 8, 11)
+        self._force_block_rows(monkeypatch, [a.policy for a in a_flt], block)
         reference = simulate_sequential(a_seq, s_seq, 12)
-        result = FleetRunner(a_flt, s_flt, kernel_block_size=block).run(12)
+        result = FleetRunner(a_flt, s_flt).run(12)
         np.testing.assert_array_equal(reference, result.rewards)
         for x, y in zip(a_seq, a_flt):
             assert_states_equal(x.policy, y.policy)
 
-    def test_block_sizes_bitwise_interchangeable_on_fast_tier(self):
+    def test_block_sizes_bitwise_interchangeable_on_fast_tier(self, monkeypatch):
         # blocking is orthogonal to the tier: two fast runs that differ
         # only in block size stay bitwise identical to each other
-        def build(seed):
-            return make_population(
-                lambda A, d, s: LinUCB(A, d, seed=s), AgentMode.COLD, 9, seed
+        runs = []
+        for rows in (2, 10_000):
+            agents, sessions = make_population(
+                lambda A, d, s: LinUCB(A, d, seed=s), AgentMode.COLD, 9, 3
             )
-
-        a1, s1 = build(3)
-        a2, s2 = build(3)
-        r1 = FleetRunner(a1, s1, exactness="fast", kernel_block_size=2).run(10)
-        r2 = FleetRunner(a2, s2, exactness="fast", kernel_block_size=10_000).run(10)
+            with monkeypatch.context() as mp:
+                self._force_block_rows(mp, [a.policy for a in agents], rows, "fast")
+                fast = EngineConfig(exactness="fast")
+                runs.append(FleetRunner(agents, sessions, config=fast).run(10))
+        r1, r2 = runs
         np.testing.assert_array_equal(r1.rewards, r2.rewards)
         np.testing.assert_array_equal(r1.actions, r2.actions)
 
@@ -230,14 +216,18 @@ class TestStatisticalEquivalence:
             bit_curves.append(FleetRunner(agents, sessions).run(40).rewards)
             agents, sessions = _ml_population(seed, 15, ml_encoder)
             fast_curves.append(
-                FleetRunner(agents, sessions, exactness="fast").run(40).rewards
+                FleetRunner(
+                    agents,
+                    sessions,
+                    config=EngineConfig(exactness="fast"),
+                ).run(40).rewards
             )
         assert_statistically_equivalent(bit_curves, fast_curves)
 
     def test_fast_writeback_leaves_consistent_float32_tables(self, ml_encoder):
         T = 25
         agents, sessions = _ml_population(2, 10, ml_encoder)
-        FleetRunner(agents, sessions, exactness="fast").run(T)
+        FleetRunner(agents, sessions, config=EngineConfig(exactness="fast")).run(T)
         for agent in agents:
             policy = agent.policy
             assert policy.counts.dtype == np.float32
@@ -265,7 +255,11 @@ class TestStatisticalEquivalence:
             bit_curves.append(FleetRunner(agents, sessions).run(40).rewards)
             agents, sessions = build(seed)
             fast_curves.append(
-                FleetRunner(agents, sessions, exactness="fast").run(40).rewards
+                FleetRunner(
+                    agents,
+                    sessions,
+                    config=EngineConfig(exactness="fast"),
+                ).run(40).rewards
             )
         assert_statistically_equivalent(bit_curves, fast_curves)
 
@@ -284,7 +278,11 @@ class TestStatisticalEquivalence:
             bit_curves.append(FleetRunner(agents, sessions).run(40).rewards)
             agents, sessions = build(seed)
             fast_curves.append(
-                FleetRunner(agents, sessions, exactness="fast").run(40).rewards
+                FleetRunner(
+                    agents,
+                    sessions,
+                    config=EngineConfig(exactness="fast"),
+                ).run(40).rewards
             )
         assert_statistically_equivalent(bit_curves, fast_curves)
 
@@ -333,7 +331,7 @@ class TestStatisticalEquivalence:
         agents, sessions = make_population(
             lambda A, d, s: LinUCB(A, d, seed=s), AgentMode.COLD, 4, 6
         )
-        FleetRunner(agents, sessions, exactness="fast").run(10)
+        FleetRunner(agents, sessions, config=EngineConfig(exactness="fast")).run(10)
         for agent in agents:
             assert agent.policy.A_inv.dtype == np.float32
             assert agent.policy.theta.dtype == np.float32
@@ -348,7 +346,7 @@ class TestStatisticalEquivalence:
         # a fast-run policy's get_state snapshot must warm-start
         # another agent (set_state re-coerces to float64)
         agents, sessions = _ml_population(3, 4, ml_encoder)
-        FleetRunner(agents, sessions, exactness="fast").run(10)
+        FleetRunner(agents, sessions, config=EngineConfig(exactness="fast")).run(10)
         state = agents[0].policy.get_state()
         clone = CodeLinUCB(N_ACTIONS, ml_encoder.n_codes, seed=9)
         clone.set_state(state)
@@ -473,7 +471,7 @@ class TestResultSinks:
         FleetRunner(agents_a, sessions_a).run(15, sink=serial)
         agents_b, sessions_b = self._mixed_population(8)
         threaded = CurveSink()
-        FleetRunner(agents_b, sessions_b, n_workers=3).run(15, sink=threaded)
+        FleetRunner(agents_b, sessions_b, config=EngineConfig(n_workers=3)).run(15, sink=threaded)
         np.testing.assert_allclose(serial.curve, threaded.curve, atol=1e-12)
 
     def test_null_sink_preserves_side_effects(self, ml_encoder):
@@ -497,9 +495,10 @@ class TestResultSinks:
         out = FleetRunner(
             agents_s,
             sessions_s,
-            n_workers=2,
+            config=EngineConfig(
+                n_workers=2, fault_policy=FaultPolicy(max_retries=2, backoff=0.0)
+            ),
             fault_plan=FaultPlan([FaultSpec("raise", 1, 3)]),
-            fault_policy=FaultPolicy(max_retries=2, backoff=0.0),
         ).run(8, sink=supervised)
         assert out is None
         assert supervised.n_agents == unsupervised.n_agents
@@ -516,7 +515,7 @@ class TestEmptyPopulation:
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
     @pytest.mark.parametrize("track_expected", [False, True])
     def test_empty_run_returns_empty_shapes(self, n_workers, track_expected):
-        runner = FleetRunner([], [], n_workers=n_workers)
+        runner = FleetRunner([], [], config=EngineConfig(n_workers=n_workers))
         assert runner.n_shards == 0
         result = runner.run(6, track_expected=track_expected)
         assert result.rewards.shape == (0, 6)
@@ -625,21 +624,13 @@ class TestHarnessPlumbing:
         env2 = MultilabelBanditEnvironment(_ML_DATASET, samples_per_user=7, seed=1)
         bit = run_setting(env, config, AgentMode.WARM_PRIVATE, **kwargs)
         fast = run_setting(
-            env2, config, AgentMode.WARM_PRIVATE, exactness="fast", **kwargs
+            env2,
+            config,
+            AgentMode.WARM_PRIVATE,
+            engine=EngineConfig(exactness="fast"),
+            **kwargs,
         )
         assert fast.curve.shape == bit.curve.shape
         assert fast.cumulative_curve.shape == bit.cumulative_curve.shape
         assert abs(fast.mean_reward - bit.mean_reward) <= 0.1
         assert fast.n_reports > 0
-
-    def test_default_exactness_round_trip(self):
-        from repro.experiments import runner
-
-        assert runner.get_default_exactness() == "bit"
-        try:
-            runner.set_default_exactness("fast")
-            assert runner.get_default_exactness() == "fast"
-            with pytest.raises(ConfigError, match="exactness"):
-                runner.set_default_exactness("warp")
-        finally:
-            runner.set_default_exactness("bit")

@@ -15,7 +15,7 @@ import pytest
 from repro.bandits import UCB1, EpsilonGreedy, LinUCB
 from repro.core.agent import LocalAgent
 from repro.data.synthetic import SyntheticPreferenceEnvironment
-from repro.sim import FleetRunner
+from repro.sim import EngineConfig, FleetRunner
 from repro.sim.faults import FAULTS_ENV_VAR, FaultPlan, FaultSpec, InjectedFault, active_plan
 from repro.sim.fleet import DroppedShard, FaultPolicy
 from repro.utils.exceptions import ConfigError, WorkerError
@@ -147,13 +147,14 @@ class TestRetryInvisibility:
         plan = FaultPlan([FaultSpec(kind, 1, 3)])
         agents_a, sessions_a = _population(0)
         agents_b, sessions_b = _population(0)
-        base = FleetRunner(agents_a, sessions_a, n_workers=n_workers).run(8)
+        base = FleetRunner(agents_a, sessions_a, config=EngineConfig(n_workers=n_workers)).run(8)
         chaos = FleetRunner(
             agents_b,
             sessions_b,
-            n_workers=n_workers,
+            config=EngineConfig(
+                n_workers=n_workers, fault_policy=FaultPolicy(max_retries=2, backoff=0.0)
+            ),
             fault_plan=plan,
-            fault_policy=FaultPolicy(max_retries=2, backoff=0.0),
         ).run(8)
         assert chaos.dropped == ()
         _assert_identical(base, chaos, agents_a, agents_b)
@@ -164,9 +165,10 @@ class TestRetryInvisibility:
         runner = FleetRunner(
             agents,
             sessions,
-            n_workers=n_workers,
+            config=EngineConfig(
+                n_workers=n_workers, fault_policy=FaultPolicy(max_retries=0, backoff=0.0)
+            ),
             fault_plan=plan,
-            fault_policy=FaultPolicy(max_retries=0, backoff=0.0),
         )
         with pytest.raises(WorkerError):
             runner.run(6)
@@ -183,11 +185,13 @@ class TestDegradedMode:
         degraded = FleetRunner(
             agents_b,
             sessions_b,
-            n_workers=n_workers,
-            fault_plan=FaultPlan(specs),
-            fault_policy=FaultPolicy(
-                max_retries=2, backoff=0.0, on_exhausted="skip_shard"
+            config=EngineConfig(
+                n_workers=n_workers,
+                fault_policy=FaultPolicy(
+                    max_retries=2, backoff=0.0, on_exhausted="skip_shard"
+                ),
             ),
+            fault_plan=FaultPlan(specs),
         ).run(6)
         assert len(degraded.dropped) == 1
         drop = degraded.dropped[0]
@@ -212,7 +216,7 @@ class TestDegradedMode:
             agents,
             sessions,
             fault_plan=FaultPlan(specs),
-            fault_policy=FaultPolicy(max_retries=1, backoff=0.0),
+            config=EngineConfig(fault_policy=FaultPolicy(max_retries=1, backoff=0.0)),
         )
         with pytest.raises(WorkerError) as err:
             runner.run(4)
@@ -235,8 +239,9 @@ class TestUnsnapshotablePopulation:
         runner = FleetRunner(
             agents,
             sessions,
-            n_workers=n_workers,
-            fault_policy=FaultPolicy(max_retries=1, backoff=0.0),
+            config=EngineConfig(
+                n_workers=n_workers, fault_policy=FaultPolicy(max_retries=1, backoff=0.0)
+            ),
         )
         with pytest.raises(ConfigError, match="picklable"):
             runner.run(4)
@@ -254,6 +259,6 @@ class TestUnsnapshotablePopulation:
         )
         monkeypatch.setenv(FAULTS_ENV_VAR, spec)
         agents_b, sessions_b = self._unpicklable(4)
-        chaos = FleetRunner(agents_b, sessions_b, n_workers=n_workers).run(10)
+        chaos = FleetRunner(agents_b, sessions_b, config=EngineConfig(n_workers=n_workers)).run(10)
         assert chaos.dropped == ()
         _assert_identical(base, chaos, agents_a, agents_b)

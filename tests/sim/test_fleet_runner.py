@@ -9,11 +9,7 @@ from repro.bandits import EpsilonGreedy, LinUCB, RandomPolicy
 from repro.core.config import AgentMode, P2BConfig
 from repro.core.system import P2BSystem
 from repro.data.synthetic import SyntheticPreferenceEnvironment
-from repro.experiments.runner import (
-    get_default_engine,
-    run_setting,
-    set_default_engine,
-)
+from repro.experiments.runner import run_setting
 from repro.sim import FleetRunner, fleet_supported
 from repro.utils.exceptions import ConfigError
 
@@ -94,16 +90,6 @@ class TestEngineDispatch:
         with pytest.raises(ConfigError):
             run_setting(env, config, AgentMode.COLD, n_eval_agents=2,
                         eval_interactions=2, seed=0, engine="warp")
-
-    def test_default_engine_round_trip(self):
-        assert get_default_engine() == "auto"
-        try:
-            set_default_engine("sequential")
-            assert get_default_engine() == "sequential"
-            with pytest.raises(ConfigError):
-                set_default_engine("warp")
-        finally:
-            set_default_engine("auto")
 
 
 class TestFleetResult:

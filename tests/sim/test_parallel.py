@@ -1,6 +1,6 @@
 """Parallel shard stepping: identical to serial, by construction.
 
-Shards share no mutable state, so ``FleetRunner(n_workers=k)`` running
+Shards share no mutable state, so ``EngineConfig(n_workers=k)`` running
 them concurrently on a thread pool must produce bit-identical rewards,
 actions, policy states and outboxes.  These tests pin that, plus
 ``run_subset`` on pooled and supervised fleets, the ``n_workers``
@@ -20,12 +20,15 @@ from repro.core.participation import RandomizedParticipation
 from repro.core.rounds import DeploymentLoop
 from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_dataset
 from repro.data.synthetic import SyntheticPreferenceEnvironment
-from repro.experiments.runner import (
-    get_default_n_workers,
-    run_setting,
-    set_default_n_workers,
+from repro.experiments.runner import run_setting
+from repro.sim import (
+    FAULTS_ENV_VAR,
+    EngineConfig,
+    FaultPlan,
+    FaultPolicy,
+    FaultSpec,
+    FleetRunner,
 )
-from repro.sim import FAULTS_ENV_VAR, FaultPlan, FaultPolicy, FaultSpec, FleetRunner
 from repro.utils.rng import spawn_seeds
 
 from _testkit import N_FEATURES, assert_outboxes_equal, assert_states_equal
@@ -73,14 +76,14 @@ class TestThreadBackend:
         r1 = serial.run(14, track_expected=True)
 
         a2, s2 = _mixed_population(0)
-        r2 = FleetRunner(a2, s2, n_workers=3).run(14, track_expected=True)
+        r2 = FleetRunner(a2, s2, config=EngineConfig(n_workers=3)).run(14, track_expected=True)
         _assert_runs_identical(r1, r2, a1, a2)
 
     def test_more_workers_than_shards_is_fine(self):
         a1, s1 = _mixed_population(3)
         r1 = FleetRunner(a1, s1).run(6)
         a2, s2 = _mixed_population(3)
-        r2 = FleetRunner(a2, s2, n_workers=64).run(6)
+        r2 = FleetRunner(a2, s2, config=EngineConfig(n_workers=64)).run(6)
         _assert_runs_identical(r1, r2, a1, a2)
 
     def test_single_shard_population_unaffected(self):
@@ -104,7 +107,7 @@ class TestThreadBackend:
         a1, s1 = build(4)
         r1 = FleetRunner(a1, s1).run(7)
         a2, s2 = build(4)
-        r2 = FleetRunner(a2, s2, n_workers=8).run(7)
+        r2 = FleetRunner(a2, s2, config=EngineConfig(n_workers=8)).run(7)
         _assert_runs_identical(r1, r2, a1, a2)
 
 
@@ -141,7 +144,7 @@ class TestPooledIdentity:
         agents, sessions = _participating_population(2)
         policies = [a.policy for a in agents]
         participations = [a.participation for a in agents]
-        runner = FleetRunner(agents, sessions, n_workers=2)
+        runner = FleetRunner(agents, sessions, config=EngineConfig(n_workers=2))
         assert runner.n_shards == 2
         runner.run(5)
         assert all(x is y for x, y in zip(runner.agents, agents))
@@ -167,14 +170,15 @@ class TestRunSubset:
     def test_subset_equals_fresh_runner(self, n_workers, persistent, supervised):
         agents_a, sessions_a = _mixed_population(6)
         agents_b, sessions_b = _mixed_population(6)
-        knobs = dict(n_workers=n_workers, persistent=persistent)
+        config = EngineConfig(n_workers=n_workers)
+        knobs = dict(persistent=persistent)
         if supervised:
             # faults in both subset shards, on every run of this runner
+            config = config.replace(fault_policy=FaultPolicy(max_retries=2, backoff=0.0))
             knobs.update(
                 fault_plan=FaultPlan([FaultSpec("raise", 0, 2), FaultSpec("crash", 1, 3)]),
-                fault_policy=FaultPolicy(max_retries=2, backoff=0.0),
             )
-        runner = FleetRunner(agents_b, sessions_b, **knobs)
+        runner = FleetRunner(agents_b, sessions_b, config=config, **knobs)
         full_key, partial_key, _ = runner._groups
         # warm up: a whole-population run fills the persistent cache
         FleetRunner(agents_a, sessions_a).run(4)
@@ -204,15 +208,7 @@ class TestValidationAndPlumbing:
     def test_invalid_n_workers_rejected(self):
         agents, sessions = _mixed_population(0, n_agents=3)
         with pytest.raises(Exception):
-            FleetRunner(agents, sessions, n_workers=0)
-
-    def test_default_n_workers_round_trip(self):
-        assert get_default_n_workers() == 1
-        try:
-            set_default_n_workers(4)
-            assert get_default_n_workers() == 4
-        finally:
-            set_default_n_workers(1)
+            FleetRunner(agents, sessions, config=EngineConfig(n_workers=0))
 
     def test_run_setting_n_workers_identical(self):
         config = P2BConfig(n_actions=N_ACTIONS, n_features=N_FEATURES, n_codes=8)
@@ -230,8 +226,7 @@ class TestValidationAndPlumbing:
                 n_eval_agents=6,
                 eval_interactions=8,
                 seed=13,
-                engine="fleet",
-                n_workers=w,
+                engine=EngineConfig(engine="fleet", n_workers=w),
             )
             for w in (1, 3)
         ]
@@ -253,7 +248,11 @@ class TestValidationAndPlumbing:
                 n_actions=N_ACTIONS, n_features=N_FEATURES, weight_scale=8.0, seed=2
             )
             return DeploymentLoop(
-                config, env, interactions_per_round=5, seed=11, n_workers=n_workers
+                config,
+                env,
+                interactions_per_round=5,
+                seed=11,
+                engine=EngineConfig(n_workers=n_workers),
             )
 
         loop_serial, loop_parallel = build(1), build(2)

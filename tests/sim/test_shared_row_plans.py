@@ -34,7 +34,7 @@ from repro.data.multilabel import (
     make_multilabel_dataset,
 )
 from repro.experiments.runner import _simulate_agent
-from repro.sim import FleetRunner
+from repro.sim import EngineConfig, FleetRunner
 from repro.sim.fleet import _Shard
 from repro.utils.rng import spawn_seeds
 
@@ -347,9 +347,11 @@ def test_mixed_dataset_shard_concatenates_tables(
         seq_agents, seq_sessions, n_interactions
     )
     fleet_agents, fleet_sessions = build()
-    result = FleetRunner(fleet_agents, fleet_sessions, plan_chunk_size=chunk).run(
-        n_interactions, track_expected=True
-    )
+    result = FleetRunner(
+        fleet_agents,
+        fleet_sessions,
+        config=EngineConfig(plan_chunk_size=chunk),
+    ).run(n_interactions, track_expected=True)
     np.testing.assert_array_equal(seq_rewards, result.rewards)
     np.testing.assert_array_equal(seq_actions, result.actions)
     assert result.expected_mask.all()
@@ -423,9 +425,7 @@ def test_mixed_expected_channels_are_masked_per_agent():
         seq_agents, seq_sessions, n_interactions
     )
     fleet_agents, fleet_sessions = build()
-    result = FleetRunner(fleet_agents, fleet_sessions).run(
-        n_interactions, track_expected=True
-    )
+    result = FleetRunner(fleet_agents, fleet_sessions).run(n_interactions, track_expected=True)
     np.testing.assert_array_equal(seq_rewards, result.rewards)
     np.testing.assert_array_equal(seq_actions, result.actions)
     np.testing.assert_array_equal(
@@ -525,7 +525,7 @@ def test_concurrent_shards_share_one_table():
             sessions.append(env.new_user(session_seed))
         return agents, sessions
 
-    runner = FleetRunner(*build(), n_workers=2)
+    runner = FleetRunner(*build(), config=EngineConfig(n_workers=2))
     assert runner.n_shards == 2
     parallel = runner.run(10)
     serial = FleetRunner(*build()).run(10)

@@ -27,7 +27,7 @@ from repro.core.participation import RandomizedParticipation
 from repro.core.system import P2BSystem
 from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_dataset
 from repro.data.synthetic import SyntheticPreferenceEnvironment
-from repro.sim import FaultPlan, FaultPolicy, FleetRunner, load_checkpoint
+from repro.sim import EngineConfig, FaultPlan, FaultPolicy, FleetRunner, load_checkpoint
 from repro.utils.rng import spawn_seeds
 
 from _testkit import N_FEATURES, assert_outboxes_equal, assert_states_equal
@@ -132,7 +132,7 @@ def serial_ref(tmp_path_factory):
                     checkpoint_every=every,
                     checkpoint_path=ckpt_dir / f"{exactness}.ckpt",
                 )
-            result = FleetRunner(agents, sessions, exactness=exactness).run(
+            result = FleetRunner(agents, sessions, config=EngineConfig(exactness=exactness)).run(
                 HORIZON, track_expected=True, **kwargs
             )
             refs[exactness, every] = (result, agents)
@@ -148,7 +148,7 @@ def serial_stats_ref():
     def ref(exactness):
         if exactness not in refs:
             system, agents, sessions = _private_population()
-            FleetRunner(agents, sessions, exactness=exactness).run(9)
+            FleetRunner(agents, sessions, config=EngineConfig(exactness=exactness)).run(9)
             refs[exactness] = _stats_signature(system, agents)
         return refs[exactness]
 
@@ -171,7 +171,9 @@ class TestWorkerInvariance:
         ref_result, ref_agents = serial_ref(exactness)
         agents, sessions = _population()
         result = FleetRunner(
-            agents, sessions, n_workers=workers, exactness=exactness
+            agents,
+            sessions,
+            config=EngineConfig(n_workers=workers, exactness=exactness),
         ).run(HORIZON, track_expected=True)
         _assert_matches_ref(ref_result, ref_agents, result, agents)
 
@@ -183,7 +185,9 @@ class TestWorkerInvariance:
         )
         agents, sessions = _population()
         runner = FleetRunner(
-            agents, sessions, n_workers=workers, exactness=exactness
+            agents,
+            sessions,
+            config=EngineConfig(n_workers=workers, exactness=exactness),
         )
         path = tmp_path / "fleet.ckpt"
         orig_checkpoint = runner.checkpoint
@@ -225,7 +229,9 @@ class TestWorkerInvariance:
     def test_shuffler_stats_identical(self, exactness, workers, serial_stats_ref):
         system, agents, sessions = _private_population()
         FleetRunner(
-            agents, sessions, n_workers=workers, exactness=exactness
+            agents,
+            sessions,
+            config=EngineConfig(n_workers=workers, exactness=exactness),
         ).run(9)
         assert _stats_signature(system, agents) == serial_stats_ref(exactness)
 
@@ -240,10 +246,12 @@ class TestWorkerInvariance:
         result = FleetRunner(
             agents,
             sessions,
-            n_workers=workers,
-            exactness=exactness,
+            config=EngineConfig(
+                n_workers=workers,
+                exactness=exactness,
+                fault_policy=FaultPolicy(max_retries=8, backoff=0.0),
+            ),
             fault_plan=spec,
-            fault_policy=FaultPolicy(max_retries=8, backoff=0.0),
         ).run(HORIZON, track_expected=True)
         assert result.dropped == ()
         _assert_matches_ref(ref_result, ref_agents, result, agents)

@@ -15,6 +15,7 @@ randomized inputs rather than fixed examples:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -421,12 +422,12 @@ def _replay_datasets():
     st.sampled_from([1, 2]),  # multilabel datasets the replay agents walk
     st.sampled_from([1, 2]),  # n_workers: serial map vs thread-pool map
     st.sampled_from(["bit", "fast"]),
-    st.sampled_from([None, 1, 3, 50]),
+    st.sampled_from([None, 1, 3, 50]),  # rows per blocked scoring chunk
 )
 @settings(max_examples=25, deadline=None)
 def test_property_replay_and_synthetic_mixtures_match_sequential(
     seed, specs, n_interactions, plan_chunk_size, n_datasets, n_workers, exactness,
-    kernel_block_size,
+    block_rows,
 ):
     """Arbitrary per-agent mixtures of *planned dataset sessions*
     (multilabel replay, `has_trace_plan`) and synthetic sessions
@@ -438,8 +439,10 @@ def test_property_replay_and_synthetic_mixtures_match_sequential(
     between them, so replay shards gather through a concatenated row
     table; ``n_workers`` runs the shards as a serial map or a
     thread-pool map of the same shard-horizon loop.  The exactness
-    tier and the scoring-kernel block size are drawn too: blocked
-    kernels are bitwise identical to unblocked for every block size,
+    tier and the scoring-kernel block size are drawn too (the auto-sizing
+    byte budget is shrunk to give ``block_rows`` rows per block; ``None``
+    keeps the default): blocked kernels are bitwise identical to
+    unblocked for every block size,
     and ``"fast"`` must degenerate to the bit tier — bitwise — for
     kinds without a fast stacker.  ``linucb`` grew a fast stacker
     (:class:`StackedLinUCBFast`), so mixtures drawing it under
@@ -450,7 +453,8 @@ def test_property_replay_and_synthetic_mixtures_match_sequential(
     from repro.data.multilabel import MultilabelBanditEnvironment
     from repro.data.synthetic import SyntheticPreferenceEnvironment
     from repro.experiments.runner import _simulate_agent
-    from repro.sim import FleetRunner
+    from repro.bandits import kernels
+    from repro.sim import EngineConfig, FleetRunner
     from repro.utils.rng import spawn_seeds
 
     classes = {"linucb": LinUCB, "epsilon_greedy": EpsilonGreedy, "ucb1": UCB1}
@@ -487,13 +491,16 @@ def test_property_replay_and_synthetic_mixtures_match_sequential(
     runner = FleetRunner(
         fleet_agents,
         fleet_sessions,
-        n_workers=n_workers,
-        plan_chunk_size=plan_chunk_size,
-        exactness=exactness,
-        kernel_block_size=kernel_block_size,
+        config=EngineConfig(
+            n_workers=n_workers, plan_chunk_size=plan_chunk_size, exactness=exactness
+        ),
     )
     assert runner.n_shards == len({kind for kind, _ in specs})
-    result = runner.run(n_interactions)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            # one dense agent's (A, d, d) float64 posterior stack: 3 x 4 x 4
+            mp.setattr(kernels, "DEFAULT_KERNEL_BLOCK_BYTES", block_rows * 3 * 4 * 4 * 8)
+        result = runner.run(n_interactions)
 
     np.testing.assert_array_equal(seq_rewards, result.rewards)
     for sa, fa in zip(seq_agents, fleet_agents):
