@@ -29,15 +29,18 @@ smoke:
 perfbench-test:
 	$(PY) -m pytest perfbench -q
 
-# chaos smoke: the whole sim suite under a seeded fault plan (injected
-# raise and crash faults, recovered by default supervision with zero
-# unhandled crashes and zero bitwise drift), then a multi-worker pass
+# chaos smoke: the whole sim suite plus the runtime suites that hold a
+# fleet across runs (DeploymentLoop rounds, FleetService requests)
+# under a seeded fault plan (injected raise and crash faults, recovered
+# by default supervision with zero unhandled crashes and zero bitwise
+# drift), then a multi-worker pass
 # of the parallel/invariance suites (chaos recovery must also be
 # worker-count-invariant), then the
 # deterministic counter report (benchmarks/chaos_summary.py; CI pipes
 # it into the step summary)
 chaos:
-	REPRO_FAULTS="seed=7;raise=0.03;crash=0.03" $(PY) -m pytest tests/sim -q
+	REPRO_FAULTS="seed=7;raise=0.03;crash=0.03" $(PY) -m pytest tests/sim \
+		tests/core/test_rounds.py tests/experiments/test_serve.py -q
 	REPRO_FAULTS="seed=7;raise=0.03;crash=0.03" REPRO_PARALLEL_WORKERS="2,4" \
 		$(PY) -m pytest tests/sim/test_parallel.py \
 		tests/sim/test_worker_invariance.py -q

@@ -1,6 +1,6 @@
 """Serving-loop throughput: requests per second on a hot fleet.
 
-``repro-p2b serve`` keeps a population resident on a persistent
+``repro-p2b serve`` keeps a population resident on one held
 :class:`~repro.sim.FleetRunner` and answers batch score/update
 requests while devices churn, preferences drift, and reports release
 asynchronously.  This bench drives that loop end-to-end — arrivals,
@@ -64,7 +64,7 @@ def test_serve_requests_per_second(record_json):
     )
     service = FleetService(config, env, seed=SEED)
     service.arrive(N_AGENTS)
-    # warm the persistent shards outside the timed window (first
+    # warm the held shards outside the timed window (first
     # request pays the one-time stack) — steady-state RPS is the number
     # the serve path chases
     service.interact(1)

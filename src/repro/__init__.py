@@ -26,7 +26,7 @@ Subpackages:
 - :mod:`repro.privacy` — crowd-blending / differential-privacy accounting.
 - :mod:`repro.bandits` — contextual bandit algorithms (LinUCB et al.).
 - :mod:`repro.clustering` — from-scratch k-means substrates.
-- :mod:`repro.hashing` — feature hashing, Bloom filters, RAPPOR baseline.
+- :mod:`repro.hashing` — feature hashing.
 - :mod:`repro.data` — benchmark environments (synthetic / multi-label / Criteo-like).
 - :mod:`repro.experiments` — the paper's evaluation harness (Figs. 2-7).
 - :mod:`repro.sim` — the vectorized fleet engine (population-scale
@@ -39,7 +39,6 @@ from .bandits import (
     BanditPolicy,
     CodeLinUCB,
     EpsilonGreedy,
-    HybridLinUCB,
     LinearThompsonSampling,
     LinUCB,
     RandomPolicy,
@@ -98,7 +97,6 @@ __all__ = [
     "BanditPolicy",
     "LinUCB",
     "CodeLinUCB",
-    "HybridLinUCB",
     "LinearThompsonSampling",
     "EpsilonGreedy",
     "UCB1",

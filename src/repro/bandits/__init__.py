@@ -2,13 +2,12 @@
 
 :class:`LinUCB` is the paper's on-device agent; the rest are baselines
 (UCB1, random) and the future-work alternatives the paper names
-(Thompson sampling, epsilon-greedy, hybrid LinUCB).
+(Thompson sampling, epsilon-greedy).
 """
 
 from .base import BanditPolicy, argmax_random_tiebreak
 from .code_linucb import CodeLinUCB
 from .epsilon_greedy import EpsilonGreedy
-from .hybrid import HybridLinUCB
 from .linucb import LinUCB
 from .random_policy import RandomPolicy
 from .state import (
@@ -26,7 +25,6 @@ __all__ = [
     "argmax_random_tiebreak",
     "LinUCB",
     "CodeLinUCB",
-    "HybridLinUCB",
     "LinearThompsonSampling",
     "EpsilonGreedy",
     "UCB1",

@@ -16,7 +16,6 @@ from ..utils.exceptions import ValidationError
 from .base import BanditPolicy
 from .code_linucb import CodeLinUCB
 from .epsilon_greedy import EpsilonGreedy
-from .hybrid import HybridLinUCB
 from .linucb import LinUCB
 from .random_policy import RandomPolicy
 from .thompson import LinearThompsonSampling
@@ -94,17 +93,6 @@ def _build_code_linucb(state: Mapping[str, Any], seed) -> BanditPolicy:
     )
 
 
-def _build_hybrid(state: Mapping[str, Any], seed) -> BanditPolicy:
-    return HybridLinUCB(
-        int(state["n_arms"]),
-        int(state["n_features"]),
-        n_shared=int(state["n_shared"]),
-        alpha=float(state["alpha"]),
-        ridge=float(state["ridge"]),
-        seed=seed,
-    )
-
-
 POLICY_REGISTRY: dict[str, Callable[[Mapping[str, Any], Any], BanditPolicy]] = {
     LinUCB.kind: _build_linucb,
     CodeLinUCB.kind: _build_code_linucb,
@@ -112,7 +100,6 @@ POLICY_REGISTRY: dict[str, Callable[[Mapping[str, Any], Any], BanditPolicy]] = {
     EpsilonGreedy.kind: _build_eps,
     UCB1.kind: _build_ucb1,
     RandomPolicy.kind: _build_random,
-    HybridLinUCB.kind: _build_hybrid,
 }
 
 

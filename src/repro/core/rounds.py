@@ -31,7 +31,7 @@ from .config import AgentMode, P2BConfig
 from .system import P2BSystem
 
 if TYPE_CHECKING:
-    from ..sim import EngineConfig
+    from ..sim import EngineConfig, FleetRunner
 
 __all__ = ["DeploymentLoop", "RoundStats"]
 
@@ -81,9 +81,12 @@ class DeploymentLoop:
         flows arrays straight through the shuffler into the server
         (:meth:`~repro.core.system.P2BSystem.collect`'s fast path) —
         no per-report objects anywhere in the cycle, same round stats.
-        The config's ``sink`` must be ``None``: rounds compute their
-        own statistics.  Resolved to an ``EngineConfig`` at
-        construction.
+        Fleet rounds run on one :class:`~repro.sim.FleetRunner` held
+        across rounds: new users join it through ``add_agents``, and
+        its shard-reuse rule restacks after a refresh and reuses the
+        held stacks otherwise.  The config's ``sink`` must be ``None``:
+        rounds compute their own statistics.  Resolved to an
+        ``EngineConfig`` at construction.
     """
 
     config: P2BConfig
@@ -96,6 +99,7 @@ class DeploymentLoop:
     system: P2BSystem = field(init=False)
     rounds: list[RoundStats] = field(init=False, default_factory=list)
     _users: list[tuple[LocalAgent, object]] = field(init=False, default_factory=list)
+    _fleet: "FleetRunner | None" = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         check_positive_int(self.interactions_per_round, name="interactions_per_round")
@@ -173,10 +177,12 @@ class DeploymentLoop:
                     "not fleet-capable"
                 )
         if use_fleet:
-            result = FleetRunner(agents, sessions, config=self.engine).run(
-                self.interactions_per_round
-            )
-            return result.rewards
+            if self._fleet is None:
+                self._fleet = FleetRunner(agents, sessions, config=self.engine)
+            else:
+                joined = len(self._fleet.agents)
+                self._fleet.add_agents(agents[joined:], sessions[joined:])
+            return self._fleet.run(self.interactions_per_round).rewards
         rewards = np.empty((len(agents), self.interactions_per_round), dtype=np.float64)
         for u, (agent, session) in enumerate(self._users):
             for t in range(self.interactions_per_round):

@@ -1,13 +1,13 @@
-"""A hot serving loop over a persistent fleet (`repro-p2b serve`).
+"""A hot serving loop over one held fleet (`repro-p2b serve`).
 
 The paper's deployment (Fig. 1) is a long-running service, not a batch
 job: devices come and go, preferences drift, and reports trickle in on
 per-device clocks.  :class:`FleetService` packages that regime behind a
 request-oriented API —
 
-* the population lives on one *persistent* :class:`~repro.sim.FleetRunner`
-  whose stacked per-shard state stays warm between requests (no
-  restack per batch);
+* the population lives on one :class:`~repro.sim.FleetRunner` whose
+  stacked per-shard state stays warm between requests (no restack per
+  batch; the runner's shard-reuse rule decides what is reused);
 * :meth:`arrive` / :meth:`depart` churn the population with incremental
   re-sharding, preserving every surviving agent's RNG streams;
 * :meth:`interact` answers one batch score/update request (each step
@@ -29,8 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from ..core.agent import LocalAgent
 from ..core.config import AgentMode, P2BConfig
@@ -77,7 +75,7 @@ class FleetService:
         ``engine="sequential"`` is rejected — the service *is* the hot
         fleet — and ``sink`` must be ``None`` (requests
         return their results directly).  ``sweep_workers`` is
-        normalized to 1: there is no sweep here, just one persistent
+        normalized to 1: there is no sweep here, just one held
         population (a process-wide default config with sweep
         parallelism stays valid for serving).  ``None`` uses the
         session default
@@ -121,7 +119,7 @@ class FleetService:
         if engine.engine == "sequential":
             raise ConfigError(
                 "engine='sequential' is not servable: FleetService keeps a "
-                "hot persistent fleet (use run_setting for sequential runs)"
+                "hot fleet (use run_setting for sequential runs)"
             )
         if engine.sink is not None:
             raise ConfigError(
@@ -143,7 +141,7 @@ class FleetService:
         sys_seed, self._session_root = spawn_seeds(seed, 2)
         self.system = P2BSystem(config, mode=mode, seed=sys_seed)
         # population starts empty: arrivals build it up request by request
-        self.fleet = FleetRunner([], [], config=engine, persistent=True)
+        self.fleet = FleetRunner([], [], config=engine)
         self._n_requests = 0
         self._n_interactions = 0
         self._n_arrived = 0
@@ -306,13 +304,14 @@ class FleetService:
         A departing device's unsent reports are drained into the
         asynchronous buffer *before* removal, so tuples whose crowd has
         not yet filled keep waiting for crowd-mates that arrive after
-        the reporter is gone.  Returns that collection's result.
+        the reporter is gone.  ``agents`` holds what
+        :meth:`~repro.sim.FleetRunner.member_indices` accepts, so an
+        unknown, out-of-range or repeated member raises
+        :class:`~repro.utils.exceptions.ConfigError` before anything is
+        collected.  Returns that collection's result.
         """
         self._check_open()
-        departing = [
-            self.fleet.agents[int(a)] if isinstance(a, (int, np.integer)) else a
-            for a in agents
-        ]
+        departing = [self.fleet.agents[i] for i in self.fleet.member_indices(agents)]
         outcome = self.system.collect_async(departing)
         self.fleet.remove_agents(departing)
         self._n_departed += len(departing)
@@ -329,10 +328,10 @@ class FleetService:
     ) -> FleetResult | None:
         """Answer one batch request: ``n_steps`` score/update rounds.
 
-        The full population runs on the hot persistent fleet.  A
-        ``subset`` (devices on their own clocks) runs through
-        :meth:`~repro.sim.FleetRunner.run_subset` on the *same*
-        persistent fleet — full-cover shards reuse their warm stacked
+        The full population runs on the hot fleet.  A ``subset``
+        (devices on their own clocks) runs through
+        :meth:`~repro.sim.FleetRunner.run_subset` on the *same* fleet —
+        full-cover shards reuse their warm stacked
         state instead of restacking per request (bit-identical to an
         ephemeral rebuild; ``tests/experiments/test_serve.py`` pins
         it) — so mixed full/subset request streams compose.  Returns
@@ -372,8 +371,9 @@ class FleetService:
     def refresh(self) -> None:
         """Push the current central model to every device (Fig. 1 arrow).
 
-        ``warm_start`` mutates policies outside the fleet, so the
-        persistent shard cache is invalidated (next request restacks).
+        ``warm_start`` replaces every policy's arrays, so by the
+        :class:`~repro.sim.FleetRunner` shard-reuse rule the next request
+        restacks the policy state (and keeps the encoding caches).
         """
         self._check_open()
         if self.system.server is None or not self.system.server.n_tuples_ingested:
@@ -381,4 +381,3 @@ class FleetService:
         snapshot = self.system.model_snapshot()
         for agent in self.fleet.agents:
             agent.warm_start(snapshot)
-        self.fleet.invalidate()

@@ -1,20 +1,9 @@
-"""Hashing substrate: feature hashing, Bloom filters, randomized response."""
+"""Hashing substrate: feature hashing."""
 
-from .bloom import BloomFilter, optimal_num_hashes
 from .feature_hashing import FeatureHasher, hash_row_to_code, hash_string
-from .randomized_response import (
-    RapporEncoder,
-    randomized_response_bit,
-    randomized_response_vector,
-)
 
 __all__ = [
     "FeatureHasher",
     "hash_string",
     "hash_row_to_code",
-    "BloomFilter",
-    "optimal_num_hashes",
-    "RapporEncoder",
-    "randomized_response_bit",
-    "randomized_response_vector",
 ]

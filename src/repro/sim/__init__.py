@@ -119,8 +119,8 @@ Every engine knob — the engine choice, ``n_workers``,
 ``FleetRunner(config=...)`` or to any experiment entry point.
 
 When any condition fails — a policy without fleet support
-(``RandomPolicy``, ``HybridLinUCB``) — ``engine="auto"`` callers fall
-back to the sequential loop; ``engine="fleet"`` raises.
+(``RandomPolicy``) — ``engine="auto"`` callers fall back to the
+sequential loop; ``engine="fleet"`` raises.
 
 ``tests/sim/`` enforces the contract with seeded equivalence suites
 over every supported policy × encoder × mode combination plus mixed

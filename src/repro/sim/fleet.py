@@ -112,6 +112,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -463,26 +464,28 @@ class _Shard:
         self.n = len(agents)
         self.mode = agents[0].mode
         self.private_context = agents[0].private_context
+        self._exactness = exactness
+        self._mirror_attrs: list[str] = []
         self.stacked = stack_policies([a.policy for a in agents], exactness=exactness)
         self._rows = np.arange(self.n)
         self._plan_chunk_size = plan_chunk_size
-        # acting-representation caches (warm-private only) — persist
-        # across runs: encoders are deterministic, and _refresh_acting
+        # acting-representation caches (warm-private only) — survive
+        # restacks and runs: encoders are deterministic, and _refresh_acting
         # validates each row against the live context; the (n, d)
         # arrays are allocated on the first refresh
         self._cache_valid = np.zeros(self.n, dtype=bool)
         self._cached_ctx: np.ndarray | None = None
         self._cached_code = np.empty(self.n, dtype=np.intp)
         self._cached_rep: np.ndarray | None = None
-        # deterministic encoder-group caches (persist across runs)
+        # deterministic encoder-group caches (survive restacks and runs)
         self._enc_groups: list[np.ndarray] | None = None
         self._agent_group: np.ndarray | None = None
         # traced shards: the row table the walk indexes and its per-row
         # encoding tables.  Both persist while the sessions walk the same
         # source tables (held by reference, compared with ``is`` — the
         # id() of a freed concatenation could be reused by the next), so
-        # each row is encoded at most once per encoder across a
-        # persistent shard's whole lifetime
+        # each row is encoded at most once per encoder across a held
+        # shard's whole lifetime
         self._row_sources: tuple[TraceRowTable, ...] = ()
         self._row_table: TraceRowTable | None = None
         self._row_codes: np.ndarray | None = None  # (groups, n_rows) intp
@@ -499,15 +502,20 @@ class _Shard:
         self._reset_run_state()
 
     def _reset_run_state(self) -> None:
-        """Clear every per-run field (a persistent shard runs many times).
+        """Clear every per-run field (a held shard runs many times).
 
         Deterministic caches — stacked policy state, acting-encoding
         caches, encoder groups, row tables and their per-row code
         tables — survive; plan materializations, chunk cursors and the
         columnar-recording state are strictly per-run and reset here
-        (``prepare`` calls this first, so a reused shard can never see
-        a previous run's plan path or recording buffers).
+        (``prepare`` calls this first and ``writeback`` last, so a
+        reused shard can never see a previous run's plan path or
+        recording buffers, nor hold them between runs).
         """
+        # per policy, weak references to the ndarray attributes (named in
+        # _mirror_attrs) the last writeback left it; None mid-run, when
+        # the stack runs ahead of the policies
+        self._mirror: list[list[weakref.ref]] | None = None
         # when streaming into a ResultSink the result matrices are a
         # ring of this many columns (covering every lookback the
         # reporting pipeline performs); None = full-horizon matrices
@@ -541,6 +549,49 @@ class _Shard:
         self._part: StackedParticipation | None = None
         self._log: ReportLog | None = None
         self._pre_buffers: list[list] | None = None
+
+    # ------------------------------------------------------------------ #
+    # stacked policy state (the reuse rule is documented on FleetRunner)
+    def writeback(self) -> None:
+        """Copy the stacked state into the policies and end the run.
+
+        Per-run buffers are released (a held shard carries none between
+        runs), and weak references record the arrays each policy now
+        holds — weak, so arrays a policy later drops are freed, never
+        kept alive by the record.
+        """
+        self.stacked.writeback()
+        self._reset_run_state()
+        policies = self.stacked.policies
+        # a shard's policies share one type, hence one attribute layout
+        names = [k for k, v in vars(policies[0]).items() if isinstance(v, np.ndarray)]
+        self._mirror_attrs = names
+        self._mirror = [[weakref.ref(getattr(p, k)) for k in names] for p in policies]
+
+    def mirrors_policies(self) -> bool:
+        """Whether the stack still holds exactly its agents' policy state."""
+        if self._mirror is None:
+            return False
+        names = self._mirror_attrs
+        for agent, stacked, t, held in zip(
+            self.agents, self.stacked.policies, self.stacked.t, self._mirror
+        ):
+            policy = agent.policy
+            if policy is not stacked or policy.t != t:
+                return False
+            if any(getattr(policy, k, None) is not r() for k, r in zip(names, held)):
+                return False
+        return True
+
+    def restack(self) -> None:
+        """Rebuild only the stacked policy state from the policies.
+
+        The old stack is released first so peak memory never holds two;
+        encoder groups, acting encodings and row tables are kept.
+        """
+        self.stacked = None
+        self._mirror = None
+        self.stacked = stack_policies([a.policy for a in self.agents], exactness=self._exactness)
 
     def arm_faults(
         self, plan: FaultPlan | None, shard_index: int = 0, attempt: int = 0
@@ -719,8 +770,8 @@ class _Shard:
                 # drifting shards re-gather contexts/means every chunk;
                 # _refresh_acting re-encodes only agents whose context
                 # actually changed (encoders are deterministic, so a
-                # cache hit is exact) — which also lets a persistent
-                # shard reuse its encode cache across runs
+                # cache hit is exact) — which also lets a held shard
+                # reuse its encode cache across runs
                 self._X = np.stack([p.context for p in plans])
                 self._plan_means = np.stack([p.mean_rewards for p in plans])  # (n, A)
                 self._plan_acting = self._refresh_acting(self._X)
@@ -1187,7 +1238,7 @@ def _run_shard_horizon(
         if emit is not None:
             emit(shard.indices, t)
     shard.finish(rewards, actions)
-    shard.stacked.writeback()
+    shard.writeback()
 
 
 class FleetRunner:
@@ -1211,22 +1262,36 @@ class FleetRunner:
         With ``fault_policy=None`` an armed fault plan switches a
         forgiving default policy on (the chaos knob must never turn a
         passing run into a crash).
-    persistent:
-        Keep each shard's stacked state warm between :meth:`run` calls
-        (default ``False`` = restack per run, the historical
-        behavior).  Reuse is bitwise-identical to restacking —
-        ``writeback`` leaves stacked arrays equal to the policy
-        objects — and is the backbone of streaming deployments
-        (:class:`~repro.experiments.serve.FleetService`): repeated
-        short runs skip the O(population) restack.  Population churn
-        (:meth:`add_agents` / :meth:`remove_agents`) restacks only the
-        affected shards; mutating a policy *outside* the fleet (e.g.
-        ``warm_start``) requires :meth:`invalidate`.
     fault_plan:
         A :class:`~repro.sim.faults.FaultPlan` (or its spec string)
         injecting deterministic faults into this runner's shard steps —
         the test-facing twin of the process-wide ``REPRO_FAULTS`` env
         knob, which applies when this is ``None``.
+
+    Shard reuse
+    -----------
+    The runner holds each shard between runs, so repeated short runs
+    (streaming deployments, multi-round loops) skip the O(population)
+    restack.  One rule, checked when a run builds its shards, decides
+    what is reused:
+
+    * a changed member list — churn, or a :meth:`run_subset` covering
+      part of a shard — builds a new shard;
+    * otherwise the held stacked state is reused only if, for every
+      member, ``agent.policy`` is still the object it was stacked
+      from, ``policy.t`` equals the stacked ``t``, and the policy
+      still holds the very arrays the shard's last writeback gave it.
+      ``set_state``/``warm_start`` and another runner's writeback
+      replace those arrays, and a scalar ``update`` advances ``t``;
+      when any check fails, the shard restacks only its policy state
+      and keeps its deterministic encoding and row-table caches.
+
+    Reuse is bitwise identical to restacking on every tier:
+    ``writeback`` leaves the policies equal to the stack, every run
+    resets all per-run state, and a reused stack resets what it holds
+    beyond the policies (the fast tier's score caches and shard draw
+    stream) as a fresh stack would.  Editing a policy's arrays in
+    place, outside ``update``/``set_state``, is outside this contract.
     """
 
     def __init__(
@@ -1235,7 +1300,6 @@ class FleetRunner:
         sessions: Sequence[UserSession],
         *,
         config: EngineConfig = EngineConfig(),
-        persistent: bool = False,
         fault_plan: "FaultPlan | str | None" = None,
     ) -> None:
         if not isinstance(config, EngineConfig):
@@ -1247,7 +1311,6 @@ class FleetRunner:
         self.plan_chunk_size = config.plan_chunk_size
         self.exactness = config.exactness
         self.fault_policy = config.fault_policy
-        self.persistent = bool(persistent)
         if isinstance(fault_plan, str):
             fault_plan = FaultPlan.parse(fault_plan)
         if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
@@ -1272,9 +1335,8 @@ class FleetRunner:
         self._groups: dict[tuple, list[int]] = {}
         for i, agent in enumerate(self.agents):
             self._groups.setdefault(_checked_shard_key(agent, i), []).append(i)
-        # persistent mode keeps each shard's stacked state warm between
-        # runs, keyed like _groups; entries drop whenever membership
-        # changes (see add_agents/remove_agents/invalidate)
+        # the shards held between runs, keyed like _groups (see the
+        # reuse rule in the class docstring)
         self._shards: dict[tuple, _Shard] = {}
 
     @property
@@ -1294,11 +1356,10 @@ class FleetRunner:
     ) -> None:
         """Enroll ``agents`` mid-deployment (incremental re-sharding).
 
-        Only the shards the newcomers land in restack on the next run;
-        every untouched shard keeps its cached stacked state (in
-        persistent mode) and is never rebuilt.  Surviving agents keep
-        their objects — and therefore their ``spawn_seeds`` RNG
-        streams — untouched.
+        Only the shards the newcomers land in are rebuilt on the next
+        run; every untouched shard keeps its held stacked state.
+        Surviving agents keep their objects — and therefore their
+        ``spawn_seeds`` RNG streams — untouched.
         """
         agents = list(agents)
         sessions = list(sessions)
@@ -1311,23 +1372,20 @@ class FleetRunner:
         for off, agent in enumerate(agents):
             key = _checked_shard_key(agent, base + off)
             self._groups.setdefault(key, []).append(base + off)
-            self._shards.pop(key, None)  # membership changed: restack
         self.agents.extend(agents)
         self.sessions.extend(sessions)
 
-    def remove_agents(self, agents: Sequence[LocalAgent]) -> None:
-        """Retire ``agents`` mid-deployment (incremental re-sharding).
+    def member_indices(self, members: Sequence) -> list[int]:
+        """Population indices of ``members``, in the given order.
 
-        Accepts agent objects (matched by identity) or integer
-        population indices.  Shards losing members restack on the next
-        run; untouched shards keep their stacked state.  Departing
-        agents keep any unsent outbox reports — drain them before (or
-        after) removal; the shuffler's async buffer holds whatever was
-        already collected.
+        ``members`` holds agent objects (matched by identity) or
+        non-negative population indices.  Raises
+        :class:`~repro.utils.exceptions.ConfigError` on an agent outside
+        this fleet, an index out of range, or a repeated member.
         """
-        doomed: set[int] = set()
         by_id = {id(a): i for i, a in enumerate(self.agents)}
-        for a in agents:
+        idx: list[int] = []
+        for a in members:
             if isinstance(a, (int, np.integer)):
                 i = int(a)
                 if not 0 <= i < len(self.agents):
@@ -1342,7 +1400,21 @@ class FleetRunner:
                         f"agent {getattr(a, 'agent_id', a)!r} is not in this "
                         "fleet's population"
                     )
-            doomed.add(i)
+            idx.append(i)
+        if len(set(idx)) != len(idx):
+            raise ConfigError("fleet members must be unique")
+        return idx
+
+    def remove_agents(self, agents: Sequence[LocalAgent]) -> None:
+        """Retire ``agents`` mid-deployment (incremental re-sharding).
+
+        Accepts what :meth:`member_indices` accepts.  Shards losing
+        members are released now and rebuilt on the next run; untouched
+        shards keep their stacked state.  Departing agents keep any
+        unsent outbox reports — drain them before (or after) removal;
+        the shuffler's async buffer holds whatever was already collected.
+        """
+        doomed = set(self.member_indices(agents))
         if not doomed:
             return
         old_to_new: dict[int, int] = {}
@@ -1356,66 +1428,53 @@ class FleetRunner:
         new_groups: dict[tuple, list[int]] = {}
         for key, members in self._groups.items():
             survivors = [old_to_new[i] for i in members if i not in doomed]
-            if len(survivors) != len(members):
-                self._shards.pop(key, None)  # membership changed: restack
+            if len(survivors) < len(members):
+                # a shard that lost members is never reused: release its
+                # stack (and the departed agents) now
+                self._shards.pop(key, None)
             if survivors:
                 new_groups[key] = survivors
         self.agents = keep_agents
         self.sessions = keep_sessions
         self._groups = new_groups
 
-    def invalidate(self) -> None:
-        """Drop every cached shard (persistent mode).
-
-        Required after mutating any agent's policy *outside* the fleet
-        (e.g. ``warm_start``): cached stacked state would no longer
-        mirror the policy objects.  Churn and runs handle their own
-        cache consistency; this is the escape hatch for external
-        mutation.
-        """
-        self._shards.clear()
-
     # ------------------------------------------------------------------ #
-    def _build_shard(
-        self, key: tuple | None, members: list[int], rows: list[int]
-    ) -> _Shard:
-        """The shard of one execution spec — cached in persistent mode.
+    def _build_shard(self, key: tuple, members: list[int], rows: list[int]) -> _Shard:
+        """The shard of one execution spec, held under its group ``key``.
 
-        Specs with a key are full shard groups.  In persistent mode a
-        cached shard is reused only when its member agent list is
-        *identity*-equal to the current one (same objects, same order);
-        reuse then skips ``stack_policies`` entirely, which is bitwise
-        safe because ``writeback`` leaves the stacked arrays equal to
-        the policy state and ``prepare`` resets all per-run state.
+        Applies the reuse rule of the class docstring: a member list
+        that is not *identity*-equal to the held shard's (same objects,
+        same order) builds a new shard; a held shard whose stack no
+        longer mirrors its policies restacks, one that does restarts.
         Global indices may have shifted under churn, so they (and the
-        session bindings) are refreshed on every run.  A ``None`` key
-        marks a partial-shard subset run, which always builds an
-        ephemeral shard (cached stacked state belongs to the full
-        membership).  ``rows`` are the result-matrix rows the shard
-        writes (subset runs write at subset-local positions).
+        session bindings) are refreshed on every run.  ``rows`` are the result-matrix rows the
+        shard writes (subset runs write at subset-local positions).
         """
         idx = np.asarray(rows, dtype=np.intp)
         agents = [self.agents[i] for i in members]
         sessions = [self.sessions[i] for i in members]
-        cacheable = self.persistent and key is not None
-        shard = self._shards.get(key) if cacheable else None
+        shard = self._shards.get(key)
         if (
-            shard is not None
-            and len(shard.agents) == len(agents)
-            and all(a is b for a, b in zip(shard.agents, agents))
+            shard is None
+            or len(shard.agents) != len(agents)
+            or any(a is not b for a, b in zip(shard.agents, agents))
         ):
-            shard.indices = idx
-            shard.sessions = sessions
-            return shard
-        shard = _Shard(
-            idx,
-            agents,
-            sessions,
-            plan_chunk_size=self.plan_chunk_size,
-            exactness=self.exactness,
-        )
-        if cacheable:
+            # release the old stack before stacking the new membership
+            self._shards.pop(key, None)
+            shard = _Shard(
+                idx,
+                agents,
+                sessions,
+                plan_chunk_size=self.plan_chunk_size,
+                exactness=self.exactness,
+            )
             self._shards[key] = shard
+        elif shard.mirrors_policies():
+            shard.stacked.restart()
+        else:
+            shard.restack()
+        shard.indices = idx
+        shard.sessions = sessions
         return shard
 
     def _result_window(self, n_interactions: int) -> int:
@@ -1583,36 +1642,16 @@ class FleetRunner:
         ``subset`` holds agent objects (matched by identity) or integer
         population indices; the result matrices have one row per subset
         member, in subset order.  Subsets covering a whole shard reuse
-        its cached stacked state (persistent mode) — the point of
-        serving interleaved cohort requests off one warm fleet — while
-        partial-shard members run on an ephemeral stack and invalidate
-        their shard's cache (its stacked arrays no longer mirror the
-        advanced policy objects).  Either way the outcome is
-        bit-identical to building a fresh ``FleetRunner`` over just
+        its held stacked state — the point of serving interleaved cohort
+        requests off one warm fleet — while partial-shard members run on
+        a shard of their own, which the next whole-shard run replaces
+        (the reuse rule of the class docstring).  Either way the outcome
+        is bit-identical to building a fresh ``FleetRunner`` over just
         these agents and sessions: shard membership only determines
         *where* the math runs, never what any agent observes.
         """
         n_interactions = check_positive_int(n_interactions, name="n_interactions")
-        idx: list[int] = []
-        by_id = {id(a): i for i, a in enumerate(self.agents)}
-        for a in subset:
-            if isinstance(a, (int, np.integer)):
-                i = int(a)
-                if not 0 <= i < len(self.agents):
-                    raise ConfigError(
-                        f"agent index {i} out of range (population size "
-                        f"{len(self.agents)})"
-                    )
-            else:
-                i = by_id.get(id(a))
-                if i is None:
-                    raise ConfigError(
-                        f"agent {getattr(a, 'agent_id', a)!r} is not in this "
-                        "fleet's population"
-                    )
-            idx.append(i)
-        if len(set(idx)) != len(idx):
-            raise ConfigError("run_subset members must be unique")
+        idx = self.member_indices(subset)
         if not idx:
             return self._empty_result(
                 n_interactions, track_expected=track_expected, sink=None
@@ -1620,26 +1659,14 @@ class FleetRunner:
         rows_of = {g: r for r, g in enumerate(idx)}
         chosen_set = set(idx)
         specs: list[tuple] = []
-        partial_keys: list[tuple] = []
         for key, members in self._groups.items():
             chosen = [i for i in members if i in chosen_set]
-            if not chosen:
-                continue
-            full = len(chosen) == len(members)
-            rows = [rows_of[i] for i in chosen]
-            specs.append((key if full else None, chosen, rows))
-            if not full:
-                partial_keys.append(key)
-        try:
-            return self._run_thread(
-                specs, len(idx), n_interactions,
-                track_expected=track_expected, sink=None,
-            )
-        finally:
-            # a partial-shard run advanced some of these shards' members
-            # outside their cached stacked state — restack on next use
-            for key in partial_keys:
-                self._shards.pop(key, None)
+            if chosen:
+                specs.append((key, chosen, [rows_of[i] for i in chosen]))
+        return self._run_thread(
+            specs, len(idx), n_interactions,
+            track_expected=track_expected, sink=None,
+        )
 
     def _run_thread(
         self, specs: list[tuple], n_rows: int, n_interactions: int,
@@ -1741,7 +1768,7 @@ class FleetRunner:
             return list(pool.map(fn, range(len(items)), items))
 
     def _run_shard_supervised(
-        self, si: int, key: tuple | None, members: list[int], rows: list[int],
+        self, si: int, key: tuple, members: list[int], rows: list[int],
         n_interactions: int, *, policy: FaultPolicy, plan: FaultPlan | None,
         mats: tuple,
     ) -> DroppedShard | None:
@@ -1787,14 +1814,14 @@ class FleetRunner:
                 return None
             except Exception as exc:
                 # restore the canonical objects to their pre-run state
-                # (same object identities, adopted state) and drop any
-                # cached stacked view of the failed attempt
+                # (same object identities, adopted state) and drop the
+                # held shard of the failed attempt: _adopt rebinds every
+                # agent and session component
                 s_agents, s_sessions = pickle.loads(snapshot)
                 for i, a, s in zip(members, s_agents, s_sessions):
                     self._adopt(self.agents[i], a)
                     self._adopt(self.sessions[i], s)
-                if key is not None:
-                    self._shards.pop(key, None)
+                self._shards.pop(key, None)
                 attempt += 1
                 if attempt > policy.max_retries:
                     if policy.on_exhausted == "skip_shard":
@@ -1833,7 +1860,6 @@ class FleetRunner:
             "n_workers": self.n_workers,
             "plan_chunk_size": self.plan_chunk_size,
             "exactness": self.exactness,
-            "persistent": self.persistent,
         }
 
     def checkpoint(
@@ -1934,13 +1960,7 @@ class FleetRunner:
             exactness=engine.get("exactness", "bit"),
             fault_policy=fault_policy,
         )
-        runner = cls(
-            agents,
-            sessions,
-            config=config,
-            persistent=bool(engine.get("persistent", False)),
-            fault_plan=fault_plan,
-        )
+        runner = cls(agents, sessions, config=config, fault_plan=fault_plan)
         runner._resume_ckpt = ckpt
         runner._resume_path = path
         return runner

@@ -147,6 +147,14 @@ class StackedPolicies(abc.ABC):
     def writeback(self) -> None:
         """Copy stacked state back into the underlying policy objects."""
 
+    def restart(self) -> None:
+        """Reset state held only on the stack to what a fresh stack holds.
+
+        A held shard whose stack still mirrors its policies calls this
+        instead of restacking, so reuse is bitwise identical to a
+        restack on every tier.  Bit-tier stacks hold nothing else.
+        """
+
     def _writeback_t(self) -> None:
         for i, p in enumerate(self.policies):
             p.t = int(self.t[i])
@@ -197,8 +205,8 @@ class _StackedDenseLinear(StackedPolicies):
         # three bulk copies + per-agent views instead of 3n row copies:
         # each policy gets a disjoint row of one snapshot array (agents
         # never alias each other's rows, and the snapshot is decoupled
-        # from the live stacked state, so a persistent fleet stepping on
-        # after writeback cannot mutate what the policies now hold)
+        # from the live stacked state, so a held stack stepping on after
+        # writeback cannot mutate what the policies now hold)
         A_out, b_out, theta_out = self.A_inv.copy(), self.b.copy(), self.theta.copy()
         for i, p in enumerate(self.policies):
             p.A_inv = A_out[i]
@@ -308,6 +316,9 @@ class StackedLinUCBFast(StackedLinUCB):
             # updated with contexts the cache was not scored against
             # (drifted mid-round) — drop it; next scores() recomputes
             self._ctx_cache = None
+
+    def restart(self) -> None:
+        self._ctx_cache = self._means = self._quads = None
 
 
 class StackedEpsilonGreedy(_StackedDenseLinear):
@@ -425,11 +436,15 @@ class StackedThompsonFast(StackedThompson):
     bit tier.
 
     The shard generator is spawned from agent 0's stream at stacking
-    time, so a fast-tier run remains fully seeded and reproducible.
+    time (and again on :meth:`restart`), so a fast-tier run remains
+    fully seeded and reproducible.
     """
 
     def __init__(self, policies: Sequence[LinearThompsonSampling]) -> None:
         super().__init__(policies)
+        self.restart()
+
+    def restart(self) -> None:
         self._draw_rng = self.rngs[0].spawn(1)[0]
 
     def sample_scores(self, contexts: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Tests for Thompson sampling, epsilon-greedy, UCB1, random, hybrid."""
+"""Tests for Thompson sampling, epsilon-greedy, UCB1, random."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.bandits import (
     EpsilonGreedy,
-    HybridLinUCB,
     LinearThompsonSampling,
     RandomPolicy,
     UCB1,
@@ -136,41 +135,3 @@ class TestRandomPolicy:
         pol = RandomPolicy(n_arms=2, seed=0)
         pol.update(None, 0, 1.0)
         assert pol.t == 1
-
-
-class TestHybridLinUCB:
-    def test_runs_and_learns(self, rng):
-        pol = HybridLinUCB(n_arms=3, n_features=3, alpha=0.5, seed=0)
-        picks = _run_stationary(pol, rng, probs=[0.1, 0.9, 0.2], n_steps=400)
-        assert np.mean(picks[-100:] == 1) > 0.5
-
-    def test_scores_finite(self, rng):
-        pol = HybridLinUCB(n_arms=2, n_features=2, seed=0)
-        for _ in range(20):
-            pol.update(rng.normal(size=2), int(rng.integers(2)), float(rng.random()))
-        assert np.isfinite(pol.ucb_scores(rng.normal(size=2))).all()
-
-    def test_custom_shared_features(self, rng):
-        def z_fn(x, a, n_arms):
-            return np.array([x.sum() * (a + 1)])
-
-        pol = HybridLinUCB(n_arms=2, n_features=3, n_shared=1, shared_features=z_fn, seed=0)
-        pol.update(np.ones(3), 0, 1.0)
-        assert pol.b0.shape == (1,)
-
-    def test_bad_shared_shape_raises(self):
-        def z_fn(x, a, n_arms):
-            return np.ones(3)
-
-        pol = HybridLinUCB(n_arms=2, n_features=2, n_shared=2, shared_features=z_fn, seed=0)
-        with pytest.raises(ValueError, match="shared_features"):
-            pol.update(np.ones(2), 0, 1.0)
-
-    def test_state_round_trip(self, rng):
-        pol = HybridLinUCB(n_arms=2, n_features=2, seed=0)
-        for _ in range(10):
-            pol.update(rng.normal(size=2), int(rng.integers(2)), float(rng.random()))
-        clone = HybridLinUCB(n_arms=2, n_features=2, seed=3)
-        clone.set_state(pol.get_state())
-        x = rng.normal(size=2)
-        np.testing.assert_allclose(pol.expected_rewards(x), clone.expected_rewards(x), atol=1e-9)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.bandits import (
     EpsilonGreedy,
-    HybridLinUCB,
     LinUCB,
     LinearThompsonSampling,
     RandomPolicy,
@@ -26,7 +25,6 @@ ALL_POLICIES = [
     lambda: EpsilonGreedy(3, 4, seed=0),
     lambda: UCB1(3, 4, seed=0),
     lambda: RandomPolicy(3, 4, seed=0),
-    lambda: HybridLinUCB(3, 4, seed=0),
 ]
 
 

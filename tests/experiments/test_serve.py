@@ -99,8 +99,27 @@ class TestLifecycle:
                 continue  # RNG bit generators stay per-agent
             for other in states[1:]:
                 np.testing.assert_array_equal(ref, np.asarray(other[key]), err_msg=key)
-        # and the next request still runs (cache invalidated cleanly)
+        # and the next request still runs (the refreshed policies restack)
         assert service.interact(2).rewards.shape == (12, 2)
+
+    def test_depart_resolves_members_once(self):
+        """Departures go through FleetRunner.member_indices: an index
+        named twice, a negative index and an out-of-range index are
+        refused before anything is collected, so the arrival/departure
+        counters always balance the population."""
+        service = FleetService(_config(), _env(), seed=4)
+        agents = service.arrive(4)
+        for bad, match in (([0, 0], "unique"), ([-1], "out of range"), ([99], "out of range")):
+            with pytest.raises(ConfigError, match=match):
+                service.depart(bad)
+            assert service.n_agents == 4
+        with pytest.raises(ConfigError, match="unique"):
+            service.depart([agents[1], 1])
+        service.depart([0])
+        stats = service.stats
+        assert stats.n_departed == 1
+        assert stats.n_arrived - stats.n_departed == stats.n_agents == 3
+        assert service.fleet.agents == agents[1:]
 
     def test_engine_config_validation(self):
         with pytest.raises(ConfigError, match="sequential"):
@@ -157,7 +176,7 @@ class TestBitIdentity:
 
 class TestSubsetVsRebuild:
     def test_subset_request_bit_identical_to_ephemeral_rebuild(self):
-        """The warm persistent shards answering a subset request must
+        """The warm held shards answering a subset request must
         produce exactly what a fresh FleetRunner over just those agents
         and sessions would — shard reuse is an optimization, never an
         observable."""
@@ -176,10 +195,8 @@ class TestSubsetVsRebuild:
         np.testing.assert_array_equal(r_serve.rewards, r_rebuild.rewards)
         np.testing.assert_array_equal(r_serve.actions, r_rebuild.actions)
 
-        # the persistent fleet is still coherent afterwards: a full
-        # request matches the twin's (whose mutated policies force a
-        # restack first)
-        twin.fleet.invalidate()
+        # the held fleet is still coherent afterwards: a full request
+        # matches the twin's, whose subset agents another runner advanced
         np.testing.assert_array_equal(
             serve.interact(3).rewards, twin.interact(3).rewards
         )

@@ -159,6 +159,7 @@ class TestRoundTripMatrix:
             ("plan_form", "dense"),
             ("worker_backend", "process"),
             ("kernel_block_size", 7),
+            ("persistent", True),
         ],
     )
     def test_stale_engine_key_is_ignored_on_resume(
@@ -166,8 +167,8 @@ class TestRoundTripMatrix:
     ):
         """A snapshot from a release that still had a retired knob (the
         ``plan_form`` choice, the process worker backend, the scoring
-        kernel block size) resumes bit-identically on threads: unknown
-        engine keys are ignored."""
+        kernel block size, the shard-cache flag) resumes bit-identically
+        on threads: unknown engine keys are ignored."""
         path = tmp_path / "fleet.ckpt"
         agents_a, sessions_a = _traced_population(4)
         base = FleetRunner(agents_a, sessions_a).run(6)
@@ -192,15 +193,14 @@ class TestRoundTripMatrix:
         _assert_run_identical(base, result, agents_a, resumed.agents)
 
 
-class TestPersistentAndChurned:
-    def test_between_runs_snapshot_of_persistent_fleet(self, tmp_path):
+class TestHeldAndChurned:
+    def test_between_runs_snapshot_of_held_fleet(self, tmp_path):
         path = tmp_path / "fleet.ckpt"
         agents, sessions = _population(3)
-        runner = FleetRunner(agents, sessions, persistent=True)
+        runner = FleetRunner(agents, sessions)
         runner.run(4)
         runner.checkpoint(path)
         resumed = FleetRunner.resume(path)
-        assert resumed._engine_dict()["persistent"] is True
         r_orig = runner.run(4)
         r_resumed = resumed.run(4)
         _assert_run_identical(r_orig, r_resumed, agents, resumed.agents)

@@ -28,7 +28,7 @@ from repro.encoding.grid import GridEncoder
 from repro.encoding.kmeans_encoder import KMeansEncoder
 from repro.encoding.lsh import LSHEncoder
 from repro.experiments.runner import run_setting
-from repro.sim import FleetRunner
+from repro.sim import EngineConfig, FleetRunner
 
 from _testkit import (
     N_FEATURES,
@@ -208,8 +208,13 @@ def test_run_setting_engines_identical(label, mode, encoder, private_context, me
 
 
 @pytest.mark.slow
-def test_deployment_loop_engines_identical():
-    """Multi-round Fig. 1 loop: per-round stats agree across engines."""
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("refresh", [True, False])
+def test_deployment_loop_engines_identical(refresh, n_workers):
+    """Multi-round Fig. 1 loop, round by round: stats and every user's
+    policy state agree across engines.  The fleet loop holds one runner
+    that users join between rounds; ``refresh=False`` reuses its held
+    stacks, ``refresh=True`` restacks after every model pull."""
     config = P2BConfig(
         n_actions=3,
         n_features=N_FEATURES,
@@ -225,14 +230,21 @@ def test_deployment_loop_engines_identical():
             n_actions=3, n_features=N_FEATURES, weight_scale=8.0, seed=2
         )
         return DeploymentLoop(
-            config, env, interactions_per_round=8, seed=11, engine=engine
+            config,
+            env,
+            interactions_per_round=8,
+            refresh=refresh,
+            seed=11,
+            engine=EngineConfig(engine=engine, n_workers=n_workers),
         )
 
     loop_seq, loop_fleet = build("sequential"), build("fleet")
-    for new_users in (10, 5, 0):
+    for new_users in (10, 5, 0, 4):
         stats_seq = loop_seq.run_round(new_users=new_users)
         stats_fleet = loop_fleet.run_round(new_users=new_users)
         assert stats_seq == stats_fleet
+        for (a, _), (b, _) in zip(loop_seq._users, loop_fleet._users, strict=True):
+            assert_states_equal(a.policy, b.policy, a.agent_id)
     assert loop_seq.privacy_report() == loop_fleet.privacy_report()
     np.testing.assert_array_equal(
         loop_seq.mean_reward_trajectory, loop_fleet.mean_reward_trajectory

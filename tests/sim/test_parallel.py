@@ -165,13 +165,13 @@ class TestRunSubset:
     SUBSET = (9, 1, 0, 6, 4, 3)
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    @pytest.mark.parametrize("persistent", [False, True])
     @pytest.mark.parametrize("supervised", [False, True], ids=["plain", "armed"])
-    def test_subset_equals_fresh_runner(self, n_workers, persistent, supervised):
+    @pytest.mark.parametrize("warm_up", ["held", "cold"])
+    def test_subset_equals_fresh_runner(self, warm_up, n_workers, supervised):
         agents_a, sessions_a = _mixed_population(6)
         agents_b, sessions_b = _mixed_population(6)
         config = EngineConfig(n_workers=n_workers)
-        knobs = dict(persistent=persistent)
+        knobs = {}
         if supervised:
             # faults in both subset shards, on every run of this runner
             config = config.replace(fault_policy=FaultPolicy(max_retries=2, backoff=0.0))
@@ -179,11 +179,14 @@ class TestRunSubset:
                 fault_plan=FaultPlan([FaultSpec("raise", 0, 2), FaultSpec("crash", 1, 3)]),
             )
         runner = FleetRunner(agents_b, sessions_b, config=config, **knobs)
-        full_key, partial_key, _ = runner._groups
-        # warm up: a whole-population run fills the persistent cache
+        # warm up: "held" runs the whole population on this runner, so
+        # every shard is held; "cold" advances the same agents on another
+        # runner, so the subset run builds every shard from scratch
         FleetRunner(agents_a, sessions_a).run(4)
-        runner.run(4)
-        assert (full_key in runner._shards) is persistent
+        if warm_up == "held":
+            runner.run(4)
+        else:
+            FleetRunner(agents_b, sessions_b).run(4)
 
         subset = [agents_b[i] for i in self.SUBSET]
         result = runner.run_subset(subset, 6, track_expected=True)
@@ -193,12 +196,9 @@ class TestRunSubset:
         assert result.dropped == ()
         _assert_runs_identical(fresh, result, agents_a, agents_b)
 
-        # the partial shard's cached stack no longer mirrors its advanced
-        # members and is dropped; the whole shard's cache is kept
-        assert partial_key not in runner._shards
-        assert (full_key in runner._shards) is persistent
-
-        # and the next whole-population run sees the advanced state
+        # and the next whole-population run sees the advanced state:
+        # the whole shard's held stack and the partial shard's members
+        # both continue exactly where a fresh runner would
         r_a = FleetRunner(agents_a, sessions_a).run(3)
         r_b = runner.run(3)
         _assert_runs_identical(r_a, r_b, agents_a, agents_b)

@@ -436,8 +436,8 @@ def test_mixed_expected_channels_are_masked_per_agent():
             np.testing.assert_array_equal(e, result.expected[i])
 
 
-def test_persistent_mixed_shard_encodes_each_row_once(encoder, monkeypatch):
-    """A persistent runner keeps the concatenated table and its code
+def test_held_mixed_shard_encodes_each_row_once(encoder, monkeypatch):
+    """A runner holds the concatenated table and its code
     tables across runs (keyed on the source tables, not on the id of a
     rebuilt join): once the first run has visited every assigned row,
     the second run encodes nothing — and both runs together still equal
@@ -460,7 +460,7 @@ def test_persistent_mixed_shard_encodes_each_row_once(encoder, monkeypatch):
         return real_batch(self, X)
 
     monkeypatch.setattr(type(encoder), "encode_batch", counting_batch)
-    runner = FleetRunner(*build(), persistent=True)
+    runner = FleetRunner(*build())
     first = runner.run(horizon)
     assert 0 < sum(encoded_rows) <= _ML_DATASET.n_samples + _OTHER_DATASET.n_samples
     encoded_rows.clear()

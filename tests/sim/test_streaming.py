@@ -1,4 +1,4 @@
-"""Population churn on FleetRunner: arrivals, departures, persistence.
+"""Population churn on FleetRunner: arrivals, departures, shard reuse.
 
 Streaming deployments grow and shrink their population mid-run.  The
 engine re-shards *incrementally* — only shards whose membership changed
@@ -9,13 +9,18 @@ agents stays bit-identical to a run that never saw the churn.
 
 from __future__ import annotations
 
+import copy
+import gc
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 from _testkit import assert_states_equal, make_population
 
-from repro.bandits.linucb import LinUCB
+from repro.bandits import EpsilonGreedy, LinUCB, LinearThompsonSampling
 from repro.core.config import AgentMode
-from repro.sim import FleetRunner
+from repro.sim import EngineConfig, FaultPolicy, FleetRunner
 from repro.utils.exceptions import ConfigError
 
 
@@ -25,6 +30,17 @@ def _linucb(n_arms, n_features, seed):
 
 def _pop(n, seed=0, **kwargs):
     return make_population(_linucb, AgentMode.COLD, n, seed, **kwargs)
+
+
+def _mixed(n, seed):
+    """LinUCB, Thompson and epsilon-greedy agents in turn: three shards."""
+    kinds = itertools.cycle([LinUCB, LinearThompsonSampling, EpsilonGreedy])
+    return make_population(
+        lambda a, f, s: next(kinds)(n_arms=a, n_features=f, seed=s),
+        AgentMode.COLD,
+        n,
+        seed,
+    )
 
 
 class TestArrivals:
@@ -101,6 +117,18 @@ class TestDepartures:
 
         np.testing.assert_array_equal(ref.run(7).rewards, churned.run(7).rewards)
 
+    def test_departed_agents_are_released(self):
+        """A shard that loses members frees its stack at removal, so the
+        runner keeps no departed policy alive until its next run."""
+        agents, sessions = _pop(4)
+        fleet = FleetRunner(agents, sessions)
+        fleet.run(2)
+        departed = weakref.ref(agents[1].policy)
+        fleet.remove_agents([1])
+        del agents, sessions
+        gc.collect()
+        assert departed() is None
+
     def test_shrink_to_empty_short_circuits(self):
         agents, sessions = _pop(3)
         fleet = FleetRunner(agents, sessions)
@@ -111,70 +139,165 @@ class TestDepartures:
         assert result.rewards.shape == (0, 4)
         assert result.actions.shape == (0, 4)
 
-    def test_unknown_agent_rejected(self):
-        agents, sessions = _pop(3)
-        stranger, _ = _pop(1, seed=77)
+
+class TestMemberResolution:
+    """remove_agents and run_subset resolve members one way
+    (FleetRunner.member_indices) and refuse a bad list before acting:
+    an agent outside the fleet, an index out of range (negative
+    included) or a repeated member."""
+
+    BAD = {
+        "stranger": (lambda agents, stranger: [agents[1], stranger], "not in this fleet"),
+        "past_end": (lambda agents, stranger: [0, 5], "out of range"),
+        "negative": (lambda agents, stranger: [-1], "out of range"),
+        "index_twice": (lambda agents, stranger: [2, 2], "unique"),
+        "agent_twice": (lambda agents, stranger: [agents[3], agents[3]], "unique"),
+        "agent_and_index": (lambda agents, stranger: [agents[0], 0], "unique"),
+    }
+
+    def test_indices_follow_the_given_order(self):
+        agents, sessions = _mixed(5, seed=3)
         fleet = FleetRunner(agents, sessions)
-        with pytest.raises(ConfigError, match="not in this fleet"):
-            fleet.remove_agents([stranger[0]])
-        with pytest.raises(ConfigError, match="out of range"):
-            fleet.remove_agents([7])
+        assert fleet.member_indices([agents[4], 1, np.int64(0), agents[2]]) == [4, 1, 0, 2]
+        assert fleet.member_indices([]) == []
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    @pytest.mark.parametrize("method", ["remove_agents", "run_subset"])
+    def test_bad_members_refused_without_side_effects(self, method, bad):
+        h_agents, h_sessions = _mixed(5, seed=3)
+        f_agents, f_sessions = _mixed(5, seed=3)
+        stranger, _ = _mixed(1, seed=77)
+        held = FleetRunner(h_agents, h_sessions)
+        held.run(2)
+        FleetRunner(f_agents, f_sessions).run(2)
+
+        members, match = self.BAD[bad]
+        call = getattr(held, method)
+        args = (members(h_agents, stranger[0]),) + ((3,) if method == "run_subset" else ())
+        with pytest.raises(ConfigError, match=match):
+            call(*args)
+        assert held.agents == h_agents
+
+        # nothing ran or re-sharded: the next run continues like a fresh one
+        r_held = held.run(3)
+        r_fresh = FleetRunner(f_agents, f_sessions).run(3)
+        np.testing.assert_array_equal(r_held.rewards, r_fresh.rewards)
+        np.testing.assert_array_equal(r_held.actions, r_fresh.actions)
+        for a, b in zip(h_agents, f_agents):
+            assert_states_equal(a.policy, b.policy, a.agent_id)
 
 
-class TestPersistence:
-    def test_persistent_matches_fresh_across_runs(self):
-        """Cached stacked state must be bitwise-invisible."""
-        p_agents, p_sessions = _pop(6, seed=13)
+class TestShardReuse:
+    """A runner holds its shards between runs (FleetRunner's reuse rule)."""
+
+    def test_held_runner_matches_fresh_across_runs(self):
+        """Held stacked state must be bitwise-invisible."""
+        h_agents, h_sessions = _pop(6, seed=13)
         f_agents, f_sessions = _pop(6, seed=13)
 
-        persistent = FleetRunner(p_agents, p_sessions, persistent=True)
-        r1 = persistent.run(5)
-        r2 = persistent.run(5)
+        held = FleetRunner(h_agents, h_sessions)
+        r1 = held.run(5)
+        r2 = held.run(5)
 
         fresh1 = FleetRunner(f_agents, f_sessions).run(5)
         fresh2 = FleetRunner(f_agents, f_sessions).run(5)
 
         np.testing.assert_array_equal(r1.rewards, fresh1.rewards)
         np.testing.assert_array_equal(r2.rewards, fresh2.rewards)
-        for a, b in zip(p_agents, f_agents):
+        for a, b in zip(h_agents, f_agents):
             assert_states_equal(a.policy, b.policy)
 
-    def test_persistent_churn_matches_fresh(self):
-        p_agents, p_sessions = _pop(6, seed=21)
+    def test_held_churn_matches_fresh(self):
+        h_agents, h_sessions = _pop(6, seed=21)
         f_agents, f_sessions = _pop(6, seed=21)
 
-        persistent = FleetRunner(p_agents[:4], p_sessions[:4], persistent=True)
-        persistent.run(3)
-        persistent.add_agents(p_agents[4:], p_sessions[4:])
-        persistent.remove_agents([0])
-        r_p = persistent.run(3)
+        held = FleetRunner(h_agents[:4], h_sessions[:4])
+        held.run(3)
+        held.add_agents(h_agents[4:], h_sessions[4:])
+        held.remove_agents([0])
+        r_h = held.run(3)
 
-        fresh = FleetRunner(f_agents[:4], f_sessions[:4])
-        fresh.run(3)
-        fresh.add_agents(f_agents[4:], f_sessions[4:])
-        fresh.remove_agents([0])
-        r_f = fresh.run(3)
+        FleetRunner(f_agents[:4], f_sessions[:4]).run(3)
+        r_f = FleetRunner(f_agents[1:], f_sessions[1:]).run(3)
 
-        np.testing.assert_array_equal(r_p.rewards, r_f.rewards)
-        for a, b in zip(persistent.agents, fresh.agents):
+        np.testing.assert_array_equal(r_h.rewards, r_f.rewards)
+        for a, b in zip(held.agents, f_agents[1:]):
             assert_states_equal(a.policy, b.policy)
 
-    def test_invalidate_after_external_mutation(self):
-        """warm_start outside the fleet requires invalidate(); with it,
-        persistent runs track the mutated policy state."""
-        p_agents, p_sessions = _pop(4, seed=30)
-        f_agents, f_sessions = _pop(4, seed=30)
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EngineConfig(),
+            EngineConfig(n_workers=2, fault_policy=FaultPolicy(max_retries=1, backoff=0.0)),
+        ],
+        ids=["serial", "supervised-threads"],
+    )
+    @pytest.mark.parametrize(
+        "change",
+        ["set_state", "warm_start", "learn", "other_runner", "subset", "new_policy"],
+    )
+    def test_outside_change_matches_fresh_runner(self, change, config):
+        """After any change made outside the held runner, its next run
+        equals a fresh FleetRunner over the same agents and sessions:
+        rewards, actions and every policy state, bitwise.  Supervised
+        runs apply the reuse rule on the worker threads."""
+        h_agents, h_sessions = _mixed(9, seed=5)
+        f_agents, f_sessions = _mixed(9, seed=5)
+        held = FleetRunner(h_agents, h_sessions, config=config)
+        held.run(3)
+        FleetRunner(f_agents, f_sessions).run(3)
 
-        persistent = FleetRunner(p_agents, p_sessions, persistent=True)
-        persistent.run(3)
-        fresh = FleetRunner(f_agents, f_sessions)
-        fresh.run(3)
+        for agents, sessions in ((h_agents, h_sessions), (f_agents, f_sessions)):
+            if change == "set_state":  # LinUCB agent 3 takes agent 0's state
+                agents[3].policy.set_state(agents[0].policy.get_state())
+            elif change == "warm_start":
+                agents[6].warm_start(agents[0].policy.get_state())
+            elif change == "learn":  # one scalar step of Thompson agent 1
+                x = sessions[1].next_context()
+                action = agents[1].act(x)
+                agents[1].learn(x, action, sessions[1].reward(action))
+            elif change == "other_runner":
+                FleetRunner(agents, sessions).run(2)
+            elif change == "new_policy":  # same state, another object
+                agents[4].policy = copy.deepcopy(agents[4].policy)
+        if change == "subset":  # two of the three LinUCB agents
+            held.run_subset([h_agents[0], h_agents[3]], 2)
+            FleetRunner([f_agents[0], f_agents[3]], [f_sessions[0], f_sessions[3]]).run(2)
 
-        # external mutation: copy agent 0's learned state onto agent 1
-        for agents in (p_agents, f_agents):
-            agents[1].policy.set_state(agents[0].policy.get_state())
-        persistent.invalidate()
+        r_held = held.run(3)
+        r_fresh = FleetRunner(f_agents, f_sessions).run(3)
+        np.testing.assert_array_equal(r_held.rewards, r_fresh.rewards)
+        np.testing.assert_array_equal(r_held.actions, r_fresh.actions)
+        for a, b in zip(h_agents, f_agents):
+            assert_states_equal(a.policy, b.policy, a.agent_id)
 
-        np.testing.assert_array_equal(
-            persistent.run(3).rewards, FleetRunner(f_agents, f_sessions).run(3).rewards
-        )
+    def test_restacks_only_what_changed(self, monkeypatch):
+        """Reuse is real: an unchanged shard never restacks, an outside
+        set_state restacks just its own shard, and churn rebuilds just
+        the shard it lands in.  (Fault-free: a retried shard restacks.)"""
+        import repro.sim.fleet as fleet_module
+        from repro.sim.faults import FAULTS_ENV_VAR
+
+        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+        stacked_kinds: list[str] = []
+        real_stack = fleet_module.stack_policies
+
+        def counting_stack(policies, **kwargs):
+            stacked_kinds.append(type(policies[0]).__name__)
+            return real_stack(policies, **kwargs)
+
+        monkeypatch.setattr(fleet_module, "stack_policies", counting_stack)
+        agents, sessions = _mixed(9, seed=6)
+        held = FleetRunner(agents[:6], sessions[:6])
+        held.run(2)
+        assert len(stacked_kinds) == 3
+        stacked_kinds.clear()
+        held.run(2)
+        assert stacked_kinds == []
+        agents[3].policy.set_state(agents[0].policy.get_state())
+        held.run(2)
+        assert stacked_kinds == ["LinUCB"]
+        stacked_kinds.clear()
+        held.add_agents(agents[7:8], sessions[7:8])
+        held.run(2)
+        assert stacked_kinds == ["LinearThompsonSampling"]

@@ -4,9 +4,9 @@ One serial reference per exactness tier; every ``exactness ×
 n_workers`` combination must reproduce it bitwise — results, mid-run
 checkpoint snapshots, resumed runs, shuffler statistics, and runs under
 a seeded fault plan.  The fast tier's contract is bitwise identity to
-a serial fast run with the *same* checkpoint cadence (a segment
-boundary restacks its float32 state), so its checkpoint test compares
-against that run.  The worker axis is env-tunable so the CI matrix can
+a serial fast run with the *same* checkpoint cadence (every segment
+starts from the float32 score caches and shard draw stream a fresh
+stack would hold), so its checkpoint test compares against that run.  The worker axis is env-tunable so the CI matrix can
 pin one count per cell while local runs sweep the full grid:
 
 * ``REPRO_PARALLEL_WORKERS`` — comma list, default ``1,2,4``
@@ -20,7 +20,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.bandits import UCB1, EpsilonGreedy, LinUCB
+from repro.bandits import UCB1, EpsilonGreedy, LinearThompsonSampling, LinUCB
 from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode, P2BConfig
 from repro.core.participation import RandomizedParticipation
@@ -55,8 +55,8 @@ def _env_grid():
 GRID = _env_grid()
 
 
-def _population(seed=SEED, n_agents=12):
-    """Six shards: three policy kinds × {cold, participating-warm},
+def _population(seed=SEED, n_agents=16):
+    """Eight shards: four policy kinds × {cold, participating-warm},
     over traced (multilabel) and stationary (synthetic) sessions.  The
     traced agents alternate between two datasets, so every traced shard
     gathers through a concatenated row table."""
@@ -65,11 +65,11 @@ def _population(seed=SEED, n_agents=12):
     )
     ml = MultilabelBanditEnvironment(_ML_DATASET, samples_per_user=6, seed=1)
     ml_b = MultilabelBanditEnvironment(_ML_DATASET_B, samples_per_user=5, seed=2)
-    kinds = [LinUCB, EpsilonGreedy, UCB1]
+    kinds = [LinUCB, EpsilonGreedy, UCB1, LinearThompsonSampling]
     agents, sessions = [], []
     for i, s in enumerate(spawn_seeds(seed, n_agents)):
         policy_seed, part_seed, session_seed = s.spawn(3)
-        policy = kinds[i % 3](n_arms=N_ACTIONS, n_features=N_FEATURES, seed=policy_seed)
+        policy = kinds[(i // 2) % 4](n_arms=N_ACTIONS, n_features=N_FEATURES, seed=policy_seed)
         if i % 2:
             agents.append(
                 LocalAgent(
@@ -240,7 +240,7 @@ class TestWorkerInvariance:
         spec = "seed=3;raise=0.04;crash=0.04"
         plan = FaultPlan.parse(spec)
         assert any(
-            plan.step_fault(s, t, 0) for s in range(6) for t in range(HORIZON)
+            plan.step_fault(s, t, 0) for s in range(8) for t in range(HORIZON)
         )
         agents, sessions = _population()
         result = FleetRunner(
@@ -253,5 +253,31 @@ class TestWorkerInvariance:
             ),
             fault_plan=spec,
         ).run(HORIZON, track_expected=True)
+        assert result.dropped == ()
+        _assert_matches_ref(ref_result, ref_agents, result, agents)
+
+    def test_seeded_fault_plan_is_invisible_across_held_runs(self, exactness, workers):
+        """A held runner's second run reuses its stacks; a retried shard
+        rebuilds from the restored policies, and both must draw the same
+        streams (the fast tier's shard draw generator included)."""
+        spec = "seed=3;raise=0.04;crash=0.04"
+        plan = FaultPlan.parse(spec)
+        assert any(plan.step_fault(s, t, 0) for s in range(8) for t in range(EVERY))
+
+        def held_runs(config, fault_plan=None):
+            agents, sessions = _population()
+            runner = FleetRunner(agents, sessions, config=config, fault_plan=fault_plan)
+            runner.run(HORIZON - EVERY)
+            return runner.run(EVERY, track_expected=True), agents
+
+        ref_result, ref_agents = held_runs(EngineConfig(exactness=exactness))
+        result, agents = held_runs(
+            EngineConfig(
+                n_workers=workers,
+                exactness=exactness,
+                fault_policy=FaultPolicy(max_retries=8, backoff=0.0),
+            ),
+            fault_plan=spec,
+        )
         assert result.dropped == ()
         _assert_matches_ref(ref_result, ref_agents, result, agents)
