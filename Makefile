@@ -83,10 +83,10 @@ bench-memory:
 bench-serve:
 	$(PY) -m pytest benchmarks/bench_serve.py -q
 
-# dense-LinUCB scoring-kernel microbenchmarks: blocked vs unblocked
-# (asserted bitwise), float32 fast kernel, incremental UCB, batched
-# Thompson draws (writes benchmarks/results/BENCH_kernels.json; floors
-# tunable via BENCH_KERNELS_MIN_*, scale via BENCH_KERNELS_N_AGENTS)
+# dense-LinUCB scoring-kernel microbenchmarks: float32 fast kernel and
+# incremental UCB against the float64 bit kernel (writes
+# benchmarks/results/BENCH_kernels.json; floors tunable via
+# BENCH_KERNELS_MIN_*, scale via BENCH_KERNELS_N_AGENTS)
 bench-kernels:
 	$(PY) -m pytest benchmarks/bench_kernels.py -q
 

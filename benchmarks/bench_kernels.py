@@ -5,23 +5,14 @@ time in two contractions per round — ``linear_scores`` and the
 ``(n, A, d, d)`` quadratic form ``ucb_explore`` — so this bench times
 the kernels in isolation, on the same shapes the replay bench runs at
 fleet scale (``bench_replay``'s multilabel workload: d=20, A=40).
-Four records:
+Two records:
 
-* ``ucb_explore_blocked`` — blocked vs single-shot evaluation of the
-  bit-tier kernel.  Blocking bounds the working set to one
-  cache-resident chunk; it must *at minimum* not regress (floor ~0.9 —
-  the win is modest on small shapes and grows with ``n``), and the
-  blocked output is asserted bitwise identical to unblocked, because
-  the ``exactness="bit"`` contract rides on it.
 * ``ucb_explore_fast`` — the float32 outer-product batched-matmul
   kernel vs the float64 bit kernel.  This is the fast tier's core
   trade: same quadratic form, single-precision SIMD width.
 * ``incremental_ucb`` — :func:`sm_quad_downdate` vs a full
   ``ucb_explore`` rescore, the fixed-context shard's per-round cost
   after the first round.
-* ``thompson_draws`` — one batched ``standard_normal((n, A, d))`` fill
-  vs n per-agent ``(A, d)`` fills, the draw pattern
-  :class:`~repro.sim.stacked.StackedThompsonFast` batches.
 
 Floors are env-tunable (``BENCH_KERNELS_MIN_*``) and deliberately soft:
 the committed record tracks the trajectory; CI guards against collapse,
@@ -36,7 +27,6 @@ import time
 import numpy as np
 
 from repro.bandits.kernels import (
-    auto_block_size,
     sherman_morrison,
     sm_quad_downdate,
     ucb_explore,
@@ -52,16 +42,10 @@ N_FEATURES = 20
 REPEATS = int(os.environ.get("BENCH_KERNELS_REPEATS", "5"))
 SEED = 0
 
-MIN_BLOCKED_SPEEDUP = float(os.environ.get("BENCH_KERNELS_MIN_BLOCKED_SPEEDUP", "0.9"))
 MIN_FAST_SPEEDUP = float(os.environ.get("BENCH_KERNELS_MIN_FAST_SPEEDUP", "2.0"))
 MIN_INCREMENTAL_SPEEDUP = float(
     os.environ.get("BENCH_KERNELS_MIN_INCREMENTAL_SPEEDUP", "4.0")
 )
-#: batching wins ~15-20% at d=20/A=40 (the per-draw work dominates the
-#: per-call overhead there); the floor only guards against the batched
-#: path *losing* to the loop
-MIN_DRAWS_SPEEDUP = float(os.environ.get("BENCH_KERNELS_MIN_DRAWS_SPEEDUP", "1.05"))
-
 
 def _operands(dtype=np.float64):
     rng = np.random.default_rng(SEED)
@@ -81,38 +65,18 @@ def _best_of(fn, repeats=REPEATS):
     return best
 
 
-def _blocked_record():
-    x, A_inv = _operands()
-    block = auto_block_size(A_inv[0].nbytes)
-    baseline = _best_of(lambda: ucb_explore(x, A_inv))
-    blocked = _best_of(lambda: ucb_explore(x, A_inv, block_size=block))
-    # the contract, not just the clock: blocked == unblocked bitwise
-    np.testing.assert_array_equal(
-        ucb_explore(x, A_inv), ucb_explore(x, A_inv, block_size=block)
-    )
-    return {
-        "block_size": block,
-        "unblocked_seconds": round(baseline, 5),
-        "blocked_seconds": round(blocked, 5),
-        "speedup": round(baseline / blocked, 2),
-        "bitwise_identical": True,
-    }
-
-
 def _fast_record():
     x64, A64 = _operands()
     x32, A32 = x64.astype(np.float32), A64.astype(np.float32)
-    block = auto_block_size(A32[0].nbytes)
     baseline = _best_of(lambda: ucb_explore(x64, A64))
-    fast = _best_of(lambda: ucb_explore_fast(x32, A32, block_size=block))
+    fast = _best_of(lambda: ucb_explore_fast(x32, A32))
     np.testing.assert_allclose(
-        ucb_explore_fast(x32, A32, block_size=block),
+        ucb_explore_fast(x32, A32),
         ucb_explore(x64, A64),
         rtol=1e-3,
         atol=1e-4,
     )
     return {
-        "block_size": block,
         "bit_f64_seconds": round(baseline, 5),
         "fast_f32_seconds": round(fast, 5),
         "speedup": round(baseline / fast, 2),
@@ -148,30 +112,9 @@ def _incremental_record():
     }
 
 
-def _draws_record():
-    rng_batched = np.random.default_rng(SEED + 2)
-    rngs = [np.random.default_rng(s) for s in range(N_AGENTS)]
-
-    batched = _best_of(
-        lambda: rng_batched.standard_normal(
-            (N_AGENTS, N_ARMS, N_FEATURES), dtype=np.float64
-        )
-    )
-    per_agent = _best_of(
-        lambda: [r.standard_normal((N_ARMS, N_FEATURES)) for r in rngs]
-    )
-    return {
-        "per_agent_seconds": round(per_agent, 5),
-        "batched_seconds": round(batched, 5),
-        "speedup": round(per_agent / batched, 2),
-    }
-
-
 def test_kernel_microbench(record_json):
-    blocked = _blocked_record()
     fast = _fast_record()
     incremental = _incremental_record()
-    draws = _draws_record()
     record_json(
         "kernels",
         {
@@ -182,16 +125,9 @@ def test_kernel_microbench(record_json):
                 "repeats": REPEATS,
                 "cpu_count": os.cpu_count(),
             },
-            "ucb_explore_blocked": blocked,
             "ucb_explore_fast": fast,
             "incremental_ucb": incremental,
-            "thompson_draws": draws,
         },
-    )
-    assert blocked["bitwise_identical"]
-    assert blocked["speedup"] >= MIN_BLOCKED_SPEEDUP, (
-        f"blocked ucb_explore must not regress below "
-        f"{MIN_BLOCKED_SPEEDUP}x unblocked, got {blocked['speedup']}x"
     )
     assert fast["speedup"] >= MIN_FAST_SPEEDUP, (
         f"float32 fast kernel must be >= {MIN_FAST_SPEEDUP}x the f64 bit "
@@ -200,10 +136,6 @@ def test_kernel_microbench(record_json):
     assert incremental["speedup"] >= MIN_INCREMENTAL_SPEEDUP, (
         f"incremental UCB must be >= {MIN_INCREMENTAL_SPEEDUP}x a full "
         f"rescore, got {incremental['speedup']}x"
-    )
-    assert draws["speedup"] >= MIN_DRAWS_SPEEDUP, (
-        f"batched Thompson draws must be >= {MIN_DRAWS_SPEEDUP}x "
-        f"per-agent fills, got {draws['speedup']}x"
     )
 
 

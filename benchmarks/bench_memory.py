@@ -59,7 +59,6 @@ N_INTERACTIONS = 100
 N_CODES = 2**6
 N_ACTIONS = 40
 N_FEATURES = 20
-PLAN_CHUNK = 10
 SEED = 0
 
 #: acceptance floor on the per-agent traced-plan byte reduction —
@@ -134,7 +133,7 @@ def _dense_baseline_record(n_agents):
     }
 
 
-def _plan_record(n_agents, *, plan_chunk_size=None):
+def _plan_record(n_agents):
     """Prepare one shard and account its plan bytes exactly.
 
     ``tracemalloc`` brackets the prepare call (numpy registers its data
@@ -142,12 +141,7 @@ def _plan_record(n_agents, *, plan_chunk_size=None):
     accounting and the materialization peak.
     """
     agents, sessions = _population(n_agents)
-    shard = _Shard(
-        np.arange(n_agents, dtype=np.intp),
-        agents,
-        sessions,
-        plan_chunk_size=plan_chunk_size,
-    )
+    shard = _Shard(np.arange(n_agents, dtype=np.intp), agents, sessions)
     tracemalloc.start()
     shard.prepare(N_INTERACTIONS)
     _, peak = tracemalloc.get_traced_memory()
@@ -156,7 +150,6 @@ def _plan_record(n_agents, *, plan_chunk_size=None):
     per_agent_total = (sizes["per_agent"] + sizes["shared"]) / n_agents
     return {
         "n_agents": n_agents,
-        "plan_chunk_size": plan_chunk_size,
         "plan_bytes_per_agent_arrays": round(sizes["per_agent"] / n_agents, 1),
         "plan_bytes_shared_tables": sizes["shared"],
         "plan_bytes_total": sizes["total"],
@@ -186,7 +179,6 @@ def _indexed_run_record():
 def test_shared_row_table_memory_reduction(record_json):
     dense = _dense_baseline_record(N_DENSE_AGENTS)
     indexed = _plan_record(N_AGENTS)
-    indexed_chunked = _plan_record(N_AGENTS, plan_chunk_size=PLAN_CHUNK)
     run = _indexed_run_record()
 
     reduction = dense["plan_bytes_per_agent"] / indexed["plan_bytes_per_agent_amortized"]
@@ -200,11 +192,9 @@ def test_shared_row_table_memory_reduction(record_json):
                 "A": N_ACTIONS,
                 "n_codes": N_CODES,
                 "n_interactions": N_INTERACTIONS,
-                "plan_chunk_size": PLAN_CHUNK,
             },
             "dense_baseline": dense,
             "indexed": indexed,
-            "indexed_chunked": indexed_chunked,
             "indexed_run": run,
             "reduction_per_agent_plan_bytes": round(reduction, 2),
         },

@@ -19,21 +19,14 @@ policies route through these kernels instead of ``@``.  Do not
 "simplify" a kernel call back to ``@`` without re-running the
 equivalence suite.
 
-Blocked evaluation
-------------------
-:func:`mat_vec`, :func:`linear_scores`, :func:`ucb_explore` and
-:func:`theta_refresh` accept a ``block_size``: the leading (agent) axis
-is evaluated in chunks of that many rows, bounding the contraction's
-working set to roughly one cache-resident block instead of the whole
-``(n, A, d, d)`` operand plus its ``(n, A, d)`` intermediate.  Chunking
-the leading axis is **bitwise safe** when ``optimize=False``: einsum
-computes each output element as an independent sum over the *contracted*
-labels only, so splitting a non-contracted (broadcast) axis changes
-which elements a call produces but never the per-element accumulation
-order.  The property suite pins ``blocked == unblocked`` exactly, for
-adversarial block sizes (1, non-divisors, ``>= n``).  ``block_size``
-only engages when both operands carry the same leading axis (the
-stacked fleet shapes); scalar and broadcast callers are unaffected.
+Leading-axis independence
+-------------------------
+Because einsum (with ``optimize=False``) computes each output element as
+an independent sum over the *contracted* labels only, calling a kernel
+on row slices of the stacked (agent) axis and concatenating the results
+equals the whole-array call bitwise.  ``tests/bandits/test_kernels.py``
+pins that "size-1 vs size-n" contract for every bit-tier kernel,
+including adversarial slice sizes (1, non-divisors, ``>= n``).
 
 Fast-tier kernels
 -----------------
@@ -58,56 +51,12 @@ __all__ = [
     "sherman_morrison",
     "ucb_explore_fast",
     "sm_quad_downdate",
-    "auto_block_size",
-    "DEFAULT_KERNEL_BLOCK_BYTES",
 ]
 
-#: target per-block working set for auto-sized blocked evaluation —
-#: large enough that the Python chunk loop amortizes to nothing, small
-#: enough that a block of ``(block, A, d, d)`` posteriors plus its
-#: ``(block, A, d)`` intermediate stays cache-resident on commodity
-#: cores (measured sweet spot on the d=20/A=40 bench workload).
-DEFAULT_KERNEL_BLOCK_BYTES = 8 << 20
 
-
-def auto_block_size(row_nbytes: int) -> int:
-    """Rows per block so one block spans ~:data:`DEFAULT_KERNEL_BLOCK_BYTES`.
-
-    ``row_nbytes`` is the byte size of one agent's slice of the largest
-    operand (e.g. ``A_inv[0].nbytes`` for the ``(n, A, d, d)`` stack).
-    Always at least 1, so degenerate shapes still make progress.
-    """
-    return max(1, DEFAULT_KERNEL_BLOCK_BYTES // max(1, int(row_nbytes)))
-
-
-def _block_over(a: np.ndarray, b: np.ndarray, block_size: int | None) -> bool:
-    """Whether a blocked leading-axis loop applies to this operand pair.
-
-    Blocking needs an unambiguous shared leading axis: both operands
-    must actually have one (``ndim`` above their core dims — callers
-    pass already-core-stripped ndim via shape checks below) and agree on
-    its length.  Anything else (scalar policies, server batch
-    broadcasts) falls through to the single-shot contraction.
-    """
-    return (
-        block_size is not None
-        and a.ndim >= 1
-        and b.ndim >= 1
-        and a.shape[0] == b.shape[0]
-        and a.shape[0] > block_size
-    )
-
-
-def mat_vec(M: np.ndarray, v: np.ndarray, *, block_size: int | None = None) -> np.ndarray:
+def mat_vec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``M @ v`` over broadcast leading dims: ``(..., i, j), (..., j) -> (..., i)``."""
-    if not (_block_over(M, v, block_size) and M.ndim - 2 == v.ndim - 1):
-        return np.einsum("...ij,...j->...i", M, v)
-    n = M.shape[0]
-    out = np.empty(M.shape[:-1], dtype=np.result_type(M, v))
-    for start in range(0, n, block_size):
-        sl = slice(start, start + block_size)
-        out[sl] = np.einsum("...ij,...j->...i", M[sl], v[sl])
-    return out
+    return np.einsum("...ij,...j->...i", M, v)
 
 
 def vec_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,23 +64,12 @@ def vec_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
-def linear_scores(
-    theta: np.ndarray, x: np.ndarray, *, block_size: int | None = None
-) -> np.ndarray:
+def linear_scores(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-arm linear estimates ``theta_a . x``: ``(..., a, d), (..., d) -> (..., a)``."""
-    if not (_block_over(theta, x, block_size) and theta.ndim - 2 == x.ndim - 1):
-        return np.einsum("...ad,...d->...a", theta, x)
-    n = theta.shape[0]
-    out = np.empty(theta.shape[:-1], dtype=np.result_type(theta, x))
-    for start in range(0, n, block_size):
-        sl = slice(start, start + block_size)
-        out[sl] = np.einsum("...ad,...d->...a", theta[sl], x[sl])
-    return out
+    return np.einsum("...ad,...d->...a", theta, x)
 
 
-def theta_refresh(
-    A_inv: np.ndarray, b: np.ndarray, *, block_size: int | None = None
-) -> np.ndarray:
+def theta_refresh(A_inv: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ridge posterior means ``theta_a = A_a^{-1} b_a`` for every arm.
 
     Shapes: ``(..., a, d, d), (..., a, d) -> (..., a, d)`` — the per-arm
@@ -140,21 +78,12 @@ def theta_refresh(
     (``linucb``/``thompson``/``epsilon_greedy``) and the stacked fleet
     states compute it through one kernel.  This is :func:`mat_vec` with
     the arm axis folded into the broadcast dims; it inherits the same
-    bit-identity and blocked-evaluation contract.
+    bit-identity contract.
     """
-    if not (_block_over(A_inv, b, block_size) and A_inv.ndim - 2 == b.ndim - 1):
-        return np.einsum("...ij,...j->...i", A_inv, b)
-    n = A_inv.shape[0]
-    out = np.empty(A_inv.shape[:-1], dtype=np.result_type(A_inv, b))
-    for start in range(0, n, block_size):
-        sl = slice(start, start + block_size)
-        out[sl] = np.einsum("...ij,...j->...i", A_inv[sl], b[sl])
-    return out
+    return np.einsum("...ij,...j->...i", A_inv, b)
 
 
-def ucb_explore(
-    x: np.ndarray, A_inv: np.ndarray, *, block_size: int | None = None
-) -> np.ndarray:
+def ucb_explore(x: np.ndarray, A_inv: np.ndarray) -> np.ndarray:
     """Per-arm quadratic forms ``x^T A_a^{-1} x``, clamped at zero.
 
     Shapes: ``(..., d), (..., a, d, d) -> (..., a)``.  The clamp guards
@@ -165,32 +94,14 @@ def ucb_explore(
     loops (the 3-operand generic loop is ~5x slower at fleet scale),
     and each contraction remains leading-dim-independent, preserving
     the scalar/batched bit-equivalence this module guarantees.
-
-    With ``block_size`` the agent axis is chunked (see module
-    docstring); blocking also keeps the ``(block, a, d)`` intermediate
-    hot in cache for the second contraction instead of round-tripping an
-    ``(n, a, d)`` array through memory.
     """
-    if not (
-        _block_over(x, A_inv, block_size) and x.ndim - 1 == A_inv.ndim - 3
-    ):
-        Ax = np.einsum("...aij,...j->...ai", A_inv, x)
-        explore = np.einsum("...i,...ai->...a", x, Ax)
-        np.maximum(explore, 0.0, out=explore)
-        return explore
-    n = x.shape[0]
-    out = np.empty(A_inv.shape[:-2], dtype=np.result_type(x, A_inv))
-    for start in range(0, n, block_size):
-        sl = slice(start, start + block_size)
-        Ax = np.einsum("...aij,...j->...ai", A_inv[sl], x[sl])
-        np.einsum("...i,...ai->...a", x[sl], Ax, out=out[sl])
-    np.maximum(out, 0.0, out=out)
-    return out
+    Ax = np.einsum("...aij,...j->...ai", A_inv, x)
+    explore = np.einsum("...i,...ai->...a", x, Ax)
+    np.maximum(explore, 0.0, out=explore)
+    return explore
 
 
-def ucb_explore_fast(
-    x: np.ndarray, A_inv: np.ndarray, *, block_size: int | None = None
-) -> np.ndarray:
+def ucb_explore_fast(x: np.ndarray, A_inv: np.ndarray) -> np.ndarray:
     """Fast-tier ``x^T A_a^{-1} x``: one batched matmul over ``x x^T``.
 
     Same shapes and clamp as :func:`ucb_explore`, but the double
@@ -206,18 +117,10 @@ def ucb_explore_fast(
     if x.ndim + 2 != A_inv.ndim or x.ndim < 2 or x.shape[0] != A_inv.shape[0]:
         # no stacked leading axis — fall back to the exact kernel
         return ucb_explore(x, A_inv)
-    n, d = x.shape[0], x.shape[-1]
-    arms = A_inv.shape[-3]
-    lead = A_inv.shape[:-3]
-    if block_size is None or n <= block_size:
-        block_size = n
-    out = np.empty(lead + (arms,), dtype=np.result_type(x, A_inv))
-    flat = A_inv.reshape(lead + (arms, d * d))
-    for start in range(0, n, block_size):
-        sl = slice(start, start + block_size)
-        xb = x[sl]
-        outer = (xb[..., :, None] * xb[..., None, :]).reshape(xb.shape[:-1] + (d * d, 1))
-        out[sl] = (flat[sl] @ outer)[..., 0]
+    d = x.shape[-1]
+    flat = A_inv.reshape(A_inv.shape[:-2] + (d * d,))
+    outer = (x[..., :, None] * x[..., None, :]).reshape(x.shape[:-1] + (d * d, 1))
+    out = (flat @ outer)[..., 0]
     np.maximum(out, 0.0, out=out)
     return out
 

@@ -236,15 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
             "order; composes with --workers inside each point)",
         )
         p.add_argument(
-            "--plan-chunk-size",
-            type=_positive_int,
-            default=None,
-            help="fleet plan-chunk size: materialize session plans in "
-            "horizon slices of this many steps instead of whole horizons "
-            "(slices stationary noise and plan calls; results are "
-            "bit-identical for every chunk size; default: unchunked)",
-        )
-        p.add_argument(
             "--exactness",
             choices=list(runner.EXACTNESS_TIERS),
             default="bit",
@@ -374,7 +365,6 @@ def main(argv: list[str] | None = None) -> int:
         runner.EngineConfig(
             engine=args.engine,
             n_workers=args.workers,
-            plan_chunk_size=args.plan_chunk_size,
             exactness=args.exactness,
             sweep_workers=args.sweep_workers,
         )

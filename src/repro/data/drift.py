@@ -19,12 +19,12 @@ Fleet contract
 A drifting session still advertises ``has_reward_plan`` — within one
 epoch it *is* stationary — and joins the fleet engine's plan fast path
 through :meth:`~repro.data.environment.UserSession.plan_horizon_limit`:
-the engine caps every plan chunk at the earliest drift boundary, so
+the engine caps every plan at the earliest drift boundary, so
 epochs advance exactly where the sequential loop would advance them.
 Both engines funnel every boundary through one code path
 (:meth:`DriftingSyntheticSession._advance_epoch`), which consumes the
 session's generator identically whether the horizon is walked step by
-step or planned chunk by chunk — keeping drifting fleet runs
+step or planned epoch by epoch — keeping drifting fleet runs
 bit-identical to sequential (``tests/data/test_drift.py`` pins this).
 """
 
@@ -111,7 +111,7 @@ class DriftingSyntheticSession(SyntheticUserSession):
         """Pre-realize one *within-epoch* stretch (fleet fast path).
 
         The engine promises ``horizon <= plan_horizon_limit()`` (it
-        caps chunks at drift boundaries); under that promise the
+        caps plans at drift boundaries); under that promise the
         stretch is stationary and the parent's plan contract carries
         over verbatim — boundary draws happen here, through the same
         :meth:`_advance_epoch` the sequential walk uses, then the
@@ -123,7 +123,7 @@ class DriftingSyntheticSession(SyntheticUserSession):
             raise ValidationError(
                 f"plan_rewards(horizon={horizon}) crosses a drift boundary "
                 f"(only {limit} stationary steps remain); the fleet engine "
-                "caps chunks at plan_horizon_limit()"
+                "caps plans at plan_horizon_limit()"
             )
         self._advance_if_due()
         self._current = self.preference  # as next_context() would set

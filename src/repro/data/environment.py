@@ -43,8 +43,8 @@ Every plan must be an *exact* stand-in for ``horizon`` iterations of
 ``next_context()`` + ``reward()``: same values, same generator
 consumption, session left in the same state.  In particular, planning
 a horizon in consecutive slices (``plan_trace_indexed(c)`` called
-repeatedly — the fleet engine's ``plan_chunk_size``) must realize exactly the same
-walk as one full-horizon plan.  ``tests/sim`` pins all of this.
+repeatedly — consecutive runs on one held fleet, or drift re-plans)
+must realize exactly the same walk as one full-horizon plan.  ``tests/sim`` pins all of this.
 """
 
 from __future__ import annotations
@@ -288,8 +288,8 @@ class UserSession(abc.ABC):
 
         Non-stationary sessions (reward drift, latent-state switches)
         return the number of interactions they can still plan as one
-        stationary stretch; the fleet engine then caps every plan chunk
-        here, so drift lands exactly at chunk boundaries and
+        stationary stretch; the fleet engine then caps every plan
+        here, so drift lands exactly at plan boundaries and
         :meth:`plan_rewards` is only ever asked for within-epoch
         horizons.  Must be *pure* — no randomness consumed, no state
         advanced — and strictly positive when not ``None``.

@@ -67,9 +67,10 @@ plan-time encodings through the per-dataset
 when they walk several datasets, through one shard-private
 concatenation of those tables.  Traced-plan memory is A-fold below a
 per-agent table, and each distinct row is encoded at most once per
-encoder.  ``EngineConfig(plan_chunk_size=C)`` materializes plans in
-horizon slices of ``C`` steps; slice-by-slice planning is exact by the
-plan contract, so every chunk size is bit-identical.
+encoder.  A run plans its whole horizon once (drifting stationary
+shards re-plan at each drift boundary); slice-by-slice planning is
+exact by the plan contract, so consecutive runs on one held fleet equal
+one longer horizon bitwise.
 
 The *reporting* pipeline is columnar on the same plan-capable shards:
 participation advances through
@@ -98,10 +99,12 @@ Exactness tiers
 Bit-identity is the default **contract tier** (``exactness="bit"``),
 not the only one.  ``EngineConfig(exactness="fast")`` opts into a
 memory-lean tier for the million-agent regime: policy kinds with a
-fast stacker (currently ``code_linucb`` via
-:class:`~repro.sim.stacked.StackedCodeLinUCBFast`) hold float32
-sparse count/sum state — touched ``(agent, arm, code)`` cells only,
-densifying per shard when occupancy crosses a threshold — and
+fast stacker — ``code_linucb`` via
+:class:`~repro.sim.stacked.StackedCodeLinUCBFast` (float32 sparse
+count/sum state: touched ``(agent, arm, code)`` cells only, densifying
+per shard when occupancy crosses a threshold) and ``linucb`` via
+:class:`~repro.sim.stacked.StackedLinUCBFast` (float32 dense
+posteriors with incremental UCB) — hold memory-lean state, and
 curve-only callers can stream per-round sums through a
 :class:`~repro.experiments.results.ResultSink` instead of
 materializing ``(n_agents, T)`` result matrices.  The fast tier's
@@ -113,7 +116,7 @@ bit stacker unchanged, so ``"fast"`` degenerates to ``"bit"`` —
 bitwise — for them.
 
 Every engine knob — the engine choice, ``n_workers``,
-``plan_chunk_size``, ``exactness``, ``sink``, ``fault_policy`` and
+``exactness``, ``sink``, ``fault_policy`` and
 ``sweep_workers`` — is a field of one frozen
 :class:`~repro.sim.fleet.EngineConfig`, documented there and handed to
 ``FleetRunner(config=...)`` or to any experiment entry point.
@@ -164,7 +167,6 @@ from .stacked import (
     StackedLinUCBFast,
     StackedPolicies,
     StackedThompson,
-    StackedThompsonFast,
     StackedUCB1,
     policies_stackable,
     stack_policies,
@@ -196,7 +198,6 @@ __all__ = [
     "StackedLinUCBFast",
     "StackedEpsilonGreedy",
     "StackedThompson",
-    "StackedThompsonFast",
     "StackedCodeLinUCB",
     "StackedCodeLinUCBFast",
     "StackedUCB1",

@@ -48,15 +48,15 @@ pre-materialize their horizon (capability flags on
 A shard mixing plan-capable and plan-less sessions falls back to the
 generic per-round session loop — still bit-identical, just slower.
 
-Chunked horizons (``plan_chunk_size``) re-plan a shard's sessions every
-``C`` steps instead of planning all ``T`` up front — exact by the plan
-contract (planning a horizon in consecutive slices consumes session
-streams identically to one full plan).  Chunking slices the stationary
-noise and the plan calls; it does not bound traced memory, because the
-``(n, T)`` row walk is allocated whole (the full walk plus the row
+Each run plans its whole horizon once, with one exception: drifting
+stationary sessions re-plan at every drift boundary
+(``plan_horizon_limit()``), so each plan covers one stationary stretch.
+Planning a horizon in consecutive slices is exact by the plan contract
+(it consumes session streams identically to one full plan), which is
+also what makes consecutive ``run`` calls on one held fleet equal one
+longer sequential horizon.  The traced ``(n, T)`` row walk plus the row
 tables regenerate any past step, so report gathers and ``finish``'s
-buffer rebuild need no history tail).  ``plan_chunk_size >= T`` (or
-``None``) is exactly the unchunked path.
+buffer rebuild need no history tail.
 
 What stays per-agent Python (all O(1) per agent per round):
 
@@ -245,21 +245,14 @@ class EngineConfig:
         horizon concurrently on a thread pool — results are identical
         to serial stepping (shard order is unobservable).  Only
         populations with more than one shard can benefit.
-    plan_chunk_size:
-        Materialize session plans in horizon slices of this many steps
-        (default ``None`` = whole horizons).  Chunking slices the
-        stationary reward noise and the session plan calls; it does not
-        bound traced memory (the ``(n, T)`` row walk is allocated
-        whole).  Every chunk size is bit-identical (slice-by-slice
-        planning is exact by the plan contract), and one at or above
-        the horizon *is* the unchunked path.
     exactness:
         Contract tier, one of :data:`EXACTNESS_TIERS` (default
         ``"bit"``: bit-identical to the sequential loop).  ``"fast"``
         holds memory-lean policy state for kinds with a fast stacker
-        (currently ``code_linucb``) and lets curve-only callers stream
-        results — statistically, not bitwise, equivalent; kinds without
-        a fast stacker run bitwise as under ``"bit"``.  Sequential runs
+        (``code_linucb`` and ``linucb``) and lets curve-only callers
+        stream results — statistically, not bitwise, equivalent; kinds
+        without a fast stacker (``lin_ts``, ``epsilon_greedy``,
+        ``ucb1``) run bitwise as under ``"bit"``.  Sequential runs
         ignore the tier: they are the bit reference by definition.
     sink:
         A per-run streaming target (a
@@ -287,7 +280,6 @@ class EngineConfig:
 
     engine: str = "auto"
     n_workers: int = 1
-    plan_chunk_size: int | None = None
     exactness: str = "bit"
     sink: object | None = None
     fault_policy: FaultPolicy | None = None
@@ -298,8 +290,6 @@ class EngineConfig:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         check_positive_int(self.n_workers, name="n_workers")
         check_positive_int(self.sweep_workers, name="sweep_workers")
-        if self.plan_chunk_size is not None:
-            check_positive_int(self.plan_chunk_size, name="plan_chunk_size")
         if self.exactness not in EXACTNESS_TIERS:
             raise ConfigError(
                 f"exactness must be one of {EXACTNESS_TIERS}, got {self.exactness!r}"
@@ -321,8 +311,8 @@ class EngineConfig:
         # a snapshot written before a field existed (sweep_workers
         # postdates the checkpoint format) must still restore — missing
         # fields take their defaults — and keys of retired knobs
-        # (the plan form, the worker backend, the kernel block size)
-        # are dropped
+        # (the plan form, the worker backend, the kernel block size,
+        # the plan chunk size) are dropped
         for f in dataclasses.fields(self):
             value = state.get(f.name, f.default)
             if value is not dataclasses.MISSING:
@@ -443,10 +433,10 @@ class _Shard:
     Owns the per-shard context/encoding caches and — when every session
     in the shard advertises a plan capability — the plan
     materialization: stationary reward plans or a row-index walk into
-    the sessions' row tables (traced).  Plans materialize in horizon
-    chunks of ``plan_chunk_size`` steps (the
-    whole horizon when ``None``).  ``step`` writes outcomes into the
-    *global* result matrices at this shard's agent indices.
+    the sessions' row tables (traced).  Plans cover the whole run
+    horizon, except that drifting stationary shards re-plan at each
+    drift boundary.  ``step`` writes outcomes into the *global* result
+    matrices at this shard's agent indices.
     """
 
     def __init__(
@@ -455,7 +445,6 @@ class _Shard:
         agents: list[LocalAgent],
         sessions: list[UserSession],
         *,
-        plan_chunk_size: int | None = None,
         exactness: str = "bit",
     ) -> None:
         self.indices = indices
@@ -468,7 +457,6 @@ class _Shard:
         self._mirror_attrs: list[str] = []
         self.stacked = stack_policies([a.policy for a in agents], exactness=exactness)
         self._rows = np.arange(self.n)
-        self._plan_chunk_size = plan_chunk_size
         # acting-representation caches (warm-private only) — survive
         # restacks and runs: encoders are deterministic, and _refresh_acting
         # validates each row against the live context; the (n, d)
@@ -506,7 +494,7 @@ class _Shard:
 
         Deterministic caches — stacked policy state, acting-encoding
         caches, encoder groups, row tables and their per-row code
-        tables — survive; plan materializations, chunk cursors and the
+        tables — survive; plan materializations, the plan cursor and the
         columnar-recording state are strictly per-run and reset here
         (``prepare`` calls this first and ``writeback`` last, so a
         reused shard can never see a previous run's plan path or
@@ -522,9 +510,8 @@ class _Shard:
         self._colmod: int | None = None
         # which plan fast path this shard runs on (None = generic loop)
         self._plan_path: str | None = None
-        # chunk state: plan arrays cover global steps
+        # plan cursor: plan arrays cover global steps
         # [_chunk_start, _chunk_start + _chunk_len)
-        self._chunk = 0
         self._chunk_start = 0
         self._chunk_len = 0
         # stationary-plan arrays (has_reward_plan shards)
@@ -532,7 +519,7 @@ class _Shard:
         self._plan_noise: np.ndarray | None = None
         self._plan_acting: np.ndarray | None = None
         # whether any session's stationarity expires mid-horizon
-        # (drifting sessions): chunks then re-gather means/contexts
+        # (drifting sessions): each drift epoch re-gathers means/contexts
         self._plan_limited = False
         # traced shards: the full-horizon walk of row-table indices,
         # each agent's offset into a concatenated table (None when the
@@ -614,7 +601,7 @@ class _Shard:
         *,
         result_window: int | None = None,
     ) -> None:
-        """Pick the plan fast path and materialize its first chunk.
+        """Pick the plan fast path and materialize its plan.
 
         Capability *flags* decide the path (never method-identity
         probing, which silently kicked plan-inheriting subclasses off
@@ -632,8 +619,8 @@ class _Shard:
         if all(s.has_reward_plan for s in self.sessions):
             path = "stationary"
             # drifting sessions advertise a finite stationarity horizon;
-            # chunks then stop at every drift boundary and re-gather the
-            # per-chunk contexts/means (plan_horizon_limit is pure — it
+            # plans then stop at every drift boundary and re-gather the
+            # per-epoch contexts/means (plan_horizon_limit is pure — it
             # consumes no randomness, so probing it is free)
             self._plan_limited = any(
                 s.plan_horizon_limit() is not None for s in self.sessions
@@ -645,23 +632,17 @@ class _Shard:
         if path is None:
             return
         self._plan_path = path
-        self._chunk = (
-            n_interactions
-            if self._plan_chunk_size is None
-            else min(self._plan_chunk_size, n_interactions)
-        )
         if path == "traced":
             # the per-agent half of a traced plan: one row index per
             # step — everything else lives in the row tables
             self._bind_row_table()
-            self._trace_rows = np.empty((self.n, n_interactions), dtype=np.intp)
             self._init_row_encodings()
         if not (path == "stationary" and self._plan_limited):
             # drifting stationary shards keep the scalar
             # record_interaction path: the columnar payload gather
             # assumes one fixed context/code per agent, which drift
             # breaks at epoch boundaries — recording per step with the
-            # current chunk's context is exact (within a chunk the
+            # current epoch's context is exact (within an epoch the
             # context is constant by construction)
             self._init_batch_recording(n_interactions)
         self._materialize_chunk(0)
@@ -707,7 +688,8 @@ class _Shard:
 
         Shards only guarantee equal codebook *size*, so batch encodings
         group agents by the encoder they actually hold; stationary and
-        traced encodings — and every chunk — reuse this one grouping.
+        traced encodings — and every drift epoch — reuse this one
+        grouping.
         """
         if self._enc_groups is None:
             groups: dict[int, list[int]] = {}
@@ -721,7 +703,7 @@ class _Shard:
 
         Each encoder group owns one ``(n_rows,)`` code table (plus a
         centroid table when acting on centroids) filled lazily by
-        :meth:`_encode_new_rows` as chunks visit rows.
+        :meth:`_encode_new_rows` as walks visit rows.
         """
         if self.mode != AgentMode.WARM_PRIVATE:
             return
@@ -739,20 +721,22 @@ class _Shard:
             self._row_reps = np.zeros((*shape, d), dtype=np.float64)
 
     def _materialize_chunk(self, start: int) -> None:
-        """Materialize plan arrays for global steps ``[start, start + C)``.
+        """Materialize plan arrays from global step ``start`` on.
 
-        Re-planning slice by slice is exact by the plan contract: each
-        plan call consumes the session streams precisely as that many
-        sequential interactions would, so consecutive chunks realize
-        the same walks and noise as one full-horizon plan
+        The plan runs to the horizon, or — on drifting stationary
+        shards — to the earliest drift boundary.  Re-planning slice by
+        slice is exact by the plan contract: each plan call consumes
+        the session streams precisely as that many sequential
+        interactions would, so consecutive slices realize the same
+        walks and noise as one full-horizon plan
         (``tests/sim/test_chunked_plans.py`` pins the equivalence).
         """
-        length = min(self._chunk, self._horizon - start)
+        length = self._horizon - start
         if self._plan_path == "stationary" and self._plan_limited:
-            # stop this chunk at the earliest drift boundary: each
+            # stop this plan at the earliest drift boundary: each
             # session's plan then covers one stationary stretch, and
-            # the next chunk re-plans after the session has advanced
-            # its epoch — exactly the per-step sequential behavior
+            # the next plan starts after the session has advanced its
+            # epoch — exactly the per-step sequential behavior
             cap = min(
                 limit
                 for limit in (s.plan_horizon_limit() for s in self.sessions)
@@ -766,36 +750,33 @@ class _Shard:
                 s.plan_rewards(length) for s in self.sessions
             ]
             self._plan_noise = np.stack([p.noise for p in plans])  # (n, C)
-            if start == 0 or self._plan_limited:
-                # drifting shards re-gather contexts/means every chunk;
-                # _refresh_acting re-encodes only agents whose context
-                # actually changed (encoders are deterministic, so a
-                # cache hit is exact) — which also lets a held shard
-                # reuse its encode cache across runs
-                self._X = np.stack([p.context for p in plans])
-                self._plan_means = np.stack([p.mean_rewards for p in plans])  # (n, A)
-                self._plan_acting = self._refresh_acting(self._X)
-        else:  # traced
-            rows = np.stack(
+            # each plan (the run's first, or a drift epoch's) re-gathers
+            # contexts/means; _refresh_acting re-encodes only agents
+            # whose context actually changed (encoders are deterministic,
+            # so a cache hit is exact) — which also lets a held shard
+            # reuse its encode cache across runs
+            self._X = np.stack([p.context for p in plans])
+            self._plan_means = np.stack([p.mean_rewards for p in plans])  # (n, A)
+            self._plan_acting = self._refresh_acting(self._X)
+        else:  # traced: the whole horizon's walk, planned once
+            self._trace_rows = np.stack(
                 [s.plan_trace_indexed(length).rows for s in self.sessions]
             )
             if self._row_offset is not None:
-                rows += self._row_offset[:, None]
-            self._trace_rows[:, start : start + length] = rows
+                self._trace_rows += self._row_offset[:, None]
             if self.mode == AgentMode.WARM_PRIVATE:
-                self._encode_new_rows(rows)
+                self._encode_new_rows(self._trace_rows)
 
-    def _encode_new_rows(self, chunk_rows: np.ndarray) -> None:
-        """Extend the per-row code tables to cover this chunk's rows.
+    def _encode_new_rows(self, walk_rows: np.ndarray) -> None:
+        """Extend the per-row code tables to cover this walk's rows.
 
         Encoders are deterministic and ``encode_batch`` row-exact, so
         each distinct *dataset row* is encoded at most once per
-        encoder — no matter how many agents or steps visit it, and no
-        matter how the horizon is chunked — and every later use
-        (acting, report payloads) is a pure gather.
+        encoder — no matter how many agents, steps or runs visit it —
+        and every later use (acting, report payloads) is a pure gather.
         """
         for g, members in enumerate(self._encoder_groups()):
-            visited = np.unique(chunk_rows[members])
+            visited = np.unique(walk_rows[members])
             new = visited[~self._row_encoded[g, visited]]
             encoder = self.agents[members[0]].encoder
             codes = encoder.encode_batch(self._row_table.contexts[new])
@@ -932,7 +913,7 @@ class _Shard:
             # one step: mean[a] + z, clipped — the same elementwise ops
             # as session.reward (a test pins the plan to the sequential
             # reward stream)
-            s = t - self._chunk_start  # chunk-local step into the noise
+            s = t - self._chunk_start  # plan-local step into the noise
             r = np.clip(self._plan_means[self._rows, acts] + self._plan_noise[:, s], 0.0, 1.0)
             rewards[self.indices, tc] = r
             if expected is not None:
@@ -1110,10 +1091,10 @@ class _Shard:
         """Plan-time codes of ``(shard-local agent, global step)`` pairs.
 
         Serves the columnar report-payload gathers: traced shards read
-        the per-row code tables through the full row walk (any step,
-        any chunk), and stationary shards read the per-agent encode
-        cache (contexts are fixed, so the cached code *is* the step's
-        code).  Codes are never re-encoded on any path.
+        the per-row code tables through the full row walk (any step),
+        and stationary shards read the per-agent encode cache (contexts
+        are fixed, so the cached code *is* the step's code).  Codes are
+        never re-encoded on any path.
         """
         if self.traced:
             return self._row_codes[
@@ -1289,9 +1270,9 @@ class FleetRunner:
     Reuse is bitwise identical to restacking on every tier:
     ``writeback`` leaves the policies equal to the stack, every run
     resets all per-run state, and a reused stack resets what it holds
-    beyond the policies (the fast tier's score caches and shard draw
-    stream) as a fresh stack would.  Editing a policy's arrays in
-    place, outside ``update``/``set_state``, is outside this contract.
+    beyond the policies (the fast tier's score caches) as a fresh stack
+    would.  Editing a policy's arrays in place, outside
+    ``update``/``set_state``, is outside this contract.
     """
 
     def __init__(
@@ -1308,7 +1289,6 @@ class FleetRunner:
         self.agents = list(agents)
         self.sessions = list(sessions)
         self.n_workers = config.n_workers
-        self.plan_chunk_size = config.plan_chunk_size
         self.exactness = config.exactness
         self.fault_policy = config.fault_policy
         if isinstance(fault_plan, str):
@@ -1465,7 +1445,6 @@ class FleetRunner:
                 idx,
                 agents,
                 sessions,
-                plan_chunk_size=self.plan_chunk_size,
                 exactness=self.exactness,
             )
             self._shards[key] = shard
@@ -1858,7 +1837,6 @@ class FleetRunner:
         """The engine knobs a checkpoint must restore to replay exactly."""
         return {
             "n_workers": self.n_workers,
-            "plan_chunk_size": self.plan_chunk_size,
             "exactness": self.exactness,
         }
 
@@ -1956,7 +1934,6 @@ class FleetRunner:
         engine = dict(ckpt.engine)
         config = EngineConfig(
             n_workers=int(engine.get("n_workers", 1)),
-            plan_chunk_size=engine.get("plan_chunk_size"),
             exactness=engine.get("exactness", "bit"),
             fault_policy=fault_policy,
         )

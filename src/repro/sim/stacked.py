@@ -32,7 +32,6 @@ from ..bandits.base import BanditPolicy, argmax_random_tiebreak
 from ..bandits.code_linucb import CodeLinUCB
 from ..bandits.epsilon_greedy import EpsilonGreedy
 from ..bandits.kernels import (
-    auto_block_size,
     linear_scores,
     mat_vec,
     sherman_morrison,
@@ -53,7 +52,6 @@ __all__ = [
     "StackedLinUCBFast",
     "StackedEpsilonGreedy",
     "StackedThompson",
-    "StackedThompsonFast",
     "StackedCodeLinUCB",
     "StackedCodeLinUCBFast",
     "StackedUCB1",
@@ -64,15 +62,14 @@ __all__ = [
 
 #: recognized exactness tiers for stacked policy state: ``bit`` (the
 #: default) keeps every stacked operation bit-identical to the scalar
-#: policies; ``fast`` trades bit-identity for memory and speed — policy
-#: kinds with a fast stacker (:class:`StackedCodeLinUCBFast`'s float32
-#: sparse tables, :class:`StackedLinUCBFast`'s float32 dense posteriors
-#: with incremental UCB, :class:`StackedThompsonFast`'s shard-batched
-#: posterior draws) produce trajectories that are *statistically*
-#: equivalent to the bit tier (same math up to float32 rounding / draw
-#: stream regrouping, and the tie-breaks those can flip); kinds without
-#: a fast stacker run their bit stacker unchanged, so ``fast``
-#: degenerates to ``bit`` for them.
+#: policies; ``fast`` trades bit-identity for memory and speed — the
+#: policy kinds with a fast stacker (``code_linucb``:
+#: :class:`StackedCodeLinUCBFast`'s float32 sparse tables; ``linucb``:
+#: :class:`StackedLinUCBFast`'s float32 dense posteriors with
+#: incremental UCB) produce trajectories that are *statistically*
+#: equivalent to the bit tier (same math up to float32 rounding, and the
+#: tie-breaks that can flip); every other kind runs its bit stacker
+#: unchanged, so ``fast`` is bitwise ``bit`` for it.
 EXACTNESS_TIERS = ("bit", "fast")
 
 
@@ -183,11 +180,6 @@ class _StackedDenseLinear(StackedPolicies):
         self.b = np.stack([p.b for p in policies])  # (n, k, d)
         self.theta = np.stack([p.theta for p in policies])  # (n, k, d)
 
-    def _score_block(self) -> int:
-        """Rows per blocked scoring chunk, sized to cache (blocked and
-        unblocked evaluation are bitwise identical)."""
-        return auto_block_size(self.A_inv[0].nbytes)
-
     def _dense_update(
         self, contexts: np.ndarray, actions: np.ndarray, rewards: np.ndarray
     ) -> None:
@@ -224,9 +216,8 @@ class StackedLinUCB(_StackedDenseLinear):
         self.arm_counts = np.stack([p.arm_counts for p in policies])
 
     def scores(self, contexts: np.ndarray) -> np.ndarray:
-        block = self._score_block()
-        means = linear_scores(self.theta, contexts, block_size=block)
-        explore = ucb_explore(contexts, self.A_inv, block_size=block)
+        means = linear_scores(self.theta, contexts)
+        explore = ucb_explore(contexts, self.A_inv)
         return means + self.alpha * np.sqrt(explore)
 
     def select(self, contexts: np.ndarray) -> np.ndarray:
@@ -292,9 +283,8 @@ class StackedLinUCBFast(StackedLinUCB):
     def scores(self, contexts: np.ndarray) -> np.ndarray:
         if not self._cache_valid(contexts):
             ctx32 = np.asarray(contexts, dtype=np.float32)
-            block = self._score_block()
-            self._means = linear_scores(self.theta, ctx32, block_size=block)
-            self._quads = ucb_explore_fast(ctx32, self.A_inv, block_size=block)
+            self._means = linear_scores(self.theta, ctx32)
+            self._quads = ucb_explore_fast(ctx32, self.A_inv)
             self._ctx_cache = np.array(contexts, copy=True)
         return self._means + np.float32(self.alpha) * np.sqrt(self._quads)
 
@@ -417,43 +407,6 @@ class StackedThompson(_StackedDenseLinear):
             p._chol = chol_out[i]
             p._chol_fresh = fresh_out[i]
         self._writeback_dense()
-
-
-class StackedThompsonFast(StackedThompson):
-    """``fast``-tier Thompson: one batched posterior-draw fill per shard.
-
-    The bit stacker's only per-agent Python is the posterior-draw loop —
-    ``n`` ``standard_normal((A, d))`` calls per round, because each draw
-    must come from that agent's own generator to preserve the scalar
-    stream order.  Here the whole shard fills from **one** generator and
-    **one** ``standard_normal((n, A, d))`` call per round; the fill is
-    laid out agent-major, each agent's block in the same arm-major order
-    the scalar policy defines, so per-agent draws are simply regrouped
-    into one stream rather than reordered within an agent.  The draws
-    are iid normals either way — trajectories are *statistically*
-    equivalent, not bitwise (the tier's contract), and the agents' own
-    generators (still used for tie-breaks) advance differently from the
-    bit tier.
-
-    The shard generator is spawned from agent 0's stream at stacking
-    time (and again on :meth:`restart`), so a fast-tier run remains
-    fully seeded and reproducible.
-    """
-
-    def __init__(self, policies: Sequence[LinearThompsonSampling]) -> None:
-        super().__init__(policies)
-        self.restart()
-
-    def restart(self) -> None:
-        self._draw_rng = self.rngs[0].spawn(1)[0]
-
-    def sample_scores(self, contexts: np.ndarray) -> np.ndarray:
-        self._refresh_chol()
-        Z = self._draw_rng.standard_normal(
-            (self.n_agents, self.n_arms, self.n_features)
-        )
-        theta_tilde = self.theta + self.v * mat_vec(self.chol, Z)
-        return vec_dot(theta_tilde, contexts[:, None, :])
 
 
 class StackedCodeLinUCB(StackedPolicies):
@@ -741,7 +694,6 @@ _STACKERS: dict[str, type[StackedPolicies]] = {
 _FAST_STACKERS: dict[str, type[StackedPolicies]] = {
     CodeLinUCB.kind: StackedCodeLinUCBFast,
     LinUCB.kind: StackedLinUCBFast,
-    LinearThompsonSampling.kind: StackedThompsonFast,
 }
 
 

@@ -1,9 +1,11 @@
-"""Tests for repro.bandits.kernels — the blocked and fast-tier kernels.
+"""Tests for repro.bandits.kernels — leading-axis independence and the
+fast-tier kernels.
 
-The load-bearing property is *bit identity*: blocked evaluation over
-the leading (agent) axis must produce the same bytes as the single-shot
-contraction for every block size, because the fleet engine's
-``exactness="bit"`` contract rests on it.  The fast-tier kernels
+The load-bearing property is *bit identity*: calling a bit-tier kernel
+on row slices of the leading (agent) axis and concatenating the results
+must produce the same bytes as the whole-array call for every slice
+size, because the fleet engine's ``exactness="bit"`` contract (one
+agent vs a stacked shard of ``n``) rests on it.  The fast-tier kernels
 (:func:`ucb_explore_fast`, :func:`sm_quad_downdate`) are gated
 numerically instead — algebraically exact, tolerance-checked here,
 statistically gated at fleet level in ``tests/sim/``.
@@ -17,8 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bandits.kernels import (
-    DEFAULT_KERNEL_BLOCK_BYTES,
-    auto_block_size,
     linear_scores,
     mat_vec,
     sherman_morrison,
@@ -29,7 +29,7 @@ from repro.bandits.kernels import (
     vec_dot,
 )
 
-N, A, D = 23, 4, 5  # deliberately not divisible by the block sizes below
+N, A, D = 23, 4, 5  # deliberately not divisible by the slice sizes below
 BLOCKS = [1, 2, 7, 23, 100]  # 1, non-divisors, == n, >> n
 
 
@@ -44,63 +44,87 @@ def _stacked_operands(seed=0, n=N, dtype=np.float64):
     return x, theta, b, A_inv
 
 
-class TestBlockedBitIdentity:
+def _sliced(kernel, block, *operands):
+    """``kernel`` called per ``block``-row slice of the leading axis of
+    every operand, results concatenated along that axis."""
+    n = operands[0].shape[0]
+    return np.concatenate(
+        [
+            kernel(*(op[start : start + block] for op in operands))
+            for start in range(0, n, block)
+        ]
+    )
+
+
+def _sherman_morrison(A_inv, x):
+    # the kernel downdates in place: give every call its own copy
+    return sherman_morrison(A_inv.copy(), x)
+
+
+class TestLeadingAxisIndependence:
     @pytest.mark.parametrize("block", BLOCKS)
-    def test_mat_vec_blocked_equals_unblocked(self, block):
+    def test_mat_vec_sliced_equals_whole(self, block):
         _, _, b, A_inv = _stacked_operands()
         M, v = A_inv[:, 0], b[:, 0]  # (n, d, d), (n, d)
+        np.testing.assert_array_equal(mat_vec(M, v), _sliced(mat_vec, block, M, v))
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_vec_dot_sliced_equals_whole(self, block):
+        x, theta, _, _ = _stacked_operands()
+        xa = x[:, None, :]  # (n, 1, d) against (n, A, d)
         np.testing.assert_array_equal(
-            mat_vec(M, v), mat_vec(M, v, block_size=block)
+            vec_dot(theta, xa), _sliced(vec_dot, block, theta, xa)
         )
 
     @pytest.mark.parametrize("block", BLOCKS)
-    def test_linear_scores_blocked_equals_unblocked(self, block):
+    def test_linear_scores_sliced_equals_whole(self, block):
         x, theta, _, _ = _stacked_operands()
         np.testing.assert_array_equal(
-            linear_scores(theta, x), linear_scores(theta, x, block_size=block)
+            linear_scores(theta, x), _sliced(linear_scores, block, theta, x)
         )
 
     @pytest.mark.parametrize("block", BLOCKS)
-    def test_ucb_explore_blocked_equals_unblocked(self, block):
+    def test_ucb_explore_sliced_equals_whole(self, block):
         x, _, _, A_inv = _stacked_operands()
         np.testing.assert_array_equal(
-            ucb_explore(x, A_inv), ucb_explore(x, A_inv, block_size=block)
+            ucb_explore(x, A_inv), _sliced(ucb_explore, block, x, A_inv)
         )
 
     @pytest.mark.parametrize("block", BLOCKS)
-    def test_theta_refresh_blocked_equals_unblocked(self, block):
+    def test_theta_refresh_sliced_equals_whole(self, block):
         _, _, b, A_inv = _stacked_operands()
         np.testing.assert_array_equal(
-            theta_refresh(A_inv, b), theta_refresh(A_inv, b, block_size=block)
+            theta_refresh(A_inv, b), _sliced(theta_refresh, block, A_inv, b)
+        )
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_sherman_morrison_sliced_equals_whole(self, block):
+        x, _, _, A_inv = _stacked_operands()
+        A0 = A_inv[:, 0]  # (n, d, d)
+        np.testing.assert_array_equal(
+            _sherman_morrison(A0, x), _sliced(_sherman_morrison, block, A0, x)
         )
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 40))
     @settings(max_examples=30, deadline=None)
-    def test_property_any_block_size_is_bitwise(self, seed, block):
+    def test_property_any_slice_size_is_bitwise(self, seed, block):
         x, theta, b, A_inv = _stacked_operands(seed=seed, n=17)
         np.testing.assert_array_equal(
-            linear_scores(theta, x), linear_scores(theta, x, block_size=block)
+            linear_scores(theta, x), _sliced(linear_scores, block, theta, x)
         )
         np.testing.assert_array_equal(
-            ucb_explore(x, A_inv), ucb_explore(x, A_inv, block_size=block)
+            ucb_explore(x, A_inv), _sliced(ucb_explore, block, x, A_inv)
         )
         np.testing.assert_array_equal(
-            theta_refresh(A_inv, b), theta_refresh(A_inv, b, block_size=block)
+            theta_refresh(A_inv, b), _sliced(theta_refresh, block, A_inv, b)
         )
-
-    def test_scalar_and_broadcast_callers_ignore_block_size(self):
-        # no shared leading axis => block_size must be a no-op: the
-        # scalar policies and the server batch path pass through here
-        rng = np.random.default_rng(3)
-        theta = rng.normal(size=(A, D))  # one policy
-        x = rng.normal(size=D)  # one context
         np.testing.assert_array_equal(
-            linear_scores(theta, x), linear_scores(theta, x, block_size=1)
+            _sherman_morrison(A_inv[:, 0], x),
+            _sliced(_sherman_morrison, block, A_inv[:, 0], x),
         )
-        batch = rng.normal(size=(9, D))  # server batch: broadcast theta
         np.testing.assert_array_equal(
-            linear_scores(theta[None], batch),
-            linear_scores(theta[None], batch, block_size=2),
+            vec_dot(theta, x[:, None, :]),
+            _sliced(vec_dot, block, theta, x[:, None, :]),
         )
 
 
@@ -128,10 +152,10 @@ class TestFastTierKernels:
         )
 
     @pytest.mark.parametrize("block", BLOCKS)
-    def test_ucb_explore_fast_blocked(self, block):
+    def test_ucb_explore_fast_sliced(self, block):
         x, _, _, A_inv = _stacked_operands(seed=5, dtype=np.float32)
         np.testing.assert_allclose(
-            ucb_explore_fast(x, A_inv, block_size=block),
+            _sliced(ucb_explore_fast, block, x, A_inv),
             ucb_explore(x, A_inv),
             rtol=1e-4,
         )
@@ -156,13 +180,3 @@ class TestFastTierKernels:
     def test_sm_quad_downdate_vectorized(self):
         q = np.array([[0.5, 2.0], [0.0, 10.0]])
         np.testing.assert_allclose(sm_quad_downdate(q), q / (1.0 + q))
-
-
-class TestAutoBlockSize:
-    def test_targets_default_budget(self):
-        row = 4096
-        assert auto_block_size(row) == DEFAULT_KERNEL_BLOCK_BYTES // row
-
-    def test_never_below_one(self):
-        assert auto_block_size(10**12) == 1
-        assert auto_block_size(0) >= 1

@@ -3,9 +3,9 @@
 The drifting workload is piecewise-stationary: within an epoch it obeys
 the stationary plan contract, and at every boundary one uniform coin
 picks switch vs drift.  The fleet engine joins via
-``plan_horizon_limit()`` — chunks are capped at the earliest boundary —
-so drifting fleet runs must stay bit-identical to the sequential loop
-for every chunk size.
+``plan_horizon_limit()`` — plans are capped at the earliest boundary —
+so drifting fleet runs must stay bit-identical to the sequential loop,
+however the horizon is split into runs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.bandits.linucb import LinUCB
 from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode
 from repro.data import DriftingSyntheticEnvironment
-from repro.sim import EngineConfig, FleetRunner
+from repro.sim import FleetRunner
 from repro.utils.exceptions import ValidationError
 from repro.utils.rng import spawn_seeds
 
@@ -127,20 +127,28 @@ class TestEpochSemantics:
 
 
 class TestFleetBitIdentity:
-    @pytest.mark.parametrize("chunk", [None, 1, 3, EPOCH, EPOCH + 5, 64])
-    def test_fleet_matches_sequential_across_chunk_sizes(self, chunk):
+    @pytest.mark.parametrize("split", [None, 1, 3, EPOCH, EPOCH + 5, 64])
+    def test_fleet_matches_sequential_across_split_runs(self, split):
+        """The horizon as consecutive ``run(split)`` calls on one held
+        fleet (``None`` = one run), with run boundaries before, at and
+        after the drift boundaries: drift re-plans and run re-plans
+        compose exactly."""
         n, horizon = 5, 3 * EPOCH + 2
         seq_agents, seq_sessions = _population(n, seed=17)
         fleet_agents, fleet_sessions = _population(n, seed=17)
 
         seq_rewards = _sequential(seq_agents, seq_sessions, horizon)
-        result = FleetRunner(
-            fleet_agents,
-            fleet_sessions,
-            config=EngineConfig(plan_chunk_size=chunk),
-        ).run(horizon)
+        runner = FleetRunner(fleet_agents, fleet_sessions)
+        split = split or horizon
+        rewards = np.concatenate(
+            [
+                runner.run(min(split, horizon - start)).rewards
+                for start in range(0, horizon, split)
+            ],
+            axis=1,
+        )
 
-        np.testing.assert_array_equal(seq_rewards, result.rewards)
+        np.testing.assert_array_equal(seq_rewards, rewards)
         for a, b in zip(seq_agents, fleet_agents):
             state_a, state_b = a.policy.get_state(), b.policy.get_state()
             for key in state_a:
@@ -178,9 +186,8 @@ class TestFleetBitIdentity:
         seq_agents, seq_sessions = build()
         fleet_agents, fleet_sessions = build()
         seq_rewards = _sequential(seq_agents, seq_sessions, 2 * EPOCH)
-        result = FleetRunner(
-            fleet_agents,
-            fleet_sessions,
-            config=EngineConfig(plan_chunk_size=4),
-        ).run(2 * EPOCH)
-        np.testing.assert_array_equal(seq_rewards, result.rewards)
+        # three runs of 4 on one held fleet: run boundaries fall between
+        # the drift boundaries
+        runner = FleetRunner(fleet_agents, fleet_sessions)
+        rewards = np.concatenate([runner.run(4).rewards for _ in range(3)], axis=1)
+        np.testing.assert_array_equal(seq_rewards, rewards)

@@ -108,9 +108,9 @@ class TestFlagErrorPaths:
             ["fig3", "--workers", "0"],
             ["fig3", "--workers", "-2"],
             ["fig3", "--workers", "three"],
-            ["fig3", "--plan-chunk-size", "0"],
-            ["fig3", "--plan-chunk-size", "-1"],
-            ["fig3", "--plan-chunk-size", "many"],
+            ["fig3", "--sweep-workers", "0"],
+            ["fig3", "--sweep-workers", "-1"],
+            ["fig3", "--sweep-workers", "many"],
         ],
     )
     def test_bad_values_exit_with_usage_error(self, argv, capsys):

@@ -62,7 +62,7 @@ def built_runners(monkeypatch):
 
 
 def _engine_fields(obj):
-    return (obj.n_workers, obj.plan_chunk_size, obj.exactness, obj.fault_policy)
+    return (obj.n_workers, obj.exactness, obj.fault_policy)
 
 
 class TestConstruction:
@@ -70,9 +70,16 @@ class TestConstruction:
         cfg = EngineConfig()
         assert cfg.engine == "auto"
         assert cfg.n_workers == 1
-        assert cfg.plan_chunk_size is None
         assert cfg.exactness == "bit"
         assert cfg.sink is None
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "engine",
+            "n_workers",
+            "exactness",
+            "sink",
+            "fault_policy",
+            "sweep_workers",
+        ]
 
     def test_frozen(self):
         cfg = EngineConfig()
@@ -86,7 +93,6 @@ class TestConstruction:
             {"n_workers": 0},
             {"n_workers": -3},
             {"sweep_workers": 0},
-            {"plan_chunk_size": 0},
             {"exactness": "approximate"},
         ],
     )
@@ -101,6 +107,7 @@ class TestConstruction:
             ("plan_form", "dense"),
             ("worker_backend", "process"),
             ("kernel_block_size", 7),
+            ("plan_chunk_size", 4),
         ],
     )
     def test_pickle_round_trip_drops_retired_keys(self, retired_key, retired_value):
@@ -120,7 +127,7 @@ class TestConstruction:
     def test_blob_pickled_under_runner_path_restores(self):
         """Checkpoint context blobs written while EngineConfig lived in
         ``repro.experiments.runner`` name it by that module path."""
-        cfg = EngineConfig(engine="fleet", plan_chunk_size=4)
+        cfg = EngineConfig(engine="fleet", exactness="fast")
         blob = pickle.dumps(cfg, protocol=0)
         assert b"repro.sim.fleet\nEngineConfig" in blob
         old_blob = blob.replace(b"repro.sim.fleet\n", b"repro.experiments.runner\n")
@@ -158,10 +165,10 @@ class TestUseConfig:
         assert runner.get_default_config() is before
 
     def test_accepts_whole_config_plus_overrides(self):
-        cfg = EngineConfig(engine="fleet", plan_chunk_size=7)
+        cfg = EngineConfig(engine="fleet", exactness="fast")
         with use_config(cfg, n_workers=2) as active:
             assert active.engine == "fleet"
-            assert active.plan_chunk_size == 7
+            assert active.exactness == "fast"
             assert active.n_workers == 2
 
 
@@ -198,18 +205,18 @@ def _run(engine_arg, **kwargs):
 
 class TestResolution:
     def test_use_config_equals_explicit_argument(self):
-        cfg = EngineConfig(engine="fleet", plan_chunk_size=3)
+        cfg = EngineConfig(engine="fleet", n_workers=2)
         with use_config(cfg):
             scoped = _run(None)
         explicit = _run(cfg)
         np.testing.assert_array_equal(scoped.curve, explicit.curve)
 
     def test_engine_name_goes_onto_process_default(self, built_runners):
-        with use_config(n_workers=2, plan_chunk_size=3):
+        with use_config(n_workers=2, exactness="fast"):
             _run("fleet")
         assert len(built_runners) == 2  # contributor + evaluation phase
         for built in built_runners:
-            assert (built.n_workers, built.plan_chunk_size) == (2, 3)
+            assert (built.n_workers, built.exactness) == (2, "fast")
 
     def test_compare_settings_accepts_config(self):
         _, config = _workload()
@@ -252,7 +259,6 @@ class TestResolution:
 _NON_DEFAULT = EngineConfig(
     engine="fleet",
     n_workers=2,
-    plan_chunk_size=3,
     exactness="fast",
     fault_policy=FaultPolicy(max_retries=1, backoff=0.0),
 )
@@ -336,21 +342,21 @@ class TestEntryPoints:
 class TestDeploymentLoopConfig:
     def test_loop_resolves_engine_to_config(self):
         env, config = _workload()
-        with use_config(n_workers=2, plan_chunk_size=5):
+        with use_config(n_workers=2, exactness="fast"):
             # a name maps onto the field defaults, not the process default
             by_name = DeploymentLoop(
                 config, env, interactions_per_round=6, seed=2, engine="fleet"
             )
         by_config = DeploymentLoop(
             config, env, interactions_per_round=6, seed=2,
-            engine=EngineConfig(engine="fleet", plan_chunk_size=3),
+            engine=EngineConfig(engine="fleet", n_workers=3),
         )
         assert by_name.engine == EngineConfig(engine="fleet")
         for loop in (by_name, by_config):
             loop.enroll(8)
             loop.run_round()
         assert by_name.rounds == by_config.rounds
-        assert by_config.engine.plan_chunk_size == 3
+        assert by_config.engine.n_workers == 3
 
     @pytest.mark.parametrize(
         ("engine", "message"),

@@ -78,6 +78,23 @@ def simulate_sequential(agents, sessions, n_interactions: int) -> np.ndarray:
     )
 
 
+def run_split(runner, total: int, split: int | None, **run_kwargs) -> list:
+    """Run ``total`` steps as consecutive ``runner.run(split)`` calls on
+    one held fleet (the last one shorter; ``None`` = one run) and return
+    the per-run results — by the plan contract they must equal one
+    sequential horizon of ``total`` steps."""
+    split = split or total
+    return [
+        runner.run(min(split, total - start), **run_kwargs)
+        for start in range(0, total, split)
+    ]
+
+
+def join_runs(results, field: str = "rewards") -> np.ndarray:
+    """Concatenate one result matrix of consecutive runs along time."""
+    return np.concatenate([getattr(r, field) for r in results], axis=1)
+
+
 def assert_states_equal(policy_a, policy_b, label: str = "") -> None:
     """Bit-exact ``get_state`` comparison."""
     state_a, state_b = policy_a.get_state(), policy_b.get_state()

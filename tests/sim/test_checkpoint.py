@@ -4,12 +4,13 @@ The golden test: run a horizon with checkpointing, crash mid-horizon
 (the dispatcher raises partway through), resume from the snapshot —
 rewards, actions and every policy's state must equal the run that was
 never interrupted.  Pinned across worker counts, exactness tiers and
-chunked plans.
+uninterrupted references that ran as consecutive split runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from repro.utils.exceptions import CheckpointError, ConfigError
 from repro.utils.rng import spawn_seeds
 from repro.utils.serialization import state_to_bytes
 
-from _testkit import assert_outboxes_equal, assert_states_equal
+from _testkit import assert_outboxes_equal, assert_states_equal, join_runs, run_split
 
 N_ACTIONS = 4
 N_FEATURES = 5
@@ -125,19 +126,19 @@ class TestRoundTripMatrix:
     @pytest.mark.parametrize("n_workers", [1, 2])
     @pytest.mark.parametrize("exactness", ["bit", "fast"])
     @pytest.mark.parametrize("n_datasets", [1, 2], ids=["one-table", "two-tables"])
-    @pytest.mark.parametrize("chunk", [None, 2])
+    @pytest.mark.parametrize("split", [None, 2])
     def test_checkpointed_equals_uninterrupted(
-        self, n_workers, exactness, n_datasets, chunk, tmp_path, monkeypatch
+        self, n_workers, exactness, n_datasets, split, tmp_path, monkeypatch
     ):
+        """The reference runs the horizon whole (``split=None``) or as
+        consecutive ``run(split)`` calls on one held fleet; either way
+        the crashed-and-resumed segmented run equals it bitwise."""
         path = tmp_path / "fleet.ckpt"
-        knobs = dict(
-            n_workers=n_workers,
-            exactness=exactness,
-            plan_chunk_size=chunk,
-        )
+        knobs = dict(n_workers=n_workers, exactness=exactness)
         agents_a, sessions_a = _traced_population(2, n_datasets=n_datasets)
         config = EngineConfig(**knobs)
-        base = FleetRunner(agents_a, sessions_a, config=config).run(6)
+        parts = run_split(FleetRunner(agents_a, sessions_a, config=config), 6, split)
+        base = SimpleNamespace(rewards=join_runs(parts), actions=join_runs(parts, "actions"))
 
         agents_b, sessions_b = _traced_population(2, n_datasets=n_datasets)
         runner = FleetRunner(agents_b, sessions_b, config=config)
@@ -160,6 +161,7 @@ class TestRoundTripMatrix:
             ("worker_backend", "process"),
             ("kernel_block_size", 7),
             ("persistent", True),
+            ("plan_chunk_size", 4),
         ],
     )
     def test_stale_engine_key_is_ignored_on_resume(
@@ -167,8 +169,9 @@ class TestRoundTripMatrix:
     ):
         """A snapshot from a release that still had a retired knob (the
         ``plan_form`` choice, the process worker backend, the scoring
-        kernel block size, the shard-cache flag) resumes bit-identically
-        on threads: unknown engine keys are ignored."""
+        kernel block size, the shard-cache flag, the plan chunk size)
+        resumes bit-identically on threads: unknown engine keys are
+        ignored."""
         path = tmp_path / "fleet.ckpt"
         agents_a, sessions_a = _traced_population(4)
         base = FleetRunner(agents_a, sessions_a).run(6)

@@ -1,12 +1,15 @@
-"""Chunked plan horizons: bounded-memory slices, bit-identical.
+"""Split horizons: consecutive runs on one held fleet, bit-identical.
 
-``FleetRunner(plan_chunk_size=C)`` re-plans sessions every ``C`` steps
-instead of materializing the whole horizon.  These suites pin the edge
-cases: horizons not divisible by the chunk size, participation windows
-straddling a chunk boundary, collection rounds landing mid-chunk
-(``DeploymentLoop``), and chunk sizes at or above the horizon
-degenerating to exactly the unchunked path — all bit-identical to the
-sequential reference on traced and on stationary plans.
+A held :class:`FleetRunner` re-plans its sessions at the start of every
+``run`` call, so ``k`` consecutive ``run(C)`` calls must equal one
+sequential horizon of the same total length — the plan contract
+(planning a horizon in consecutive slices consumes session streams
+exactly like one full plan), reached through the public API.  These
+suites pin the edge cases: totals not divisible by the split size,
+participation windows straddling a run boundary, raw-payload gathers
+reaching back across runs, collection rounds landing mid-window
+(``DeploymentLoop``), and each horizon planned once — all bit-identical
+to the sequential reference on traced and on stationary plans.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from repro.data.synthetic import SyntheticPreferenceEnvironment
 from repro.experiments.runner import _simulate_agent, run_setting
 from repro.sim import EngineConfig, FleetRunner
 from repro.sim.fleet import _Shard
-from repro.utils.exceptions import ValidationError
 from repro.utils.rng import spawn_seeds
 
-from _testkit import assert_outboxes_equal, assert_states_equal
+from _testkit import assert_outboxes_equal, assert_states_equal, join_runs, run_split
 
 N_ACTIONS = 5
 N_FEATURES = 6
@@ -138,20 +140,20 @@ def _assert_agents_identical(agents_a, agents_b):
 
 
 # --------------------------------------------------------------------- #
-# chunked == sequential, awkward chunk sizes
+# split runs == sequential, awkward split sizes
 # --------------------------------------------------------------------- #
 _TABLES = {"one-table": None, "two-tables": _ml_env_b}
 
 
 @pytest.mark.parametrize("env_factory", [_ml_env, _criteo_env], ids=["multilabel", "criteo"])
 @pytest.mark.parametrize("tables", list(_TABLES))
-@pytest.mark.parametrize("chunk", [1, 5, 7, 16, 40])
-def test_chunked_replay_matches_sequential(env_factory, tables, chunk, encoder):
-    """T = 16 with chunks of 1 / 5 / 7 (not divisors), 16 (exact) and
-    40 (> T): warm-private populations with window-3 participation —
-    windows straddle every chunk boundary — stay bit-identical to the
-    sequential loop, reports and buffers included; on one dataset's
-    table and on a shard that concatenates two."""
+@pytest.mark.parametrize("split", [1, 5, 7, 16, 40])
+def test_split_replay_matches_sequential(env_factory, tables, split, encoder):
+    """T = 16 as runs of 1 / 5 / 7 (not divisors), 16 (exact) and
+    40 (> T) steps: warm-private populations with window-3
+    participation — windows straddle every run boundary — stay
+    bit-identical to the sequential loop, reports and buffers included;
+    on one dataset's table and on a shard that concatenates two."""
     n_agents, n_interactions, seed = 9, 16, 42
     kwargs = dict(encoder=encoder, partner_env_factory=_TABLES[tables])
     seq_agents, seq_sessions = make_population(
@@ -163,16 +165,14 @@ def test_chunked_replay_matches_sequential(env_factory, tables, chunk, encoder):
     fleet_agents, fleet_sessions = make_population(
         env_factory, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed, **kwargs
     )
-    FleetRunner(fleet_agents, fleet_sessions, config=EngineConfig(plan_chunk_size=chunk)).run(
-        n_interactions
-    )
+    run_split(FleetRunner(fleet_agents, fleet_sessions), n_interactions, split)
     _assert_agents_identical(seq_agents, fleet_agents)
 
 
-@pytest.mark.parametrize("chunk", [1, 4, 9, 20])
-def test_chunked_stationary_matches_sequential(chunk):
-    """Stationary shards re-draw their noise per chunk; block draws
-    split at any boundary consume the stream like scalar draws, so the
+@pytest.mark.parametrize("split", [1, 4, 9, 20])
+def test_split_stationary_matches_sequential(split):
+    """Stationary shards re-draw their noise per run; block draws split
+    at any boundary consume the stream like scalar draws, so the
     synthetic population stays bit-identical too."""
     n_agents, n_interactions = 8, 9
     env_seed, seed = 7, 4
@@ -202,18 +202,14 @@ def test_chunked_stationary_matches_sequential(chunk):
         ]
     )
     fleet_agents, fleet_sessions = build()
-    result = FleetRunner(
-        fleet_agents,
-        fleet_sessions,
-        config=EngineConfig(plan_chunk_size=chunk),
-    ).run(n_interactions)
-    np.testing.assert_array_equal(seq_rewards, result.rewards)
+    results = run_split(FleetRunner(fleet_agents, fleet_sessions), n_interactions, split)
+    np.testing.assert_array_equal(seq_rewards, join_runs(results))
     for sa, fa in zip(seq_agents, fleet_agents):
         assert_states_equal(sa.policy, fa.policy)
 
 
 def test_block_noise_draws_split_like_scalar_draws():
-    """The stationary-chunking premise: ``normal(size=a)`` then
+    """The split-run and drift re-plan premise: ``normal(size=a)`` then
     ``normal(size=b)`` equals one ``normal(size=a + b)`` draw."""
     a = np.random.default_rng(123).normal(0.0, 0.1, size=13)
     rng = np.random.default_rng(123)
@@ -224,13 +220,13 @@ def test_block_noise_draws_split_like_scalar_draws():
 
 
 # --------------------------------------------------------------------- #
-# participation windows straddling chunk boundaries
+# participation windows straddling run boundaries
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("env_factory", [_ml_env, _criteo_env], ids=["multilabel", "criteo"])
-def test_window_larger_than_chunk_straddles_boundaries(env_factory, encoder):
-    """window = 5 > chunk = 2 with p = 1: every report samples from a
-    window spanning multiple chunks, so the payload gather must reach
-    back across chunk boundaries — still identical reports."""
+def test_window_larger_than_split_straddles_boundaries(env_factory, encoder):
+    """window = 5 > split = 2 with p = 1: every report samples from a
+    window spanning multiple runs, so the payload gather must reach
+    back across run boundaries — still identical reports."""
     n_agents, n_interactions, seed = 8, 17, 31
     kwargs = dict(encoder=encoder, p=1.0, window=5, max_reports=3)
     seq_agents, seq_sessions = make_population(
@@ -243,17 +239,13 @@ def test_window_larger_than_chunk_straddles_boundaries(env_factory, encoder):
     fleet_agents, fleet_sessions = make_population(
         env_factory, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed, **kwargs
     )
-    FleetRunner(
-        fleet_agents,
-        fleet_sessions,
-        config=EngineConfig(plan_chunk_size=2),
-    ).run(n_interactions)
+    run_split(FleetRunner(fleet_agents, fleet_sessions), n_interactions, 2)
     _assert_agents_identical(seq_agents, fleet_agents)
 
 
-def test_window_never_fills_across_chunks(encoder):
-    """window > T: no report ever fires, but ``finish`` must rebuild
-    the full partial buffer across every chunk boundary."""
+def test_window_never_fills_across_runs(encoder):
+    """window > T: no report ever fires, but ``finish`` must carry the
+    full partial buffer across every run boundary."""
     n_agents, n_interactions, seed = 6, 10, 12
     kwargs = dict(encoder=encoder, p=1.0, window=50, max_reports=1)
     seq_agents, seq_sessions = make_population(
@@ -266,18 +258,14 @@ def test_window_never_fills_across_chunks(encoder):
     fleet_agents, fleet_sessions = make_population(
         _ml_env, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed, **kwargs
     )
-    FleetRunner(
-        fleet_agents,
-        fleet_sessions,
-        config=EngineConfig(plan_chunk_size=3),
-    ).run(n_interactions)
+    run_split(FleetRunner(fleet_agents, fleet_sessions), n_interactions, 3)
     _assert_agents_identical(seq_agents, fleet_agents)
 
 
 @pytest.mark.parametrize("tables", list(_TABLES))
 def test_raw_payloads_straddle_boundaries(tables, encoder):
     """Warm-nonprivate shards carry raw contexts in reports; the
-    context gather crosses chunk boundaries too, through one table or
+    context gather crosses run boundaries too, through one table or
     a concatenation of two."""
     n_agents, n_interactions, seed = 7, 13, 23
     kwargs = dict(p=1.0, window=4, max_reports=3, partner_env_factory=_TABLES[tables])
@@ -290,24 +278,20 @@ def test_raw_payloads_straddle_boundaries(tables, encoder):
     fleet_agents, fleet_sessions = make_population(
         _ml_env, _linucb, AgentMode.WARM_NONPRIVATE, n_agents, seed, **kwargs
     )
-    FleetRunner(
-        fleet_agents,
-        fleet_sessions,
-        config=EngineConfig(plan_chunk_size=3),
-    ).run(n_interactions)
+    run_split(FleetRunner(fleet_agents, fleet_sessions), n_interactions, 3)
     _assert_agents_identical(seq_agents, fleet_agents)
 
 
 # --------------------------------------------------------------------- #
-# degenerate and boundary chunk sizes
+# one plan per horizon
 # --------------------------------------------------------------------- #
-def test_chunk_at_least_horizon_is_the_unchunked_path(encoder):
-    """chunk >= T resolves to a single whole-horizon chunk: one plan
-    call per session — the unchunked path, exactly."""
+def test_traced_horizon_is_planned_once(encoder):
+    """A traced shard plans its whole horizon in one plan call per
+    session — the only re-plans are new runs and drift boundaries."""
     agents, sessions = make_population(
         _ml_env, _code_linucb, AgentMode.WARM_PRIVATE, 5, 2, encoder=encoder
     )
-    shard = _Shard(np.arange(5), agents, sessions, plan_chunk_size=99)
+    shard = _Shard(np.arange(5), agents, sessions)
     calls = {"n": 0}
     real = type(sessions[0]).plan_trace_indexed
 
@@ -320,28 +304,20 @@ def test_chunk_at_least_horizon_is_the_unchunked_path(encoder):
         shard.prepare(8)
     finally:
         type(sessions[0]).plan_trace_indexed = real
-    assert shard._chunk == 8 and shard._chunk_len == 8
+    assert shard._chunk_start == 0 and shard._chunk_len == 8
     assert calls["n"] == len(sessions)
 
 
-def test_chunk_size_validation():
-    from repro.utils.exceptions import ConfigError
-
-    agents, sessions = make_population(_ml_env, _linucb, AgentMode.COLD, 2, 0)
-    with pytest.raises((ConfigError, ValidationError)):
-        FleetRunner(agents, sessions, config=EngineConfig(plan_chunk_size=0))
-
-
 # --------------------------------------------------------------------- #
-# collection rounds landing mid-chunk
+# collection rounds landing mid-window
 # --------------------------------------------------------------------- #
 @pytest.mark.slow
-def test_deployment_loop_collects_mid_chunk():
-    """Fig. 1 loop on the multilabel workload with chunks that divide
-    neither the round length nor the participation window: every
-    round's collection lands mid-chunk and mid-window, partial buffers
-    carry across rounds (and therefore across chunk boundaries), and
-    all round stats match the sequential engine."""
+def test_deployment_loop_collects_mid_window():
+    """Fig. 1 loop on the multilabel workload, one held fleet whose
+    round length (10) the participation window (6) does not divide:
+    every round's collection lands mid-window, partial buffers carry
+    across rounds (and therefore across run boundaries), and all round
+    stats match the sequential engine."""
     config = P2BConfig(
         n_actions=N_ACTIONS,
         n_features=N_FEATURES,
@@ -352,34 +328,34 @@ def test_deployment_loop_collects_mid_chunk():
         shuffler_threshold=1,
     )
 
-    def build(engine, plan_chunk_size=None):
+    def build(engine):
         return DeploymentLoop(
             config,
             _ml_env(),
             interactions_per_round=10,
             seed=11,
-            engine=EngineConfig(engine=engine, plan_chunk_size=plan_chunk_size),
+            engine=EngineConfig(engine=engine),
         )
 
     loop_seq = build("sequential")
-    loop_chunked = build("fleet", plan_chunk_size=4)
+    loop_fleet = build("fleet")
     for new_users in (8, 4, 0):
         stats_seq = loop_seq.run_round(new_users=new_users)
-        stats_chunked = loop_chunked.run_round(new_users=new_users)
-        assert stats_seq == stats_chunked
-    assert loop_seq.privacy_report() == loop_chunked.privacy_report()
+        stats_fleet = loop_fleet.run_round(new_users=new_users)
+        assert stats_seq == stats_fleet
+    assert loop_seq.privacy_report() == loop_fleet.privacy_report()
     np.testing.assert_array_equal(
-        loop_seq.mean_reward_trajectory, loop_chunked.mean_reward_trajectory
+        loop_seq.mean_reward_trajectory, loop_fleet.mean_reward_trajectory
     )
     server_seq = loop_seq.system.server
-    server_chunked = loop_chunked.system.server
-    assert server_seq.n_tuples_ingested == server_chunked.n_tuples_ingested
+    server_fleet = loop_fleet.system.server
+    assert server_seq.n_tuples_ingested == server_fleet.n_tuples_ingested
 
 
 @pytest.mark.slow
-def test_run_setting_identical_with_chunking(encoder):
+def test_run_setting_identical_across_engines(encoder):
     """The full §5.2 protocol agrees between the sequential engine and
-    a chunked fleet run (contribution, shuffler release, warm eval)."""
+    the fleet engine (contribution, shuffler release, warm eval)."""
     config = P2BConfig(
         n_actions=N_ACTIONS,
         n_features=N_FEATURES,
@@ -389,7 +365,7 @@ def test_run_setting_identical_with_chunking(encoder):
         shuffler_threshold=1,
     )
     results = {}
-    for engine, chunk in (("sequential", None), ("fleet", 3)):
+    for engine in ("sequential", "fleet"):
         results[engine] = run_setting(
             _ml_env(),
             config,
@@ -399,7 +375,7 @@ def test_run_setting_identical_with_chunking(encoder):
             eval_interactions=10,
             seed=31,
             encoder=encoder,
-            engine=EngineConfig(engine=engine, plan_chunk_size=chunk),
+            engine=EngineConfig(engine=engine),
         )
     seq, fleet = results["sequential"], results["fleet"]
     assert seq.mean_reward == fleet.mean_reward

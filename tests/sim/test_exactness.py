@@ -4,9 +4,10 @@ Gates the tier the way the contract defines it:
 
 * ``exactness="bit"`` stays bit-identical — including when results are
   streamed through a :class:`CurveSink` instead of materialized;
-* ``exactness="fast"`` is *statistically* equivalent on CodeLinUCB
-  populations (``stat_equiv`` tolerance bands across seeds) and
-  *bitwise* identical for policy kinds without a fast stacker;
+* ``exactness="fast"`` is *statistically* equivalent on CodeLinUCB and
+  LinUCB populations (``stat_equiv`` tolerance bands across seeds) and
+  *bitwise* identical for policy kinds without a fast stacker
+  (Thompson, epsilon-greedy, UCB1);
 * the sparse and densified representations of
   :class:`StackedCodeLinUCBFast` are bitwise interchangeable (both
   compute the same float32 values);
@@ -27,7 +28,6 @@ from repro.bandits import (
     LinearThompsonSampling,
     LinUCB,
     UCB1,
-    kernels,
     policy_state_nbytes,
 )
 from repro.bandits.kernels import linear_scores, ucb_explore
@@ -46,7 +46,7 @@ from repro.sim import (
     StackedCodeLinUCB,
     StackedCodeLinUCBFast,
     StackedLinUCBFast,
-    StackedThompsonFast,
+    StackedThompson,
     aggregate_plan_nbytes,
     stack_policies,
 )
@@ -58,7 +58,6 @@ from _testkit import (
     assert_outboxes_equal,
     assert_states_equal,
     make_population,
-    simulate_sequential,
 )
 from stat_equiv import assert_statistically_equivalent
 
@@ -117,7 +116,7 @@ class TestTierSelection:
         assert isinstance(stacked, StackedLinUCBFast)
         assert stacked.A_inv.dtype == np.float32
         ts = [LinearThompsonSampling(N_ACTIONS, N_FEATURES, seed=i) for i in range(3)]
-        assert isinstance(stack_policies(ts, exactness="fast"), StackedThompsonFast)
+        assert type(stack_policies(ts, exactness="fast")) is StackedThompson
 
     def test_unknown_tier_rejected_everywhere(self):
         policies = [LinUCB(N_ACTIONS, N_FEATURES, seed=0)]
@@ -134,8 +133,8 @@ class TestTierSelection:
 # fast degenerates to bit for kinds without a fast stacker
 # --------------------------------------------------------------------- #
 class TestFastDegeneratesToBit:
-    # linucb/lin_ts/code_linucb now have fast stackers; only the kinds
-    # below still degenerate to the bit tier bitwise
+    # linucb/code_linucb have fast stackers; lin_ts has none either
+    # (TestStatisticalEquivalence pins it bitwise across seeds)
     @pytest.mark.parametrize(
         "factory",
         [
@@ -159,50 +158,6 @@ class TestFastDegeneratesToBit:
         for x, y in zip(a_bit, a_fast):
             assert_states_equal(x.policy, y.policy)
         assert_outboxes_equal(a_bit, a_fast)
-
-
-# --------------------------------------------------------------------- #
-# blocked kernels stay inside the bit contract at fleet level
-# --------------------------------------------------------------------- #
-class TestBlockedBitIdentity:
-    """Scoring blocks are auto-sized from a byte budget; shrinking the
-    budget forces small blocks through the whole fleet stack."""
-
-    @staticmethod
-    def _force_block_rows(mp, policies, rows, exactness="bit"):
-        row_nbytes = stack_policies(policies, exactness=exactness).A_inv[0].nbytes
-        mp.setattr(kernels, "DEFAULT_KERNEL_BLOCK_BYTES", rows * row_nbytes)
-        assert stack_policies(policies, exactness=exactness)._score_block() == rows
-
-    @pytest.mark.parametrize("block", [1, 3, 10_000])
-    def test_fleet_blocked_matches_sequential_bitwise(self, block, monkeypatch):
-        def factory(A, d, s):
-            return LinUCB(A, d, alpha=0.5, seed=s)
-
-        a_seq, s_seq = make_population(factory, AgentMode.COLD, 8, 11)
-        a_flt, s_flt = make_population(factory, AgentMode.COLD, 8, 11)
-        self._force_block_rows(monkeypatch, [a.policy for a in a_flt], block)
-        reference = simulate_sequential(a_seq, s_seq, 12)
-        result = FleetRunner(a_flt, s_flt).run(12)
-        np.testing.assert_array_equal(reference, result.rewards)
-        for x, y in zip(a_seq, a_flt):
-            assert_states_equal(x.policy, y.policy)
-
-    def test_block_sizes_bitwise_interchangeable_on_fast_tier(self, monkeypatch):
-        # blocking is orthogonal to the tier: two fast runs that differ
-        # only in block size stay bitwise identical to each other
-        runs = []
-        for rows in (2, 10_000):
-            agents, sessions = make_population(
-                lambda A, d, s: LinUCB(A, d, seed=s), AgentMode.COLD, 9, 3
-            )
-            with monkeypatch.context() as mp:
-                self._force_block_rows(mp, [a.policy for a in agents], rows, "fast")
-                fast = EngineConfig(exactness="fast")
-                runs.append(FleetRunner(agents, sessions, config=fast).run(10))
-        r1, r2 = runs
-        np.testing.assert_array_equal(r1.rewards, r2.rewards)
-        np.testing.assert_array_equal(r1.actions, r2.actions)
 
 
 # --------------------------------------------------------------------- #
@@ -263,7 +218,9 @@ class TestStatisticalEquivalence:
             )
         assert_statistically_equivalent(bit_curves, fast_curves)
 
-    def test_thompson_curves_within_band_across_seeds(self):
+    def test_thompson_fast_tier_is_bitwise_bit_tier_across_seeds(self):
+        # Thompson has no fast stacker: the fast tier runs the bit
+        # stacker, so rewards, actions and policy states match bitwise
         def build(seed):
             return make_population(
                 lambda A, d, s: LinearThompsonSampling(A, d, v=0.3, seed=s),
@@ -272,19 +229,16 @@ class TestStatisticalEquivalence:
                 seed,
             )
 
-        bit_curves, fast_curves = [], []
         for seed in range(4):
-            agents, sessions = build(seed)
-            bit_curves.append(FleetRunner(agents, sessions).run(40).rewards)
-            agents, sessions = build(seed)
-            fast_curves.append(
-                FleetRunner(
-                    agents,
-                    sessions,
-                    config=EngineConfig(exactness="fast"),
-                ).run(40).rewards
-            )
-        assert_statistically_equivalent(bit_curves, fast_curves)
+            a_bit, s_bit = build(seed)
+            r_bit = FleetRunner(a_bit, s_bit).run(40)
+            a_fast, s_fast = build(seed)
+            fast = EngineConfig(exactness="fast")
+            r_fast = FleetRunner(a_fast, s_fast, config=fast).run(40)
+            np.testing.assert_array_equal(r_bit.rewards, r_fast.rewards)
+            np.testing.assert_array_equal(r_bit.actions, r_fast.actions)
+            for x, y in zip(a_bit, a_fast):
+                assert_states_equal(x.policy, y.policy)
 
     def test_incremental_quads_track_recompute_under_fixed_contexts(self):
         # fixed contexts across rounds: the cache stays valid, so every

@@ -38,7 +38,7 @@ from repro.sim import EngineConfig, FleetRunner
 from repro.sim.fleet import _Shard
 from repro.utils.rng import spawn_seeds
 
-from _testkit import assert_outboxes_equal, assert_states_equal
+from _testkit import assert_outboxes_equal, assert_states_equal, join_runs, run_split
 
 N_ACTIONS = 5
 N_FEATURES = 6
@@ -310,7 +310,7 @@ def _two_dataset_population(
     return agents, sessions
 
 
-@pytest.mark.parametrize("chunk", [None, 2], ids=["whole", "chunk2"])
+@pytest.mark.parametrize("split", [None, 2], ids=["whole", "split2"])
 @pytest.mark.parametrize(
     "factory,mode,private_context",
     [
@@ -321,12 +321,13 @@ def _two_dataset_population(
     ids=["cold", "private-onehot", "private-centroid"],
 )
 def test_mixed_dataset_shard_concatenates_tables(
-    factory, mode, private_context, chunk, encoder
+    factory, mode, private_context, split, encoder
 ):
     """Sessions over *different* datasets gather through one
     shard-private concatenation of their row tables — still the indexed
     form, and bit-identical to the sequential loop on rewards, actions,
-    the expected channel, policy states and reports."""
+    the expected channel, policy states and reports, whether the
+    horizon runs whole or as consecutive runs of ``split`` steps."""
     n_agents, n_interactions, seed = 6, 11, 13
 
     def build():
@@ -335,7 +336,7 @@ def test_mixed_dataset_shard_concatenates_tables(
             encoder=encoder, private_context=private_context,
         )
 
-    probe = _Shard(np.arange(n_agents), *build(), plan_chunk_size=chunk)
+    probe = _Shard(np.arange(n_agents), *build())
     probe.prepare(5)
     assert probe.indexed and probe.traced
     assert probe._row_table.n_rows == _ML_DATASET.n_samples + _OTHER_DATASET.n_samples
@@ -347,15 +348,16 @@ def test_mixed_dataset_shard_concatenates_tables(
         seq_agents, seq_sessions, n_interactions
     )
     fleet_agents, fleet_sessions = build()
-    result = FleetRunner(
-        fleet_agents,
-        fleet_sessions,
-        config=EngineConfig(plan_chunk_size=chunk),
-    ).run(n_interactions, track_expected=True)
-    np.testing.assert_array_equal(seq_rewards, result.rewards)
-    np.testing.assert_array_equal(seq_actions, result.actions)
-    assert result.expected_mask.all()
-    np.testing.assert_array_equal(np.stack(seq_expected), result.expected)
+    results = run_split(
+        FleetRunner(fleet_agents, fleet_sessions),
+        n_interactions,
+        split,
+        track_expected=True,
+    )
+    np.testing.assert_array_equal(seq_rewards, join_runs(results))
+    np.testing.assert_array_equal(seq_actions, join_runs(results, "actions"))
+    assert all(r.expected_mask.all() for r in results)
+    np.testing.assert_array_equal(np.stack(seq_expected), join_runs(results, "expected"))
     for sa, fa in zip(seq_agents, fleet_agents):
         assert sa.n_interactions == fa.n_interactions
         assert sa.total_reward == fa.total_reward
@@ -496,7 +498,7 @@ def test_each_dataset_row_encoded_at_most_once(encoder, monkeypatch):
     monkeypatch.setattr(type(encoder), "encode_batch", counting_batch)
     monkeypatch.setattr(type(encoder), "encode", no_scalar)
     FleetRunner(agents, sessions).run(30)
-    # one batched call (one encoder group, one chunk), bounded by the
+    # one batched call (one encoder group, one plan), bounded by the
     # dataset size — not by agents x steps = 270
     assert sum(seen_rows) <= _ML_DATASET.n_samples
 

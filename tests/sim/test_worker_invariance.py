@@ -5,9 +5,10 @@ n_workers`` combination must reproduce it bitwise — results, mid-run
 checkpoint snapshots, resumed runs, shuffler statistics, and runs under
 a seeded fault plan.  The fast tier's contract is bitwise identity to
 a serial fast run with the *same* checkpoint cadence (every segment
-starts from the float32 score caches and shard draw stream a fresh
-stack would hold), so its checkpoint test compares against that run.  The worker axis is env-tunable so the CI matrix can
-pin one count per cell while local runs sweep the full grid:
+starts from the float32 score caches a fresh stack would hold), so its
+checkpoint test compares against that run.  The worker axis is
+env-tunable so the CI matrix can pin one count per cell while local
+runs sweep the full grid:
 
 * ``REPRO_PARALLEL_WORKERS`` — comma list, default ``1,2,4``
 """

@@ -15,7 +15,6 @@ randomized inputs rather than fixed examples:
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -418,33 +417,27 @@ def _replay_datasets():
         max_size=8,
     ),
     st.integers(3, 14),
-    st.sampled_from([None, 1, 2, 3, 5, 20]),
+    st.sampled_from([None, 1, 2, 3, 5, 20]),  # steps per run on one held fleet
     st.sampled_from([1, 2]),  # multilabel datasets the replay agents walk
     st.sampled_from([1, 2]),  # n_workers: serial map vs thread-pool map
     st.sampled_from(["bit", "fast"]),
-    st.sampled_from([None, 1, 3, 50]),  # rows per blocked scoring chunk
 )
 @settings(max_examples=25, deadline=None)
 def test_property_replay_and_synthetic_mixtures_match_sequential(
-    seed, specs, n_interactions, plan_chunk_size, n_datasets, n_workers, exactness,
-    block_rows,
+    seed, specs, n_interactions, split, n_datasets, n_workers, exactness
 ):
     """Arbitrary per-agent mixtures of *planned dataset sessions*
     (multilabel replay, `has_trace_plan`) and synthetic sessions
     (`has_reward_plan`) across policy shards stay bit-identical to the
     sequential reference — including shards that mix both session
     kinds and therefore fall back to the generic per-round path, and
-    under any plan chunk size (chunking slices the horizon
-    arbitrarily).  With two datasets drawn, replay agents alternate
-    between them, so replay shards gather through a concatenated row
-    table; ``n_workers`` runs the shards as a serial map or a
-    thread-pool map of the same shard-horizon loop.  The exactness
-    tier and the scoring-kernel block size are drawn too (the auto-sizing
-    byte budget is shrunk to give ``block_rows`` rows per block; ``None``
-    keeps the default): blocked kernels are bitwise identical to
-    unblocked for every block size,
-    and ``"fast"`` must degenerate to the bit tier — bitwise — for
-    kinds without a fast stacker.  ``linucb`` grew a fast stacker
+    with the horizon split into consecutive runs of any size on one
+    held fleet (``None`` = one run).  With two datasets drawn, replay
+    agents alternate between them, so replay shards gather through a
+    concatenated row table; ``n_workers`` runs the shards as a serial
+    map or a thread-pool map of the same shard-horizon loop.  The
+    exactness tier is drawn too: ``"fast"`` must degenerate to the bit
+    tier — bitwise — for kinds without a fast stacker.  ``linucb`` grew a fast stacker
     (:class:`StackedLinUCBFast`), so mixtures drawing it under
     ``"fast"`` pin the tier back to ``"bit"`` to keep the bitwise
     oracle valid."""
@@ -453,7 +446,6 @@ def test_property_replay_and_synthetic_mixtures_match_sequential(
     from repro.data.multilabel import MultilabelBanditEnvironment
     from repro.data.synthetic import SyntheticPreferenceEnvironment
     from repro.experiments.runner import _simulate_agent
-    from repro.bandits import kernels
     from repro.sim import EngineConfig, FleetRunner
     from repro.utils.rng import spawn_seeds
 
@@ -491,18 +483,19 @@ def test_property_replay_and_synthetic_mixtures_match_sequential(
     runner = FleetRunner(
         fleet_agents,
         fleet_sessions,
-        config=EngineConfig(
-            n_workers=n_workers, plan_chunk_size=plan_chunk_size, exactness=exactness
-        ),
+        config=EngineConfig(n_workers=n_workers, exactness=exactness),
     )
     assert runner.n_shards == len({kind for kind, _ in specs})
-    with pytest.MonkeyPatch.context() as mp:
-        if block_rows is not None:
-            # one dense agent's (A, d, d) float64 posterior stack: 3 x 4 x 4
-            mp.setattr(kernels, "DEFAULT_KERNEL_BLOCK_BYTES", block_rows * 3 * 4 * 4 * 8)
-        result = runner.run(n_interactions)
+    split = split or n_interactions
+    rewards = np.concatenate(
+        [
+            runner.run(min(split, n_interactions - start)).rewards
+            for start in range(0, n_interactions, split)
+        ],
+        axis=1,
+    )
 
-    np.testing.assert_array_equal(seq_rewards, result.rewards)
+    np.testing.assert_array_equal(seq_rewards, rewards)
     for sa, fa in zip(seq_agents, fleet_agents):
         state_seq, state_fleet = sa.policy.get_state(), fa.policy.get_state()
         for key in state_seq:
