@@ -9,9 +9,10 @@ the requests-per-second number the serve path is chasing.
 
 The workload is the streaming regime at its most adversarial for the
 engine: every request re-shards the churned population slice, every
-drifting session caps plan chunks at its epoch boundary, and the
-shuffler's pending buffer carries sub-threshold tuples across
-requests (departed reporters included).
+drifting session plans a new segment (and encodes a new context) at
+each epoch boundary it crosses, and the shuffler's pending buffer
+carries sub-threshold tuples across requests (departed reporters
+included).
 
 Floor tunable via ``BENCH_SERVE_MIN_RPS`` for noisy CI runners; scale
 via ``BENCH_SERVE_N_AGENTS``.  Writes

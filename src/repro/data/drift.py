@@ -19,8 +19,10 @@ Fleet contract
 A drifting session still advertises ``has_reward_plan`` — within one
 epoch it *is* stationary — and joins the fleet engine's plan fast path
 through :meth:`~repro.data.environment.UserSession.plan_horizon_limit`:
-the engine caps every plan at the earliest drift boundary, so
-epochs advance exactly where the sequential loop would advance them.
+the engine plans each session's run horizon as consecutive segments,
+each capped at that session's own next drift boundary, so epochs
+advance exactly where the sequential loop would advance them and every
+segment is one row of the shard's segment table.
 Both engines funnel every boundary through one code path
 (:meth:`DriftingSyntheticSession._advance_epoch`), which consumes the
 session's generator identically whether the horizon is walked step by
@@ -111,7 +113,8 @@ class DriftingSyntheticSession(SyntheticUserSession):
         """Pre-realize one *within-epoch* stretch (fleet fast path).
 
         The engine promises ``horizon <= plan_horizon_limit()`` (it
-        caps plans at drift boundaries); under that promise the
+        cuts each session's plan into segments at that session's
+        drift boundaries); under that promise the
         stretch is stationary and the parent's plan contract carries
         over verbatim — boundary draws happen here, through the same
         :meth:`_advance_epoch` the sequential walk uses, then the

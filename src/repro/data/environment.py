@@ -42,9 +42,11 @@ flags, never off method identity):
 Every plan must be an *exact* stand-in for ``horizon`` iterations of
 ``next_context()`` + ``reward()``: same values, same generator
 consumption, session left in the same state.  In particular, planning
-a horizon in consecutive slices (``plan_trace_indexed(c)`` called
-repeatedly — consecutive runs on one held fleet, or drift re-plans)
-must realize exactly the same walk as one full-horizon plan.  ``tests/sim`` pins all of this.
+a horizon in consecutive slices (``plan_rewards(c)`` or
+``plan_trace_indexed(c)`` called repeatedly — consecutive runs on one
+held fleet, or a drifting session's per-epoch segments) must realize
+exactly the values, and leave exactly the session state, of the
+sequential loop over the same horizon.  ``tests/sim`` pins all of this.
 """
 
 from __future__ import annotations
@@ -288,8 +290,9 @@ class UserSession(abc.ABC):
 
         Non-stationary sessions (reward drift, latent-state switches)
         return the number of interactions they can still plan as one
-        stationary stretch; the fleet engine then caps every plan
-        here, so drift lands exactly at plan boundaries and
+        stationary stretch; the fleet engine caps each of this
+        session's plans here (planning its horizon as consecutive
+        segments), so drift lands exactly at segment boundaries and
         :meth:`plan_rewards` is only ever asked for within-epoch
         horizons.  Must be *pure* — no randomness consumed, no state
         advanced — and strictly positive when not ``None``.

@@ -48,8 +48,8 @@ class Encoder(abc.ABC):
         einsum contractions, reductions along the trailing axis — never
         a BLAS expansion whose accumulation differs from the scalar
         expression).  The fleet engine encodes through this method
-        only — whole replay horizons at plan time, every stale agent of
-        a stationary or drifting shard in one call per encoder — and
+        only — whole replay horizons and every new stationary or drift
+        segment at plan time, in one call per encoder — and
         its bit-identity guarantee (:mod:`repro.sim`) inherits this
         contract; ``tests/encoding`` checks it on every implementation.
         An empty ``(0, d)`` batch yields an empty code array.

@@ -48,9 +48,10 @@ Per-round *session* calls additionally vanish for shards whose
 sessions advertise a plan capability (class flags on
 :class:`~repro.data.environment.UserSession`): ``has_reward_plan``
 sessions (synthetic, stationary or drifting) pre-realize their reward
-noise, and warm-private shards over them encode every agent whose
-context changed in one row-exact :meth:`Encoder.encode_batch` call per
-encoder (centroids through the equally row-exact ``decode_batch``), and
+noise as one segment per stationary stretch, and warm-private shards
+over them encode every new segment context in one row-exact
+:meth:`Encoder.encode_batch` call per encoder (centroids through the
+equally row-exact ``decode_batch``), and
 ``has_trace_plan`` sessions (dataset replay: multilabel, Criteo)
 pre-materialize their walk of dataset rows — both by contract exact
 stand-ins for the
@@ -67,10 +68,10 @@ plan-time encodings through the per-dataset
 when they walk several datasets, through one shard-private
 concatenation of those tables.  Traced-plan memory is A-fold below a
 per-agent table, and each distinct row is encoded at most once per
-encoder.  A run plans its whole horizon once (drifting stationary
-shards re-plan at each drift boundary); slice-by-slice planning is
-exact by the plan contract, so consecutive runs on one held fleet equal
-one longer horizon bitwise.
+encoder.  A run plans its whole horizon once (a drifting session as
+one segment per epoch); slice-by-slice planning is exact by the plan
+contract, so consecutive runs on one held fleet equal one longer
+horizon bitwise.
 
 The *reporting* pipeline is columnar on the same plan-capable shards:
 participation advances through

@@ -28,11 +28,15 @@ pre-materialize their horizon (capability flags on
 :class:`~repro.data.environment.UserSession`):
 
 * ``has_reward_plan`` — stationary sessions (the synthetic benchmark)
-  pre-realize reward noise (:class:`StationaryRewardPlan`); rewards
-  become one gather + clip per round, and warm-private shards encode
-  their stale agents in one ``encode_batch`` call per encoder (drifting
-  sessions re-plan at each drift boundary, re-encoding only the agents
-  whose context moved);
+  pre-realize reward noise (:class:`StationaryRewardPlan`).  Each
+  session plans its horizon as consecutive segments, one per
+  stationary stretch — a single segment, or one per drift epoch for
+  drifting sessions, cut at that session's own boundaries.  The shard
+  holds an ``(S, d)`` / ``(S, A)`` segment table of contexts and
+  means, one ``(n, T)`` noise block and an ``(n, T)`` step-to-segment
+  walk; rewards become one gather + clip per round, and warm-private
+  shards encode the segments in one ``encode_batch`` call per encoder
+  (a segment continuing an agent's cached context is not re-encoded);
 * ``has_trace_plan`` — dataset-replay sessions (multilabel, Criteo)
   walk rows of a per-dataset
   :class:`~repro.data.environment.TraceRowTable`.  The shard holds one
@@ -48,15 +52,13 @@ pre-materialize their horizon (capability flags on
 A shard mixing plan-capable and plan-less sessions falls back to the
 generic per-round session loop — still bit-identical, just slower.
 
-Each run plans its whole horizon once, with one exception: drifting
-stationary sessions re-plan at every drift boundary
-(``plan_horizon_limit()``), so each plan covers one stationary stretch.
+Each run plans its whole horizon once, before its first step.
 Planning a horizon in consecutive slices is exact by the plan contract
 (it consumes session streams identically to one full plan), which is
-also what makes consecutive ``run`` calls on one held fleet equal one
-longer sequential horizon.  The traced ``(n, T)`` row walk plus the row
-tables regenerate any past step, so report gathers and ``finish``'s
-buffer rebuild need no history tail.
+what makes per-epoch segments, and consecutive ``run`` calls on one
+held fleet, equal one longer sequential horizon.  Either ``(n, T)``
+walk plus its tables regenerates any past step, so report gathers and
+``finish``'s buffer rebuild need no history tail.
 
 What stays per-agent Python (all O(1) per agent per round):
 
@@ -67,28 +69,31 @@ What stays per-agent Python (all O(1) per agent per round):
   draws across agents would reorder streams;
 * participation offers and outbox appends on *unplanned* shards —
   routed through :meth:`~repro.core.agent.LocalAgent.record_interaction`,
-  the same method the sequential path uses.  Plan-capable shards
-  instead record **columnar**: window/budget masks advance through
+  the same method the sequential path uses (and which encodes each
+  report's context, one agent at a time).  Plan-capable shards —
+  stationary, drifting and traced — instead record **columnar**:
+  window/budget masks advance through
   :class:`~repro.core.participation.StackedParticipation` (only the
   coin and within-window draws stay per-agent, from each agent's own
-  stream), and report payloads are gathered — codes from the plan-time
-  batch encodings, actions/rewards from the result matrices — into a
-  per-shard :class:`~repro.core.payload.ReportLog`; agent outboxes
-  reference their rows and materialize objects only if the object API
-  is touched (``record_interaction`` also encodes each report's
-  context, one agent at a time).
+  stream), and report payloads are gathered through the walk — codes
+  from the plan-time batch encodings, actions/rewards from the result
+  matrices — into a per-shard :class:`~repro.core.payload.ReportLog`;
+  agent outboxes reference their rows and materialize objects only if
+  the object API is touched.  The one scalar encode left is a report
+  sampling an item buffered before its run.
 
 Acting-time encoding is never per-agent Python: encoders are
 deterministic (the ``eps_bar = 0`` premise), so re-encoding an
 unchanged context is pure waste.  Each shard caches the last context
-and code of every agent in arrays, finds the stale agents with one
-vectorized comparison, and encodes them in one
-:meth:`Encoder.encode_batch` call per encoder (row-exact by contract;
-centroids come from the equally row-exact ``decode_batch``).
-Fixed-preference populations (the paper's synthetic benchmark)
-therefore encode once per agent total, and *traced* shards skip
-per-round encoding entirely by batch-encoding each newly visited row
-at plan time.
+and code of every agent in arrays, and encodes only what that cache
+misses in one :meth:`Encoder.encode_batch` call per encoder (row-exact
+by contract; centroids come from the equally row-exact
+``decode_batch``).  Stationary shards encode at plan time: each new
+segment once, so fixed-preference populations (the paper's synthetic
+benchmark) encode once per agent total and drifting ones once per
+epoch.  *Traced* shards batch-encode each newly visited row at plan
+time; the generic path finds its stale agents with one vectorized
+comparison per round.
 
 Everything O(d²)–O(k·d²) — scoring, Cholesky refreshes,
 Sherman–Morrison updates — runs as stacked kernel calls, one set per
@@ -399,6 +404,16 @@ def shard_indices(agents: Sequence[LocalAgent]) -> list[np.ndarray]:
     return [np.asarray(idx, dtype=np.intp) for idx in groups.values()]
 
 
+def _action_dtype(n_arms: int) -> np.dtype:
+    """Dtype of a result action matrix: arms ``[0, n_arms)`` plus ``-1``.
+
+    Actions are small integers, so ``int8`` holds them for up to 128
+    arms — an eighth of an ``intp`` matrix for every result a caller
+    keeps.
+    """
+    return np.min_scalar_type(-n_arms)
+
+
 @dataclass(frozen=True)
 class FleetResult:
     """Per-(agent, interaction) outcome matrices of one fleet run.
@@ -410,7 +425,9 @@ class FleetResult:
     """
 
     rewards: np.ndarray  #: realized rewards, shape (n_agents, T)
-    actions: np.ndarray  #: chosen actions, shape (n_agents, T)
+    #: chosen actions, shape (n_agents, T), in the narrowest signed
+    #: integer dtype holding every arm index and the -1 of dropped rows
+    actions: np.ndarray
     expected: np.ndarray | None  #: expected-reward channel, or None if untracked
     expected_mask: np.ndarray  #: per-agent bool: row of ``expected`` is valid
     dropped: tuple = ()  #: one :class:`DroppedShard` per degraded-out shard
@@ -432,11 +449,11 @@ class _Shard:
 
     Owns the per-shard context/encoding caches and — when every session
     in the shard advertises a plan capability — the plan
-    materialization: stationary reward plans or a row-index walk into
-    the sessions' row tables (traced).  Plans cover the whole run
-    horizon, except that drifting stationary shards re-plan at each
-    drift boundary.  ``step`` writes outcomes into the *global* result
-    matrices at this shard's agent indices.
+    materialization: an ``(n, T)`` walk into a segment table of
+    stationary reward plans (one segment per drift epoch) or into the
+    sessions' row tables (traced).  Plans cover the whole run horizon.
+    ``step`` writes outcomes into the *global* result matrices at this
+    shard's agent indices.
     """
 
     def __init__(
@@ -457,10 +474,10 @@ class _Shard:
         self._mirror_attrs: list[str] = []
         self.stacked = stack_policies([a.policy for a in agents], exactness=exactness)
         self._rows = np.arange(self.n)
-        # acting-representation caches (warm-private only) — survive
-        # restacks and runs: encoders are deterministic, and _refresh_acting
-        # validates each row against the live context; the (n, d)
-        # arrays are allocated on the first refresh
+        # each agent's last context and its encoding (warm-private
+        # only) — survive restacks and runs: encoders are deterministic,
+        # and _encode_contexts validates each row against the context
+        # at hand; the (n, d) arrays are allocated on first use
         self._cache_valid = np.zeros(self.n, dtype=bool)
         self._cached_ctx: np.ndarray | None = None
         self._cached_code = np.empty(self.n, dtype=np.intp)
@@ -494,8 +511,9 @@ class _Shard:
 
         Deterministic caches — stacked policy state, acting-encoding
         caches, encoder groups, row tables and their per-row code
-        tables — survive; plan materializations, the plan cursor and the
-        columnar-recording state are strictly per-run and reset here
+        tables — survive; plan materializations (walks, segment tables,
+        noise) and the columnar-recording state are strictly per-run and
+        reset here
         (``prepare`` calls this first and ``writeback`` last, so a
         reused shard can never see a previous run's plan path or
         recording buffers, nor hold them between runs).
@@ -510,26 +528,25 @@ class _Shard:
         self._colmod: int | None = None
         # which plan fast path this shard runs on (None = generic loop)
         self._plan_path: str | None = None
-        # plan cursor: plan arrays cover global steps
-        # [_chunk_start, _chunk_start + _chunk_len)
-        self._chunk_start = 0
-        self._chunk_len = 0
-        # stationary-plan arrays (has_reward_plan shards)
-        self._plan_means: np.ndarray | None = None
-        self._plan_noise: np.ndarray | None = None
-        self._plan_acting: np.ndarray | None = None
-        # whether any session's stationarity expires mid-horizon
-        # (drifting sessions): each drift epoch re-gathers means/contexts
-        self._plan_limited = False
-        # traced shards: the full-horizon walk of row-table indices,
-        # each agent's offset into a concatenated table (None when the
-        # shard walks one dataset's table), and the expected channel
-        self._trace_rows: np.ndarray | None = None  # (n, T) intp
+        # the full-horizon (n, T) walk: row-table indices on traced
+        # shards, segment-table indices on stationary ones
+        self._walk: np.ndarray | None = None
+        # stationary-plan segment table (has_reward_plan shards): one
+        # row per stationary stretch of one session — its context,
+        # mean rewards and (warm-private) code and acting
+        # representation — plus the (n, T) reward-noise block
+        self._seg_ctx: np.ndarray | None = None  # (S, d)
+        self._seg_means: np.ndarray | None = None  # (S, A)
+        self._seg_code: np.ndarray | None = None  # (S,) intp
+        self._seg_acting: np.ndarray | None = None
+        self._plan_noise: np.ndarray | None = None  # (n, T)
+        # traced shards: each agent's offset into a concatenated table
+        # (None when the shard walks one dataset's table), and the
+        # expected channel
         self._row_offset: np.ndarray | None = None  # (n,) intp
         self._trace_expected_ok: np.ndarray | None = None
         self._trace_expected_is_rewards = False
         # columnar reporting state (plan-capable shards only)
-        self._batch_recording = False
         self._horizon = 0
         self._base_inter: np.ndarray | None = None
         self._reward_acc: np.ndarray | None = None
@@ -601,13 +618,16 @@ class _Shard:
         *,
         result_window: int | None = None,
     ) -> None:
-        """Pick the plan fast path and materialize its plan.
+        """Pick the plan fast path, plan the whole horizon, record columnar.
 
         Capability *flags* decide the path (never method-identity
         probing, which silently kicked plan-inheriting subclasses off
         the fast path, and never try/except, which could consume a
-        session's stream on failure).  Plans collapse the per-round
-        session loops into array gathers; the plan contract (pinned by
+        session's stream on failure).  Either plan is one ``(n, T)``
+        walk — into the per-run segment table of stationary and
+        drifting sessions, or into the traced row tables — so the
+        per-round session loops and the per-agent reporting loop both
+        collapse into gathers through it.  The plan contract (pinned by
         ``tests/sim``) makes this exact, and pre-realizing one shard
         before another is unobservable because session streams are
         per-agent.  Shards mixing plan-capable and plan-less sessions
@@ -617,35 +637,14 @@ class _Shard:
         self._colmod = result_window
         self._horizon = n_interactions
         if all(s.has_reward_plan for s in self.sessions):
-            path = "stationary"
-            # drifting sessions advertise a finite stationarity horizon;
-            # plans then stop at every drift boundary and re-gather the
-            # per-epoch contexts/means (plan_horizon_limit is pure — it
-            # consumes no randomness, so probing it is free)
-            self._plan_limited = any(
-                s.plan_horizon_limit() is not None for s in self.sessions
-            )
+            self._plan_path = "stationary"
+            self._plan_segments(n_interactions)
         elif all(s.has_trace_plan for s in self.sessions):
-            path = "traced"
+            self._plan_path = "traced"
+            self._plan_trace(n_interactions)
         else:
-            path = None
-        if path is None:
             return
-        self._plan_path = path
-        if path == "traced":
-            # the per-agent half of a traced plan: one row index per
-            # step — everything else lives in the row tables
-            self._bind_row_table()
-            self._init_row_encodings()
-        if not (path == "stationary" and self._plan_limited):
-            # drifting stationary shards keep the scalar
-            # record_interaction path: the columnar payload gather
-            # assumes one fixed context/code per agent, which drift
-            # breaks at epoch boundaries — recording per step with the
-            # current epoch's context is exact (within an epoch the
-            # context is constant by construction)
-            self._init_batch_recording(n_interactions)
-        self._materialize_chunk(0)
+        self._init_batch_recording()
 
     def _bind_row_table(self) -> None:
         """Bind the row table this shard's walks index into.
@@ -687,15 +686,18 @@ class _Shard:
         """Shard-local agent indices grouped by encoder object (cached).
 
         Shards only guarantee equal codebook *size*, so batch encodings
-        group agents by the encoder they actually hold; stationary and
-        traced encodings — and every drift epoch — reuse this one
-        grouping.
+        group agents by the encoder they actually hold; stationary
+        segments, traced rows and the generic path's refreshes all
+        reuse this one grouping (``_agent_group`` maps agent -> group).
         """
         if self._enc_groups is None:
             groups: dict[int, list[int]] = {}
             for j in range(self.n):
                 groups.setdefault(id(self.agents[j].encoder), []).append(j)
             self._enc_groups = [np.asarray(m, dtype=np.intp) for m in groups.values()]
+            self._agent_group = np.empty(self.n, dtype=np.intp)
+            for g, members in enumerate(self._enc_groups):
+                self._agent_group[members] = g
         return self._enc_groups
 
     def _init_row_encodings(self) -> None:
@@ -709,63 +711,120 @@ class _Shard:
             return
         if self._row_codes is not None:
             return  # same source tables: rows already encoded stay encoded
-        groups = self._encoder_groups()
-        self._agent_group = np.empty(self.n, dtype=np.intp)
-        for g, members in enumerate(groups):
-            self._agent_group[members] = g
-        shape = (len(groups), self._row_table.n_rows)
+        shape = (len(self._encoder_groups()), self._row_table.n_rows)
         self._row_codes = np.zeros(shape, dtype=np.intp)
         self._row_encoded = np.zeros(shape, dtype=bool)
         if self.private_context == "centroid":
             d = self._row_table.contexts.shape[1]
             self._row_reps = np.zeros((*shape, d), dtype=np.float64)
 
-    def _materialize_chunk(self, start: int) -> None:
-        """Materialize plan arrays from global step ``start`` on.
+    def _plan_trace(self, horizon: int) -> None:
+        """Plan a traced shard: one row-index walk for the whole horizon.
 
-        The plan runs to the horizon, or — on drifting stationary
-        shards — to the earliest drift boundary.  Re-planning slice by
-        slice is exact by the plan contract: each plan call consumes
-        the session streams precisely as that many sequential
-        interactions would, so consecutive slices realize the same
-        walks and noise as one full-horizon plan
-        (``tests/sim/test_chunked_plans.py`` pins the equivalence).
+        The per-agent half of a traced plan is one row index per step;
+        everything else lives in the row tables.  Each newly visited
+        row is encoded here, so acting and report payloads are pure
+        gathers.
         """
-        length = self._horizon - start
-        if self._plan_path == "stationary" and self._plan_limited:
-            # stop this plan at the earliest drift boundary: each
-            # session's plan then covers one stationary stretch, and
-            # the next plan starts after the session has advanced its
-            # epoch — exactly the per-step sequential behavior
-            cap = min(
-                limit
-                for limit in (s.plan_horizon_limit() for s in self.sessions)
-                if limit is not None
-            )
-            length = min(length, cap)
-        self._chunk_start = start
-        self._chunk_len = length
-        if self._plan_path == "stationary":
-            plans: list[StationaryRewardPlan] = [
-                s.plan_rewards(length) for s in self.sessions
-            ]
-            self._plan_noise = np.stack([p.noise for p in plans])  # (n, C)
-            # each plan (the run's first, or a drift epoch's) re-gathers
-            # contexts/means; _refresh_acting re-encodes only agents
-            # whose context actually changed (encoders are deterministic,
-            # so a cache hit is exact) — which also lets a held shard
-            # reuse its encode cache across runs
-            self._X = np.stack([p.context for p in plans])
-            self._plan_means = np.stack([p.mean_rewards for p in plans])  # (n, A)
-            self._plan_acting = self._refresh_acting(self._X)
-        else:  # traced: the whole horizon's walk, planned once
-            self._trace_rows = np.stack(
-                [s.plan_trace_indexed(length).rows for s in self.sessions]
-            )
-            if self._row_offset is not None:
-                self._trace_rows += self._row_offset[:, None]
-            if self.mode == AgentMode.WARM_PRIVATE:
-                self._encode_new_rows(self._trace_rows)
+        self._bind_row_table()
+        self._init_row_encodings()
+        self._walk = np.stack([s.plan_trace_indexed(horizon).rows for s in self.sessions])
+        if self._row_offset is not None:
+            self._walk += self._row_offset[:, None]
+        if self.mode == AgentMode.WARM_PRIVATE:
+            self._encode_new_rows(self._walk)
+
+    def _plan_segments(self, horizon: int) -> None:
+        """Plan a stationary shard: each session's horizon as segments.
+
+        Each session plans consecutive stationary stretches,
+        ``plan_rewards(min(remaining, plan_horizon_limit() or
+        remaining))``, so a stationary session plans one segment and a
+        drifting one adds a segment per drift boundary it crosses.
+        Planning per session is exact by the plan contract: every
+        session draws from its own generator, and a drifting session
+        advances its epoch inside ``plan_rewards`` in the order the
+        step loop would (``tests/data/test_drift.py`` pins this).
+
+        The noise lands in one ``(n, T)`` block; contexts and means in
+        an ``(S, d)`` / ``(S, A)`` segment table; and the ``(n, T)``
+        walk maps each agent's steps to its segments.
+        """
+        noise = np.empty((self.n, horizon), dtype=np.float64)
+        plans: list[StationaryRewardPlan] = []
+        lengths: list[int] = []
+        counts = np.empty(self.n, dtype=np.intp)  # segments per agent
+        for j, session in enumerate(self.sessions):
+            first, t = len(plans), 0
+            while t < horizon:
+                remaining = horizon - t
+                h = min(remaining, session.plan_horizon_limit() or remaining)
+                plan = session.plan_rewards(h)
+                noise[j, t : t + h] = plan.noise
+                plans.append(plan)
+                lengths.append(h)
+                t += h
+            counts[j] = len(plans) - first
+        self._plan_noise = noise
+        self._seg_ctx = np.stack([p.context for p in plans])
+        self._seg_means = np.stack([p.mean_rewards for p in plans])
+        n_seg = len(plans)
+        if n_seg == self.n:  # one segment per session: a zero-copy walk
+            self._walk = np.broadcast_to(self._rows[:, None], (self.n, horizon))
+        else:
+            self._walk = np.repeat(np.arange(n_seg), lengths).reshape(self.n, horizon)
+        if self.mode != AgentMode.WARM_PRIVATE:
+            self._seg_acting = self._seg_ctx
+            return
+        self._seg_code, self._seg_acting = self._encode_contexts(
+            self._seg_ctx, np.repeat(self._rows, counts), np.cumsum(counts) - 1
+        )
+
+    def _encode_contexts(
+        self, ctx: np.ndarray, owner: np.ndarray, last: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Codes and acting representation of contexts ``ctx`` (warm-private).
+
+        Row ``s`` belongs to shard-local agent ``owner[s]``, and
+        ``last[j]`` is agent ``j``'s latest row.  Encoders are
+        deterministic — the ``eps_bar = 0`` premise — so a row equal to
+        its agent's cached context reuses the cached encoding exactly;
+        the rest are encoded in one :meth:`Encoder.encode_batch` call
+        per encoder group (row-exact against scalar ``encode`` by
+        contract; centroids through the equally row-exact
+        ``decode_batch``).  The cache then holds each agent's latest
+        row, which the next run (or round) most likely repeats.
+        """
+        if self._cached_ctx is None:
+            self._cached_ctx = np.empty((self.n, ctx.shape[1]), dtype=np.float64)
+            if self.private_context == "centroid":
+                self._cached_rep = np.empty_like(self._cached_ctx)
+        codes = np.empty(len(ctx), dtype=np.intp)
+        reps = None if self._cached_rep is None else np.empty_like(ctx)
+        hit = self._cache_valid[owner] & (ctx == self._cached_ctx[owner]).all(axis=1)
+        codes[hit] = self._cached_code[owner[hit]]
+        if reps is not None:
+            reps[hit] = self._cached_rep[owner[hit]]
+        groups = self._encoder_groups()
+        seg_group = self._agent_group[owner]
+        for g, members in enumerate(groups):
+            miss = np.nonzero(~hit & (seg_group == g))[0]
+            if miss.size == 0:
+                continue
+            encoder = self.agents[members[0]].encoder
+            codes[miss] = encoder.encode_batch(ctx[miss])
+            if reps is not None:
+                reps[miss] = encoder.decode_batch(codes[miss])
+        self._cached_ctx[:] = ctx[last]
+        self._cached_code[:] = codes[last]
+        if reps is not None:
+            self._cached_rep[:] = reps[last]
+        self._cache_valid[:] = True
+        if self.stacked.wants_codes:
+            return codes, codes
+        if reps is not None:
+            return codes, reps
+        return codes, self.agents[0].encoder.one_hot_batch(codes)  # type: ignore[union-attr]
 
     def _encode_new_rows(self, walk_rows: np.ndarray) -> None:
         """Extend the per-row code tables to cover this walk's rows.
@@ -785,12 +844,14 @@ class _Shard:
                 self._row_reps[g, new] = encoder.decode_batch(codes)
             self._row_encoded[g, new] = True
 
-    def _init_batch_recording(self, n_interactions: int) -> None:
+    def _init_batch_recording(self) -> None:
         """Switch this shard's reporting pipeline to the columnar path.
 
-        Plan-capable shards keep their whole context history in arrays
-        (fixed plan contexts or the row walk), so the sampled
-        window item of any report is a pure gather — the per-agent
+        Plan-capable shards keep their whole context history in the
+        walk and its tables — segments whose context may change at
+        any drift boundary, or dataset rows — so the sampled window
+        item of any report, and its plan-time code, is a pure gather
+        through the walk.  The per-agent
         ``record_interaction`` loop is replaced by
         :class:`StackedParticipation` masks plus per-round appends into
         a :class:`~repro.core.payload.ReportLog` the agents' outboxes
@@ -798,8 +859,6 @@ class _Shard:
         accumulate in shard arrays, written back by :meth:`finish` in
         the scalar accumulation order.
         """
-        self._batch_recording = True
-        self._horizon = n_interactions
         self._base_inter = np.array([a.n_interactions for a in self.agents], dtype=np.intp)
         self._reward_acc = np.array([a.total_reward for a in self.agents], dtype=np.float64)
         if self.mode == AgentMode.COLD:
@@ -853,12 +912,14 @@ class _Shard:
         shard.  :func:`aggregate_plan_nbytes` threads one ``seen``
         through a whole shard list.
         """
-        arrays = [self._plan_noise, self._trace_rows, self._row_offset]
+        arrays = [self._plan_noise, self._row_offset]
+        if self._walk is not None and self._walk.strides[1]:  # broadcast walks hold no bytes
+            arrays.append(self._walk)
         if self.stationary:
-            arrays += [self._X, self._plan_means]
-            if self._plan_acting is not self._X:  # aliased when acting on raw contexts
-                arrays.append(self._plan_acting)
-        per_agent = sum(a.nbytes for a in arrays if a is not None)
+            # the acting table may alias the contexts or the codes
+            arrays += [self._seg_ctx, self._seg_means, self._seg_code, self._seg_acting]
+        held = {id(a): a for a in arrays if a is not None}
+        per_agent = sum(a.nbytes for a in held.values())
         shared = 0
         if self.traced:
             if seen is None or id(self._row_table) not in seen:
@@ -890,17 +951,14 @@ class _Shard:
         """
         if self._faults is not None:
             self._faults.on_step(self._fault_shard, t, self._fault_attempt)
-        if self._plan_path is not None and t == self._chunk_start + self._chunk_len:
-            self._materialize_chunk(t)
         tc = self._col(t)  # result-matrix column (ring when streaming)
-        rows_t = None
-        if self.stationary:
-            acting = self._plan_acting
-            X = self._X
-        elif self.traced:
-            rows_t = self._trace_rows[:, t]
-            acting = self._indexed_acting(rows_t)
-            X = None  # every gather goes through the row table
+        if self._walk is not None:
+            # every gather goes through the walk: segment or row tables
+            walk_t = self._walk[:, t]
+            if self.stationary:
+                acting = self._seg_acting[walk_t]
+            else:
+                acting = self._indexed_acting(walk_t)
         else:
             X = self._next_contexts()
             acting = self._refresh_acting(X)
@@ -913,16 +971,16 @@ class _Shard:
             # one step: mean[a] + z, clipped — the same elementwise ops
             # as session.reward (a test pins the plan to the sequential
             # reward stream)
-            s = t - self._chunk_start  # plan-local step into the noise
-            r = np.clip(self._plan_means[self._rows, acts] + self._plan_noise[:, s], 0.0, 1.0)
+            means = self._seg_means[walk_t, acts]
+            r = np.clip(means + self._plan_noise[:, t], 0.0, 1.0)
             rewards[self.indices, tc] = r
             if expected is not None:
-                expected[self.indices, tc] = self._plan_means[self._rows, acts]
+                expected[self.indices, tc] = means
         elif self.traced:
             # IndexedTracePlan.realize, vectorized across agents for one
             # step: a gather through the row table's reward column —
             # replay rewards are deterministic
-            r = self._row_table.action_rewards[rows_t, acts].astype(np.float64)
+            r = self._row_table.action_rewards[walk_t, acts].astype(np.float64)
             rewards[self.indices, tc] = r
             if expected is not None:
                 if t == 0:
@@ -930,7 +988,7 @@ class _Shard:
                 if self._trace_expected_is_rewards:
                     expected[self.indices, tc] = r
                 elif self._row_table.expected is not None:
-                    expected[self.indices, tc] = self._row_table.expected[rows_t, acts]
+                    expected[self.indices, tc] = self._row_table.expected[walk_t, acts]
         else:
             r = np.empty(self.n, dtype=np.float64)
             for j in range(self.n):
@@ -947,7 +1005,7 @@ class _Shard:
 
         # reporting pipeline: columnar for plan-capable shards, the
         # scalar record_interaction loop otherwise
-        if self._batch_recording:
+        if self._plan_path is not None:
             self._record_batch(t, acts, r, rewards, actions)
         else:
             for j in range(self.n):
@@ -967,11 +1025,11 @@ class _Shard:
         Counters accumulate in shard arrays; participation advances
         through :class:`StackedParticipation` (vectorized masks,
         per-agent RNG draws in the scalar order); report payloads are
-        *gathered* — codes from the plan-time batch encodings
-        (the per-row code tables / the stationary encode cache),
-        contexts from the plan arrays, sampled actions/rewards from the already
-        filled result matrices — instead of re-encoded or re-built per
-        report.
+        *gathered* through the walk — codes from the plan-time batch
+        encodings (segment codes / per-row code tables), contexts from
+        the segment or row table, sampled actions/rewards from the
+        already filled result matrices — instead of re-encoded or
+        re-built per report.
         """
         self._reward_acc += r
         if self._part is None:  # cold shard: counters only
@@ -998,7 +1056,7 @@ class _Shard:
             payload = np.empty(rows.size, dtype=np.intp)
             payload[fresh] = self._codes_at(f_rows, f_t)
         else:
-            payload = np.empty((rows.size, self._ctx_dim()), dtype=np.float64)
+            payload = np.empty((rows.size, self._walk_contexts().shape[1]), dtype=np.float64)
             payload[fresh] = self._contexts_at(f_rows, f_t)
         if not fresh.all():
             # rare first-boundary case: the sampled item predates this
@@ -1021,10 +1079,10 @@ class _Shard:
         After this, agents and their participation policies are in
         byte-for-byte the state the sequential loop would have left:
         counters, report budgets, and the participation buffers
-        (rebuilt from the plan context history so a later object-path
-        round continues identically).
+        (rebuilt through the walk, so a later object-path round — or a
+        drifting session's next epoch — continues identically).
         """
-        if not self._batch_recording:
+        if self._plan_path is None:
             return
         T = self._horizon
         for j, agent in enumerate(self.agents):
@@ -1081,73 +1139,36 @@ class _Shard:
             return self._row_reps[self._agent_group, rows_t]
         return self.agents[0].encoder.one_hot_batch(codes)  # type: ignore[union-attr]
 
-    def _ctx_dim(self) -> int:
-        """Context dimension of this shard's raw-payload source."""
-        if self.traced:
-            return self._row_table.contexts.shape[1]
-        return self._X.shape[1]
+    def _walk_contexts(self) -> np.ndarray:
+        """The context table this shard's walk indexes."""
+        return self._seg_ctx if self.stationary else self._row_table.contexts
 
     def _codes_at(self, agent_rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Plan-time codes of ``(shard-local agent, global step)`` pairs.
 
-        Serves the columnar report-payload gathers: traced shards read
-        the per-row code tables through the full row walk (any step),
-        and stationary shards read the per-agent encode cache (contexts
-        are fixed, so the cached code *is* the step's code).  Codes are
-        never re-encoded on any path.
+        Serves the columnar report-payload gathers through the full
+        walk (any step): traced shards read the per-row code tables,
+        stationary shards the segment codes.  Codes are never
+        re-encoded on any path.
         """
-        if self.traced:
-            return self._row_codes[
-                self._agent_group[agent_rows], self._trace_rows[agent_rows, steps]
-            ]
-        return self._cached_code[agent_rows]
+        walked = self._walk[agent_rows, steps]
+        if self.stationary:
+            return self._seg_code[walked]
+        return self._row_codes[self._agent_group[agent_rows], walked]
 
     def _contexts_at(self, agent_rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Raw contexts of ``(shard-local agent, global step)`` pairs.
 
-        Same dispatch as :meth:`_codes_at`; serves the raw report
-        payloads and :meth:`finish`'s participation-buffer rebuild.
+        A gather through the walk; serves the raw report payloads and
+        :meth:`finish`'s participation-buffer rebuild.
         """
-        if self.traced:
-            return self._row_table.contexts[self._trace_rows[agent_rows, steps]]
-        return self._X[agent_rows]
+        return self._walk_contexts()[self._walk[agent_rows, steps]]
 
     def _refresh_acting(self, X: np.ndarray) -> np.ndarray:
+        """Acting representation for one generic-path round of contexts."""
         if self.mode != AgentMode.WARM_PRIVATE:
             return X
-        if self._cached_ctx is None:
-            self._cached_ctx = np.empty_like(X)
-            if self.private_context == "centroid":
-                self._cached_rep = np.empty_like(X)
-        stale = ~self._cache_valid | (X != self._cached_ctx).any(axis=1)
-        return self._acting_representation(X, stale)
-
-    def _acting_representation(self, X: np.ndarray, stale: np.ndarray) -> np.ndarray:
-        """The representation the stacked policy consumes for contexts ``X``.
-
-        ``stale`` masks the shard-local agents whose cached encoding
-        must be refreshed (all of them on the first call).  Encoders are
-        deterministic — the ``eps_bar = 0`` premise — so serving a code
-        from cache is exact, not approximate; the stale rows are encoded
-        in one :meth:`Encoder.encode_batch` call per encoder group (row-
-        exact against scalar ``encode`` by contract).
-        """
-        for members in self._encoder_groups():
-            rows = members[stale[members]]
-            if rows.size == 0:
-                continue
-            encoder = self.agents[members[0]].encoder
-            codes = encoder.encode_batch(X[rows])
-            self._cached_code[rows] = codes
-            if self._cached_rep is not None:
-                self._cached_rep[rows] = encoder.decode_batch(codes)
-        self._cached_ctx[stale] = X[stale]
-        self._cache_valid[stale] = True
-        if self.stacked.wants_codes:
-            return self._cached_code
-        if self._cached_rep is not None:
-            return self._cached_rep
-        return self.agents[0].encoder.one_hot_batch(self._cached_code)  # type: ignore[union-attr]
+        return self._encode_contexts(X, self._rows, self._rows)[1]
 
 
 def _concat_row_tables(tables: Sequence[TraceRowTable]) -> TraceRowTable:
@@ -1488,7 +1509,7 @@ class FleetRunner:
             return None
         return FleetResult(
             rewards=np.empty((0, n_interactions), dtype=np.float64),
-            actions=np.empty((0, n_interactions), dtype=np.intp),
+            actions=np.empty((0, n_interactions), dtype=_action_dtype(1)),
             expected=(
                 np.empty((0, n_interactions), dtype=np.float64)
                 if track_expected
@@ -1677,7 +1698,9 @@ class FleetRunner:
         result_window = None if (sink is None or supervised) else width
 
         rewards = np.empty((n_rows, width), dtype=np.float64)
-        actions_mat = np.empty((n_rows, width), dtype=np.intp)
+        # shard members share n_arms (it is part of the shard key)
+        n_arms = max(self.agents[members[0]].policy.n_arms for _, members, _ in specs)
+        actions_mat = np.empty((n_rows, width), dtype=_action_dtype(n_arms))
         expected = np.empty((n_rows, width), dtype=np.float64) if track_expected else None
         expected_ok = np.full(n_rows, track_expected, dtype=bool)
         mats = (rewards, actions_mat, expected, expected_ok)

@@ -2,28 +2,35 @@
 
 The drifting workload is piecewise-stationary: within an epoch it obeys
 the stationary plan contract, and at every boundary one uniform coin
-picks switch vs drift.  The fleet engine joins via
-``plan_horizon_limit()`` — plans are capped at the earliest boundary —
-so drifting fleet runs must stay bit-identical to the sequential loop,
-however the horizon is split into runs.
+picks switch vs drift.  The fleet engine plans each session's horizon
+as consecutive segments cut at that session's own boundaries
+(``plan_horizon_limit()``), so drifting fleet runs — their reports
+included — must stay bit-identical to the sequential loop, however the
+horizon is split into runs.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
 
 from repro.bandits.linucb import LinUCB
+from repro.core import P2BConfig, P2BSystem, PendingReports
 from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode
 from repro.data import DriftingSyntheticEnvironment
+from repro.data.synthetic import SyntheticPreferenceEnvironment
 from repro.sim import FleetRunner
+from repro.sim.faults import FaultPlan, FaultSpec
 from repro.utils.exceptions import ValidationError
-from repro.utils.rng import spawn_seeds
+from repro.utils.rng import rng_state_digest, spawn_seeds
 
 N_ACTIONS = 4
 N_FEATURES = 5
 EPOCH = 6
+HORIZON = 3 * EPOCH + 2
 
 
 def _env(**kwargs):
@@ -56,6 +63,22 @@ def _sequential(agents, sessions, n):
             agent.learn(x, action, r)
             rewards[u, t] = r
     return rewards
+
+
+def _run_fleet(runner, split):
+    """``HORIZON`` as consecutive ``run(split)`` calls (``None`` = one run)."""
+    split = split or HORIZON
+    results = [runner.run(min(split, HORIZON - start)) for start in range(0, HORIZON, split)]
+    return np.concatenate([r.rewards for r in results], axis=1)
+
+
+def _assert_states_equal(policy_a, policy_b):
+    state_a, state_b = policy_a.get_state(), policy_b.get_state()
+    assert state_a.keys() == state_b.keys()
+    for key in state_a:
+        np.testing.assert_array_equal(
+            np.asarray(state_a[key]), np.asarray(state_b[key]), err_msg=key
+        )
 
 
 class TestEpochSemantics:
@@ -133,28 +156,15 @@ class TestFleetBitIdentity:
         fleet (``None`` = one run), with run boundaries before, at and
         after the drift boundaries: drift re-plans and run re-plans
         compose exactly."""
-        n, horizon = 5, 3 * EPOCH + 2
-        seq_agents, seq_sessions = _population(n, seed=17)
-        fleet_agents, fleet_sessions = _population(n, seed=17)
+        seq_agents, seq_sessions = _population(5, seed=17)
+        fleet_agents, fleet_sessions = _population(5, seed=17)
 
-        seq_rewards = _sequential(seq_agents, seq_sessions, horizon)
-        runner = FleetRunner(fleet_agents, fleet_sessions)
-        split = split or horizon
-        rewards = np.concatenate(
-            [
-                runner.run(min(split, horizon - start)).rewards
-                for start in range(0, horizon, split)
-            ],
-            axis=1,
-        )
+        seq_rewards = _sequential(seq_agents, seq_sessions, HORIZON)
+        rewards = _run_fleet(FleetRunner(fleet_agents, fleet_sessions), split)
 
         np.testing.assert_array_equal(seq_rewards, rewards)
         for a, b in zip(seq_agents, fleet_agents):
-            state_a, state_b = a.policy.get_state(), b.policy.get_state()
-            for key in state_a:
-                np.testing.assert_array_equal(
-                    np.asarray(state_a[key]), np.asarray(state_b[key]), err_msg=key
-                )
+            _assert_states_equal(a.policy, b.policy)
 
     def test_mixed_drifting_and_stationary_population(self):
         """Drifting agents shard with stationary ones; both stay exact."""
@@ -191,3 +201,120 @@ class TestFleetBitIdentity:
         runner = FleetRunner(fleet_agents, fleet_sessions)
         rewards = np.concatenate([runner.run(4).rewards for _ in range(3)], axis=1)
         np.testing.assert_array_equal(seq_rewards, rewards)
+
+
+# --------------------------------------------------------------------- #
+# the reporting side: warm-private drifting users on the columnar path
+# --------------------------------------------------------------------- #
+WINDOW = 4  # does not divide EPOCH: sampled items straddle drift boundaries
+
+#: which sessions share the one warm-private shard
+SHARD_ENVS = {
+    "drifting": lambda: [_env()],
+    "mixed": lambda: [
+        _env(),
+        SyntheticPreferenceEnvironment(n_actions=N_ACTIONS, n_features=N_FEATURES, seed=7),
+    ],
+    "two_clocks": lambda: [_env(), _env(epoch_length=4)],
+}
+
+
+def _warm_population(kind: str, n_agents: int = 8, seed: int = 3):
+    config = P2BConfig(
+        n_actions=N_ACTIONS,
+        n_features=N_FEATURES,
+        n_codes=8,
+        p=0.8,
+        window=WINDOW,
+        shuffler_threshold=1,
+        max_reports_per_user=50,
+    )
+    system = P2BSystem(config, mode=AgentMode.WARM_PRIVATE, seed=seed)
+    envs = SHARD_ENVS[kind]()
+    agents = [system.new_agent() for _ in range(n_agents)]
+    sessions = [
+        envs[i % len(envs)].new_user(s) for i, s in enumerate(spawn_seeds(seed + 1, n_agents))
+    ]
+    return system, agents, sessions
+
+
+def _assert_reporting_identical(seq, fleet):
+    """Outboxes, participation state and the collection round, bitwise."""
+    (s_sys, s_agents), (f_sys, f_agents) = seq, fleet
+    for sa, fa in zip(s_agents, f_agents):
+        assert sa.n_interactions == fa.n_interactions
+        assert sa.total_reward == fa.total_reward
+        _assert_states_equal(sa.policy, fa.policy)
+        sp, fp = sa.participation, fa.participation
+        assert (sp.reports_sent, sp.windows_seen) == (fp.reports_sent, fp.windows_seen)
+        assert rng_state_digest(sp._rng) == rng_state_digest(fp._rng)
+        assert len(sp._buffer) == len(fp._buffer)
+        for (c1, a1, r1), (c2, a2, r2) in zip(sp._buffer, fp._buffer):
+            np.testing.assert_array_equal(c1, c2)
+            assert a1 == a2 and r1 == r2
+    # materialize the fleet's columnar outboxes on a copy, so the
+    # collection round below still takes the columnar path
+    f_copy = copy.deepcopy(f_agents)
+    assert all(isinstance(e, PendingReports) for a in f_agents for e in a.pending_entries())
+    for sa, fa in zip(s_agents, f_copy):
+        assert sa.outbox == fa.outbox  # code, action, reward, order
+        assert [r.metadata for r in sa.outbox] == [r.metadata for r in fa.outbox]
+    out_s, out_f = s_sys.collect(s_agents), f_sys.collect(f_agents)
+    assert out_s == out_f and out_f.n_released > 0
+    assert s_sys._collected_codes == f_sys._collected_codes
+    assert s_sys.privacy_report() == f_sys.privacy_report()
+    _assert_states_equal(s_sys.server.policy, f_sys.server.policy)
+
+
+class TestDriftingReports:
+    @pytest.mark.parametrize("kind", sorted(SHARD_ENVS))
+    @pytest.mark.parametrize("split", [None, 1, 3, EPOCH, EPOCH + 5])
+    def test_reports_match_sequential_across_split_runs(self, kind, split):
+        """Warm-private drifting users record columnar: the drained
+        reports, participation buffers and budgets, and the shuffler's
+        output equal the sequential loop's — with run boundaries before,
+        at and after drift boundaries, window boundaries straddling
+        both, a shard mixing drifting and stationary users, and a shard
+        running two drift clocks."""
+        s_sys, s_agents, s_sessions = _warm_population(kind)
+        f_sys, f_agents, f_sessions = _warm_population(kind)
+        seq_rewards = _sequential(s_agents, s_sessions, HORIZON)
+        runner = FleetRunner(f_agents, f_sessions)
+        assert runner.n_shards == 1
+        np.testing.assert_array_equal(seq_rewards, _run_fleet(runner, split))
+        _assert_reporting_identical((s_sys, s_agents), (f_sys, f_agents))
+
+    def test_drifting_shards_never_call_record_interaction(self, monkeypatch):
+        def boom(self, *args, **kwargs):  # pragma: no cover - should never run
+            raise AssertionError("record_interaction called on a plan shard")
+
+        _, agents, sessions = _warm_population("two_clocks")
+        monkeypatch.setattr(LocalAgent, "record_interaction", boom)
+        FleetRunner(agents, sessions).run(HORIZON)
+        assert sum(len(a.pending_entries()) for a in agents) == len(agents)
+
+    @pytest.mark.parametrize("split", [None, EPOCH + 1])
+    def test_retried_shard_leaves_clean_reporting_state(self, split, monkeypatch):
+        """A forced raise mid-run under default supervision: the retry
+        restores the agents (``_adopt``) and replays the horizon, leaving
+        the outboxes — one ``PendingReports`` marker per run, none
+        duplicated — participation state and results of a clean run."""
+        c_sys, c_agents, c_sessions = _warm_population("drifting")
+        f_sys, f_agents, f_sessions = _warm_population("drifting")
+        clean = _run_fleet(FleetRunner(c_agents, c_sessions), split)
+        adopted = []
+        real_adopt = FleetRunner._adopt
+        monkeypatch.setattr(
+            FleetRunner, "_adopt", staticmethod(lambda a, b: adopted.append(a) or real_adopt(a, b))
+        )
+        # the fault fires in every run (step 2, first attempt), so later
+        # runs fail with earlier runs' markers already in the outboxes
+        chaos = FleetRunner(
+            f_agents, f_sessions, fault_plan=FaultPlan([FaultSpec("raise", 0, 2)])
+        )
+        np.testing.assert_array_equal(clean, _run_fleet(chaos, split))
+        n_runs = -(-HORIZON // (split or HORIZON))
+        assert len(adopted) == n_runs * 2 * len(f_agents)  # agents + sessions, per retry
+        for ca, fa in zip(c_agents, f_agents):
+            assert len(fa.pending_entries()) == len(ca.pending_entries()) == n_runs
+        _assert_reporting_identical((c_sys, c_agents), (f_sys, f_agents))

@@ -29,7 +29,7 @@ from repro.data.drift import DriftingSyntheticEnvironment
 from repro.data.multilabel import MultilabelBanditEnvironment, make_mediamill_like
 from repro.data.synthetic import SyntheticPreferenceEnvironment
 from repro.encoding import KMeansEncoder, LSHEncoder
-from repro.sim import FleetRunner
+from repro.sim import FleetResult, FleetRunner
 from repro.utils.rng import spawn_seeds
 
 from _testkit import assert_outboxes_equal, assert_states_equal
@@ -122,7 +122,12 @@ def _twin_population(envs, encoders, factory, private_context, seed=5, n_agents=
 def test_twin_encoders_in_one_shard_match_sequential(
     env_factory, factory, private_context, twin_encoders, monkeypatch
 ):
-    n_interactions = 24
+    """Two runs on one held fleet (21 + 3 steps): the first run ends
+    mid-epoch on both drift clocks, so the second continues every
+    agent's last epoch and must encode nothing.  The split is a
+    multiple of the window, so no report samples an item buffered
+    before the second run (those are encoded one at a time)."""
+    n_interactions, first_run = 24, 21
 
     def build():
         return _twin_population(env_factory(), twin_encoders, factory, private_context)
@@ -142,22 +147,37 @@ def test_twin_encoders_in_one_shard_match_sequential(
         raise AssertionError("plan shards must not encode one agent at a time")
 
     monkeypatch.setattr(KMeansEncoder, "encode_batch", counting_batch)
-    if env_factory is _synthetic_envs:
-        # drifting shards still record reports through the scalar
-        # record_interaction, which encodes at report time; acting
-        # never encodes one agent at a time on either
-        monkeypatch.setattr(KMeansEncoder, "encode", no_scalar)
+    # acting and reporting both gather plan-time codes: no agent is
+    # ever encoded on its own, drifting or not
+    monkeypatch.setattr(KMeansEncoder, "encode", no_scalar)
     runner = FleetRunner(fleet_agents, fleet_sessions)
     assert runner.n_shards == 1
-    result = runner.run(n_interactions)
+    results, rows_per_run = [], []
+    for start, stop in ((0, first_run), (first_run, n_interactions)):
+        results.append(runner.run(stop - start))
+        rows_per_run.append(batch_rows[:])
+        batch_rows.clear()
     monkeypatch.undo()
 
+    result = FleetResult(
+        rewards=np.concatenate([r.rewards for r in results], axis=1),
+        actions=np.concatenate([r.actions for r in results], axis=1),
+        expected=None,
+        expected_mask=np.zeros(len(fleet_agents), dtype=bool),
+    )
     _assert_fleet_matches(seq_agents, fleet_agents, result, seq_rewards, seq_actions)
-    # the first refresh encodes each encoder group in one call
-    assert batch_rows[:2] == [4, 4]
-    if env_factory is _drifting_envs:
-        # later refreshes re-encode only the agents whose clock ticked
-        assert min(batch_rows[2:]) < 4
+
+    def epoch(session):
+        return getattr(session, "_epoch_length", n_interactions)
+
+    # the first run encodes each epoch context of each agent exactly
+    # once, in one encode_batch call per encoder group
+    per_group = [0, 0]
+    for j, session in enumerate(fleet_sessions):
+        per_group[j % 2] += (first_run - 1) // epoch(session) + 1
+    assert rows_per_run[0] == per_group
+    # the second run continues every agent's cached epoch
+    assert rows_per_run[1] == []
 
 
 # --------------------------------------------------------------------- #

@@ -233,10 +233,17 @@ class TestHeldAndChurned:
         service = deploy()
         service.fleet.checkpoint(path)
         resumed = FleetRunner.resume(path)
-        live = deploy().interact(4)
+        live_service = deploy()
+        live = live_service.interact(4)
         again = resumed.run(4)
         np.testing.assert_array_equal(live.rewards, again.rewards)
         np.testing.assert_array_equal(live.actions, again.actions)
+        # the drifting shard records columnar: the reports pending
+        # across the snapshot plus the resumed run's match the live ones
+        live_reports = live_service.fleet.drain_outboxes()
+        resumed_reports = resumed.drain_outboxes()
+        assert live_reports and live_reports == resumed_reports
+        assert [r.metadata for r in live_reports] == [r.metadata for r in resumed_reports]
 
     def test_context_blob_round_trips(self, tmp_path):
         path = tmp_path / "fleet.ckpt"

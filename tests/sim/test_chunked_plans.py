@@ -287,7 +287,7 @@ def test_raw_payloads_straddle_boundaries(tables, encoder):
 # --------------------------------------------------------------------- #
 def test_traced_horizon_is_planned_once(encoder):
     """A traced shard plans its whole horizon in one plan call per
-    session — the only re-plans are new runs and drift boundaries."""
+    session — the only re-plans are new runs."""
     agents, sessions = make_population(
         _ml_env, _code_linucb, AgentMode.WARM_PRIVATE, 5, 2, encoder=encoder
     )
@@ -304,7 +304,7 @@ def test_traced_horizon_is_planned_once(encoder):
         shard.prepare(8)
     finally:
         type(sessions[0]).plan_trace_indexed = real
-    assert shard._chunk_start == 0 and shard._chunk_len == 8
+    assert shard._walk.shape == (5, 8)
     assert calls["n"] == len(sessions)
 
 

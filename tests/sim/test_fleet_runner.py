@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bandits import EpsilonGreedy, LinUCB, RandomPolicy
+from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode, P2BConfig
 from repro.core.system import P2BSystem
 from repro.data.synthetic import SyntheticPreferenceEnvironment
@@ -107,6 +108,24 @@ class TestFleetResult:
         np.testing.assert_array_equal(result.measured(), result.expected)
         # expected channel is noise-free, realized is noisy: they differ
         assert not np.array_equal(result.expected, result.rewards)
+
+    def test_actions_use_the_narrowest_signed_dtype(self):
+        """Actions (and the -1 of dropped rows) fit int8 up to 128 arms;
+        a population with a wider shard widens the whole matrix."""
+        agents, sessions = make_population(_linucb, AgentMode.COLD, 4, 3)
+        assert FleetRunner(agents, sessions).run(6).actions.dtype == np.int8
+
+        n_wide = 200
+        env = SyntheticPreferenceEnvironment(n_actions=n_wide, n_features=N_FEATURES, seed=1)
+        wide = [
+            LocalAgent(f"wide-{i}", _linucb(n_wide, N_FEATURES, seed=i), mode=AgentMode.COLD)
+            for i in range(3)
+        ]
+        runner = FleetRunner(agents + wide, sessions + [env.new_user(i) for i in range(3)])
+        result = runner.run(40)
+        assert runner.n_shards == 2
+        assert result.actions.dtype == np.int16
+        assert result.actions[4:].max() >= 128  # cold LinUCB explores every arm
 
 
 class TestBatchDrainInterplay:
