@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+import numpy as np
+
 from ..bandits.code_linucb import CodeLinUCB
 from ..bandits.linucb import LinUCB
 from ..encoding.kmeans_encoder import KMeansEncoder
@@ -135,7 +137,9 @@ class P2BSystem:
                 seed=self._server_seed,
             )
             self.server = NonPrivateServer(central)
-        self._collected_codes: list[int] = []
+        #: released tuples per code over the whole deployment (the server
+        #: refuses codes outside the codebook before they are counted)
+        self._released_counts = np.zeros(getattr(self.encoder, "n_codes", 0), dtype=np.int64)
         #: optional chaos plan corrupting collected batches (see
         #: :mod:`repro.sim.faults`); ``REPRO_FAULTS`` arms one globally
         self.fault_plan = None
@@ -255,7 +259,7 @@ class P2BSystem:
             )
             stats.audit.raise_if_violated()
             self.server.ingest_arrays(r_codes, r_actions, r_rewards)  # type: ignore[union-attr]
-            self._collected_codes.extend(int(c) for c in r_codes)
+            self._count_released(r_codes)
             return CollectionResult(
                 n_reports=n_reports,
                 n_released=int(r_codes.shape[0]),
@@ -281,7 +285,7 @@ class P2BSystem:
             released, stats = self.shuffler.process(encoded)
             stats.audit.raise_if_violated()
             self.server.ingest(released)  # type: ignore[arg-type]
-            self._collected_codes.extend(r.code for r in released)
+            self._count_released([r.code for r in released])
             return CollectionResult(
                 n_reports=len(reports), n_released=len(released), shuffler_stats=stats
             )
@@ -355,7 +359,7 @@ class P2BSystem:
         stats.audit.raise_if_violated()
         if r_codes.shape[0]:
             self.server.ingest_arrays(r_codes, r_actions, r_rewards)  # type: ignore[union-attr]
-            self._collected_codes.extend(int(c) for c in r_codes)
+            self._count_released(r_codes)
         return CollectionResult(
             n_reports=n_reports,
             n_released=int(r_codes.shape[0]),
@@ -390,9 +394,12 @@ class P2BSystem:
         """
         if self.mode != AgentMode.WARM_PRIVATE:
             raise ConfigError("privacy reports only apply to warm-private systems")
-        realized: int | None = None
-        if self._collected_codes:
-            from ..privacy.crowd_blending import smallest_crowd
-
-            realized = smallest_crowd(self._collected_codes)
+        crowds = self._released_counts[self._released_counts > 0]
+        realized = int(crowds.min()) if crowds.size else None
         return self.config.privacy_report(realized_l=realized)
+
+    def _count_released(self, codes) -> None:
+        """Add a released batch's codes to the per-code crowd counts."""
+        self._released_counts += np.bincount(
+            np.asarray(codes, dtype=np.intp), minlength=self._released_counts.size
+        )

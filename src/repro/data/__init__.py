@@ -13,7 +13,8 @@ from .environment import (
     Environment,
     IndexedTracePlan,
     ReplayUserSession,
-    StationaryRewardPlan,
+    RewardModel,
+    RewardPlan,
     TracePlan,
     TraceRowTable,
     UserSession,
@@ -33,7 +34,8 @@ __all__ = [
     "Environment",
     "UserSession",
     "ReplayUserSession",
-    "StationaryRewardPlan",
+    "RewardModel",
+    "RewardPlan",
     "TracePlan",
     "TraceRowTable",
     "IndexedTracePlan",

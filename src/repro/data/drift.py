@@ -17,27 +17,32 @@ Fleet contract
 --------------
 
 A drifting session still advertises ``has_reward_plan`` — within one
-epoch it *is* stationary — and joins the fleet engine's plan fast path
-through :meth:`~repro.data.environment.UserSession.plan_horizon_limit`:
-the engine plans each session's run horizon as consecutive segments,
-each capped at that session's own next drift boundary, so epochs
-advance exactly where the sequential loop would advance them and every
-segment is one row of the shard's segment table.
-Both engines funnel every boundary through one code path
-(:meth:`DriftingSyntheticSession._advance_epoch`), which consumes the
-session's generator identically whether the horizon is walked step by
-step or planned epoch by epoch — keeping drifting fleet runs
-bit-identical to sequential (``tests/data/test_drift.py`` pins this).
+epoch it *is* stationary — and plans any horizon in one
+:meth:`~DriftingSyntheticSession.plan_rewards` call: it walks its own
+epoch boundaries inside the call and returns one
+:class:`~repro.data.environment.RewardPlan` segment per epoch the
+horizon touches, so epochs advance exactly where the sequential loop
+would advance them.  Both engines funnel every boundary through one
+code path (:meth:`DriftingSyntheticSession._advance_epoch`), which
+consumes the session's generator identically whether the horizon is
+walked step by step or planned in one call — coin, then the Dirichlet
+or drift draw, then the noise of the segment the boundary opens —
+keeping drifting fleet runs bit-identical to sequential however the
+horizon is split into runs (``tests/data/test_drift.py`` pins this).
+A boundary updates only the preference: the mean rewards are computed
+from it on demand (by the step loop's ``reward``, or by the fleet
+shard for all of its segments in one batched
+:meth:`~repro.data.synthetic.SyntheticPreferenceEnvironment.mean_rewards`
+call per environment).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..utils.exceptions import ValidationError
 from ..utils.rng import ensure_rng
 from ..utils.validation import check_positive_int, check_scalar
-from .environment import StationaryRewardPlan
+from .environment import RewardPlan
 from .synthetic import SyntheticPreferenceEnvironment, SyntheticUserSession
 
 __all__ = ["DriftingSyntheticEnvironment", "DriftingSyntheticSession"]
@@ -51,8 +56,8 @@ class DriftingSyntheticSession(SyntheticUserSession):
     At each boundary — reached after every ``epoch_length``
     interactions — one uniform draw decides between a latent switch
     (fresh Dirichlet preference) and Gaussian drift (perturb, take
-    ``abs``, renormalize onto the simplex); the mean-reward profile is
-    then recomputed from the environment's fixed ``W``.
+    ``abs``, renormalize onto the simplex); the mean-reward profile
+    follows from the environment's fixed ``W`` when next needed.
     """
 
     def __init__(
@@ -80,7 +85,8 @@ class DriftingSyntheticSession(SyntheticUserSession):
         plan path (:meth:`plan_rewards`) land here, so the generator is
         consumed identically on both engines: one uniform coin, then
         either a Dirichlet draw (switch) or a ``d``-sized normal draw
-        (drift).
+        (drift).  Only the preference changes; its mean rewards are
+        computed when first needed.
         """
         d = self.preference.shape[0]
         if self._rng.random() < self._switch_prob:
@@ -90,7 +96,6 @@ class DriftingSyntheticSession(SyntheticUserSession):
                 self.preference + self._rng.normal(0.0, self._drift_scale, size=d)
             )
             self.preference = p / p.sum()
-        self._mean_rewards = self._env.mean_rewards(self.preference)
 
     def _advance_if_due(self) -> None:
         if self._t == self._next_boundary:
@@ -104,40 +109,36 @@ class DriftingSyntheticSession(SyntheticUserSession):
         self._t += 1
         return self.preference.copy()
 
-    def plan_horizon_limit(self) -> int:
-        """Steps until the next epoch boundary (pure; see the base hook)."""
-        remaining = self._next_boundary - self._t
-        return remaining if remaining > 0 else self._epoch_length
+    def plan_rewards(self, horizon: int) -> RewardPlan:
+        """Pre-realize ``horizon`` interactions in one call (fleet fast path).
 
-    def plan_rewards(self, horizon: int) -> StationaryRewardPlan:
-        """Pre-realize one *within-epoch* stretch (fleet fast path).
-
-        The engine promises ``horizon <= plan_horizon_limit()`` (it
-        cuts each session's plan into segments at that session's
-        drift boundaries); under that promise the
-        stretch is stationary and the parent's plan contract carries
-        over verbatim — boundary draws happen here, through the same
-        :meth:`_advance_epoch` the sequential walk uses, then the
-        noise block draws exactly like ``horizon`` scalar rewards.
+        Walks the horizon epoch by epoch: each boundary it reaches goes
+        through the same :meth:`_advance_epoch` the step loop uses, then
+        the segment's noise is one ``normal(0, sigma, size=h)`` draw,
+        which consumes the stream exactly like ``h`` scalar ``reward``
+        draws.  A horizon ending on a boundary leaves it for the next
+        call or step, as the step loop does.
         """
         horizon = check_positive_int(horizon, name="horizon")
-        limit = self.plan_horizon_limit()
-        if horizon > limit:
-            raise ValidationError(
-                f"plan_rewards(horizon={horizon}) crosses a drift boundary "
-                f"(only {limit} stationary steps remain); the fleet engine "
-                "caps plans at plan_horizon_limit()"
-            )
-        self._advance_if_due()
+        contexts: list[np.ndarray] = []
+        lengths: list[int] = []
+        noise: list[np.ndarray] = []
+        t = 0
+        while t < horizon:
+            self._advance_if_due()
+            h = min(horizon - t, self._next_boundary - self._t)
+            noise.append(self._rng.normal(0.0, self._env.sigma, size=h))
+            contexts.append(self.preference)
+            lengths.append(h)
+            self._t += h
+            t += h
         self._current = self.preference  # as next_context() would set
-        noise = self._rng.normal(0.0, self._env.sigma, size=horizon)
-        plan = StationaryRewardPlan(
-            context=self.preference.copy(),
-            mean_rewards=self._mean_rewards.copy(),
-            noise=noise,
+        return RewardPlan(
+            contexts=np.array(contexts),
+            lengths=np.array(lengths, dtype=np.intp),
+            noise=np.concatenate(noise),
+            model=self._env,
         )
-        self._t += horizon
-        return plan
 
 
 class DriftingSyntheticEnvironment(SyntheticPreferenceEnvironment):

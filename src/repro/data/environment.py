@@ -26,9 +26,16 @@ Two plan kinds exist, advertised by class-level capability flags so
 subclasses inherit fast-path eligibility (the engine keys off the
 flags, never off method identity):
 
-* ``has_reward_plan`` → :meth:`UserSession.plan_rewards` returns a
-  :class:`StationaryRewardPlan` (fixed context, pre-drawn noise —
-  the synthetic benchmark);
+* ``has_reward_plan`` → :meth:`UserSession.plan_rewards` plans a whole
+  horizon in one call and returns a :class:`RewardPlan`: the horizon's
+  stationary segments (one ``(S, d)`` context row and one length per
+  segment), the pre-drawn ``(horizon,)`` reward noise, and the
+  :class:`RewardModel` that maps contexts to mean rewards (the
+  synthetic benchmark: the environment).  A stationary session plans
+  one segment; a drifting one walks its own epoch boundaries inside
+  the call and plans one segment per epoch the horizon touches.  The
+  means are not part of the plan, so a consumer of many plans computes
+  them in one batched :meth:`RewardModel.mean_rewards` call per model;
 * ``has_trace_plan`` — dataset replay (multilabel, Criteo), set by
   every :class:`ReplayUserSession`.  The engine plans through
   :meth:`ReplayUserSession.plan_trace_indexed`, which returns an
@@ -44,9 +51,10 @@ Every plan must be an *exact* stand-in for ``horizon`` iterations of
 consumption, session left in the same state.  In particular, planning
 a horizon in consecutive slices (``plan_rewards(c)`` or
 ``plan_trace_indexed(c)`` called repeatedly — consecutive runs on one
-held fleet, or a drifting session's per-epoch segments) must realize
-exactly the values, and leave exactly the session state, of the
-sequential loop over the same horizon.  ``tests/sim`` pins all of this.
+held fleet) must realize exactly the values, and leave exactly the
+session state, of the sequential loop over the same horizon, wherever
+the slices cut it relative to drift boundaries.  ``tests/sim`` and
+``tests/data/test_drift.py`` pin all of this.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -64,7 +73,8 @@ __all__ = [
     "Environment",
     "UserSession",
     "ReplayUserSession",
-    "StationaryRewardPlan",
+    "RewardModel",
+    "RewardPlan",
     "TracePlan",
     "TraceRowTable",
     "IndexedTracePlan",
@@ -75,32 +85,63 @@ __all__ = [
 _ROW_TABLE_BUILD_LOCK = threading.Lock()
 
 
+class RewardModel(Protocol):
+    """Maps contexts to noiseless mean rewards (a :class:`RewardPlan`'s model)."""
+
+    def mean_rewards(self, contexts: np.ndarray) -> np.ndarray:
+        """Mean reward per action: ``(d,)`` → ``(A,)``, ``(S, d)`` → ``(S, A)``.
+
+        Row ``i`` of a batched call must be bitwise the ``(d,)`` result
+        for ``contexts[i]``, so batching plans never moves a reward.
+        """
+
+
 @dataclass(frozen=True)
-class StationaryRewardPlan:
-    """Pre-realized reward randomness for a fixed-context horizon.
+class RewardPlan:
+    """Pre-realized reward randomness for a horizon of stationary segments.
 
-    Produced by :meth:`UserSession.plan_rewards` for sessions whose
-    context and reward distribution are stationary over the horizon
-    (the synthetic benchmark: one preference vector per user).  The
-    realized reward of action ``a`` at step ``t`` is::
+    Produced by :meth:`UserSession.plan_rewards`.  The horizon splits
+    into consecutive segments: segment ``i`` covers the next
+    ``lengths[i]`` steps, all with context ``contexts[i]``.  A stationary
+    session (the synthetic benchmark: one preference per user) plans
+    one segment; a drifting session one per drift epoch the horizon
+    touches.  The realized reward of action ``a`` at step ``t`` of
+    segment ``i`` is::
 
-        clip01(mean_rewards[a] + noise[t])
+        clip01(model.mean_rewards(contexts)[i, a] + noise[t])
 
     with the noise pre-drawn from the *session's own* generator in
-    exactly the order ``horizon`` sequential ``reward()`` calls would
-    draw it — so consuming a plan leaves the session's stream in the
-    same state as the sequential interaction loop, and the fleet
-    engine's vectorized reward computation stays bit-identical to it.
+    exactly the order the sequential loop draws it (interleaved, for a
+    drifting session, with its boundary draws) — so consuming a plan
+    leaves the session's stream in the same state as the sequential
+    interaction loop, and the fleet engine's vectorized reward
+    computation stays bit-identical to it.
+
+    The means are not stored: ``model`` computes them on demand, so a
+    consumer holding many plans over one model (a fleet shard) computes
+    all of their means in one batched call.
+
+    A plan is built once per session per run, so it is not validated:
+    a producer must give every segment a positive length, with the
+    lengths summing to ``noise.shape[0]`` (the fleet shard and
+    :meth:`realize` rely on it).
     """
 
-    context: np.ndarray  #: the fixed context for the horizon, shape (d,)
-    mean_rewards: np.ndarray  #: noiseless reward per action, shape (A,)
+    contexts: np.ndarray  #: one context per segment, shape (S, d)
+    lengths: np.ndarray  #: steps per segment, shape (S,), summing to the horizon
     noise: np.ndarray  #: additive reward noise per step, shape (horizon,)
+    model: RewardModel  #: maps ``contexts`` to ``(S, A)`` mean rewards
+
+    def mean_rewards(self) -> np.ndarray:
+        """Noiseless reward per segment per action, shape ``(S, A)``."""
+        return self.model.mean_rewards(self.contexts)
 
     def realize(self, actions: np.ndarray) -> np.ndarray:
-        """Realized rewards for one action per step, shape ``(horizon,)``."""
+        """Realized rewards for one action per step, shape ``(len(actions),)``."""
         actions = np.asarray(actions, dtype=np.intp).ravel()
-        return np.clip(self.mean_rewards[actions] + self.noise[: actions.shape[0]], 0.0, 1.0)
+        n = actions.shape[0]
+        steps = np.repeat(self.mean_rewards(), self.lengths, axis=0)[:n]
+        return np.clip(steps[np.arange(n), actions] + self.noise[:n], 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -272,32 +313,24 @@ class UserSession(abc.ABC):
         """
         raise NotImplementedError(f"{type(self).__name__} has no ground-truth rewards")
 
-    def plan_rewards(self, horizon: int) -> StationaryRewardPlan:
-        """Optional fleet fast path: pre-realize ``horizon`` interactions.
+    def plan_rewards(self, horizon: int) -> RewardPlan:
+        """Optional fleet fast path: plan ``horizon`` interactions in one call.
 
-        Only sessions with a *stationary* context/reward distribution
-        can implement this (set ``has_reward_plan = True`` alongside).
-        The contract (pinned by ``tests/sim``): a plan must be an exact
-        stand-in for ``horizon`` iterations of ``next_context()`` +
-        ``reward()`` — same realized values, same generator consumption
-        — so the session afterwards behaves as if the sequential loop
-        had run.
+        For sessions whose contexts and reward distribution are
+        piecewise stationary (set ``has_reward_plan = True``
+        alongside): the returned :class:`RewardPlan` holds one segment
+        per stationary stretch of the horizon.  A session that drifts
+        at boundaries of its own walks them inside this call, drawing
+        each boundary's randomness where the step loop would — before
+        the noise of the segment it opens.  The contract (pinned by
+        ``tests/sim`` and ``tests/data/test_drift.py``): a plan must be
+        an exact stand-in for ``horizon`` iterations of
+        ``next_context()`` + ``reward()`` — same realized values, same
+        generator consumption — so the session afterwards behaves as
+        if the sequential loop had run, however a longer horizon is
+        split into consecutive calls.
         """
-        raise NotImplementedError(f"{type(self).__name__} has no stationary reward plan")
-
-    def plan_horizon_limit(self) -> int | None:
-        """Steps until this session's stationarity breaks (``None`` = never).
-
-        Non-stationary sessions (reward drift, latent-state switches)
-        return the number of interactions they can still plan as one
-        stationary stretch; the fleet engine caps each of this
-        session's plans here (planning its horizon as consecutive
-        segments), so drift lands exactly at segment boundaries and
-        :meth:`plan_rewards` is only ever asked for within-epoch
-        horizons.  Must be *pure* — no randomness consumed, no state
-        advanced — and strictly positive when not ``None``.
-        """
-        return None
+        raise NotImplementedError(f"{type(self).__name__} has no reward plan")
 
     def plan_trace(self, horizon: int) -> TracePlan:
         """Pre-materialize a replay horizon as per-step arrays.

@@ -32,7 +32,7 @@ from ..utils.validation import (
     check_positive_int,
     check_scalar,
 )
-from .environment import Environment, StationaryRewardPlan, UserSession
+from .environment import Environment, RewardPlan, UserSession
 
 __all__ = ["SyntheticPreferenceEnvironment", "SyntheticUserSession"]
 
@@ -51,8 +51,18 @@ class SyntheticUserSession(UserSession):
         self.preference = preference
         self._env = env
         self._rng = rng
-        self._mean_rewards = env.mean_rewards(preference)
+        # the means of ``_means_of`` — computed on first use, so a
+        # session the fleet engine plans never computes them itself
+        self._means: np.ndarray | None = None
+        self._means_of: np.ndarray | None = None
         self._current: np.ndarray | None = None
+
+    def _mean_rewards(self) -> np.ndarray:
+        """``env.mean_rewards(preference)``, cached per preference array."""
+        if self._means_of is not self.preference:
+            self._means = self._env.mean_rewards(self.preference)
+            self._means_of = self.preference
+        return self._means  # type: ignore[return-value]
 
     def next_context(self) -> np.ndarray:
         self._current = self.preference
@@ -62,14 +72,14 @@ class SyntheticUserSession(UserSession):
         self._require_context(self._current)
         action = check_in_range(action, name="action", low=0, high=self._env.n_actions)
         z = self._rng.normal(0.0, self._env.sigma)
-        return float(clip01(self._mean_rewards[action] + z))
+        return float(clip01(self._mean_rewards()[action] + z))
 
     def expected_rewards(self) -> np.ndarray:
         self._require_context(self._current)
-        return self._mean_rewards.copy()
+        return self._mean_rewards().copy()
 
-    def plan_rewards(self, horizon: int) -> StationaryRewardPlan:
-        """Pre-realize ``horizon`` interactions (fleet fast path).
+    def plan_rewards(self, horizon: int) -> RewardPlan:
+        """Pre-realize ``horizon`` interactions as one segment (fleet fast path).
 
         A synthetic user's context is their fixed preference and the
         reward noise is action-independent, so the whole horizon's
@@ -80,11 +90,11 @@ class SyntheticUserSession(UserSession):
         """
         horizon = check_positive_int(horizon, name="horizon")
         self._current = self.preference  # as next_context() would set
-        noise = self._rng.normal(0.0, self._env.sigma, size=horizon)
-        return StationaryRewardPlan(
-            context=self.preference.copy(),
-            mean_rewards=self._mean_rewards.copy(),
-            noise=noise,
+        return RewardPlan(
+            contexts=self.preference[None, :].copy(),
+            lengths=np.array([horizon], dtype=np.intp),
+            noise=self._rng.normal(0.0, self._env.sigma, size=horizon),
+            model=self._env,
         )
 
 
@@ -148,8 +158,20 @@ class SyntheticPreferenceEnvironment(Environment):
         self.W = self.weight_scale * rng.standard_normal((n_actions, n_features))
 
     def mean_rewards(self, preference: np.ndarray) -> np.ndarray:
-        """``beta * softmax(W x)`` — the noiseless reward profile of a user."""
-        return self.beta * softmax(self.W @ np.asarray(preference, dtype=np.float64))
+        """``beta * softmax(W x)`` — the noiseless reward profile of a user.
+
+        ``preference`` is one context ``(d,)`` → ``(A,)``, or a stack of
+        them ``(S, d)`` → ``(S, A)``, row ``i`` bitwise the ``(d,)``
+        result for row ``i`` (``tests/data/test_synthetic.py`` pins
+        this): ``np.matmul`` over a stack of ``(d, 1)`` columns runs the
+        same matrix-vector product per row, and the softmax is
+        row-wise.  ``X @ W.T`` and ``einsum`` reassociate the sums and
+        do not match.
+        """
+        x = np.asarray(preference, dtype=np.float64)
+        if x.ndim == 1:
+            return self.beta * softmax(self.W @ x)
+        return self.beta * softmax(np.matmul(self.W, x[:, :, None])[:, :, 0])
 
     def best_expected_reward(self, preference: np.ndarray) -> float:
         """The oracle's expected reward for this user."""

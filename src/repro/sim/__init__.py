@@ -47,8 +47,10 @@ posterior normals from that agent's own generator.
 Per-round *session* calls additionally vanish for shards whose
 sessions advertise a plan capability (class flags on
 :class:`~repro.data.environment.UserSession`): ``has_reward_plan``
-sessions (synthetic, stationary or drifting) pre-realize their reward
-noise as one segment per stationary stretch, and warm-private shards
+sessions (synthetic, stationary or drifting) plan their whole run in
+one ``plan_rewards`` call each — pre-realized reward noise, one segment
+per stationary stretch, the means of every segment computed in one
+batched call per environment — and warm-private shards
 over them encode every new segment context in one row-exact
 :meth:`Encoder.encode_batch` call per encoder (centroids through the
 equally row-exact ``decode_batch``), and

@@ -53,8 +53,9 @@ __all__ = [
 #: format marker distinguishing fleet checkpoints from other npz blobs
 CHECKPOINT_MAGIC = "repro-fleet-checkpoint"
 
-#: bump on any incompatible change to the checkpoint layout
-CHECKPOINT_VERSION = 1
+#: bump on any incompatible change to the checkpoint layout (the pickled
+#: sessions included: 2 = synthetic sessions compute their means lazily)
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)

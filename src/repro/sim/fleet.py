@@ -27,16 +27,17 @@ Per-round session calls vanish entirely for shards whose sessions can
 pre-materialize their horizon (capability flags on
 :class:`~repro.data.environment.UserSession`):
 
-* ``has_reward_plan`` — stationary sessions (the synthetic benchmark)
-  pre-realize reward noise (:class:`StationaryRewardPlan`).  Each
-  session plans its horizon as consecutive segments, one per
-  stationary stretch — a single segment, or one per drift epoch for
-  drifting sessions, cut at that session's own boundaries.  The shard
-  holds an ``(S, d)`` / ``(S, A)`` segment table of contexts and
-  means, one ``(n, T)`` noise block and an ``(n, T)`` step-to-segment
-  walk; rewards become one gather + clip per round, and warm-private
-  shards encode the segments in one ``encode_batch`` call per encoder
-  (a segment continuing an agent's cached context is not re-encoded);
+* ``has_reward_plan`` — synthetic sessions, stationary or drifting,
+  pre-realize reward noise (:class:`~repro.data.environment.RewardPlan`)
+  in one ``plan_rewards(T)`` call per session: a single segment, or one
+  per drift epoch, the session walking its own boundaries inside the
+  call.  The shard holds an ``(S, d)`` / ``(S, A)`` segment table of
+  contexts and means — the means from one batched ``mean_rewards``
+  call per environment, never one per boundary — one ``(n, T)`` noise
+  block and an ``(n, T)`` step-to-segment walk; rewards become one
+  gather + clip per round, and warm-private shards encode the segments
+  in one ``encode_batch`` call per encoder (a segment continuing an
+  agent's cached context is not re-encoded);
 * ``has_trace_plan`` — dataset-replay sessions (multilabel, Criteo)
   walk rows of a per-dataset
   :class:`~repro.data.environment.TraceRowTable`.  The shard holds one
@@ -55,8 +56,8 @@ generic per-round session loop — still bit-identical, just slower.
 Each run plans its whole horizon once, before its first step.
 Planning a horizon in consecutive slices is exact by the plan contract
 (it consumes session streams identically to one full plan), which is
-what makes per-epoch segments, and consecutive ``run`` calls on one
-held fleet, equal one longer sequential horizon.  Either ``(n, T)``
+what makes consecutive ``run`` calls on one held fleet equal one
+longer sequential horizon.  Either ``(n, T)``
 walk plus its tables regenerates any past step, so report gathers and
 ``finish``'s buffer rebuild need no history tail.
 
@@ -127,7 +128,7 @@ from ..core.agent import LocalAgent
 from ..core.config import AgentMode
 from ..core.participation import StackedParticipation
 from ..core.payload import EncodedReport, RawReport, ReportLog
-from ..data.environment import StationaryRewardPlan, TraceRowTable, UserSession
+from ..data.environment import RewardPlan, TraceRowTable, UserSession
 from ..utils.exceptions import CheckpointError, ConfigError, WorkerError
 from ..utils.validation import check_positive_int
 from .faults import FaultPlan, active_plan
@@ -450,8 +451,9 @@ class _Shard:
     Owns the per-shard context/encoding caches and — when every session
     in the shard advertises a plan capability — the plan
     materialization: an ``(n, T)`` walk into a segment table of
-    stationary reward plans (one segment per drift epoch) or into the
-    sessions' row tables (traced).  Plans cover the whole run horizon.
+    reward plans (one segment per stationary stretch: per session, or
+    per drift epoch) or into the sessions' row tables (traced).  Each
+    session plans the whole run horizon in one call.
     ``step`` writes outcomes into the *global* result matrices at this
     shard's agent indices.
     """
@@ -735,50 +737,54 @@ class _Shard:
             self._encode_new_rows(self._walk)
 
     def _plan_segments(self, horizon: int) -> None:
-        """Plan a stationary shard: each session's horizon as segments.
+        """Plan a reward-plan shard: one ``plan_rewards(horizon)`` per session.
 
-        Each session plans consecutive stationary stretches,
-        ``plan_rewards(min(remaining, plan_horizon_limit() or
-        remaining))``, so a stationary session plans one segment and a
-        drifting one adds a segment per drift boundary it crosses.
-        Planning per session is exact by the plan contract: every
-        session draws from its own generator, and a drifting session
-        advances its epoch inside ``plan_rewards`` in the order the
-        step loop would (``tests/data/test_drift.py`` pins this).
+        A stationary session plans one segment; a drifting one walks
+        its own boundaries inside the call and plans a segment per
+        epoch the run touches, in the draw order of the step loop
+        (``tests/data/test_drift.py`` pins this).  Planning per session
+        is exact by the plan contract: every session draws from its own
+        generator.
 
-        The noise lands in one ``(n, T)`` block; contexts and means in
-        an ``(S, d)`` / ``(S, A)`` segment table; and the ``(n, T)``
-        walk maps each agent's steps to its segments.
+        The noise lands in one ``(n, T)`` block; the segment contexts in
+        one ``(S, d)`` table, which the ``(n, T)`` walk indexes per agent
+        and step; and the ``(S, A)`` means come from one batched
+        ``mean_rewards`` call per distinct reward model (environment).
         """
-        noise = np.empty((self.n, horizon), dtype=np.float64)
-        plans: list[StationaryRewardPlan] = []
-        lengths: list[int] = []
-        counts = np.empty(self.n, dtype=np.intp)  # segments per agent
-        for j, session in enumerate(self.sessions):
-            first, t = len(plans), 0
-            while t < horizon:
-                remaining = horizon - t
-                h = min(remaining, session.plan_horizon_limit() or remaining)
-                plan = session.plan_rewards(h)
-                noise[j, t : t + h] = plan.noise
-                plans.append(plan)
-                lengths.append(h)
-                t += h
-            counts[j] = len(plans) - first
-        self._plan_noise = noise
-        self._seg_ctx = np.stack([p.context for p in plans])
-        self._seg_means = np.stack([p.mean_rewards for p in plans])
-        n_seg = len(plans)
+        plans = [s.plan_rewards(horizon) for s in self.sessions]
+        self._plan_noise = np.stack([p.noise for p in plans])
+        counts = np.array([p.lengths.shape[0] for p in plans], dtype=np.intp)
+        self._seg_ctx = np.concatenate([p.contexts for p in plans])
+        n_seg = self._seg_ctx.shape[0]
         if n_seg == self.n:  # one segment per session: a zero-copy walk
             self._walk = np.broadcast_to(self._rows[:, None], (self.n, horizon))
         else:
+            lengths = np.concatenate([p.lengths for p in plans])
             self._walk = np.repeat(np.arange(n_seg), lengths).reshape(self.n, horizon)
+        self._seg_means = self._segment_means(plans, counts)
         if self.mode != AgentMode.WARM_PRIVATE:
             self._seg_acting = self._seg_ctx
             return
         self._seg_code, self._seg_acting = self._encode_contexts(
             self._seg_ctx, np.repeat(self._rows, counts), np.cumsum(counts) - 1
         )
+
+    def _segment_means(self, plans: list[RewardPlan], counts: np.ndarray) -> np.ndarray:
+        """The ``(S, A)`` means of every segment, one call per reward model.
+
+        ``mean_rewards`` rows are bitwise the per-context result (the
+        :class:`~repro.data.environment.RewardModel` contract), so
+        batching moves no reward.
+        """
+        ctx = self._seg_ctx
+        means = None
+        for model in {id(p.model): p.model for p in plans}.values():
+            rows = np.repeat([p.model is model for p in plans], counts)
+            part = model.mean_rewards(ctx[rows])
+            if means is None:
+                means = np.empty((ctx.shape[0], part.shape[1]), dtype=part.dtype)
+            means[rows] = part
+        return means
 
     def _encode_contexts(
         self, ctx: np.ndarray, owner: np.ndarray, last: np.ndarray
@@ -967,7 +973,7 @@ class _Shard:
         actions[self.indices, tc] = acts
 
         if self.stationary:
-            # StationaryRewardPlan.realize, vectorized across agents for
+            # RewardPlan.realize, vectorized across agents for
             # one step: mean[a] + z, clipped — the same elementwise ops
             # as session.reward (a test pins the plan to the sequential
             # reward stream)

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core import AgentMode, P2BConfig, P2BSystem
+from repro.privacy.crowd_blending import smallest_crowd
 from repro.utils.exceptions import ConfigError
+
+from _released import record_released
 
 
 def _config(**overrides) -> P2BConfig:
@@ -91,6 +94,20 @@ class TestPrivatePipeline:
         report = system.privacy_report()
         assert report.epsilon == pytest.approx(np.log(2.0))
         assert report.l >= 2  # at least the shuffler threshold
+
+    def test_realized_l_is_smallest_crowd_across_rounds(self, rng):
+        """The system keeps per-code counts, not the released codes; its
+        realized ``l`` is the smallest crowd of everything released, over
+        synchronous and asynchronous rounds alike."""
+        system = P2BSystem(_config(), mode=AgentMode.WARM_PRIVATE, seed=4)
+        released = record_released(system)
+        system.collect(_run_agents(system, n_agents=60, n_interactions=5, rng=rng))
+        system.collect_async(_run_agents(system, n_agents=40, n_interactions=5, rng=rng))
+        system.flush_async()
+        codes = [code for code, _, _ in released]
+        assert system._released_counts.shape == (8,)
+        assert system._released_counts.sum() == len(codes) > 0
+        assert system.privacy_report().l == smallest_crowd(codes)
 
     def test_privacy_report_before_collection_uses_threshold(self):
         system = P2BSystem(_config(), mode=AgentMode.WARM_PRIVATE, seed=0)

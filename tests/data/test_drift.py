@@ -2,11 +2,11 @@
 
 The drifting workload is piecewise-stationary: within an epoch it obeys
 the stationary plan contract, and at every boundary one uniform coin
-picks switch vs drift.  The fleet engine plans each session's horizon
-as consecutive segments cut at that session's own boundaries
-(``plan_horizon_limit()``), so drifting fleet runs — their reports
-included — must stay bit-identical to the sequential loop, however the
-horizon is split into runs.
+picks switch vs drift.  A session plans any horizon in one
+``plan_rewards`` call, walking its own boundaries inside it and
+returning one segment per epoch, so drifting fleet runs — their
+reports included — must stay bit-identical to the sequential loop,
+however the horizon is split into runs.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ from repro.bandits.linucb import LinUCB
 from repro.core import P2BConfig, P2BSystem, PendingReports
 from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode
-from repro.data import DriftingSyntheticEnvironment
-from repro.data.synthetic import SyntheticPreferenceEnvironment
+from repro.data import DriftingSyntheticEnvironment, DriftingSyntheticSession
+from repro.data.synthetic import SyntheticPreferenceEnvironment, SyntheticUserSession
 from repro.sim import FleetRunner
-from repro.sim.faults import FaultPlan, FaultSpec
-from repro.utils.exceptions import ValidationError
+from repro.sim.faults import FAULTS_ENV_VAR, FaultPlan, FaultSpec
 from repro.utils.rng import rng_state_digest, spawn_seeds
+
+from _released import record_released
 
 N_ACTIONS = 4
 N_FEATURES = 5
@@ -35,9 +36,8 @@ HORIZON = 3 * EPOCH + 2
 
 def _env(**kwargs):
     kwargs.setdefault("epoch_length", EPOCH)
-    return DriftingSyntheticEnvironment(
-        n_actions=N_ACTIONS, n_features=N_FEATURES, seed=7, **kwargs
-    )
+    kwargs.setdefault("seed", 7)
+    return DriftingSyntheticEnvironment(n_actions=N_ACTIONS, n_features=N_FEATURES, **kwargs)
 
 
 def _population(n_agents: int, seed: int):
@@ -107,46 +107,86 @@ class TestEpochSemantics:
         # drift of scale 0 keeps |p + 0| / sum = p
         np.testing.assert_allclose(drifting.next_context(), first)
 
-    def test_plan_horizon_limit_counts_down(self):
+
+def _boundary_lengths(epoch: int, lead: int, horizon: int) -> list[int]:
+    """Segment lengths of steps ``[lead, lead + horizon)``: the step loop
+    advances an epoch when step ``k * epoch`` (``k >= 1``) starts."""
+    cuts = [t for t in range(lead + 1, lead + horizon) if t % epoch == 0]
+    edges = [lead, *cuts, lead + horizon]
+    return [b - a for a, b in zip(edges, edges[1:])]
+
+
+#: (epoch_length, switch_prob, steps walked before the plan, plan horizon)
+PLAN_CASES = {
+    "mid_epoch": (EPOCH, 0.25, 2, 3),
+    "ends_on_boundary": (EPOCH, 0.25, 2, EPOCH - 2),
+    "starts_on_boundary": (EPOCH, 0.25, EPOCH, EPOCH),
+    "crosses_several": (EPOCH, 0.25, 3, 3 * EPOCH + 2),
+    "horizon_1": (EPOCH, 0.25, 4, 1),
+    "horizon_1_on_boundary": (EPOCH, 0.25, 2 * EPOCH, 1),
+    "epoch_length_1": (1, 0.25, 0, 7),
+    "never_switch": (EPOCH, 0.0, 1, 3 * EPOCH),
+    "always_switch": (EPOCH, 1.0, 1, 3 * EPOCH),
+}
+
+
+class TestOneCallPlan:
+    """One ``plan_rewards(horizon)`` call is the step walk, bit for bit:
+    the same contexts, segment boundaries, rewards, means and generator
+    state, wherever the horizon starts and ends relative to the epochs."""
+
+    @pytest.mark.parametrize("case", sorted(PLAN_CASES))
+    def test_plan_equals_step_walk(self, case):
+        epoch, switch_prob, lead, horizon = PLAN_CASES[case]
+        env = _env(epoch_length=epoch, switch_prob=switch_prob)
+        stepped, planned = env.new_user(4), env.new_user(4)
+        actions = np.arange(lead + horizon) % N_ACTIONS
+        for session in (stepped, planned):
+            for t in range(lead):
+                session.next_context()
+                session.reward(int(actions[t]))
+
+        contexts, rewards, means = [], [], []
+        for t in range(lead, lead + horizon):
+            contexts.append(stepped.next_context())
+            rewards.append(stepped.reward(int(actions[t])))
+            means.append(stepped.expected_rewards())
+        plan = planned.plan_rewards(horizon)
+
+        assert plan.lengths.tolist() == _boundary_lengths(epoch, lead, horizon)
+        assert plan.noise.shape == (horizon,)
+        np.testing.assert_array_equal(
+            np.repeat(plan.contexts, plan.lengths, axis=0), np.asarray(contexts)
+        )
+        np.testing.assert_array_equal(plan.realize(actions[lead:]), np.asarray(rewards))
+        np.testing.assert_array_equal(
+            np.repeat(plan.mean_rewards(), plan.lengths, axis=0), np.asarray(means)
+        )
+        assert rng_state_digest(planned._rng) == rng_state_digest(stepped._rng)
+        # both continue in sync, across a boundary the horizon ended on
+        np.testing.assert_array_equal(planned.next_context(), stepped.next_context())
+        assert planned.reward(1) == stepped.reward(1)
+        np.testing.assert_array_equal(planned.expected_rewards(), stepped.expected_rewards())
+
+    def test_boundaries_update_only_the_preference(self, monkeypatch):
+        """Epoch boundaries compute no means; ``reward`` computes them
+        once per epoch, on first use."""
+        calls = []
+        real = SyntheticPreferenceEnvironment.mean_rewards
+        monkeypatch.setattr(
+            SyntheticPreferenceEnvironment,
+            "mean_rewards",
+            lambda self, x: calls.append(np.shape(x)) or real(self, x),
+        )
         session = _env().new_user(3)
-        assert session.plan_horizon_limit() == EPOCH
-        session.next_context()
-        assert session.plan_horizon_limit() == EPOCH - 1
-        for _ in range(EPOCH - 1):
+        session.plan_rewards(3 * EPOCH)
+        for _ in range(3 * EPOCH):
             session.next_context()
-        # at the (not yet crossed) boundary a full epoch is plannable
-        assert session.plan_horizon_limit() == EPOCH
-
-    def test_oversized_plan_rejected(self):
-        session = _env().new_user(3)
-        session.next_context()
-        with pytest.raises(ValidationError, match="drift boundary"):
-            session.plan_rewards(EPOCH)  # only EPOCH-1 stationary steps remain
-
-    def test_plan_walk_equals_step_walk(self):
-        """Planning epoch stretches reproduces stepping bit-for-bit."""
-        horizon = 3 * EPOCH + 2
-        actions = np.arange(horizon) % N_ACTIONS
-        stepped = _env().new_user(4)
-        planned = _env().new_user(4)
-
-        step_contexts, step_rewards = [], []
-        for t in range(horizon):
-            step_contexts.append(stepped.next_context())
-            step_rewards.append(stepped.reward(int(actions[t])))
-
-        taken = 0
-        plan_contexts, plan_rewards = [], []
-        while taken < horizon:
-            h = min(planned.plan_horizon_limit(), horizon - taken)
-            plan = planned.plan_rewards(h)
-            plan_contexts.extend([plan.context] * h)
-            plan_rewards.extend(plan.realize(actions[taken : taken + h]))
-            taken += h
-
-        for a, b in zip(step_contexts, plan_contexts):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(np.asarray(step_rewards), np.asarray(plan_rewards))
+        assert calls == []
+        for _ in range(2 * EPOCH):
+            session.next_context()
+            session.reward(0)
+        assert calls == [(N_FEATURES,)] * 2
 
 
 class TestFleetBitIdentity:
@@ -154,8 +194,8 @@ class TestFleetBitIdentity:
     def test_fleet_matches_sequential_across_split_runs(self, split):
         """The horizon as consecutive ``run(split)`` calls on one held
         fleet (``None`` = one run), with run boundaries before, at and
-        after the drift boundaries: drift re-plans and run re-plans
-        compose exactly."""
+        after the drift boundaries: boundaries walked inside one plan
+        and run re-plans compose exactly."""
         seq_agents, seq_sessions = _population(5, seed=17)
         fleet_agents, fleet_sessions = _population(5, seed=17)
 
@@ -216,6 +256,8 @@ SHARD_ENVS = {
         SyntheticPreferenceEnvironment(n_actions=N_ACTIONS, n_features=N_FEATURES, seed=7),
     ],
     "two_clocks": lambda: [_env(), _env(epoch_length=4)],
+    # a different W: the shard computes means in one call per environment
+    "two_environments": lambda: [_env(), _env(epoch_length=4, seed=8)],
 }
 
 
@@ -259,9 +301,10 @@ def _assert_reporting_identical(seq, fleet):
     for sa, fa in zip(s_agents, f_copy):
         assert sa.outbox == fa.outbox  # code, action, reward, order
         assert [r.metadata for r in sa.outbox] == [r.metadata for r in fa.outbox]
+    released_s, released_f = record_released(s_sys), record_released(f_sys)
     out_s, out_f = s_sys.collect(s_agents), f_sys.collect(f_agents)
     assert out_s == out_f and out_f.n_released > 0
-    assert s_sys._collected_codes == f_sys._collected_codes
+    assert released_s == released_f  # same tuples, same order
     assert s_sys.privacy_report() == f_sys.privacy_report()
     _assert_states_equal(s_sys.server.policy, f_sys.server.policy)
 
@@ -274,8 +317,8 @@ class TestDriftingReports:
         reports, participation buffers and budgets, and the shuffler's
         output equal the sequential loop's — with run boundaries before,
         at and after drift boundaries, window boundaries straddling
-        both, a shard mixing drifting and stationary users, and a shard
-        running two drift clocks."""
+        both, a shard mixing drifting and stationary users, a shard
+        running two drift clocks and one over two environments."""
         s_sys, s_agents, s_sessions = _warm_population(kind)
         f_sys, f_agents, f_sessions = _warm_population(kind)
         seq_rewards = _sequential(s_agents, s_sessions, HORIZON)
@@ -318,3 +361,35 @@ class TestDriftingReports:
         for ca, fa in zip(c_agents, f_agents):
             assert len(fa.pending_entries()) == len(ca.pending_entries()) == n_runs
         _assert_reporting_identical((c_sys, c_agents), (f_sys, f_agents))
+
+
+class TestPlanCalls:
+    @pytest.mark.parametrize("kind", ["mixed", "two_environments"])
+    @pytest.mark.parametrize("split", [None, EPOCH + 1])
+    def test_one_plan_per_session_one_means_call_per_environment(self, kind, split, monkeypatch):
+        """Each run plans every session in one call, however many drift
+        boundaries it crosses, and computes the shard's means in one
+        batched call per environment — none per boundary."""
+        # a retried shard replans its horizon: count a run without faults
+        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+        plans, means = [], []
+        for cls in (SyntheticUserSession, DriftingSyntheticSession):
+            real_plan = cls.plan_rewards
+            monkeypatch.setattr(
+                cls,
+                "plan_rewards",
+                lambda self, h, real=real_plan: plans.append(h) or real(self, h),
+            )
+        real_means = SyntheticPreferenceEnvironment.mean_rewards
+        monkeypatch.setattr(
+            SyntheticPreferenceEnvironment,
+            "mean_rewards",
+            lambda self, x: means.append(np.ndim(x)) or real_means(self, x),
+        )
+        _, agents, sessions = _warm_population(kind)
+        runner = FleetRunner(agents, sessions)
+        split = split or HORIZON
+        for run, start in enumerate(range(0, HORIZON, split), 1):
+            runner.run(min(split, HORIZON - start))
+            assert len(plans) == run * len(agents)
+            assert means == [2] * (2 * run)  # two environments, batched

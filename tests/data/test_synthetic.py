@@ -101,7 +101,54 @@ class TestUserSession:
         assert len(prefs) == 10
 
 
-class TestStationaryRewardPlan:
+class TestBatchedMeanRewards:
+    """``mean_rewards`` over ``(S, d)`` is the fleet shard's one call per
+    environment; like the stacked kernels' leading-axis rule, row ``i``
+    must be bitwise the ``(d,)`` result, and the ``(d,)`` result bitwise
+    ``beta * softmax(W @ x)``, so batching moves no reward."""
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    @pytest.mark.parametrize("weight_scale", [1.0, 8.0, 50.0])
+    @pytest.mark.parametrize(("n_actions", "n_features"), [(3, 4), (10, 10), (20, 5), (50, 17)])
+    def test_rows_match_single_contexts(self, weight_scale, n_actions, n_features):
+        from repro.utils.math import softmax
+
+        env = SyntheticPreferenceEnvironment(
+            n_actions, n_features, weight_scale=weight_scale, seed=3
+        )
+        X = np.random.default_rng(1).dirichlet(np.ones(n_features), size=300)
+        batch = env.mean_rewards(X)
+        assert batch.shape == (300, n_actions)
+        for i, x in enumerate(X):
+            single = env.mean_rewards(x)
+            np.testing.assert_array_equal(self._bits(single), self._bits(batch[i]))
+            np.testing.assert_array_equal(
+                self._bits(single), self._bits(env.beta * softmax(env.W @ x))
+            )
+        for n in (1, 7):  # a batch's rows do not depend on its size
+            np.testing.assert_array_equal(
+                self._bits(env.mean_rewards(X[:n])), self._bits(batch[:n])
+            )
+
+    def test_near_tied_logits(self):
+        env = SyntheticPreferenceEnvironment(6, 5, weight_scale=50.0, seed=4)
+        # arms 1 and 2 differ from arm 0 in the last bit of one weight
+        env.W[1] = env.W[0]
+        env.W[2] = env.W[0]
+        env.W[1, 0] = np.nextafter(env.W[0, 0], np.inf)
+        env.W[2, 0] = np.nextafter(env.W[0, 0], -np.inf)
+        X = np.vstack(
+            [np.full(5, 0.2), np.eye(5), np.random.default_rng(2).dirichlet(np.ones(5), 50)]
+        )
+        batch = env.mean_rewards(X)
+        for i, x in enumerate(X):
+            np.testing.assert_array_equal(self._bits(env.mean_rewards(x)), self._bits(batch[i]))
+
+
+class TestRewardPlan:
     """plan_rewards is the fleet engine's stand-in for the sequential
     next_context()/reward() loop; pin the exact-equivalence contract."""
 
@@ -143,10 +190,11 @@ class TestStationaryRewardPlan:
         sequential.next_context()
         assert planned.reward(1) == sequential.reward(1)
 
-    def test_plan_context_and_means_match_session_views(self):
+    def test_plan_is_one_segment_matching_session_views(self):
         import numpy as np
 
         env, planned, _ = self._twin_sessions()
         plan = planned.plan_rewards(3)
-        np.testing.assert_array_equal(plan.context, planned.preference)
-        np.testing.assert_array_equal(plan.mean_rewards, planned.expected_rewards())
+        assert plan.lengths.tolist() == [3] and plan.model is env
+        np.testing.assert_array_equal(plan.contexts, planned.preference[None, :])
+        np.testing.assert_array_equal(plan.mean_rewards(), planned.expected_rewards()[None, :])

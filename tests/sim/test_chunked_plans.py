@@ -209,7 +209,7 @@ def test_split_stationary_matches_sequential(split):
 
 
 def test_block_noise_draws_split_like_scalar_draws():
-    """The split-run and drift re-plan premise: ``normal(size=a)`` then
+    """The split-run and drift-segment premise: ``normal(size=a)`` then
     ``normal(size=b)`` equals one ``normal(size=a + b)`` draw."""
     a = np.random.default_rng(123).normal(0.0, 0.1, size=13)
     rng = np.random.default_rng(123)

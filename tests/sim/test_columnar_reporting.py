@@ -32,6 +32,7 @@ from repro.experiments.runner import _simulate_agent, run_setting
 from repro.sim import FleetRunner
 from repro.utils.rng import rng_state_digest, spawn_seeds
 
+from _released import record_released
 from _testkit import assert_states_equal
 
 N_AGENTS = 30
@@ -65,15 +66,17 @@ def _assert_collect_identical(seq, fleet):
     """Run both systems' collection rounds and pin every observable."""
     s_sys, s_agents = seq
     f_sys, f_agents = fleet
+    private = s_sys.mode == AgentMode.WARM_PRIVATE
+    released = [record_released(s) if private else [] for s in (s_sys, f_sys)]
     out_s = s_sys.collect(s_agents)
     out_f = f_sys.collect(f_agents)
     assert out_s == out_f
+    assert released[0] == released[1]  # same tuples, same order
     if s_sys.server is not None:
         assert s_sys.server.n_tuples_ingested == f_sys.server.n_tuples_ingested
         assert s_sys.server.n_batches == f_sys.server.n_batches
         assert_states_equal(s_sys.server.policy, f_sys.server.policy, "server")
     if s_sys.mode == AgentMode.WARM_PRIVATE:
-        assert s_sys._collected_codes == f_sys._collected_codes
         assert s_sys.privacy_report() == f_sys.privacy_report()
     for sa, fa in zip(s_agents, f_agents):
         assert sa.n_interactions == fa.n_interactions

@@ -26,6 +26,7 @@ from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode, P2BConfig
 from repro.core.participation import RandomizedParticipation
 from repro.core.system import P2BSystem
+from repro.data.drift import DriftingSyntheticEnvironment
 from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_dataset
 from repro.data.synthetic import SyntheticPreferenceEnvironment
 from repro.sim import EngineConfig, FaultPlan, FaultPolicy, FleetRunner, load_checkpoint
@@ -58,11 +59,20 @@ GRID = _env_grid()
 
 def _population(seed=SEED, n_agents=16):
     """Eight shards: four policy kinds × {cold, participating-warm},
-    over traced (multilabel) and stationary (synthetic) sessions.  The
-    traced agents alternate between two datasets, so every traced shard
-    gathers through a concatenated row table."""
+    over traced (multilabel) and synthetic sessions.  The traced agents
+    alternate between two datasets, so every traced shard gathers
+    through a concatenated row table; the cold shards mix stationary
+    users with drifting users of two environments (different ``W`` and
+    epoch lengths, both crossing boundaries within ``HORIZON``), so
+    each shard batches its segment means per environment."""
     syn = SyntheticPreferenceEnvironment(
         n_actions=N_ACTIONS, n_features=N_FEATURES, seed=7
+    )
+    drift_a = DriftingSyntheticEnvironment(
+        n_actions=N_ACTIONS, n_features=N_FEATURES, epoch_length=5, seed=8
+    )
+    drift_b = DriftingSyntheticEnvironment(
+        n_actions=N_ACTIONS, n_features=N_FEATURES, epoch_length=3, seed=9
     )
     ml = MultilabelBanditEnvironment(_ML_DATASET, samples_per_user=6, seed=1)
     ml_b = MultilabelBanditEnvironment(_ML_DATASET_B, samples_per_user=5, seed=2)
@@ -84,7 +94,10 @@ def _population(seed=SEED, n_agents=16):
             )
         else:
             agents.append(LocalAgent(f"u{i}", policy, mode="cold"))
-        env = syn if i % 2 == 0 else (ml_b if i % 4 == 3 else ml)
+        if i % 2 == 0:  # cold shard k holds agents 2k and 2k + 8
+            env = (syn, drift_a, drift_b)[(i // 2) % 3]
+        else:
+            env = ml_b if i % 4 == 3 else ml
         sessions.append(env.new_user(session_seed))
     return agents, sessions
 

@@ -17,6 +17,8 @@ from repro.data import SyntheticPreferenceEnvironment
 from repro.privacy import epsilon_from_p, verify_crowd_blending
 from repro.utils.serialization import state_from_json, state_to_json
 
+from _released import record_released
+
 
 def _pipeline(p=0.5, threshold=3, n_agents=120, seed=0, private_context="one-hot"):
     config = P2BConfig(
@@ -61,10 +63,11 @@ class TestPrivacyInvariants:
 
     def test_released_batch_satisfies_crowd_blending(self):
         system, agents = _pipeline(threshold=4)
+        released = record_released(system)
         result = system.collect(agents)
         assert result.shuffler_stats.audit.satisfied
-        codes = system._collected_codes
-        assert verify_crowd_blending(codes, 4).satisfied
+        assert len(released) == result.n_released > 0
+        assert verify_crowd_blending([code for code, _, _ in released], 4).satisfied
 
     @given(st.sampled_from([0.1, 0.3, 0.5, 0.7]))
     @settings(max_examples=4, deadline=None)

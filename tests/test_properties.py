@@ -24,6 +24,8 @@ from repro.encoding import GridEncoder, KMeansEncoder, LSHEncoder, quantize_simp
 from repro.privacy import composition_rank, context_cardinality, verify_crowd_blending
 from repro.utils.serialization import state_from_json, state_to_json, states_equal
 
+from _released import record_released
+
 
 # --------------------------------------------------------------------- #
 # serialization fuzz
@@ -378,17 +380,18 @@ def test_property_columnar_collection_matches_sequential(
         _simulate_agent(a, s, n_interactions)
     FleetRunner(fleet_agents, fleet_sessions).run(n_interactions)
 
+    private = mode == "warm-private"
+    released = [record_released(s) if private else [] for s in (seq_system, fleet_system)]
     out_seq = seq_system.collect(seq_agents)
     out_fleet = fleet_system.collect(fleet_agents)
     assert out_seq == out_fleet
+    assert released[0] == released[1]  # same tuples, same order
     state_seq = seq_system.server.model_snapshot()
     state_fleet = fleet_system.server.model_snapshot()
     for key in state_seq:
         np.testing.assert_array_equal(
             np.asarray(state_seq[key]), np.asarray(state_fleet[key])
         )
-    if mode == "warm-private":
-        assert seq_system._collected_codes == fleet_system._collected_codes
 
 
 _REPLAY_ML_DATASETS: list = []
