@@ -82,10 +82,14 @@ class DeploymentLoop:
         (:meth:`~repro.core.system.P2BSystem.collect`'s fast path) —
         no per-report objects anywhere in the cycle, same round stats.
         Fleet rounds run on one :class:`~repro.sim.FleetRunner` held
-        across rounds: new users join it through ``add_agents``, and
-        its shard-reuse rule restacks after a refresh and reuses the
-        held stacks otherwise.  The config's ``sink`` must be ``None``:
-        rounds compute their own statistics.  Resolved to an
+        across rounds: new users join it through ``add_agents`` (only
+        they are checked for fleet support), and a refresh passes the
+        central-model snapshot into the run (``run(n,
+        warm_start=snapshot)``), so held stacks load it in place instead
+        of restacking every policy.  Under ``"auto"``, a newcomer
+        without fleet support drops the held fleet and every later
+        round runs the reference loop.  The config's ``sink`` must be
+        ``None``: rounds compute their own statistics.  Resolved to an
         ``EngineConfig`` at construction.
     """
 
@@ -138,11 +142,10 @@ class DeploymentLoop:
             self.enroll(new_users)
         if not self._users:
             raise ConfigError("no users enrolled; call enroll() or pass new_users")
+        snapshot = None
         if self.refresh and self.system.server.n_tuples_ingested:
             snapshot = self.system.model_snapshot()
-            for agent, _ in self._users:
-                agent.warm_start(snapshot)
-        rewards = self._interact()
+        rewards = self._interact(snapshot)
         outcome = self.system.collect(agent for agent, _ in self._users)
         stats = RoundStats(
             round_index=len(self.rounds),
@@ -155,14 +158,16 @@ class DeploymentLoop:
         self.rounds.append(stats)
         return stats
 
-    def _interact(self) -> np.ndarray:
+    def _interact(self, snapshot) -> np.ndarray:
         """One round of local interactions; returns the reward matrix.
 
-        Both engines fill the same ``(n_users, interactions_per_round)``
-        matrix (sequential user-major; fleet shard by shard, round-major
-        within each shard) and the round
-        statistic is computed from the matrix, so the engines agree on
-        it bit-for-bit whenever the per-cell rewards agree.
+        ``snapshot`` (or ``None``) is the central model every user pulls
+        first.  Both engines fill the same
+        ``(n_users, interactions_per_round)`` matrix (sequential
+        user-major; fleet shard by shard, round-major within each shard)
+        and the round statistic is computed from the matrix, so the
+        engines agree on it bit-for-bit whenever the per-cell rewards
+        agree.
         """
         agents = [agent for agent, _ in self._users]
         sessions = [session for _, session in self._users]
@@ -170,7 +175,9 @@ class DeploymentLoop:
         if self.engine.engine != "sequential":
             from ..sim import FleetRunner, fleet_supported
 
-            use_fleet = fleet_supported(agents)
+            # the held fleet's members passed this check when they joined
+            joined = 0 if self._fleet is None else len(self._fleet.agents)
+            use_fleet = joined == len(agents) or fleet_supported(agents[joined:])
             if self.engine.engine == "fleet" and not use_fleet:
                 raise ConfigError(
                     "engine='fleet' requested but the enrolled population is "
@@ -179,10 +186,16 @@ class DeploymentLoop:
         if use_fleet:
             if self._fleet is None:
                 self._fleet = FleetRunner(agents, sessions, config=self.engine)
-            else:
-                joined = len(self._fleet.agents)
+            elif joined < len(agents):
                 self._fleet.add_agents(agents[joined:], sessions[joined:])
-            return self._fleet.run(self.interactions_per_round).rewards
+            return self._fleet.run(
+                self.interactions_per_round, warm_start=snapshot
+            ).rewards
+        # the reference loop advances agents the held fleet stacked
+        self._fleet = None
+        if snapshot is not None:
+            for agent in agents:
+                agent.warm_start(snapshot)
         rewards = np.empty((len(agents), self.interactions_per_round), dtype=np.float64)
         for u, (agent, session) in enumerate(self._users):
             for t in range(self.interactions_per_round):

@@ -118,7 +118,6 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import time
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -473,7 +472,6 @@ class _Shard:
         self.mode = agents[0].mode
         self.private_context = agents[0].private_context
         self._exactness = exactness
-        self._mirror_attrs: list[str] = []
         self.stacked = stack_policies([a.policy for a in agents], exactness=exactness)
         self._rows = np.arange(self.n)
         # each agent's last context and its encoding (warm-private
@@ -520,10 +518,11 @@ class _Shard:
         reused shard can never see a previous run's plan path or
         recording buffers, nor hold them between runs).
         """
-        # per policy, weak references to the ndarray attributes (named in
-        # _mirror_attrs) the last writeback left it; None mid-run, when
-        # the stack runs ahead of the policies
-        self._mirror: list[list[weakref.ref]] | None = None
+        # what the stack holds besides run progress: "written" — the
+        # state its last writeback handed the policies; "loaded" — a
+        # warm-start snapshot the policies take at this run's writeback;
+        # None — neither (mid-run, or after a failed run)
+        self._sync: str | None = None
         # when streaming into a ResultSink the result matrices are a
         # ring of this many columns (covering every lookback the
         # reporting pipeline performs); None = full-horizon matrices
@@ -559,35 +558,56 @@ class _Shard:
     # ------------------------------------------------------------------ #
     # stacked policy state (the reuse rule is documented on FleetRunner)
     def writeback(self) -> None:
-        """Copy the stacked state into the policies and end the run.
+        """Hand the stacked state to the policies and end the run.
 
-        Per-run buffers are released (a held shard carries none between
-        runs), and weak references record the arrays each policy now
-        holds — weak, so arrays a policy later drops are freed, never
-        kept alive by the record.
+        The stack copies into output buffers it keeps for its lifetime
+        (:meth:`~repro.sim.stacked.StackedPolicies._writeback_rows`):
+        each policy holds one row of each, decoupled from the stack, and
+        later writebacks refill the same buffers in place.  Per-run
+        buffers are released (a held shard carries none between runs).
         """
         self.stacked.writeback()
         self._reset_run_state()
-        policies = self.stacked.policies
-        # a shard's policies share one type, hence one attribute layout
-        names = [k for k, v in vars(policies[0]).items() if isinstance(v, np.ndarray)]
-        self._mirror_attrs = names
-        self._mirror = [[weakref.ref(getattr(p, k)) for k in names] for p in policies]
+        self._sync = "written"
 
     def mirrors_policies(self) -> bool:
-        """Whether the stack still holds exactly its agents' policy state."""
-        if self._mirror is None:
+        """Whether the stack still holds exactly its agents' policy state.
+
+        Valid only from a writeback until the next prepare or load, and
+        only while every member still holds its stacked policy object,
+        that policy's ``t`` equals the stacked one, and it holds the
+        very rows the writeback handed it (compared by identity).
+        """
+        if self._sync != "written":
             return False
-        names = self._mirror_attrs
-        for agent, stacked, t, held in zip(
-            self.agents, self.stacked.policies, self.stacked.t, self._mirror
+        stacked = self.stacked
+        held = list(stacked.held_rows.items())
+        for i, (agent, policy, t) in enumerate(
+            zip(self.agents, stacked.policies, stacked.t.tolist())
         ):
-            policy = agent.policy
-            if policy is not stacked or policy.t != t:
+            if agent.policy is not policy or policy.t != t:
                 return False
-            if any(getattr(policy, k, None) is not r() for k, r in zip(names, held)):
-                return False
+            for name, rows in held:
+                if getattr(policy, name, None) is not rows[i]:
+                    return False
         return True
+
+    def load_state(self, state) -> bool:
+        """Load a warm-start snapshot into a stack that mirrors its policies.
+
+        The stacked equivalent of every member calling
+        ``LocalAgent.warm_start(state)``: the policies take it at this
+        run's writeback.  False (nothing changed) when the stack does not
+        mirror its policies or cannot load ``state``.
+        """
+        if not (self.mirrors_policies() and self.stacked.load_state(state)):
+            return False
+        self._sync = "loaded"
+        return True
+
+    def reusable(self) -> bool:
+        """Whether the next run may step the held stack without restacking."""
+        return self._sync == "loaded" or self.mirrors_policies()
 
     def restack(self) -> None:
         """Rebuild only the stacked policy state from the policies.
@@ -596,7 +616,7 @@ class _Shard:
         encoder groups, acting encodings and row tables are kept.
         """
         self.stacked = None
-        self._mirror = None
+        self._sync = None
         self.stacked = stack_policies([a.policy for a in self.agents], exactness=self._exactness)
 
     def arm_faults(
@@ -1288,11 +1308,23 @@ class FleetRunner:
     * otherwise the held stacked state is reused only if, for every
       member, ``agent.policy`` is still the object it was stacked
       from, ``policy.t`` equals the stacked ``t``, and the policy
-      still holds the very arrays the shard's last writeback gave it.
-      ``set_state``/``warm_start`` and another runner's writeback
-      replace those arrays, and a scalar ``update`` advances ``t``;
-      when any check fails, the shard restacks only its policy state
-      and keeps its deterministic encoding and row-table caches.
+      still holds, by identity, the very rows the shard's last
+      writeback handed it.  ``set_state``/``warm_start`` and another
+      runner's writeback replace those arrays, and a scalar ``update``
+      advances ``t``; when any check fails, the shard restacks only
+      its policy state and keeps its deterministic encoding and
+      row-table caches.
+
+    A held stack keeps its writeback output buffers while the shard is
+    held: every policy holds one row of each, and each writeback
+    refills them in place, so a policy's arrays keep their identity
+    across runs (and change value, as a scalar policy's do when it
+    learns).  ``run(n, warm_start=state)`` is exactly every member
+    calling ``LocalAgent.warm_start(state)``, then ``run(n)``: a held
+    stack that mirrors its policies loads ``state`` stacked
+    (:meth:`~repro.sim.stacked.StackedPolicies.load_state`) and the
+    policies catch up at the run's writeback; every other member
+    warm-starts scalar-side before its shard stacks.
 
     Reuse is bitwise identical to restacking on every tier:
     ``writeback`` leaves the policies equal to the stack, every run
@@ -1446,26 +1478,32 @@ class FleetRunner:
         self._groups = new_groups
 
     # ------------------------------------------------------------------ #
+    def _held_shard(self, key: tuple, members: list[int]) -> _Shard | None:
+        """The shard held under ``key`` if its member list is *identity*-
+        equal to ``members`` (same objects, same order), else ``None``."""
+        shard = self._shards.get(key)
+        if shard is None or len(shard.agents) != len(members):
+            return None
+        if any(a is not self.agents[i] for a, i in zip(shard.agents, members)):
+            return None
+        return shard
+
     def _build_shard(self, key: tuple, members: list[int], rows: list[int]) -> _Shard:
         """The shard of one execution spec, held under its group ``key``.
 
-        Applies the reuse rule of the class docstring: a member list
-        that is not *identity*-equal to the held shard's (same objects,
-        same order) builds a new shard; a held shard whose stack no
-        longer mirrors its policies restacks, one that does restarts.
-        Global indices may have shifted under churn, so they (and the
-        session bindings) are refreshed on every run.  ``rows`` are the result-matrix rows the
+        Applies the reuse rule of the class docstring: a changed member
+        list builds a new shard; a held shard whose stack no longer
+        mirrors its policies (nor holds this run's warm-start snapshot)
+        restacks, one that does restarts.  Global indices may have
+        shifted under churn, so they (and the session bindings) are
+        refreshed on every run.  ``rows`` are the result-matrix rows the
         shard writes (subset runs write at subset-local positions).
         """
         idx = np.asarray(rows, dtype=np.intp)
         agents = [self.agents[i] for i in members]
         sessions = [self.sessions[i] for i in members]
-        shard = self._shards.get(key)
-        if (
-            shard is None
-            or len(shard.agents) != len(agents)
-            or any(a is not b for a, b in zip(shard.agents, agents))
-        ):
+        shard = self._held_shard(key, members)
+        if shard is None:
             # release the old stack before stacking the new membership
             self._shards.pop(key, None)
             shard = _Shard(
@@ -1475,7 +1513,7 @@ class FleetRunner:
                 exactness=self.exactness,
             )
             self._shards[key] = shard
-        elif shard.mirrors_policies():
+        elif shard.reusable():
             shard.stacked.restart()
         else:
             shard.restack()
@@ -1563,6 +1601,7 @@ class FleetRunner:
         checkpoint_every: int | None = None,
         checkpoint_path=None,
         checkpoint_context: bytes | None = None,
+        warm_start=None,
     ) -> FleetResult | None:
         """Run ``n_interactions`` rounds over the whole population.
 
@@ -1570,6 +1609,17 @@ class FleetRunner:
         (state is written back into each agent's policy object),
         participation budgets advance, and outboxes fill with the same
         reports carrying the same metadata.
+
+        ``warm_start`` (a central-model snapshot, as
+        :meth:`~repro.core.agent.LocalAgent.warm_start` takes) makes the
+        run exactly "every member calls ``warm_start(state)``, then
+        ``run(n_interactions)``" — held stacks load it in place (the
+        shard-reuse rule in the class docstring).  A snapshot some
+        member's ``set_state`` refuses raises before any shard steps,
+        leaving the members before it warm-started, as the scalar loop
+        does.  A supervised retry or a dropped shard restores its
+        members to before the run and re-applies the snapshot; a
+        checkpointed run applies it before its first segment.
 
         ``sink`` (a :class:`~repro.experiments.results.ResultSink`)
         streams per-round result columns instead of materializing the
@@ -1627,6 +1677,7 @@ class FleetRunner:
                 path=checkpoint_path,
                 context=checkpoint_context,
                 prefix=None,
+                warm_start=warm_start,
             )
         return self._run_thread(
             self._full_specs(),
@@ -1634,6 +1685,7 @@ class FleetRunner:
             n_interactions,
             track_expected=track_expected,
             sink=sink,
+            warm_start=warm_start,
         )
 
     def run_subset(
@@ -1676,7 +1728,7 @@ class FleetRunner:
 
     def _run_thread(
         self, specs: list[tuple], n_rows: int, n_interactions: int,
-        *, track_expected: bool, sink,
+        *, track_expected: bool, sink, warm_start=None,
     ) -> FleetResult | None:
         """Run every spec's shard horizon in this process, shard-major.
 
@@ -1689,6 +1741,7 @@ class FleetRunner:
             return self._empty_result(
                 n_interactions, track_expected=track_expected, sink=sink
             )
+        loaded = set() if warm_start is None else self._warm_start(specs, warm_start)
         plan = self._active_fault_plan()
         policy = self._effective_fault_policy(plan)
         supervised = policy is not None
@@ -1729,7 +1782,8 @@ class FleetRunner:
         if supervised:
             outcomes = self._map_shards(
                 lambda si, spec: self._run_shard_supervised(
-                    si, *spec, n_interactions, policy=policy, plan=plan, mats=mats
+                    si, *spec, n_interactions, policy=policy, plan=plan, mats=mats,
+                    warm_start=warm_start if spec[0] in loaded else None,
                 ),
                 specs,
             )
@@ -1761,6 +1815,41 @@ class FleetRunner:
             dropped=tuple(dropped),
         )
 
+    def _warm_start(self, specs: list[tuple], state) -> set[tuple]:
+        """Warm-start every spec member with ``state`` before any shard steps.
+
+        The outcome is every member's ``LocalAgent.warm_start(state)``
+        in population order.  A held shard whose stack mirrors its
+        members loads ``state`` stacked (:meth:`_Shard.load_state`); the
+        keys of those shards are returned, and their policies catch up at
+        the run's writeback.  Every other member warm-starts scalar-side
+        now, so its shard stacks from the warm-started policies.  When
+        a member's ``set_state`` refuses, the loaded members before it
+        warm-start scalar-side, the loaded shards are released (their
+        stacks hold the snapshot, their policies may not), and the
+        error propagates.
+        """
+        loaded: dict[tuple, list[int]] = {}
+        for key, members, _ in specs:
+            shard = self._held_shard(key, members)
+            if shard is not None and shard.load_state(state):
+                loaded[key] = members
+        on_stack = {i for members in loaded.values() for i in members}
+        order = sorted(i for _, members, _ in specs for i in members)
+        for pos, i in enumerate(order):
+            if i in on_stack:
+                continue
+            try:
+                self.agents[i].warm_start(state)
+            except Exception:
+                for j in order[:pos]:
+                    if j in on_stack:
+                        self.agents[j].warm_start(state)
+                for key in loaded:
+                    self._shards.pop(key, None)
+                raise
+        return set(loaded)
+
     def _map_shards(self, fn, items: list) -> list:
         """``[fn(i, item) for each item]`` — serial, or on a thread pool.
 
@@ -1778,7 +1867,7 @@ class FleetRunner:
     def _run_shard_supervised(
         self, si: int, key: tuple, members: list[int], rows: list[int],
         n_interactions: int, *, policy: FaultPolicy, plan: FaultPlan | None,
-        mats: tuple,
+        mats: tuple, warm_start=None,
     ) -> DroppedShard | None:
         """One shard's whole horizon under retry supervision.
 
@@ -1792,6 +1881,11 @@ class FleetRunner:
         are fully overwritten by the replay (or NaN-filled by a skip).
         Returns ``None`` on success, a :class:`DroppedShard` when the
         policy degrades the shard out after exhaustion.
+
+        ``warm_start`` is the snapshot a held stack loaded for this run
+        (its policies take it only at writeback, so the pre-attempt
+        pickle predates it): a restore re-applies it scalar-side, and
+        the retry builds a new shard from the warm-started policies.
         """
         agents = [self.agents[i] for i in members]
         sessions = [self.sessions[i] for i in members]
@@ -1829,6 +1923,8 @@ class FleetRunner:
                 for i, a, s in zip(members, s_agents, s_sessions):
                     self._adopt(self.agents[i], a)
                     self._adopt(self.sessions[i], s)
+                    if warm_start is not None:
+                        self.agents[i].warm_start(warm_start)
                 self._shards.pop(key, None)
                 attempt += 1
                 if attempt > policy.max_retries:
@@ -2019,7 +2115,7 @@ class FleetRunner:
 
     def _run_checkpointed(
         self, n_total: int, *, track_expected: bool, every: int,
-        path, context: bytes | None, prefix,
+        path, context: bytes | None, prefix, warm_start=None,
     ) -> FleetResult:
         """Execute a horizon in ``every``-round segments, snapshotting each.
 
@@ -2031,6 +2127,7 @@ class FleetRunner:
         ``prefix`` (a loaded ``FleetCheckpoint``) seeds completed
         columns when resuming; ``expected_mask`` is ANDed across
         segments, matching the matrix path's whole-row masking.
+        ``warm_start`` applies before the first segment.
         """
         completed = 0 if prefix is None else int(prefix.completed)
         parts_r = [] if prefix is None else [prefix.rewards]
@@ -2048,7 +2145,9 @@ class FleetRunner:
                 seg,
                 track_expected=track_expected,
                 sink=None,
+                warm_start=warm_start,
             )
+            warm_start = None
             parts_r.append(res.rewards)
             parts_a.append(res.actions)
             if res.expected is not None:

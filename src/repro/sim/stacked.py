@@ -24,7 +24,7 @@ makes thread-level shard parallelism pay.
 from __future__ import annotations
 
 import abc
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from ..bandits.kernels import (
 from ..bandits.linucb import LinUCB
 from ..bandits.thompson import LinearThompsonSampling
 from ..bandits.ucb1 import UCB1
-from ..utils.exceptions import ConfigError
+from ..utils.exceptions import ConfigError, ValidationError
 
 __all__ = [
     "StackedPolicies",
@@ -106,9 +106,10 @@ class StackedPolicies(abc.ABC):
 
     Subclasses stack in ``__init__``, mutate only their stacked arrays
     during the run, and copy state back into the policy objects in
-    :meth:`writeback`.  The policy objects' generators are used in
-    place throughout, so their streams are already advanced correctly
-    when writeback happens.
+    :meth:`writeback` through :meth:`_writeback_rows`, the one
+    writeback path.  The policy objects' generators are used in place
+    throughout, so their streams are already advanced correctly when
+    writeback happens.
     """
 
     #: True when the stacked select/update consume integer codes
@@ -130,6 +131,10 @@ class StackedPolicies(abc.ABC):
         self.n_features = _uniform([p.n_features for p in policies], "n_features")
         self.rngs = [p._rng for p in policies]
         self.t = np.array([p.t for p in policies], dtype=np.int64)
+        # writeback output: one buffer per handed attribute, allocated
+        # by the first writeback, and the row of it each policy holds
+        self._out: dict[str, np.ndarray] = {}
+        self.held_rows: dict[str, list[np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
@@ -152,9 +157,73 @@ class StackedPolicies(abc.ABC):
         restack on every tier.  Bit-tier stacks hold nothing else.
         """
 
-    def _writeback_t(self) -> None:
-        for i, p in enumerate(self.policies):
-            p.t = int(self.t[i])
+    def load_state(self, state: Mapping[str, Any]) -> bool:
+        """Give every agent ``state``, as ``n`` ``set_state`` calls would.
+
+        Returns whether the stack took it.  A stack that cannot load
+        ``state`` bitwise — a header or hyperparameter ``set_state``
+        would refuse or change, a mismatched shape, or a stacker
+        without a stacked load (this base class, the fast tier) —
+        returns False and is left untouched; the caller then
+        warm-starts the policies scalar-side and restacks.  The policies
+        themselves take the state at the next :meth:`writeback`.
+        """
+        return False
+
+    def _loadable(
+        self, state: Mapping[str, Any], hyper: dict[str, float], shapes: dict
+    ) -> dict[str, np.ndarray] | None:
+        """``state``'s arrays as ``set_state`` converts them, or ``None``.
+
+        ``None`` when ``set_state`` would refuse the header, lacks a key,
+        or would set a hyperparameter other than the stack's (``hyper``);
+        ``shapes`` maps each array key to the ``(shape, dtype)`` one
+        policy holds it in.
+        """
+        try:
+            self.policies[0]._check_state_header(state)
+        except ValidationError:
+            return None
+        if any(k not in state for k in ("t", *hyper, *shapes)):
+            return None
+        if any(float(state[k]) != v for k, v in hyper.items()):
+            return None
+        arrays = {}
+        for key, (shape, dtype) in shapes.items():
+            a = np.array(state[key], dtype=dtype)
+            if a.size != int(np.prod(shape)):
+                return None
+            arrays[key] = a.reshape(shape)
+        return arrays
+
+    def _buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        """The writeback output buffer of attribute ``name``."""
+        out = self._out.get(name)
+        if out is None:
+            out = self._out[name] = np.empty(shape, dtype=dtype)
+            self.held_rows[name] = list(out)
+        return out
+
+    def _writeback_rows(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Set ``policy_i.<name>`` to row ``i`` of each array, and ``t``.
+
+        Each array is copied into an output buffer of its own (an array
+        that already *is* that buffer is not), so a held stack stepping
+        on after writeback never moves what the policies hold, and no
+        two agents share a row.  The first writeback allocates the
+        buffers and hands every policy its rows; later ones copy in
+        place and hand a row again only to a policy that no longer holds
+        it (one that took ``set_state`` since).
+        """
+        for name, a in arrays.items():
+            out = self._buffer(name, a.shape, a.dtype)
+            if out is not a:
+                np.copyto(out, a)
+            for p, row in zip(self.policies, self.held_rows[name]):
+                if getattr(p, name) is not row:
+                    setattr(p, name, row)
+        for p, t in zip(self.policies, self.t.tolist()):
+            p.t = t
 
     def state_nbytes(self) -> int:
         """Bytes of stacked policy-state arrays currently held.
@@ -193,18 +262,8 @@ class _StackedDenseLinear(StackedPolicies):
         self.theta[idx, actions] = theta_refresh(A_sel, b_sel)
         self.t += 1
 
-    def _writeback_dense(self) -> None:
-        # three bulk copies + per-agent views instead of 3n row copies:
-        # each policy gets a disjoint row of one snapshot array (agents
-        # never alias each other's rows, and the snapshot is decoupled
-        # from the live stacked state, so a held stack stepping on after
-        # writeback cannot mutate what the policies now hold)
-        A_out, b_out, theta_out = self.A_inv.copy(), self.b.copy(), self.theta.copy()
-        for i, p in enumerate(self.policies):
-            p.A_inv = A_out[i]
-            p.b = b_out[i]
-            p.theta = theta_out[i]
-        self._writeback_t()
+    def _writeback_dense(self, **arrays: np.ndarray) -> None:
+        self._writeback_rows(dict(A_inv=self.A_inv, b=self.b, theta=self.theta, **arrays))
 
 
 class StackedLinUCB(_StackedDenseLinear):
@@ -227,11 +286,29 @@ class StackedLinUCB(_StackedDenseLinear):
         self._dense_update(contexts, actions, rewards)
         self.arm_counts[np.arange(self.n_agents), actions] += 1
 
+    def load_state(self, state: Mapping[str, Any]) -> bool:
+        A, d = self.n_arms, self.n_features
+        arrays = self._loadable(
+            state,
+            {"alpha": self.alpha, "ridge": self.ridge},
+            {
+                "A_inv": ((A, d, d), np.float64),
+                "b": ((A, d), np.float64),
+                "arm_counts": ((A,), np.int64),
+            },
+        )
+        if arrays is None:
+            return False
+        self.A_inv[...] = arrays["A_inv"]
+        self.b[...] = arrays["b"]
+        # one refresh of the snapshot: the theta each set_state computes
+        self.theta[...] = theta_refresh(arrays["A_inv"], arrays["b"])
+        self.arm_counts[...] = arrays["arm_counts"]
+        self.t[...] = int(state["t"])
+        return True
+
     def writeback(self) -> None:
-        counts_out = self.arm_counts.copy()
-        for i, p in enumerate(self.policies):
-            p.arm_counts = counts_out[i]
-        self._writeback_dense()
+        self._writeback_dense(arm_counts=self.arm_counts)
 
 
 class StackedLinUCBFast(StackedLinUCB):
@@ -310,6 +387,10 @@ class StackedLinUCBFast(StackedLinUCB):
     def restart(self) -> None:
         self._ctx_cache = self._means = self._quads = None
 
+    def load_state(self, state: Mapping[str, Any]) -> bool:
+        # float32 posteriors load through the scalar path and a restack
+        return False
+
 
 class StackedEpsilonGreedy(_StackedDenseLinear):
     """``n`` independent :class:`~repro.bandits.epsilon_greedy.EpsilonGreedy` agents."""
@@ -336,8 +417,8 @@ class StackedEpsilonGreedy(_StackedDenseLinear):
         self.epsilon *= self.decay
 
     def writeback(self) -> None:
-        for i, p in enumerate(self.policies):
-            p.epsilon = float(self.epsilon[i])
+        for p, epsilon in zip(self.policies, self.epsilon.tolist()):
+            p.epsilon = epsilon
         self._writeback_dense()
 
 
@@ -402,11 +483,7 @@ class StackedThompson(_StackedDenseLinear):
         self.chol_fresh[np.arange(self.n_agents), actions] = False
 
     def writeback(self) -> None:
-        chol_out, fresh_out = self.chol.copy(), self.chol_fresh.copy()
-        for i, p in enumerate(self.policies):
-            p._chol = chol_out[i]
-            p._chol_fresh = fresh_out[i]
-        self._writeback_dense()
+        self._writeback_dense(_chol=self.chol, _chol_fresh=self.chol_fresh)
 
 
 class StackedCodeLinUCB(StackedPolicies):
@@ -443,12 +520,22 @@ class StackedCodeLinUCB(StackedPolicies):
         self.sums[idx, actions, codes] += rewards
         self.t += 1
 
+    def load_state(self, state: Mapping[str, Any]) -> bool:
+        shape = (self.n_arms, self.n_features)
+        arrays = self._loadable(
+            state,
+            {"alpha": self.alpha, "ridge": self.ridge},
+            {"counts": (shape, np.float64), "sums": (shape, np.float64)},
+        )
+        if arrays is None:
+            return False
+        self.counts[...] = arrays["counts"]
+        self.sums[...] = arrays["sums"]
+        self.t[...] = int(state["t"])
+        return True
+
     def writeback(self) -> None:
-        counts_out, sums_out = self.counts.copy(), self.sums.copy()
-        for i, p in enumerate(self.policies):
-            p.counts = counts_out[i]
-            p.sums = sums_out[i]
-        self._writeback_t()
+        self._writeback_rows({"counts": self.counts, "sums": self.sums})
 
 
 class StackedCodeLinUCBFast(StackedPolicies):
@@ -599,16 +686,20 @@ class StackedCodeLinUCBFast(StackedPolicies):
             self._maybe_densify()
         self.t += 1
 
-    def _maybe_densify(self) -> None:
-        n_cells = self.n_agents * self.n_arms * self.n_features
-        if self._keys.size < self.densify_occupancy * n_cells:
-            return
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(agent, arm, code)`` index of every COO cell."""
         A, k = self.n_arms, self.n_features
         i = self._keys // (A * k)
         rem = self._keys - i * (A * k)
         y = rem // A
-        a = rem - y * A
-        counts = np.zeros((self.n_agents, A, k), dtype=np.float32)
+        return i, rem - y * A, y
+
+    def _maybe_densify(self) -> None:
+        n_cells = self.n_agents * self.n_arms * self.n_features
+        if self._keys.size < self.densify_occupancy * n_cells:
+            return
+        i, a, y = self._cells()
+        counts = np.zeros((self.n_agents, self.n_arms, self.n_features), dtype=np.float32)
         sums = np.zeros_like(counts)
         counts[i, a, y] = self._counts
         sums[i, a, y] = self._sums
@@ -618,28 +709,19 @@ class StackedCodeLinUCBFast(StackedPolicies):
         self._sums = np.empty(0, dtype=np.float32)
 
     def writeback(self) -> None:
-        A, k = self.n_arms, self.n_features
         if self._dense_counts is not None:
-            for i, p in enumerate(self.policies):
-                p.counts = self._dense_counts[i].copy()
-                p.sums = self._dense_sums[i].copy()
-        else:
-            span = A * k
-            bounds = np.searchsorted(
-                self._keys, np.arange(self.n_agents + 1, dtype=np.int64) * span
-            )
-            rem = self._keys - (self._keys // span) * span
-            y_all = rem // A
-            a_all = rem - y_all * A
-            for i, p in enumerate(self.policies):
-                lo, hi = bounds[i], bounds[i + 1]
-                counts = np.zeros((A, k), dtype=np.float32)
-                sums = np.zeros((A, k), dtype=np.float32)
-                counts[a_all[lo:hi], y_all[lo:hi]] = self._counts[lo:hi]
-                sums[a_all[lo:hi], y_all[lo:hi]] = self._sums[lo:hi]
-                p.counts = counts
-                p.sums = sums
-        self._writeback_t()
+            self._writeback_rows({"counts": self._dense_counts, "sums": self._dense_sums})
+            return
+        # scatter the COO cells straight into the zeroed output buffers
+        shape = (self.n_agents, self.n_arms, self.n_features)
+        cells = self._cells()
+        arrays = {}
+        for name, values in (("counts", self._counts), ("sums", self._sums)):
+            out = self._buffer(name, shape, np.float32)
+            out.fill(0.0)
+            out[cells] = values
+            arrays[name] = out
+        self._writeback_rows(arrays)
 
 
 class StackedUCB1(StackedPolicies):
@@ -674,11 +756,7 @@ class StackedUCB1(StackedPolicies):
         self.t += 1
 
     def writeback(self) -> None:
-        counts_out, sums_out = self.counts.copy(), self.sums.copy()
-        for i, p in enumerate(self.policies):
-            p.counts = counts_out[i]
-            p.sums = sums_out[i]
-        self._writeback_t()
+        self._writeback_rows({"counts": self.counts, "sums": self.sums})
 
 
 _STACKERS: dict[str, type[StackedPolicies]] = {

@@ -5,12 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.sim
+from repro.bandits import CodeLinUCB, LinUCB
 from repro.core import DeploymentLoop, P2BConfig
+from repro.core.agent import LocalAgent
 from repro.data import SyntheticPreferenceEnvironment
+from repro.sim import FleetRunner
+from repro.sim.faults import FAULTS_ENV_VAR
 from repro.utils.exceptions import ConfigError
 
 
-def _loop(max_reports=1, refresh=True, seed=0, **config_overrides) -> DeploymentLoop:
+def _loop(
+    max_reports=1, refresh=True, seed=0, engine="auto", **config_overrides
+) -> DeploymentLoop:
     config = P2BConfig(
         n_actions=5,
         n_features=6,
@@ -25,7 +32,12 @@ def _loop(max_reports=1, refresh=True, seed=0, **config_overrides) -> Deployment
         n_actions=5, n_features=6, weight_scale=8.0, seed=seed
     )
     return DeploymentLoop(
-        config=config, env=env, interactions_per_round=5, refresh=refresh, seed=seed
+        config=config,
+        env=env,
+        interactions_per_round=5,
+        refresh=refresh,
+        seed=seed,
+        engine=engine,
     )
 
 
@@ -99,3 +111,82 @@ class TestDeploymentLoop:
             return loop.mean_reward_trajectory
 
         np.testing.assert_array_equal(run(), run())
+
+
+class TestFleetRounds:
+    """DeploymentLoop on the fleet engine: refresh loads held stacks in
+    place, and only newcomers are checked for fleet support."""
+
+    @pytest.mark.parametrize(
+        "private_context,kind", [("one-hot", CodeLinUCB), ("centroid", LinUCB)]
+    )
+    def test_refresh_loads_held_stacks(self, monkeypatch, private_context, kind):
+        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+        loop = _loop(max_reports=5, engine="fleet", private_context=private_context)
+        loop.run_round(new_users=60)
+        loop.run_round()
+        assert loop.system.server.n_tuples_ingested
+        assert all(type(agent.policy) is kind for agent, _ in loop._users)
+        stacks = [shard.stacked for shard in loop._fleet._shards.values()]
+        pulled_t = loop.system.model_snapshot()["t"]
+        calls = []
+        real = LocalAgent.warm_start
+        monkeypatch.setattr(
+            LocalAgent, "warm_start", lambda self, s: (calls.append(self), real(self, s))
+        )
+        loop.run_round()
+        assert calls == []
+        assert [shard.stacked for shard in loop._fleet._shards.values()] == stacks
+        # the policies caught up with the pulled model at writeback
+        for agent, _ in loop._users:
+            assert agent.policy.t == pulled_t + loop.interactions_per_round
+
+    def test_only_newcomers_are_checked(self, monkeypatch):
+        checked = []
+        real = repro.sim.fleet_supported
+        monkeypatch.setattr(
+            repro.sim,
+            "fleet_supported",
+            lambda agents: (checked.append(len(agents)), real(agents))[1],
+        )
+        loop = _loop(engine="fleet")
+        loop.run_round(new_users=30)
+        loop.run_round()
+        loop.run_round(new_users=4)
+        assert checked == [30, 4]
+
+    @staticmethod
+    def _enroll_unsupported(loop):
+        loop.enroll(1)
+        loop._users[-1][0].policy.supports_fleet = False
+
+    def test_fleet_raises_on_unsupported_newcomer(self):
+        loop = _loop(engine="fleet")
+        loop.run_round(new_users=20)
+        self._enroll_unsupported(loop)
+        with pytest.raises(ConfigError, match="not fleet-capable"):
+            loop.run_round()
+
+    def test_auto_falls_back_for_good(self, monkeypatch):
+        auto, seq = _loop(max_reports=3), _loop(max_reports=3, engine="sequential")
+        runs = []
+        real_run = FleetRunner.run
+        monkeypatch.setattr(
+            FleetRunner,
+            "run",
+            lambda self, *a, **k: (runs.append(1), real_run(self, *a, **k))[1],
+        )
+        assert auto.run_round(new_users=20) == seq.run_round(new_users=20)
+        assert runs and auto._fleet is not None
+        for loop in (auto, seq):
+            self._enroll_unsupported(loop)
+        runs.clear()
+        for new_users in (0, 3, 0):
+            assert auto.run_round(new_users=new_users) == seq.run_round(new_users=new_users)
+            assert auto._fleet is None
+        assert runs == []
+        for (a, _), (b, _) in zip(auto._users, seq._users, strict=True):
+            for key, value in a.policy.get_state().items():
+                np.testing.assert_array_equal(
+                    np.asarray(value), np.asarray(b.policy.get_state()[key])
+                )

@@ -207,14 +207,11 @@ def test_run_setting_engines_identical(label, mode, encoder, private_context, me
     assert seq.privacy == fleet.privacy
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("n_workers", [1, 2])
-@pytest.mark.parametrize("refresh", [True, False])
-def test_deployment_loop_engines_identical(refresh, n_workers):
-    """Multi-round Fig. 1 loop, round by round: stats and every user's
-    policy state agree across engines.  The fleet loop holds one runner
-    that users join between rounds; ``refresh=False`` reuses its held
-    stacks, ``refresh=True`` restacks after every model pull."""
+def _assert_deployment_loops_agree(
+    schedule, *, refresh, n_workers, private_context="one-hot"
+):
+    """Run one sequential and one fleet DeploymentLoop through the
+    newcomer ``schedule`` and compare them round by round."""
     config = P2BConfig(
         n_actions=3,
         n_features=N_FEATURES,
@@ -223,6 +220,7 @@ def test_deployment_loop_engines_identical(refresh, n_workers):
         window=4,
         max_reports_per_user=3,
         shuffler_threshold=1,
+        private_context=private_context,
     )
 
     def build(engine):
@@ -239,7 +237,7 @@ def test_deployment_loop_engines_identical(refresh, n_workers):
         )
 
     loop_seq, loop_fleet = build("sequential"), build("fleet")
-    for new_users in (10, 5, 0, 4):
+    for new_users in schedule:
         stats_seq = loop_seq.run_round(new_users=new_users)
         stats_fleet = loop_fleet.run_round(new_users=new_users)
         assert stats_seq == stats_fleet
@@ -248,4 +246,30 @@ def test_deployment_loop_engines_identical(refresh, n_workers):
     assert loop_seq.privacy_report() == loop_fleet.privacy_report()
     np.testing.assert_array_equal(
         loop_seq.mean_reward_trajectory, loop_fleet.mean_reward_trajectory
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("refresh", [True, False])
+def test_deployment_loop_engines_identical(refresh, n_workers):
+    """Multi-round Fig. 1 loop, round by round: stats and every user's
+    policy state agree across engines.  The fleet loop holds one runner
+    that users join between rounds; ``refresh=False`` reuses its held
+    stacks, ``refresh=True`` passes each model pull into the run."""
+    _assert_deployment_loops_agree((10, 5, 0, 4), refresh=refresh, n_workers=n_workers)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("private_context", ["one-hot", "centroid"])
+def test_deployment_loop_refresh_rounds_identical(private_context, n_workers):
+    """Consecutive refresh rounds without newcomers: from the second
+    one on, the held stacks (CodeLinUCB one-hot, LinUCB centroid) load
+    each model pull in place, and the loops still agree bitwise."""
+    _assert_deployment_loops_agree(
+        (8, 0, 0, 0, 3, 0, 0),
+        refresh=True,
+        n_workers=n_workers,
+        private_context=private_context,
     )
