@@ -105,7 +105,6 @@ def _render_serve(args) -> str:
         "reports collected": stats.n_reports,
         "tuples released": stats.n_released,
         "released at shutdown": shutdown_outcome.n_released,
-        "shards dropped": stats.n_dropped_shards,
         "tuples quarantined": stats.n_quarantined,
         "mean reward": rewards_sum / rewards_n if rewards_n else 0.0,
     }

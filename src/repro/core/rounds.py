@@ -127,11 +127,23 @@ class DeploymentLoop:
 
     # ------------------------------------------------------------------ #
     def enroll(self, n_users: int) -> None:
-        """Add ``n_users`` fresh devices (warm-started when possible)."""
+        """Add ``n_users`` fresh devices.
+
+        With ``refresh`` off, each newcomer warm-starts from the central
+        model once the server holds data.  With ``refresh`` on it does
+        not: the next round pulls that same snapshot for every user, and
+        ``set_state`` replaces the whole policy state, so a warm start
+        here would be overwritten unchanged.
+        """
         check_positive_int(n_users, name="n_users")
+        warm = (
+            not self.refresh
+            and self.system.server is not None
+            and self.system.server.n_tuples_ingested
+        )
         for session_seed in spawn_seeds(self._user_seed_root, n_users):
             agent = self.system.new_agent()
-            if self.system.server is not None and self.system.server.n_tuples_ingested:
+            if warm:
                 agent.warm_start(self.system.model_snapshot())
             session = self.env.new_user(session_seed)
             self._users.append((agent, session))

@@ -228,9 +228,7 @@ def run_setting(
         normally, returning the same :class:`ExperimentResult` the
         original call would have.  ``mode`` must match the snapshot's;
         the other workload arguments are taken from the snapshot (the
-        environment is restored mid-walk, not rebuilt).  Supervision is
-        per-process: pass an ``engine`` carrying a ``fault_policy`` if
-        the resumed run should be supervised too.
+        environment is restored mid-walk, not rebuilt).
     """
     if measure not in ("realized", "expected"):
         from ..utils.exceptions import ConfigError
@@ -263,7 +261,6 @@ def run_setting(
         return _resume_setting(
             resume_from,
             mode=mode,
-            cfg=cfg,
             checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
         )
@@ -317,7 +314,7 @@ def run_setting(
                         "system": system,
                         "env": env,
                         "mode": mode,
-                        "cfg": cfg.replace(fault_policy=None),
+                        "cfg": cfg,
                         "n_contributors": n_contributors,
                         "n_eval_agents": n_eval_agents,
                         "eval_interactions": eval_interactions,
@@ -425,7 +422,6 @@ def _eval_phase(
         for _ in range(n_eval_agents)
     ]
     curve = mean_reward = None
-    dropped: tuple = ()
     if _resolve_engine(cfg.engine, eval_agents):
         eval_sessions = [env.new_user(s) for s in eval_seeds]
         fleet = FleetRunner(eval_agents, eval_sessions, config=cfg)
@@ -438,7 +434,7 @@ def _eval_phase(
                     "phase": "eval",
                     "system": system,
                     "mode": mode,
-                    "cfg": cfg.replace(fault_policy=None),
+                    "cfg": cfg,
                     "n_contributors": n_contributors,
                     "n_eval_agents": n_eval_agents,
                     "eval_interactions": eval_interactions,
@@ -456,7 +452,6 @@ def _eval_phase(
                 checkpoint_context=context,
             )
             reward_matrix = result.measured()
-            dropped = result.dropped
         elif cfg.sink is not None or tier == "fast":
             # curve-only reduction: per-round sums stream into the sink
             # and the (n, T) matrices are never materialized
@@ -467,7 +462,6 @@ def _eval_phase(
         else:
             result = fleet.run(eval_interactions, track_expected=want_expected)
             reward_matrix = result.measured()
-            dropped = result.dropped
     else:
         from ..utils.exceptions import ConfigError
 
@@ -499,7 +493,6 @@ def _eval_phase(
         curve=curve,
         mean_reward=mean_reward,
         reward_matrix=None if curve is not None else reward_matrix,
-        dropped=dropped,
         n_contributors=n_contributors,
         n_eval_agents=n_eval_agents,
         eval_interactions=eval_interactions,
@@ -515,7 +508,6 @@ def _finish_result(
     curve,
     mean_reward,
     reward_matrix,
-    dropped: tuple,
     n_contributors: int,
     n_eval_agents: int,
     eval_interactions: int,
@@ -524,14 +516,8 @@ def _finish_result(
 ) -> ExperimentResult:
     """Reduce evaluation output into the :class:`ExperimentResult`."""
     if curve is None:
-        if dropped:
-            # degraded run (FaultPolicy on_exhausted="skip_shard"): the
-            # dropped shards' rows are NaN-filled — average the survivors
-            curve = np.nanmean(reward_matrix, axis=0)
-            mean_reward = float(np.nanmean(reward_matrix))
-        else:
-            curve = reward_matrix.mean(axis=0)
-            mean_reward = float(reward_matrix.mean())
+        curve = reward_matrix.mean(axis=0)
+        mean_reward = float(reward_matrix.mean())
     cumulative = np.cumsum(curve) / np.arange(1, eval_interactions + 1)
     privacy = None
     if mode == AgentMode.WARM_PRIVATE:
@@ -554,7 +540,6 @@ def _resume_setting(
     path,
     *,
     mode: str,
-    cfg: EngineConfig,
     checkpoint_every: int | None,
     checkpoint_path,
 ) -> ExperimentResult:
@@ -569,7 +554,7 @@ def _resume_setting(
     """
     from ..utils.exceptions import CheckpointError, ConfigError
 
-    runner = FleetRunner.resume(path, fault_policy=cfg.fault_policy)
+    runner = FleetRunner.resume(path)
     blob = runner.resume_context
     if blob is None:
         raise CheckpointError(
@@ -590,10 +575,6 @@ def _resume_setting(
             f"checkpoint {str(path)!r} belongs to a {ctx['mode']!r} run, "
             f"but resume was requested for mode {mode!r}"
         )
-    # supervision is per-process (not part of the snapshot): the
-    # resume-time fault policy governs both the resumed horizon and
-    # every phase after it
-    phase_cfg = ctx["cfg"].replace(fault_policy=cfg.fault_policy)
     path_out = path if checkpoint_path is None else checkpoint_path
     every = (
         ctx.get("checkpoint_every") if checkpoint_every is None else checkpoint_every
@@ -605,7 +586,7 @@ def _resume_setting(
         return _eval_phase(
             system,
             ctx["env"],
-            phase_cfg,
+            ctx["cfg"],
             mode=ctx["mode"],
             n_contributors=ctx["n_contributors"],
             n_eval_agents=ctx["n_eval_agents"],
@@ -628,7 +609,6 @@ def _resume_setting(
         curve=None,
         mean_reward=None,
         reward_matrix=result.measured(),
-        dropped=result.dropped,
         n_contributors=ctx["n_contributors"],
         n_eval_agents=ctx["n_eval_agents"],
         eval_interactions=ctx["eval_interactions"],

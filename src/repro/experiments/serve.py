@@ -54,7 +54,6 @@ class ServeStats:
     n_reports: int  #: reports drained into collection
     n_released: int  #: tuples released to the server
     n_pending: int  #: tuples still buffered in the shuffler
-    n_dropped_shards: int = 0  #: shards degraded out by skip_shard retries
     n_quarantined: int = 0  #: malformed tuples refused at the shuffler
 
 
@@ -148,7 +147,6 @@ class FleetService:
         self._n_departed = 0
         self._n_reports = 0
         self._n_released = 0
-        self._n_dropped_shards = 0
         self._inflight = 0  # timed-out requests still draining in background
         self._closed = False
         self._executor: ThreadPoolExecutor | None = None  # lazy, timeout only
@@ -171,7 +169,6 @@ class FleetService:
             n_reports=self._n_reports,
             n_released=self._n_released,
             n_pending=self.system.n_pending_reports,
-            n_dropped_shards=self._n_dropped_shards,
             n_quarantined=self._n_quarantined(),
         )
 
@@ -185,13 +182,11 @@ class FleetService:
         """One health snapshot (the serving analogue of a health endpoint).
 
         ``state`` is ``"ok"``; ``"degraded"`` when a timed-out request
-        is still draining or shards have been dropped by a
-        ``skip_shard`` fault policy (the service keeps answering, on
-        partial capacity); or ``"closed"`` after :meth:`shutdown`.
+        is still draining; or ``"closed"`` after :meth:`shutdown`.
         """
         if self._closed:
             state = "closed"
-        elif self._inflight or self._n_dropped_shards:
+        elif self._inflight:
             state = "degraded"
         else:
             state = "ok"
@@ -200,7 +195,6 @@ class FleetService:
             "n_agents": self.n_agents,
             "inflight": self._inflight,
             "n_pending_reports": self.system.n_pending_reports,
-            "n_dropped_shards": self._n_dropped_shards,
             "n_quarantined": self._n_quarantined(),
         }
 
@@ -347,8 +341,6 @@ class FleetService:
             subset = list(subset)
             result = self._guarded(self.fleet.run_subset, subset, n_steps)
             self._n_interactions += len(subset) * n_steps
-        if result is not None and result.dropped:
-            self._n_dropped_shards += len(result.dropped)
         return result
 
     # ------------------------------------------------------------------ #

@@ -119,8 +119,7 @@ bit stacker unchanged, so ``"fast"`` degenerates to ``"bit"`` —
 bitwise — for them.
 
 Every engine knob — the engine choice, ``n_workers``,
-``exactness``, ``sink``, ``fault_policy`` and
-``sweep_workers`` — is a field of one frozen
+``exactness``, ``sink`` and ``sweep_workers`` — is a field of one frozen
 :class:`~repro.sim.fleet.EngineConfig`, documented there and handed to
 ``FleetRunner(config=...)`` or to any experiment entry point.
 
@@ -142,18 +141,10 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .faults import (
-    FAULTS_ENV_VAR,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    active_plan,
-)
+from .faults import FAULTS_ENV_VAR, FaultPlan, active_plan
 from .fleet import (
     ENGINES,
-    DroppedShard,
     EngineConfig,
-    FaultPolicy,
     FleetResult,
     FleetRunner,
     aggregate_plan_nbytes,
@@ -180,11 +171,7 @@ __all__ = [
     "FleetResult",
     "EngineConfig",
     "ENGINES",
-    "FaultPolicy",
     "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "DroppedShard",
     "FleetCheckpoint",
     "save_checkpoint",
     "load_checkpoint",

@@ -15,7 +15,7 @@ needs:
 * the **engine knobs** the run was started with, so ``resume`` rebuilds
   an equivalently configured :class:`~repro.sim.fleet.FleetRunner`;
 * an opaque **caller context** blob (``run_setting`` stores its
-  collection-phase state there), plus any shards already degraded out.
+  collection-phase state there).
 
 ``CHECKPOINT_VERSION`` gates the format: :func:`load_checkpoint`
 refuses files written by a different version (or by anything that is
@@ -28,7 +28,10 @@ checkpointed run resumes bit-identically at any worker count
 added after a snapshot was written restore to their defaults
 (``resume`` reads them with ``.get``), and knobs a release no longer
 has (the retired worker-backend choice, say) are ignored, so old
-checkpoints stay loadable as the engine changes.
+checkpoints stay loadable as the engine changes.  Version-2 files
+written by releases that could degrade shards out of a run carry a
+``dropped`` list: an empty one is ignored, a non-empty one belongs to a
+degraded run this release cannot resume and is refused.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ class FleetCheckpoint:
     engine: dict  #: the runner's engine knobs (see ``_engine_dict``)
     checkpoint_every: int | None  #: cadence the run was snapshotting at
     context: bytes | None  #: opaque caller blob (e.g. collection state)
-    dropped: tuple = ()  #: DroppedShard records accumulated so far
 
 
 def save_checkpoint(path, ckpt: FleetCheckpoint) -> None:
@@ -98,16 +100,6 @@ def save_checkpoint(path, ckpt: FleetCheckpoint) -> None:
         "population": np.frombuffer(ckpt.population, dtype=np.uint8),
         "engine": json.loads(json.dumps(dict(ckpt.engine))),
         "checkpoint_every": ckpt.checkpoint_every,
-        "dropped": [
-            {
-                "shard": d.shard,
-                "n_agents": d.n_agents,
-                "agent_ids": list(d.agent_ids),
-                "attempts": d.attempts,
-                "error": d.error,
-            }
-            for d in ckpt.dropped
-        ],
     }
     if ckpt.expected is not None:
         state["expected"] = np.asarray(ckpt.expected, dtype=np.float64)
@@ -162,8 +154,11 @@ def load_checkpoint(path) -> FleetCheckpoint:
             f"library reads version {CHECKPOINT_VERSION} — re-run the "
             "original job or upgrade/downgrade to match"
         )
-    from .fleet import DroppedShard  # local: fleet imports this module lazily
-
+    if state.get("dropped"):
+        raise CheckpointError(
+            f"checkpoint {path!r} records dropped shards: it was written by "
+            "a degraded run, which this release cannot resume"
+        )
     try:
         return FleetCheckpoint(
             completed=int(state["completed"]),
@@ -186,16 +181,6 @@ def load_checkpoint(path) -> FleetCheckpoint:
             ),
             context=(
                 state["context"].tobytes() if state.get("has_context") else None
-            ),
-            dropped=tuple(
-                DroppedShard(
-                    shard=int(d["shard"]),
-                    n_agents=int(d["n_agents"]),
-                    agent_ids=tuple(d["agent_ids"]),
-                    attempts=int(d["attempts"]),
-                    error=str(d["error"]),
-                )
-                for d in state.get("dropped", [])
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:

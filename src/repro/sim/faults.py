@@ -1,68 +1,51 @@
-"""Deterministic fault injection for the fleet engine (chaos harness).
+"""Deterministic report corruption for the collection path (chaos tap).
 
-Production fault tolerance is only trustworthy if failure paths are
-*exercised*, and failure paths are only testable if failures are
-reproducible.  A :class:`FaultPlan` injects faults into well-defined
-points of the execution engine — a shard step raising or crashing, a
-report batch being corrupted, a shard stalling past a timeout —
-**deterministically**: the same plan injects the same faults
-at the same (shard, round) coordinates on every run, so a chaos
-failure found in CI replays locally from its spec string alone.
+In the paper's threat model devices are untrusted, so a collected
+report batch may hold malformed tuples, and the shuffler's quarantine
+must absorb them.  That path is only trustworthy if it is *exercised*,
+and only testable if the malformed input is reproducible.  A
+:class:`FaultPlan` mangles collected report batches
+**deterministically**: the same plan corrupts the same tuples of the
+same batches on every run, so a chaos failure found in CI replays
+locally from its spec string alone.
 
-Injection points
-----------------
-
-* ``_Shard.step`` calls :meth:`FaultPlan.on_step` once per round when a
-  plan is armed (``FleetRunner(fault_plan=...)`` or the env knob).  A
-  matched spec raises :class:`InjectedFault` (kinds ``raise`` and
-  ``crash``, which differ only in their hash stream and message) or
-  sleeps (kind ``delay``).  ``crash`` stays a spec kind so plan
-  strings recorded from older failures still replay.
-* :meth:`~repro.core.system.P2BSystem.collect` (and the async variant)
-  pass drained report columns through :meth:`FaultPlan.corrupt_batch`,
-  which deterministically mangles a fraction of tuples (negative codes,
-  out-of-range actions, non-finite rewards) — exactly the malformed
-  input the shuffler's quarantine must absorb.
-
-Faults fire on **attempt 0 only** (configurable per explicit spec): a
-supervised retry re-runs the shard with ``attempt=1``, the plan stays
-silent, and the retry succeeds — which is how the test suite proves
-retried runs are bitwise equal to fault-free runs.
+:meth:`~repro.core.system.P2BSystem.collect` (and the async variant)
+pass drained report columns through :meth:`FaultPlan.corrupt_batch`,
+which mangles a fraction of tuples (negative codes, out-of-range
+actions, non-finite rewards) — exactly the malformed input the
+shuffler's quarantine must absorb.
 
 The env knob
 ------------
 
 ``REPRO_FAULTS`` activates a plan process-wide::
 
-    REPRO_FAULTS="seed=7;raise=0.05;crash=0.02;corrupt=0.1"
+    REPRO_FAULTS="seed=7;corrupt=0.1;corrupt_frac=0.25"
 
 Spec grammar (semicolon-separated ``key=value`` pairs):
 
 ``seed``
     Root of the deterministic hash (default 0).
-``raise`` / ``crash`` / ``delay``
-    Per-(shard, round) probabilities of each random fault kind.
 ``corrupt``
     Per-batch probability that a collected report batch is corrupted.
 ``corrupt_frac``
     Fraction of tuples mangled within a corrupted batch (default 0.2).
-``delay_s``
-    Sleep duration of a delay fault in seconds (default 0.05).
-``at``
-    An explicit fault: ``at=kind:shard:round`` or
-    ``kind:shard:round:attempt`` (repeatable), e.g. ``at=crash:0:3``.
 
-Randomness is *stateless*: each potential fault site hashes
-``(seed, kind, shard, round)`` through a ``SeedSequence`` to a uniform
-in ``[0, 1)`` and fires iff it lands under the configured probability.
-No counters, no RNG objects — the same plan string fires identically
-in any process, at any worker count, in any retry order.
+The step-fault keys of earlier releases (``raise``, ``crash``,
+``delay``, ``delay_s``, ``at``) are refused with a
+:class:`~repro.utils.exceptions.ConfigError` naming the key: shard
+horizons are deterministic, so an exception inside one propagates
+instead of being retried.
+
+Randomness is *stateless*: each potential corruption hashes
+``(seed, batch)`` through a ``SeedSequence`` to a uniform in ``[0, 1)``
+and fires iff it lands under the configured probability.  No counters,
+no RNG objects — the same plan string fires identically in any process.
 """
 
 from __future__ import annotations
 
 import os
-import time
 import zlib
 from dataclasses import dataclass
 
@@ -70,51 +53,13 @@ import numpy as np
 
 from ..utils.exceptions import ConfigError
 
-__all__ = [
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "FAULT_KINDS",
-    "FAULTS_ENV_VAR",
-    "active_plan",
-]
+__all__ = ["FaultPlan", "FAULTS_ENV_VAR", "active_plan"]
 
 #: environment variable holding a process-wide fault-plan spec
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 
-#: recognized step-fault kinds: ``raise`` throws :class:`InjectedFault`
-#: inside the shard step, ``crash`` does too (under its own hash
-#: stream, kept so old plan strings replay), ``delay`` sleeps the shard.
-FAULT_KINDS = ("raise", "crash", "delay")
-
-
-class InjectedFault(RuntimeError):
-    """A fault deliberately raised by an armed :class:`FaultPlan`.
-
-    Deliberately *not* a :class:`~repro.utils.exceptions.ReproError`:
-    an injected fault models arbitrary third-party breakage, and the
-    supervision layer must treat it exactly like one.
-    """
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """One explicit fault: ``kind`` at (``shard``, ``round``, ``attempt``)."""
-
-    kind: str
-    shard: int
-    round: int
-    attempt: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ConfigError(
-                f"fault kind must be one of {FAULT_KINDS}, got {self.kind!r}"
-            )
-
-    def spec_str(self) -> str:
-        """The ``at=`` grammar form of this spec."""
-        return f"{self.kind}:{self.shard}:{self.round}:{self.attempt}"
+#: spec keys of the retired step-fault injection
+_RETIRED_KEYS = ("raise", "crash", "delay", "delay_s", "at")
 
 
 def _hash01(seed: int, *keys) -> float:
@@ -136,84 +81,37 @@ def _hash01(seed: int, *keys) -> float:
     return float(state[0]) / float(2**32)
 
 
+@dataclass(frozen=True)
 class FaultPlan:
-    """A deterministic schedule of injected engine faults.
+    """A deterministic schedule of corrupted report batches.
 
     Parameters
     ----------
-    specs:
-        Explicit :class:`FaultSpec` entries (fire exactly at their
-        coordinates).
     seed:
-        Root of the stateless hash driving the random rates.
-    p_raise, p_crash, p_delay:
-        Per-(shard, round) probabilities of each step-fault kind,
-        evaluated independently (raise wins ties, then crash, then
-        delay) and only on attempt 0.
+        Root of the stateless hash driving the corruption.
     p_corrupt:
         Per-batch probability that a collected report batch is
         corrupted by :meth:`corrupt_batch`.
     corrupt_frac:
         Fraction of tuples mangled within a corrupted batch.
-    delay_s:
-        Sleep duration of a delay fault, in seconds.
     """
 
-    def __init__(
-        self,
-        specs: "list[FaultSpec] | None" = None,
-        *,
-        seed: int = 0,
-        p_raise: float = 0.0,
-        p_crash: float = 0.0,
-        p_delay: float = 0.0,
-        p_corrupt: float = 0.0,
-        corrupt_frac: float = 0.2,
-        delay_s: float = 0.05,
-    ) -> None:
-        for name, p in (
-            ("p_raise", p_raise),
-            ("p_crash", p_crash),
-            ("p_delay", p_delay),
-            ("p_corrupt", p_corrupt),
-            ("corrupt_frac", corrupt_frac),
-        ):
-            if not 0.0 <= float(p) <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {p}")
-        if delay_s < 0:
-            raise ConfigError(f"delay_s must be >= 0, got {delay_s}")
-        self.specs = tuple(specs or ())
-        self.seed = int(seed)
-        self.p_raise = float(p_raise)
-        self.p_crash = float(p_crash)
-        self.p_delay = float(p_delay)
-        self.p_corrupt = float(p_corrupt)
-        self.corrupt_frac = float(corrupt_frac)
-        self.delay_s = float(delay_s)
+    seed: int = 0
+    p_corrupt: float = 0.0
+    corrupt_frac: float = 0.2
 
-    # ------------------------------------------------------------------ #
-    # spec round-trip
-    def to_spec(self) -> str:
-        """The plan as a ``REPRO_FAULTS`` string (parse → to_spec is stable)."""
-        parts = [f"seed={self.seed}"]
-        for key, value, default in (
-            ("raise", self.p_raise, 0.0),
-            ("crash", self.p_crash, 0.0),
-            ("delay", self.p_delay, 0.0),
-            ("corrupt", self.p_corrupt, 0.0),
-            ("corrupt_frac", self.corrupt_frac, 0.2),
-            ("delay_s", self.delay_s, 0.05),
-        ):
-            if value != default:
-                parts.append(f"{key}={value:g}")
-        parts.extend(f"at={s.spec_str()}" for s in self.specs)
-        return ";".join(parts)
+    def __post_init__(self) -> None:
+        for name in ("p_corrupt", "corrupt_frac"):
+            p = float(getattr(self, name))
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {p}")
+            object.__setattr__(self, name, p)
+        object.__setattr__(self, "seed", int(self.seed))
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
         """Build a plan from the ``REPRO_FAULTS`` grammar (see module doc)."""
         kwargs: dict = {}
-        specs: list[FaultSpec] = []
         for part in spec.split(";"):
             part = part.strip()
             if not part:
@@ -226,63 +124,27 @@ class FaultPlan:
             key, _, value = part.partition("=")
             key = key.strip()
             value = value.strip()
+            if key in _RETIRED_KEYS:
+                raise ConfigError(
+                    f"fault spec key {key!r} is no longer supported: step "
+                    "faults were removed, only report corruption remains "
+                    "(keys seed, corrupt, corrupt_frac)"
+                )
             try:
                 if key == "seed":
                     kwargs["seed"] = int(value)
-                elif key in ("raise", "crash", "delay", "corrupt"):
-                    kwargs[f"p_{key}"] = float(value)
-                elif key in ("corrupt_frac", "delay_s"):
-                    kwargs[key] = float(value)
-                elif key == "at":
-                    fields = value.split(":")
-                    if len(fields) not in (3, 4):
-                        raise ValueError("expected kind:shard:round[:attempt]")
-                    kind = fields[0]
-                    nums = [int(f) for f in fields[1:]]
-                    specs.append(FaultSpec(kind, *nums))
+                elif key == "corrupt":
+                    kwargs["p_corrupt"] = float(value)
+                elif key == "corrupt_frac":
+                    kwargs["corrupt_frac"] = float(value)
                 else:
                     raise ValueError(f"unknown key {key!r}")
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise ConfigError(
                     f"bad fault spec fragment {part!r}: {exc} "
                     f"(full grammar in repro.sim.faults)"
                 ) from None
-        return cls(specs, **kwargs)
-
-    # ------------------------------------------------------------------ #
-    # injection points
-    def step_fault(self, shard: int, t: int, attempt: int) -> str | None:
-        """The fault kind armed at ``(shard, round t, attempt)``, if any.
-
-        Pure — consults explicit specs first, then the stateless hash
-        for each random rate.  Random faults arm on attempt 0 only, so
-        one retry always clears them.
-        """
-        for s in self.specs:
-            if s.shard == shard and s.round == t and s.attempt == attempt:
-                return s.kind
-        if attempt == 0:
-            for kind, p in (
-                ("raise", self.p_raise),
-                ("crash", self.p_crash),
-                ("delay", self.p_delay),
-            ):
-                if p > 0.0 and _hash01(self.seed, kind, shard, t) < p:
-                    return kind
-        return None
-
-    def on_step(self, shard: int, t: int, attempt: int) -> None:
-        """Fire whatever fault is armed at this step (the engine hook)."""
-        kind = self.step_fault(shard, t, attempt)
-        if kind is None:
-            return
-        if kind == "delay":
-            time.sleep(self.delay_s)
-            return
-        raise InjectedFault(
-            f"injected {kind} fault in shard {shard} at round {t} "
-            f"(attempt {attempt})"
-        )
+        return cls(**kwargs)
 
     def corrupt_batch(
         self,
@@ -324,9 +186,6 @@ class FaultPlan:
             else:
                 rewards[j] = np.nan
         return codes, actions, rewards, n_bad
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FaultPlan({self.to_spec()!r})"
 
 
 def active_plan() -> FaultPlan | None:

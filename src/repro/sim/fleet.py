@@ -117,7 +117,6 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -128,9 +127,8 @@ from ..core.config import AgentMode
 from ..core.participation import StackedParticipation
 from ..core.payload import EncodedReport, RawReport, ReportLog
 from ..data.environment import RewardPlan, TraceRowTable, UserSession
-from ..utils.exceptions import CheckpointError, ConfigError, WorkerError
+from ..utils.exceptions import CheckpointError, ConfigError
 from ..utils.validation import check_positive_int
-from .faults import FaultPlan, active_plan
 from .stacked import EXACTNESS_TIERS, stack_policies
 
 __all__ = [
@@ -138,78 +136,12 @@ __all__ = [
     "FleetResult",
     "EngineConfig",
     "ENGINES",
-    "FaultPolicy",
-    "DroppedShard",
     "fleet_supported",
     "shard_key",
     "shard_indices",
     "aggregate_plan_nbytes",
     "EXACTNESS_TIERS",
 ]
-
-
-@dataclass(frozen=True)
-class FaultPolicy:
-    """How the fleet supervises failing shard work.
-
-    When a shard's horizon raises, the supervisor restores the shard's
-    agents and sessions from the snapshot taken before the attempt and
-    replays the whole horizon.
-    Because the snapshot round-trips every RNG stream bit-exactly and
-    shard horizons are deterministic given that state, a successful
-    retry is bitwise indistinguishable from a run that never failed.
-
-    Parameters
-    ----------
-    max_retries:
-        How many times a failed shard is retried before the policy's
-        ``on_exhausted`` behavior kicks in (default 2; ``0`` =
-        fail-fast with supervision bookkeeping but no retries).
-    backoff:
-        Base seconds slept before retry ``k`` — the actual sleep is
-        ``backoff * 2**k`` scaled by deterministic jitter (default
-        0.05; ``0.0`` disables sleeping, which tests use).
-    jitter:
-        Jitter amplitude in ``[0, 1]``: retry ``k`` sleeps its
-        exponential base times ``1 + jitter * frac(k * φ)`` (golden-
-        ratio decorrelation — deterministic, so replays are exact,
-        but successive retries never synchronize).
-    on_exhausted:
-        ``"raise"`` (default) raises
-        :class:`~repro.utils.exceptions.WorkerError` after the last
-        retry, with the shard's agents restored to their last good
-        state; ``"skip_shard"`` degrades instead — the shard's result
-        rows are filled with ``NaN`` rewards / ``-1`` actions, its
-        ``expected_mask`` entries cleared, and a :class:`DroppedShard`
-        recorded in ``FleetResult.dropped``.
-    """
-
-    max_retries: int = 2
-    backoff: float = 0.05
-    jitter: float = 0.5
-    on_exhausted: str = "raise"
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.max_retries, (int, np.integer)) or isinstance(
-            self.max_retries, bool
-        ) or self.max_retries < 0:
-            raise ConfigError(
-                f"max_retries must be a non-negative int, got {self.max_retries!r}"
-            )
-        if not self.backoff >= 0.0:
-            raise ConfigError(f"backoff must be >= 0, got {self.backoff!r}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigError(f"jitter must be in [0, 1], got {self.jitter!r}")
-        if self.on_exhausted not in ("raise", "skip_shard"):
-            raise ConfigError(
-                "on_exhausted must be 'raise' or 'skip_shard', "
-                f"got {self.on_exhausted!r}"
-            )
-
-    def sleep_for(self, attempt: int) -> float:
-        """Seconds to back off before re-running attempt ``attempt + 1``."""
-        base = self.backoff * (2.0**attempt)
-        return base * (1.0 + self.jitter * ((attempt * 0.6180339887498949) % 1.0))
 
 
 #: recognized simulation engines: ``sequential`` is the reference
@@ -264,14 +196,6 @@ class EngineConfig:
         :class:`~repro.experiments.results.ResultSink`), meaningful
         only for fleet runs; entry points that run several settings
         reject it (a shared sink would interleave them).
-    fault_policy:
-        A :class:`FaultPolicy` supervising fleet shard execution: a
-        failed shard is retried from its last good state with
-        exponential backoff, and exhausted retries either raise a
-        :class:`~repro.utils.exceptions.WorkerError` or degrade the run
-        by skipping the shard (``on_exhausted="skip_shard"``).  ``None``
-        (the default) keeps the fail-fast path unless a fault plan is
-        armed (see :class:`FleetRunner`).
     sweep_workers:
         Parallelism one level *above* the engine: entry points that run
         several independent settings —
@@ -287,7 +211,6 @@ class EngineConfig:
     n_workers: int = 1
     exactness: str = "bit"
     sink: object | None = None
-    fault_policy: FaultPolicy | None = None
     sweep_workers: int = 1
 
     def __post_init__(self) -> None:
@@ -298,13 +221,6 @@ class EngineConfig:
         if self.exactness not in EXACTNESS_TIERS:
             raise ConfigError(
                 f"exactness must be one of {EXACTNESS_TIERS}, got {self.exactness!r}"
-            )
-        if self.fault_policy is not None and not isinstance(
-            self.fault_policy, FaultPolicy
-        ):
-            raise ConfigError(
-                f"fault_policy must be a FaultPolicy or None, "
-                f"got {self.fault_policy!r}"
             )
 
     def replace(self, **changes) -> "EngineConfig":
@@ -317,29 +233,11 @@ class EngineConfig:
         # postdates the checkpoint format) must still restore — missing
         # fields take their defaults — and keys of retired knobs
         # (the plan form, the worker backend, the kernel block size,
-        # the plan chunk size) are dropped
+        # the plan chunk size, the fault policy) are dropped
         for f in dataclasses.fields(self):
             value = state.get(f.name, f.default)
             if value is not dataclasses.MISSING:
                 self.__dict__[f.name] = value
-
-
-@dataclass(frozen=True)
-class DroppedShard:
-    """One shard degraded out of a run (``on_exhausted="skip_shard"``).
-
-    Carried in ``FleetResult.dropped`` so callers can see exactly which
-    agents have no results this run: their result rows hold ``NaN``
-    rewards and ``-1`` actions, and their ``expected_mask`` entries are
-    ``False``.  The shard's agents were restored to their state before
-    the run, so a later run (or a fixed deployment) continues cleanly.
-    """
-
-    shard: int  #: execution index of the dropped shard within the run
-    n_agents: int  #: how many agents lost this horizon
-    agent_ids: tuple  #: their ``agent_id`` strings
-    attempts: int  #: attempts made (1 + max_retries)
-    error: str  #: ``TypeName: message`` of the last failure
 
 
 def shard_key(agent: LocalAgent) -> tuple | None:
@@ -416,21 +314,15 @@ def _action_dtype(n_arms: int) -> np.dtype:
 
 @dataclass(frozen=True)
 class FleetResult:
-    """Per-(agent, interaction) outcome matrices of one fleet run.
-
-    ``dropped`` is non-empty only for supervised runs that degraded
-    shards out (``FaultPolicy(on_exhausted="skip_shard")``); those
-    agents' rows hold ``NaN`` rewards / ``-1`` actions and their
-    ``expected_mask`` entries are ``False``.
-    """
+    """Per-(agent, interaction) outcome matrices of one fleet run."""
 
     rewards: np.ndarray  #: realized rewards, shape (n_agents, T)
     #: chosen actions, shape (n_agents, T), in the narrowest signed
-    #: integer dtype holding every arm index and the -1 of dropped rows
+    #: integer dtype holding every arm index
     actions: np.ndarray
     expected: np.ndarray | None  #: expected-reward channel, or None if untracked
     expected_mask: np.ndarray  #: per-agent bool: row of ``expected`` is valid
-    dropped: tuple = ()  #: one :class:`DroppedShard` per degraded-out shard
+    dropped: tuple = ()  #: always empty; perfbench/workloads.py still reads it
 
     def measured(self) -> np.ndarray:
         """The evaluation matrix the experiment harness consumes.
@@ -498,12 +390,6 @@ class _Shard:
         self._row_encoded: np.ndarray | None = None  # (groups, n_rows) bool
         # raw contexts, allocated on the first generic-path round
         self._X: np.ndarray | None = None
-        # armed fault injection (chaos harness): set per attempt by the
-        # supervisor via arm_faults; deliberately NOT cleared by
-        # _reset_run_state — arming outlives prepare()
-        self._faults: FaultPlan | None = None
-        self._fault_shard = 0
-        self._fault_attempt = 0
         self._reset_run_state()
 
     def _reset_run_state(self) -> None:
@@ -618,20 +504,6 @@ class _Shard:
         self.stacked = None
         self._sync = None
         self.stacked = stack_policies([a.policy for a in self.agents], exactness=self._exactness)
-
-    def arm_faults(
-        self, plan: FaultPlan | None, shard_index: int = 0, attempt: int = 0
-    ) -> None:
-        """Arm (or, with ``None``, disarm) deterministic fault injection.
-
-        While armed, every :meth:`step` first asks ``plan`` whether a
-        fault fires at ``(shard_index, t, attempt)`` — the supervisor
-        re-arms with the new attempt number on each retry, so a fault
-        scheduled for attempt 0 does not re-fire on the replay.
-        """
-        self._faults = plan
-        self._fault_shard = int(shard_index)
-        self._fault_attempt = int(attempt)
 
     # ------------------------------------------------------------------ #
     def prepare(
@@ -975,8 +847,6 @@ class _Shard:
         touched objects — sessions, agents, stacked state, caches — are
         owned by this shard alone.
         """
-        if self._faults is not None:
-            self._faults.on_step(self._fault_shard, t, self._fault_attempt)
         tc = self._col(t)  # result-matrix column (ring when streaming)
         if self._walk is not None:
             # every gather goes through the walk: segment or row tables
@@ -1255,10 +1125,10 @@ def _run_shard_horizon(
 ) -> None:
     """Run one shard's whole horizon: prepare, step x T, finish, writeback.
 
-    The one loop body — serial, thread-pool and supervised runs all
-    call it.  Outcomes land in the given result matrices at the shard's
-    rows; ``emit(rows, t)``, when given, streams each round's columns
-    as soon as they are written.
+    The one loop body — serial and thread-pool runs both call it.
+    Outcomes land in the given result matrices at the shard's rows;
+    ``emit(rows, t)``, when given, streams each round's columns as soon
+    as they are written.
     """
     shard.prepare(n_interactions, result_window=result_window)
     for t in range(n_interactions):
@@ -1283,18 +1153,10 @@ class FleetRunner:
         One user session per agent, aligned by index.
     config:
         The :class:`EngineConfig` carrying every engine knob (default
-        ``EngineConfig()``: serial, whole-horizon plans, bit tier, no
-        supervision); its fields are documented there.  Its ``engine``
-        field is ignored (this class *is* the fleet engine) and its
-        ``sink`` becomes the default streaming target for :meth:`run`.
-        With ``fault_policy=None`` an armed fault plan switches a
-        forgiving default policy on (the chaos knob must never turn a
-        passing run into a crash).
-    fault_plan:
-        A :class:`~repro.sim.faults.FaultPlan` (or its spec string)
-        injecting deterministic faults into this runner's shard steps —
-        the test-facing twin of the process-wide ``REPRO_FAULTS`` env
-        knob, which applies when this is ``None``.
+        ``EngineConfig()``: serial, whole-horizon plans, bit tier); its
+        fields are documented there.  Its ``engine`` field is ignored
+        (this class *is* the fleet engine) and its ``sink`` becomes the
+        default streaming target for :meth:`run`.
 
     Shard reuse
     -----------
@@ -1340,7 +1202,6 @@ class FleetRunner:
         sessions: Sequence[UserSession],
         *,
         config: EngineConfig = EngineConfig(),
-        fault_plan: "FaultPlan | str | None" = None,
     ) -> None:
         if not isinstance(config, EngineConfig):
             raise ConfigError(f"config must be an EngineConfig, got {config!r}")
@@ -1349,15 +1210,6 @@ class FleetRunner:
         self.sessions = list(sessions)
         self.n_workers = config.n_workers
         self.exactness = config.exactness
-        self.fault_policy = config.fault_policy
-        if isinstance(fault_plan, str):
-            fault_plan = FaultPlan.parse(fault_plan)
-        if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
-            raise ConfigError(
-                f"fault_plan must be a FaultPlan, a spec string, or None, "
-                f"got {fault_plan!r}"
-            )
-        self.fault_plan = fault_plan
         # set by resume(): the loaded checkpoint resume_run() continues
         self._resume_ckpt = None
         self._resume_path = None
@@ -1562,27 +1414,6 @@ class FleetRunner:
             expected_mask=np.zeros(0, dtype=bool),
         )
 
-    # ------------------------------------------------------------------ #
-    # fault supervision plumbing
-    def _active_fault_plan(self) -> FaultPlan | None:
-        """This run's fault plan: the explicit one, else the env knob."""
-        if self.fault_plan is not None:
-            return self.fault_plan
-        return active_plan()
-
-    def _effective_fault_policy(self, plan: FaultPlan | None) -> FaultPolicy | None:
-        """The supervision policy for this run (``None`` = fail-fast).
-
-        An armed fault plan without an explicit policy gets a default
-        forgiving policy: the chaos env knob must *harden* runs, never
-        turn a passing suite into a crashing one.
-        """
-        if self.fault_policy is not None:
-            return self.fault_policy
-        if plan is not None:
-            return FaultPolicy(max_retries=3, backoff=0.0)
-        return None
-
     def _full_specs(self) -> list[tuple]:
         """One execution spec per shard: ``(key, members, rows)``.
 
@@ -1617,9 +1448,13 @@ class FleetRunner:
         shard-reuse rule in the class docstring).  A snapshot some
         member's ``set_state`` refuses raises before any shard steps,
         leaving the members before it warm-started, as the scalar loop
-        does.  A supervised retry or a dropped shard restores its
-        members to before the run and re-applies the snapshot; a
-        checkpointed run applies it before its first segment.
+        does.  A checkpointed run applies it before its first segment.
+
+        An exception raised inside a shard's horizon propagates
+        unchanged (the first failing shard's, in shard order): the
+        horizon is deterministic given the population's state, so a
+        retry would raise it again.  The population is then mid-run;
+        rebuild it, or resume from a checkpoint.
 
         ``sink`` (a :class:`~repro.experiments.results.ResultSink`)
         streams per-round result columns instead of materializing the
@@ -1647,8 +1482,8 @@ class FleetRunner:
         fast exactness tier is bit-identical to an uninterrupted run
         using the same checkpoint cadence).  ``checkpoint_context``
         is an opaque caller blob stored alongside (``run_setting``
-        keeps its collection phase there).  Checkpointing composes
-        with supervision but not with a ``sink``.
+        keeps its collection phase there).  Checkpointing does not
+        compose with a ``sink``.
         """
         n_interactions = check_positive_int(n_interactions, name="n_interactions")
         if sink is None:
@@ -1741,20 +1576,11 @@ class FleetRunner:
             return self._empty_result(
                 n_interactions, track_expected=track_expected, sink=sink
             )
-        loaded = set() if warm_start is None else self._warm_start(specs, warm_start)
-        plan = self._active_fault_plan()
-        policy = self._effective_fault_policy(plan)
-        supervised = policy is not None
-        # supervised runs defer any sink emission until a shard's whole
-        # horizon has definitely succeeded (a retried horizon must never
-        # double-emit), so they keep full-width matrices even when
-        # streaming — supervision costs the ring's memory saving
-        width = (
-            n_interactions
-            if (sink is None or supervised)
-            else self._result_window(n_interactions)
-        )
-        result_window = None if (sink is None or supervised) else width
+        if warm_start is not None:
+            self._warm_start(specs, warm_start)
+        # streaming runs keep only a ring of result columns
+        result_window = None if sink is None else self._result_window(n_interactions)
+        width = n_interactions if result_window is None else result_window
 
         rewards = np.empty((n_rows, width), dtype=np.float64)
         # shard members share n_arms (it is part of the shard key)
@@ -1762,7 +1588,6 @@ class FleetRunner:
         actions_mat = np.empty((n_rows, width), dtype=_action_dtype(n_arms))
         expected = np.empty((n_rows, width), dtype=np.float64) if track_expected else None
         expected_ok = np.full(n_rows, track_expected, dtype=bool)
-        mats = (rewards, actions_mat, expected, expected_ok)
 
         emit = None
         if sink is not None:
@@ -1773,36 +1598,30 @@ class FleetRunner:
 
             def emit(rows: np.ndarray, t: int) -> None:
                 # fancy indexing copies, so the sink never aliases the ring
-                tc = t if result_window is None else t % width
+                tc = t % width
                 exp = None if expected is None else expected[rows, tc]
                 with sink_lock:
                     sink.emit(t, rows, rewards[rows, tc], exp, expected_ok[rows])
 
-        dropped: list[DroppedShard] = []
-        if supervised:
-            outcomes = self._map_shards(
-                lambda si, spec: self._run_shard_supervised(
-                    si, *spec, n_interactions, policy=policy, plan=plan, mats=mats,
-                    warm_start=warm_start if spec[0] in loaded else None,
-                ),
-                specs,
+        shards = [self._build_shard(*spec) for spec in specs]
+
+        def run_shard(shard: _Shard) -> None:
+            _run_shard_horizon(
+                shard, n_interactions, rewards, actions_mat, expected, expected_ok,
+                result_window=result_window, emit=emit,
             )
-            for (_, _, rows), outcome in zip(specs, outcomes):
-                if outcome is not None:
-                    dropped.append(outcome)
-                elif emit is not None:
-                    rows_np = np.asarray(rows, dtype=np.intp)
-                    for t in range(n_interactions):
-                        emit(rows_np, t)
+
+        n_workers = min(self.n_workers, len(shards))
+        if n_workers <= 1:
+            for shard in shards:
+                run_shard(shard)
         else:
-            shards = [self._build_shard(*spec) for spec in specs]
-            self._map_shards(
-                lambda _, shard: _run_shard_horizon(
-                    shard, n_interactions, *mats,
-                    result_window=result_window, emit=emit,
-                ),
-                shards,
-            )
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=n_workers) as pool:
+                # consuming the results re-raises the first failure in
+                # shard order, as the serial loop would
+                list(pool.map(run_shard, shards))
 
         if sink is not None:
             sink.finish()
@@ -1812,22 +1631,20 @@ class FleetRunner:
             actions=actions_mat,
             expected=expected,
             expected_mask=expected_ok,
-            dropped=tuple(dropped),
         )
 
-    def _warm_start(self, specs: list[tuple], state) -> set[tuple]:
+    def _warm_start(self, specs: list[tuple], state) -> None:
         """Warm-start every spec member with ``state`` before any shard steps.
 
         The outcome is every member's ``LocalAgent.warm_start(state)``
         in population order.  A held shard whose stack mirrors its
-        members loads ``state`` stacked (:meth:`_Shard.load_state`); the
-        keys of those shards are returned, and their policies catch up at
-        the run's writeback.  Every other member warm-starts scalar-side
-        now, so its shard stacks from the warm-started policies.  When
-        a member's ``set_state`` refuses, the loaded members before it
-        warm-start scalar-side, the loaded shards are released (their
-        stacks hold the snapshot, their policies may not), and the
-        error propagates.
+        members loads ``state`` stacked (:meth:`_Shard.load_state`), and
+        its policies catch up at the run's writeback.  Every other member
+        warm-starts scalar-side now, so its shard stacks from the
+        warm-started policies.  When a member's ``set_state`` refuses,
+        the loaded members before it warm-start scalar-side, the loaded
+        shards are released (their stacks hold the snapshot, their
+        policies may not), and the error propagates.
         """
         loaded: dict[tuple, list[int]] = {}
         for key, members, _ in specs:
@@ -1848,113 +1665,6 @@ class FleetRunner:
                 for key in loaded:
                     self._shards.pop(key, None)
                 raise
-        return set(loaded)
-
-    def _map_shards(self, fn, items: list) -> list:
-        """``[fn(i, item) for each item]`` — serial, or on a thread pool.
-
-        Results keep item order; the first failure (in item order)
-        propagates, exactly as the serial loop would raise it.
-        """
-        n_workers = min(self.n_workers, len(items))
-        if n_workers <= 1:
-            return [fn(i, item) for i, item in enumerate(items)]
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(fn, range(len(items)), items))
-
-    def _run_shard_supervised(
-        self, si: int, key: tuple, members: list[int], rows: list[int],
-        n_interactions: int, *, policy: FaultPolicy, plan: FaultPlan | None,
-        mats: tuple, warm_start=None,
-    ) -> DroppedShard | None:
-        """One shard's whole horizon under retry supervision.
-
-        Before each attempt the shard's agents and sessions are held as
-        a pickle snapshot; a failure restores them (``_adopt`` keeps the
-        caller-visible object identities) and replays the whole horizon.
-        The pickle round-trip preserves every RNG stream bit-exactly and
-        shard horizons are deterministic given that state, so a
-        successful retry is bitwise indistinguishable from a run that
-        never failed.  Partial result-matrix writes of a failed attempt
-        are fully overwritten by the replay (or NaN-filled by a skip).
-        Returns ``None`` on success, a :class:`DroppedShard` when the
-        policy degrades the shard out after exhaustion.
-
-        ``warm_start`` is the snapshot a held stack loaded for this run
-        (its policies take it only at writeback, so the pre-attempt
-        pickle predates it): a restore re-applies it scalar-side, and
-        the retry builds a new shard from the warm-started policies.
-        """
-        agents = [self.agents[i] for i in members]
-        sessions = [self.sessions[i] for i in members]
-        try:
-            snapshot = pickle.dumps((agents, sessions))
-        except Exception as exc:  # pickle errors vary by payload
-            if self.fault_policy is not None:
-                raise ConfigError(
-                    "fault-tolerant execution snapshots shard state by "
-                    f"pickling, which this population does not support ({exc});"
-                    " drop the FaultPolicy or make the population picklable"
-                ) from exc
-            # implicit supervision (the chaos env knob armed a plan, the
-            # caller asked for nothing): an unsnapshotable shard cannot
-            # be retried, so it runs clean and unsupervised — the knob
-            # must harden runs, never turn a passing one into a crash
-            _run_shard_horizon(
-                self._build_shard(key, members, rows), n_interactions, *mats
-            )
-            return None
-        attempt = 0
-        while True:
-            shard = self._build_shard(key, members, rows)
-            if plan is not None:
-                shard.arm_faults(plan, si, attempt)
-            try:
-                _run_shard_horizon(shard, n_interactions, *mats)
-                return None
-            except Exception as exc:
-                # restore the canonical objects to their pre-run state
-                # (same object identities, adopted state) and drop the
-                # held shard of the failed attempt: _adopt rebinds every
-                # agent and session component
-                s_agents, s_sessions = pickle.loads(snapshot)
-                for i, a, s in zip(members, s_agents, s_sessions):
-                    self._adopt(self.agents[i], a)
-                    self._adopt(self.sessions[i], s)
-                    if warm_start is not None:
-                        self.agents[i].warm_start(warm_start)
-                self._shards.pop(key, None)
-                attempt += 1
-                if attempt > policy.max_retries:
-                    if policy.on_exhausted == "skip_shard":
-                        rewards, actions_mat, expected, expected_ok = mats
-                        rows_np = np.asarray(rows, dtype=np.intp)
-                        rewards[rows_np] = np.nan
-                        actions_mat[rows_np] = -1
-                        if expected is not None:
-                            expected[rows_np] = np.nan
-                        expected_ok[rows_np] = False
-                        return DroppedShard(
-                            shard=si,
-                            n_agents=len(members),
-                            agent_ids=tuple(a.agent_id for a in agents),
-                            attempts=attempt,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    raise WorkerError(
-                        f"shard {si} ({len(members)} agents) failed on all "
-                        f"{attempt} attempts (max_retries="
-                        f"{policy.max_retries}): {type(exc).__name__}: {exc}; "
-                        "the shard's agents were restored to their last good "
-                        "state — retry with a higher budget or use "
-                        "on_exhausted='skip_shard' to degrade instead"
-                    ) from exc
-                if policy.backoff:
-                    time.sleep(policy.sleep_for(attempt - 1))
-            finally:
-                shard.arm_faults(None)
 
     # ------------------------------------------------------------------ #
     # checkpoint / resume
@@ -1978,7 +1688,6 @@ class FleetRunner:
         expected_ok: np.ndarray | None = None,
         checkpoint_every: int | None = None,
         context: bytes | None = None,
-        dropped: Sequence = (),
     ) -> None:
         """Write a versioned on-disk snapshot of this fleet to ``path``.
 
@@ -2022,18 +1731,11 @@ class FleetRunner:
                 engine=self._engine_dict(),
                 checkpoint_every=checkpoint_every,
                 context=context,
-                dropped=tuple(dropped),
             ),
         )
 
     @classmethod
-    def resume(
-        cls,
-        path,
-        *,
-        fault_policy: FaultPolicy | None = None,
-        fault_plan: "FaultPlan | str | None" = None,
-    ) -> "FleetRunner":
+    def resume(cls, path) -> "FleetRunner":
         """Rebuild a fleet from a snapshot written by :meth:`checkpoint`.
 
         The returned runner holds the unpickled population (identical
@@ -2042,9 +1744,7 @@ class FleetRunner:
         knows are ignored, so older snapshots stay loadable); when the
         snapshot was mid-run,
         :meth:`resume_run` finishes that run bit-identically to the
-        uninterrupted one.  Supervision knobs are per-process, not part
-        of the snapshot — pass them here if the resumed run should be
-        supervised too.
+        uninterrupted one.
         """
         from .checkpoint import load_checkpoint
 
@@ -2060,9 +1760,8 @@ class FleetRunner:
         config = EngineConfig(
             n_workers=int(engine.get("n_workers", 1)),
             exactness=engine.get("exactness", "bit"),
-            fault_policy=fault_policy,
         )
-        runner = cls(agents, sessions, config=config, fault_plan=fault_plan)
+        runner = cls(agents, sessions, config=config)
         runner._resume_ckpt = ckpt
         runner._resume_path = path
         return runner
@@ -2102,7 +1801,6 @@ class FleetRunner:
                 actions=ckpt.actions,
                 expected=ckpt.expected,
                 expected_mask=ckpt.expected_ok,
-                dropped=ckpt.dropped,
             )
         return self._run_checkpointed(
             ckpt.n_interactions,
@@ -2136,7 +1834,6 @@ class FleetRunner:
             [] if prefix is None or prefix.expected is None else [prefix.expected]
         )
         ok = None if prefix is None else np.asarray(prefix.expected_ok, dtype=bool)
-        dropped = [] if prefix is None else list(prefix.dropped)
         while completed < n_total:
             seg = min(every, n_total - completed)
             res = self._run_thread(
@@ -2153,7 +1850,6 @@ class FleetRunner:
             if res.expected is not None:
                 parts_e.append(res.expected)
             ok = res.expected_mask if ok is None else (ok & res.expected_mask)
-            dropped.extend(res.dropped)
             completed += seg
             rewards = np.concatenate(parts_r, axis=1)
             actions = np.concatenate(parts_a, axis=1)
@@ -2169,31 +1865,13 @@ class FleetRunner:
                 expected_ok=ok,
                 checkpoint_every=every,
                 context=context,
-                dropped=dropped,
             )
         return FleetResult(
             rewards=rewards,
             actions=actions,
             expected=expected,
             expected_mask=ok,
-            dropped=tuple(dropped),
         )
-
-    @staticmethod
-    def _adopt(mine, theirs) -> None:
-        """Adopt a snapshot copy's state into the caller's object.
-
-        Keeps the caller-visible object identity (the ``LocalAgent`` /
-        session instances the caller constructed) while taking every
-        attribute — policy state, outbox, participation budget, walk
-        cursors, generator state — from the copy.  Component objects
-        hanging off the adopted one (``agent.policy``, a session's
-        dataset reference) are *rebound* to the copy's, so a shard
-        restored after a failed attempt holds state-equal replacements
-        of them.
-        """
-        mine.__dict__.clear()
-        mine.__dict__.update(theirs.__dict__)
 
     # ------------------------------------------------------------------ #
     def drain_outboxes(self) -> list[EncodedReport | RawReport]:

@@ -17,7 +17,6 @@ __all__ = [
     "DataError",
     "ConfigError",
     "EngineError",
-    "WorkerError",
     "CheckpointError",
     "ServiceError",
     "ServiceTimeout",
@@ -66,21 +65,10 @@ class EngineError(ReproError, RuntimeError):
     """An execution-engine operation failed at run time.
 
     Base class for failures of the fleet engine's machinery itself —
-    worker pools, checkpoints, the serving loop — as opposed to bad
-    arguments (:class:`ConfigError`/:class:`ValidationError`).  Every
-    subclass carries an actionable message: what failed, which shard or
-    resource, and what the caller can do about it.
-    """
-
-
-class WorkerError(EngineError):
-    """A fleet worker (thread or process) failed beyond its retry budget.
-
-    Raised by :class:`~repro.sim.fleet.FleetRunner` when a shard's step
-    keeps failing after ``FaultPolicy.max_retries`` attempts and the
-    policy says ``on_exhausted="raise"``.  The message names the shard,
-    its agent count, and the attempt count; the original exception is
-    chained as ``__cause__``.
+    checkpoints, the serving loop — as opposed to bad arguments
+    (:class:`ConfigError`/:class:`ValidationError`).  Every subclass
+    carries an actionable message: what failed, which resource, and
+    what the caller can do about it.
     """
 
 

@@ -11,7 +11,6 @@ from repro.core import DeploymentLoop, P2BConfig
 from repro.core.agent import LocalAgent
 from repro.data import SyntheticPreferenceEnvironment
 from repro.sim import FleetRunner
-from repro.sim.faults import FAULTS_ENV_VAR
 from repro.utils.exceptions import ConfigError
 
 
@@ -121,7 +120,6 @@ class TestFleetRounds:
         "private_context,kind", [("one-hot", CodeLinUCB), ("centroid", LinUCB)]
     )
     def test_refresh_loads_held_stacks(self, monkeypatch, private_context, kind):
-        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
         loop = _loop(max_reports=5, engine="fleet", private_context=private_context)
         loop.run_round(new_users=60)
         loop.run_round()
@@ -186,6 +184,79 @@ class TestFleetRounds:
             assert auto._fleet is None
         assert runs == []
         for (a, _), (b, _) in zip(auto._users, seq._users, strict=True):
+            for key, value in a.policy.get_state().items():
+                np.testing.assert_array_equal(
+                    np.asarray(value), np.asarray(b.policy.get_state()[key])
+                )
+
+
+def _reference_round(loop, new_users):
+    """A round as it ran when ``enroll`` warm-started every newcomer,
+    even when the round's refresh pulled the same snapshot again."""
+    if new_users:
+        loop.enroll(new_users)
+        if loop.refresh and loop.system.server.n_tuples_ingested:
+            for agent, _ in loop._users[-new_users:]:
+                agent.warm_start(loop.system.model_snapshot())
+    return loop.run_round()
+
+
+class TestEnrollWarmStart:
+    """A newcomer warm-starts once per round: in ``enroll`` only when
+    ``refresh`` is off, since a refreshing round pulls the same snapshot
+    for every user and ``set_state`` replaces the whole policy state."""
+
+    SCHEDULE = (20, 6, 0, 5)
+
+    @staticmethod
+    def _record_rewards(loop):
+        matrices = []
+        real = loop._interact
+
+        def interact(snapshot):
+            rewards = real(snapshot)
+            matrices.append(rewards.copy())
+            return rewards
+
+        loop._interact = interact
+        return matrices
+
+    @pytest.mark.parametrize("engine", ["sequential", "fleet"])
+    @pytest.mark.parametrize("refresh", [True, False], ids=["refresh", "no-refresh"])
+    def test_matches_double_warm_start_and_counts_once(self, engine, refresh, monkeypatch):
+        ref = _loop(max_reports=5, refresh=refresh, engine=engine)
+        want = self._record_rewards(ref)
+        want_stats = [_reference_round(ref, n) for n in self.SCHEDULE]
+
+        loop = _loop(max_reports=5, refresh=refresh, engine=engine)
+        got = self._record_rewards(loop)
+        calls: list[list[str]] = []
+        real = LocalAgent.warm_start
+        monkeypatch.setattr(
+            LocalAgent,
+            "warm_start",
+            lambda self, s: (calls[-1].append(self.agent_id), real(self, s))[1],
+        )
+        for i, new_users in enumerate(self.SCHEDULE):
+            calls.append([])
+            served = bool(loop.system.server.n_tuples_ingested)
+            assert served == (i > 0)  # every round after the first has a model
+            stats = loop.run_round(new_users=new_users)
+            assert (stats.mean_reward, stats.n_reports, stats.n_released) == (
+                want_stats[i].mean_reward,
+                want_stats[i].n_reports,
+                want_stats[i].n_released,
+            )
+            assert all(calls[-1].count(a) == 1 for a in set(calls[-1]))
+            if served and new_users:
+                for agent, _ in loop._users[-new_users:]:
+                    assert calls[-1].count(agent.agent_id) == 1
+
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        for (a, _), (b, _) in zip(loop._users, ref._users, strict=True):
+            assert a.policy.t == b.policy.t
             for key, value in a.policy.get_state().items():
                 np.testing.assert_array_equal(
                     np.asarray(value), np.asarray(b.policy.get_state()[key])

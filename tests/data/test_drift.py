@@ -23,7 +23,6 @@ from repro.core.config import AgentMode
 from repro.data import DriftingSyntheticEnvironment, DriftingSyntheticSession
 from repro.data.synthetic import SyntheticPreferenceEnvironment, SyntheticUserSession
 from repro.sim import FleetRunner
-from repro.sim.faults import FAULTS_ENV_VAR, FaultPlan, FaultSpec
 from repro.utils.rng import rng_state_digest, spawn_seeds
 
 from _released import record_released
@@ -336,32 +335,6 @@ class TestDriftingReports:
         FleetRunner(agents, sessions).run(HORIZON)
         assert sum(len(a.pending_entries()) for a in agents) == len(agents)
 
-    @pytest.mark.parametrize("split", [None, EPOCH + 1])
-    def test_retried_shard_leaves_clean_reporting_state(self, split, monkeypatch):
-        """A forced raise mid-run under default supervision: the retry
-        restores the agents (``_adopt``) and replays the horizon, leaving
-        the outboxes — one ``PendingReports`` marker per run, none
-        duplicated — participation state and results of a clean run."""
-        c_sys, c_agents, c_sessions = _warm_population("drifting")
-        f_sys, f_agents, f_sessions = _warm_population("drifting")
-        clean = _run_fleet(FleetRunner(c_agents, c_sessions), split)
-        adopted = []
-        real_adopt = FleetRunner._adopt
-        monkeypatch.setattr(
-            FleetRunner, "_adopt", staticmethod(lambda a, b: adopted.append(a) or real_adopt(a, b))
-        )
-        # the fault fires in every run (step 2, first attempt), so later
-        # runs fail with earlier runs' markers already in the outboxes
-        chaos = FleetRunner(
-            f_agents, f_sessions, fault_plan=FaultPlan([FaultSpec("raise", 0, 2)])
-        )
-        np.testing.assert_array_equal(clean, _run_fleet(chaos, split))
-        n_runs = -(-HORIZON // (split or HORIZON))
-        assert len(adopted) == n_runs * 2 * len(f_agents)  # agents + sessions, per retry
-        for ca, fa in zip(c_agents, f_agents):
-            assert len(fa.pending_entries()) == len(ca.pending_entries()) == n_runs
-        _assert_reporting_identical((c_sys, c_agents), (f_sys, f_agents))
-
 
 class TestPlanCalls:
     @pytest.mark.parametrize("kind", ["mixed", "two_environments"])
@@ -370,8 +343,6 @@ class TestPlanCalls:
         """Each run plans every session in one call, however many drift
         boundaries it crosses, and computes the shard's means in one
         batched call per environment — none per boundary."""
-        # a retried shard replans its horizon: count a run without faults
-        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
         plans, means = [], []
         for cls in (SyntheticUserSession, DriftingSyntheticSession):
             real_plan = cls.plan_rewards

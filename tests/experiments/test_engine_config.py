@@ -35,7 +35,7 @@ from repro.experiments.sweeps import (
     participation_sweep,
     population_sweep,
 )
-from repro.sim import FAULTS_ENV_VAR, FaultPolicy, FleetRunner
+from repro.sim import FleetRunner
 from repro.utils.exceptions import ConfigError
 
 
@@ -62,7 +62,7 @@ def built_runners(monkeypatch):
 
 
 def _engine_fields(obj):
-    return (obj.n_workers, obj.exactness, obj.fault_policy)
+    return (obj.n_workers, obj.exactness)
 
 
 class TestConstruction:
@@ -77,7 +77,6 @@ class TestConstruction:
             "n_workers",
             "exactness",
             "sink",
-            "fault_policy",
             "sweep_workers",
         ]
 
@@ -108,6 +107,7 @@ class TestConstruction:
             ("worker_backend", "process"),
             ("kernel_block_size", 7),
             ("plan_chunk_size", 4),
+            ("fault_policy", None),
         ],
     )
     def test_pickle_round_trip_drops_retired_keys(self, retired_key, retired_value):
@@ -260,7 +260,6 @@ _NON_DEFAULT = EngineConfig(
     engine="fleet",
     n_workers=2,
     exactness="fast",
-    fault_policy=FaultPolicy(max_retries=1, backoff=0.0),
 )
 _SMALL = dict(n_eval_agents=3, eval_interactions=4, seed=1)
 
@@ -312,11 +311,11 @@ class TestEntryPoints:
         for built in built_runners:
             assert _engine_fields(built) == _engine_fields(_NON_DEFAULT)
 
-    def test_resumed_run_setting_keeps_snapshot_knobs_and_policy(
+    def test_resumed_run_setting_keeps_snapshot_knobs(
         self, built_runners, tmp_path, monkeypatch
     ):
         """Resume rebuilds the runner's config from the snapshot's engine
-        dict plus the resume-time fault policy."""
+        dict."""
         cfg = _NON_DEFAULT.replace(exactness="bit")
         path = tmp_path / "run.ckpt"
         real = FleetRunner._run_thread
@@ -372,23 +371,3 @@ class TestDeploymentLoopConfig:
         env, config = _workload()
         with pytest.raises(ConfigError, match="sink"):
             DeploymentLoop(config, env, engine=EngineConfig(sink=CurveSink()))
-
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_loop_honours_fault_policy(self, n_workers, monkeypatch):
-        """Shard 0 faults on round 1.  Without a policy of its own the
-        armed plan's forgiving default would retry the fault away; this
-        policy allows no retry and degrades the shard instead."""
-        monkeypatch.setenv(FAULTS_ENV_VAR, "at=raise:0:1")
-        env, config = _workload()
-        policy = FaultPolicy(max_retries=0, backoff=0.0, on_exhausted="skip_shard")
-        loop = DeploymentLoop(
-            config, env, interactions_per_round=4, seed=2,
-            engine=EngineConfig(engine="fleet", n_workers=n_workers, fault_policy=policy),
-        )
-        stats = loop.run_round(new_users=6)
-        # the population's one shard was dropped: its reward rows are
-        # NaN, and its agents are restored to their pre-round state —
-        # nothing learned, nothing reported
-        assert np.isnan(stats.mean_reward)
-        assert stats.n_reports == 0
-        assert all(agent.policy.t == 0 for agent, _ in loop._users)

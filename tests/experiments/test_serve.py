@@ -221,13 +221,20 @@ class TestHardening:
         )
 
     def test_timeout_degrades_then_shutdown_drains(self, monkeypatch):
-        from repro.sim.faults import FAULTS_ENV_VAR
+        import time
+
         from repro.utils.exceptions import ServiceError, ServiceTimeout
 
-        # a seeded delay fault makes round 0 slow — deterministically
-        monkeypatch.setenv(FAULTS_ENV_VAR, "seed=0;delay_s=1.0;at=delay:0:0")
         service = FleetService(_config(), _env(), seed=2, request_timeout=0.05)
         service.arrive(4)
+        # a fleet run that takes 1 s makes the request slow
+        real_run = service.fleet.run
+
+        def slow_run(*args, **kwargs):
+            time.sleep(1.0)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(service.fleet, "run", slow_run)
         with pytest.raises(ServiceTimeout, match="draining"):
             service.interact(2)
         status = service.status()
@@ -267,30 +274,33 @@ class TestHardening:
             with pytest.raises(ServiceError, match="shut down"):
                 call()
 
-    def test_skip_shard_drops_count_and_degrade_status(self, monkeypatch):
-        from repro.sim.faults import FAULTS_ENV_VAR
-        from repro.sim.fleet import FaultPolicy
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_shard_error_reaches_the_client(self, n_workers, monkeypatch):
+        """No shard supervision: an error inside a shard horizon reaches
+        the caller as raised, and the service reports no dropped shard."""
+        from repro.sim import fleet as fleet_module
 
-        # the same injected fault on both attempts => retries exhaust
-        # and the skip_shard policy degrades instead of raising
-        monkeypatch.setenv(FAULTS_ENV_VAR, "seed=0;at=raise:0:0:0;at=raise:0:0:1")
         service = FleetService(
-            _config(),
-            _env(),
-            seed=7,
-            engine=EngineConfig(
-                fault_policy=FaultPolicy(
-                    max_retries=1, backoff=0.0, on_exhausted="skip_shard"
-                )
-            ),
+            _config(), _env(), seed=7, engine=EngineConfig(n_workers=n_workers)
         )
-        service.arrive(4)  # one policy kind => one shard (shard 0)
+        service.arrive(4)
+
+        def failing_stack(*args, **kwargs):
+            raise MemoryError("stack allocation failed")
+
+        monkeypatch.setattr(fleet_module, "stack_policies", failing_stack)
+        with pytest.raises(MemoryError, match="stack allocation failed"):
+            service.interact(3)
+        status = service.status()
+        assert status["state"] == "ok" and status["inflight"] == 0
+        assert set(status) == {
+            "state", "n_agents", "inflight", "n_pending_reports", "n_quarantined"
+        }
+        # the failed request stacked nothing: the next one builds the shard
+        monkeypatch.undo()
         result = service.interact(3)
-        assert len(result.dropped) == 1
-        assert np.isnan(result.rewards).all()
-        stats = service.stats
-        assert stats.n_dropped_shards == 1
-        assert service.status()["state"] == "degraded"
+        assert result.rewards.shape == (4, 3)
+        assert np.isfinite(result.rewards).all()
 
     def test_quarantine_counts_surface_in_stats(self, monkeypatch):
         from repro.data import SyntheticPreferenceEnvironment

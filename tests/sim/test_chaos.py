@@ -1,11 +1,9 @@
-"""Seeded chaos behind the ``REPRO_FAULTS`` env knob, end to end.
+"""Seeded report corruption behind the ``REPRO_FAULTS`` env knob, end to end.
 
-CI's chaos-smoke job arms a seeded :class:`FaultPlan` over the whole
-sim suite; these tests pin what that job relies on: an armed plan with
-default supervision recovers every injected fault with **zero
-unhandled crashes and zero bitwise drift**, and corrupted report
-batches are quarantined — collection continues and the crowd-blending
-audit still passes.
+CI's chaos-smoke job runs these: corrupted report batches are
+quarantined — collection continues and the crowd-blending audit still
+passes — and with the knob off nothing is quarantined.  The tap sits on
+collection only, so an armed knob leaves the simulation bitwise alone.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from repro.core.system import P2BSystem
 from repro.data.synthetic import SyntheticPreferenceEnvironment
 from repro.experiments import runner
 from repro.sim import EngineConfig, FleetRunner
-from repro.sim.faults import FAULTS_ENV_VAR, FaultPlan
+from repro.sim.faults import FAULTS_ENV_VAR
 from repro.utils.rng import spawn_seeds
 
 from _testkit import assert_outboxes_equal, assert_states_equal
@@ -46,32 +44,26 @@ def _population(seed, n_agents=9):
 class TestEnvKnobChaos:
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_armed_chaos_is_bitwise_invisible(self, n_workers, monkeypatch):
-        """Arming the knob changes nothing observable: default
-        supervision retries every fired fault, and retries run clean."""
+        """Arming the knob changes nothing a fleet run produces: results,
+        policy states and outboxes match the unarmed run bitwise."""
         monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
         agents_a, sessions_a = _population(0)
         base = FleetRunner(agents_a, sessions_a, config=EngineConfig(n_workers=n_workers)).run(10)
 
-        spec = "seed=2;raise=0.1;crash=0.1"
-        monkeypatch.setenv(FAULTS_ENV_VAR, spec)
-        # the rates above fire somewhere in this grid — the run is chaos,
-        # not a no-op
-        plan = FaultPlan.parse(spec)
-        assert any(
-            plan.step_fault(s, t, 0) for s in range(3) for t in range(10)
-        ), "chaos spec never fires; raise the rates"
+        monkeypatch.setenv(FAULTS_ENV_VAR, "seed=2;corrupt=1.0;corrupt_frac=0.5")
         agents_b, sessions_b = _population(0)
         chaos = FleetRunner(agents_b, sessions_b, config=EngineConfig(n_workers=n_workers)).run(10)
 
-        assert chaos.dropped == ()
         np.testing.assert_array_equal(base.rewards, chaos.rewards)
         np.testing.assert_array_equal(base.actions, chaos.actions)
         for a, b in zip(agents_a, agents_b):
             assert_states_equal(a.policy, b.policy, a.agent_id)
         assert_outboxes_equal(agents_a, agents_b)
 
-    def test_run_setting_under_chaos_matches_fault_free(self, monkeypatch):
-        """The full two-phase experiment pipeline under an armed plan."""
+    def test_run_setting_under_chaos_quarantines_and_completes(self, monkeypatch):
+        """The full two-phase experiment pipeline under an armed plan:
+        every report is still collected, the malformed ones never reach
+        the server, and the evaluation phase runs to the end."""
         env_args = dict(n_actions=5, n_features=6, weight_scale=8.0)
         config = P2BConfig(
             n_actions=5, n_features=6, n_codes=8, p=0.5, window=5,
@@ -85,16 +77,15 @@ class TestEnvKnobChaos:
             SyntheticPreferenceEnvironment(**env_args, seed=0),
             config, AgentMode.WARM_PRIVATE, **kwargs,
         )
-        monkeypatch.setenv(FAULTS_ENV_VAR, "seed=5;raise=0.15")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "seed=5;corrupt=1.0;corrupt_frac=0.5")
         chaos = runner.run_setting(
             SyntheticPreferenceEnvironment(**env_args, seed=0),
             config, AgentMode.WARM_PRIVATE, **kwargs,
         )
-        np.testing.assert_array_equal(base.curve, chaos.curve)
-        assert base.mean_reward == chaos.mean_reward
-        assert base.n_reports == chaos.n_reports
-        assert base.n_released == chaos.n_released
-        assert base.privacy == chaos.privacy
+        assert chaos.n_reports == base.n_reports > 0
+        assert chaos.n_released < base.n_released
+        assert chaos.curve.shape == base.curve.shape
+        assert np.isfinite(chaos.curve).all() and np.isfinite(chaos.mean_reward)
 
 
 class TestCorruptionChaos:

@@ -23,7 +23,7 @@ from repro.sim import CHECKPOINT_VERSION, EngineConfig, FleetRunner, load_checkp
 from repro.sim.checkpoint import CHECKPOINT_MAGIC, save_checkpoint
 from repro.utils.exceptions import CheckpointError, ConfigError
 from repro.utils.rng import spawn_seeds
-from repro.utils.serialization import state_to_bytes
+from repro.utils.serialization import state_from_bytes, state_to_bytes
 
 from _testkit import assert_outboxes_equal, assert_states_equal, join_runs, run_split
 
@@ -162,6 +162,7 @@ class TestRoundTripMatrix:
             ("kernel_block_size", 7),
             ("persistent", True),
             ("plan_chunk_size", 4),
+            ("fault_policy", None),
         ],
     )
     def test_stale_engine_key_is_ignored_on_resume(
@@ -169,8 +170,8 @@ class TestRoundTripMatrix:
     ):
         """A snapshot from a release that still had a retired knob (the
         ``plan_form`` choice, the process worker backend, the scoring
-        kernel block size, the shard-cache flag, the plan chunk size)
-        resumes bit-identically on threads: unknown engine keys are
+        kernel block size, the shard-cache flag, the plan chunk size,
+        the fault policy) resumes bit-identically on threads: unknown engine keys are
         ignored."""
         path = tmp_path / "fleet.ckpt"
         agents_a, sessions_a = _traced_population(4)
@@ -302,6 +303,36 @@ class TestValidationAndCorruption:
             )
         )
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _with_dropped(path, dropped):
+        """Rewrite a snapshot as a release that recorded dropped shards did."""
+        state = state_from_bytes(path.read_bytes())
+        state["dropped"] = dropped
+        path.write_bytes(state_to_bytes(state))
+
+    def test_empty_dropped_list_is_ignored(self, tmp_path):
+        path = tmp_path / "fleet.ckpt"
+        agents, sessions = _population(7, n_agents=3)
+        runner = FleetRunner(agents, sessions)
+        runner.run(2)
+        runner.checkpoint(path)
+        self._with_dropped(path, [])
+        assert load_checkpoint(path).completed == 0
+        resumed = FleetRunner.resume(path)
+        for a, b in zip(agents, resumed.agents):
+            assert_states_equal(a.policy, b.policy, a.agent_id)
+
+    def test_recorded_dropped_shard_rejected(self, tmp_path):
+        """A degraded run's snapshot cannot be resumed by this release."""
+        path = tmp_path / "fleet.ckpt"
+        agents, sessions = _population(8, n_agents=3)
+        FleetRunner(agents, sessions).checkpoint(path)
+        dropped = {"shard": 0, "n_agents": 1, "agent_ids": ["u0"], "attempts": 3,
+                   "error": "RuntimeError: boom"}
+        self._with_dropped(path, [dropped])
+        with pytest.raises(CheckpointError, match="dropped"):
             load_checkpoint(path)
 
     def test_truncated_snapshot_never_replaces_a_good_one(self, tmp_path):

@@ -39,9 +39,6 @@ from repro.experiments.results import CurveSink, NullSink
 from repro.sim import (
     EXACTNESS_TIERS,
     EngineConfig,
-    FaultPlan,
-    FaultPolicy,
-    FaultSpec,
     FleetRunner,
     StackedCodeLinUCB,
     StackedCodeLinUCBFast,
@@ -437,26 +434,21 @@ class TestResultSinks:
             assert_states_equal(x.policy, y.policy)
         assert_outboxes_equal(agents_m, agents_s)
 
-    def test_supervised_pooled_run_defers_emission_exactly(self):
-        """A supervised run emits each shard's columns only after its
-        horizon succeeded (a retried attempt never double-emits); the
-        deferred stream equals the unsupervised one."""
+    def test_pooled_sink_run_equals_serial(self):
+        """Two shards stream from two threads into one sink; with two
+        partial sums per round the addition order cannot show, so the
+        pooled curve equals the serial one bitwise."""
         agents_u, sessions_u = self._mixed_population(11)
-        unsupervised = CurveSink()
-        FleetRunner(agents_u, sessions_u).run(8, sink=unsupervised)
+        serial = CurveSink()
+        FleetRunner(agents_u, sessions_u).run(8, sink=serial)
         agents_s, sessions_s = self._mixed_population(11)
-        supervised = CurveSink()
+        pooled = CurveSink()
         out = FleetRunner(
-            agents_s,
-            sessions_s,
-            config=EngineConfig(
-                n_workers=2, fault_policy=FaultPolicy(max_retries=2, backoff=0.0)
-            ),
-            fault_plan=FaultPlan([FaultSpec("raise", 1, 3)]),
-        ).run(8, sink=supervised)
+            agents_s, sessions_s, config=EngineConfig(n_workers=2)
+        ).run(8, sink=pooled)
         assert out is None
-        assert supervised.n_agents == unsupervised.n_agents
-        np.testing.assert_array_equal(supervised.curve, unsupervised.curve)
+        assert pooled.n_agents == serial.n_agents
+        np.testing.assert_array_equal(pooled.curve, serial.curve)
         for x, y in zip(agents_u, agents_s):
             assert_states_equal(x.policy, y.policy)
         assert_outboxes_equal(agents_u, agents_s)

@@ -110,7 +110,7 @@ class TestFleetResult:
         assert not np.array_equal(result.expected, result.rewards)
 
     def test_actions_use_the_narrowest_signed_dtype(self):
-        """Actions (and the -1 of dropped rows) fit int8 up to 128 arms;
+        """Actions fit int8 up to 128 arms;
         a population with a wider shard widens the whole matrix."""
         agents, sessions = make_population(_linucb, AgentMode.COLD, 4, 3)
         assert FleetRunner(agents, sessions).run(6).actions.dtype == np.int8

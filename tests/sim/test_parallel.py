@@ -3,7 +3,7 @@
 Shards share no mutable state, so ``EngineConfig(n_workers=k)`` running
 them concurrently on a thread pool must produce bit-identical rewards,
 actions, policy states and outboxes.  These tests pin that, plus
-``run_subset`` on pooled and supervised fleets, the ``n_workers``
+``run_subset`` on pooled fleets, the ``n_workers``
 plumbing through ``run_setting`` and ``DeploymentLoop`` and the
 validation guard rails.
 """
@@ -21,14 +21,7 @@ from repro.core.rounds import DeploymentLoop
 from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_dataset
 from repro.data.synthetic import SyntheticPreferenceEnvironment
 from repro.experiments.runner import run_setting
-from repro.sim import (
-    FAULTS_ENV_VAR,
-    EngineConfig,
-    FaultPlan,
-    FaultPolicy,
-    FaultSpec,
-    FleetRunner,
-)
+from repro.sim import EngineConfig, FleetRunner
 from repro.utils.rng import spawn_seeds
 
 from _testkit import N_FEATURES, assert_outboxes_equal, assert_states_equal
@@ -135,12 +128,9 @@ def _participating_population(seed, n_agents=6):
 
 
 class TestPooledIdentity:
-    def test_pooled_run_keeps_component_identity(self, monkeypatch):
+    def test_pooled_run_keeps_component_identity(self):
         """Threads mutate the caller's objects in place: agents, their
-        policies and participation states, and sessions keep identity.
-        (A shard restored after a failed attempt holds state-equal
-        replacements of its components, so this pins a fault-free run.)"""
-        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+        policies and participation states, and sessions keep identity."""
         agents, sessions = _participating_population(2)
         policies = [a.policy for a in agents]
         participations = [a.participation for a in agents]
@@ -165,20 +155,11 @@ class TestRunSubset:
     SUBSET = (9, 1, 0, 6, 4, 3)
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    @pytest.mark.parametrize("supervised", [False, True], ids=["plain", "armed"])
     @pytest.mark.parametrize("warm_up", ["held", "cold"])
-    def test_subset_equals_fresh_runner(self, warm_up, n_workers, supervised):
+    def test_subset_equals_fresh_runner(self, warm_up, n_workers):
         agents_a, sessions_a = _mixed_population(6)
         agents_b, sessions_b = _mixed_population(6)
-        config = EngineConfig(n_workers=n_workers)
-        knobs = {}
-        if supervised:
-            # faults in both subset shards, on every run of this runner
-            config = config.replace(fault_policy=FaultPolicy(max_retries=2, backoff=0.0))
-            knobs.update(
-                fault_plan=FaultPlan([FaultSpec("raise", 0, 2), FaultSpec("crash", 1, 3)]),
-            )
-        runner = FleetRunner(agents_b, sessions_b, config=config, **knobs)
+        runner = FleetRunner(agents_b, sessions_b, config=EngineConfig(n_workers=n_workers))
         # warm up: "held" runs the whole population on this runner, so
         # every shard is held; "cold" advances the same agents on another
         # runner, so the subset run builds every shard from scratch
@@ -193,7 +174,6 @@ class TestRunSubset:
         fresh = FleetRunner(
             [agents_a[i] for i in self.SUBSET], [sessions_a[i] for i in self.SUBSET]
         ).run(6, track_expected=True)
-        assert result.dropped == ()
         _assert_runs_identical(fresh, result, agents_a, agents_b)
 
         # and the next whole-population run sees the advanced state:

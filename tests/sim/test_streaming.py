@@ -20,7 +20,7 @@ from _testkit import assert_states_equal, make_population
 
 from repro.bandits import EpsilonGreedy, LinUCB, LinearThompsonSampling
 from repro.core.config import AgentMode
-from repro.sim import EngineConfig, FaultPolicy, FleetRunner
+from repro.sim import EngineConfig, FleetRunner
 from repro.utils.exceptions import ConfigError
 
 
@@ -228,9 +228,9 @@ class TestShardReuse:
         "config",
         [
             EngineConfig(),
-            EngineConfig(n_workers=2, fault_policy=FaultPolicy(max_retries=1, backoff=0.0)),
+            EngineConfig(n_workers=2),
         ],
-        ids=["serial", "supervised-threads"],
+        ids=["serial", "threads"],
     )
     @pytest.mark.parametrize(
         "change",
@@ -239,8 +239,7 @@ class TestShardReuse:
     def test_outside_change_matches_fresh_runner(self, change, config):
         """After any change made outside the held runner, its next run
         equals a fresh FleetRunner over the same agents and sessions:
-        rewards, actions and every policy state, bitwise.  Supervised
-        runs apply the reuse rule on the worker threads."""
+        rewards, actions and every policy state, bitwise."""
         h_agents, h_sessions = _mixed(9, seed=5)
         f_agents, f_sessions = _mixed(9, seed=5)
         held = FleetRunner(h_agents, h_sessions, config=config)
@@ -274,11 +273,9 @@ class TestShardReuse:
     def test_restacks_only_what_changed(self, monkeypatch):
         """Reuse is real: an unchanged shard never restacks, an outside
         set_state restacks just its own shard, and churn rebuilds just
-        the shard it lands in.  (Fault-free: a retried shard restacks.)"""
+        the shard it lands in."""
         import repro.sim.fleet as fleet_module
-        from repro.sim.faults import FAULTS_ENV_VAR
 
-        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
         stacked_kinds: list[str] = []
         real_stack = fleet_module.stack_policies
 

@@ -26,8 +26,7 @@ from _testkit import (
 from repro.bandits import UCB1, LinUCB
 from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode
-from repro.sim import EngineConfig, FaultPolicy, FleetRunner
-from repro.sim.faults import FAULTS_ENV_VAR, FaultPlan
+from repro.sim import EngineConfig, FleetRunner
 from repro.utils.exceptions import ValidationError
 
 
@@ -62,7 +61,6 @@ def _scalar_warm_start(agents, state):
 def _assert_same(result, ref, agents, ref_agents):
     np.testing.assert_array_equal(result.rewards, ref.rewards)
     np.testing.assert_array_equal(result.actions, ref.actions)
-    assert result.dropped == ref.dropped
     assert_outboxes_equal(agents, ref_agents)
     for a, b in zip(agents, ref_agents):
         assert_states_equal(a.policy, b.policy, a.agent_id)
@@ -70,14 +68,8 @@ def _assert_same(result, ref, agents, ref_agents):
             np.testing.assert_array_equal(a.policy.theta, b.policy.theta)
 
 
-@pytest.fixture
-def no_env_faults(monkeypatch):
-    """Fault-free runs, so a held stack is never dropped by a retry."""
-    monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
-
-
 class TestWarmStartRun:
-    def test_held_mirroring_shard_loads_stacked(self, no_env_faults, monkeypatch):
+    def test_held_mirroring_shard_loads_stacked(self, monkeypatch):
         agents, sessions = _population(seed=3)
         ref_agents, ref_sessions = _population(seed=3)
         held = FleetRunner(agents, sessions)
@@ -129,47 +121,18 @@ class TestWarmStartRun:
         _scalar_warm_start(ref.agents, state)
         _assert_same(result, ref.run(4), held.agents, ref.agents)
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_supervised_retry_reapplies_snapshot(self, n_workers):
-        """The pre-attempt pickle predates the stacked load, so the
-        restore re-applies the snapshot before the retry."""
-        policy = FaultPolicy(max_retries=2, backoff=0.0)
+    def test_pooled_held_run_loads_snapshot(self):
+        """Both held shards load the snapshot and step on worker threads."""
         agents, sessions = _population(seed=9)
         ref_agents, ref_sessions = _population(seed=9)
-        held = FleetRunner(
-            agents, sessions, config=EngineConfig(n_workers=n_workers, fault_policy=policy)
-        )
+        held = FleetRunner(agents, sessions, config=EngineConfig(n_workers=2))
         ref = FleetRunner(ref_agents, ref_sessions)
-        held.fault_plan = FaultPlan()  # fault-free first run: both shards held
         held.run(3)
         ref.run(3)
-        held.fault_plan = FaultPlan.parse("at=raise:0:2;at=crash:1:0")
         state = _snapshot(3)
         result = held.run(5, warm_start=state)
         _scalar_warm_start(ref_agents, state)
         _assert_same(result, ref.run(5), agents, ref_agents)
-
-    def test_skip_shard_leaves_dropped_agents_warm_started(self):
-        policy = FaultPolicy(max_retries=1, backoff=0.0, on_exhausted="skip_shard")
-        plan = "at=raise:0:1:0;at=raise:0:1:1"
-        agents, sessions = _population(seed=11)
-        ref_agents, ref_sessions = _population(seed=11)
-        config = EngineConfig(fault_policy=policy)
-        held = FleetRunner(agents, sessions, config=config)
-        ref = FleetRunner(ref_agents, ref_sessions, config=config)
-        held.fault_plan = ref.fault_plan = FaultPlan()
-        held.run(3)
-        ref.run(3)
-        held.fault_plan = ref.fault_plan = FaultPlan.parse(plan)
-        state = _snapshot(4)
-        result = held.run(4, warm_start=state)
-        _scalar_warm_start(ref_agents, state)
-        ref_result = ref.run(4)
-        assert [d.shard for d in result.dropped] == [0]
-        _assert_same(result, ref_result, agents, ref_agents)
-        # the dropped cold shard ends exactly warm-started
-        for agent in agents[0::2]:
-            assert agent.policy.t == state["t"]
 
     def test_checkpointed_run_applies_before_first_segment(self, tmp_path):
         agents, sessions = _population(seed=13)

@@ -2,8 +2,8 @@
 
 One serial reference per exactness tier; every ``exactness ×
 n_workers`` combination must reproduce it bitwise — results, mid-run
-checkpoint snapshots, resumed runs, shuffler statistics, and runs under
-a seeded fault plan.  The fast tier's contract is bitwise identity to
+checkpoint snapshots, resumed runs, shuffler statistics (with and
+without seeded report corruption), and a held runner's reused stacks.  The fast tier's contract is bitwise identity to
 a serial fast run with the *same* checkpoint cadence (every segment
 starts from the float32 score caches a fresh stack would hold), so its
 checkpoint test compares against that run.  The worker axis is
@@ -29,7 +29,8 @@ from repro.core.system import P2BSystem
 from repro.data.drift import DriftingSyntheticEnvironment
 from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_dataset
 from repro.data.synthetic import SyntheticPreferenceEnvironment
-from repro.sim import EngineConfig, FaultPlan, FaultPolicy, FleetRunner, load_checkpoint
+from repro.sim import EngineConfig, FleetRunner, StackedLinUCBFast, load_checkpoint
+from repro.sim.faults import FAULTS_ENV_VAR
 from repro.utils.rng import spawn_seeds
 
 from _testkit import N_FEATURES, assert_outboxes_equal, assert_states_equal
@@ -169,6 +170,27 @@ def serial_stats_ref():
     return ref
 
 
+#: a corruption plan that fires on every collected batch
+CORRUPT_SPEC = "seed=3;corrupt=1.0;corrupt_frac=0.3"
+
+
+@pytest.fixture(scope="module")
+def serial_corrupt_stats_ref():
+    """:func:`serial_stats_ref` under an armed corruption plan."""
+    refs = {}
+
+    def ref(exactness):
+        if exactness not in refs:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv(FAULTS_ENV_VAR, CORRUPT_SPEC)
+                system, agents, sessions = _private_population()
+                FleetRunner(agents, sessions, config=EngineConfig(exactness=exactness)).run(9)
+                refs[exactness] = _stats_signature(system, agents)
+        return refs[exactness]
+
+    return ref
+
+
 def _assert_matches_ref(ref_result, ref_agents, result, agents):
     np.testing.assert_array_equal(ref_result.rewards, result.rewards)
     np.testing.assert_array_equal(ref_result.actions, result.actions)
@@ -249,49 +271,78 @@ class TestWorkerInvariance:
         ).run(9)
         assert _stats_signature(system, agents) == serial_stats_ref(exactness)
 
-    def test_seeded_fault_plan_is_invisible(self, exactness, workers, serial_ref):
+    def test_seeded_fault_plan_is_invisible(
+        self, exactness, workers, serial_ref, monkeypatch
+    ):
+        """The corruption tap sits on collection only: an armed plan
+        leaves every fleet run at every worker count bitwise alone."""
         ref_result, ref_agents = serial_ref(exactness)
-        spec = "seed=3;raise=0.04;crash=0.04"
-        plan = FaultPlan.parse(spec)
-        assert any(
-            plan.step_fault(s, t, 0) for s in range(8) for t in range(HORIZON)
-        )
+        monkeypatch.setenv(FAULTS_ENV_VAR, CORRUPT_SPEC)
         agents, sessions = _population()
         result = FleetRunner(
             agents,
             sessions,
-            config=EngineConfig(
-                n_workers=workers,
-                exactness=exactness,
-                fault_policy=FaultPolicy(max_retries=8, backoff=0.0),
-            ),
-            fault_plan=spec,
+            config=EngineConfig(n_workers=workers, exactness=exactness),
         ).run(HORIZON, track_expected=True)
-        assert result.dropped == ()
         _assert_matches_ref(ref_result, ref_agents, result, agents)
 
-    def test_seeded_fault_plan_is_invisible_across_held_runs(self, exactness, workers):
-        """A held runner's second run reuses its stacks; a retried shard
-        rebuilds from the restored policies, and both must draw the same
-        streams (the fast tier's shard draw generator included)."""
-        spec = "seed=3;raise=0.04;crash=0.04"
-        plan = FaultPlan.parse(spec)
-        assert any(plan.step_fault(s, t, 0) for s in range(8) for t in range(EVERY))
+    def test_corrupted_shuffler_stats_identical(
+        self, exactness, workers, serial_corrupt_stats_ref, monkeypatch
+    ):
+        """Corruption is keyed on the collection batch, never on the
+        worker that ran a shard: the quarantine counts match serial."""
+        monkeypatch.setenv(FAULTS_ENV_VAR, CORRUPT_SPEC)
+        system, agents, sessions = _private_population()
+        FleetRunner(
+            agents,
+            sessions,
+            config=EngineConfig(n_workers=workers, exactness=exactness),
+        ).run(9)
+        signature = _stats_signature(system, agents)
+        assert signature == serial_corrupt_stats_ref(exactness)
+        assert signature[-1] > 0  # the plan fired: tuples were quarantined
 
-        def held_runs(config, fault_plan=None):
-            agents, sessions = _population()
-            runner = FleetRunner(agents, sessions, config=config, fault_plan=fault_plan)
-            runner.run(HORIZON - EVERY)
-            return runner.run(EVERY, track_expected=True), agents
+    def test_held_second_run_equals_fresh_runner(self, exactness, workers, monkeypatch):
+        """A held runner's second run reuses its stacks, which
+        ``restart()`` resets to what a fresh stack holds (the fast
+        tier's LinUCB score cache included); a fresh runner over the
+        same agents after the first run restacks.  Both must draw the
+        same streams and score bitwise alike — a stale score cache moves
+        only float32 rounding, which results alone rarely show."""
+        config = EngineConfig(n_workers=workers, exactness=exactness)
+        agents, sessions = _population()
+        f_agents, f_sessions = _population()
+        held = FleetRunner(agents, sessions, config=config)
+        held.run(HORIZON - EVERY)
+        FleetRunner(f_agents, f_sessions, config=config).run(HORIZON - EVERY)
+        stacks = [shard.stacked for shard in held._shards.values()]
 
-        ref_result, ref_agents = held_runs(EngineConfig(exactness=exactness))
-        result, agents = held_runs(
-            EngineConfig(
-                n_workers=workers,
-                exactness=exactness,
-                fault_policy=FaultPolicy(max_retries=8, backoff=0.0),
-            ),
-            fault_plan=spec,
+        scored: dict[int, list] = {}
+        real_scores = StackedLinUCBFast.scores
+
+        def recording_scores(stack, contexts):
+            out = real_scores(stack, contexts)
+            scored.setdefault(id(stack.policies[0]), []).append(out.copy())
+            return out
+
+        def scores_by_agent(population):
+            by_agent = {i: scored.pop(id(a.policy)) for i, a in enumerate(population)
+                        if id(a.policy) in scored}
+            assert not scored
+            return by_agent
+
+        monkeypatch.setattr(StackedLinUCBFast, "scores", recording_scores)
+        result = held.run(EVERY, track_expected=True)
+        held_scores = scores_by_agent(agents)
+        assert [shard.stacked for shard in held._shards.values()] == stacks
+        fresh = FleetRunner(f_agents, f_sessions, config=config).run(
+            EVERY, track_expected=True
         )
-        assert result.dropped == ()
-        _assert_matches_ref(ref_result, ref_agents, result, agents)
+        fresh_scores = scores_by_agent(f_agents)
+        _assert_matches_ref(fresh, f_agents, result, agents)
+        assert held_scores.keys() == fresh_scores.keys()
+        assert bool(held_scores) == (exactness == "fast")
+        for i, calls in held_scores.items():
+            assert len(calls) == len(fresh_scores[i]) == EVERY
+            for got, want in zip(calls, fresh_scores[i]):
+                np.testing.assert_array_equal(got, want)
