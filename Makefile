@@ -8,7 +8,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) PYTHONHASHSEED=0 python
 
-.PHONY: test test-par smoke perfbench-test chaos bench bench-fleet bench-replay bench-reporting bench-memory bench-serve bench-kernels bench-parallel lint format install
+.PHONY: test test-par smoke perfbench-test chaos bench bench-paper bench-fleet bench-replay bench-reporting bench-memory bench-serve bench-kernels bench-parallel lint format install
 
 # tier-1: the full suite (the driver's acceptance gate)
 test:
@@ -43,6 +43,17 @@ chaos:
 # benchmarks/results/ (*.txt tables + BENCH_*.json perf records)
 bench:
 	$(PY) -m pytest benchmarks/ -q
+
+# the paper-figure benches alone (Figs. 2-7 and the headline claims):
+# their curve and privacy bands gate any change to a seeded trajectory
+bench-paper:
+	$(PY) -m pytest benchmarks/bench_fig2_encoding.py \
+		benchmarks/bench_fig3_epsilon.py \
+		benchmarks/bench_fig4_synthetic_population.py \
+		benchmarks/bench_fig5_dimension.py \
+		benchmarks/bench_fig6_multilabel.py \
+		benchmarks/bench_fig7_criteo.py \
+		benchmarks/bench_headline.py -q
 
 # fleet-engine throughput record (writes benchmarks/results/BENCH_fleet.json;
 # speedup floors tunable via BENCH_FLEET_MIN_SPEEDUP[_HET] for noisy CI runners)

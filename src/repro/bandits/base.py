@@ -25,6 +25,7 @@ import numpy as np
 from ..utils.exceptions import ValidationError
 from ..utils.rng import ensure_rng
 from ..utils.validation import check_in_range, check_positive_int, check_vector
+from .keyed import STREAM_TIEBREAK, draw_key, keyed_index
 
 __all__ = ["BanditPolicy", "argmax_random_tiebreak"]
 
@@ -78,21 +79,21 @@ def grouped_ridge_update(
     return int(actions.shape[0])
 
 
-def argmax_random_tiebreak(scores: np.ndarray, rng: np.random.Generator) -> int:
-    """Arm with the highest score; ties broken uniformly at random.
+def argmax_random_tiebreak(scores: np.ndarray, key, counter: int) -> int:
+    """Arm with the highest score; ties broken by the keyed draw.
 
     Deterministic ``np.argmax`` would bias early exploration toward
     low-indexed arms (all scores start equal), which visibly skews the
     cold-start curves the paper measures — hence randomized tie-breaks.
+    The draw is ``H(key, STREAM_TIEBREAK, counter)``
+    (:mod:`repro.bandits.keyed`): the one-row case of
+    :func:`~repro.bandits.keyed.tiebreak_rows`, bitwise.
     """
     scores = np.asarray(scores, dtype=np.float64)
     best = np.flatnonzero(scores == scores.max())
     if best.size == 1:
         return int(best[0])
-    # same stream consumption as rng.choice(best) (one integers draw),
-    # minus Generator.choice's per-call validation overhead — this is
-    # the hot path of every selection with tied arms
-    return int(best[rng.integers(0, best.size)])
+    return int(best[keyed_index(key, STREAM_TIEBREAK, counter, best.size)[0]])
 
 
 class BanditPolicy(abc.ABC):
@@ -106,8 +107,13 @@ class BanditPolicy(abc.ABC):
         Context dimensionality ``d`` (ignored by context-free policies,
         which still validate it for interface uniformity).
     seed:
-        Seed / generator for the policy's internal randomness
-        (tie-breaking, exploration draws, posterior sampling).
+        Seed / generator for the policy's internal randomness.  Its
+        first draw is the policy's ``uint64`` key, which with a draw
+        counter keys the tie-breaks and exploration draws
+        (:mod:`repro.bandits.keyed`); posterior sampling draws from the
+        generator itself.  Neither the key nor the counter is part of
+        :meth:`get_state`, so policies warm-started from one snapshot
+        keep their own streams.
     """
 
     #: registry key used by state serialization; subclasses override.
@@ -152,6 +158,8 @@ class BanditPolicy(abc.ABC):
         self.n_arms = check_positive_int(n_arms, name="n_arms")
         self.n_features = check_positive_int(n_features, name="n_features")
         self._rng = ensure_rng(seed)
+        self._key = draw_key(self._rng)
+        self._draws = 0  # keyed draw counter: one per select call
         self.t = 0  # total updates observed
 
     # ------------------------------------------------------------------ #
@@ -192,10 +200,10 @@ class BanditPolicy(abc.ABC):
         """Choose one action per row of ``contexts``.
 
         Contract: equivalent to ``[self.select(x) for x in contexts]``
-        — including internal RNG consumption, row by row — because
-        selection does not mutate policy state.  The default loops;
-        subclasses vectorize the scoring and keep only the per-row
-        randomness (tie-breaks, exploration coins) sequential.
+        — including internal RNG consumption and the draw counter, row
+        by row — because selection does not mutate policy state.  The
+        default loops; subclasses vectorize the scoring and take row
+        ``i``'s keyed draws at counter ``_draws + i``.
         """
         contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
         return np.array([self.select(x) for x in contexts], dtype=np.intp)
@@ -216,6 +224,18 @@ class BanditPolicy(abc.ABC):
     # ------------------------------------------------------------------ #
     # helpers for subclasses
     # ------------------------------------------------------------------ #
+    def _next_draws(self, n: int) -> np.ndarray:
+        """Counters for the next ``n`` select calls, advancing the counter."""
+        counters = np.arange(self._draws, self._draws + n, dtype=np.uint64)
+        self._draws += n
+        return counters
+
+    def _tiebreak(self, scores: np.ndarray) -> int:
+        """:func:`argmax_random_tiebreak` at this policy's next counter."""
+        counter = self._draws
+        self._draws += 1
+        return argmax_random_tiebreak(scores, self._key, counter)
+
     def _check_context(self, context: np.ndarray) -> np.ndarray:
         return check_vector(context, name="context", size=self.n_features)
 
@@ -271,7 +291,7 @@ class BanditPolicy(abc.ABC):
 
     def greedy_action(self, context: np.ndarray) -> int:
         """Pure-exploitation action (used by held-out accuracy evaluation)."""
-        return argmax_random_tiebreak(self.expected_rewards(context), self._rng)
+        return self._tiebreak(self.expected_rewards(context))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

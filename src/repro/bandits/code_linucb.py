@@ -34,7 +34,8 @@ import numpy as np
 
 from ..utils.exceptions import ValidationError
 from ..utils.validation import check_scalar
-from .base import BanditPolicy, argmax_random_tiebreak
+from .base import BanditPolicy
+from .keyed import tiebreak_rows
 
 __all__ = ["CodeLinUCB"]
 
@@ -104,12 +105,9 @@ class CodeLinUCB(BanditPolicy):
         return means + self.alpha * np.sqrt(1.0 / denom)
 
     def select_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Batch of :meth:`select_code`: vectorized scores, per-row tie-break."""
+        """Batch of :meth:`select_code`: vectorized scores and tie-breaks."""
         scores = self.ucb_scores_for_codes(codes)
-        actions = np.empty(scores.shape[0], dtype=np.intp)
-        for i in range(scores.shape[0]):
-            actions[i] = argmax_random_tiebreak(scores[i], self._rng)
-        return actions
+        return tiebreak_rows(scores, self._key, self._next_draws(scores.shape[0]))
 
     def expected_rewards_for_code(self, code: int) -> np.ndarray:
         denom = self.ridge + self.counts[:, code]
@@ -117,7 +115,7 @@ class CodeLinUCB(BanditPolicy):
 
     def select_code(self, code: int) -> int:
         """Fast path: choose an arm given the integer code directly."""
-        return argmax_random_tiebreak(self.ucb_scores_for_code(code), self._rng)
+        return self._tiebreak(self.ucb_scores_for_code(code))
 
     def update_code(self, code: int, action: int, reward: float) -> None:
         """Fast path: O(1) update given the integer code."""
@@ -138,7 +136,7 @@ class CodeLinUCB(BanditPolicy):
         return self.expected_rewards_for_code(self._hot_index(x))
 
     def select(self, context: np.ndarray) -> int:
-        return argmax_random_tiebreak(self.ucb_scores(context), self._rng)
+        return self._tiebreak(self.ucb_scores(context))
 
     def update(self, context: np.ndarray, action: int, reward: float) -> None:
         x = self._check_context(context)

@@ -2,7 +2,11 @@
 
 Maintains the same per-arm ridge statistics as LinUCB but explores by
 flipping an ``epsilon`` coin: with probability ``epsilon`` play a
-uniform action, otherwise play the greedy arm.  Serves as the simplest
+uniform action, otherwise play the greedy arm.  The coin, the uniform
+action and the greedy tie-break are keyed draws at one counter value
+per ``select`` (:mod:`repro.bandits.keyed`), so the sequential policy
+and the stacked fleet share one vectorized expression,
+:func:`epsilon_greedy_rows`.  Serves as the simplest
 "alternative CBA" for the paper's future-work axis, and as a sanity
 baseline in the ablation benches.
 """
@@ -14,10 +18,30 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..utils.validation import check_matrix, check_probability, check_scalar
-from .base import BanditPolicy, argmax_random_tiebreak, grouped_ridge_update
+from .base import BanditPolicy, grouped_ridge_update
 from .kernels import linear_scores, mat_vec, sherman_morrison, theta_refresh
+from .keyed import (
+    STREAM_EXPLORE_ARM,
+    STREAM_EXPLORE_COIN,
+    keyed_index,
+    keyed_uniform,
+    tiebreak_rows,
+)
 
-__all__ = ["EpsilonGreedy"]
+__all__ = ["EpsilonGreedy", "epsilon_greedy_rows"]
+
+
+def epsilon_greedy_rows(scores: np.ndarray, epsilon, keys, counters) -> np.ndarray:
+    """One epsilon-greedy action per row of ``scores``, from keyed draws.
+
+    Row ``i`` explores when its coin at ``counters[i]`` falls below
+    ``epsilon`` (a scalar or per-row array) and then plays a uniform
+    arm; otherwise it plays its greedy arm, ties broken at the same
+    counter.
+    """
+    explore = keyed_uniform(keys, STREAM_EXPLORE_COIN, counters) < epsilon
+    arms = keyed_index(keys, STREAM_EXPLORE_ARM, counters, scores.shape[-1])
+    return np.where(explore, arms, tiebreak_rows(scores, keys, counters))
 
 
 class EpsilonGreedy(BanditPolicy):
@@ -65,26 +89,14 @@ class EpsilonGreedy(BanditPolicy):
         return linear_scores(self.theta, x)
 
     def select(self, context: np.ndarray) -> int:
-        if self._rng.random() < self.epsilon:
-            return int(self._rng.integers(self.n_arms))
-        return argmax_random_tiebreak(self.expected_rewards(context), self._rng)
+        scores = self.expected_rewards(context)[None, :]
+        return int(epsilon_greedy_rows(scores, self.epsilon, self._key, self._next_draws(1))[0])
 
     def select_batch(self, contexts: np.ndarray) -> np.ndarray:
-        """Vectorized greedy scoring; the epsilon coins stay per-row.
-
-        Each row flips its coin (and, on exploration, draws its uniform
-        action) in row order — exactly the RNG consumption of the
-        per-row ``select`` loop.
-        """
+        """Vectorized scoring and draws; row ``i`` draws at counter ``_draws + i``."""
         X = check_matrix(contexts, name="contexts", n_cols=self.n_features)
         scores = linear_scores(self.theta, X)
-        actions = np.empty(X.shape[0], dtype=np.intp)
-        for i in range(X.shape[0]):
-            if self._rng.random() < self.epsilon:
-                actions[i] = int(self._rng.integers(self.n_arms))
-            else:
-                actions[i] = argmax_random_tiebreak(scores[i], self._rng)
-        return actions
+        return epsilon_greedy_rows(scores, self.epsilon, self._key, self._next_draws(X.shape[0]))
 
     def update(self, context: np.ndarray, action: int, reward: float) -> None:
         x = self._check_context(context)

@@ -40,8 +40,9 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..utils.validation import check_matrix, check_scalar
-from .base import BanditPolicy, argmax_random_tiebreak, grouped_ridge_update
+from .base import BanditPolicy, grouped_ridge_update
 from .kernels import linear_scores, mat_vec, sherman_morrison, theta_refresh, ucb_explore
+from .keyed import tiebreak_rows
 
 __all__ = ["LinUCB"]
 
@@ -108,18 +109,15 @@ class LinUCB(BanditPolicy):
 
     def select(self, context: np.ndarray) -> int:
         """UCB action for ``context`` (ties broken at random)."""
-        return argmax_random_tiebreak(self.ucb_scores(context), self._rng)
+        return self._tiebreak(self.ucb_scores(context))
 
     def select_batch(self, contexts: np.ndarray) -> np.ndarray:
-        """Vectorized selection: score all rows at once, tie-break per row."""
+        """Vectorized selection: score and tie-break all rows at once."""
         X = check_matrix(contexts, name="contexts", n_cols=self.n_features)
         scores = linear_scores(self.theta, X) + self.alpha * np.sqrt(
             ucb_explore(X, self.A_inv[None, :, :, :])
         )
-        actions = np.empty(X.shape[0], dtype=np.intp)
-        for i in range(X.shape[0]):
-            actions[i] = argmax_random_tiebreak(scores[i], self._rng)
-        return actions
+        return tiebreak_rows(scores, self._key, self._next_draws(X.shape[0]))
 
     def update(self, context: np.ndarray, action: int, reward: float) -> None:
         """Rank-1 Sherman–Morrison update of arm ``action``'s statistics."""

@@ -18,7 +18,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..utils.validation import check_scalar
-from .base import BanditPolicy, argmax_random_tiebreak, grouped_ridge_update
+from .base import BanditPolicy, grouped_ridge_update
 from .kernels import linear_scores, mat_vec, sherman_morrison, theta_refresh, vec_dot
 
 __all__ = ["LinearThompsonSampling"]
@@ -97,14 +97,13 @@ class LinearThompsonSampling(BanditPolicy):
         return linear_scores(self.theta, x)
 
     def select(self, context: np.ndarray) -> int:
-        return argmax_random_tiebreak(self.sample_scores(context), self._rng)
+        return self._tiebreak(self.sample_scores(context))
 
-    # select_batch stays the base-class per-row loop: all rows share
-    # *one* generator, and a tie-break draw for row i must land between
-    # row i's and row i+1's posterior normals — pre-drawing the normals
-    # for every row would reorder that stream.  (The fleet engine is
-    # different: there every agent owns its own generator, so
-    # StackedThompson batches the math and keeps draws per-agent.)
+    # select_batch stays the base-class per-row loop: every row draws
+    # its posterior normals from this policy's one generator, row by
+    # row (tie-breaks are keyed and consume none of it).  The fleet
+    # engine batches the math across agents instead and keeps the
+    # normals per-agent (StackedThompson).
 
     def update(self, context: np.ndarray, action: int, reward: float) -> None:
         x = self._check_context(context)

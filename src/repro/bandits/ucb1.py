@@ -13,7 +13,8 @@ import numpy as np
 
 from ..utils.exceptions import ValidationError
 from ..utils.validation import check_scalar
-from .base import BanditPolicy, argmax_random_tiebreak
+from .base import BanditPolicy
+from .keyed import tiebreak_rows
 
 __all__ = ["UCB1"]
 
@@ -58,19 +59,17 @@ class UCB1(BanditPolicy):
         return means
 
     def select(self, context: np.ndarray | None = None) -> int:
-        return argmax_random_tiebreak(self.ucb_scores(), self._rng)
+        return self._tiebreak(self.ucb_scores())
 
     def select_batch(self, contexts: np.ndarray | None = None) -> np.ndarray:
         """Batch selection; scores are context-free so one scoring pass serves
-        every row, with tie-breaks consumed per row as in ``select``."""
+        every row, and row ``i`` tie-breaks at counter ``_draws + i``, as
+        ``n`` ``select`` calls would."""
         if contexts is None:
             raise ValidationError("select_batch needs contexts (or an int count) to size the batch")
         n = int(contexts) if np.isscalar(contexts) else np.atleast_2d(np.asarray(contexts)).shape[0]
-        scores = self.ucb_scores()
-        actions = np.empty(n, dtype=np.intp)
-        for i in range(n):
-            actions[i] = argmax_random_tiebreak(scores, self._rng)
-        return actions
+        scores = np.broadcast_to(self.ucb_scores(), (n, self.n_arms))
+        return tiebreak_rows(scores, self._key, self._next_draws(n))
 
     def update(self, context: np.ndarray | None, action: int, reward: float) -> None:
         a = self._check_action(action)
@@ -86,7 +85,7 @@ class UCB1(BanditPolicy):
         self.t += actions.shape[0]
 
     def greedy_action(self, context: np.ndarray | None = None) -> int:
-        return argmax_random_tiebreak(self.expected_rewards(), self._rng)
+        return self._tiebreak(self.expected_rewards())
 
     def get_state(self) -> dict[str, Any]:
         state = self._state_header()

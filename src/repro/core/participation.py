@@ -17,6 +17,12 @@ module implements the sampling policy exactly as stated:
   (``max_reports=1``); allowing ``r > 1`` composes the guarantee to
   ``r·eps`` (§6), which :class:`~repro.privacy.accounting.PrivacyReport`
   tracks.
+
+Each device's coin and within-window index are keyed draws
+(:mod:`repro.bandits.keyed`): a ``uint64`` key drawn once from the
+device's generator, and a counter that advances once per coin, so the
+stacked fleet flips every device's coin in one array expression,
+bitwise as the device would on its own.
 """
 
 from __future__ import annotations
@@ -26,6 +32,13 @@ from typing import Generic, Sequence, TypeVar
 
 import numpy as np
 
+from ..bandits.keyed import (
+    STREAM_PARTICIPATE,
+    STREAM_WINDOW_INDEX,
+    draw_key,
+    keyed_index,
+    keyed_uniform,
+)
 from ..utils.rng import ensure_rng
 from ..utils.validation import check_positive_int, check_probability
 
@@ -47,7 +60,11 @@ class RandomizedParticipation(Generic[T_co]):
     max_reports:
         Total reports this agent may ever emit (paper experiments: 1).
     seed:
-        Seed / generator for the coin and the within-buffer draw.
+        Seed / generator of the device's ``uint64`` key, drawn once at
+        construction.  Window ``w``'s coin and within-buffer index are
+        keyed draws at counter ``w`` (the coin's own count, which
+        :meth:`reset` never rewinds: a re-enrolled device does not
+        replay an earlier coin).
 
     Examples
     --------
@@ -64,7 +81,8 @@ class RandomizedParticipation(Generic[T_co]):
     seed: int | np.random.Generator | None = None
 
     _buffer: list = field(default_factory=list, init=False, repr=False)
-    _rng: np.random.Generator = field(init=False, repr=False)
+    _key: np.uint64 = field(init=False, repr=False)
+    _draws: int = field(default=0, init=False, repr=False)
     reports_sent: int = field(default=0, init=False)
     windows_seen: int = field(default=0, init=False)
 
@@ -72,7 +90,7 @@ class RandomizedParticipation(Generic[T_co]):
         check_probability(self.p, name="p")
         check_positive_int(self.window, name="window")
         check_positive_int(self.max_reports, name="max_reports", minimum=0)
-        self._rng = ensure_rng(self.seed)
+        self._key = draw_key(ensure_rng(self.seed))
 
     @property
     def exhausted(self) -> bool:
@@ -96,13 +114,19 @@ class RandomizedParticipation(Generic[T_co]):
             return None
         self.windows_seen += 1
         buffer, self._buffer = self._buffer, []
-        if self._rng.random() >= self.p:
+        counter = self._draws
+        self._draws += 1
+        if keyed_uniform(self._key, STREAM_PARTICIPATE, counter)[0] >= self.p:
             return None
         self.reports_sent += 1
-        return buffer[int(self._rng.integers(len(buffer)))]
+        return buffer[int(keyed_index(self._key, STREAM_WINDOW_INDEX, counter, len(buffer))[0])]
 
     def reset(self) -> None:
-        """Clear the buffer and budget (a fresh device enrollment)."""
+        """Clear the buffer and budget (a fresh device enrollment).
+
+        The key and the draw counter stay: the device's next coin is a
+        new one, never a replay of a coin it flipped before.
+        """
         self._buffer.clear()
         self.reports_sent = 0
         self.windows_seen = 0
@@ -113,18 +137,17 @@ class StackedParticipation:
 
     The fleet engine's columnar reporting path: all window/budget
     bookkeeping — buffer fill levels, report budgets, window counters —
-    lives in stacked arrays and advances with vectorized masks, while
-    the Bernoulli coin and the within-window index are drawn from each
-    agent's *own* generator in exactly the order the scalar
-    :meth:`RandomizedParticipation.offer` consumes them (the same
-    per-agent-stream trick as ``StackedThompson``).  Because streams
-    are per-agent and exhausted/mid-window agents consume no
-    randomness at all, a stacked run is bit-interchangeable with the
-    scalar call sequence.
+    lives in stacked arrays and advances with vectorized masks, and the
+    Bernoulli coin and within-window index of every agent at a window
+    boundary are one keyed draw over the stacked :attr:`keys` and
+    :attr:`draws`.  An agent's counter advances once per coin, as
+    :meth:`RandomizedParticipation.offer`'s does, and exhausted or
+    mid-window agents draw nothing, so a stacked run is
+    bit-interchangeable with the scalar call sequence.
 
     Construction *adopts* the scalar policies mid-stream: fill levels
-    come from their live buffers, budgets from their counters, and the
-    generators are shared by reference — so a population that already
+    come from their live buffers, and budgets, keys and draw counters
+    from the policies — so a population that already
     ran on the object path (a previous deployment round, a partial
     window) continues exactly where the scalar calls left off.
     :meth:`writeback` pushes the advanced counters back into the
@@ -145,7 +168,8 @@ class StackedParticipation:
         self.p = np.array([pol.p for pol in policies], dtype=np.float64)
         self.window = np.array([pol.window for pol in policies], dtype=np.intp)
         self.max_reports = np.array([pol.max_reports for pol in policies], dtype=np.intp)
-        self.rngs = [pol._rng for pol in policies]
+        self.keys = np.array([pol._key for pol in policies], dtype=np.uint64)
+        self.draws = np.array([pol._draws for pol in policies], dtype=np.uint64)
         self.fill = np.array([len(pol._buffer) for pol in policies], dtype=np.intp)
         self.reports_sent = np.array([pol.reports_sent for pol in policies], dtype=np.intp)
         self.windows_seen = np.array([pol.windows_seen for pol in policies], dtype=np.intp)
@@ -161,7 +185,7 @@ class StackedParticipation:
         """Advance every agent's window by one buffered interaction.
 
         Equivalent to one ``offer`` call per agent: budget-exhausted
-        agents are skipped (no buffering, no RNG — the scalar early
+        agents are skipped (no buffering, no draw — the scalar early
         return), everyone else buffers, and agents whose buffer just
         reached ``window`` flip their coin.
 
@@ -180,31 +204,36 @@ class StackedParticipation:
         boundary = active & (self.fill >= self.window)
         reported = np.zeros(self.n, dtype=bool)
         within = np.zeros(self.n, dtype=np.intp)
-        if boundary.any():
-            self.windows_seen[boundary] += 1
-            self.fill[boundary] = 0
-            self.new_buffered[boundary] = 0
-            self.flipped[boundary] = True
-            # the draws stay per-agent — each must come from that
-            # agent's own stream, in the scalar offer() order: one
-            # uniform for the coin, then (heads only) one integer for
-            # the within-window index
-            for j in np.nonzero(boundary)[0]:
-                rng = self.rngs[j]
-                if rng.random() < self.p[j]:
-                    self.reports_sent[j] += 1
-                    reported[j] = True
-                    within[j] = int(rng.integers(self.window[j]))
+        rows = np.flatnonzero(boundary)
+        if rows.size:
+            self.windows_seen[rows] += 1
+            self.fill[rows] = 0
+            self.new_buffered[rows] = 0
+            self.flipped[rows] = True
+            keys, counters = self.keys[rows], self.draws[rows]
+            self.draws[rows] += 1
+            heads = keyed_uniform(keys, STREAM_PARTICIPATE, counters) < self.p[rows]
+            hit = rows[heads]
+            self.reports_sent[hit] += 1
+            reported[hit] = True
+            within[hit] = keyed_index(
+                keys[heads], STREAM_WINDOW_INDEX, counters[heads], self.window[hit]
+            )
         return reported, within
 
     def writeback(self) -> None:
-        """Push the advanced budget/window counters into the scalar objects.
+        """Push the advanced budget/window/draw counters into the scalar objects.
 
-        Generators were shared by reference all along, so only the
-        integer counters need copying back.  Buffer *contents* are the
-        caller's responsibility (:attr:`new_buffered` and
-        :attr:`flipped` say which items are live).
+        Buffer *contents* are the caller's responsibility
+        (:attr:`new_buffered` and :attr:`flipped` say which items are
+        live).
         """
-        for j, pol in enumerate(self.policies):
-            pol.reports_sent = int(self.reports_sent[j])
-            pol.windows_seen = int(self.windows_seen[j])
+        for pol, sent, seen, draws in zip(
+            self.policies,
+            self.reports_sent.tolist(),
+            self.windows_seen.tolist(),
+            self.draws.tolist(),
+        ):
+            pol.reports_sent = sent
+            pol.windows_seen = seen
+            pol._draws = draws

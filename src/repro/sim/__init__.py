@@ -26,10 +26,18 @@ whenever:
    batched leading axis — the reason the scalar policies avoid BLAS
    ``@``) and therefore reports a non-``None``
    :meth:`~repro.bandits.base.BanditPolicy.fleet_key`;
-2. randomness is per-agent: each agent's policy / participation /
-   session generators are independent streams (the ``spawn_seeds``
-   tree), so stepping a shard round-major instead of agent-major
-   consumes every stream in the same within-agent order.
+2. randomness is per-agent.  Tie-breaks, exploration coins and
+   participation coins are *keyed* draws (:mod:`repro.bandits.keyed`):
+   a stateless ``uint64`` hash of the agent's key (drawn once from its
+   generator, the ``spawn_seeds`` tree), a stream id and the agent's
+   draw counter, which advances once per ``select`` (per coin for
+   participation) on both engines.  Integer arithmetic does not depend
+   on array shape, so the sequential policy evaluating a draw on a
+   length-1 array and the fleet on a length-``n`` array agree bitwise
+   by construction.  Session generators and Thompson's posterior
+   normals stay per-agent generators, so stepping a shard round-major
+   instead of agent-major consumes every stream in the same
+   within-agent order.
 
 Homogeneity is **not** a condition: heterogeneous populations are
 partitioned into *shards* by :func:`~repro.sim.fleet.shard_key` —
@@ -38,11 +46,12 @@ hyperparameters) — and each shard runs on its own stacked state.
 Execution is shard-major: one function runs a shard's whole horizon,
 mapped over the shards serially or on a thread pool.  Because condition 2 makes
 agent order unobservable, shard order is too, and the mixed run stays
-bit-identical to the sequential reference.  Policies whose selection *consumes* randomness join the
-contract by defining their draw order — Thompson sampling draws
-arm-major per selection, so :class:`~repro.sim.stacked.StackedThompson`
-batches the O(d²) Cholesky/scoring math while drawing each agent's
-posterior normals from that agent's own generator.
+bit-identical to the sequential reference.  Policies whose selection
+consumes generator randomness join the contract by defining their draw
+order — Thompson sampling draws arm-major per selection, so
+:class:`~repro.sim.stacked.StackedThompson` batches the O(d²)
+Cholesky/scoring math while drawing each agent's posterior normals
+from that agent's own generator.
 
 Per-round *session* calls additionally vanish for shards whose
 sessions advertise a plan capability (class flags on
@@ -78,8 +87,8 @@ horizon bitwise.
 The *reporting* pipeline is columnar on the same plan-capable shards:
 participation advances through
 :class:`~repro.core.participation.StackedParticipation` (vectorized
-window/budget masks; the Bernoulli coin and within-window index still
-drawn from each agent's own generator in the scalar ``offer`` order),
+window/budget masks, and the Bernoulli coin and within-window index as
+one keyed draw over every agent at a window boundary),
 and reports land in a struct-of-arrays
 :class:`~repro.core.payload.ReportLog` instead of per-report objects —
 codes gathered from the plan-time batch encodings, never re-encoded.

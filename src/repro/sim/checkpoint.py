@@ -7,7 +7,8 @@ good snapshot.  The payload carries everything a bit-identical restart
 needs:
 
 * the **population pickle** — every agent with its policy state, RNG
-  streams, participation counters and pending report outbox, and every
+  streams (generators, keys and draw counters), participation counters
+  and pending report outbox, and every
   session with its walk cursors (pickle round-trips ``numpy``
   ``Generator`` state exactly);
 * the **partial result matrices** and the progress cursor
@@ -57,8 +58,9 @@ __all__ = [
 CHECKPOINT_MAGIC = "repro-fleet-checkpoint"
 
 #: bump on any incompatible change to the checkpoint layout (the pickled
-#: sessions included: 2 = synthetic sessions compute their means lazily)
-CHECKPOINT_VERSION = 2
+#: sessions included: 2 = synthetic sessions compute their means lazily;
+#: 3 = policies and participation draw keyed, from a key and a counter)
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)

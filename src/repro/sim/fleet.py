@@ -6,9 +6,11 @@ into **shards** by :func:`shard_key` — (mode, private-context, codebook
 size, policy kind and hyperparameters) — and each shard steps its
 agents round-major on its own stacked state: every agent of the shard
 performs interaction ``t`` before any performs ``t + 1``.  Because
-every agent owns independent RNG streams (policy, participation,
-session), round-major stepping consumes each stream in exactly the
-order the sequential agent-major loop does, so the two engines are
+every agent owns independent random streams — keyed draw counters for
+its tie-breaks, exploration and participation coins
+(:mod:`repro.bandits.keyed`), generators for its session and Thompson
+normals — round-major stepping draws each stream in exactly the order
+the sequential agent-major loop does, so the two engines are
 interchangeable; ``tests/sim/`` pins the equivalence bit-for-bit.
 
 Execution is **shard-major**: one function, :func:`_run_shard_horizon`,
@@ -66,20 +68,21 @@ What stays per-agent Python (all O(1) per agent per round):
 * session calls (``next_context`` / ``reward``) on *unplanned* shards —
   environments are arbitrary stateful objects with their own
   generators;
-* randomness (tie-breaks, epsilon coins, posterior draws) — batching
-  draws across agents would reorder streams;
+* Thompson posterior draws — each agent's normals come from its own
+  generator (tie-breaks and coins are keyed draws, one array
+  expression per shard per round);
 * participation offers and outbox appends on *unplanned* shards —
   routed through :meth:`~repro.core.agent.LocalAgent.record_interaction`,
   the same method the sequential path uses (and which encodes each
   report's context, one agent at a time).  Plan-capable shards —
   stationary, drifting and traced — instead record **columnar**:
-  window/budget masks advance through
-  :class:`~repro.core.participation.StackedParticipation` (only the
-  coin and within-window draws stay per-agent, from each agent's own
-  stream), and report payloads are gathered through the walk — codes
-  from the plan-time batch encodings, actions/rewards from the result
-  matrices — into a per-shard :class:`~repro.core.payload.ReportLog`;
-  agent outboxes reference their rows and materialize objects only if
+  window/budget masks and the keyed coin and within-window draws
+  advance through
+  :class:`~repro.core.participation.StackedParticipation`, and report
+  payloads are gathered through the walk — codes from the plan-time
+  batch encodings, actions/rewards from the result matrices — into a
+  per-shard :class:`~repro.core.payload.ReportLog`; agent outboxes
+  reference their rows and materialize objects only if
   the object API is touched.  The one scalar encode left is a report
   sampling an item buffered before its run.
 
@@ -461,17 +464,19 @@ class _Shard:
 
         Valid only from a writeback until the next prepare or load, and
         only while every member still holds its stacked policy object,
-        that policy's ``t`` equals the stacked one, and it holds the
-        very rows the writeback handed it (compared by identity).
+        that policy's ``t`` and draw counter equal the stacked ones (a
+        scalar ``select`` advances the counter without touching ``t``),
+        and it holds the very rows the writeback handed it (compared by
+        identity).
         """
         if self._sync != "written":
             return False
         stacked = self.stacked
         held = list(stacked.held_rows.items())
-        for i, (agent, policy, t) in enumerate(
-            zip(self.agents, stacked.policies, stacked.t.tolist())
+        for i, (agent, policy, t, draws) in enumerate(
+            zip(self.agents, stacked.policies, stacked.t.tolist(), stacked.draws.tolist())
         ):
-            if agent.policy is not policy or policy.t != t:
+            if agent.policy is not policy or policy.t != t or policy._draws != draws:
                 return False
             for name, rows in held:
                 if getattr(policy, name, None) is not rows[i]:
@@ -919,8 +924,8 @@ class _Shard:
         """Columnar stand-in for the per-agent ``record_interaction`` loop.
 
         Counters accumulate in shard arrays; participation advances
-        through :class:`StackedParticipation` (vectorized masks,
-        per-agent RNG draws in the scalar order); report payloads are
+        through :class:`StackedParticipation` (vectorized masks and
+        keyed draws); report payloads are
         *gathered* through the walk — codes from the plan-time batch
         encodings (segment codes / per-row code tables), contexts from
         the segment or row table, sampled actions/rewards from the
@@ -1169,11 +1174,12 @@ class FleetRunner:
       part of a shard — builds a new shard;
     * otherwise the held stacked state is reused only if, for every
       member, ``agent.policy`` is still the object it was stacked
-      from, ``policy.t`` equals the stacked ``t``, and the policy
-      still holds, by identity, the very rows the shard's last
-      writeback handed it.  ``set_state``/``warm_start`` and another
-      runner's writeback replace those arrays, and a scalar ``update``
-      advances ``t``; when any check fails, the shard restacks only
+      from, ``policy.t`` and its draw counter equal the stacked ones,
+      and the policy still holds, by identity, the very rows the
+      shard's last writeback handed it.  ``set_state``/``warm_start``
+      and another runner's writeback replace those arrays, a scalar
+      ``update`` advances ``t`` and a scalar ``select`` the draw
+      counter; when any check fails, the shard restacks only
       its policy state and keeps its deterministic encoding and
       row-table caches.
 

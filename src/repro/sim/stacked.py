@@ -8,10 +8,14 @@ round with one kernel call instead of ``n`` Python calls.
 Exactness contract (see :mod:`repro.sim`): every floating-point
 operation here is the *same* :mod:`repro.bandits.kernels` einsum or the
 same elementwise expression the scalar policy performs, applied with a
-broadcast leading axis.  Randomness is never batched: each agent's
-tie-breaks and exploration coins are drawn from that agent's own
-generator, in the same within-agent order as the sequential path, so
-stacked and sequential runs consume identical streams.
+broadcast leading axis.  Tie-breaks and exploration coins are keyed
+draws (:mod:`repro.bandits.keyed`): each agent's ``uint64`` key and
+draw counter are stacked into ``(n,)`` arrays, and one integer-only
+expression draws for every agent at once — bitwise what each scalar
+policy draws on its own length-1 arrays, with the counters advancing
+once per ``select`` on both paths.  Only Thompson's posterior normals
+still come from each agent's own generator (:attr:`StackedThompson.rngs`),
+in the scalar policy's order.
 
 Concurrency: a stacked policy is confined to its shard — its arrays,
 generators and policy objects belong to that shard's agents alone — so
@@ -28,9 +32,9 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..bandits.base import BanditPolicy, argmax_random_tiebreak
+from ..bandits.base import BanditPolicy
 from ..bandits.code_linucb import CodeLinUCB
-from ..bandits.epsilon_greedy import EpsilonGreedy
+from ..bandits.epsilon_greedy import EpsilonGreedy, epsilon_greedy_rows
 from ..bandits.kernels import (
     linear_scores,
     mat_vec,
@@ -41,6 +45,7 @@ from ..bandits.kernels import (
     ucb_explore_fast,
     vec_dot,
 )
+from ..bandits.keyed import tiebreak_rows
 from ..bandits.linucb import LinUCB
 from ..bandits.thompson import LinearThompsonSampling
 from ..bandits.ucb1 import UCB1
@@ -73,26 +78,6 @@ __all__ = [
 EXACTNESS_TIERS = ("bit", "fast")
 
 
-def _tiebreak_rows(
-    scores: np.ndarray, rngs: Sequence[np.random.Generator]
-) -> np.ndarray:
-    """Row-wise :func:`argmax_random_tiebreak` with per-row generators.
-
-    Rows with a unique maximum take the vectorized argmax and consume
-    no randomness — exactly like the scalar helper.  Only tied rows
-    fall back to that row's generator, with the same ``choice`` call.
-    """
-    row_max = scores.max(axis=1)
-    is_max = scores == row_max[:, None]
-    actions = scores.argmax(axis=1).astype(np.intp)
-    for i in np.flatnonzero(is_max.sum(axis=1) > 1):
-        best = is_max[i].nonzero()[0]
-        # one integers draw == rng.choice(best) on the stream (see
-        # argmax_random_tiebreak), so tied rows stay bit-identical
-        actions[i] = int(best[rngs[i].integers(0, best.size)])
-    return actions
-
-
 def _uniform(values, what: str):
     """Assert all agents share a hyperparameter; return the shared value."""
     first = values[0]
@@ -107,9 +92,9 @@ class StackedPolicies(abc.ABC):
     Subclasses stack in ``__init__``, mutate only their stacked arrays
     during the run, and copy state back into the policy objects in
     :meth:`writeback` through :meth:`_writeback_rows`, the one
-    writeback path.  The policy objects' generators are used in place
-    throughout, so their streams are already advanced correctly when
-    writeback happens.
+    writeback path.  Each policy's key and draw counter are stacked as
+    :attr:`keys` and :attr:`draws`; writeback hands the counters back
+    with ``t``.
     """
 
     #: True when the stacked select/update consume integer codes
@@ -129,7 +114,8 @@ class StackedPolicies(abc.ABC):
         self.n_agents = len(policies)
         self.n_arms = _uniform([p.n_arms for p in policies], "n_arms")
         self.n_features = _uniform([p.n_features for p in policies], "n_features")
-        self.rngs = [p._rng for p in policies]
+        self.keys = np.array([p._key for p in policies], dtype=np.uint64)
+        self.draws = np.array([p._draws for p in policies], dtype=np.uint64)
         self.t = np.array([p.t for p in policies], dtype=np.int64)
         # writeback output: one buffer per handed attribute, allocated
         # by the first writeback, and the row of it each policy holds
@@ -140,6 +126,12 @@ class StackedPolicies(abc.ABC):
     @abc.abstractmethod
     def select(self, contexts: np.ndarray) -> np.ndarray:
         """One action per agent for that agent's context row."""
+
+    def _tiebreak(self, scores: np.ndarray) -> np.ndarray:
+        """Every agent's keyed tie-break at its counter, then advance it."""
+        actions = tiebreak_rows(scores, self.keys, self.draws)
+        self.draws += 1
+        return actions
 
     @abc.abstractmethod
     def update(self, contexts: np.ndarray, actions: np.ndarray, rewards: np.ndarray) -> None:
@@ -205,7 +197,7 @@ class StackedPolicies(abc.ABC):
         return out
 
     def _writeback_rows(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Set ``policy_i.<name>`` to row ``i`` of each array, and ``t``.
+        """Set ``policy_i.<name>`` to row ``i`` of each array, ``t`` and the draw counter.
 
         Each array is copied into an output buffer of its own (an array
         that already *is* that buffer is not), so a held stack stepping
@@ -222,8 +214,9 @@ class StackedPolicies(abc.ABC):
             for p, row in zip(self.policies, self.held_rows[name]):
                 if getattr(p, name) is not row:
                     setattr(p, name, row)
-        for p, t in zip(self.policies, self.t.tolist()):
+        for p, t, draws in zip(self.policies, self.t.tolist(), self.draws.tolist()):
             p.t = t
+            p._draws = draws
 
     def state_nbytes(self) -> int:
         """Bytes of stacked policy-state arrays currently held.
@@ -232,10 +225,13 @@ class StackedPolicies(abc.ABC):
         and sum tables, design inverses, Cholesky factors, the ``t``
         vector, ...) — the engine-side policy state whose footprint the
         memory bench compares across exactness tiers.  Scalar policy
-        objects and generators are not included.
+        objects and the random streams (generators, :attr:`keys`,
+        :attr:`draws`) are not included.
         """
         return sum(
-            v.nbytes for v in self.__dict__.values() if isinstance(v, np.ndarray)
+            v.nbytes
+            for name, v in self.__dict__.items()
+            if isinstance(v, np.ndarray) and name not in ("keys", "draws")
         )
 
 
@@ -280,7 +276,7 @@ class StackedLinUCB(_StackedDenseLinear):
         return means + self.alpha * np.sqrt(explore)
 
     def select(self, contexts: np.ndarray) -> np.ndarray:
-        return _tiebreak_rows(self.scores(contexts), self.rngs)
+        return self._tiebreak(self.scores(contexts))
 
     def update(self, contexts, actions, rewards) -> None:
         self._dense_update(contexts, actions, rewards)
@@ -403,13 +399,8 @@ class StackedEpsilonGreedy(_StackedDenseLinear):
 
     def select(self, contexts: np.ndarray) -> np.ndarray:
         scores = linear_scores(self.theta, contexts)
-        actions = np.empty(self.n_agents, dtype=np.intp)
-        for i in range(self.n_agents):
-            rng = self.rngs[i]
-            if rng.random() < self.epsilon[i]:
-                actions[i] = int(rng.integers(self.n_arms))
-            else:
-                actions[i] = argmax_random_tiebreak(scores[i], rng)
+        actions = epsilon_greedy_rows(scores, self.epsilon, self.keys, self.draws)
+        self.draws += 1
         return actions
 
     def update(self, contexts, actions, rewards) -> None:
@@ -426,9 +417,10 @@ class StackedThompson(_StackedDenseLinear):
     """``n`` independent :class:`~repro.bandits.thompson.LinearThompsonSampling` agents.
 
     All O(d²) work — Cholesky refresh, posterior-mean shifts, scoring,
-    Sherman–Morrison — runs stacked; only the posterior draws stay in a
-    thin per-agent loop, because each draw must come from that agent's
-    own generator.  One ``standard_normal((A, d))`` fill per agent
+    Sherman–Morrison — runs stacked, and tie-breaks are keyed like every
+    stacker's; only the posterior draws stay in a thin per-agent loop,
+    because each draw must come from that agent's own generator
+    (:attr:`rngs`).  One ``standard_normal((A, d))`` fill per agent
     consumes the stream in exactly the arm-major order the scalar
     policy's per-arm loop does (the stream order
     :class:`~repro.bandits.thompson.LinearThompsonSampling` defines), so
@@ -437,6 +429,7 @@ class StackedThompson(_StackedDenseLinear):
 
     def __init__(self, policies: Sequence[LinearThompsonSampling]) -> None:
         super().__init__(policies)
+        self.rngs = [p._rng for p in policies]
         self.v = _uniform([p.v for p in policies], "v")
         self.chol = np.stack([p._chol for p in policies])  # (n, A, d, d)
         self.chol_fresh = np.stack([p._chol_fresh for p in policies])  # (n, A)
@@ -476,7 +469,7 @@ class StackedThompson(_StackedDenseLinear):
         return vec_dot(theta_tilde, contexts[:, None, :])
 
     def select(self, contexts: np.ndarray) -> np.ndarray:
-        return _tiebreak_rows(self.sample_scores(contexts), self.rngs)
+        return self._tiebreak(self.sample_scores(contexts))
 
     def update(self, contexts, actions, rewards) -> None:
         self._dense_update(contexts, actions, rewards)
@@ -512,7 +505,7 @@ class StackedCodeLinUCB(StackedPolicies):
         return means + self.alpha * np.sqrt(1.0 / denom)
 
     def select(self, codes: np.ndarray) -> np.ndarray:
-        return _tiebreak_rows(self.scores_for_codes(codes), self.rngs)
+        return self._tiebreak(self.scores_for_codes(codes))
 
     def update(self, codes, actions, rewards) -> None:
         idx = np.arange(self.n_agents)
@@ -558,10 +551,10 @@ class StackedCodeLinUCBFast(StackedPolicies):
       integers well inside float32's exact range and rewards lie in
       ``[0, 1]``, so the only deviation from the bit tier is rounding
       in the accumulated sums and in the UCB arithmetic — which can
-      flip near-exact ties and therefore consume tie-break randomness
-      differently.  Trajectories are *statistically* equivalent, not
-      bit-identical; ``tests/sim/test_exactness.py`` gates the tier
-      with curve tolerance bands.
+      flip near-exact ties and so change which arm a tie-break picks.
+      Trajectories are *statistically* equivalent, not bit-identical;
+      ``tests/sim/test_exactness.py`` gates the tier with curve
+      tolerance bands.
 
     When occupancy crosses :attr:`densify_occupancy` (warm-started
     populations can arrive dense), the COO state densifies into
@@ -652,7 +645,7 @@ class StackedCodeLinUCBFast(StackedPolicies):
         return means + np.float32(self.alpha) * np.sqrt(np.float32(1.0) / denom)
 
     def select(self, codes: np.ndarray) -> np.ndarray:
-        return _tiebreak_rows(self.scores_for_codes(codes), self.rngs)
+        return self._tiebreak(self.scores_for_codes(codes))
 
     def update(self, codes, actions, rewards) -> None:
         idx = np.arange(self.n_agents)
@@ -747,7 +740,7 @@ class StackedUCB1(StackedPolicies):
         return scores
 
     def select(self, contexts: np.ndarray | None = None) -> np.ndarray:
-        return _tiebreak_rows(self.scores(), self.rngs)
+        return self._tiebreak(self.scores())
 
     def update(self, contexts, actions, rewards) -> None:
         idx = np.arange(self.n_agents)

@@ -10,20 +10,28 @@ from repro.utils.exceptions import ValidationError
 
 
 class TestArgmaxRandomTiebreak:
+    KEY = np.uint64(0x5EED)
+
     def test_unique_max(self):
-        rng = np.random.default_rng(0)
-        assert argmax_random_tiebreak(np.array([0.1, 0.9, 0.3]), rng) == 1
+        assert argmax_random_tiebreak(np.array([0.1, 0.9, 0.3]), self.KEY, 0) == 1
 
     def test_ties_cover_all_candidates(self):
-        rng = np.random.default_rng(0)
-        picks = {argmax_random_tiebreak(np.array([1.0, 1.0, 0.0]), rng) for _ in range(100)}
+        picks = {
+            argmax_random_tiebreak(np.array([1.0, 1.0, 0.0]), self.KEY, c) for c in range(100)
+        }
         assert picks == {0, 1}
 
     def test_ties_roughly_uniform(self):
-        rng = np.random.default_rng(0)
-        picks = [argmax_random_tiebreak(np.ones(4), rng) for _ in range(4000)]
+        picks = [argmax_random_tiebreak(np.ones(4), self.KEY, c) for c in range(4000)]
         counts = np.bincount(picks, minlength=4)
         assert counts.min() > 800
+
+    def test_draw_is_a_function_of_key_and_counter(self):
+        scores = np.ones(5)
+        first = [argmax_random_tiebreak(scores, self.KEY, c) for c in range(50)]
+        assert first == [argmax_random_tiebreak(scores, self.KEY, c) for c in range(50)]
+        other = [argmax_random_tiebreak(scores, self.KEY + np.uint64(1), c) for c in range(50)]
+        assert first != other
 
 
 class TestBanditPolicyInterface:

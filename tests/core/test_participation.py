@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import RandomizedParticipation, StackedParticipation
 from repro.utils.exceptions import ValidationError
-from repro.utils.rng import rng_state_digest, spawn_seeds
+from repro.utils.rng import spawn_seeds
 
 
 class TestBasicBehaviour:
@@ -109,28 +109,47 @@ def _population(specs, seed=0):
 
 
 def _scalar_offers(policies, horizon):
-    """Reference: offered step index per (agent, t), -1 when silent.
+    """Reference: ``(reported, item)`` matrices per (agent, t).
 
-    Items are the step indices themselves, so the returned matrix pins
-    *which* buffered interaction each report sampled.
+    Items are the step indices themselves, so ``item`` pins *which*
+    buffered interaction each report sampled (0 where not ``reported``).
     """
-    out = np.full((len(policies), horizon), -1, dtype=np.intp)
+    reported = np.zeros((len(policies), horizon), dtype=bool)
+    out = np.zeros((len(policies), horizon), dtype=np.intp)
     for j, pol in enumerate(policies):
         for t in range(horizon):
             sampled = pol.offer(t)
             if sampled is not None:
+                reported[j, t] = True
                 out[j, t] = sampled
-    return out
+    return reported, out
 
 
 def _stacked_offers(stacked, horizon):
-    """Same matrix through StackedParticipation.step()."""
-    out = np.full((stacked.n, horizon), -1, dtype=np.intp)
+    """Same matrices through StackedParticipation.step().
+
+    Sampled steps count from adoption: an item < 0 lies in the buffer
+    the scalar policy held when it was adopted.
+    """
+    reported = np.zeros((stacked.n, horizon), dtype=bool)
+    out = np.zeros((stacked.n, horizon), dtype=np.intp)
     for t in range(horizon):
-        reported, within = stacked.step()
-        rows = np.nonzero(reported)[0]
+        fired, within = stacked.step()
+        rows = np.nonzero(fired)[0]
+        reported[rows, t] = True
         out[rows, t] = t - (stacked.window[rows] - 1 - within[rows])
-    return out
+    return reported, out
+
+
+def _assert_same_streams(scalar, stacked_pols):
+    """Counters, keys and draw counters agree policy by policy."""
+    for a, b in zip(scalar, stacked_pols):
+        assert a.reports_sent == b.reports_sent
+        assert a.windows_seen == b.windows_seen
+        # same key, and the stacked path advanced each counter exactly
+        # as the scalar call sequence did: once per coin
+        assert a._key == b._key
+        assert a._draws == b._draws == a.windows_seen
 
 
 class TestStackedParticipation:
@@ -149,26 +168,24 @@ class TestStackedParticipation:
         scalar = _population(self.SPECS, seed=3)
         stacked_pols = _population(self.SPECS, seed=3)
         stacked = StackedParticipation(stacked_pols)
-        np.testing.assert_array_equal(
-            _scalar_offers(scalar, horizon), _stacked_offers(stacked, horizon)
-        )
+        rep_s, out_s = _scalar_offers(scalar, horizon)
+        rep_a, out_a = _stacked_offers(stacked, horizon)
+        np.testing.assert_array_equal(rep_s, rep_a)
+        np.testing.assert_array_equal(out_s, out_a)
+        assert rep_s.any() and not rep_s.all()
         stacked.writeback()
-        for a, b in zip(scalar, stacked_pols):
-            # identical counters AND identical generator states: the
-            # stacked path consumed each agent's stream exactly as the
-            # scalar call sequence would
-            assert a.reports_sent == b.reports_sent
-            assert a.windows_seen == b.windows_seen
-            assert rng_state_digest(a._rng) == rng_state_digest(b._rng)
+        _assert_same_streams(scalar, stacked_pols)
+        assert sum(p._draws for p in stacked_pols) > 0
 
     def test_exhausted_agents_consume_no_rng(self):
         pol = RandomizedParticipation(p=0.8, window=3, max_reports=0, seed=1)
+        key = pol._key
         stacked = StackedParticipation([pol])
-        before = rng_state_digest(pol._rng)
         for _ in range(20):
             reported, _ = stacked.step()
             assert not reported.any()
-        assert rng_state_digest(pol._rng) == before
+        stacked.writeback()
+        assert pol._key == key and pol._draws == 0
         assert pol.reports_sent == 0 and len(pol._buffer) == 0
 
     def test_window_longer_than_horizon_never_fires(self):
@@ -189,17 +206,16 @@ class TestStackedParticipation:
         adopted = _population(self.SPECS, seed=9)
         pre_s = _scalar_offers(scalar, horizon_pre)
         pre_a = _scalar_offers(adopted, horizon_pre)  # object path prefix
-        np.testing.assert_array_equal(pre_s, pre_a)
+        np.testing.assert_array_equal(pre_s[0], pre_a[0])
+        np.testing.assert_array_equal(pre_s[1], pre_a[1])
         stacked = StackedParticipation(adopted)
         assert (stacked.fill == [len(p._buffer) for p in adopted]).all()
-        post_s = _scalar_offers(scalar, horizon_post)
-        # stacked continuation counts steps from adoption; sampled
-        # indices < 0 refer into the pre-adoption buffer
-        post_a = np.full((stacked.n, horizon_post), -1, dtype=np.intp)
-        for t in range(horizon_post):
-            reported, within = stacked.step()
-            rows = np.nonzero(reported)[0]
-            post_a[rows, t] = t - (stacked.window[rows] - 1 - within[rows])
+        rep_s, post_s = _scalar_offers(scalar, horizon_post)
+        # the stacked continuation counts steps from adoption; sampled
+        # indices < 0 refer into the pre-adoption buffer (and -1, its
+        # last item, is a valid sample: "no report" is the mask)
+        rep_a, post_a = _stacked_offers(stacked, horizon_post)
+        np.testing.assert_array_equal(rep_s, rep_a)
         # scalar offers used absolute step indices 0..horizon_post-1 in
         # the post phase; items carried over from the pre phase appear
         # as their pre-phase indices.  Translate the stacked view: a
@@ -208,27 +224,70 @@ class TestStackedParticipation:
         fresh = _population(self.SPECS, seed=9)
         _scalar_offers(fresh, horizon_pre)
         fills0 = [len(p._buffer) for p in fresh]
-        for j in range(stacked.n):
-            for t in range(horizon_post):
-                s_val, a_val = post_s[j, t], post_a[j, t]
-                assert (s_val == -1) == (a_val == -1)
-                if s_val == -1:
-                    continue
-                if a_val >= 0:
-                    assert s_val == a_val
-                else:
-                    # pre-buffer item: scalar offered a pre-phase step
-                    pre_items = [
-                        i
-                        for i in range(horizon_pre - fills0[j], horizon_pre)
-                    ]
-                    assert s_val == pre_items[a_val + fills0[j]]
+        for j, t in zip(*np.nonzero(rep_s)):
+            s_val, a_val = post_s[j, t], post_a[j, t]
+            if a_val >= 0:
+                assert s_val == a_val
+            else:
+                # pre-buffer item: scalar offered a pre-phase step
+                pre_items = list(range(horizon_pre - fills0[j], horizon_pre))
+                assert s_val == pre_items[a_val + fills0[j]]
         stacked.writeback()
-        for a, b in zip(scalar, adopted):
-            assert a.reports_sent == b.reports_sent
-            assert a.windows_seen == b.windows_seen
-            assert rng_state_digest(a._rng) == rng_state_digest(b._rng)
+        _assert_same_streams(scalar, adopted)
+
+    def test_adoption_sampling_last_pre_buffer_item(self):
+        """A report of the last pre-adoption item (stacked index -1) is
+        a report, not silence: find a seed whose first stacked report
+        samples it, and check it against the scalar continuation."""
+        for seed in range(200):
+            scalar = _population([(1.0, 4, 1)], seed=seed)[0]
+            adopted = _population([(1.0, 4, 1)], seed=seed)
+            for pol in (scalar, adopted[0]):
+                pol.offer("pre0"), pol.offer("pre1")
+            stacked = StackedParticipation(adopted)
+            assert scalar.offer("post0") is None
+            sampled = scalar.offer("post1")
+            assert not stacked.step()[0].any()
+            reported, within = stacked.step()
+            assert reported[0] and sampled is not None
+            back = stacked.window[0] - 1 - within[0]
+            if 1 - back == -1:
+                assert sampled == "pre1"
+                return
+        pytest.fail("no seed in range(200) sampled the last pre-adoption item")
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
             StackedParticipation([])
+
+
+class TestKeyedCoin:
+    """The coin is the privacy lever (Eq. 3's eps rests on p): the keyed
+    draw must flip at rate p, and a device must never replay a coin."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_stacked_coin_rate_within_5_sigma(self, p):
+        n_agents, n_windows = 1000, 100  # 10^5 agent-windows
+        pols = _population([(p, 1, n_windows)] * n_agents, seed=17)
+        stacked = StackedParticipation(pols)
+        for _ in range(n_windows):
+            stacked.step()
+        n = int(stacked.windows_seen.sum())
+        assert n == n_agents * n_windows
+        rate = stacked.reports_sent.sum() / n
+        assert abs(rate - p) < 5 * np.sqrt(p * (1 - p) / n)
+
+    def test_reset_does_not_replay_coins(self):
+        def coins(pol, n):
+            return [pol.offer(i) is not None for i in range(n)]
+
+        pol = RandomizedParticipation(p=0.5, window=1, max_reports=1000, seed=4)
+        first = coins(pol, 64)
+        pol.reset()
+        assert pol._draws == 64  # the counter does not rewind
+        again = coins(pol, 64)
+        assert first != again
+        # a fresh device on the same seed replays the first 64 coins:
+        # only reset must not
+        fresh = RandomizedParticipation(p=0.5, window=1, max_reports=1000, seed=4)
+        assert coins(fresh, 64) == first

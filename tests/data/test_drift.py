@@ -288,7 +288,9 @@ def _assert_reporting_identical(seq, fleet):
         _assert_states_equal(sa.policy, fa.policy)
         sp, fp = sa.participation, fa.participation
         assert (sp.reports_sent, sp.windows_seen) == (fp.reports_sent, fp.windows_seen)
-        assert rng_state_digest(sp._rng) == rng_state_digest(fp._rng)
+        # same keyed coin stream, advanced to the same counter
+        assert (sp._key, sp._draws) == (fp._key, fp._draws)
+        assert (sa.policy._key, sa.policy._draws) == (fa.policy._key, fa.policy._draws)
         assert len(sp._buffer) == len(fp._buffer)
         for (c1, a1, r1), (c2, a2, r2) in zip(sp._buffer, fp._buffer):
             np.testing.assert_array_equal(c1, c2)
