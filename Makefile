@@ -8,7 +8,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) PYTHONHASHSEED=0 python
 
-.PHONY: test test-par smoke perfbench-test chaos bench bench-paper bench-fleet bench-replay bench-reporting bench-memory bench-serve bench-kernels bench-parallel lint format install
+.PHONY: test test-par smoke perfbench-test keyed-dispatch chaos bench bench-paper bench-fleet bench-replay bench-reporting bench-memory bench-serve bench-kernels bench-parallel lint format install
 
 # tier-1: the full suite (the driver's acceptance gate)
 test:
@@ -28,6 +28,26 @@ smoke:
 # tier-1 testpaths, so it runs only through this target
 perfbench-test:
 	$(PY) -m pytest perfbench -q
+
+# keyed draws on a second SIMD dispatch target: with AVX-512 dispatch
+# off, numpy's float64 log/cos take another code path (the keyed reward
+# noise's Box-Muller), so the length-1 == block contract and the
+# synthetic/drift fleet == sequential suites are checked there too.
+# On a CPU with none of these features the rerun would test the default
+# dispatch again, so the target says so (a CI warning) and skips it.
+KEYED_DISPATCH_OFF := AVX512_SPR AVX512_ICL X86_V4
+keyed-dispatch:
+	@if $(PY) -c 'import sys, numpy as np; \
+		core = np._core if hasattr(np, "_core") else np.core; \
+		features = core._multiarray_umath.__cpu_features__; \
+		sys.exit(not any(features.get(f) for f in sys.argv[1:]))' $(KEYED_DISPATCH_OFF); then \
+		NPY_DISABLE_CPU_FEATURES="$(KEYED_DISPATCH_OFF)" $(PY) -m pytest -q \
+			tests/bandits/test_keyed.py tests/data/test_synthetic.py \
+			tests/data/test_drift.py tests/sim/test_equivalence.py \
+			tests/sim/test_chunked_plans.py; \
+	else \
+		echo "::warning::keyed-dispatch SKIPPED: this CPU has none of $(KEYED_DISPATCH_OFF)"; \
+	fi
 
 # chaos smoke: seeded report corruption on the collection path
 # (quarantined tuples, collection keeps going, the crowd-blending audit

@@ -25,7 +25,7 @@ import numpy as np
 from ..utils.exceptions import ValidationError
 from ..utils.rng import ensure_rng
 from ..utils.validation import check_in_range, check_positive_int, check_vector
-from .keyed import STREAM_TIEBREAK, draw_key, keyed_index
+from .keyed import NAN_SCORES, STREAM_TIEBREAK, draw_key, keyed_index
 
 __all__ = ["BanditPolicy", "argmax_random_tiebreak"]
 
@@ -87,12 +87,16 @@ def argmax_random_tiebreak(scores: np.ndarray, key, counter: int) -> int:
     cold-start curves the paper measures — hence randomized tie-breaks.
     The draw is ``H(key, STREAM_TIEBREAK, counter)``
     (:mod:`repro.bandits.keyed`): the one-row case of
-    :func:`~repro.bandits.keyed.tiebreak_rows`, bitwise.
+    :func:`~repro.bandits.keyed.tiebreak_rows`, bitwise, and like it
+    raises :class:`~repro.utils.exceptions.ValidationError` when a NaN
+    score leaves no maximum.
     """
     scores = np.asarray(scores, dtype=np.float64)
     best = np.flatnonzero(scores == scores.max())
     if best.size == 1:
         return int(best[0])
+    if best.size == 0:
+        raise ValidationError(NAN_SCORES)
     return int(best[keyed_index(key, STREAM_TIEBREAK, counter, best.size)[0]])
 
 

@@ -13,8 +13,8 @@ from .environment import (
     Environment,
     IndexedTracePlan,
     ReplayUserSession,
+    RewardBlock,
     RewardModel,
-    RewardPlan,
     TracePlan,
     TraceRowTable,
     UserSession,
@@ -35,7 +35,7 @@ __all__ = [
     "UserSession",
     "ReplayUserSession",
     "RewardModel",
-    "RewardPlan",
+    "RewardBlock",
     "TracePlan",
     "TraceRowTable",
     "IndexedTracePlan",

@@ -17,21 +17,24 @@ Fleet contract
 --------------
 
 A drifting session still advertises ``has_reward_plan`` — within one
-epoch it *is* stationary — and plans any horizon in one
-:meth:`~DriftingSyntheticSession.plan_rewards` call: it walks its own
-epoch boundaries inside the call and returns one
-:class:`~repro.data.environment.RewardPlan` segment per epoch the
+epoch it *is* stationary.  :meth:`DriftingSyntheticEnvironment.plan_block`
+plans any horizon of many sessions in one call: their reward noise in
+one keyed evaluation (as for stationary users), then each session's
+epoch boundaries, walked inside the call, one
+:class:`~repro.data.environment.RewardBlock` segment per epoch the
 horizon touches, so epochs advance exactly where the sequential loop
 would advance them.  Both engines funnel every boundary through one
 code path (:meth:`DriftingSyntheticSession._advance_epoch`), which
 consumes the session's generator identically whether the horizon is
 walked step by step or planned in one call — coin, then the Dirichlet
-or drift draw, then the noise of the segment the boundary opens —
-keeping drifting fleet runs bit-identical to sequential however the
-horizon is split into runs (``tests/data/test_drift.py`` pins this).
-A boundary updates only the preference: the mean rewards are computed
-from it on demand (by the step loop's ``reward``, or by the fleet
-shard for all of its segments in one batched
+or drift draw.  The noise is keyed by step, not drawn from the
+generator, so the boundaries are the generator's only consumers
+after construction, and drifting fleet runs stay bit-identical to
+sequential however the horizon is split into runs
+(``tests/data/test_drift.py`` pins this).  A boundary updates only the
+preference: the mean rewards are computed from it on demand (by the
+step loop's ``reward``, or by the fleet shard for all of its segments
+in one batched
 :meth:`~repro.data.synthetic.SyntheticPreferenceEnvironment.mean_rewards`
 call per environment).
 """
@@ -42,7 +45,6 @@ import numpy as np
 
 from ..utils.rng import ensure_rng
 from ..utils.validation import check_positive_int, check_scalar
-from .environment import RewardPlan
 from .synthetic import SyntheticPreferenceEnvironment, SyntheticUserSession
 
 __all__ = ["DriftingSyntheticEnvironment", "DriftingSyntheticSession"]
@@ -74,19 +76,19 @@ class DriftingSyntheticSession(SyntheticUserSession):
         self._epoch_length = epoch_length
         self._switch_prob = switch_prob
         self._drift_scale = drift_scale
-        self._t = 0  # interactions completed (next_context calls / planned steps)
+        self._t = 0  # interactions begun (next_context calls / planned steps)
         self._next_boundary = epoch_length
 
     # -- drift mechanics ----------------------------------------------- #
     def _advance_epoch(self) -> None:
         """Advance one epoch boundary — the *single* drift code path.
 
-        Both the per-step walk (:meth:`next_context`) and the fleet
-        plan path (:meth:`plan_rewards`) land here, so the generator is
-        consumed identically on both engines: one uniform coin, then
-        either a Dirichlet draw (switch) or a ``d``-sized normal draw
-        (drift).  Only the preference changes; its mean rewards are
-        computed when first needed.
+        Both the per-step walk (:meth:`next_context`) and the plan path
+        (:meth:`DriftingSyntheticEnvironment.plan_block`) land here, so
+        the generator is consumed identically on both engines: one
+        uniform coin, then either a Dirichlet draw (switch) or a
+        ``d``-sized normal draw (drift).  Only the preference changes;
+        its mean rewards are computed when first needed.
         """
         d = self.preference.shape[0]
         if self._rng.random() < self._switch_prob:
@@ -105,40 +107,8 @@ class DriftingSyntheticSession(SyntheticUserSession):
     # -- UserSession interface ----------------------------------------- #
     def next_context(self) -> np.ndarray:
         self._advance_if_due()
-        self._current = self.preference
         self._t += 1
-        return self.preference.copy()
-
-    def plan_rewards(self, horizon: int) -> RewardPlan:
-        """Pre-realize ``horizon`` interactions in one call (fleet fast path).
-
-        Walks the horizon epoch by epoch: each boundary it reaches goes
-        through the same :meth:`_advance_epoch` the step loop uses, then
-        the segment's noise is one ``normal(0, sigma, size=h)`` draw,
-        which consumes the stream exactly like ``h`` scalar ``reward``
-        draws.  A horizon ending on a boundary leaves it for the next
-        call or step, as the step loop does.
-        """
-        horizon = check_positive_int(horizon, name="horizon")
-        contexts: list[np.ndarray] = []
-        lengths: list[int] = []
-        noise: list[np.ndarray] = []
-        t = 0
-        while t < horizon:
-            self._advance_if_due()
-            h = min(horizon - t, self._next_boundary - self._t)
-            noise.append(self._rng.normal(0.0, self._env.sigma, size=h))
-            contexts.append(self.preference)
-            lengths.append(h)
-            self._t += h
-            t += h
-        self._current = self.preference  # as next_context() would set
-        return RewardPlan(
-            contexts=np.array(contexts),
-            lengths=np.array(lengths, dtype=np.intp),
-            noise=np.concatenate(noise),
-            model=self._env,
-        )
+        return super().next_context()
 
 
 class DriftingSyntheticEnvironment(SyntheticPreferenceEnvironment):
@@ -174,6 +144,30 @@ class DriftingSyntheticEnvironment(SyntheticPreferenceEnvironment):
             switch_prob, name="switch_prob", minimum=0.0, maximum=1.0
         )
         self.drift_scale = check_scalar(drift_scale, name="drift_scale", minimum=0.0)
+
+    def _plan_segments(self, sessions, horizon: int):
+        """Walk each session ``horizon`` steps, epoch by epoch.
+
+        Each boundary the walk reaches goes through the same
+        :meth:`DriftingSyntheticSession._advance_epoch` the step loop
+        uses and opens a segment.  A horizon ending on a boundary leaves
+        it for the next call or step, as the step loop does.
+        """
+        contexts: list[np.ndarray] = []
+        lengths: list[int] = []
+        counts = np.empty(len(sessions), dtype=np.intp)
+        for j, s in enumerate(sessions):
+            start, t = len(lengths), 0
+            while t < horizon:
+                s._advance_if_due()
+                h = min(horizon - t, s._next_boundary - s._t)
+                contexts.append(s.preference)
+                lengths.append(h)
+                s._t += h
+                t += h
+            s._current = s.preference  # as next_context() would set
+            counts[j] = len(lengths) - start
+        return np.array(contexts), counts, np.array(lengths, dtype=np.intp)
 
     def new_user(self, seed=None) -> DriftingSyntheticSession:
         rng = ensure_rng(seed)

@@ -26,16 +26,18 @@ Two plan kinds exist, advertised by class-level capability flags so
 subclasses inherit fast-path eligibility (the engine keys off the
 flags, never off method identity):
 
-* ``has_reward_plan`` → :meth:`UserSession.plan_rewards` plans a whole
-  horizon in one call and returns a :class:`RewardPlan`: the horizon's
-  stationary segments (one ``(S, d)`` context row and one length per
-  segment), the pre-drawn ``(horizon,)`` reward noise, and the
-  :class:`RewardModel` that maps contexts to mean rewards (the
-  synthetic benchmark: the environment).  A stationary session plans
-  one segment; a drifting one walks its own epoch boundaries inside
-  the call and plans one segment per epoch the horizon touches.  The
-  means are not part of the plan, so a consumer of many plans computes
-  them in one batched :meth:`RewardModel.mean_rewards` call per model;
+* ``has_reward_plan`` → :meth:`Environment.plan_block` plans a whole
+  horizon of many sessions of one environment in one call and returns
+  a :class:`RewardBlock`: the sessions' stationary segments (one
+  ``(S, d)`` context row and one length per segment), their
+  ``(n, horizon)`` reward noise, and the :class:`RewardModel` that
+  maps contexts to mean rewards (the synthetic benchmark: the
+  environment).  A stationary session plans one segment; a drifting
+  one one per epoch the horizon touches.  The means are not part of
+  the plan: the consumer batches them per model.  Every reward-plan
+  session names the :attr:`~UserSession.environment` that plans it;
+  :meth:`UserSession.plan_rewards` is the one-session form, which
+  ``plan_block`` stacks by default;
 * ``has_trace_plan`` — dataset replay (multilabel, Criteo), set by
   every :class:`ReplayUserSession`.  The engine plans through
   :meth:`ReplayUserSession.plan_trace_indexed`, which returns an
@@ -49,7 +51,7 @@ flags, never off method identity):
 Every plan must be an *exact* stand-in for ``horizon`` iterations of
 ``next_context()`` + ``reward()``: same values, same generator
 consumption, session left in the same state.  In particular, planning
-a horizon in consecutive slices (``plan_rewards(c)`` or
+a horizon in consecutive slices (``plan_block(sessions, c)`` or
 ``plan_trace_indexed(c)`` called repeatedly — consecutive runs on one
 held fleet) must realize exactly the values, and leave exactly the
 session state, of the sequential loop over the same horizon, wherever
@@ -74,7 +76,7 @@ __all__ = [
     "UserSession",
     "ReplayUserSession",
     "RewardModel",
-    "RewardPlan",
+    "RewardBlock",
     "TracePlan",
     "TraceRowTable",
     "IndexedTracePlan",
@@ -86,7 +88,7 @@ _ROW_TABLE_BUILD_LOCK = threading.Lock()
 
 
 class RewardModel(Protocol):
-    """Maps contexts to noiseless mean rewards (a :class:`RewardPlan`'s model)."""
+    """Maps contexts to noiseless mean rewards (a :class:`RewardBlock`'s model)."""
 
     def mean_rewards(self, contexts: np.ndarray) -> np.ndarray:
         """Mean reward per action: ``(d,)`` → ``(A,)``, ``(S, d)`` → ``(S, A)``.
@@ -97,51 +99,56 @@ class RewardModel(Protocol):
 
 
 @dataclass(frozen=True)
-class RewardPlan:
-    """Pre-realized reward randomness for a horizon of stationary segments.
+class RewardBlock:
+    """Pre-realized reward randomness of ``n`` sessions over one horizon.
 
-    Produced by :meth:`UserSession.plan_rewards`.  The horizon splits
-    into consecutive segments: segment ``i`` covers the next
-    ``lengths[i]`` steps, all with context ``contexts[i]``.  A stationary
-    session (the synthetic benchmark: one preference per user) plans
-    one segment; a drifting session one per drift epoch the horizon
-    touches.  The realized reward of action ``a`` at step ``t`` of
-    segment ``i`` is::
+    Produced by :meth:`Environment.plan_block`, or for one session by
+    :meth:`UserSession.plan_rewards`.  Each session's horizon splits
+    into consecutive segments, session-major: session ``j`` owns the
+    next ``counts[j]`` rows of ``contexts`` and ``lengths``, and each of
+    its segments ``i`` covers the next ``lengths[i]`` of its steps, all
+    with context ``contexts[i]``.  A stationary session (the synthetic
+    benchmark: one preference per user) plans one segment; a drifting
+    session one per drift epoch the horizon touches.  The realized
+    reward of session ``j``'s action ``a`` at step ``t``, inside segment
+    ``i``, is::
 
-        clip01(model.mean_rewards(contexts)[i, a] + noise[t])
+        clip01(model.mean_rewards(contexts)[i, a] + noise[j, t])
 
-    with the noise pre-drawn from the *session's own* generator in
-    exactly the order the sequential loop draws it (interleaved, for a
-    drifting session, with its boundary draws) — so consuming a plan
-    leaves the session's stream in the same state as the sequential
-    interaction loop, and the fleet engine's vectorized reward
-    computation stays bit-identical to it.
+    with ``noise[j, t]`` exactly the noise ``reward`` adds at that step
+    (synthetic sessions: a keyed draw of the session's key and reward
+    counter, independent of its generator).  Planning leaves every
+    session where the sequential interaction loop would, so the fleet
+    engine's vectorized reward computation stays bit-identical to it.
 
     The means are not stored: ``model`` computes them on demand, so a
-    consumer holding many plans over one model (a fleet shard) computes
-    all of their means in one batched call.
+    consumer holding many blocks over one model (a fleet shard)
+    computes all of their means in one batched call.
 
-    A plan is built once per session per run, so it is not validated:
-    a producer must give every segment a positive length, with the
-    lengths summing to ``noise.shape[0]`` (the fleet shard and
-    :meth:`realize` rely on it).
+    A block is not validated: a producer must give every segment a
+    positive length, each session's lengths summing to
+    ``noise.shape[1]`` (the fleet shard relies on it).
     """
 
     contexts: np.ndarray  #: one context per segment, shape (S, d)
-    lengths: np.ndarray  #: steps per segment, shape (S,), summing to the horizon
-    noise: np.ndarray  #: additive reward noise per step, shape (horizon,)
+    counts: np.ndarray  #: segments per session, shape (n,)
+    lengths: np.ndarray  #: steps per segment, shape (S,)
+    noise: np.ndarray  #: additive reward noise per session and step, shape (n, horizon)
     model: RewardModel  #: maps ``contexts`` to ``(S, A)`` mean rewards
 
-    def mean_rewards(self) -> np.ndarray:
-        """Noiseless reward per segment per action, shape ``(S, A)``."""
-        return self.model.mean_rewards(self.contexts)
-
-    def realize(self, actions: np.ndarray) -> np.ndarray:
-        """Realized rewards for one action per step, shape ``(len(actions),)``."""
-        actions = np.asarray(actions, dtype=np.intp).ravel()
-        n = actions.shape[0]
-        steps = np.repeat(self.mean_rewards(), self.lengths, axis=0)[:n]
-        return np.clip(steps[np.arange(n), actions] + self.noise[:n], 0.0, 1.0)
+    @classmethod
+    def stack(cls, blocks: list["RewardBlock"]) -> "RewardBlock":
+        """The sessions of ``blocks``, in order; they must share one model."""
+        model = blocks[0].model
+        if any(b.model is not model for b in blocks):
+            raise DataError("the sessions of one reward block must share one reward model")
+        return cls(
+            contexts=np.concatenate([b.contexts for b in blocks]),
+            counts=np.concatenate([b.counts for b in blocks]),
+            lengths=np.concatenate([b.lengths for b in blocks]),
+            noise=np.concatenate([b.noise for b in blocks]),
+            model=model,
+        )
 
 
 @dataclass(frozen=True)
@@ -291,6 +298,9 @@ class UserSession(abc.ABC):
     #: ``plan_trace_indexed`` and :meth:`plan_trace` are implemented —
     #: :class:`ReplayUserSession` provides all three)
     has_trace_plan: bool = False
+    #: a reward-plan session's environment: its
+    #: :meth:`Environment.plan_block` plans the session with its siblings
+    environment: "Environment"
 
     @abc.abstractmethod
     def next_context(self) -> np.ndarray:
@@ -313,22 +323,24 @@ class UserSession(abc.ABC):
         """
         raise NotImplementedError(f"{type(self).__name__} has no ground-truth rewards")
 
-    def plan_rewards(self, horizon: int) -> RewardPlan:
+    def plan_rewards(self, horizon: int) -> RewardBlock:
         """Optional fleet fast path: plan ``horizon`` interactions in one call.
 
         For sessions whose contexts and reward distribution are
-        piecewise stationary (set ``has_reward_plan = True``
-        alongside): the returned :class:`RewardPlan` holds one segment
-        per stationary stretch of the horizon.  A session that drifts
+        piecewise stationary (set ``has_reward_plan = True`` and
+        :attr:`environment` alongside): the returned one-session
+        :class:`RewardBlock` holds one segment per stationary stretch of
+        the horizon.  A session that drifts
         at boundaries of its own walks them inside this call, drawing
-        each boundary's randomness where the step loop would — before
-        the noise of the segment it opens.  The contract (pinned by
-        ``tests/sim`` and ``tests/data/test_drift.py``): a plan must be
-        an exact stand-in for ``horizon`` iterations of
-        ``next_context()`` + ``reward()`` — same realized values, same
-        generator consumption — so the session afterwards behaves as
-        if the sequential loop had run, however a longer horizon is
-        split into consecutive calls.
+        each boundary's randomness where the step loop would.  The
+        contract (pinned by ``tests/sim`` and
+        ``tests/data/test_drift.py``): a plan must be an exact stand-in
+        for ``horizon`` iterations of ``next_context()`` + ``reward()``
+        — same realized values, same generator consumption — so the
+        session afterwards behaves as if the sequential loop had run,
+        however a longer horizon is split into consecutive calls.  The
+        fleet engine plans through :meth:`Environment.plan_block`,
+        which stacks these plans unless the environment overrides it.
         """
         raise NotImplementedError(f"{type(self).__name__} has no reward plan")
 
@@ -525,6 +537,19 @@ class Environment(abc.ABC):
     @abc.abstractmethod
     def new_user(self, seed=None) -> UserSession:
         """Create an independent user session."""
+
+    def plan_block(self, sessions: list[UserSession], horizon: int) -> RewardBlock:
+        """Plan ``horizon`` interactions of ``sessions`` in one call.
+
+        The fleet engine's reward-plan entry: one call per environment
+        per run, for every session of a shard whose
+        :attr:`~UserSession.environment` is this one.  The same
+        contract as :meth:`UserSession.plan_rewards`, per session.  By
+        default it stacks each session's ``plan_rewards``; an
+        environment that owns its sessions' randomness overrides it
+        with one vectorized plan.
+        """
+        return RewardBlock.stack([s.plan_rewards(horizon) for s in sessions])
 
     def user_population(self, n_users: int, seed=None) -> list[UserSession]:
         """Spawn ``n_users`` sessions with independent child seeds."""

@@ -16,6 +16,15 @@ Concretely, with paper defaults ``beta = 0.1`` and ``sigma^2 = 0.01``:
 * the realized reward of action ``a`` is
   ``clip_{[0,1]}( beta * softmax(W x)_a + z )``, ``z ~ N(0, sigma^2)``.
 
+Each user's noise is a keyed draw (:mod:`repro.bandits.keyed`): the
+user's ``n``-th realized reward adds ``sigma * keyed_normal(key,
+STREAM_REWARD_NOISE, n)``, with the key drawn from the user's
+generator right after the preference.  The noise is a function of the
+user and a counter alone, so
+:meth:`SyntheticPreferenceEnvironment.plan_block` realizes it for any
+number of users and steps in one array expression, bitwise the
+sequential loop's.
+
 Rewards are clipped into the bandit range ``[0, 1]`` (§2); the clip
 affects every arm and setting identically, so curve *shapes* —
 the object of the reproduction — are unaffected.
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..bandits.keyed import STREAM_REWARD_NOISE, draw_key, keyed_normal
 from ..utils.math import clip01, softmax
 from ..utils.rng import ensure_rng
 from ..utils.validation import (
@@ -32,7 +42,7 @@ from ..utils.validation import (
     check_positive_int,
     check_scalar,
 )
-from .environment import Environment, RewardPlan, UserSession
+from .environment import Environment, RewardBlock, UserSession
 
 __all__ = ["SyntheticPreferenceEnvironment", "SyntheticUserSession"]
 
@@ -49,8 +59,13 @@ class SyntheticUserSession(UserSession):
         rng: np.random.Generator,
     ) -> None:
         self.preference = preference
-        self._env = env
+        self.environment = env
         self._rng = rng
+        # the reward-noise key, drawn right after the preference, and
+        # the rewards realized so far (reward calls and planned steps):
+        # the n-th reward's noise is the keyed draw at counter n
+        self._key = draw_key(rng)
+        self._draws = 0
         # the means of ``_means_of`` — computed on first use, so a
         # session the fleet engine plans never computes them itself
         self._means: np.ndarray | None = None
@@ -58,9 +73,9 @@ class SyntheticUserSession(UserSession):
         self._current: np.ndarray | None = None
 
     def _mean_rewards(self) -> np.ndarray:
-        """``env.mean_rewards(preference)``, cached per preference array."""
+        """``environment.mean_rewards(preference)``, cached per preference array."""
         if self._means_of is not self.preference:
-            self._means = self._env.mean_rewards(self.preference)
+            self._means = self.environment.mean_rewards(self.preference)
             self._means_of = self.preference
         return self._means  # type: ignore[return-value]
 
@@ -70,32 +85,18 @@ class SyntheticUserSession(UserSession):
 
     def reward(self, action: int) -> float:
         self._require_context(self._current)
-        action = check_in_range(action, name="action", low=0, high=self._env.n_actions)
-        z = self._rng.normal(0.0, self._env.sigma)
-        return float(clip01(self._mean_rewards()[action] + z))
+        action = check_in_range(action, name="action", low=0, high=self.environment.n_actions)
+        z = self.environment.reward_noise(self._key, self._draws)
+        self._draws += 1
+        return float(clip01(self._mean_rewards()[action] + z[0]))
 
     def expected_rewards(self) -> np.ndarray:
         self._require_context(self._current)
         return self._mean_rewards().copy()
 
-    def plan_rewards(self, horizon: int) -> RewardPlan:
-        """Pre-realize ``horizon`` interactions as one segment (fleet fast path).
-
-        A synthetic user's context is their fixed preference and the
-        reward noise is action-independent, so the whole horizon's
-        randomness is one block draw.  ``Generator.normal(size=n)``
-        consumes the bit stream exactly like ``n`` scalar draws (a
-        ``tests/sim`` regression pins this), so the plan is an exact
-        stand-in for the sequential loop.
-        """
-        horizon = check_positive_int(horizon, name="horizon")
-        self._current = self.preference  # as next_context() would set
-        return RewardPlan(
-            contexts=self.preference[None, :].copy(),
-            lengths=np.array([horizon], dtype=np.intp),
-            noise=self._rng.normal(0.0, self._env.sigma, size=horizon),
-            model=self._env,
-        )
+    def plan_rewards(self, horizon: int) -> RewardBlock:
+        """Plan ``horizon`` interactions: the one-session ``plan_block``."""
+        return self.environment.plan_block([self], horizon)
 
 
 class SyntheticPreferenceEnvironment(Environment):
@@ -172,6 +173,48 @@ class SyntheticPreferenceEnvironment(Environment):
         if x.ndim == 1:
             return self.beta * softmax(self.W @ x)
         return self.beta * softmax(np.matmul(self.W, x[:, :, None])[:, :, 0])
+
+    def reward_noise(self, keys, counters) -> np.ndarray:
+        """Reward noise of interaction ``counters`` of the users keyed ``keys``.
+
+        ``sigma * keyed_normal(keys, STREAM_REWARD_NOISE, counters)``,
+        broadcast elementwise: the one expression both the step loop
+        (length 1) and :meth:`plan_block` (``(n, horizon)``) evaluate.
+        """
+        return self.sigma * keyed_normal(keys, STREAM_REWARD_NOISE, counters)
+
+    def plan_block(self, sessions: list[SyntheticUserSession], horizon: int) -> RewardBlock:
+        """Plan ``horizon`` interactions of ``sessions`` in one call.
+
+        The ``(n, horizon)`` noise is one :meth:`reward_noise`
+        evaluation at each session's next ``horizon`` counters (the
+        counters advance as ``horizon`` ``reward`` calls would advance
+        them); the segments come from :meth:`_plan_segments`, which
+        advances the sessions as ``horizon`` ``next_context`` calls
+        would.
+        """
+        horizon = check_positive_int(horizon, name="horizon")
+        n = len(sessions)
+        keys = np.fromiter((s._key for s in sessions), dtype=np.uint64, count=n)
+        starts = np.fromiter((s._draws for s in sessions), dtype=np.int64, count=n)
+        noise = self.reward_noise(keys[:, None], starts[:, None] + np.arange(horizon))
+        for s in sessions:
+            s._draws += horizon
+        contexts, counts, lengths = self._plan_segments(sessions, horizon)
+        return RewardBlock(contexts, counts, lengths, noise, self)
+
+    def _plan_segments(self, sessions, horizon: int):
+        """Advance ``sessions`` ``horizon`` steps; their ``(contexts,
+        counts, lengths)``.  A stationary user's horizon is one segment
+        of its preference."""
+        for s in sessions:
+            s._current = s.preference  # as next_context() would set
+        n = len(sessions)
+        return (
+            np.array([s.preference for s in sessions]),
+            np.ones(n, dtype=np.intp),
+            np.full(n, horizon, dtype=np.intp),
+        )
 
     def best_expected_reward(self, preference: np.ndarray) -> float:
         """The oracle's expected reward for this user."""

@@ -26,16 +26,19 @@ whenever:
    batched leading axis — the reason the scalar policies avoid BLAS
    ``@``) and therefore reports a non-``None``
    :meth:`~repro.bandits.base.BanditPolicy.fleet_key`;
-2. randomness is per-agent.  Tie-breaks, exploration coins and
-   participation coins are *keyed* draws (:mod:`repro.bandits.keyed`):
-   a stateless ``uint64`` hash of the agent's key (drawn once from its
-   generator, the ``spawn_seeds`` tree), a stream id and the agent's
-   draw counter, which advances once per ``select`` (per coin for
-   participation) on both engines.  Integer arithmetic does not depend
-   on array shape, so the sequential policy evaluating a draw on a
-   length-1 array and the fleet on a length-``n`` array agree bitwise
-   by construction.  Session generators and Thompson's posterior
-   normals stay per-agent generators, so stepping a shard round-major
+2. randomness is per-agent.  Tie-breaks, exploration coins,
+   participation coins and synthetic reward noise are *keyed* draws
+   (:mod:`repro.bandits.keyed`): a stateless ``uint64`` hash of the
+   agent's (or session's) key, drawn once from its generator (the
+   ``spawn_seeds`` tree), a stream id and a draw counter, which
+   advances once per ``select`` (per coin for participation, per
+   realized reward for a synthetic session) on both engines.  Integer
+   arithmetic does not depend on array shape, and neither do the numpy
+   ufuncs that turn two uniforms into a normal, so the sequential loop
+   evaluating a draw on a length-1 array and the fleet on a
+   length-``n`` (or ``(n, T)``) array agree bitwise by construction.
+   Drift boundaries, dataset walks and Thompson's posterior normals
+   stay on per-agent generators, so stepping a shard round-major
    instead of agent-major consumes every stream in the same
    within-agent order.
 
@@ -57,9 +60,11 @@ Per-round *session* calls additionally vanish for shards whose
 sessions advertise a plan capability (class flags on
 :class:`~repro.data.environment.UserSession`): ``has_reward_plan``
 sessions (synthetic, stationary or drifting) plan their whole run in
-one ``plan_rewards`` call each — pre-realized reward noise, one segment
-per stationary stretch, the means of every segment computed in one
-batched call per environment — and warm-private shards
+one :meth:`~repro.data.environment.Environment.plan_block` call per
+environment — the ``(n, T)`` keyed reward noise in one array
+expression, one segment per stationary stretch (a drifting session's
+epoch boundaries walked inside the call), the means of every segment
+computed in one batched call per environment — and warm-private shards
 over them encode every new segment context in one row-exact
 :meth:`Encoder.encode_batch` call per encoder (centroids through the
 equally row-exact ``decode_batch``), and

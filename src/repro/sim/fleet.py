@@ -7,10 +7,11 @@ size, policy kind and hyperparameters) — and each shard steps its
 agents round-major on its own stacked state: every agent of the shard
 performs interaction ``t`` before any performs ``t + 1``.  Because
 every agent owns independent random streams — keyed draw counters for
-its tie-breaks, exploration and participation coins
-(:mod:`repro.bandits.keyed`), generators for its session and Thompson
-normals — round-major stepping draws each stream in exactly the order
-the sequential agent-major loop does, so the two engines are
+its tie-breaks, exploration and participation coins and its synthetic
+reward noise (:mod:`repro.bandits.keyed`), generators for its drift
+boundaries, dataset walks and Thompson normals — round-major stepping
+draws each stream in exactly the order the sequential agent-major loop
+does, so the two engines are
 interchangeable; ``tests/sim/`` pins the equivalence bit-for-bit.
 
 Execution is **shard-major**: one function, :func:`_run_shard_horizon`,
@@ -30,16 +31,19 @@ pre-materialize their horizon (capability flags on
 :class:`~repro.data.environment.UserSession`):
 
 * ``has_reward_plan`` — synthetic sessions, stationary or drifting,
-  pre-realize reward noise (:class:`~repro.data.environment.RewardPlan`)
-  in one ``plan_rewards(T)`` call per session: a single segment, or one
-  per drift epoch, the session walking its own boundaries inside the
-  call.  The shard holds an ``(S, d)`` / ``(S, A)`` segment table of
-  contexts and means — the means from one batched ``mean_rewards``
-  call per environment, never one per boundary — one ``(n, T)`` noise
-  block and an ``(n, T)`` step-to-segment walk; rewards become one
-  gather + clip per round, and warm-private shards encode the segments
-  in one ``encode_batch`` call per encoder (a segment continuing an
-  agent's cached context is not re-encoded);
+  pre-realize their keyed reward noise in one
+  :meth:`~repro.data.environment.Environment.plan_block` call per
+  environment (a :class:`~repro.data.environment.RewardBlock`): the
+  ``(n, T)`` noise in one array expression, and a single segment per
+  session, or one per drift epoch, the environment walking each
+  session's boundaries inside the call.  The shard holds an
+  ``(S, d)`` / ``(S, A)`` segment table of contexts and means — the
+  means from one batched ``mean_rewards`` call per environment, never
+  one per boundary — the ``(n, T)`` noise block and an ``(n, T)``
+  step-to-segment walk; rewards become one gather + clip per round,
+  and warm-private shards encode the segments in one ``encode_batch``
+  call per encoder (a segment continuing an agent's cached context is
+  not re-encoded);
 * ``has_trace_plan`` — dataset-replay sessions (multilabel, Criteo)
   walk rows of a per-dataset
   :class:`~repro.data.environment.TraceRowTable`.  The shard holds one
@@ -129,7 +133,7 @@ from ..core.agent import LocalAgent
 from ..core.config import AgentMode
 from ..core.participation import StackedParticipation
 from ..core.payload import EncodedReport, RawReport, ReportLog
-from ..data.environment import RewardPlan, TraceRowTable, UserSession
+from ..data.environment import RewardBlock, TraceRowTable, UserSession
 from ..utils.exceptions import CheckpointError, ConfigError
 from ..utils.validation import check_positive_int
 from .stacked import EXACTNESS_TIERS, stack_policies
@@ -634,39 +638,55 @@ class _Shard:
             self._encode_new_rows(self._walk)
 
     def _plan_segments(self, horizon: int) -> None:
-        """Plan a reward-plan shard: one ``plan_rewards(horizon)`` per session.
+        """Plan a reward-plan shard: one ``plan_block`` per environment.
 
-        A stationary session plans one segment; a drifting one walks
-        its own boundaries inside the call and plans a segment per
-        epoch the run touches, in the draw order of the step loop
-        (``tests/data/test_drift.py`` pins this).  Planning per session
-        is exact by the plan contract: every session draws from its own
-        generator.
+        Each group of sessions sharing an ``environment`` is planned in
+        one :meth:`~repro.data.environment.Environment.plan_block` call:
+        a stationary session as one segment, a drifting one as a
+        segment per epoch the run touches, in the draw order of the
+        step loop (``tests/data/test_drift.py`` pins this).  Every
+        session's randomness is its own, so grouping moves no draw.
 
         The noise lands in one ``(n, T)`` block; the segment contexts in
-        one ``(S, d)`` table, which the ``(n, T)`` walk indexes per agent
-        and step; and the ``(S, A)`` means come from one batched
-        ``mean_rewards`` call per distinct reward model (environment).
+        one ``(S, d)`` table (group-major), which the ``(n, T)`` walk
+        indexes per agent and step; and the ``(S, A)`` means come from
+        one batched ``mean_rewards`` call per distinct reward model.
         """
-        plans = [s.plan_rewards(horizon) for s in self.sessions]
-        self._plan_noise = np.stack([p.noise for p in plans])
-        counts = np.array([p.lengths.shape[0] for p in plans], dtype=np.intp)
-        self._seg_ctx = np.concatenate([p.contexts for p in plans])
+        groups: dict[int, tuple] = {}
+        for j, session in enumerate(self.sessions):
+            groups.setdefault(id(session.environment), (session.environment, []))[1].append(j)
+        blocks = [
+            env.plan_block([self.sessions[j] for j in members], horizon)
+            for env, members in groups.values()
+        ]
+        # block rows run group-major: the shard-local agent of each row,
+        # and each agent's row (None while rows are in agent order)
+        order = np.concatenate([members for _, members in groups.values()]).astype(np.intp)
+        inv = None if (order == self._rows).all() else np.argsort(order)
+
+        def by_agent(rows: np.ndarray) -> np.ndarray:
+            return rows if inv is None else rows[inv]
+
+        counts = np.concatenate([b.counts for b in blocks])
+        self._seg_ctx = np.concatenate([b.contexts for b in blocks])
+        noise = blocks[0].noise if len(blocks) == 1 else np.concatenate([b.noise for b in blocks])
+        self._plan_noise = by_agent(noise)
         n_seg = self._seg_ctx.shape[0]
         if n_seg == self.n:  # one segment per session: a zero-copy walk
-            self._walk = np.broadcast_to(self._rows[:, None], (self.n, horizon))
+            self._walk = np.broadcast_to(by_agent(self._rows)[:, None], (self.n, horizon))
         else:
-            lengths = np.concatenate([p.lengths for p in plans])
-            self._walk = np.repeat(np.arange(n_seg), lengths).reshape(self.n, horizon)
-        self._seg_means = self._segment_means(plans, counts)
+            lengths = np.concatenate([b.lengths for b in blocks])
+            walk = np.repeat(np.arange(n_seg), lengths).reshape(self.n, horizon)
+            self._walk = by_agent(walk)
+        self._seg_means = self._segment_means(blocks)
         if self.mode != AgentMode.WARM_PRIVATE:
             self._seg_acting = self._seg_ctx
             return
         self._seg_code, self._seg_acting = self._encode_contexts(
-            self._seg_ctx, np.repeat(self._rows, counts), np.cumsum(counts) - 1
+            self._seg_ctx, np.repeat(order, counts), by_agent(np.cumsum(counts) - 1)
         )
 
-    def _segment_means(self, plans: list[RewardPlan], counts: np.ndarray) -> np.ndarray:
+    def _segment_means(self, blocks: list[RewardBlock]) -> np.ndarray:
         """The ``(S, A)`` means of every segment, one call per reward model.
 
         ``mean_rewards`` rows are bitwise the per-context result (the
@@ -674,9 +694,10 @@ class _Shard:
         batching moves no reward.
         """
         ctx = self._seg_ctx
+        sizes = [b.contexts.shape[0] for b in blocks]
         means = None
-        for model in {id(p.model): p.model for p in plans}.values():
-            rows = np.repeat([p.model is model for p in plans], counts)
+        for model in {id(b.model): b.model for b in blocks}.values():
+            rows = np.repeat([b.model is model for b in blocks], sizes)
             part = model.mean_rewards(ctx[rows])
             if means is None:
                 means = np.empty((ctx.shape[0], part.shape[1]), dtype=part.dtype)
@@ -868,9 +889,9 @@ class _Shard:
         actions[self.indices, tc] = acts
 
         if self.stationary:
-            # RewardPlan.realize, vectorized across agents for
-            # one step: mean[a] + z, clipped — the same elementwise ops
-            # as session.reward (a test pins the plan to the sequential
+            # the RewardBlock realized for one step, across agents:
+            # mean[a] + z, clipped — the same elementwise ops as
+            # session.reward (a test pins the plan to the sequential
             # reward stream)
             means = self._seg_means[walk_t, acts]
             r = np.clip(means + self._plan_noise[:, t], 0.0, 1.0)

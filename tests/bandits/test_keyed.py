@@ -2,29 +2,38 @@
 
 The fleet's bit-identity with the sequential spec rests on these draws
 not depending on the shape or layout of the arrays they are computed
-in; the paper-figure curves rest on the tie-breaks being uniform.
+in; the paper-figure curves rest on the tie-breaks being uniform and
+the reward noise being standard normal.  No test pins a normal's bits:
+numpy's ``log``/``cos`` may round differently on another SIMD dispatch
+target (``make keyed-dispatch`` reruns this module on a second one).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from repro.bandits import UCB1, CodeLinUCB
+from repro.bandits import UCB1, CodeLinUCB, LinUCB
 from repro.bandits.keyed import (
+    STREAM_REWARD_NOISE,
     STREAM_TIEBREAK,
+    box_muller,
     keyed_bits,
     keyed_index,
+    keyed_normal,
     keyed_uniform,
     tiebreak_rows,
 )
 from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode
+from repro.data import DriftingSyntheticEnvironment
 from repro.data.synthetic import SyntheticPreferenceEnvironment
 from repro.experiments.runner import _simulate_agent
-from repro.sim import FleetRunner
+from repro.sim import EngineConfig, FleetRunner
 from repro.sim.stacked import stack_policies
-from repro.utils.rng import spawn_seeds
+from repro.utils.exceptions import ValidationError
+from repro.utils.rng import rng_state_digest, spawn_seeds
 
 
 def _strided_inputs(n=40, seed=0):
@@ -171,3 +180,156 @@ class TestHeldShardReuse:
         for a, b in zip(agents, ref_agents):
             assert (a.policy.t, a.policy._draws) == (b.policy.t, b.policy._draws) == (9, 10)
             np.testing.assert_array_equal(a.policy.counts, b.policy.counts)
+
+
+class TestNanScores:
+    def test_scalar_and_stacked_select_raise_alike(self):
+        """A NaN reward poisons a LinUCB ``theta``; the scalar spec and
+        the stacked fleet must both refuse the NaN score row, not pick
+        different arms (or crash on an empty tie set)."""
+        x = np.full(3, 1.0 / 3)
+        poisoned = LinUCB(n_arms=4, n_features=3, seed=1)
+        poisoned.update(x, 0, float("nan"))
+        healthy = LinUCB(n_arms=4, n_features=3, seed=2)
+        with pytest.raises(ValidationError, match="NaN"):
+            poisoned.select(x)
+        with pytest.raises(ValidationError, match="NaN"):
+            stack_policies([healthy, poisoned]).select(np.stack([x, x]))
+
+    def test_nan_row_raises_among_tied_rows(self):
+        scores = np.array([[1.0, 1.0, 0.0], [0.0, np.nan, 2.0], [3.0, 0.0, 0.0]])
+        with pytest.raises(ValidationError, match="NaN"):
+            tiebreak_rows(scores, np.arange(3, dtype=np.uint64), np.zeros(3, dtype=np.uint64))
+
+
+class TestKeyedNormal:
+    def test_length_one_block_strided_and_fortran_agree(self):
+        rng = np.random.default_rng(5)
+        n, horizon = 24, 17
+        keys = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+        counters = rng.integers(0, 2**40, size=n)[:, None] + np.arange(horizon)
+        block = keyed_normal(keys[:, None], STREAM_REWARD_NOISE, counters)
+        assert block.shape == (n, horizon) and np.isfinite(block).all()
+        for i in range(n):
+            for t in range(horizon):
+                one = keyed_normal(keys[i : i + 1], STREAM_REWARD_NOISE, counters[i, t : t + 1])
+                assert one.tobytes() == block[i, t : t + 1].tobytes()
+        wide = np.zeros((n, 3 * horizon), dtype=counters.dtype)
+        wide[:, ::3] = counters
+        strided = keyed_normal(np.repeat(keys, 2)[::2, None], STREAM_REWARD_NOISE, wide[:, ::3])
+        fortran = keyed_normal(
+            np.asfortranarray(np.broadcast_to(keys[:, None], (n, horizon))),
+            STREAM_REWARD_NOISE,
+            np.asfortranarray(counters),
+        )
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        assert strided.tobytes() == block.tobytes()
+        assert fortran.tobytes() == block.tobytes()
+        # every prefix length, so SIMD loop tails see each element too
+        flat = block.ravel()
+        flat_keys = np.repeat(keys, horizon)
+        for m in range(1, 40):
+            head = keyed_normal(flat_keys[:m], STREAM_REWARD_NOISE, counters.ravel()[:m])
+            assert head.tobytes() == flat[:m].tobytes()
+
+    def test_extreme_bits_give_finite_normals(self):
+        ends = np.array([0, 2**64 - 1], dtype=np.uint64)
+        h1, h2 = (a.ravel() for a in np.meshgrid(ends, ends, indexing="ij"))
+        z = box_muller(h1, h2)
+        assert np.isfinite(z).all()
+        # h1 = 0 is u1 = 1: radius 0; h1 = 2**64 - 1 is u1 = 2**-53,
+        # the largest radius, sqrt(106 ln 2)
+        np.testing.assert_array_equal(z[:2], [0.0, 0.0])
+        np.testing.assert_allclose(np.abs(z[2:]), np.sqrt(106 * np.log(2.0)), rtol=1e-12)
+
+    def test_moments_and_ks_statistic(self):
+        draws = 100_000
+        keys = np.random.default_rng(11).integers(0, 2**64, size=100, dtype=np.uint64)
+        z = np.sort(
+            keyed_normal(keys[:, None], STREAM_REWARD_NOISE, np.arange(draws // 100)).ravel()
+        )
+        # fixed bounds: five standard errors of the mean (1/sqrt(n)) and
+        # of the variance (sqrt(2/n)); the Kolmogorov-Smirnov critical
+        # value at alpha = 1e-6, sqrt(-ln(alpha/2)/2)/sqrt(n)
+        assert abs(z.mean()) < 5 / np.sqrt(draws)
+        assert abs(z.var() - 1.0) < 5 * np.sqrt(2 / draws)
+        cdf = ndtr(z)
+        steps = np.arange(draws + 1) / draws
+        ks = max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max())
+        assert ks < np.sqrt(-np.log(1e-6 / 2) / 2) / np.sqrt(draws)
+
+
+N_ARMS, N_DIM, EPOCH, HORIZON = 4, 5, 3, 8
+SPLITS = [(HORIZON,), (1, HORIZON - 1)]
+
+
+def _noise_population(seed, n=6):
+    """Stationary and drifting users (``EPOCH`` < ``HORIZON``: the
+    drifting ones cross boundaries), on LinUCB policies of two
+    ``alpha`` values, so a fleet runs two shards."""
+    stationary = SyntheticPreferenceEnvironment(n_actions=N_ARMS, n_features=N_DIM, seed=2)
+    drifting = DriftingSyntheticEnvironment(
+        n_actions=N_ARMS, n_features=N_DIM, epoch_length=EPOCH, switch_prob=0.5, seed=3
+    )
+    agents, sessions = [], []
+    for i, s in enumerate(spawn_seeds(seed, n)):
+        policy_seed, session_seed = s.spawn(2)
+        policy = LinUCB(n_arms=N_ARMS, n_features=N_DIM, alpha=1.0 + i % 2, seed=policy_seed)
+        agents.append(LocalAgent(f"u{i}", policy, mode=AgentMode.COLD))
+        sessions.append((drifting if i % 3 else stationary).new_user(session_seed))
+    return agents, sessions
+
+
+def _assert_sessions_equal(planned, stepped):
+    for a, b in zip(planned, stepped):
+        assert (a._key, a._draws) == (b._key, b._draws)
+        assert rng_state_digest(a._rng) == rng_state_digest(b._rng)
+        assert getattr(a, "_t", None) == getattr(b, "_t", None)
+        np.testing.assert_array_equal(a.preference, b.preference)
+
+
+class TestRewardNoiseStreams:
+    @pytest.mark.parametrize("splits", SPLITS, ids=["T", "1+(T-1)"])
+    def test_plan_block_noise_is_the_scalar_reward_stream(self, splits):
+        """``plan_block`` per environment, over split horizons, realizes
+        the rewards of the scalar ``next_context`` + ``reward`` loop
+        bitwise, stationary and drifting users alike, and leaves each
+        session where the loop does."""
+        _, stepped = _noise_population(4)
+        _, planned = _noise_population(4)
+        n = len(planned)
+        actions = (np.arange(HORIZON) * 3 + np.arange(n)[:, None]) % N_ARMS
+        expected = np.empty((n, HORIZON))
+        for j, session in enumerate(stepped):
+            for t in range(HORIZON):
+                session.next_context()
+                expected[j, t] = session.reward(int(actions[j, t]))
+        got = np.empty_like(expected)
+        start = 0
+        for h in splits:
+            for env in {id(s.environment): s.environment for s in planned}.values():
+                rows = [j for j, s in enumerate(planned) if s.environment is env]
+                block = env.plan_block([planned[j] for j in rows], h)
+                assert block.noise.shape == (len(rows), h)
+                means = np.repeat(env.mean_rewards(block.contexts), block.lengths, axis=0)
+                means = means.reshape(len(rows), h, N_ARMS)
+                picked = np.take_along_axis(means, actions[rows, start : start + h, None], 2)
+                got[rows, start : start + h] = np.clip(picked[..., 0] + block.noise, 0.0, 1.0)
+            start += h
+        np.testing.assert_array_equal(got, expected)
+        _assert_sessions_equal(planned, stepped)
+        assert all(s._draws == HORIZON for s in planned)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("splits", SPLITS, ids=["T", "1+(T-1)"])
+    def test_fleet_equals_sequential(self, splits, n_workers):
+        seq_agents, seq_sessions = _noise_population(9)
+        expected = np.stack(
+            [_simulate_agent(a, s, HORIZON)[0] for a, s in zip(seq_agents, seq_sessions)]
+        )
+        agents, sessions = _noise_population(9)
+        runner = FleetRunner(agents, sessions, config=EngineConfig(n_workers=n_workers))
+        assert runner.n_shards == 2
+        got = np.concatenate([runner.run(h).rewards for h in splits], axis=1)
+        np.testing.assert_array_equal(got, expected)
+        _assert_sessions_equal(sessions, seq_sessions)

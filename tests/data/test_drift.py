@@ -2,8 +2,9 @@
 
 The drifting workload is piecewise-stationary: within an epoch it obeys
 the stationary plan contract, and at every boundary one uniform coin
-picks switch vs drift.  A session plans any horizon in one
-``plan_rewards`` call, walking its own boundaries inside it and
+picks switch vs drift.  An environment plans any horizon of its
+sessions in one ``plan_block`` call (a session's ``plan_rewards`` is
+the one-session case), walking each session's boundaries inside it and
 returning one segment per epoch, so drifting fleet runs — their
 reports included — must stay bit-identical to the sequential loop,
 however the horizon is split into runs.
@@ -153,15 +154,16 @@ class TestOneCallPlan:
         plan = planned.plan_rewards(horizon)
 
         assert plan.lengths.tolist() == _boundary_lengths(epoch, lead, horizon)
-        assert plan.noise.shape == (horizon,)
+        assert plan.noise.shape == (1, horizon)
         np.testing.assert_array_equal(
             np.repeat(plan.contexts, plan.lengths, axis=0), np.asarray(contexts)
         )
-        np.testing.assert_array_equal(plan.realize(actions[lead:]), np.asarray(rewards))
-        np.testing.assert_array_equal(
-            np.repeat(plan.mean_rewards(), plan.lengths, axis=0), np.asarray(means)
-        )
+        step_means = np.repeat(env.mean_rewards(plan.contexts), plan.lengths, axis=0)
+        realized = step_means[np.arange(horizon), actions[lead:]] + plan.noise[0]
+        np.testing.assert_array_equal(np.clip(realized, 0.0, 1.0), np.asarray(rewards))
+        np.testing.assert_array_equal(step_means, np.asarray(means))
         assert rng_state_digest(planned._rng) == rng_state_digest(stepped._rng)
+        assert (planned._t, planned._draws) == (stepped._t, stepped._draws)
         # both continue in sync, across a boundary the horizon ended on
         np.testing.assert_array_equal(planned.next_context(), stepped.next_context())
         assert planned.reward(1) == stepped.reward(1)
@@ -341,11 +343,20 @@ class TestDriftingReports:
 class TestPlanCalls:
     @pytest.mark.parametrize("kind", ["mixed", "two_environments"])
     @pytest.mark.parametrize("split", [None, EPOCH + 1])
-    def test_one_plan_per_session_one_means_call_per_environment(self, kind, split, monkeypatch):
-        """Each run plans every session in one call, however many drift
-        boundaries it crosses, and computes the shard's means in one
-        batched call per environment — none per boundary."""
-        plans, means = [], []
+    def test_one_plan_block_and_one_means_call_per_environment(self, kind, split, monkeypatch):
+        """Each run plans each environment's sessions in one
+        ``plan_block`` call, however many drift boundaries it crosses,
+        with no per-session ``plan_rewards`` call, and computes the
+        shard's means in one batched call per environment — none per
+        boundary."""
+        blocks, plans, means = [], [], []
+        real_block = SyntheticPreferenceEnvironment.plan_block  # drifting inherits it
+        monkeypatch.setattr(
+            SyntheticPreferenceEnvironment,
+            "plan_block",
+            lambda self, members, h: blocks.append((id(self), len(members), h))
+            or real_block(self, members, h),
+        )
         for cls in (SyntheticUserSession, DriftingSyntheticSession):
             real_plan = cls.plan_rewards
             monkeypatch.setattr(
@@ -363,6 +374,29 @@ class TestPlanCalls:
         runner = FleetRunner(agents, sessions)
         split = split or HORIZON
         for run, start in enumerate(range(0, HORIZON, split), 1):
-            runner.run(min(split, HORIZON - start))
-            assert len(plans) == run * len(agents)
+            horizon = min(split, HORIZON - start)
+            runner.run(horizon)
+            assert len(blocks) == 2 * run  # two environments, one block each
+            last = blocks[-2:]
+            assert len({env for env, _, _ in last}) == 2
+            assert sum(n for _, n, _ in last) == len(agents)
+            assert all(h == horizon for _, _, h in last)
+            assert plans == []  # no per-session plan call
             assert means == [2] * (2 * run)  # two environments, batched
+
+    @pytest.mark.parametrize("kind", ["mixed", "two_environments"])
+    def test_encode_cache_holds_each_agents_latest_context(self, kind):
+        """A shard over interleaved environments plans group by group;
+        its acting-encoding cache must still map each agent to its own
+        latest context, or the next run re-encodes (or, across
+        encoders, reuses) another agent's code."""
+        _, agents, sessions = _warm_population(kind)
+        runner = FleetRunner(agents, sessions)
+        for horizon in (EPOCH + 1, EPOCH):
+            runner.run(horizon)
+            (shard,) = runner._shards.values()
+            assert shard._cache_valid.all()
+            for j, session in enumerate(shard.sessions):
+                np.testing.assert_array_equal(shard._cached_ctx[j], session.preference)
+                code = shard.agents[j].encoder.encode(session.preference)
+                assert shard._cached_code[j] == code

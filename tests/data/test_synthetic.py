@@ -148,6 +148,13 @@ class TestBatchedMeanRewards:
             np.testing.assert_array_equal(self._bits(env.mean_rewards(x)), self._bits(batch[i]))
 
 
+def _realize(block, actions):
+    """Realized rewards of a one-session reward ``block``, one action per step."""
+    actions = np.asarray(actions, dtype=np.intp)
+    steps = np.repeat(block.model.mean_rewards(block.contexts), block.lengths, axis=0)
+    return np.clip(steps[np.arange(actions.shape[0]), actions] + block.noise[0], 0.0, 1.0)
+
+
 class TestRewardPlan:
     """plan_rewards is the fleet engine's stand-in for the sequential
     next_context()/reward() loop; pin the exact-equivalence contract."""
@@ -167,7 +174,7 @@ class TestRewardPlan:
         horizon = 17
         actions = np.random.default_rng(0).integers(0, env.n_actions, size=horizon)
         plan = planned.plan_rewards(horizon)
-        realized = plan.realize(actions)
+        realized = _realize(plan, actions)
         expected = []
         for a in actions:
             sequential.next_context()
@@ -185,6 +192,9 @@ class TestRewardPlan:
             sequential.next_context()
             sequential.reward(0)
         assert rng_state_digest(planned._rng) == rng_state_digest(sequential._rng)
+        # the noise is keyed: the counters, not the generator, carry it
+        assert planned._key == sequential._key
+        assert planned._draws == sequential._draws == 8
         # and the session is still usable afterwards, in sync
         planned.next_context()
         sequential.next_context()
@@ -193,8 +203,57 @@ class TestRewardPlan:
     def test_plan_is_one_segment_matching_session_views(self):
         import numpy as np
 
-        env, planned, _ = self._twin_sessions()
+        env, planned, twin = self._twin_sessions()
         plan = planned.plan_rewards(3)
         assert plan.lengths.tolist() == [3] and plan.model is env
+        assert plan.counts.tolist() == [1] and plan.noise.shape == (1, 3)
         np.testing.assert_array_equal(plan.contexts, planned.preference[None, :])
-        np.testing.assert_array_equal(plan.mean_rewards(), planned.expected_rewards()[None, :])
+        np.testing.assert_array_equal(
+            env.mean_rewards(plan.contexts), planned.expected_rewards()[None, :]
+        )
+        # the one-session case of plan_block, bitwise
+        block = env.plan_block([twin], 3)
+        assert block.counts.tolist() == [1] and block.model is env
+        np.testing.assert_array_equal(block.noise, plan.noise)
+        np.testing.assert_array_equal(block.contexts, plan.contexts)
+
+    def test_split_plans_realize_the_sequential_stream(self):
+        """``plan_rewards(1)`` then ``plan_rewards(T - 1)`` realize what
+        one ``plan_rewards(T)`` and the step loop realize."""
+        import numpy as np
+
+        env, split, sequential = self._twin_sessions()
+        whole = env.new_user(9)
+        actions = np.random.default_rng(1).integers(0, env.n_actions, size=12)
+        expected = []
+        for a in actions:
+            sequential.next_context()
+            expected.append(sequential.reward(int(a)))
+        head = _realize(split.plan_rewards(1), actions[:1])
+        parts = np.concatenate([head, _realize(split.plan_rewards(11), actions[1:])])
+        np.testing.assert_array_equal(parts, np.array(expected))
+        np.testing.assert_array_equal(_realize(whole.plan_rewards(12), actions), np.array(expected))
+        assert split._draws == whole._draws == sequential._draws == 12
+
+    def test_block_rows_are_each_sessions_plan(self):
+        """Row ``j`` of a multi-session block is session ``j``'s own
+        one-session plan: batching moves no noise."""
+        import numpy as np
+
+        from repro.utils.rng import spawn_seeds
+
+        env, _, _ = self._twin_sessions()
+        seeds = spawn_seeds(4, 5)
+        blocked = [env.new_user(s) for s in seeds]
+        alone = [env.new_user(s) for s in seeds]
+        alone[2].next_context()
+        alone[2].reward(0)  # a session one draw ahead
+        blocked[2].next_context()
+        blocked[2].reward(0)
+        block = env.plan_block(blocked, 6)
+        assert block.noise.shape == (5, 6) and block.counts.tolist() == [1] * 5
+        for j, session in enumerate(alone):
+            plan = session.plan_rewards(6)
+            np.testing.assert_array_equal(block.noise[j], plan.noise[0])
+            np.testing.assert_array_equal(block.contexts[j], plan.contexts[0])
+        assert [s._draws for s in blocked] == [6, 6, 7, 6, 6]

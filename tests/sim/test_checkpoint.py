@@ -305,6 +305,21 @@ class TestValidationAndCorruption:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def test_version_3_checkpoint_refused(self, tmp_path):
+        """Version 3 predates keyed reward noise: its pickled synthetic
+        sessions carry no noise key or counter, so it must not load."""
+        path = tmp_path / "v3.ckpt"
+        agents, sessions = _population(7, n_agents=3)
+        runner = FleetRunner(agents, sessions)
+        runner.run(2)
+        runner.checkpoint(path)
+        state = state_from_bytes(path.read_bytes())
+        state["version"] = 3
+        path.write_bytes(state_to_bytes(state))
+        assert CHECKPOINT_VERSION == 4
+        with pytest.raises(CheckpointError, match="format version 3"):
+            load_checkpoint(path)
+
     @staticmethod
     def _with_dropped(path, dropped):
         """Rewrite a snapshot as a release that recorded dropped shards did."""

@@ -160,15 +160,17 @@ def test_shard_error_propagates_unchanged(n_workers):
     agents, sessions = _population(1)
     calls = []
     broken = sessions[1]  # a member of shard 1 (the epsilon-greedy one)
-    real = broken.plan_rewards
+    env = broken.environment  # plans every shard: one plan_block call each
+    real = env.plan_block
 
-    def plan_rewards(horizon):
-        calls.append(horizon)
-        if len(calls) == 1:
-            raise _Boom("session source failed")
-        return real(horizon)
+    def plan_block(members, horizon):
+        if any(s is broken for s in members):
+            calls.append(horizon)
+            if len(calls) == 1:
+                raise _Boom("session source failed")
+        return real(members, horizon)
 
-    broken.plan_rewards = plan_rewards
+    env.plan_block = plan_block
     runner = FleetRunner(agents, sessions, config=EngineConfig(n_workers=n_workers))
     with pytest.raises(_Boom, match="session source failed"):
         runner.run(6)

@@ -6,8 +6,10 @@ contexts, participation refusals and the shuffler release), the
 ``plan_trace`` exactness contract (same values, same generator
 consumption, same session state as the sequential walk), and the
 capability-flag regression: sessions that *inherit* a working plan
-stay on the fast path, and shards mixing plan-capable and plan-less
-sessions fall back to the generic loop without losing bit-identity.
+stay on the fast path, a reward-plan session from outside the package
+plans through the default ``Environment.plan_block``, and shards mixing
+plan-capable and plan-less sessions fall back to the generic loop
+without losing bit-identity.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ from repro.data.multilabel import (
     MultilabelUserSession,
     make_multilabel_dataset,
 )
+from repro.data.environment import Environment, RewardBlock, UserSession
 from repro.data.synthetic import SyntheticPreferenceEnvironment, SyntheticUserSession
 from repro.experiments.runner import _simulate_agent, run_setting
 from repro.sim import FleetRunner
 from repro.sim.fleet import _Shard
-from repro.utils.rng import spawn_seeds
+from repro.utils.exceptions import DataError
+from repro.utils.rng import rng_state_digest, spawn_seeds
 
 from _testkit import assert_outboxes_equal, assert_states_equal
 
@@ -309,6 +313,87 @@ def test_plan_inheriting_subclasses_stay_on_fast_path():
     shard = _Shard(np.arange(4), _cold_agents(4, 1), syn_sessions)
     shard.prepare(6)
     assert shard.stationary and not shard.traced
+
+
+class _GeneratorNoiseSession(UserSession):
+    """A reward-plan session from outside the package: stationary, its
+    noise drawn from its own generator, planned through its plain
+    environment's default ``plan_block``, which stacks ``plan_rewards``."""
+
+    has_reward_plan = True
+
+    def __init__(self, environment, preference, rng):
+        self.environment = environment
+        self.preference = preference
+        self._rng = rng
+        self.plan_calls = 0
+
+    def next_context(self):
+        return self.preference.copy()
+
+    def reward(self, action):
+        mean = self.environment.model.mean_rewards(self.preference)[action]
+        return float(np.clip(mean + self._rng.normal(0.0, 0.1), 0.0, 1.0))
+
+    def plan_rewards(self, horizon):
+        self.plan_calls += 1
+        return RewardBlock(
+            contexts=self.preference[None, :],
+            counts=np.ones(1, dtype=np.intp),
+            lengths=np.array([horizon], dtype=np.intp),
+            noise=self._rng.normal(0.0, 0.1, size=(1, horizon)),
+            model=self.environment.model,
+        )
+
+
+class _GeneratorNoiseEnvironment(Environment):
+    def __init__(self, model):
+        super().__init__(model.n_actions, model.n_features)
+        self.model = model
+
+    def new_user(self, seed=None):
+        rng = np.random.default_rng(seed)
+        return _GeneratorNoiseSession(self, rng.dirichlet(np.ones(self.n_features)), rng)
+
+
+def test_default_plan_block_session_matches_sequential():
+    """A third-party reward-plan session takes the fast path through the
+    default ``Environment.plan_block``, beside keyed synthetic users of
+    another environment and a second reward model, with the shard's
+    environments interleaved — and stays bit-identical to the sequential
+    loop over a horizon split into two runs."""
+    syn = SyntheticPreferenceEnvironment(n_actions=N_ACTIONS, n_features=N_FEATURES, seed=2)
+    other = SyntheticPreferenceEnvironment(n_actions=N_ACTIONS, n_features=N_FEATURES, seed=3)
+
+    def build(seed):
+        envs = [syn, _GeneratorNoiseEnvironment(syn), _GeneratorNoiseEnvironment(other)]
+        seeds = spawn_seeds(seed + 100, 6)
+        return _cold_agents(6, seed), [envs[i % 3].new_user(s) for i, s in enumerate(seeds)]
+
+    seq_agents, seq_sessions = build(5)
+    expected = np.stack([_simulate_agent(a, s, 8)[0] for a, s in zip(seq_agents, seq_sessions)])
+    fleet_agents, fleet_sessions = build(5)
+    runner = FleetRunner(fleet_agents, fleet_sessions)
+    assert runner.n_shards == 1
+    rewards = np.hstack([runner.run(3).rewards, runner.run(5).rewards])
+    np.testing.assert_array_equal(rewards, expected)
+    for sa, fa in zip(seq_agents, fleet_agents):
+        assert_states_equal(sa.policy, fa.policy)
+    custom = [s for s in fleet_sessions if isinstance(s, _GeneratorNoiseSession)]
+    assert [s.plan_calls for s in custom] == [2] * 4
+    for planned, stepped in zip(fleet_sessions, seq_sessions):
+        assert rng_state_digest(planned._rng) == rng_state_digest(stepped._rng)
+
+
+def test_default_plan_block_refuses_sessions_of_two_reward_models():
+    """One block has one reward model: the shard computes its means
+    with it, so stacking plans of another model would misprice them."""
+    syn = SyntheticPreferenceEnvironment(n_actions=N_ACTIONS, n_features=N_FEATURES, seed=2)
+    other = SyntheticPreferenceEnvironment(n_actions=N_ACTIONS, n_features=N_FEATURES, seed=3)
+    env = _GeneratorNoiseEnvironment(syn)
+    stray = _GeneratorNoiseEnvironment(other).new_user(2)
+    with pytest.raises(DataError, match="one reward model"):
+        env.plan_block([env.new_user(1), stray], 3)
 
 
 def test_mixed_capability_shard_falls_back_to_generic():
