@@ -51,12 +51,15 @@ keyed-dispatch:
 
 # chaos smoke: seeded report corruption on the collection path
 # (quarantined tuples, collection keeps going, the crowd-blending audit
-# passes) and the shuffler's own validation suite, then the
+# passes, the sequential and fleet engines agree under the tap), the
+# shuffler's own validation suite and the async-collection suite (so
+# quarantine is checked on both shuffler entry points), then the
 # deterministic counter report (benchmarks/chaos_summary.py; CI pipes
 # it into the step summary)
 chaos:
 	$(PY) -m pytest tests/sim/test_chaos.py::TestCorruptionChaos \
-		tests/core/test_shuffler.py -q
+		tests/sim/test_chaos.py::TestCorruptionEnginesAgree \
+		tests/core/test_shuffler.py tests/core/test_async_collection.py -q
 	$(PY) benchmarks/chaos_summary.py
 
 # all paper-figure benches; seeded throughout, writes only into

@@ -293,10 +293,6 @@ class BanditPolicy(abc.ABC):
         """
         raise NotImplementedError(f"{type(self).__name__} has no reward model")
 
-    def greedy_action(self, context: np.ndarray) -> int:
-        """Pure-exploitation action (used by held-out accuracy evaluation)."""
-        return self._tiebreak(self.expected_rewards(context))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{type(self).__name__}(n_arms={self.n_arms}, "

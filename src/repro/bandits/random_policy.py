@@ -34,9 +34,6 @@ class RandomPolicy(BanditPolicy):
     def expected_rewards(self, context: np.ndarray | None = None) -> np.ndarray:
         return np.zeros(self.n_arms)
 
-    def greedy_action(self, context: np.ndarray | None = None) -> int:
-        return self.select(context)
-
     def get_state(self) -> dict[str, Any]:
         return self._state_header()
 

@@ -84,9 +84,6 @@ class UCB1(BanditPolicy):
         np.add.at(self.sums, actions, rewards)
         self.t += actions.shape[0]
 
-    def greedy_action(self, context: np.ndarray | None = None) -> int:
-        return self._tiebreak(self.expected_rewards())
-
     def get_state(self) -> dict[str, Any]:
         state = self._state_header()
         state.update(c=self.c, counts=self.counts.copy(), sums=self.sums.copy())

@@ -191,9 +191,9 @@ class LocalAgent:
         :class:`~repro.core.payload.PendingReports` markers here;
         reading this property materializes them in place — same
         reports, same metadata, same order as the scalar path — so any
-        object-path consumer stays oblivious.  The columnar collection
-        fast path (:meth:`~repro.core.system.P2BSystem.collect`)
-        deliberately bypasses this property to keep arrays arrays.
+        object-path consumer stays oblivious.  Collection
+        (:meth:`~repro.core.system.P2BSystem.collect`) bypasses this
+        property and drains markers and objects alike to columns.
         """
         if any(isinstance(e, PendingReports) for e in self._outbox):
             expanded: list[EncodedReport | RawReport] = []
@@ -221,16 +221,16 @@ class LocalAgent:
     def pending_entries(self) -> list[EncodedReport | RawReport | PendingReports]:
         """The raw pending-outbox entries, *without* materializing.
 
-        The columnar collection path
-        (:func:`~repro.core.payload.drain_report_batches`) inspects
-        these to decide between the array and object drains; anything
-        that wants report objects should use :attr:`outbox` /
-        :meth:`drain_outbox` instead.
+        The collection drain
+        (:func:`~repro.core.payload.drain_report_batches`) turns these
+        into report columns — log rows for markers, one row per report
+        object; anything that wants report objects should use
+        :attr:`outbox` / :meth:`drain_outbox` instead.
         """
         return list(self._outbox)
 
     def clear_pending(self) -> None:
-        """Drop every pending entry (the columnar drain's commit step).
+        """Drop every pending entry (the collection drain's commit step).
 
         Only meaningful after the caller has consumed the entries via
         :meth:`pending_entries` — this is how

@@ -369,61 +369,87 @@ class PendingReports:
         return f"PendingReports(kind={self.log.kind!r}, row={self.row})"
 
 
-def drain_report_batches(
-    agents: Iterable,
-) -> tuple[ReportBatch, ReportBatch] | None:
+def _object_rows(kind: str, reports: list, agent_rows: list[int]) -> ReportBatch:
+    """Rows of materialized report objects (the sequential engine's outbox).
+
+    Codes or contexts, actions and rewards come from the objects, the
+    interaction index from their metadata — ``-1`` for an object that
+    carries none (one put through the ``outbox`` setter), whose row
+    keeps its outbox position all the same.
+    """
+    return ReportBatch(
+        actions=np.array([r.action for r in reports], dtype=np.intp),
+        rewards=np.array([r.reward for r in reports], dtype=np.float64),
+        agent_rows=np.array(agent_rows, dtype=np.intp),
+        interaction_indices=np.array(
+            [r.metadata.get("interaction_index", -1) for r in reports], dtype=np.intp
+        ),
+        codes=np.array([r.code for r in reports], dtype=np.intp) if kind == "encoded" else None,
+        contexts=np.stack([r.context for r in reports]) if kind == "raw" else None,
+    )
+
+
+def drain_report_batches(agents: Iterable) -> tuple[ReportBatch, ReportBatch]:
     """Drain a population's pending reports in columnar form.
 
     Returns ``(encoded, raw)`` batches holding every pending report of
-    ``agents`` — ordered agent-major by the given agent order and
-    chronologically within each agent, i.e. exactly the order
-    sequential per-agent ``drain_outbox`` concatenation would produce —
-    or ``None`` when any agent holds a materialized report *object*,
-    in which case the caller must use the object path (mixed histories
-    cannot be ordered columnar-side without materializing anyway).
+    ``agents`` in exactly the order of concatenated per-agent
+    ``drain_outbox`` calls: agent-major by the given agent order, and
+    outbox order within each agent, where a :class:`PendingReports`
+    marker expands to its log rows in append (chronological) order.
+    Markers drain as array gathers; materialized report objects — the
+    sequential engine's outbox, or an object view someone touched —
+    become rows of the same columns (:func:`_object_rows`).
 
-    On success every involved outbox is emptied and the taken log rows
-    are dead, mirroring the destructive object-path drain.
+    Every involved outbox is emptied and the taken log rows are dead,
+    mirroring the destructive object drain.
     """
-    slices: list[tuple[PendingReports, int]] = []
-    touched: list = []
+    # every outbox entry gets an ordinal; one stable sort on it restores
+    # outbox order across logs and objects
+    by_log: dict[int, tuple[ReportLog, list[int], list[int], list[int]]] = {}
+    objects: dict[str, tuple[list, list[int], list[int]]] = {
+        "encoded": ([], [], []),
+        "raw": ([], [], []),
+    }
+    seq = 0
     for pos, agent in enumerate(agents):
-        for entry in agent.pending_entries():
-            if not isinstance(entry, PendingReports):
-                return None
-            slices.append((entry, pos))
-        touched.append(agent)
-    for agent in touched:
+        entries = agent.pending_entries()
         agent.clear_pending()
+        for entry in entries:
+            if isinstance(entry, PendingReports):
+                if id(entry.log) not in by_log:
+                    by_log[id(entry.log)] = (entry.log, [], [], [])
+                _, rows, poses, seqs = by_log[id(entry.log)]
+                rows.append(entry.row)
+            else:
+                reports, poses, seqs = objects["raw" if isinstance(entry, RawReport) else "encoded"]
+                reports.append(entry)
+            poses.append(pos)
+            seqs.append(seq)
+            seq += 1
 
-    by_kind: dict[str, list[ReportBatch]] = {"encoded": [], "raw": []}
-    by_log: dict[int, tuple[ReportLog, list[int], list[int]]] = {}
-    for entry, pos in slices:
-        log_id = id(entry.log)
-        if log_id not in by_log:
-            by_log[log_id] = (entry.log, [], [])
-        _, rows, poses = by_log[log_id]
-        rows.append(entry.row)
-        poses.append(pos)
-    for log, rows, poses in by_log.values():
+    parts: dict[str, list[tuple[ReportBatch, np.ndarray]]] = {"encoded": [], "raw": []}
+    for log, rows, poses, seqs in by_log.values():
         row_arr = np.asarray(rows, dtype=np.intp)
         part = log.take_rows(row_arr)
         part.agent_ids = None
-        # remap log-local agent rows to the caller's agent positions so
-        # the cross-log sort below is over one shared numbering
-        posarr = np.full(len(log.agent_ids), -1, dtype=np.intp)
-        posarr[row_arr] = np.asarray(poses, dtype=np.intp)
-        part.agent_rows = posarr[part.agent_rows]
-        by_kind[log.kind].append(part)
+        # map log-local agent rows to the caller's agent positions and to
+        # the ordinal of the marker each row drains through
+        remap = np.empty((2, len(log.agent_ids)), dtype=np.intp)
+        remap[:, row_arr] = (poses, seqs)
+        ordinals = remap[1, part.agent_rows]
+        part.agent_rows = remap[0, part.agent_rows]
+        parts[log.kind].append((part, ordinals))
+    for kind, (reports, poses, seqs) in objects.items():
+        if reports:
+            parts[kind].append((_object_rows(kind, reports, poses), np.asarray(seqs)))
 
     out = []
     for kind in ("encoded", "raw"):
-        batch = ReportBatch.concat(by_kind[kind], kind)
+        filled = [(part, ordinals) for part, ordinals in parts[kind] if len(part)]
+        batch = ReportBatch.concat([part for part, _ in filled], kind)
         if len(batch):
-            # agent-major, chronological within agent: the per-agent
-            # lifetime interaction index is the chronological key (it
-            # is strictly increasing per agent across runs and logs)
-            order = np.lexsort((batch.interaction_indices, batch.agent_rows))
+            order = np.argsort(np.concatenate([o for _, o in filled]), kind="stable")
             batch = batch.take(order)
         out.append(batch)
     return out[0], out[1]

@@ -77,10 +77,10 @@ class DeploymentLoop:
         bit-identical to the loop by the sim contract; mixed cohorts
         shard by configuration — ``"sequential"`` forces the reference
         loop, ``"fleet"`` insists and raises when unsupported.  Fleet
-        rounds record reports columnar-side, so each round's collection
-        flows arrays straight through the shuffler into the server
-        (:meth:`~repro.core.system.P2BSystem.collect`'s fast path) —
-        no per-report objects anywhere in the cycle, same round stats.
+        rounds record reports columnar-side, so no per-report object
+        is built anywhere in their cycle; either engine's collection
+        takes :meth:`~repro.core.system.P2BSystem.collect`'s one
+        columnar route, with the same round stats.
         Fleet rounds run on one :class:`~repro.sim.FleetRunner` held
         across rounds: new users join it through ``add_agents`` (only
         they are checked for fleet support), and a refresh passes the

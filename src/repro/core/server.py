@@ -6,10 +6,10 @@ to local agents that request it."
 
 Two server flavours mirror the two warm settings:
 
-* :class:`PrivateServer` consumes :class:`EncodedReport` batches from
-  the shuffler and trains its central policy on **one-hot code
-  contexts** (``R^k``);
-* :class:`NonPrivateServer` consumes :class:`RawReport` batches
+* :class:`PrivateServer` consumes the shuffler's released
+  ``(code, action, reward)`` columns and trains its central policy on
+  **one-hot code contexts** (``R^k``);
+* :class:`NonPrivateServer` consumes raw-report columns drained
   directly from agents and trains on **raw contexts** (``R^d``).
 
 Both distribute the model as a state dict (deep-copied / serialized),
@@ -20,14 +20,13 @@ destroys ordering.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from ..bandits.base import BanditPolicy
 from ..encoding.base import Encoder
 from ..utils.exceptions import ValidationError
-from .payload import EncodedReport, RawReport
 
 __all__ = ["PrivateServer", "NonPrivateServer"]
 
@@ -84,26 +83,10 @@ class PrivateServer(_ServerBase):
         self.encoder = encoder
         self.context_mode = context_mode
 
-    def ingest(self, batch: Sequence[EncodedReport]) -> None:
-        """Train the central model on a shuffled, thresholded batch.
-
-        Thin object adapter over :meth:`ingest_arrays` — the columnar
-        form is the native one, so both entry points drive the central
-        policy through byte-identical arrays.
-        """
-        if not batch:
-            self.n_batches += 1
-            return
-        self.ingest_arrays(
-            np.array([r.code for r in batch], dtype=np.intp),
-            np.array([r.action for r in batch], dtype=np.intp),
-            np.array([r.reward for r in batch], dtype=np.float64),
-        )
-
     def ingest_arrays(
         self, codes: np.ndarray, actions: np.ndarray, rewards: np.ndarray
     ) -> None:
-        """Columnar fast path: train directly on report columns.
+        """Train the central model on a shuffled, thresholded batch.
 
         The device → shuffler → server pipeline's terminal stage; codes
         become one-hot indicators (or codebook centroids via the
@@ -140,21 +123,10 @@ class PrivateServer(_ServerBase):
 class NonPrivateServer(_ServerBase):
     """Central-model trainer for the warm-non-private baseline."""
 
-    def ingest(self, batch: Sequence[RawReport]) -> None:
-        """Train the central model on raw-context reports."""
-        if not batch:
-            self.n_batches += 1
-            return
-        self.ingest_arrays(
-            np.stack([r.context for r in batch]),
-            np.array([r.action for r in batch], dtype=np.intp),
-            np.array([r.reward for r in batch], dtype=np.float64),
-        )
-
     def ingest_arrays(
         self, contexts: np.ndarray, actions: np.ndarray, rewards: np.ndarray
     ) -> None:
-        """Columnar fast path: train directly on raw-context columns."""
+        """Train the central model on raw-context report columns."""
         contexts = np.asarray(contexts, dtype=np.float64)
         actions = np.asarray(actions, dtype=np.intp).ravel()
         rewards = np.asarray(rewards, dtype=np.float64).ravel()

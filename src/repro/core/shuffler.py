@@ -99,21 +99,64 @@ class Shuffler:
         self._pending_quarantined = 0
 
     def _sanitize(
-        self, codes: np.ndarray, actions: np.ndarray, rewards: np.ndarray
+        self, codes, actions, rewards
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Split off malformed rows; returns the clean columns + bad count.
+        """Quarantine malformed input; returns the clean columns + bad count.
 
-        Runs *before* the shuffle permutation, so a batch with nothing
-        malformed consumes the RNG exactly as it always did.
+        Misaligned columns void the whole batch (its tuples cannot be
+        paired up); an aligned batch loses its malformed rows.  Either
+        way the count goes into :attr:`total_quarantined`.  Runs
+        *before* the shuffle permutation, so a batch with nothing
+        malformed consumes the RNG exactly as it always did, and a
+        voided one consumes nothing.
         """
-        bad = (codes < 0) | (actions < 0) | ~np.isfinite(rewards)
-        if self.n_codes is not None:
-            bad |= codes >= self.n_codes
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad:
-            good = ~bad
-            codes, actions, rewards = codes[good], actions[good], rewards[good]
+        codes = np.asarray(codes, dtype=np.intp).ravel()
+        actions = np.asarray(actions, dtype=np.intp).ravel()
+        rewards = np.asarray(rewards, dtype=np.float64).ravel()
+        if not (codes.shape[0] == actions.shape[0] == rewards.shape[0]):
+            n_bad = int(max(codes.shape[0], actions.shape[0], rewards.shape[0]))
+            codes, actions, rewards = codes[:0], actions[:0], rewards[:0]
+        else:
+            bad = (codes < 0) | (actions < 0) | ~np.isfinite(rewards)
+            if self.n_codes is not None:
+                bad |= codes >= self.n_codes
+            n_bad = int(np.count_nonzero(bad))
+            if n_bad:
+                good = ~bad
+                codes, actions, rewards = codes[good], actions[good], rewards[good]
+        self.total_quarantined += n_bad
         return codes, actions, rewards, n_bad
+
+    def _shuffle_threshold(
+        self, codes: np.ndarray, actions: np.ndarray, rewards: np.ndarray, *, retain: bool
+    ) -> tuple[tuple, tuple | None, int, int, CrowdBlendingAudit]:
+        """The shared core: shuffle → threshold → audit on clean columns.
+
+        One permutation draw for a non-empty batch, nothing for an
+        empty one.  Codes are counted with one ``unique`` call, not a
+        bincount: code spaces can be huge and sparse (e.g. 2^30 for
+        wide LSH signatures).  Returns ``(released, retained,
+        codes_received, codes_released, audit)`` — the released column
+        triple, the sub-threshold one when ``retain`` (else ``None``:
+        a one-batch caller drops them, and gathering them would only
+        raise its peak memory), the distinct codes seen and released,
+        and the crowd-blending audit of the release.
+        """
+        codes_received = codes_released = 0
+        retained = (codes, actions, rewards) if retain else None
+        if codes.shape[0]:
+            order = self._rng.permutation(codes.shape[0])
+            codes, actions, rewards = codes[order], actions[order], rewards[order]
+            _, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
+            released_mask = counts >= self.threshold
+            codes_received = int(counts.size)
+            codes_released = int(np.count_nonzero(released_mask))
+            keep = released_mask[inverse]
+            if retain:
+                retained = (codes[~keep], actions[~keep], rewards[~keep])
+            codes, actions, rewards = codes[keep], actions[keep], rewards[keep]
+        audit = verify_crowd_blending(codes, self.threshold)
+        return (codes, actions, rewards), retained, codes_received, codes_released, audit
 
     def process(
         self, reports: Sequence[EncodedReport]
@@ -123,7 +166,7 @@ class Shuffler:
         Implemented over the columnar representation: converting to
         arrays *is* the anonymization step (array form carries no
         metadata), and shuffling/thresholding become one permutation
-        plus one bincount instead of per-report Python work.
+        plus one ``unique`` call instead of per-report Python work.
 
         Returns
         -------
@@ -140,53 +183,26 @@ class Shuffler:
     def process_arrays(
         self, codes: np.ndarray, actions: np.ndarray, rewards: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ShufflerStats]:
-        """Columnar fast path: anonymize → shuffle → threshold on arrays.
+        """One batch through anonymize → shuffle → threshold, on arrays.
 
-        The per-batch RNG consumption is identical to the object path
-        (one permutation draw for a non-empty batch, nothing for an
-        empty one), so object and array callers are interchangeable
-        mid-stream.
+        The columnar form carries no metadata, so taking the columns is
+        the anonymization step.  Sub-threshold tuples are dropped.
         """
-        codes = np.asarray(codes, dtype=np.intp).ravel()
-        actions = np.asarray(actions, dtype=np.intp).ravel()
-        rewards = np.asarray(rewards, dtype=np.float64).ravel()
-        n_received = codes.shape[0]
-        # 0. quarantine — malformed tuples never reach the pipeline
-        codes, actions, rewards, n_quarantined = self._sanitize(
-            codes, actions, rewards
+        codes, actions, rewards, n_quarantined = self._sanitize(codes, actions, rewards)
+        released, _, codes_received, codes_released, audit = self._shuffle_threshold(
+            codes, actions, rewards, retain=False
         )
-        self.total_quarantined += n_quarantined
-        n_clean = codes.shape[0]
-        # 1. anonymization — the columnar form carries no metadata.
-        # 2. shuffling
-        if n_clean:
-            order = self._rng.permutation(n_clean)
-            codes, actions, rewards = codes[order], actions[order], rewards[order]
-        # 3. thresholding (via one unique call, not bincount: code
-        # spaces can be huge and sparse, e.g. 2^30 for wide LSH
-        # signatures; the same counts drive the release mask and both
-        # code-diversity stats)
-        codes_received = codes_released = 0
-        if n_clean:
-            _, inverse, batch_counts = np.unique(
-                codes, return_inverse=True, return_counts=True
-            )
-            codes_received = int(batch_counts.size)
-            released_mask = batch_counts >= self.threshold
-            codes_released = int(np.count_nonzero(released_mask))
-            keep = released_mask[inverse]
-            codes, actions, rewards = codes[keep], actions[keep], rewards[keep]
-        audit = verify_crowd_blending(codes, self.threshold)
+        n_clean, n_released = codes.shape[0], released[0].shape[0]
         stats = ShufflerStats(
-            n_received=n_received,
-            n_released=int(codes.shape[0]),
-            n_dropped=n_clean - int(codes.shape[0]),
+            n_received=n_clean + n_quarantined,
+            n_released=n_released,
+            n_dropped=n_clean - n_released,
             codes_received=codes_received,
             codes_released=codes_released,
             audit=audit,
             n_quarantined=n_quarantined,
         )
-        return codes, actions, rewards, stats
+        return (*released, stats)
 
     # ------------------------------------------------------------------ #
     # asynchronous collection: devices report on their own clocks, the
@@ -205,31 +221,14 @@ class Shuffler:
         moment tuples enter the buffer (they are anonymized to columns
         immediately and shuffled with the whole buffer at the next
         :meth:`release_ready`).  Returns the new pending count.
-
-        Malformed input is quarantined, never raised: misaligned
-        columns void the whole batch (tuples cannot be paired up), and
-        out-of-range rows of an aligned batch are dropped row-wise —
-        both counted into :attr:`total_quarantined` and the next
-        :meth:`release_ready` stats, while collection continues.
+        Malformed input is quarantined as in :meth:`process_arrays`,
+        and counted in the next :meth:`release_ready` stats.
         """
-        codes = np.asarray(codes, dtype=np.intp).ravel()
-        actions = np.asarray(actions, dtype=np.intp).ravel()
-        rewards = np.asarray(rewards, dtype=np.float64).ravel()
-        if not (codes.shape[0] == actions.shape[0] == rewards.shape[0]):
-            n_bad = int(max(codes.shape[0], actions.shape[0], rewards.shape[0]))
-            self.total_quarantined += n_bad
-            self._pending_quarantined += n_bad
-            return self.n_pending
         codes, actions, rewards, n_bad = self._sanitize(codes, actions, rewards)
-        self.total_quarantined += n_bad
         self._pending_quarantined += n_bad
         if codes.shape[0]:
             self._pending.append((codes, actions, rewards))
         return self.n_pending
-
-    def buffer_reports(self, reports: Sequence[EncodedReport]) -> int:
-        """Object-path convenience for :meth:`buffer_arrays`."""
-        return self.buffer_arrays(*encoded_reports_to_arrays(reports))
 
     def release_ready(
         self, *, final: bool = False
@@ -253,36 +252,16 @@ class Shuffler:
         ``final`` (retained tuples are neither released nor dropped).
         """
         if self._pending:
-            codes = np.concatenate([c for c, _, _ in self._pending])
-            actions = np.concatenate([a for _, a, _ in self._pending])
-            rewards = np.concatenate([r for _, _, r in self._pending])
+            codes, actions, rewards = (np.concatenate(cols) for cols in zip(*self._pending))
         else:
-            codes = np.empty(0, dtype=np.intp)
-            actions = np.empty(0, dtype=np.intp)
+            codes = actions = np.empty(0, dtype=np.intp)
             rewards = np.empty(0, dtype=np.float64)
-        n_buffered = codes.shape[0]
-        if n_buffered:
-            order = self._rng.permutation(n_buffered)
-            codes, actions, rewards = codes[order], actions[order], rewards[order]
-        codes_received = codes_released = 0
-        if n_buffered:
-            _, inverse, counts = np.unique(
-                codes, return_inverse=True, return_counts=True
-            )
-            codes_received = int(counts.size)
-            released_mask = counts >= self.threshold
-            codes_released = int(np.count_nonzero(released_mask))
-            keep = released_mask[inverse]
-            retained = (codes[~keep], actions[~keep], rewards[~keep])
-            codes, actions, rewards = codes[keep], actions[keep], rewards[keep]
-        else:
-            retained = (codes, actions, rewards)
-        n_released = int(codes.shape[0])
-        n_retained = int(retained[0].shape[0])
-        self._pending = [] if final or n_retained == 0 else [retained]
-        audit = verify_crowd_blending(codes, self.threshold)
-        n_quarantined = self._pending_quarantined
-        self._pending_quarantined = 0
+        released, retained, codes_received, codes_released, audit = self._shuffle_threshold(
+            codes, actions, rewards, retain=True
+        )
+        n_buffered, n_released = codes.shape[0], released[0].shape[0]
+        self._pending = [] if final or retained[0].shape[0] == 0 else [retained]
+        n_quarantined, self._pending_quarantined = self._pending_quarantined, 0
         stats = ShufflerStats(
             n_received=n_buffered,
             n_released=n_released,
@@ -292,4 +271,4 @@ class Shuffler:
             audit=audit,
             n_quarantined=n_quarantined,
         )
-        return codes, actions, rewards, stats
+        return (*released, stats)

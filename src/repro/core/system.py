@@ -5,16 +5,19 @@ central server, and manufactures correctly-configured
 :class:`~repro.core.agent.LocalAgent` instances for any of the three
 evaluation modes.  The full data path is::
 
-    agent.learn(...)  ->  outbox (EncodedReport, metadata attached)
-      -> system.collect([agents])          # gather outboxes
-        -> shuffler.process(batch)         # anonymize, shuffle, threshold
-          -> server.ingest(released)       # central LinUCB over codes
+    agent.learn(...)  ->  outbox (report objects, or the fleet's ReportLog rows)
+      -> system.collect([agents])               # one route for every population
+        -> drain_report_batches(agents)         # outboxes -> report columns
+          -> shuffler.process_arrays(columns)   # anonymize, shuffle, threshold
+            -> server.ingest_arrays(released)   # central LinUCB over codes
     system.model_snapshot() -> agent.warm_start(...)
 
-The non-private baseline follows the same surface but bypasses the
-shuffler entirely (``collect`` feeds the server directly) — exactly the
-paper's "communicate the observed context to the server in its original
-form".
+:meth:`P2BSystem.collect_async` takes the same route, with
+``shuffler.buffer_arrays`` + ``shuffler.release_ready`` as its private
+step.  The non-private baseline follows the same surface but bypasses
+the shuffler entirely (the raw-context columns feed the server
+directly) — exactly the paper's "communicate the observed context to
+the server in its original form".
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from ..utils.rng import spawn_seeds
 from .agent import LocalAgent
 from .config import AgentMode, P2BConfig
 from .participation import RandomizedParticipation
-from .payload import EncodedReport, RawReport, drain_report_batches
+from .payload import drain_report_batches
 from .server import NonPrivateServer, PrivateServer
 from .shuffler import Shuffler, ShufflerStats
 
@@ -228,70 +231,12 @@ class P2BSystem:
     def collect(self, agents: Iterable[LocalAgent]) -> CollectionResult:
         """Drain agent outboxes and run one collection round.
 
-        Private mode: reports pass through the shuffler; only the
-        released (crowd-blended) tuples reach the server.  Non-private
-        mode: raw reports go straight to the server.  Cold mode: no-op.
-
-        When every pending report is columnar (the population just ran
-        on the fleet engine), the whole round stays columnar: report
-        columns flow through :meth:`Shuffler.process_arrays` into
-        ``ingest_arrays`` without a single payload object — bit-exactly
-        the object path's release stream, stats, audit and server
-        update (the shuffler consumes the same permutation draw and the
-        batch enters it in the same agent-major order).  Any agent
-        holding materialized report objects sends the round down the
-        object path instead; both are always available mid-stream.
+        Private mode: reports pass through the shuffler as one batch
+        (:meth:`Shuffler.process_arrays`); only the released
+        (crowd-blended) tuples reach the server.  Non-private mode: raw
+        reports go straight to the server.  Cold mode: no-op.
         """
-        agents = list(agents)
-        batches = drain_report_batches(agents)
-        if batches is None:
-            return self._collect_objects(agents)
-        encoded_batch, raw_batch = batches
-        n_reports = len(encoded_batch) + len(raw_batch)
-        if self.mode == AgentMode.COLD or self.server is None:
-            return CollectionResult(n_reports=n_reports, n_released=0, shuffler_stats=None)
-        if self.mode == AgentMode.WARM_PRIVATE:
-            assert self.shuffler is not None
-            r_codes, r_actions, r_rewards, stats = self.shuffler.process_arrays(
-                *self._maybe_corrupt(
-                    encoded_batch.codes, encoded_batch.actions, encoded_batch.rewards
-                )
-            )
-            stats.audit.raise_if_violated()
-            self.server.ingest_arrays(r_codes, r_actions, r_rewards)  # type: ignore[union-attr]
-            self._count_released(r_codes)
-            return CollectionResult(
-                n_reports=n_reports,
-                n_released=int(r_codes.shape[0]),
-                shuffler_stats=stats,
-            )
-        self.server.ingest_arrays(  # type: ignore[union-attr]
-            raw_batch.contexts, raw_batch.actions, raw_batch.rewards
-        )
-        return CollectionResult(
-            n_reports=n_reports, n_released=len(raw_batch), shuffler_stats=None
-        )
-
-    def _collect_objects(self, agents: Iterable[LocalAgent]) -> CollectionResult:
-        """The object-path collection round (the scalar reference)."""
-        reports: list[EncodedReport | RawReport] = []
-        for agent in agents:
-            reports.extend(agent.drain_outbox())
-        if self.mode == AgentMode.COLD or self.server is None:
-            return CollectionResult(n_reports=len(reports), n_released=0, shuffler_stats=None)
-        if self.mode == AgentMode.WARM_PRIVATE:
-            assert self.shuffler is not None
-            encoded = [r for r in reports if isinstance(r, EncodedReport)]
-            released, stats = self.shuffler.process(encoded)
-            stats.audit.raise_if_violated()
-            self.server.ingest(released)  # type: ignore[arg-type]
-            self._count_released([r.code for r in released])
-            return CollectionResult(
-                n_reports=len(reports), n_released=len(released), shuffler_stats=stats
-            )
-        raw = [r for r in reports if isinstance(r, RawReport)]
-        self.server.ingest(raw)  # type: ignore[arg-type]
-        return CollectionResult(n_reports=len(reports), n_released=len(raw), shuffler_stats=None)
+        return self._collect(agents, buffered=False)
 
     # ------------------------------------------------------------------ #
     # asynchronous collection: per-agent clocks, threshold-fill release
@@ -307,63 +252,59 @@ class P2BSystem:
         The asynchronous analogue of :meth:`collect` — devices report
         on their own clocks, so ``agents`` may be *any* subset of the
         population, called as often as reports trickle in.  Private
-        mode buffers the drained tuples and releases only the codes
-        whose crowd (``>= threshold`` across everything pending) has
-        filled; sub-threshold tuples keep waiting, surviving even their
-        reporter's departure.  Non-private and cold modes have no
-        crowd to wait for, so they degenerate to :meth:`collect`.
-        Call :meth:`flush_async` at end of deployment to drop the
-        stragglers.
+        mode buffers the drained tuples (:meth:`Shuffler.buffer_arrays`)
+        and releases only the codes whose crowd (``>= threshold``
+        across everything pending) has filled
+        (:meth:`Shuffler.release_ready`); sub-threshold tuples keep
+        waiting, surviving even their reporter's departure.
+        Non-private and cold modes have no crowd to wait for, so they
+        degenerate to :meth:`collect`.  Call :meth:`flush_async` at end
+        of deployment to drop the stragglers.
         """
-        agents = list(agents)
-        batches = drain_report_batches(agents)
-        if batches is None:
-            return self._collect_async_objects(agents)
-        encoded_batch, raw_batch = batches
-        n_reports = len(encoded_batch) + len(raw_batch)
+        return self._collect(agents, buffered=True)
+
+    def _collect(self, agents: Iterable[LocalAgent], *, buffered: bool) -> CollectionResult:
+        """The one collection route behind :meth:`collect` and
+        :meth:`collect_async`: drain to columns, tap, then the mode's
+        step; only the private step differs between the two."""
+        encoded, raw = drain_report_batches(agents)
+        n_reports = len(encoded) + len(raw)
         if self.mode == AgentMode.COLD or self.server is None:
             return CollectionResult(n_reports=n_reports, n_released=0, shuffler_stats=None)
-        if self.mode == AgentMode.WARM_PRIVATE:
-            assert self.shuffler is not None
-            self.shuffler.buffer_arrays(
-                *self._maybe_corrupt(
-                    encoded_batch.codes, encoded_batch.actions, encoded_batch.rewards
-                )
-            )
+        if self.mode == AgentMode.WARM_NONPRIVATE:
+            self.server.ingest_arrays(raw.contexts, raw.actions, raw.rewards)
+            return CollectionResult(n_reports=n_reports, n_released=len(raw), shuffler_stats=None)
+        columns = self._maybe_corrupt(encoded.codes, encoded.actions, encoded.rewards)
+        if buffered:
+            self.shuffler.buffer_arrays(*columns)  # type: ignore[union-attr]
             return self._release_pending(n_reports, final=False)
-        self.server.ingest_arrays(  # type: ignore[union-attr]
-            raw_batch.contexts, raw_batch.actions, raw_batch.rewards
-        )
-        return CollectionResult(
-            n_reports=n_reports, n_released=len(raw_batch), shuffler_stats=None
-        )
-
-    def _collect_async_objects(self, agents: Iterable[LocalAgent]) -> CollectionResult:
-        """Object-path asynchronous collection (mirrors _collect_objects)."""
-        reports: list[EncodedReport | RawReport] = []
-        for agent in agents:
-            reports.extend(agent.drain_outbox())
-        if self.mode == AgentMode.COLD or self.server is None:
-            return CollectionResult(n_reports=len(reports), n_released=0, shuffler_stats=None)
-        if self.mode == AgentMode.WARM_PRIVATE:
-            assert self.shuffler is not None
-            encoded = [r for r in reports if isinstance(r, EncodedReport)]
-            self.shuffler.buffer_reports(encoded)
-            return self._release_pending(len(reports), final=False)
-        raw = [r for r in reports if isinstance(r, RawReport)]
-        self.server.ingest(raw)  # type: ignore[arg-type]
-        return CollectionResult(n_reports=len(reports), n_released=len(raw), shuffler_stats=None)
+        *released, stats = self.shuffler.process_arrays(*columns)  # type: ignore[union-attr]
+        return self._ingest_released(n_reports, released, stats)
 
     def _release_pending(self, n_reports: int, *, final: bool) -> CollectionResult:
-        r_codes, r_actions, r_rewards, stats = self.shuffler.release_ready(final=final)
+        *released, stats = self.shuffler.release_ready(final=final)  # type: ignore[union-attr]
+        return self._ingest_released(n_reports, released, stats, skip_empty=True)
+
+    def _ingest_released(
+        self,
+        n_reports: int,
+        released: list[np.ndarray],
+        stats: ShufflerStats,
+        *,
+        skip_empty: bool = False,
+    ) -> CollectionResult:
+        """Audit a shuffler release, train the server on it, count its crowds.
+
+        An empty buffered release (``skip_empty``) is no server batch;
+        a round's release always is, even when empty.
+        """
         stats.audit.raise_if_violated()
-        if r_codes.shape[0]:
-            self.server.ingest_arrays(r_codes, r_actions, r_rewards)  # type: ignore[union-attr]
-            self._count_released(r_codes)
+        codes = released[0]
+        if codes.shape[0] or not skip_empty:
+            self.server.ingest_arrays(*released)  # type: ignore[union-attr]
+            self._count_released(codes)
         return CollectionResult(
-            n_reports=n_reports,
-            n_released=int(r_codes.shape[0]),
-            shuffler_stats=stats,
+            n_reports=n_reports, n_released=int(codes.shape[0]), shuffler_stats=stats
         )
 
     def flush_async(self) -> CollectionResult:

@@ -308,11 +308,13 @@ class UserSession(abc.ABC):
 
     @abc.abstractmethod
     def reward(self, action: int) -> float:
-        """Reward of ``action`` for the *current* context.
+        """Realize one reward of ``action`` for the *current* context.
 
-        Must be called after :meth:`next_context`; calling it twice for
-        the same context is allowed (counterfactual evaluation in
-        tests) and must not advance the stream.
+        Must be called after :meth:`next_context`.  Each call realizes
+        one reward: a stochastic session (synthetic users) advances its
+        noise counter on every call, so a second call for the same
+        context draws fresh noise, while a replay session (a dataset
+        walk) is a deterministic lookup that consumes nothing.
         """
 
     def expected_rewards(self) -> np.ndarray:

@@ -344,9 +344,8 @@ def run_setting(
                 )
             for agent, session in zip(contributors, sessions):
                 _simulate_agent(agent, session, t_contrib)
-        # fleet-run contributors hold columnar pending reports, so this
-        # collection round flows arrays end-to-end (shuffler + server
-        # ingest_arrays) — bit-identical to the sequential object drain
+        # one columnar collection route for either engine: fleet-run
+        # contributors drain log rows, sequential ones report objects
         outcome = system.collect(contributors)
         n_reports, n_released = outcome.n_reports, outcome.n_released
 

@@ -98,11 +98,14 @@ and reports land in a struct-of-arrays
 :class:`~repro.core.payload.ReportLog` instead of per-report objects —
 codes gathered from the plan-time batch encodings, never re-encoded.
 Agent outboxes hold lightweight markers that materialize into the
-exact scalar report objects on access, while
-:meth:`~repro.core.system.P2BSystem.collect` flows the columns
-straight through ``Shuffler.process_arrays`` into
-``ingest_arrays`` — the same released tuples, stats and audit as the
-object path, with no payload object ever built on the fast path.
+exact scalar report objects on access.  Collection has one route for
+every population: :meth:`~repro.core.system.P2BSystem.collect` drains
+markers (as log-row gathers) and the sequential engine's report
+objects (one row each) into the same columns, in the order of
+concatenated per-agent ``drain_outbox`` calls, and flows them through
+``Shuffler.process_arrays`` into ``ingest_arrays`` — so the released
+tuples, stats, audit and any armed corruption tap are the same
+whichever engine recorded the reports.
 
 Because shards share no mutable state and never synchronize,
 ``EngineConfig(n_workers=k)`` runs each shard's whole horizon as one

@@ -132,7 +132,7 @@ import numpy as np
 from ..core.agent import LocalAgent
 from ..core.config import AgentMode
 from ..core.participation import StackedParticipation
-from ..core.payload import EncodedReport, RawReport, ReportLog
+from ..core.payload import ReportLog
 from ..data.environment import RewardBlock, TraceRowTable, UserSession
 from ..utils.exceptions import CheckpointError, ConfigError
 from ..utils.validation import check_positive_int
@@ -1899,17 +1899,3 @@ class FleetRunner:
             expected=expected,
             expected_mask=ok,
         )
-
-    # ------------------------------------------------------------------ #
-    def drain_outboxes(self) -> list[EncodedReport | RawReport]:
-        """Drain every agent's outbox, in agent order (the batched send).
-
-        Equivalent to concatenating per-agent
-        :meth:`~repro.core.agent.LocalAgent.drain_outbox` calls — same
-        reports, same metadata, same order — which ``tests/sim`` pins
-        through the shuffler.
-        """
-        reports: list[EncodedReport | RawReport] = []
-        for agent in self.agents:
-            reports.extend(agent.drain_outbox())
-        return reports

@@ -12,9 +12,8 @@ from __future__ import annotations
 def record_released(system) -> list[tuple[int, int, float]]:
     """Append every ``(code, action, reward)`` the server ingests from now on.
 
-    ``PrivateServer.ingest`` adapts report objects onto
-    ``ingest_arrays``, so recording that one entry point covers the
-    object and the columnar collection paths alike.
+    ``ingest_arrays`` is the server's one entry point, so recording it
+    covers every collection, sync and async alike.
     """
     released: list[tuple[int, int, float]] = []
     server = system.server

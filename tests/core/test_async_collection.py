@@ -9,18 +9,10 @@ their reporter's departure — and are dropped only by the final flush.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.core import EncodedReport, Shuffler
+from repro.core import Shuffler
 from repro.core.config import AgentMode, P2BConfig
 from repro.core.system import P2BSystem
-
-
-def _reports(codes):
-    return [
-        EncodedReport(code=c, action=0, reward=1.0, metadata={"agent_id": f"u{i}"})
-        for i, c in enumerate(codes)
-    ]
 
 
 class TestShufflerBuffer:
@@ -70,12 +62,6 @@ class TestShufflerBuffer:
             stats.audit.raise_if_violated()
         *_, stats = sh.release_ready(final=True)
         stats.audit.raise_if_violated()
-
-    def test_buffer_reports_object_path(self):
-        sh = Shuffler(threshold=2, seed=0)
-        assert sh.buffer_reports(_reports([4, 4, 9])) == 3
-        codes, *_ = sh.release_ready()
-        assert sorted(codes) == [4, 4]
 
     def test_misaligned_columns_quarantined(self):
         # malformed transport batches are refused at the door, not raised:

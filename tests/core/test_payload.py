@@ -198,15 +198,55 @@ class TestDrainReportBatches:
         assert list(enc.agent_rows) == [0, 0, 1]
         assert all(a._outbox == [] for a in agents)
 
-    def test_materialized_objects_force_fallback(self):
+    def test_materialized_objects_drain_in_outbox_order(self):
+        """Report objects become rows where ``drain_outbox`` would put
+        them: codes, actions and rewards from the object, the interaction
+        index from its metadata."""
         log = ReportLog("encoded", ["a"])
-        agents = [
-            _AgentStub([PendingReports(log, 0)]),
-            _AgentStub([EncodedReport(code=1, action=0, reward=1.0)]),
+        log.append(np.array([0]), np.array([5]), np.array([1]), np.array([0.5]), np.array([3]))
+        first = [
+            EncodedReport(code=1, action=0, reward=1.0, metadata={"interaction_index": 1}),
+            PendingReports(log, 0),
+            EncodedReport(code=2, action=2, reward=0.25, metadata={"interaction_index": 4}),
         ]
-        assert drain_report_batches(agents) is None
-        # fallback detection must not have drained anything
-        assert len(agents[0]._outbox) == 1 and len(agents[1]._outbox) == 1
+        second = [EncodedReport(code=3, action=1, reward=0.0, metadata={"interaction_index": 2})]
+        agents = [_AgentStub(first), _AgentStub(second)]
+        enc, raw = drain_report_batches(agents)
+        assert len(raw) == 0
+        assert list(enc.codes) == [1, 5, 2, 3]
+        assert list(enc.actions) == [0, 1, 2, 1]
+        assert list(enc.rewards) == [1.0, 0.5, 0.25, 0.0]
+        assert list(enc.agent_rows) == [0, 0, 0, 1]
+        assert list(enc.interaction_indices) == [1, 3, 4, 2]
+        assert all(a._outbox == [] for a in agents)
+        assert len(log.take_rows(np.array([0]))) == 0  # the log row is dead
+
+    @pytest.mark.parametrize("object_first", [True, False])
+    def test_object_without_interaction_index_keeps_outbox_position(self, object_first):
+        """An object set through the ``outbox`` setter may carry no
+        metadata: its row keeps its outbox position (index -1)."""
+        log = ReportLog("encoded", ["a"])
+        log.append(np.array([0]), np.array([5]), np.array([0]), np.array([1.0]), np.array([7]))
+        entries = [EncodedReport(code=2, action=1, reward=0.5), PendingReports(log, 0)]
+        if not object_first:
+            entries.reverse()
+        enc, _ = drain_report_batches([_AgentStub(entries)])
+        expected = [(2, -1), (5, 7)] if object_first else [(5, 7), (2, -1)]
+        assert list(zip(enc.codes.tolist(), enc.interaction_indices.tolist())) == expected
+
+    def test_raw_objects_and_log_rows_share_one_batch(self):
+        log = ReportLog("raw", ["a", "b"])
+        log.append(
+            np.array([1]), np.array([[0.3, 0.7]]), np.array([0]), np.array([1.0]), np.array([1])
+        )
+        report = RawReport(
+            context=np.array([0.6, 0.4]), action=1, reward=0.0, metadata={"interaction_index": 2}
+        )
+        agents = [_AgentStub([report]), _AgentStub([PendingReports(log, 1)])]
+        enc, raw = drain_report_batches(agents)
+        assert len(enc) == 0
+        np.testing.assert_array_equal(raw.contexts, [[0.6, 0.4], [0.3, 0.7]])
+        assert list(raw.actions) == [1, 0] and list(raw.agent_rows) == [0, 1]
 
     def test_two_logs_ordered_by_interaction_index(self):
         log1 = ReportLog("encoded", ["a"])

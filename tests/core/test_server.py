@@ -6,9 +6,34 @@ import numpy as np
 import pytest
 
 from repro.bandits import LinUCB
-from repro.core import EncodedReport, NonPrivateServer, PrivateServer, RawReport
+from repro.core import (
+    EncodedReport,
+    NonPrivateServer,
+    PrivateServer,
+    RawReport,
+    drain_report_batches,
+)
 from repro.encoding import KMeansEncoder
 from repro.utils.exceptions import ValidationError
+
+
+class _Outbox:
+    """One device's pending reports, as the collection drain reads them."""
+
+    def __init__(self, reports):
+        self._outbox = list(reports)
+
+    def pending_entries(self):
+        return list(self._outbox)
+
+    def clear_pending(self):
+        self._outbox = []
+
+
+def _drained(reports):
+    """The report columns collection hands the server for ``reports``."""
+    encoded, raw = drain_report_batches([_Outbox(reports)])
+    return encoded if len(encoded) else raw
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +56,7 @@ class TestPrivateServer:
         import numpy as np
 
         server = PrivateServer(LinUCB(2, 3, seed=0), encoder, context_mode="centroid")
-        batch = [EncodedReport(code=1, action=0, reward=1.0)] * 6
-        server.ingest(batch)
+        server.ingest_arrays([1] * 6, [0] * 6, [1.0] * 6)
         centroid = encoder.decode(1)
         est = server.policy.expected_rewards(centroid)
         assert est[0] > est[1]
@@ -43,8 +67,7 @@ class TestPrivateServer:
 
     def test_ingest_trains_on_one_hot(self, encoder):
         server = PrivateServer(LinUCB(2, 4, seed=0), encoder)
-        batch = [EncodedReport(code=1, action=0, reward=1.0)] * 5
-        server.ingest(batch)
+        server.ingest_arrays([1] * 5, [0] * 5, [1.0] * 5)
         assert server.n_tuples_ingested == 5
         # arm 0 must now predict high reward for one-hot code 1
         one_hot = np.zeros(4)
@@ -55,11 +78,11 @@ class TestPrivateServer:
     def test_out_of_range_code_rejected(self, encoder):
         server = PrivateServer(LinUCB(2, 4, seed=0), encoder)
         with pytest.raises(ValidationError, match="outside the codebook"):
-            server.ingest([EncodedReport(code=4, action=0, reward=1.0)])
+            server.ingest_arrays([4], [0], [1.0])
 
     def test_empty_batch_counts_round(self, encoder):
         server = PrivateServer(LinUCB(2, 4, seed=0), encoder)
-        server.ingest([])
+        server.ingest_arrays([], [], [])
         assert server.n_batches == 1 and server.n_tuples_ingested == 0
 
     def test_snapshot_is_deep(self, encoder):
@@ -72,20 +95,17 @@ class TestPrivateServer:
         codes = rng.integers(0, 4, size=30)
         actions = rng.integers(0, 2, size=30)
         rewards = rng.random(30)
-        batch = [
-            EncodedReport(code=int(c), action=int(a), reward=float(r))
-            for c, a, r in zip(codes, actions, rewards)
-        ]
         s1 = PrivateServer(LinUCB(2, 4, seed=0), encoder)
         s2 = PrivateServer(LinUCB(2, 4, seed=0), encoder)
-        s1.ingest(batch)
+        s1.ingest_arrays(codes, actions, rewards)
         perm = rng.permutation(30)
-        s2.ingest([batch[i] for i in perm])
+        s2.ingest_arrays(codes[perm], actions[perm], rewards[perm])
         np.testing.assert_allclose(s1.policy.theta, s2.policy.theta, atol=1e-9)
 
 
 class TestIngestArrays:
-    """The columnar fast path is bit-identical to the object path."""
+    """Report objects drained to columns train the server bit-identically
+    to the same columns handed over directly."""
 
     def _batch(self, rng, n=40):
         codes = rng.integers(0, 4, size=n)
@@ -103,7 +123,8 @@ class TestIngestArrays:
         dim = 4 if context_mode == "one-hot" else 3
         s_obj = PrivateServer(LinUCB(2, dim, seed=0), encoder, context_mode=context_mode)
         s_arr = PrivateServer(LinUCB(2, dim, seed=0), encoder, context_mode=context_mode)
-        s_obj.ingest(reports)
+        drained = _drained(reports)
+        s_obj.ingest_arrays(drained.codes, drained.actions, drained.rewards)
         s_arr.ingest_arrays(codes, actions, rewards)
         assert s_obj.n_tuples_ingested == s_arr.n_tuples_ingested
         assert s_obj.n_batches == s_arr.n_batches
@@ -143,7 +164,8 @@ class TestIngestArrays:
         ]
         s_obj = NonPrivateServer(LinUCB(2, 3, seed=0))
         s_arr = NonPrivateServer(LinUCB(2, 3, seed=0))
-        s_obj.ingest(reports)
+        drained = _drained(reports)
+        s_obj.ingest_arrays(drained.contexts, drained.actions, drained.rewards)
         s_arr.ingest_arrays(contexts, actions, rewards)
         assert s_obj.n_tuples_ingested == s_arr.n_tuples_ingested
         st1, st2 = s_obj.model_snapshot(), s_arr.model_snapshot()
@@ -163,19 +185,15 @@ class TestIngestArrays:
 class TestNonPrivateServer:
     def test_ingest_raw(self, rng):
         server = NonPrivateServer(LinUCB(2, 3, seed=0))
-        batch = [
-            RawReport(context=rng.dirichlet(np.ones(3)), action=0, reward=1.0)
-            for _ in range(5)
-        ]
-        server.ingest(batch)
+        server.ingest_arrays(rng.dirichlet(np.ones(3), size=5), [0] * 5, [1.0] * 5)
         assert server.n_tuples_ingested == 5
 
     def test_dim_mismatch_rejected(self, rng):
         server = NonPrivateServer(LinUCB(2, 3, seed=0))
         with pytest.raises(ValidationError, match="dimension"):
-            server.ingest([RawReport(context=np.ones(4), action=0, reward=0.0)])
+            server.ingest_arrays(np.ones((1, 4)), [0], [0.0])
 
     def test_empty_batch(self):
         server = NonPrivateServer(LinUCB(2, 3, seed=0))
-        server.ingest([])
+        server.ingest_arrays(np.empty((0, 3)), [], [])
         assert server.n_batches == 1

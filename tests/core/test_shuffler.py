@@ -293,6 +293,25 @@ class TestQuarantine:
         assert stats.n_quarantined == 0  # ...then the pending count resets
         assert sh.total_quarantined == 3  # the lifetime count does not
 
+    def test_sync_misaligned_batch_voided_whole(self):
+        """The one-batch path quarantines misaligned columns like the
+        buffer does, and draws no permutation for them."""
+        sh = Shuffler(threshold=1, seed=4)
+        r_codes, r_actions, r_rewards, stats = sh.process_arrays(
+            np.array([1, 2, 3]), np.array([0, 0]), np.array([1.0, 1.0, 1.0])
+        )
+        assert stats.n_quarantined == 3 and sh.total_quarantined == 3
+        assert stats.n_received == 3
+        assert stats.n_released == stats.n_dropped == 0
+        assert r_codes.size == r_actions.size == r_rewards.size == 0
+        # the next batch releases exactly what a fresh shuffler would
+        batch = (np.array([5, 6, 5, 6]), np.array([0, 1, 2, 3]), np.array([0.1, 0.2, 0.3, 0.4]))
+        after = sh.process_arrays(*batch)
+        fresh = Shuffler(threshold=1, seed=4).process_arrays(*batch)
+        for got, want in zip(after[:3], fresh[:3]):
+            np.testing.assert_array_equal(got, want)
+        assert after[3] == fresh[3]
+
     def test_counts_accumulate_across_batches(self):
         sh = Shuffler(threshold=1, seed=0, n_codes=4)
         sh.process_arrays(np.array([-1]), np.array([0]), np.array([1.0]))

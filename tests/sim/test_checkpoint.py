@@ -241,8 +241,8 @@ class TestHeldAndChurned:
         np.testing.assert_array_equal(live.actions, again.actions)
         # the drifting shard records columnar: the reports pending
         # across the snapshot plus the resumed run's match the live ones
-        live_reports = live_service.fleet.drain_outboxes()
-        resumed_reports = resumed.drain_outboxes()
+        live_reports = [r for a in live_service.fleet.agents for r in a.drain_outbox()]
+        resumed_reports = [r for a in resumed.agents for r in a.drain_outbox()]
         assert live_reports and live_reports == resumed_reports
         assert [r.metadata for r in live_reports] == [r.metadata for r in resumed_reports]
 

@@ -196,8 +196,8 @@ class TestColumnarCollectGolden:
 
     def test_object_path_interleaving(self):
         """A sequential prefix (object outbox) followed by a fleet run:
-        mixed pending forms fall back to the object path and still
-        match the all-sequential reference exactly."""
+        mixed pending forms drain to one batch in outbox order and
+        still match the all-sequential reference exactly."""
         config = _config(shuffler_threshold=1)
         s_sys, s_agents, s_sessions = _system_population(AgentMode.WARM_PRIVATE, config)
         f_sys, f_agents, f_sessions = _system_population(AgentMode.WARM_PRIVATE, config)

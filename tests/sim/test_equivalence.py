@@ -131,7 +131,7 @@ def test_released_histograms_identical_through_shuffler(kmeans_encoder):
     runner.run(12)
 
     seq_reports = [r for a in seq_agents for r in a.drain_outbox()]
-    fleet_reports = runner.drain_outboxes()
+    fleet_reports = [r for a in runner.agents for r in a.drain_outbox()]
     assert seq_reports == fleet_reports
 
     released_seq, stats_seq = Shuffler(threshold=2, seed=123).process(seq_reports)

@@ -471,7 +471,7 @@ class TestEmptyPopulation:
         else:
             assert result.expected is None
         assert result.expected_mask.shape == (0,)
-        assert runner.drain_outboxes() == []
+        assert [r for a in runner.agents for r in a.drain_outbox()] == []
 
     def test_empty_run_with_sink(self):
         sink = CurveSink()

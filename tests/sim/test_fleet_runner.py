@@ -159,7 +159,7 @@ class TestBatchDrainInterplay:
     def test_batch_drain_matches_per_agent_drains(self, kmeans_encoder):
         seq_agents, fleet_agents, runner = self._run_both(kmeans_encoder)
         per_agent = [a.drain_outbox() for a in seq_agents]
-        batched = runner.drain_outboxes()
+        batched = [r for a in runner.agents for r in a.drain_outbox()]
         flat = [r for box in per_agent for r in box]
         assert batched == flat
         for a, b in zip(flat, batched):
@@ -168,7 +168,7 @@ class TestBatchDrainInterplay:
         # draining is destructive on both paths
         assert all(not a.outbox for a in seq_agents)
         assert all(not a.outbox for a in fleet_agents)
-        assert runner.drain_outboxes() == []
+        assert [r for a in runner.agents for r in a.drain_outbox()] == []
 
     def test_participation_budgets_advance_identically(self, kmeans_encoder):
         seq_agents, fleet_agents, _ = self._run_both(kmeans_encoder)

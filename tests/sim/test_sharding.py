@@ -227,7 +227,7 @@ class TestMixedEquivalence:
             kmeans_encoder, small_encoder
         )
         seq_reports = [r for a in seq_agents for r in a.drain_outbox()]
-        fleet_reports = runner.drain_outboxes()
+        fleet_reports = [r for a in runner.agents for r in a.drain_outbox()]
         assert seq_reports == fleet_reports
 
         from repro.core.payload import EncodedReport
