@@ -30,9 +30,11 @@ perfbench-test:
 	$(PY) -m pytest perfbench -q
 
 # keyed draws on a second SIMD dispatch target: with AVX-512 dispatch
-# off, numpy's float64 log/cos take another code path (the keyed reward
-# noise's Box-Muller), so the length-1 == block contract and the
-# synthetic/drift fleet == sequential suites are checked there too.
+# off, numpy's float64 log/cos take another code path (the Box-Muller
+# of the keyed reward noise and of Thompson's posterior normals), so
+# the length-1 == block contract, the Thompson select == select_batch
+# checks and the synthetic/drift fleet == sequential suites are
+# checked there too.
 # On a CPU with none of these features the rerun would test the default
 # dispatch again, so the target says so (a CI warning) and skips it.
 KEYED_DISPATCH_OFF := AVX512_SPR AVX512_ICL X86_V4
@@ -42,7 +44,8 @@ keyed-dispatch:
 		features = core._multiarray_umath.__cpu_features__; \
 		sys.exit(not any(features.get(f) for f in sys.argv[1:]))' $(KEYED_DISPATCH_OFF); then \
 		NPY_DISABLE_CPU_FEATURES="$(KEYED_DISPATCH_OFF)" $(PY) -m pytest -q \
-			tests/bandits/test_keyed.py tests/data/test_synthetic.py \
+			tests/bandits/test_keyed.py tests/bandits/test_other_policies.py \
+			tests/bandits/test_batch_apis.py tests/data/test_synthetic.py \
 			tests/data/test_drift.py tests/sim/test_equivalence.py \
 			tests/sim/test_chunked_plans.py; \
 	else \

@@ -65,8 +65,8 @@ N_FEATURES = 10
 N_CODES = 2**6
 SEED = 0
 
-# heterogeneous workload: Thompson's per-agent posterior draws make the
-# mixed population structurally slower per agent, so it runs smaller
+# heterogeneous workload: four shards (one of them Thompson) at 2/5 of
+# the homogeneous population
 N_HET_AGENTS = max(4, N_AGENTS * 2 // 5)
 N_HET_SEQ_AGENTS = max(4, N_SEQ_AGENTS * 2 // 5)
 
@@ -245,8 +245,8 @@ def test_fleet_engine_speedup(record_json):
     # a sanity floor
     assert cold_dense["speedup"] >= 2.0
     # the mixed population runs four shards (LinUCB / Thompson /
-    # eps-greedy cold + warm-private CodeLinUCB); Thompson's per-agent
-    # posterior draws bound its speedup from above, hence a softer floor
+    # eps-greedy cold + warm-private CodeLinUCB); its softer floor dates
+    # from when Thompson's posterior normals were a per-agent loop
     assert heterogeneous["n_shards"] == 4
     assert heterogeneous["speedup"] >= MIN_SPEEDUP_HET
 

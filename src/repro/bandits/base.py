@@ -44,7 +44,7 @@ def grouped_ridge_update(
     update would do, so the end state is bit-identical to the loop.
 
     ``on_arm_done(arm, rows)`` lets callers update their per-arm
-    extras (LinUCB's ``arm_counts``, Thompson's Cholesky cache).
+    extras (LinUCB's ``arm_counts``).
     Returns the number of rows applied.
     """
     from ..utils.validation import check_matrix
@@ -113,9 +113,8 @@ class BanditPolicy(abc.ABC):
     seed:
         Seed / generator for the policy's internal randomness.  Its
         first draw is the policy's ``uint64`` key, which with a draw
-        counter keys the tie-breaks and exploration draws
-        (:mod:`repro.bandits.keyed`); posterior sampling draws from the
-        generator itself.  Neither the key nor the counter is part of
+        counter keys the tie-breaks, exploration and posterior draws
+        (:mod:`repro.bandits.keyed`).  Neither the key nor the counter is part of
         :meth:`get_state`, so policies warm-started from one snapshot
         keep their own streams.
     """

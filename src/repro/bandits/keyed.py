@@ -9,7 +9,9 @@ as 1, 2, 3" (SC 2011).  ``stream`` separates the kinds of draw that
 share one counter value (a tie-break and an exploration coin of the
 same ``select``; a participation coin and its within-window index).
 Synthetic sessions key their reward noise the same way
-(:func:`keyed_normal`), one counter value per interaction.
+(:func:`keyed_normal`), one counter value per interaction, and linear
+Thompson sampling keys its posterior normals, ``A`` slots per counter
+value.
 
 Everything is ``uint64`` integer arithmetic, and the two conversions
 out of it are exact (an index ``((h >> 32) * n) >> 32``, a uniform
@@ -36,6 +38,7 @@ __all__ = [
     "STREAM_PARTICIPATE",
     "STREAM_WINDOW_INDEX",
     "STREAM_REWARD_NOISE",
+    "STREAM_POSTERIOR",
     "draw_key",
     "keyed_bits",
     "keyed_index",
@@ -53,6 +56,8 @@ STREAM_PARTICIPATE = 3
 STREAM_WINDOW_INDEX = 4
 #: a normal takes two uniforms: this stream and the next (6)
 STREAM_REWARD_NOISE = 5
+#: Thompson posterior normals: this stream and the next (8)
+STREAM_POSTERIOR = 7
 
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)

@@ -9,6 +9,34 @@ statistics but exploring by posterior sampling:
 
     \\tilde\\theta_a \\sim \\mathcal N(\\theta_a, v^2 A_a^{-1}),
     \\qquad a_t = \\arg\\max_a x^T \\tilde\\theta_a .
+
+**Per-arm scalar draws.**  The models are disjoint: each arm has its
+own posterior, the draws are independent across arms, and selection
+reads only the scores ``x^T theta~_a``.  A linear image of a Gaussian is
+Gaussian, so each score is ``N(theta_a . x, v^2 x^T A_a^{-1} x)`` and the
+scores are independent across arms.  Drawing each arm's score directly,
+
+.. math::
+
+    s_a = \\theta_a^T x + v \\sqrt{x^T A_a^{-1} x}\\, z_a,
+    \\qquad z_a \\sim \\mathcal N(0, 1) \\text{ i.i.d.},
+
+therefore gives the score vector, and so the action, exactly the
+distribution of the full ``d``-dimensional draw, with ``A`` normals
+instead of ``A d`` and no factorization of ``A_a^{-1}`` (a tiny negative
+quadratic form from accumulated rounding clamps to zero, as in LinUCB).
+This is LinUCB's score with ``alpha`` replaced by ``v z_a``.  It does
+*not* carry over to a shared-parameter LinTS, where one
+``theta~ ~ N(theta, v^2 B^{-1})`` scores every arm's feature vector
+``x_a``: those scores are correlated across arms (covariance
+``v^2 x_a^T B^{-1} x_b``), and independent per-arm draws would change
+the law of the argmax.
+
+The normals are keyed draws (:mod:`repro.bandits.keyed`): arm ``a`` at
+draw counter ``c`` takes ``keyed_normal(key, STREAM_POSTERIOR, c A + a)``,
+and ``select`` tie-breaks at the same ``c`` before advancing it once.
+:class:`repro.sim.stacked.StackedThompson` evaluates the same
+:func:`posterior_scores` on ``(n, A)`` arrays, bitwise per agent.
 """
 
 from __future__ import annotations
@@ -17,22 +45,37 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..utils.validation import check_scalar
+from ..utils.validation import check_matrix, check_scalar
 from .base import BanditPolicy, grouped_ridge_update
-from .kernels import linear_scores, mat_vec, sherman_morrison, theta_refresh, vec_dot
+from .kernels import linear_scores, mat_vec, sherman_morrison, theta_refresh, ucb_explore
+from .keyed import STREAM_POSTERIOR, keyed_normal, tiebreak_rows
 
-__all__ = ["LinearThompsonSampling"]
+__all__ = ["LinearThompsonSampling", "posterior_scores"]
+
+
+def posterior_scores(theta, A_inv, x, v: float, keys, counters) -> np.ndarray:
+    """One posterior draw of each arm's score: ``theta_a . x + v
+    sqrt(x^T A_a^{-1} x) z_a``.
+
+    Shapes follow the kernels: ``theta (..., a, d)``, ``A_inv
+    (..., a, d, d)``, ``x (..., d)`` give ``(..., a)`` scores.  ``keys``
+    and ``counters`` broadcast against the leading ``...`` shape; arm
+    ``a`` of a row at counter ``c`` draws its normal at slot ``c A + a``.
+    """
+    n_arms = theta.shape[-2]
+    keys = np.asarray(keys, dtype=np.uint64)[..., None]
+    slots = np.asarray(counters, dtype=np.uint64)[..., None] * np.uint64(n_arms)
+    z = keyed_normal(keys, STREAM_POSTERIOR, slots + np.arange(n_arms, dtype=np.uint64))
+    return linear_scores(theta, x) + v * np.sqrt(ucb_explore(x, A_inv)) * z
 
 
 class LinearThompsonSampling(BanditPolicy):
     """Per-arm Gaussian posterior sampling over linear reward models.
 
-    All float math routes through :mod:`repro.bandits.kernels` and the
-    posterior-draw stream order is defined as *arm-major per selection*
-    (arm 0's ``d`` normals, then arm 1's, …), which is exactly the order
-    one ``standard_normal((A, d))`` fill consumes — the property the
-    stacked fleet counterpart (:class:`repro.sim.stacked.StackedThompson`)
-    relies on to batch the O(d²) math while keeping draws per-agent.
+    All float math routes through :mod:`repro.bandits.kernels` and every
+    normal is a keyed draw at the policy's counter (module docstring),
+    which the stacked fleet counterpart
+    (:class:`repro.sim.stacked.StackedThompson`) reproduces bitwise.
 
     Parameters
     ----------
@@ -61,49 +104,39 @@ class LinearThompsonSampling(BanditPolicy):
         self.A_inv = np.repeat((np.eye(d) / self.ridge)[None, :, :], self.n_arms, axis=0)
         self.b = np.zeros((self.n_arms, d))
         self.theta = np.zeros((self.n_arms, d))
-        # Cholesky factors of A_inv, cached for fast posterior draws
-        self._chol = np.repeat(
-            (np.eye(d) / np.sqrt(self.ridge))[None, :, :], self.n_arms, axis=0
-        )
-        self._chol_fresh = np.ones(self.n_arms, dtype=bool)
 
     def _fleet_hyperparams(self) -> tuple:
         return (self.v, self.ridge)
 
-    def _refresh_chol(self, a: int) -> None:
-        if not self._chol_fresh[a]:
-            # A_inv is SPD by construction; jitter guards accumulated error
-            M = self.A_inv[a]
-            try:
-                self._chol[a] = np.linalg.cholesky(M)
-            except np.linalg.LinAlgError:
-                jitter = 1e-10 * np.eye(self.n_features)
-                self._chol[a] = np.linalg.cholesky(M + jitter)
-            self._chol_fresh[a] = True
+    def _scores_at(self, x: np.ndarray, counter: int) -> np.ndarray:
+        return posterior_scores(self.theta, self.A_inv, x, self.v, self._key, counter)
 
     def sample_scores(self, context: np.ndarray) -> np.ndarray:
-        """One posterior draw of each arm's expected reward at ``context``."""
+        """One posterior draw of each arm's expected reward at ``context``.
+
+        Draws at the next counter and advances it, so repeated calls
+        return fresh draws.
+        """
         x = self._check_context(context)
-        scores = np.empty(self.n_arms)
-        for a in range(self.n_arms):
-            self._refresh_chol(a)
-            z = self._rng.standard_normal(self.n_features)
-            theta_tilde = self.theta[a] + self.v * mat_vec(self._chol[a], z)
-            scores[a] = float(vec_dot(theta_tilde, x))
-        return scores
+        return self._scores_at(x, self._next_draws(1)[0])
 
     def expected_rewards(self, context: np.ndarray) -> np.ndarray:
         x = self._check_context(context)
         return linear_scores(self.theta, x)
 
     def select(self, context: np.ndarray) -> int:
-        return self._tiebreak(self.sample_scores(context))
+        x = self._check_context(context)
+        return self._tiebreak(self._scores_at(x, self._draws))
 
-    # select_batch stays the base-class per-row loop: every row draws
-    # its posterior normals from this policy's one generator, row by
-    # row (tie-breaks are keyed and consume none of it).  The fleet
-    # engine batches the math across agents instead and keeps the
-    # normals per-agent (StackedThompson).
+    def select_batch(self, contexts: np.ndarray) -> np.ndarray:
+        """Vectorized selection: row ``i`` draws and tie-breaks at counter
+        ``_draws + i``, as the ``select`` loop does."""
+        X = check_matrix(contexts, name="contexts", n_cols=self.n_features)
+        counters = self._next_draws(X.shape[0])
+        scores = posterior_scores(
+            self.theta, self.A_inv[None, :, :, :], X, self.v, self._key, counters
+        )
+        return tiebreak_rows(scores, self._key, counters)
 
     def update(self, context: np.ndarray, action: int, reward: float) -> None:
         x = self._check_context(context)
@@ -111,19 +144,11 @@ class LinearThompsonSampling(BanditPolicy):
         A_inv = sherman_morrison(self.A_inv[a], x)
         self.b[a] += float(reward) * x
         self.theta[a] = mat_vec(A_inv, self.b[a])
-        self._chol_fresh[a] = False
         self.t += 1
 
     def update_many(self, contexts, actions, rewards) -> None:
-        """Sequential-exact batch update (see :func:`grouped_ridge_update`);
-        the Cholesky cache is invalidated per touched arm."""
-
-        def _stale(arm: int, rows: np.ndarray) -> None:
-            self._chol_fresh[arm] = False
-
-        self.t += grouped_ridge_update(
-            self, contexts, actions, rewards, on_arm_done=_stale
-        )
+        """Sequential-exact batch update (see :func:`grouped_ridge_update`)."""
+        self.t += grouped_ridge_update(self, contexts, actions, rewards)
 
     def get_state(self) -> dict[str, Any]:
         state = self._state_header()
@@ -140,4 +165,3 @@ class LinearThompsonSampling(BanditPolicy):
         self.b = np.array(state["b"], dtype=np.float64).reshape(self.n_arms, self.n_features)
         self.t = int(state["t"])
         self.theta = theta_refresh(self.A_inv, self.b)
-        self._chol_fresh = np.zeros(self.n_arms, dtype=bool)

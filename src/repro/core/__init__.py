@@ -10,7 +10,6 @@ from .payload import (
     ReportBatch,
     ReportLog,
     drain_report_batches,
-    strip_metadata,
 )
 from .rounds import DeploymentLoop, RoundStats
 from .server import NonPrivateServer, PrivateServer
@@ -29,7 +28,6 @@ __all__ = [
     "ReportLog",
     "PendingReports",
     "drain_report_batches",
-    "strip_metadata",
     "PrivateServer",
     "NonPrivateServer",
     "Shuffler",

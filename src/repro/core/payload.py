@@ -17,7 +17,7 @@ Both are immutable; equality ignores metadata so that tests can assert
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "ReportBatch",
     "ReportLog",
     "PendingReports",
-    "strip_metadata",
     "drain_report_batches",
     "encoded_reports_to_arrays",
     "encoded_reports_from_arrays",
@@ -66,10 +65,6 @@ class EncodedReport:
             raise ValueError(f"action must be non-negative, got {self.action}")
         check_scalar(self.reward, name="reward")
 
-    def anonymized(self) -> "EncodedReport":
-        """Copy with all metadata removed."""
-        return replace(self, metadata={})
-
     @property
     def tuple3(self) -> tuple[int, int, float]:
         """The bare paper tuple ``(y, a, r)``."""
@@ -103,16 +98,6 @@ class RawReport:
 
     def __hash__(self) -> int:
         return hash((self.context.tobytes(), self.action, self.reward))
-
-    def anonymized(self) -> "RawReport":
-        """Copy with all metadata removed (the context itself remains —
-        that is precisely the non-private baseline's weakness)."""
-        return replace(self, metadata={})
-
-
-def strip_metadata(reports: list[EncodedReport] | list[RawReport]):
-    """Anonymize a batch of reports (list comprehension convenience)."""
-    return [r.anonymized() for r in reports]
 
 
 @dataclass

@@ -37,9 +37,10 @@ whenever:
    ufuncs that turn two uniforms into a normal, so the sequential loop
    evaluating a draw on a length-1 array and the fleet on a
    length-``n`` (or ``(n, T)``) array agree bitwise by construction.
-   Drift boundaries, dataset walks and Thompson's posterior normals
-   stay on per-agent generators, so stepping a shard round-major
-   instead of agent-major consumes every stream in the same
+   Thompson's posterior normals are keyed the same way, ``A`` per
+   ``select`` (one per arm, at the select's counter).  Drift boundaries
+   and dataset walks stay on per-agent generators, so stepping a shard
+   round-major instead of agent-major consumes every stream in the same
    within-agent order.
 
 Homogeneity is **not** a condition: heterogeneous populations are
@@ -49,12 +50,10 @@ hyperparameters) — and each shard runs on its own stacked state.
 Execution is shard-major: one function runs a shard's whole horizon,
 mapped over the shards serially or on a thread pool.  Because condition 2 makes
 agent order unobservable, shard order is too, and the mixed run stays
-bit-identical to the sequential reference.  Policies whose selection
-consumes generator randomness join the contract by defining their draw
-order — Thompson sampling draws arm-major per selection, so
-:class:`~repro.sim.stacked.StackedThompson` batches the O(d²)
-Cholesky/scoring math while drawing each agent's posterior normals
-from that agent's own generator.
+bit-identical to the sequential reference.  Thompson sampling draws
+each arm's score from its posterior with one keyed normal per arm, so
+:class:`~repro.sim.stacked.StackedThompson` evaluates the same scoring
+expression on ``(n, A)`` arrays, with no per-agent loop.
 
 Per-round *session* calls additionally vanish for shards whose
 sessions advertise a plan capability (class flags on

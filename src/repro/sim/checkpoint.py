@@ -60,8 +60,10 @@ CHECKPOINT_MAGIC = "repro-fleet-checkpoint"
 #: bump on any incompatible change to the checkpoint layout (the pickled
 #: sessions included: 2 = synthetic sessions compute their means lazily;
 #: 3 = policies and participation draw keyed, from a key and a counter;
-#: 4 = synthetic sessions draw their reward noise keyed, too)
-CHECKPOINT_VERSION = 4
+#: 4 = synthetic sessions draw their reward noise keyed, too;
+#: 5 = Thompson policies draw their posterior normals keyed and hold no
+#: Cholesky cache)
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ size, policy kind and hyperparameters) — and each shard steps its
 agents round-major on its own stacked state: every agent of the shard
 performs interaction ``t`` before any performs ``t + 1``.  Because
 every agent owns independent random streams — keyed draw counters for
-its tie-breaks, exploration and participation coins and its synthetic
-reward noise (:mod:`repro.bandits.keyed`), generators for its drift
-boundaries, dataset walks and Thompson normals — round-major stepping
+its tie-breaks, exploration and participation coins, Thompson normals
+and its synthetic reward noise (:mod:`repro.bandits.keyed`), generators
+for its drift boundaries and dataset walks — round-major stepping
 draws each stream in exactly the order the sequential agent-major loop
 does, so the two engines are
 interchangeable; ``tests/sim/`` pins the equivalence bit-for-bit.
@@ -72,9 +72,6 @@ What stays per-agent Python (all O(1) per agent per round):
 * session calls (``next_context`` / ``reward``) on *unplanned* shards —
   environments are arbitrary stateful objects with their own
   generators;
-* Thompson posterior draws — each agent's normals come from its own
-  generator (tie-breaks and coins are keyed draws, one array
-  expression per shard per round);
 * participation offers and outbox appends on *unplanned* shards —
   routed through :meth:`~repro.core.agent.LocalAgent.record_interaction`,
   the same method the sequential path uses (and which encodes each
@@ -103,9 +100,10 @@ epoch.  *Traced* shards batch-encode each newly visited row at plan
 time; the generic path finds its stale agents with one vectorized
 comparison per round.
 
-Everything O(d²)–O(k·d²) — scoring, Cholesky refreshes,
+Everything O(d²)–O(k·d²) — scoring, Thompson posterior draws,
 Sherman–Morrison updates — runs as stacked kernel calls, one set per
-shard per round.
+shard per round, and every keyed draw (tie-breaks, coins, normals) is
+one array expression per shard per round.
 
 Parallel shard stepping
 -----------------------

@@ -13,12 +13,11 @@ draws (:mod:`repro.bandits.keyed`): each agent's ``uint64`` key and
 draw counter are stacked into ``(n,)`` arrays, and one integer-only
 expression draws for every agent at once — bitwise what each scalar
 policy draws on its own length-1 arrays, with the counters advancing
-once per ``select`` on both paths.  Only Thompson's posterior normals
-still come from each agent's own generator (:attr:`StackedThompson.rngs`),
-in the scalar policy's order.
+once per ``select`` on both paths.  Thompson's posterior normals are
+keyed the same way, so no stacker calls a generator.
 
-Concurrency: a stacked policy is confined to its shard — its arrays,
-generators and policy objects belong to that shard's agents alone — so
+Concurrency: a stacked policy is confined to its shard — its arrays
+and policy objects belong to that shard's agents alone — so
 :class:`~repro.sim.fleet.FleetRunner`'s parallel shard stepping
 (``n_workers > 1``) never has two threads inside the same stacked
 state; the numpy kernels additionally release the GIL, which is what
@@ -37,7 +36,6 @@ from ..bandits.code_linucb import CodeLinUCB
 from ..bandits.epsilon_greedy import EpsilonGreedy, epsilon_greedy_rows
 from ..bandits.kernels import (
     linear_scores,
-    mat_vec,
     sherman_morrison,
     sm_quad_downdate,
     theta_refresh,
@@ -47,7 +45,7 @@ from ..bandits.kernels import (
 )
 from ..bandits.keyed import tiebreak_rows
 from ..bandits.linucb import LinUCB
-from ..bandits.thompson import LinearThompsonSampling
+from ..bandits.thompson import LinearThompsonSampling, posterior_scores
 from ..bandits.ucb1 import UCB1
 from ..utils.exceptions import ConfigError, ValidationError
 
@@ -222,11 +220,10 @@ class StackedPolicies(abc.ABC):
         """Bytes of stacked policy-state arrays currently held.
 
         Counts every ndarray attribute of the stacked instance (count
-        and sum tables, design inverses, Cholesky factors, the ``t``
-        vector, ...) — the engine-side policy state whose footprint the
-        memory bench compares across exactness tiers.  Scalar policy
-        objects and the random streams (generators, :attr:`keys`,
-        :attr:`draws`) are not included.
+        and sum tables, design inverses, the ``t`` vector, ...) — the
+        engine-side policy state whose footprint the memory bench
+        compares across exactness tiers.  Scalar policy objects and the
+        random streams (:attr:`keys`, :attr:`draws`) are not included.
         """
         return sum(
             v.nbytes
@@ -416,67 +413,29 @@ class StackedEpsilonGreedy(_StackedDenseLinear):
 class StackedThompson(_StackedDenseLinear):
     """``n`` independent :class:`~repro.bandits.thompson.LinearThompsonSampling` agents.
 
-    All O(d²) work — Cholesky refresh, posterior-mean shifts, scoring,
-    Sherman–Morrison — runs stacked, and tie-breaks are keyed like every
-    stacker's; only the posterior draws stay in a thin per-agent loop,
-    because each draw must come from that agent's own generator
-    (:attr:`rngs`).  One ``standard_normal((A, d))`` fill per agent
-    consumes the stream in exactly the arm-major order the scalar
-    policy's per-arm loop does (the stream order
-    :class:`~repro.bandits.thompson.LinearThompsonSampling` defines), so
-    Thompson joins the bit-identity contract instead of breaking it.
+    Scoring is :func:`~repro.bandits.thompson.posterior_scores` on the
+    stacked state: each agent's keyed per-arm normals at its counter, the
+    same kernels and the same elementwise expression the scalar policy
+    evaluates, so every row is bitwise that agent's own draw.
     """
 
     def __init__(self, policies: Sequence[LinearThompsonSampling]) -> None:
         super().__init__(policies)
-        self.rngs = [p._rng for p in policies]
         self.v = _uniform([p.v for p in policies], "v")
-        self.chol = np.stack([p._chol for p in policies])  # (n, A, d, d)
-        self.chol_fresh = np.stack([p._chol_fresh for p in policies])  # (n, A)
-
-    def _refresh_chol(self) -> None:
-        """Batched equivalent of the scalar lazy per-arm refresh.
-
-        The scalar policy refreshes every stale arm (consuming no RNG)
-        at the top of each selection; here all stale ``(agent, arm)``
-        pairs refresh in one gufunc call — numpy's batched ``cholesky``
-        runs the same LAPACK factorization per matrix, so the factors
-        are bitwise those of the scalar path.
-        """
-        stale = ~self.chol_fresh
-        if not stale.any():
-            return
-        rows, arms = np.nonzero(stale)
-        try:
-            self.chol[rows, arms] = np.linalg.cholesky(self.A_inv[rows, arms])
-        except np.linalg.LinAlgError:
-            # mirror the scalar fallback per matrix: jitter only the
-            # matrices that actually fail
-            jitter = 1e-10 * np.eye(self.n_features)
-            for i, a in zip(rows, arms):
-                try:
-                    self.chol[i, a] = np.linalg.cholesky(self.A_inv[i, a])
-                except np.linalg.LinAlgError:
-                    self.chol[i, a] = np.linalg.cholesky(self.A_inv[i, a] + jitter)
-        self.chol_fresh[rows, arms] = True
 
     def sample_scores(self, contexts: np.ndarray) -> np.ndarray:
-        self._refresh_chol()
-        Z = np.empty((self.n_agents, self.n_arms, self.n_features))
-        for i, rng in enumerate(self.rngs):
-            Z[i] = rng.standard_normal((self.n_arms, self.n_features))
-        theta_tilde = self.theta + self.v * mat_vec(self.chol, Z)
-        return vec_dot(theta_tilde, contexts[:, None, :])
+        """Every agent's posterior draw at its current counter, the one
+        :meth:`select` tie-breaks at before advancing it."""
+        return posterior_scores(self.theta, self.A_inv, contexts, self.v, self.keys, self.draws)
 
     def select(self, contexts: np.ndarray) -> np.ndarray:
         return self._tiebreak(self.sample_scores(contexts))
 
     def update(self, contexts, actions, rewards) -> None:
         self._dense_update(contexts, actions, rewards)
-        self.chol_fresh[np.arange(self.n_agents), actions] = False
 
     def writeback(self) -> None:
-        self._writeback_dense(_chol=self.chol, _chol_fresh=self.chol_fresh)
+        self._writeback_dense()
 
 
 class StackedCodeLinUCB(StackedPolicies):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from repro.bandits import UCB1, CodeLinUCB, LinUCB
+from repro.bandits import UCB1, CodeLinUCB, LinearThompsonSampling, LinUCB, keyed
 from repro.bandits.keyed import (
     STREAM_REWARD_NOISE,
     STREAM_TIEBREAK,
@@ -196,10 +196,33 @@ class TestNanScores:
         with pytest.raises(ValidationError, match="NaN"):
             stack_policies([healthy, poisoned]).select(np.stack([x, x]))
 
+    def test_thompson_nan_posterior_raises_alike(self):
+        """A NaN in ``A_inv`` makes a NaN posterior score on both paths;
+        a non-positive-definite one is no error (the form clamps at 0)."""
+        x = np.full(3, 1.0 / 3)
+        poisoned = LinearThompsonSampling(n_arms=4, n_features=3, seed=1)
+        poisoned.A_inv[2] = np.nan
+        healthy = LinearThompsonSampling(n_arms=4, n_features=3, seed=2)
+        with pytest.raises(ValidationError, match="NaN"):
+            poisoned.select(x)
+        with pytest.raises(ValidationError, match="NaN"):
+            stack_policies([healthy, poisoned]).select(np.stack([x, x]))
+
     def test_nan_row_raises_among_tied_rows(self):
         scores = np.array([[1.0, 1.0, 0.0], [0.0, np.nan, 2.0], [3.0, 0.0, 0.0]])
         with pytest.raises(ValidationError, match="NaN"):
             tiebreak_rows(scores, np.arange(3, dtype=np.uint64), np.zeros(3, dtype=np.uint64))
+
+
+def test_stream_ids_distinct():
+    """Draws that share a counter value differ only by stream id, so no
+    two kinds of draw may share one; a normal takes its stream and the
+    next (Box-Muller's two uniforms)."""
+    names = sorted(n for n in dir(keyed) if n.startswith("STREAM_"))
+    assert names == sorted(n for n in keyed.__all__ if n.startswith("STREAM_"))
+    normals = {"STREAM_REWARD_NOISE", "STREAM_POSTERIOR"}
+    taken = [getattr(keyed, n) + k for n in names for k in ((0, 1) if n in normals else (0,))]
+    assert len(taken) == len(set(taken)), {n: getattr(keyed, n) for n in names}
 
 
 class TestKeyedNormal:

@@ -12,7 +12,6 @@ from repro.core import (
     ReportBatch,
     ReportLog,
     drain_report_batches,
-    strip_metadata,
 )
 
 
@@ -20,12 +19,6 @@ class TestEncodedReport:
     def test_tuple3(self):
         r = EncodedReport(code=5, action=2, reward=0.7)
         assert r.tuple3 == (5, 2, 0.7)
-
-    def test_anonymized_strips_metadata(self):
-        r = EncodedReport(code=1, action=0, reward=1.0, metadata={"agent_id": "u9", "ip": "x"})
-        anon = r.anonymized()
-        assert anon.metadata == {}
-        assert anon.tuple3 == r.tuple3
 
     def test_equality_ignores_metadata(self):
         a = EncodedReport(code=1, action=0, reward=1.0, metadata={"agent_id": "u1"})
@@ -70,20 +63,6 @@ class TestRawReport:
     def test_hashable(self):
         a = RawReport(context=np.array([1.0]), action=0, reward=0.5)
         assert len({a, a}) == 1
-
-    def test_anonymized_keeps_context(self):
-        """The non-private payload keeps the raw context — that IS the leak."""
-        r = RawReport(context=np.array([0.3, 0.7]), action=0, reward=1.0, metadata={"ip": "x"})
-        anon = r.anonymized()
-        assert anon.metadata == {}
-        np.testing.assert_array_equal(anon.context, r.context)
-
-
-def test_strip_metadata_batch():
-    reports = [EncodedReport(code=i, action=0, reward=0.0, metadata={"i": i}) for i in range(5)]
-    stripped = strip_metadata(reports)
-    assert all(r.metadata == {} for r in stripped)
-    assert [r.code for r in stripped] == list(range(5))
 
 
 def _encoded_batch(codes, rows, inter):

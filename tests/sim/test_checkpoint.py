@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.bandits import UCB1, EpsilonGreedy, LinUCB
+from repro.bandits import UCB1, EpsilonGreedy, LinearThompsonSampling, LinUCB
 from repro.core.agent import LocalAgent
 from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_dataset
 from repro.data.synthetic import SyntheticPreferenceEnvironment
@@ -40,6 +40,19 @@ def _population(seed, n_agents=9):
     for i, s in enumerate(spawn_seeds(seed, n_agents)):
         policy_seed, session_seed = s.spawn(2)
         policy = kinds[i % 3](n_arms=N_ACTIONS, n_features=N_FEATURES, seed=policy_seed)
+        agents.append(LocalAgent(f"u{i}", policy, mode="cold"))
+        sessions.append(env.new_user(session_seed))
+    return agents, sessions
+
+
+def _thompson_population(seed, n_agents=4):
+    env = SyntheticPreferenceEnvironment(
+        n_actions=N_ACTIONS, n_features=N_FEATURES, seed=7
+    )
+    agents, sessions = [], []
+    for i, s in enumerate(spawn_seeds(seed, n_agents)):
+        policy_seed, session_seed = s.spawn(2)
+        policy = LinearThompsonSampling(n_arms=N_ACTIONS, n_features=N_FEATURES, seed=policy_seed)
         agents.append(LocalAgent(f"u{i}", policy, mode="cold"))
         sessions.append(env.new_user(session_seed))
     return agents, sessions
@@ -316,8 +329,30 @@ class TestValidationAndCorruption:
         state = state_from_bytes(path.read_bytes())
         state["version"] = 3
         path.write_bytes(state_to_bytes(state))
-        assert CHECKPOINT_VERSION == 4
+        assert CHECKPOINT_VERSION == 5
         with pytest.raises(CheckpointError, match="format version 3"):
+            load_checkpoint(path)
+
+    def test_version_4_checkpoint_refused(self, tmp_path, monkeypatch):
+        """Version 4 predates keyed Thompson draws: its pickled Thompson
+        policies carry a Cholesky cache and a counter that drove only
+        tie-breaks, so it must not resume under the new semantics.  The
+        same population at the current version resumes bit-identically."""
+        path = tmp_path / "thompson.ckpt"
+        agents_a, sessions_a = _thompson_population(7)
+        base = FleetRunner(agents_a, sessions_a).run(6)
+        agents_b, sessions_b = _thompson_population(7)
+        restore = _crash_on_call(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            FleetRunner(agents_b, sessions_b).run(6, checkpoint_every=3, checkpoint_path=path)
+        restore()
+        assert load_checkpoint(path).completed == 3
+        resumed = FleetRunner.resume(path)
+        _assert_run_identical(base, resumed.resume_run(), agents_a, resumed.agents)
+        state = state_from_bytes(path.read_bytes())
+        state["version"] = 4
+        path.write_bytes(state_to_bytes(state))
+        with pytest.raises(CheckpointError, match="format version 4"):
             load_checkpoint(path)
 
     @staticmethod

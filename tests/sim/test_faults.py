@@ -18,7 +18,7 @@ from repro.sim import EngineConfig, FleetRunner
 from repro.sim import fleet as fleet_module
 from repro.sim.faults import FAULTS_ENV_VAR, FaultPlan, active_plan
 from repro.sim.stacked import StackedThompson
-from repro.utils.exceptions import ConfigError
+from repro.utils.exceptions import ConfigError, ValidationError
 from repro.utils.rng import spawn_seeds
 
 N_ACTIONS = 4
@@ -206,9 +206,12 @@ def _fail_once(monkeypatch, owner, name, exc):
 
 @pytest.mark.parametrize("n_workers", [1, 2])
 class TestHorizonErrorsPropagate:
-    """The errors a shard horizon can raise with no fault plan armed.
-    Each is deterministic given the shard's state, so a retry would
-    replay it: each reaches the caller unchanged, from one attempt."""
+    """The errors a shard horizon can raise with no fault plan armed:
+    a :class:`ConfigError` from stacking, a :class:`ValidationError`
+    from a NaN score (a non-positive-definite ``A_inv`` is no error: its
+    quadratic form clamps at zero) and a :class:`MemoryError`.  Each is
+    deterministic given the shard's state, so a retry would replay it:
+    each reaches the caller unchanged, from one attempt."""
 
     def test_stacking_config_error(self, n_workers, monkeypatch):
         agents, sessions = _population(3)
@@ -221,13 +224,12 @@ class TestHorizonErrorsPropagate:
             runner.run(4)
         assert 1 <= len(calls) <= 3  # at most once per shard, never retried
 
-    def test_cholesky_lin_alg_error(self, n_workers):
-        """A posterior covariance the jitter fallback cannot rescue."""
+    def test_nan_score_validation_error(self, n_workers):
+        """A NaN posterior score leaves an agent no highest arm."""
         agents, sessions = _thompson_population()
-        agents[1].policy.A_inv[0] = -np.eye(N_FEATURES)
-        agents[1].policy._chol_fresh[0] = False
+        agents[1].policy.A_inv[0] = np.nan
         runner = FleetRunner(agents, sessions, config=EngineConfig(n_workers=n_workers))
-        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+        with pytest.raises(ValidationError, match="scores contain NaN"):
             runner.run(4)
 
     def test_memory_error(self, n_workers, monkeypatch):

@@ -262,8 +262,9 @@ class TestMixedEquivalence:
             assert_states_equal(agents_a[i].policy, agents_b[i].policy, label=f"perm-{i}")
 
     def test_thompson_shard_draws_stay_per_agent(self, kmeans_encoder, small_encoder):
-        """A Thompson shard must consume each agent's generator exactly
-        as the scalar policy does: A*d normals per selection, arm-major."""
+        """A Thompson shard must draw each agent's posterior normals as
+        the scalar policy does: keyed at that agent's counter, which
+        advances once per selection, with the generator left idle."""
         def thompson(a, d, s):
             return LinearThompsonSampling(n_arms=a, n_features=d, seed=s)
         spec = [(thompson, AgentMode.COLD, "one-hot", None)]
@@ -277,3 +278,4 @@ class TestMixedEquivalence:
             # generators landed in the same stream position: the next
             # draw from each must agree
             assert sa.policy._rng.random() == fa.policy._rng.random()
+            assert sa.policy._draws == fa.policy._draws == 10
