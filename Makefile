@@ -55,6 +55,8 @@ keyed-dispatch:
 # chaos smoke: seeded report corruption on the collection path
 # (quarantined tuples, collection keeps going, the crowd-blending audit
 # passes, the sequential and fleet engines agree under the tap), the
+# report-store drain order (tests/core/test_payload.py: it feeds the
+# shuffler permutation those engine comparisons depend on), the
 # shuffler's own validation suite and the async-collection suite (so
 # quarantine is checked on both shuffler entry points), then the
 # deterministic counter report (benchmarks/chaos_summary.py; CI pipes
@@ -62,6 +64,7 @@ keyed-dispatch:
 chaos:
 	$(PY) -m pytest tests/sim/test_chaos.py::TestCorruptionChaos \
 		tests/sim/test_chaos.py::TestCorruptionEnginesAgree \
+		tests/core/test_payload.py \
 		tests/core/test_shuffler.py tests/core/test_async_collection.py -q
 	$(PY) benchmarks/chaos_summary.py
 

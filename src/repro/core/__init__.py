@@ -5,7 +5,6 @@ from .config import AgentMode, P2BConfig
 from .participation import RandomizedParticipation, StackedParticipation
 from .payload import (
     EncodedReport,
-    PendingReports,
     RawReport,
     ReportBatch,
     ReportLog,
@@ -26,7 +25,6 @@ __all__ = [
     "RawReport",
     "ReportBatch",
     "ReportLog",
-    "PendingReports",
     "drain_report_batches",
     "PrivateServer",
     "NonPrivateServer",

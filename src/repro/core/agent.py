@@ -8,8 +8,10 @@ A :class:`LocalAgent` couples three components:
   *warm-private* setting the agent also *acts* on the one-hot encoded
   context (§5.3: "Private agents use the encoded value as the
   context"), so the policy's feature space is ``R^k``;
-* an optional **participation policy** that decides when an encoded
-  interaction becomes an :class:`~repro.core.payload.EncodedReport`.
+* an optional **participation policy** that decides when an
+  interaction becomes a report: one row of the agent's
+  :class:`~repro.core.payload.ReportLog` (its system's, or a private
+  one-row log for a hand-built agent).
 
 The three evaluation settings of §5 correspond to:
 
@@ -17,9 +19,13 @@ The three evaluation settings of §5 correspond to:
 setting             acting context           reports
 ==================  =======================  =====================
 cold                raw ``x ∈ R^d``          never
-warm-nonprivate     raw ``x ∈ R^d``          :class:`RawReport`
-warm-private        one-hot code ``∈ R^k``   :class:`EncodedReport`
+warm-nonprivate     raw ``x ∈ R^d``          context rows
+warm-private        one-hot code ``∈ R^k``   code rows
 ==================  =======================  =====================
+
+:attr:`LocalAgent.outbox` shows the pending rows as
+:class:`~repro.core.payload.RawReport` /
+:class:`~repro.core.payload.EncodedReport` objects.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from ..utils.exceptions import ConfigError
 from ..utils.validation import check_vector
 from .config import AgentMode
 from .participation import RandomizedParticipation
-from .payload import EncodedReport, PendingReports, RawReport, ReportLog
+from .payload import EncodedReport, RawReport, ReportBatch, ReportLog
 
 __all__ = ["LocalAgent"]
 
@@ -109,11 +115,15 @@ class LocalAgent:
         self.encoder = encoder
         self.participation = participation
         self.private_context = private_context
-        #: pending reports; may transiently hold columnar
-        #: :class:`~repro.core.payload.PendingReports` markers dropped
-        #: by the fleet engine — the ``outbox`` property materializes
-        #: them on access, so object-path consumers never see them
-        self._outbox: list[EncodedReport | RawReport | PendingReports] = []
+        #: the store holding this agent's pending reports, and its row
+        #: there: a private one-row log until a system enrolls the agent
+        #: in its own; cold agents never report and hold none
+        self.report_log: ReportLog | None = None
+        self.report_row = 0
+        if mode != AgentMode.COLD:
+            kind = "encoded" if mode == AgentMode.WARM_PRIVATE else "raw"
+            self.report_log = ReportLog(kind)
+            self.report_row = self.report_log.enroll()
         self.n_interactions = 0
         self.total_reward = 0.0
 
@@ -163,16 +173,17 @@ class LocalAgent:
         if sampled is None:
             return
         s_ctx, s_action, s_reward = sampled
-        metadata = {"agent_id": self.agent_id, "interaction_index": self.n_interactions}
         if self.mode == AgentMode.WARM_PRIVATE:
-            code = self.encoder.encode(s_ctx)  # type: ignore[union-attr]
-            self._outbox.append(
-                EncodedReport(code=code, action=s_action, reward=s_reward, metadata=metadata)
-            )
+            payload = self.encoder.encode(s_ctx)  # type: ignore[union-attr]
         else:
-            self._outbox.append(
-                RawReport(context=s_ctx, action=s_action, reward=s_reward, metadata=metadata)
-            )
+            payload = s_ctx
+        self._log_report(payload, s_action, s_reward, self.n_interactions)
+
+    def _log_report(self, payload, action: int, reward: float, index: int) -> None:
+        """Append one report row (code or context) to this agent's store."""
+        self.report_log.append(  # type: ignore[union-attr]
+            [self.report_row], [payload], [action], [reward], [index]
+        )
 
     def step(self, context: np.ndarray, reward_fn) -> tuple[int, float]:
         """One full interaction: act, obtain reward via ``reward_fn(action)``,
@@ -185,64 +196,53 @@ class LocalAgent:
     # ------------------------------------------------------------------ #
     @property
     def outbox(self) -> list[EncodedReport | RawReport]:
-        """Pending reports as objects (the scalar reference view).
+        """Pending reports as objects: a read-only view of this agent's rows.
 
-        The fleet engine records reports columnar-side and parks
-        :class:`~repro.core.payload.PendingReports` markers here;
-        reading this property materializes them in place — same
-        reports, same metadata, same order as the scalar path — so any
-        object-path consumer stays oblivious.  Collection
-        (:meth:`~repro.core.system.P2BSystem.collect`) bypasses this
-        property and drains markers and objects alike to columns.
+        Same reports, same metadata, same order as the rows collection
+        (:meth:`~repro.core.system.P2BSystem.collect`) drains; reading
+        the view leaves the rows in place.  Each read scans the whole
+        store the agent shares with its system, so reading a
+        population's outboxes one by one is quadratic: bulk reads go
+        through :func:`~repro.core.payload.drain_report_batches`.
         """
-        if any(isinstance(e, PendingReports) for e in self._outbox):
-            expanded: list[EncodedReport | RawReport] = []
-            for entry in self._outbox:
-                if isinstance(entry, PendingReports):
-                    expanded.extend(entry.materialize())
-                else:
-                    expanded.append(entry)
-            self._outbox = expanded
-        return self._outbox  # type: ignore[return-value]
+        if self.report_log is None:
+            return []
+        return self._as_reports(self.report_log.rows(self.report_row))
 
     @outbox.setter
-    def outbox(self, value: list[EncodedReport | RawReport]) -> None:
-        self._outbox = list(value)
+    def outbox(self, reports: list[EncodedReport | RawReport]) -> None:
+        """Replace this agent's pending rows with ``reports``, in order.
 
-    def adopt_report_log(self, log: ReportLog, row: int) -> None:
-        """Attach a columnar report log (the fleet engine's outbox form).
-
-        Reports the engine appends to ``log`` under ``row`` belong to
-        this agent; they are drained through the same outbox semantics
-        as object reports.
+        A report without an ``interaction_index`` in its metadata keeps
+        its position, with index ``-1``.
         """
-        self._outbox.append(PendingReports(log, row))
-
-    def pending_entries(self) -> list[EncodedReport | RawReport | PendingReports]:
-        """The raw pending-outbox entries, *without* materializing.
-
-        The collection drain
-        (:func:`~repro.core.payload.drain_report_batches`) turns these
-        into report columns — log rows for markers, one row per report
-        object; anything that wants report objects should use
-        :attr:`outbox` / :meth:`drain_outbox` instead.
-        """
-        return list(self._outbox)
-
-    def clear_pending(self) -> None:
-        """Drop every pending entry (the collection drain's commit step).
-
-        Only meaningful after the caller has consumed the entries via
-        :meth:`pending_entries` — this is how
-        :func:`~repro.core.payload.drain_report_batches` mirrors the
-        destructive semantics of :meth:`drain_outbox`.
-        """
-        self._outbox = []
+        reports = list(reports)
+        self.drain_outbox()
+        if not reports:
+            return
+        if self.report_log is None:
+            raise ConfigError("cold agents hold no reports")
+        encoded = self.report_log.kind == "encoded"
+        expected = EncodedReport if encoded else RawReport
+        for r in reports:
+            if not isinstance(r, expected):
+                raise TypeError(f"{self.mode} agents hold {expected.__name__} objects")
+            index = r.metadata.get("interaction_index", -1)
+            self._log_report(r.code if encoded else r.context, r.action, r.reward, index)
 
     def drain_outbox(self) -> list[EncodedReport | RawReport]:
-        """Remove and return all pending reports (the network send)."""
-        out, self.outbox = self.outbox, []
-        return out
+        """Remove and return all pending reports (the network send).
+
+        Like :attr:`outbox`, this scans the whole shared store.
+        """
+        if self.report_log is None:
+            return []
+        return self._as_reports(self.report_log.take(np.array([self.report_row]), np.array([0])))
+
+    def _as_reports(self, rows: ReportBatch) -> list[EncodedReport | RawReport]:
+        """Objects for rows of this agent labelled 0, with its metadata."""
+        rows.agent_ids = (self.agent_id,)
+        return rows.to_reports()
 
     def warm_start(self, model_state: Mapping[str, Any]) -> None:
         """Initialize the local policy from a central-model snapshot."""

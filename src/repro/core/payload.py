@@ -13,6 +13,13 @@ Two payload types model the paper's two data-sharing regimes:
 
 Both are immutable; equality ignores metadata so that tests can assert
 "the shuffler changed nothing but transport information".
+
+Pending reports are not kept as objects: each is one row of a
+:class:`ReportLog` (its system's report store), and the objects are the
+view :attr:`~repro.core.agent.LocalAgent.outbox` builds from those rows.
+Rows are validated where they enter the pipeline, by the shuffler
+(``Shuffler.process_arrays``/``buffer_arrays``) and the servers'
+``ingest_arrays``.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ __all__ = [
     "RawReport",
     "ReportBatch",
     "ReportLog",
-    "PendingReports",
     "drain_report_batches",
     "encoded_reports_to_arrays",
     "encoded_reports_from_arrays",
@@ -123,7 +129,7 @@ class ReportBatch:
     interaction_indices: np.ndarray  #: (m,) intp — per-agent lifetime index
     codes: np.ndarray | None = None  #: (m,) intp, encoded batches only
     contexts: np.ndarray | None = None  #: (m, d) float64, raw batches only
-    agent_ids: tuple[str, ...] | None = None  #: agent_row -> identifier
+    agent_ids: Sequence[str] | None = None  #: agent_row -> identifier
 
     def __post_init__(self) -> None:
         if (self.codes is None) == (self.contexts is None):
@@ -193,18 +199,20 @@ class ReportBatch:
         """Object view: the exact reports the scalar path would have built.
 
         Metadata (``agent_id`` + ``interaction_index``) is attached when
-        :attr:`agent_ids` is present, matching
-        :meth:`~repro.core.agent.LocalAgent.record_interaction` field
-        for field; otherwise the reports are metadata-free (the
-        post-anonymization form).
+        :attr:`agent_ids` is present, as
+        :meth:`~repro.core.agent.LocalAgent.record_interaction` records
+        it; otherwise the reports are metadata-free (the
+        post-anonymization form), as is a row with interaction index
+        ``-1`` (one put through the ``outbox`` setter without metadata).
         """
         out: list[EncodedReport | RawReport] = []
         for i in range(len(self)):
             metadata: Mapping[str, Any] = {}
-            if self.agent_ids is not None:
+            index = int(self.interaction_indices[i])
+            if self.agent_ids is not None and index >= 0:
                 metadata = {
                     "agent_id": self.agent_ids[int(self.agent_rows[i])],
-                    "interaction_index": int(self.interaction_indices[i]),
+                    "interaction_index": index,
                 }
             if self.codes is not None:
                 out.append(
@@ -228,32 +236,42 @@ class ReportBatch:
 
 
 class ReportLog:
-    """Append-only columnar store of one agent group's pending reports.
+    """Columnar store of a population's pending reports.
 
-    The fleet engine's native outbox: each shard owns one log per run
-    and appends per-round report columns; agents reference their rows
-    through :class:`PendingReports` markers in their outboxes, so the
-    object API (:meth:`LocalAgent.drain_outbox`) and the columnar API
-    (:func:`drain_report_batches`) both see exactly the reports the
-    scalar path would have produced — the former by materializing
-    views, the latter as pure array gathers.
+    Every pending report of the population is one row of this store:
+    code or context, action, reward, the reporting agent's store row
+    and its lifetime interaction index.  A
+    :class:`~repro.core.system.P2BSystem` owns one log (its kind follows
+    the mode) and enrolls each agent it makes at a row of it, once; a
+    hand-built agent keeps a private one-row log.  The sequential
+    path appends one row per report, a fleet shard one chunk per
+    round.  The store keeps no per-agent state: a store row is a bare
+    label, and an agent attaches its own identifier to the reports it
+    reads.
 
-    Entries are drained at most once (a taken row is dead), mirroring
-    the destructive semantics of draining an object outbox.
+    Appends may run concurrently (pooled fleet shards): each is one
+    ``list.append`` of a whole chunk, and the rows of one agent only
+    ever come from one caller, in order.  Reads and takes happen
+    between runs.  A taken row leaves the store, so its size is bounded
+    by the pending reports, not by history or by how many agents ever
+    enrolled.
     """
 
-    def __init__(self, kind: str, agent_ids: Sequence[str]) -> None:
+    def __init__(self, kind: str) -> None:
         if kind not in ("encoded", "raw"):
             raise ValueError(f"kind must be 'encoded' or 'raw', got {kind!r}")
         self.kind = kind
-        self.agent_ids = tuple(str(a) for a in agent_ids)
+        self._n_enrolled = 0
         self._chunks: list[ReportBatch] = []
-        self._batch: ReportBatch | None = None
-        self._live: np.ndarray | None = None
-        # lazy row -> entry-positions index so per-agent takes (the
-        # object-view materialization path) stay O(entries-of-agent)
-        # instead of rescanning the whole log per agent
-        self._row_index: dict[int, np.ndarray] | None = None
+
+    def enroll(self) -> int:
+        """A new store row, not shared with any agent enrolled before."""
+        self._n_enrolled += 1
+        return self._n_enrolled - 1
+
+    def __len__(self) -> int:
+        """Rows stored, i.e. reports pending."""
+        return sum(len(chunk) for chunk in self._chunks)
 
     def append(
         self,
@@ -263,7 +281,7 @@ class ReportLog:
         rewards: np.ndarray,
         interaction_indices: np.ndarray,
     ) -> None:
-        """Append one round's reports (rows aligned across the columns)."""
+        """Append reports (rows aligned across the columns)."""
         self._chunks.append(
             ReportBatch(
                 actions=np.asarray(actions, dtype=np.intp),
@@ -275,167 +293,81 @@ class ReportLog:
             )
         )
 
-    def _finalize(self) -> None:
-        if self._chunks:
-            merged = ReportBatch.concat(
-                ([self._batch] if self._batch is not None else []) + self._chunks,
-                self.kind,
-            )
-            n_new = len(merged) - (len(self._batch) if self._batch is not None else 0)
-            old_live = self._live if self._live is not None else np.empty(0, dtype=bool)
-            self._live = np.concatenate([old_live, np.ones(n_new, dtype=bool)])
-            self._batch = merged
-            self._chunks = []
-            self._row_index = None
-        elif self._batch is None:
-            self._batch = ReportBatch.empty(self.kind)
-            self._live = np.zeros(0, dtype=bool)
+    def _stored(self) -> ReportBatch:
+        """Every stored row as one batch, in append order."""
+        if len(self._chunks) != 1:
+            self._chunks = [ReportBatch.concat(self._chunks, self.kind)]
+        return self._chunks[0]
 
-    def _positions_of(self, agent_rows: np.ndarray) -> np.ndarray:
-        """Entry positions of the given rows, ascending (append order).
+    def _select(self, agent_rows: np.ndarray, positions: np.ndarray):
+        """The stored batch, a mask of the rows of ``agent_rows`` and
+        each masked row's label (``positions[i]`` for ``agent_rows[i]``;
+        an agent listed twice takes its first label)."""
+        stored = self._stored()
+        rows, first = np.unique(np.asarray(agent_rows, dtype=np.intp), return_index=True)
+        if rows.size == 0:
+            return stored, np.zeros(len(stored), dtype=bool), np.empty(0, dtype=np.intp)
+        at = np.minimum(np.searchsorted(rows, stored.agent_rows), rows.size - 1)
+        mask = rows[at] == stored.agent_rows
+        return stored, mask, np.asarray(positions, dtype=np.intp)[first][at[mask]]
 
-        One stable grouping pass over the log, cached until the next
-        append — so draining a whole population agent by agent costs
-        one sort total, not one full-log scan per agent.
+    def rows(self, agent_row: int) -> ReportBatch:
+        """A copy of one agent's stored rows, in append order, labelled
+        0: what ``take([agent_row], [0])`` would return, left in place.
+
+        This scans the whole store; bulk reads go through
+        :func:`drain_report_batches`.
         """
-        if self._row_index is None:
-            self._row_index = {}
-            if self._batch.agent_rows.size:
-                order = np.argsort(self._batch.agent_rows, kind="stable")
-                sorted_rows = self._batch.agent_rows[order]
-                starts = np.concatenate([[0], np.nonzero(np.diff(sorted_rows))[0] + 1])
-                ends = np.concatenate([starts[1:], [sorted_rows.size]])
-                self._row_index = {
-                    int(sorted_rows[s]): order[s:e] for s, e in zip(starts, ends)
-                }
-        empty = np.empty(0, dtype=np.intp)
-        parts = [self._row_index.get(int(r), empty) for r in np.unique(agent_rows)]
-        positions = np.concatenate(parts) if parts else empty
-        return np.sort(positions)
+        stored, mask, label = self._select(np.array([agent_row]), np.array([0]))
+        out = stored.take(mask)
+        out.agent_rows = label
+        return out
 
-    def take_rows(self, agent_rows: np.ndarray) -> ReportBatch:
-        """Drain the still-pending entries of the given agent rows.
+    def take(self, agent_rows: np.ndarray, positions: np.ndarray) -> ReportBatch:
+        """Remove the rows of ``agent_rows`` and return them in append order.
 
-        Entries come back in append (chronological) order, carrying
-        :attr:`agent_ids` so object views can be materialized; taken
-        entries are dead for every future take.
+        A returned row of agent ``agent_rows[i]`` is relabelled
+        ``positions[i]`` (an agent listed twice takes its first label).
         """
-        self._finalize()
-        assert self._batch is not None and self._live is not None
-        agent_rows = np.asarray(agent_rows, dtype=np.intp)
-        positions = self._positions_of(agent_rows)
-        positions = positions[self._live[positions]]
-        self._live[positions] = False
-        taken = self._batch.take(positions)
-        taken.agent_ids = self.agent_ids
-        return taken
-
-
-class PendingReports:
-    """Outbox marker: one agent's pending rows in a :class:`ReportLog`.
-
-    A lightweight stand-in the fleet engine drops into
-    ``LocalAgent.outbox`` instead of per-report objects; touching the
-    object API materializes it (:meth:`materialize`), while the
-    columnar collection path consumes the underlying log directly.
-    """
-
-    __slots__ = ("log", "row")
-
-    def __init__(self, log: ReportLog, row: int) -> None:
-        self.log = log
-        self.row = int(row)
-
-    def materialize(self) -> list[EncodedReport | RawReport]:
-        """Drain this agent's log rows as the equivalent report objects."""
-        return self.log.take_rows(np.array([self.row], dtype=np.intp)).to_reports()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PendingReports(kind={self.log.kind!r}, row={self.row})"
-
-
-def _object_rows(kind: str, reports: list, agent_rows: list[int]) -> ReportBatch:
-    """Rows of materialized report objects (the sequential engine's outbox).
-
-    Codes or contexts, actions and rewards come from the objects, the
-    interaction index from their metadata — ``-1`` for an object that
-    carries none (one put through the ``outbox`` setter), whose row
-    keeps its outbox position all the same.
-    """
-    return ReportBatch(
-        actions=np.array([r.action for r in reports], dtype=np.intp),
-        rewards=np.array([r.reward for r in reports], dtype=np.float64),
-        agent_rows=np.array(agent_rows, dtype=np.intp),
-        interaction_indices=np.array(
-            [r.metadata.get("interaction_index", -1) for r in reports], dtype=np.intp
-        ),
-        codes=np.array([r.code for r in reports], dtype=np.intp) if kind == "encoded" else None,
-        contexts=np.stack([r.context for r in reports]) if kind == "raw" else None,
-    )
+        stored, mask, label = self._select(agent_rows, positions)
+        out = stored.take(mask)
+        out.agent_rows = label
+        self._chunks = [stored.take(~mask)]
+        return out
 
 
 def drain_report_batches(agents: Iterable) -> tuple[ReportBatch, ReportBatch]:
     """Drain a population's pending reports in columnar form.
 
     Returns ``(encoded, raw)`` batches holding every pending report of
-    ``agents`` in exactly the order of concatenated per-agent
+    ``agents`` — each agent's rows of its ``report_log`` at its
+    ``report_row`` — in exactly the order of concatenated per-agent
     ``drain_outbox`` calls: agent-major by the given agent order, and
-    outbox order within each agent, where a :class:`PendingReports`
-    marker expands to its log rows in append (chronological) order.
-    Markers drain as array gathers; materialized report objects — the
-    sequential engine's outbox, or an object view someone touched —
-    become rows of the same columns (:func:`_object_rows`).
-
-    Every involved outbox is emptied and the taken log rows are dead,
-    mirroring the destructive object drain.
+    append (chronological) order within each agent.  ``agent_rows``
+    holds the agents' positions in ``agents``.  The agents are grouped
+    by log, each log gives up their rows with one mask, and one stable
+    sort on position orders the result.  Taken rows leave their logs.
     """
-    # every outbox entry gets an ordinal; one stable sort on it restores
-    # outbox order across logs and objects
-    by_log: dict[int, tuple[ReportLog, list[int], list[int], list[int]]] = {}
-    objects: dict[str, tuple[list, list[int], list[int]]] = {
-        "encoded": ([], [], []),
-        "raw": ([], [], []),
-    }
-    seq = 0
+    by_log: dict[int, tuple[ReportLog, list[int], list[int]]] = {}
     for pos, agent in enumerate(agents):
-        entries = agent.pending_entries()
-        agent.clear_pending()
-        for entry in entries:
-            if isinstance(entry, PendingReports):
-                if id(entry.log) not in by_log:
-                    by_log[id(entry.log)] = (entry.log, [], [], [])
-                _, rows, poses, seqs = by_log[id(entry.log)]
-                rows.append(entry.row)
-            else:
-                reports, poses, seqs = objects["raw" if isinstance(entry, RawReport) else "encoded"]
-                reports.append(entry)
-            poses.append(pos)
-            seqs.append(seq)
-            seq += 1
-
-    parts: dict[str, list[tuple[ReportBatch, np.ndarray]]] = {"encoded": [], "raw": []}
-    for log, rows, poses, seqs in by_log.values():
-        row_arr = np.asarray(rows, dtype=np.intp)
-        part = log.take_rows(row_arr)
-        part.agent_ids = None
-        # map log-local agent rows to the caller's agent positions and to
-        # the ordinal of the marker each row drains through
-        remap = np.empty((2, len(log.agent_ids)), dtype=np.intp)
-        remap[:, row_arr] = (poses, seqs)
-        ordinals = remap[1, part.agent_rows]
-        part.agent_rows = remap[0, part.agent_rows]
-        parts[log.kind].append((part, ordinals))
-    for kind, (reports, poses, seqs) in objects.items():
-        if reports:
-            parts[kind].append((_object_rows(kind, reports, poses), np.asarray(seqs)))
-
+        log = agent.report_log
+        if log is None:  # cold agents never report
+            continue
+        members = by_log.get(id(log))
+        if members is None:
+            members = by_log[id(log)] = (log, [], [])
+        members[1].append(agent.report_row)
+        members[2].append(pos)
+    parts: dict[str, list[ReportBatch]] = {"encoded": [], "raw": []}
+    for log, rows, positions in by_log.values():
+        parts[log.kind].append(
+            log.take(np.asarray(rows, dtype=np.intp), np.asarray(positions, dtype=np.intp))
+        )
     out = []
     for kind in ("encoded", "raw"):
-        filled = [(part, ordinals) for part, ordinals in parts[kind] if len(part)]
-        batch = ReportBatch.concat([part for part, _ in filled], kind)
+        batch = ReportBatch.concat(parts[kind], kind)
         if len(batch):
-            order = np.argsort(np.concatenate([o for _, o in filled]), kind="stable")
-            batch = batch.take(order)
+            batch = batch.take(np.argsort(batch.agent_rows, kind="stable"))
         out.append(batch)
     return out[0], out[1]
 

@@ -5,9 +5,9 @@ central server, and manufactures correctly-configured
 :class:`~repro.core.agent.LocalAgent` instances for any of the three
 evaluation modes.  The full data path is::
 
-    agent.learn(...)  ->  outbox (report objects, or the fleet's ReportLog rows)
+    agent.learn(...)  ->  one row of the system's ReportLog (either engine)
       -> system.collect([agents])               # one route for every population
-        -> drain_report_batches(agents)         # outboxes -> report columns
+        -> drain_report_batches(agents)         # the agents' rows -> report columns
           -> shuffler.process_arrays(columns)   # anonymize, shuffle, threshold
             -> server.ingest_arrays(released)   # central LinUCB over codes
     system.model_snapshot() -> agent.warm_start(...)
@@ -36,7 +36,7 @@ from ..utils.rng import spawn_seeds
 from .agent import LocalAgent
 from .config import AgentMode, P2BConfig
 from .participation import RandomizedParticipation
-from .payload import drain_report_batches
+from .payload import ReportLog, drain_report_batches
 from .server import NonPrivateServer, PrivateServer
 from .shuffler import Shuffler, ShufflerStats
 
@@ -143,6 +143,12 @@ class P2BSystem:
         #: released tuples per code over the whole deployment (the server
         #: refuses codes outside the codebook before they are counted)
         self._released_counts = np.zeros(getattr(self.encoder, "n_codes", 0), dtype=np.int64)
+        #: every pending report of this system's agents, one row each
+        #: (:meth:`new_agent` enrolls each agent at a row); cold systems
+        #: have none
+        self.report_log: ReportLog | None = None
+        if mode != AgentMode.COLD:
+            self.report_log = ReportLog("encoded" if mode == AgentMode.WARM_PRIVATE else "raw")
         #: optional chaos plan corrupting collected batches (see
         #: :mod:`repro.sim.faults`); ``REPRO_FAULTS`` arms one globally
         self.fault_plan = None
@@ -186,7 +192,7 @@ class P2BSystem:
                 max_reports=cfg.max_reports_per_user,
                 seed=part_seed,
             )
-        return LocalAgent(
+        agent = LocalAgent(
             aid,
             policy,
             mode=self.mode,
@@ -194,6 +200,9 @@ class P2BSystem:
             participation=participation,
             private_context=cfg.private_context,
         )
+        if self.report_log is not None:
+            agent.report_log, agent.report_row = self.report_log, self.report_log.enroll()
+        return agent
 
     def new_warm_agent(self, agent_id: str | None = None) -> LocalAgent:
         """Create an agent initialized from the current central model."""

@@ -93,24 +93,26 @@ participation advances through
 :class:`~repro.core.participation.StackedParticipation` (vectorized
 window/budget masks, and the Bernoulli coin and within-window index as
 one keyed draw over every agent at a window boundary),
-and reports land in a struct-of-arrays
-:class:`~repro.core.payload.ReportLog` instead of per-report objects —
-codes gathered from the plan-time batch encodings, never re-encoded.
-Agent outboxes hold lightweight markers that materialize into the
-exact scalar report objects on access.  Collection has one route for
-every population: :meth:`~repro.core.system.P2BSystem.collect` drains
-markers (as log-row gathers) and the sequential engine's report
-objects (one row each) into the same columns, in the order of
-concatenated per-agent ``drain_outbox`` calls, and flows them through
-``Shuffler.process_arrays`` into ``ingest_arrays`` — so the released
-tuples, stats, audit and any armed corruption tap are the same
-whichever engine recorded the reports.
+and reports land, one chunk per round, in the agents' system's
+:class:`~repro.core.payload.ReportLog` — the one store the sequential
+engine appends to row by row — with codes gathered from the plan-time
+batch encodings, never re-encoded.  ``agent.outbox`` is a read-only
+object view of an agent's rows.  Collection has one route for every
+population: :meth:`~repro.core.system.P2BSystem.collect` takes the
+agents' rows with one mask per log and one stable sort on agent
+position — the order of concatenated per-agent ``drain_outbox``
+calls — and flows them through ``Shuffler.process_arrays`` into
+``ingest_arrays``, so the released tuples, stats, audit and any armed
+corruption tap are the same whichever engine recorded the reports.
 
-Because shards share no mutable state and never synchronize,
-``EngineConfig(n_workers=k)`` runs each shard's whole horizon as one
-concurrent task on a thread pool — again without leaving the contract:
-shard order is unobservable, so parallel results are identical to
-serial ones.
+Shards share no mutable state but their systems' report logs, and they
+never synchronize, so ``EngineConfig(n_workers=k)`` runs each shard's
+whole horizon as one concurrent task on a thread pool — again without
+leaving the contract: shard order is unobservable, so parallel results
+are identical to serial ones.  Pooled shards append to a shared log
+without a lock: each agent's rows come from its one shard, in order,
+each append is one ``list.append`` of a whole chunk, and the drain
+sorts rows by agent.
 
 Exactness tiers
 ---------------

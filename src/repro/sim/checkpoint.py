@@ -8,7 +8,7 @@ needs:
 
 * the **population pickle** — every agent with its policy state, RNG
   streams (generators, keys and draw counters), participation counters
-  and pending report outbox, and every
+  and report store handle (the log holding its pending rows), and every
   session with its walk cursors (pickle round-trips ``numpy``
   ``Generator`` state exactly);
 * the **partial result matrices** and the progress cursor
@@ -62,8 +62,9 @@ CHECKPOINT_MAGIC = "repro-fleet-checkpoint"
 #: 3 = policies and participation draw keyed, from a key and a counter;
 #: 4 = synthetic sessions draw their reward noise keyed, too;
 #: 5 = Thompson policies draw their posterior normals keyed and hold no
-#: Cholesky cache)
-CHECKPOINT_VERSION = 5
+#: Cholesky cache; 6 = agents hold a report store handle, not an outbox
+#: list)
+CHECKPOINT_VERSION = 6
 
 
 @dataclass(frozen=True)

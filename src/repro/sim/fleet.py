@@ -72,7 +72,7 @@ What stays per-agent Python (all O(1) per agent per round):
 * session calls (``next_context`` / ``reward``) on *unplanned* shards —
   environments are arbitrary stateful objects with their own
   generators;
-* participation offers and outbox appends on *unplanned* shards —
+* participation offers and report appends on *unplanned* shards —
   routed through :meth:`~repro.core.agent.LocalAgent.record_interaction`,
   the same method the sequential path uses (and which encodes each
   report's context, one agent at a time).  Plan-capable shards —
@@ -81,10 +81,10 @@ What stays per-agent Python (all O(1) per agent per round):
   advance through
   :class:`~repro.core.participation.StackedParticipation`, and report
   payloads are gathered through the walk — codes from the plan-time
-  batch encodings, actions/rewards from the result matrices — into a
-  per-shard :class:`~repro.core.payload.ReportLog`; agent outboxes
-  reference their rows and materialize objects only if
-  the object API is touched.  The one scalar encode left is a report
+  batch encodings, actions/rewards from the result matrices — and
+  appended to the agents' :class:`~repro.core.payload.ReportLog` (their
+  system's) in one chunk per round, the same store the scalar path
+  appends to row by row.  The one scalar encode left is a report
   sampling an item buffered before its run.
 
 Acting-time encoding is never per-agent Python: encoders are
@@ -108,10 +108,14 @@ one array expression per shard per round.
 Parallel shard stepping
 -----------------------
 
-Shards share no mutable state — disjoint agents, disjoint result rows,
-per-agent RNG/session/outbox — and they never synchronize, so a
-serial run is a plain ``map`` of :func:`_run_shard_horizon` over
-the shards and ``EngineConfig(n_workers=k)`` makes it a thread-pool map
+Shards share no mutable state but their systems' report logs —
+disjoint agents, disjoint result rows, per-agent RNG/session — and
+they never synchronize.  Pooled shards append to a shared log without
+a lock: each agent's rows come from its one shard, in order, each
+append is one ``list.append`` of a whole chunk, and the drain sorts
+rows by agent.  So a serial run is a plain ``map`` of
+:func:`_run_shard_horizon` over the shards and
+``EngineConfig(n_workers=k)`` makes it a thread-pool map
 of the same function (no per-round barrier or submit overhead; the
 einsum kernels release the GIL, so compute-bound shards overlap).
 Threads are the only parallel backend: every shard mutates the
@@ -130,7 +134,6 @@ import numpy as np
 from ..core.agent import LocalAgent
 from ..core.config import AgentMode
 from ..core.participation import StackedParticipation
-from ..core.payload import ReportLog
 from ..data.environment import RewardBlock, TraceRowTable, UserSession
 from ..utils.exceptions import CheckpointError, ConfigError
 from ..utils.validation import check_positive_int
@@ -395,6 +398,14 @@ class _Shard:
         self._row_encoded: np.ndarray | None = None  # (groups, n_rows) bool
         # raw contexts, allocated on the first generic-path round
         self._X: np.ndarray | None = None
+        # each member's report store, as an index into the distinct
+        # logs (one in practice: a system's agents share a shard key),
+        # and its row there — held across runs like the stack
+        logs = {id(a.report_log): a.report_log for a in agents if a.report_log is not None}
+        self._logs = list(logs.values())
+        slot = {key: k for k, key in enumerate(logs)}
+        self._log_of = np.array([slot.get(id(a.report_log), -1) for a in agents], dtype=np.intp)
+        self._log_rows = np.array([a.report_row for a in agents], dtype=np.intp)
         self._reset_run_state()
 
     def _reset_run_state(self) -> None:
@@ -443,7 +454,6 @@ class _Shard:
         self._base_inter: np.ndarray | None = None
         self._reward_acc: np.ndarray | None = None
         self._part: StackedParticipation | None = None
-        self._log: ReportLog | None = None
         self._pre_buffers: list[list] | None = None
 
     # ------------------------------------------------------------------ #
@@ -775,11 +785,10 @@ class _Shard:
         item of any report, and its plan-time code, is a pure gather
         through the walk.  The per-agent
         ``record_interaction`` loop is replaced by
-        :class:`StackedParticipation` masks plus per-round appends into
-        a :class:`~repro.core.payload.ReportLog` the agents' outboxes
-        reference.  Counters (``n_interactions``, ``total_reward``)
-        accumulate in shard arrays, written back by :meth:`finish` in
-        the scalar accumulation order.
+        :class:`StackedParticipation` masks plus per-round appends to
+        the members' report logs.  Counters (``n_interactions``,
+        ``total_reward``) accumulate in shard arrays, written back by
+        :meth:`finish` in the scalar accumulation order.
         """
         self._base_inter = np.array([a.n_interactions for a in self.agents], dtype=np.intp)
         self._reward_acc = np.array([a.total_reward for a in self.agents], dtype=np.float64)
@@ -791,10 +800,6 @@ class _Shard:
         # round / object-path prefix) can still be sampled at the first
         # window boundary; keep them reachable
         self._pre_buffers = [list(p._buffer) for p in parts]
-        kind = "encoded" if self.mode == AgentMode.WARM_PRIVATE else "raw"
-        self._log = ReportLog(kind, [a.agent_id for a in self.agents])
-        for j, agent in enumerate(self.agents):
-            agent.adopt_report_log(self._log, j)
 
     @property
     def stationary(self) -> bool:
@@ -991,7 +996,13 @@ class _Shard:
                     payload[i] = self.agents[j].encoder.encode(ctx)
                 else:
                     payload[i] = np.asarray(ctx, dtype=np.float64)
-        self._log.append(rows, payload, acts_s, rew_s, inter_idx)
+        # one append per log: group the fired rows once by their log
+        owner = self._log_of[rows]
+        order = np.argsort(owner, kind="stable")
+        for m in np.split(order, np.flatnonzero(np.diff(owner[order])) + 1):
+            self._logs[owner[m[0]]].append(
+                self._log_rows[rows[m]], payload[m], acts_s[m], rew_s[m], inter_idx[m]
+            )
 
     def finish(self, rewards: np.ndarray, actions: np.ndarray) -> None:
         """Write columnar bookkeeping back into the scalar objects.
@@ -1718,7 +1729,8 @@ class FleetRunner:
 
         The snapshot carries the pickled population — every agent with
         its policy state, RNG streams, participation counters and
-        pending report outbox, and every session with its walk cursors —
+        report log (its pending rows), and every session with its walk
+        cursors —
         plus this runner's engine knobs and, for an in-flight run, the
         partial result matrices and progress cursor.  Writes are atomic
         (temp file + ``os.replace``), so a crash mid-write leaves the

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bandits import CodeLinUCB
 from repro.core import (
     EncodedReport,
-    PendingReports,
+    LocalAgent,
+    RandomizedParticipation,
     RawReport,
     ReportBatch,
     ReportLog,
@@ -120,76 +122,127 @@ class TestReportBatch:
             ReportBatch.concat([a, raw], "encoded")
 
 
+def _append(log, row, payload, action, reward, index):
+    log.append(np.array([row]), np.array([payload]), np.array([action]),
+               np.array([reward]), np.array([index]))
+
+
 class TestReportLog:
-    def test_take_rows_drains_once(self):
-        log = ReportLog("encoded", ["a", "b", "c"])
+    def test_take_drains_once(self):
+        log = ReportLog("encoded")
         log.append(
             np.array([0, 2]), np.array([5, 6]), np.array([0, 1]),
             np.array([0.5, 1.0]), np.array([3, 3]),
         )
-        first = log.take_rows(np.array([2]))
+        first = log.take(np.array([2]), np.array([2]))
         assert list(first.codes) == [6]
-        assert first.agent_ids == ("a", "b", "c")
-        again = log.take_rows(np.array([2]))
+        again = log.take(np.array([2]), np.array([2]))
         assert len(again) == 0
-        rest = log.take_rows(np.array([0, 1]))
+        rest = log.take(np.array([0, 1]), np.array([0, 1]))
         assert list(rest.codes) == [5]
+        assert len(log) == 0
 
     def test_append_after_take(self):
-        log = ReportLog("encoded", ["a"])
-        log.append(np.array([0]), np.array([1]), np.array([0]), np.array([1.0]), np.array([1]))
-        assert len(log.take_rows(np.array([0]))) == 1
-        log.append(np.array([0]), np.array([2]), np.array([0]), np.array([1.0]), np.array([2]))
-        taken = log.take_rows(np.array([0]))
+        log = ReportLog("encoded")
+        _append(log, 0, 1, 0, 1.0, 1)
+        assert len(log.take(np.array([0]), np.array([0]))) == 1
+        _append(log, 0, 2, 0, 1.0, 2)
+        taken = log.take(np.array([0]), np.array([0]))
         assert list(taken.codes) == [2]
+
+    def test_taken_rows_are_compacted_away(self):
+        """The store holds pending rows only: what a take leaves behind
+        is exactly the other agents' rows, in append order."""
+        log = ReportLog("encoded")
+        for i in range(4):
+            _append(log, i % 2, 10 + i, 0, 1.0, i)
+        assert len(log) == 4
+        log.take(np.array([0]), np.array([0]))
+        assert len(log) == 2
+        assert list(log.rows(1).codes) == [11, 13]
+
+    def test_rows_is_a_copy_labelled_zero(self):
+        log = ReportLog("encoded")
+        _append(log, 0, 8, 0, 1.0, 1)
+        _append(log, 5, 4, 1, 0.5, 9)
+        view = log.rows(5)
+        assert list(view.codes) == [4] and list(view.agent_rows) == [0]
+        assert list(view.interaction_indices) == [9]
+        view.codes[0] = 7
+        assert len(log) == 2  # reading leaves the rows in place
+        assert list(log.rows(5).codes) == [4]
+
+    def test_enroll_gives_new_rows(self):
+        log = ReportLog("raw")
+        assert (log.enroll(), log.enroll(), log.enroll()) == (0, 1, 2)
+
+    def test_store_holds_nothing_per_enrolled_agent(self):
+        """Enrolling is a counter: a store's pickled size does not grow
+        with the agents it has seen, only with its pending rows."""
+        import pickle
+
+        log = ReportLog("encoded")
+        sizes = []
+        for _ in range(2):
+            row = log.enroll()
+            _append(log, row, 1, 0, 1.0, 1)
+            log.take(np.array([row]), np.array([0]))
+            sizes.append(len(pickle.dumps(log)))
+            for _ in range(1000):
+                log.enroll()
+        assert sizes[1] <= sizes[0] + 16
 
     def test_invalid_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            ReportLog("tabular", ["a"])
+            ReportLog("tabular")
 
 
 class _AgentStub:
-    """Just enough of LocalAgent for drain_report_batches."""
+    """Just enough of LocalAgent for drain_report_batches: a store handle."""
 
-    def __init__(self, entries):
-        self._outbox = list(entries)
+    def __init__(self, log, row):
+        self.report_log, self.report_row = log, row
 
-    def pending_entries(self):
-        return list(self._outbox)
 
-    def clear_pending(self):
-        self._outbox = []
+def _private_agent(agent_id="a"):
+    """A hand-built warm-private agent: it holds a private one-row log."""
+    from repro.encoding import KMeansEncoder
+
+    encoder = KMeansEncoder(n_codes=4, n_features=3, n_fit_samples=200, seed=0).fit()
+    return LocalAgent(
+        agent_id,
+        CodeLinUCB(n_arms=3, n_features=4, seed=0),
+        mode="warm-private",
+        encoder=encoder,
+        participation=RandomizedParticipation(p=1.0, window=1, seed=0),
+    )
 
 
 class TestDrainReportBatches:
     def test_agent_major_chronological_order(self):
-        log = ReportLog("encoded", ["a", "b"])
+        log = ReportLog("encoded")
         # round-major appends: (agent 0, t1), (agent 1, t1), (agent 0, t2)
         log.append(np.array([0, 1]), np.array([10, 20]), np.array([0, 0]),
                    np.array([1.0, 1.0]), np.array([1, 1]))
         log.append(np.array([0]), np.array([11]), np.array([0]),
                    np.array([1.0]), np.array([2]))
-        agents = [_AgentStub([PendingReports(log, 0)]), _AgentStub([PendingReports(log, 1)])]
+        agents = [_AgentStub(log, 0), _AgentStub(log, 1)]
         enc, raw = drain_report_batches(agents)
         assert len(raw) == 0
         # agent-major: both of agent 0's reports (chronological) first
         assert list(enc.codes) == [10, 11, 20]
         assert list(enc.agent_rows) == [0, 0, 1]
-        assert all(a._outbox == [] for a in agents)
+        assert len(log) == 0
 
-    def test_materialized_objects_drain_in_outbox_order(self):
-        """Report objects become rows where ``drain_outbox`` would put
-        them: codes, actions and rewards from the object, the interaction
-        index from its metadata."""
-        log = ReportLog("encoded", ["a"])
-        log.append(np.array([0]), np.array([5]), np.array([1]), np.array([0.5]), np.array([3]))
-        first = [
-            EncodedReport(code=1, action=0, reward=1.0, metadata={"interaction_index": 1}),
-            PendingReports(log, 0),
-            EncodedReport(code=2, action=2, reward=0.25, metadata={"interaction_index": 4}),
-        ]
-        second = [EncodedReport(code=3, action=1, reward=0.0, metadata={"interaction_index": 2})]
-        agents = [_AgentStub(first), _AgentStub(second)]
+    def test_interleaved_appends_drain_in_append_order_per_agent(self):
+        """Rows appended one at a time (the sequential path), agents
+        interleaved: every column follows each agent's append order."""
+        log = ReportLog("encoded")
+        _append(log, 0, 1, 0, 1.0, 1)
+        _append(log, 1, 3, 1, 0.0, 2)
+        _append(log, 0, 5, 1, 0.5, 3)
+        _append(log, 0, 2, 2, 0.25, 4)
+        agents = [_AgentStub(log, 0), _AgentStub(log, 1)]
         enc, raw = drain_report_batches(agents)
         assert len(raw) == 0
         assert list(enc.codes) == [1, 5, 2, 3]
@@ -197,56 +250,77 @@ class TestDrainReportBatches:
         assert list(enc.rewards) == [1.0, 0.5, 0.25, 0.0]
         assert list(enc.agent_rows) == [0, 0, 0, 1]
         assert list(enc.interaction_indices) == [1, 3, 4, 2]
-        assert all(a._outbox == [] for a in agents)
-        assert len(log.take_rows(np.array([0]))) == 0  # the log row is dead
+        assert len(log) == 0  # taken rows are gone
+
+    def test_caller_order_not_store_order(self):
+        """Positions follow the caller's agent list, not store rows."""
+        log = ReportLog("encoded")
+        for row, code in ((0, 1), (1, 2), (2, 3)):
+            _append(log, row, code, 0, 1.0, 1)
+        enc, _ = drain_report_batches([_AgentStub(log, 2), _AgentStub(log, 0)])
+        assert list(enc.codes) == [3, 1] and list(enc.agent_rows) == [0, 1]
+        assert list(log.rows(1).codes) == [2]  # an agent left out keeps its rows
 
     @pytest.mark.parametrize("object_first", [True, False])
     def test_object_without_interaction_index_keeps_outbox_position(self, object_first):
         """An object set through the ``outbox`` setter may carry no
         metadata: its row keeps its outbox position (index -1)."""
-        log = ReportLog("encoded", ["a"])
-        log.append(np.array([0]), np.array([5]), np.array([0]), np.array([1.0]), np.array([7]))
-        entries = [EncodedReport(code=2, action=1, reward=0.5), PendingReports(log, 0)]
+        agent = _private_agent()
+        entries = [
+            EncodedReport(code=2, action=1, reward=0.5),
+            EncodedReport(code=5, action=0, reward=1.0, metadata={"interaction_index": 7}),
+        ]
         if not object_first:
             entries.reverse()
-        enc, _ = drain_report_batches([_AgentStub(entries)])
+        agent.outbox = entries
+        assert agent.outbox[0 if object_first else 1].metadata == {}
+        enc, _ = drain_report_batches([agent])
         expected = [(2, -1), (5, 7)] if object_first else [(5, 7), (2, -1)]
         assert list(zip(enc.codes.tolist(), enc.interaction_indices.tolist())) == expected
+        assert agent.outbox == []
 
-    def test_raw_objects_and_log_rows_share_one_batch(self):
-        log = ReportLog("raw", ["a", "b"])
-        log.append(
-            np.array([1]), np.array([[0.3, 0.7]]), np.array([0]), np.array([1.0]), np.array([1])
-        )
-        report = RawReport(
-            context=np.array([0.6, 0.4]), action=1, reward=0.0, metadata={"interaction_index": 2}
-        )
-        agents = [_AgentStub([report]), _AgentStub([PendingReports(log, 1)])]
-        enc, raw = drain_report_batches(agents)
+    def test_raw_rows_share_one_batch(self):
+        log = ReportLog("raw")
+        _append(log, 1, [0.3, 0.7], 0, 1.0, 1)
+        _append(log, 0, [0.6, 0.4], 1, 0.0, 2)
+        enc, raw = drain_report_batches([_AgentStub(log, 0), _AgentStub(log, 1)])
         assert len(enc) == 0
         np.testing.assert_array_equal(raw.contexts, [[0.6, 0.4], [0.3, 0.7]])
         assert list(raw.actions) == [1, 0] and list(raw.agent_rows) == [0, 1]
 
-    def test_two_logs_ordered_by_interaction_index(self):
-        log1 = ReportLog("encoded", ["a"])
-        log2 = ReportLog("encoded", ["a"])
-        log1.append(np.array([0]), np.array([1]), np.array([0]), np.array([1.0]), np.array([2]))
-        log2.append(np.array([0]), np.array([2]), np.array([0]), np.array([1.0]), np.array([9]))
-        agents = [_AgentStub([PendingReports(log1, 0), PendingReports(log2, 0)])]
+    def test_agents_of_two_logs_drain_agent_major(self):
+        """Agents of two systems, interleaved in the caller's list: one
+        stable sort on position restores agent-major order across logs."""
+        log1, log2 = ReportLog("encoded"), ReportLog("encoded")
+        _append(log1, 0, 1, 0, 1.0, 1)
+        _append(log2, 0, 2, 0, 1.0, 1)
+        _append(log1, 1, 3, 0, 1.0, 1)
+        _append(log1, 0, 4, 0, 1.0, 2)
+        agents = [_AgentStub(log1, 0), _AgentStub(log2, 0), _AgentStub(log1, 1)]
         enc, _ = drain_report_batches(agents)
-        assert list(enc.codes) == [1, 2]
-        assert list(enc.interaction_indices) == [2, 9]
+        assert list(enc.codes) == [1, 4, 2, 3]
+        assert list(enc.agent_rows) == [0, 0, 1, 2]
 
     def test_mixed_kinds_split(self):
-        enc_log = ReportLog("encoded", ["a"])
-        raw_log = ReportLog("raw", ["b"])
-        enc_log.append(np.array([0]), np.array([3]), np.array([0]), np.array([1.0]), np.array([1]))
-        raw_log.append(np.array([0]), np.array([[0.1, 0.9]]), np.array([1]),
-                       np.array([0.5]), np.array([1]))
-        agents = [
-            _AgentStub([PendingReports(enc_log, 0)]),
-            _AgentStub([PendingReports(raw_log, 0)]),
-        ]
+        enc_log = ReportLog("encoded")
+        raw_log = ReportLog("raw")
+        _append(enc_log, 0, 3, 0, 1.0, 1)
+        _append(raw_log, 0, [0.1, 0.9], 1, 0.5, 1)
+        agents = [_AgentStub(enc_log, 0), _AgentStub(raw_log, 0)]
         enc, raw = drain_report_batches(agents)
         assert len(enc) == 1 and len(raw) == 1
         np.testing.assert_array_equal(raw.contexts, [[0.1, 0.9]])
+
+    def test_cold_agents_hold_no_store(self):
+        log = ReportLog("encoded")
+        _append(log, 0, 3, 0, 1.0, 1)
+        enc, raw = drain_report_batches([_AgentStub(None, 0), _AgentStub(log, 0)])
+        assert list(enc.agent_rows) == [1] and len(raw) == 0
+
+    def test_agent_listed_twice_drains_at_its_first_position(self):
+        log = ReportLog("encoded")
+        _append(log, 0, 1, 0, 1.0, 1)
+        _append(log, 1, 2, 0, 1.0, 1)
+        a, b = _AgentStub(log, 0), _AgentStub(log, 1)
+        enc, _ = drain_report_batches([a, b, a])
+        assert list(enc.codes) == [1, 2] and list(enc.agent_rows) == [0, 1]

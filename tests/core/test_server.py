@@ -11,28 +11,29 @@ from repro.core import (
     NonPrivateServer,
     PrivateServer,
     RawReport,
+    ReportLog,
     drain_report_batches,
 )
 from repro.encoding import KMeansEncoder
 from repro.utils.exceptions import ValidationError
 
 
-class _Outbox:
-    """One device's pending reports, as the collection drain reads them."""
+class _Device:
+    """One device's pending reports, as the collection drain reads them:
+    its rows in a report log."""
 
     def __init__(self, reports):
-        self._outbox = list(reports)
-
-    def pending_entries(self):
-        return list(self._outbox)
-
-    def clear_pending(self):
-        self._outbox = []
+        encoded = isinstance(reports[0], EncodedReport)
+        self.report_log, self.report_row = ReportLog("encoded" if encoded else "raw"), 0
+        for r in reports:
+            self.report_log.append(
+                [0], [r.code if encoded else r.context], [r.action], [r.reward], [-1]
+            )
 
 
 def _drained(reports):
     """The report columns collection hands the server for ``reports``."""
-    encoded, raw = drain_report_batches([_Outbox(reports)])
+    encoded, raw = drain_report_batches([_Device(reports)])
     return encoded if len(encoded) else raw
 
 

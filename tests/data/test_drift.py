@@ -12,13 +12,11 @@ however the horizon is split into runs.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import pytest
 
 from repro.bandits.linucb import LinUCB
-from repro.core import P2BConfig, P2BSystem, PendingReports
+from repro.core import P2BConfig, P2BSystem
 from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode
 from repro.data import DriftingSyntheticEnvironment, DriftingSyntheticSession
@@ -26,6 +24,7 @@ from repro.data.synthetic import SyntheticPreferenceEnvironment, SyntheticUserSe
 from repro.sim import FleetRunner
 from repro.utils.rng import rng_state_digest, spawn_seeds
 
+from _recording import record_counts
 from _released import record_released
 
 N_ACTIONS = 4
@@ -297,11 +296,8 @@ def _assert_reporting_identical(seq, fleet):
         for (c1, a1, r1), (c2, a2, r2) in zip(sp._buffer, fp._buffer):
             np.testing.assert_array_equal(c1, c2)
             assert a1 == a2 and r1 == r2
-    # materialize the fleet's columnar outboxes on a copy, so the
-    # collection round below still takes the columnar path
-    f_copy = copy.deepcopy(f_agents)
-    assert all(isinstance(e, PendingReports) for a in f_agents for e in a.pending_entries())
-    for sa, fa in zip(s_agents, f_copy):
+    # the object view leaves the rows in place for the collection round
+    for sa, fa in zip(s_agents, f_agents):
         assert sa.outbox == fa.outbox  # code, action, reward, order
         assert [r.metadata for r in sa.outbox] == [r.metadata for r in fa.outbox]
     released_s, released_f = record_released(s_sys), record_released(f_sys)
@@ -315,7 +311,7 @@ def _assert_reporting_identical(seq, fleet):
 class TestDriftingReports:
     @pytest.mark.parametrize("kind", sorted(SHARD_ENVS))
     @pytest.mark.parametrize("split", [None, 1, 3, EPOCH, EPOCH + 5])
-    def test_reports_match_sequential_across_split_runs(self, kind, split):
+    def test_reports_match_sequential_across_split_runs(self, kind, split, monkeypatch):
         """Warm-private drifting users record columnar: the drained
         reports, participation buffers and budgets, and the shuffler's
         output equal the sequential loop's — with run boundaries before,
@@ -327,17 +323,21 @@ class TestDriftingReports:
         seq_rewards = _sequential(s_agents, s_sessions, HORIZON)
         runner = FleetRunner(f_agents, f_sessions)
         assert runner.n_shards == 1
-        np.testing.assert_array_equal(seq_rewards, _run_fleet(runner, split))
+        counts = record_counts(monkeypatch)
+        fleet_rewards = _run_fleet(runner, split)
+        # the columnar recording must actually be engaged, not a fallback
+        assert counts == {"objects": 0, "record_interaction": 0}
+        np.testing.assert_array_equal(seq_rewards, fleet_rewards)
         _assert_reporting_identical((s_sys, s_agents), (f_sys, f_agents))
 
     def test_drifting_shards_never_call_record_interaction(self, monkeypatch):
         def boom(self, *args, **kwargs):  # pragma: no cover - should never run
             raise AssertionError("record_interaction called on a plan shard")
 
-        _, agents, sessions = _warm_population("two_clocks")
+        system, agents, sessions = _warm_population("two_clocks")
         monkeypatch.setattr(LocalAgent, "record_interaction", boom)
         FleetRunner(agents, sessions).run(HORIZON)
-        assert sum(len(a.pending_entries()) for a in agents) == len(agents)
+        assert len(system.report_log) > 0
 
 
 class TestPlanCalls:

@@ -8,6 +8,8 @@ same population through a plain FleetRunner.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,36 @@ class TestLifecycle:
 
         with pytest.raises(ConfigError, match="sink"):
             FleetService(_config(), _env(), engine=EngineConfig(sink=CurveSink()))
+
+
+class TestReportStore:
+    def test_store_stays_bounded_under_churn(self):
+        """1% churn and a collect every 4th request, 120 requests: every
+        collect empties the system's log, and between collects it holds
+        at most one cycle's reports, however many requests ran before.
+        What the log keeps after a collect (its pickled size, as a
+        checkpoint stores it) does not grow with the agents that came
+        and went."""
+        service = FleetService(_config(max_reports_per_user=1000), _env(), seed=2)
+        service.arrive(100)
+        log = service.system.report_log
+        steps, window = 2, 3
+        # an agent fills at most one report per window boundary it crosses
+        bound = service.n_agents * -(-4 * steps // window)
+        stored, kept = [], []
+        for r in range(120):
+            service.depart([0])
+            service.arrive(1)
+            service.interact(steps)
+            stored.append(len(log))
+            if r % 4 == 3:
+                service.collect()
+                assert len(log) == 0
+                kept.append(len(pickle.dumps(log)))
+        assert all(a.report_log is log for a in service.fleet.agents)
+        assert max(kept) <= kept[0] + 16
+        assert 0 < max(stored) <= bound
+        assert max(stored[-40:]) <= bound
 
 
 class TestBitIdentity:

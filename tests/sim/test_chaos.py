@@ -14,7 +14,7 @@ import pytest
 from repro.bandits import UCB1, EpsilonGreedy, LinUCB
 from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode, P2BConfig
-from repro.core.payload import EncodedReport, PendingReports, drain_report_batches
+from repro.core.payload import EncodedReport, drain_report_batches
 from repro.core.rounds import DeploymentLoop
 from repro.core.system import P2BSystem
 from repro.data.synthetic import SyntheticPreferenceEnvironment
@@ -272,10 +272,12 @@ class TestCorruptionEnginesAgree:
             first, *rest = agents[1].outbox
             agents[1].outbox = [first, bare, *rest]
         (agents, _), (twins, _) = populations
-        kinds = [type(e) for e in agents[0].pending_entries()]
-        assert kinds[0] is EncodedReport and kinds[-1] is EncodedReport
-        assert PendingReports in kinds
+        # scalar prefix, fleet rows and scalar suffix share one store
+        log = agents[0].report_log
+        assert all(a.report_log is log for a in agents)
+        indices = [r.metadata["interaction_index"] for r in agents[0].outbox]
+        assert indices[0] <= 4 < 11 < indices[-1]
         rows = _drained_rows(agents)
         assert rows == _outbox_rows(twins)
         assert [row for row in rows if row[0] == 1][1] == (1, -1, 0, 1, 0.5)
-        assert all(not a.pending_entries() for a in agents)
+        assert len(log) == 0 and all(not a.outbox for a in agents)

@@ -329,7 +329,7 @@ class TestValidationAndCorruption:
         state = state_from_bytes(path.read_bytes())
         state["version"] = 3
         path.write_bytes(state_to_bytes(state))
-        assert CHECKPOINT_VERSION == 5
+        assert CHECKPOINT_VERSION == 6
         with pytest.raises(CheckpointError, match="format version 3"):
             load_checkpoint(path)
 
@@ -353,6 +353,41 @@ class TestValidationAndCorruption:
         state["version"] = 4
         path.write_bytes(state_to_bytes(state))
         with pytest.raises(CheckpointError, match="format version 4"):
+            load_checkpoint(path)
+
+    def test_version_5_checkpoint_refused(self, tmp_path, monkeypatch):
+        """Version 5 predates the report store: its pickled agents carry
+        an outbox list, not a handle to their system's report log, so it
+        must not load.  The same warm-private population at the current
+        version resumes with the reports pending across the snapshot."""
+        from repro.core import P2BConfig, P2BSystem
+
+        def population():
+            config = P2BConfig(
+                n_actions=N_ACTIONS, n_features=N_FEATURES, n_codes=6, p=0.9, window=2,
+            )
+            system = P2BSystem(config, mode="warm-private", seed=3)
+            env = SyntheticPreferenceEnvironment(
+                n_actions=N_ACTIONS, n_features=N_FEATURES, seed=7
+            )
+            agents = [system.new_agent() for _ in range(4)]
+            return agents, [env.new_user(s) for s in spawn_seeds(9, 4)]
+
+        path = tmp_path / "reports.ckpt"
+        agents_a, sessions_a = population()
+        base = FleetRunner(agents_a, sessions_a).run(6)
+        agents_b, sessions_b = population()
+        restore = _crash_on_call(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            FleetRunner(agents_b, sessions_b).run(6, checkpoint_every=3, checkpoint_path=path)
+        restore()
+        resumed = FleetRunner.resume(path)
+        assert len(resumed.agents[0].report_log) > 0
+        _assert_run_identical(base, resumed.resume_run(), agents_a, resumed.agents)
+        state = state_from_bytes(path.read_bytes())
+        state["version"] = 5
+        path.write_bytes(state_to_bytes(state))
+        with pytest.raises(CheckpointError, match="format version 5"):
             load_checkpoint(path)
 
     @staticmethod

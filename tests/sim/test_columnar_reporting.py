@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.bandits import CodeLinUCB, LinUCB
-from repro.core import P2BConfig, P2BSystem, PendingReports
+from repro.core import P2BConfig, P2BSystem
 from repro.core.config import AgentMode
 from repro.core.payload import drain_report_batches
 from repro.core.rounds import DeploymentLoop
@@ -32,6 +32,7 @@ from repro.experiments.runner import _simulate_agent, run_setting
 from repro.sim import FleetRunner
 from repro.utils.rng import spawn_seeds
 
+from _recording import record_counts
 from _released import record_released
 from _testkit import assert_states_equal
 
@@ -101,19 +102,18 @@ class TestColumnarCollectGolden:
         "mode",
         [AgentMode.WARM_PRIVATE, AgentMode.WARM_NONPRIVATE, AgentMode.COLD],
     )
-    def test_collect_matches_sequential(self, mode):
+    def test_collect_matches_sequential(self, mode, monkeypatch):
         config = _config()
         s_sys, s_agents, s_sessions = _system_population(mode, config)
         f_sys, f_agents, f_sessions = _system_population(mode, config)
         for a, s in zip(s_agents, s_sessions):
             _simulate_agent(a, s, HORIZON)
+        counts = record_counts(monkeypatch)
         FleetRunner(f_agents, f_sessions).run(HORIZON)
         if mode != AgentMode.COLD:
             # the fast path must actually be engaged, not a fallback
-            assert all(
-                all(isinstance(e, PendingReports) for e in a._outbox)
-                for a in f_agents
-            )
+            assert counts == {"objects": 0, "record_interaction": 0}
+            assert len(f_sys.report_log) > 0
         _assert_collect_identical((s_sys, s_agents), (f_sys, f_agents))
 
     def test_centroid_context_collect(self):
@@ -194,10 +194,10 @@ class TestColumnarCollectGolden:
         FleetRunner(f_agents, f_sessions).run(6)
         _assert_collect_identical((s_sys, s_agents), (f_sys, f_agents))
 
-    def test_object_path_interleaving(self):
-        """A sequential prefix (object outbox) followed by a fleet run:
-        mixed pending forms drain to one batch in outbox order and
-        still match the all-sequential reference exactly."""
+    def test_object_path_interleaving(self, monkeypatch):
+        """A sequential prefix (scalar rows) followed by a fleet run
+        (chunk rows) in one store: they drain to one batch in outbox
+        order and still match the all-sequential reference exactly."""
         config = _config(shuffler_threshold=1)
         s_sys, s_agents, s_sessions = _system_population(AgentMode.WARM_PRIVATE, config)
         f_sys, f_agents, f_sessions = _system_population(AgentMode.WARM_PRIVATE, config)
@@ -205,16 +205,36 @@ class TestColumnarCollectGolden:
             _simulate_agent(a, s, 5)
             _simulate_agent(a, s, HORIZON)
         for a, s in zip(f_agents, f_sessions):
-            _simulate_agent(a, s, 5)  # object-path prefix
+            _simulate_agent(a, s, 5)  # scalar-path prefix
+        n_prefix = len(f_sys.report_log)
+        counts = record_counts(monkeypatch)
         FleetRunner(f_agents, f_sessions).run(HORIZON)
-        assert any(
-            any(isinstance(e, PendingReports) for e in a._outbox) for a in f_agents
-        )
+        assert counts == {"objects": 0, "record_interaction": 0}
+        assert 0 < n_prefix < len(f_sys.report_log)
         _assert_collect_identical((s_sys, s_agents), (f_sys, f_agents))
 
 
+class TestOutboxView:
+    @pytest.mark.parametrize("mode", [AgentMode.WARM_PRIVATE, AgentMode.WARM_NONPRIVATE])
+    def test_reading_outbox_leaves_collection_unchanged(self, mode):
+        """The object view is read-only: reading every outbox twice and
+        then collecting releases the same tuples, with the same
+        ShufflerStats and server state, as collecting unread."""
+        config = _config(shuffler_threshold=1)
+        a_sys, a_agents, a_sessions = _system_population(mode, config)
+        b_sys, b_agents, b_sessions = _system_population(mode, config)
+        for agents, sessions in ((a_agents, a_sessions), (b_agents, b_sessions)):
+            _simulate_agent(agents[0], sessions[0], 4)  # scalar rows, then chunk rows
+            FleetRunner(agents, sessions).run(HORIZON)
+        views = [[a.outbox for a in b_agents] for _ in range(2)]
+        assert views[0] == views[1] and any(views[0])
+        assert len(b_sys.report_log) == len(a_sys.report_log)
+        out = _assert_collect_identical((a_sys, a_agents), (b_sys, b_agents))
+        assert out.n_reports == sum(len(box) for box in views[0])
+
+
 class TestColumnarTracedSessions:
-    def test_multilabel_replay_collect(self):
+    def test_multilabel_replay_collect(self, monkeypatch):
         ds = make_multilabel_dataset(80, 4, 3, n_clusters=3, seed=17)
 
         def build():
@@ -229,10 +249,9 @@ class TestColumnarTracedSessions:
         f_sys, f_agents, f_sessions = build()
         for a, s in zip(s_agents, s_sessions):
             _simulate_agent(a, s, 10)
+        counts = record_counts(monkeypatch)
         FleetRunner(f_agents, f_sessions).run(10)
-        assert all(
-            all(isinstance(e, PendingReports) for e in a._outbox) for a in f_agents
-        )
+        assert counts == {"objects": 0, "record_interaction": 0}
         _assert_collect_identical((s_sys, s_agents), (f_sys, f_agents))
 
 

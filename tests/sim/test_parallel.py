@@ -1,8 +1,9 @@
 """Parallel shard stepping: identical to serial, by construction.
 
-Shards share no mutable state, so ``EngineConfig(n_workers=k)`` running
-them concurrently on a thread pool must produce bit-identical rewards,
-actions, policy states and outboxes.  These tests pin that, plus
+Shards share no mutable state but their systems' report logs, which
+take whole-chunk appends without a lock, so ``EngineConfig(n_workers=k)``
+running them concurrently on a thread pool must produce bit-identical
+rewards, actions, policy states and outboxes.  These tests pin that, plus
 ``run_subset`` on pooled fleets, the ``n_workers``
 plumbing through ``run_setting`` and ``DeploymentLoop`` and the
 validation guard rails.
@@ -10,14 +11,18 @@ validation guard rails.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
-from repro.bandits import UCB1, EpsilonGreedy, LinUCB
+from repro.bandits import UCB1, CodeLinUCB, EpsilonGreedy, LinUCB
 from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode, P2BConfig
 from repro.core.participation import RandomizedParticipation
+from repro.core.payload import drain_report_batches
 from repro.core.rounds import DeploymentLoop
+from repro.core.system import P2BSystem
 from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_dataset
 from repro.data.synthetic import SyntheticPreferenceEnvironment
 from repro.experiments.runner import run_setting
@@ -147,6 +152,51 @@ class TestPooledIdentity:
         assert again.rewards.shape == (len(agents), 5)
         assert all(a.n_interactions == 10 for a in agents)
         assert all(a.policy is p for a, p in zip(agents, policies))
+
+
+def _one_system_many_shards(n_agents=48, n_shards=8):
+    """One warm-private system whose agents span ``n_shards`` shards
+    (the policies differ in ``alpha``), so every shard appends to the
+    system's one report log."""
+    config = P2BConfig(
+        n_actions=N_ACTIONS, n_features=N_FEATURES, n_codes=6, p=0.9, window=1,
+        max_reports_per_user=1000,
+    )
+    system = P2BSystem(config, mode=AgentMode.WARM_PRIVATE, seed=4)
+    env = SyntheticPreferenceEnvironment(n_actions=N_ACTIONS, n_features=N_FEATURES, seed=7)
+    agents = [system.new_agent() for _ in range(n_agents)]
+    for i, agent in enumerate(agents):
+        agent.policy = CodeLinUCB(
+            n_arms=N_ACTIONS, n_features=6, alpha=0.5 + 0.1 * (i % n_shards), seed=i
+        )
+    return system, agents, [env.new_user(s) for s in spawn_seeds(5, n_agents)]
+
+
+class TestSharedReportLog:
+    def test_pooled_shards_lose_no_row_of_the_shared_log(self):
+        """Eight shards on eight threads (more than the cores), switching
+        threads every microsecond, append to one log without a lock: no
+        row is lost and the drain equals the serial run's, row for row."""
+        drained = []
+        switch = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for n_workers in (1, 8):
+                system, agents, sessions = _one_system_many_shards()
+                runner = FleetRunner(agents, sessions, config=EngineConfig(n_workers=n_workers))
+                assert runner.n_shards == 8
+                for _ in range(3):
+                    runner.run(20)
+                assert len(system.report_log) == sum(
+                    a.participation.reports_sent for a in agents
+                )
+                drained.append(drain_report_batches(agents)[0])
+        finally:
+            sys.setswitchinterval(switch)
+        serial, pooled = drained
+        assert len(serial) > 0
+        for column in ("codes", "actions", "rewards", "agent_rows", "interaction_indices"):
+            np.testing.assert_array_equal(getattr(serial, column), getattr(pooled, column))
 
 
 class TestRunSubset:
