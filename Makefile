@@ -68,8 +68,10 @@ chaos:
 		tests/core/test_shuffler.py tests/core/test_async_collection.py -q
 	$(PY) benchmarks/chaos_summary.py
 
-# all paper-figure benches; seeded throughout, writes only into
-# benchmarks/results/ (*.txt tables + BENCH_*.json perf records)
+# all paper-figure benches; seeded throughout, writes only into the
+# gitignored benchmarks/out/ (*.txt tables + BENCH_*.json perf records;
+# the committed records in benchmarks/results/ change only when a
+# benchmark change copies a fresh one there)
 bench:
 	$(PY) -m pytest benchmarks/ -q
 
@@ -84,26 +86,26 @@ bench-paper:
 		benchmarks/bench_fig7_criteo.py \
 		benchmarks/bench_headline.py -q
 
-# fleet-engine throughput record (writes benchmarks/results/BENCH_fleet.json;
+# fleet-engine throughput record (writes benchmarks/out/BENCH_fleet.json;
 # speedup floors tunable via BENCH_FLEET_MIN_SPEEDUP[_HET] for noisy CI runners)
 bench-fleet:
 	$(PY) -m pytest benchmarks/bench_fleet_engine.py -q
 
 # replay-plan fast path on the dataset workloads (multilabel + Criteo;
-# writes benchmarks/results/BENCH_replay.json; floor tunable via
+# writes benchmarks/out/BENCH_replay.json; floor tunable via
 # BENCH_REPLAY_MIN_SPEEDUP)
 bench-replay:
 	$(PY) -m pytest benchmarks/bench_replay.py -q
 
 # columnar reporting pipeline, end-to-end with collection rounds
-# (writes benchmarks/results/BENCH_reporting.json; floor tunable via
+# (writes benchmarks/out/BENCH_reporting.json; floor tunable via
 # BENCH_REPORTING_MIN_SPEEDUP)
 bench-reporting:
 	$(PY) -m pytest benchmarks/bench_reporting.py -q
 
 # traced-plan memory record: shared row tables vs per-agent plan_trace
 # arrays, plus fast-tier policy-state bytes (writes
-# benchmarks/results/BENCH_memory.json; the
+# benchmarks/out/BENCH_memory.json; the
 # byte-accounting floor is deterministic, tunable via
 # BENCH_MEMORY_MIN_REDUCTION)
 bench-memory:
@@ -111,21 +113,21 @@ bench-memory:
 
 # serving-loop requests-per-second record: churn + drift + async
 # collection on a hot persistent fleet (writes
-# benchmarks/results/BENCH_serve.json; floor tunable via
+# benchmarks/out/BENCH_serve.json; floor tunable via
 # BENCH_SERVE_MIN_RPS, scale via BENCH_SERVE_N_AGENTS)
 bench-serve:
 	$(PY) -m pytest benchmarks/bench_serve.py -q
 
 # dense-LinUCB scoring-kernel microbenchmarks: float32 fast kernel and
 # incremental UCB against the float64 bit kernel (writes
-# benchmarks/results/BENCH_kernels.json; floors tunable via
+# benchmarks/out/BENCH_kernels.json; floors tunable via
 # BENCH_KERNELS_MIN_*, scale via BENCH_KERNELS_N_AGENTS)
 bench-kernels:
 	$(PY) -m pytest benchmarks/bench_kernels.py -q
 
 # parallel scaling record: serial vs n_workers on the thread pool +
 # sweep-level fan-out, every run asserted bit-identical (writes
-# benchmarks/results/BENCH_parallel.json with cpu_count; the
+# benchmarks/out/BENCH_parallel.json with cpu_count; the
 # thread-pool floor BENCH_PARALLEL_MIN_SPEEDUP is enforced only
 # when set — worker scaling needs cores, so CI's multi-core runners
 # set it; scale via BENCH_PARALLEL_N_AGENTS / _N_INTERACTIONS)

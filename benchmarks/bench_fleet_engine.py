@@ -32,8 +32,8 @@ Speedup floors are environment-tunable (``BENCH_FLEET_MIN_SPEEDUP``,
 ``BENCH_FLEET_MIN_SPEEDUP_HET``) so CI runners with noisy neighbours
 can gate on softer floors than the development record.
 
-Writes ``benchmarks/results/BENCH_fleet.json`` so future PRs can track
-the throughput trajectory.
+Writes ``benchmarks/out/BENCH_fleet.json``; the committed copy in
+``benchmarks/results/`` tracks the throughput trajectory.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Two records:
 
 Floors are env-tunable (``BENCH_KERNELS_MIN_*``) and deliberately soft:
 the committed record tracks the trajectory; CI guards against collapse,
-not jitter.  Writes ``benchmarks/results/BENCH_kernels.json``.
+not jitter.  Writes ``benchmarks/out/BENCH_kernels.json``.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ materialization, and process peak RSS for a large traced replay run —
 and asserts the acceptance floor: the row-table walk reduces per-agent
 traced-plan bytes by at least ``A/2`` (= 20 on this workload;
 ``BENCH_MEMORY_MIN_REDUCTION`` overrides).  Writes
-``benchmarks/results/BENCH_memory.json``.
+``benchmarks/out/BENCH_memory.json``.
 
 The ``fast_tier`` section measures the next ceiling after plan memory:
 *policy state*.  The bit-tier stacker carries two dense ``(n, A, k)``

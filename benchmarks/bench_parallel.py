@@ -22,7 +22,7 @@ thread-pool speedup and is enforced only when the variable is set
 (``BENCH_PARALLEL_N_AGENTS``, ``BENCH_PARALLEL_N_INTERACTIONS``,
 ``BENCH_PARALLEL_WORKER_COUNTS``) let the bench-smoke job run reduced.
 
-Writes ``benchmarks/results/BENCH_parallel.json``.
+Writes ``benchmarks/out/BENCH_parallel.json``.
 """
 
 from __future__ import annotations

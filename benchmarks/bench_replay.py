@@ -37,7 +37,7 @@ serially and with ``n_workers=2``, asserted bit-identical.
 
 Speedup floors are environment-tunable (``BENCH_REPLAY_MIN_SPEEDUP``)
 for CI runners with noisy neighbours.  Writes
-``benchmarks/results/BENCH_replay.json``.
+``benchmarks/out/BENCH_replay.json``.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ releases, rewards), central model state, and the deployment privacy
 report.
 
 Floor tunable via ``BENCH_REPORTING_MIN_SPEEDUP`` for noisy CI runners.
-Writes ``benchmarks/results/BENCH_reporting.json``.
+Writes ``benchmarks/out/BENCH_reporting.json``.
 """
 
 from __future__ import annotations

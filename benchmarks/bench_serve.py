@@ -16,7 +16,7 @@ included).
 
 Floor tunable via ``BENCH_SERVE_MIN_RPS`` for noisy CI runners; scale
 via ``BENCH_SERVE_N_AGENTS``.  Writes
-``benchmarks/results/BENCH_serve.json``.
+``benchmarks/out/BENCH_serve.json``.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Render a markdown table comparing fresh vs committed bench records.
 
-The CI bench jobs regenerate ``benchmarks/results/BENCH_*.json`` and
-pipe this script's output into ``$GITHUB_STEP_SUMMARY`` so every PR
-(and every nightly run) shows at a glance how the regenerated speedup
-and memory numbers compare against the records committed in the repo.
+The bench targets write fresh records to ``benchmarks/out/BENCH_*.json``
+(gitignored); the committed records live in ``benchmarks/results/`` and
+change only when a benchmark change promotes a fresh record by copying
+it there.  The CI bench jobs pipe this script's output into
+``$GITHUB_STEP_SUMMARY`` so every PR (and every nightly run) shows at a
+glance how the regenerated speedup and memory numbers compare against
+the committed ones.
 
-The committed baseline is read from git (``git show HEAD:<path>``), so
-the working-tree files can hold the freshly regenerated records.
 Headline metrics are any numeric leaves whose key names a ratio the
 repo tracks (``speedup``, ``reduction...``, ``interactions_per_second``,
 ``...bytes_per_agent``); nested records are flattened with dotted paths.
@@ -14,19 +15,16 @@ repo tracks (``speedup``, ``reduction...``, ``interactions_per_second``,
 Usage::
 
     python benchmarks/compare_bench_records.py >> "$GITHUB_STEP_SUMMARY"
-    python benchmarks/compare_bench_records.py --baseline-ref origin/main
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 
+OUT_DIR = Path(__file__).parent / "out"
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 #: numeric leaf keys worth surfacing (exact match or prefix)
 _METRIC_KEYS = (
@@ -54,36 +52,26 @@ def _flatten(payload, prefix=""):
                 yield path, float(value)
 
 
-def _committed(path: Path, ref: str) -> dict | None:
-    rel = path.relative_to(REPO_ROOT).as_posix()
-    try:
-        blob = subprocess.run(
-            ["git", "show", f"{ref}:{rel}"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        return json.loads(blob)
-    except (subprocess.CalledProcessError, json.JSONDecodeError):
-        return None  # new record, or no git history available
+def _committed(name: str) -> dict | None:
+    path = RESULTS_DIR / name
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else None
 
 
-def render(ref: str) -> str:
+def render() -> str:
     lines = [
         "## Bench records vs committed baselines",
         "",
-        f"Regenerated `BENCH_*.json` compared against `{ref}` "
-        "(committed records come from the development machine; CI runners "
+        "Regenerated `benchmarks/out/BENCH_*.json` compared against "
+        "`benchmarks/results/` (committed records come from the development machine; CI runners "
         "are slower and noisier — byte-accounting metrics are exact).",
         "",
         "| record | metric | committed | regenerated | ratio |",
         "|---|---|---:|---:|---:|",
     ]
     rows = 0
-    for path in sorted(RESULTS_DIR.glob("BENCH_*.json")):
+    for path in sorted(OUT_DIR.glob("BENCH_*.json")):
         fresh = json.loads(path.read_text(encoding="utf-8"))
-        base = _committed(path, ref)
+        base = _committed(path.name)
         base_metrics = dict(_flatten(base)) if base else {}
         for metric, value in _flatten(fresh):
             committed = base_metrics.get(metric)
@@ -101,15 +89,8 @@ def render(ref: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--baseline-ref",
-        default="HEAD",
-        help="git ref whose committed records are the baseline (default: HEAD)",
-    )
-    args = parser.parse_args(argv)
-    sys.stdout.write(render(args.baseline_ref))
+def main() -> int:
+    sys.stdout.write(render())
     return 0
 
 

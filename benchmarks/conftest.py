@@ -4,18 +4,21 @@ Experiment benches register their rendered figure tables here; a
 ``pytest_terminal_summary`` hook prints everything at the end of the
 run, so ``pytest benchmarks/ --benchmark-only | tee bench_output.txt``
 captures the full reproduced-figure data alongside the timing table.
-Rendered text is also written to ``benchmarks/results/*.txt``.
+Rendered text is also written to ``benchmarks/out/*.txt``.
 
 Machine-readable perf records go through :func:`record_json`
-(``benchmarks/results/BENCH_<name>.json``) so future PRs can track the
-throughput trajectory — ``bench_fleet_engine.py`` writes
-``BENCH_fleet.json``.
+(``benchmarks/out/BENCH_<name>.json``) — ``bench_fleet_engine.py``
+writes ``BENCH_fleet.json``.  ``benchmarks/out/`` is gitignored: a bench
+run never rewrites the committed records in ``benchmarks/results/``,
+which track the throughput trajectory.  A change that sets out to move
+a benchmark promotes a fresh record by copying it there;
+``compare_bench_records.py`` compares the two directories.
 
 Determinism contract (CI runs ``make bench`` on shared runners): every
 bench seeds all of its randomness explicitly, ``make bench`` pins
 ``PYTHONHASHSEED``, and these fixtures are the *only* writers — both
-write exclusively under ``benchmarks/results/``, so a bench run never
-dirties the working tree anywhere else.  Timings (and the JSON fields
+write exclusively under ``benchmarks/out/``, so a bench run never
+dirties the working tree.  Timings (and the JSON fields
 derived from them) are the one thing allowed to vary run to run;
 assertion floors on them are env-tunable (see ``bench_fleet_engine``).
 """
@@ -29,7 +32,7 @@ from pathlib import Path
 import pytest
 
 _RESULTS: list[tuple[str, str]] = []
-_RESULTS_DIR = Path(__file__).parent / "results"
+_OUT_DIR = Path(__file__).parent / "out"
 
 
 @pytest.fixture
@@ -38,15 +41,15 @@ def record_figure():
 
     def _record(name: str, text: str) -> None:
         _RESULTS.append((name, text))
-        _RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        (_RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+        _OUT_DIR.mkdir(parents=True, exist_ok=True)
+        (_OUT_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
 
     return _record
 
 
 @pytest.fixture
 def record_json():
-    """Fixture: persist a perf record as ``results/BENCH_<name>.json``.
+    """Fixture: persist a perf record as ``out/BENCH_<name>.json``.
 
     Also registers a rendered view with the terminal-summary hook, so
     the numbers show up in ``tee``-captured bench output alongside the
@@ -54,12 +57,12 @@ def record_json():
     """
 
     def _record(name: str, payload: dict, *, merge: bool = False) -> Path:
-        _RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+        _OUT_DIR.mkdir(parents=True, exist_ok=True)
         # every record names the machine width it was measured on —
         # worker-scaling numbers are meaningless without it
         payload = dict(payload)
         payload.setdefault("cpu_count", os.cpu_count())
-        path = _RESULTS_DIR / f"BENCH_{name}.json"
+        path = _OUT_DIR / f"BENCH_{name}.json"
         if merge and path.exists():
             # top-level merge so independent bench tests can contribute
             # sections of one record (e.g. BENCH_memory.json's

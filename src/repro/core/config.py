@@ -42,7 +42,7 @@ class P2BConfig:
     p:
         Participation probability (privacy lever, Eq. 3).
     window:
-        Local interactions ``T`` buffered per participation coin flip.
+        Local interactions ``T`` per participation window (one coin each).
     max_reports_per_user:
         Report budget per user (1 in all paper experiments).
     shuffler_threshold:

@@ -91,8 +91,9 @@ horizon bitwise.
 The *reporting* pipeline is columnar on the same plan-capable shards:
 participation advances through
 :class:`~repro.core.participation.StackedParticipation` (vectorized
-window/budget masks, and the Bernoulli coin and within-window index as
-one keyed draw over every agent at a window boundary),
+window/budget masks, and the Bernoulli coin and within-window pick as
+one keyed draw over every agent whose window opens; a window holds one
+item: a step of the walk, or the policy's own item if taken before the run),
 and reports land, one chunk per round, in the agents' system's
 :class:`~repro.core.payload.ReportLog` — the one store the sequential
 engine appends to row by row — with codes gathered from the plan-time

@@ -7,8 +7,8 @@ good snapshot.  The payload carries everything a bit-identical restart
 needs:
 
 * the **population pickle** — every agent with its policy state, RNG
-  streams (generators, keys and draw counters), participation counters
-  and report store handle (the log holding its pending rows), and every
+  streams (generators, keys and draw counters), participation state
+  (counters and the open window's one held item) and report store handle (the log holding its pending rows), and every
   session with its walk cursors (pickle round-trips ``numpy``
   ``Generator`` state exactly);
 * the **partial result matrices** and the progress cursor
@@ -63,8 +63,8 @@ CHECKPOINT_MAGIC = "repro-fleet-checkpoint"
 #: 4 = synthetic sessions draw their reward noise keyed, too;
 #: 5 = Thompson policies draw their posterior normals keyed and hold no
 #: Cholesky cache; 6 = agents hold a report store handle, not an outbox
-#: list)
-CHECKPOINT_VERSION = 6
+#: list; 7 = participation holds one item per window, not a buffer)
+CHECKPOINT_VERSION = 7
 
 
 @dataclass(frozen=True)

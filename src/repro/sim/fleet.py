@@ -65,7 +65,7 @@ Planning a horizon in consecutive slices is exact by the plan contract
 what makes consecutive ``run`` calls on one held fleet equal one
 longer sequential horizon.  Either ``(n, T)``
 walk plus its tables regenerates any past step, so report gathers and
-``finish``'s buffer rebuild need no history tail.
+``finish``'s held-item gather need no history tail.
 
 What stays per-agent Python (all O(1) per agent per round):
 
@@ -77,15 +77,15 @@ What stays per-agent Python (all O(1) per agent per round):
   the same method the sequential path uses (and which encodes each
   report's context, one agent at a time).  Plan-capable shards —
   stationary, drifting and traced — instead record **columnar**:
-  window/budget masks and the keyed coin and within-window draws
-  advance through
+  window/budget masks and the keyed coin and pick, drawn as each
+  window opens, advance through
   :class:`~repro.core.participation.StackedParticipation`, and report
   payloads are gathered through the walk — codes from the plan-time
   batch encodings, actions/rewards from the result matrices — and
   appended to the agents' :class:`~repro.core.payload.ReportLog` (their
   system's) in one chunk per round, the same store the scalar path
-  appends to row by row.  The one scalar encode left is a report
-  sampling an item buffered before its run.
+  appends to row by row.  The one scalar encode left is a report of an
+  item held since before its run.
 
 Acting-time encoding is never per-agent Python: encoders are
 deterministic (the ``eps_bar = 0`` premise), so re-encoding an
@@ -454,7 +454,6 @@ class _Shard:
         self._base_inter: np.ndarray | None = None
         self._reward_acc: np.ndarray | None = None
         self._part: StackedParticipation | None = None
-        self._pre_buffers: list[list] | None = None
 
     # ------------------------------------------------------------------ #
     # stacked policy state (the reuse rule is documented on FleetRunner)
@@ -781,25 +780,20 @@ class _Shard:
 
         Plan-capable shards keep their whole context history in the
         walk and its tables — segments whose context may change at
-        any drift boundary, or dataset rows — so the sampled window
-        item of any report, and its plan-time code, is a pure gather
-        through the walk.  The per-agent
-        ``record_interaction`` loop is replaced by
-        :class:`StackedParticipation` masks plus per-round appends to
-        the members' report logs.  Counters (``n_interactions``,
+        any drift boundary, or dataset rows — so a report's item, at the
+        step :class:`StackedParticipation` recorded, and its plan-time
+        code are a pure gather through the walk (an item held since
+        before the run is the scalar policy's ``_held``, which the run
+        leaves untouched).  The per-agent ``record_interaction`` loop is
+        replaced by :class:`StackedParticipation` masks plus per-round
+        appends to the members' report logs.  Counters (``n_interactions``,
         ``total_reward``) accumulate in shard arrays, written back by
         :meth:`finish` in the scalar accumulation order.
         """
         self._base_inter = np.array([a.n_interactions for a in self.agents], dtype=np.intp)
         self._reward_acc = np.array([a.total_reward for a in self.agents], dtype=np.float64)
-        if self.mode == AgentMode.COLD:
-            return
-        parts = [a.participation for a in self.agents]
-        self._part = StackedParticipation(parts)
-        # items buffered before this run (partial windows of a previous
-        # round / object-path prefix) can still be sampled at the first
-        # window boundary; keep them reachable
-        self._pre_buffers = [list(p._buffer) for p in parts]
+        if self.mode != AgentMode.COLD:
+            self._part = StackedParticipation([a.participation for a in self.agents])
 
     @property
     def stationary(self) -> bool:
@@ -959,15 +953,12 @@ class _Shard:
         self._reward_acc += r
         if self._part is None:  # cold shard: counters only
             return
-        fired, within = self._part.step()
-        rows = np.nonzero(fired)[0]
+        fired, sampled = self._part.step()
+        rows = np.flatnonzero(fired)
         if rows.size == 0:
             return
-        # the sampled item of agent j is `back` steps behind the
-        # current interaction; negative sample steps land in the items
-        # buffered before this run (the scalar buffer prefix)
-        back = self._part.window[rows] - 1 - within[rows]
-        sample_t = t - back
+        # the step of each report's item; -1: taken before this run
+        sample_t = sampled[rows]
         inter_idx = self._base_inter[rows] + (t + 1)
         acts_s = np.empty(rows.size, dtype=np.intp)
         rew_s = np.empty(rows.size, dtype=np.float64)
@@ -977,25 +968,20 @@ class _Shard:
         f_c = self._col(f_t)  # ring columns still hold steps >= t - window + 1
         acts_s[fresh] = actions[g_rows, f_c]
         rew_s[fresh] = rewards[g_rows, f_c]
-        if self.mode == AgentMode.WARM_PRIVATE:
+        private = self.mode == AgentMode.WARM_PRIVATE
+        if private:
             payload = np.empty(rows.size, dtype=np.intp)
             payload[fresh] = self._codes_at(f_rows, f_t)
         else:
             payload = np.empty((rows.size, self._walk_contexts().shape[1]), dtype=np.float64)
             payload[fresh] = self._contexts_at(f_rows, f_t)
-        if not fresh.all():
-            # rare first-boundary case: the sampled item predates this
-            # run and lives in the scalar buffer prefix — resolve it
-            # exactly as the scalar path would (encode at report time)
-            for i in np.nonzero(~fresh)[0]:
-                j = int(rows[i])
-                ctx, action, reward = self._pre_buffers[j][int(within[j])]
-                acts_s[i] = int(action)
-                rew_s[i] = float(reward)
-                if self.mode == AgentMode.WARM_PRIVATE:
-                    payload[i] = self.agents[j].encoder.encode(ctx)
-                else:
-                    payload[i] = np.asarray(ctx, dtype=np.float64)
+        for i in np.flatnonzero(~fresh):
+            # rare first-window case: the item predates this run and is
+            # the scalar policy's held item — resolve it exactly as the
+            # scalar path would (encode at report time)
+            agent = self.agents[rows[i]]
+            ctx, acts_s[i], rew_s[i] = agent.participation._held
+            payload[i] = agent.encoder.encode(ctx) if private else ctx
         # one append per log: group the fired rows once by their log
         owner = self._log_of[rows]
         order = np.argsort(owner, kind="stable")
@@ -1009,36 +995,43 @@ class _Shard:
 
         After this, agents and their participation policies are in
         byte-for-byte the state the sequential loop would have left:
-        counters, report budgets, and the participation buffers
-        (rebuilt through the walk, so a later object-path round — or a
-        drifting session's next epoch — continues identically).
+        counters, report budgets, fill levels and picks, and each open
+        window's held item — gathered through the walk when it was
+        taken during this run, the scalar policy's own when its window
+        opened before the run, none otherwise — so a later object-path
+        round, or a drifting session's next epoch, continues
+        identically.
         """
         if self._plan_path is None:
             return
-        T = self._horizon
-        for j, agent in enumerate(self.agents):
-            agent.n_interactions = int(self._base_inter[j] + T)
-            agent.total_reward = float(self._reward_acc[j])
-        if self._part is None:
+        n_inter = (self._base_inter + self._horizon).tolist()
+        totals = self._reward_acc.tolist()
+        part = self._part
+        if part is None:  # cold shard: counters only
+            for agent, n, total in zip(self.agents, n_inter, totals):
+                agent.n_interactions, agent.total_reward = n, total
             return
-        self._part.writeback()
-        for j, agent in enumerate(self.agents):
-            part = agent.participation
-            n_new = int(self._part.new_buffered[j])
-            buf: list = [] if self._part.flipped[j] else list(self._pre_buffers[j])
-            if n_new:
-                g = int(self.indices[j])
-                steps = np.arange(T - n_new, T)
-                ctx_rows = self._contexts_at(np.full(n_new, j, dtype=np.intp), steps)
-                for i, t in enumerate(steps):
-                    buf.append(
-                        (
-                            np.asarray(ctx_rows[i], dtype=np.float64).copy(),
-                            int(actions[g, self._col(t)]),
-                            float(rewards[g, self._col(t)]),
-                        )
-                    )
-            part._buffer = buf
+        took = part.held_at >= 0
+        rows = np.flatnonzero(took)
+        steps = part.held_at[rows]
+        g, c = self.indices[rows], self._col(steps)
+        ctx = np.asarray(self._contexts_at(rows, steps), dtype=np.float64)
+        taken = zip(ctx, actions[g, c].tolist(), rewards[g, c].tolist())
+        # a window opened during this run holds no pre-run item
+        dropped = (part.fill <= part.t) & ~took
+        counters = (part.fill, part.pick, part.draws, part.reports_sent, part.windows_seen)
+        state = np.stack(counters, axis=1, dtype=np.int64).tolist()
+        for agent, n, total, took_j, dropped_j, state_j in zip(
+            self.agents, n_inter, totals, took.tolist(), dropped.tolist(), state
+        ):
+            agent.n_interactions, agent.total_reward = n, total
+            pol = agent.participation
+            pol.fill, pol._pick, pol._draws, pol.reports_sent, pol.windows_seen = state_j
+            if took_j:
+                ctx_j, action, reward = next(taken)
+                pol._held = (ctx_j.copy(), action, reward)
+            elif dropped_j:
+                pol._held = None
 
     # ------------------------------------------------------------------ #
     def _next_contexts(self) -> np.ndarray:
@@ -1091,7 +1084,7 @@ class _Shard:
         """Raw contexts of ``(shard-local agent, global step)`` pairs.
 
         A gather through the walk; serves the raw report payloads and
-        :meth:`finish`'s participation-buffer rebuild.
+        :meth:`finish`'s held-item gather.
         """
         return self._walk_contexts()[self._walk[agent_rows, steps]]
 
@@ -1413,8 +1406,8 @@ class FleetRunner:
         """Ring width for streaming runs: every lookback fits.
 
         The columnar reporting pipeline reads at most ``window - 1``
-        steps behind the current interaction (report samples and
-        ``finish``'s buffer rebuild), so a ring of ``max(window)``
+        steps behind the current interaction (report items and
+        ``finish``'s held-item gather), so a ring of ``max(window)``
         columns — plus one for slack, capped at the horizon — retains
         every step a later read can touch.
         """

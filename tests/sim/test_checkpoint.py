@@ -25,6 +25,7 @@ from repro.utils.exceptions import CheckpointError, ConfigError
 from repro.utils.rng import spawn_seeds
 from repro.utils.serialization import state_from_bytes, state_to_bytes
 
+from _participation import assert_participation_equal
 from _testkit import assert_outboxes_equal, assert_states_equal, join_runs, run_split
 
 N_ACTIONS = 4
@@ -329,7 +330,7 @@ class TestValidationAndCorruption:
         state = state_from_bytes(path.read_bytes())
         state["version"] = 3
         path.write_bytes(state_to_bytes(state))
-        assert CHECKPOINT_VERSION == 6
+        assert CHECKPOINT_VERSION == 7
         with pytest.raises(CheckpointError, match="format version 3"):
             load_checkpoint(path)
 
@@ -388,6 +389,60 @@ class TestValidationAndCorruption:
         state["version"] = 5
         path.write_bytes(state_to_bytes(state))
         with pytest.raises(CheckpointError, match="format version 5"):
+            load_checkpoint(path)
+
+    def test_version_6_checkpoint_refused(self, tmp_path, monkeypatch):
+        """Version 6 predates the one-item participation window: its
+        pickled policies carry a buffer of every interaction of the open
+        window, so it must not load.  At the current version a
+        population whose windows are offset (agents that joined at
+        different times, as under serving churn) resumes bit-identically
+        with windows open across the snapshot."""
+        from repro.core import P2BConfig, P2BSystem
+        from repro.experiments.runner import _simulate_agent
+
+        window = 4
+
+        def population():
+            config = P2BConfig(
+                n_actions=N_ACTIONS,
+                n_features=N_FEATURES,
+                n_codes=6,
+                p=0.7,
+                window=window,
+                max_reports_per_user=3,
+            )
+            system = P2BSystem(config, mode="warm-private", seed=5)
+            env = SyntheticPreferenceEnvironment(
+                n_actions=N_ACTIONS, n_features=N_FEATURES, seed=7
+            )
+            agents = [system.new_agent() for _ in range(6)]
+            sessions = [env.new_user(s) for s in spawn_seeds(11, 6)]
+            # offset windows: agent i is i interactions into its first
+            for i, (agent, session) in enumerate(zip(agents, sessions)):
+                _simulate_agent(agent, session, i % window)
+            return agents, sessions
+
+        path = tmp_path / "windows.ckpt"
+        agents_a, sessions_a = population()
+        base = FleetRunner(agents_a, sessions_a).run(9)
+        agents_b, sessions_b = population()
+        restore = _crash_on_call(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            FleetRunner(agents_b, sessions_b).run(9, checkpoint_every=5, checkpoint_path=path)
+        restore()
+        assert load_checkpoint(path).completed == 5
+        resumed = FleetRunner.resume(path)
+        held = [a.participation for a in resumed.agents]
+        assert {p.fill for p in held} == {0, 1, 2, 3}  # every offset open
+        assert any(p._held is not None for p in held)
+        _assert_run_identical(base, resumed.resume_run(), agents_a, resumed.agents)
+        for a, b in zip(agents_a, resumed.agents):
+            assert_participation_equal(a.participation, b.participation, a.agent_id)
+        state = state_from_bytes(path.read_bytes())
+        state["version"] = 6
+        path.write_bytes(state_to_bytes(state))
+        with pytest.raises(CheckpointError, match="format version 6"):
             load_checkpoint(path)
 
     @staticmethod

@@ -34,6 +34,7 @@ from repro.sim import EngineConfig, FleetRunner
 from repro.sim.fleet import _Shard
 from repro.utils.rng import spawn_seeds
 
+from _participation import assert_participation_equal
 from _testkit import assert_outboxes_equal, assert_states_equal, join_runs, run_split
 
 N_ACTIONS = 5
@@ -129,13 +130,7 @@ def _assert_agents_identical(agents_a, agents_b):
         assert a.total_reward == b.total_reward
         assert_states_equal(a.policy, b.policy)
         if a.participation is not None:
-            pa, pb = a.participation, b.participation
-            assert pa.reports_sent == pb.reports_sent
-            assert pa.windows_seen == pb.windows_seen
-            assert len(pa._buffer) == len(pb._buffer)
-            for (xa, aa, ra), (xb, ab, rb) in zip(pa._buffer, pb._buffer):
-                np.testing.assert_array_equal(xa, xb)
-                assert aa == ab and ra == rb
+            assert_participation_equal(a.participation, b.participation, a.agent_id)
     assert_outboxes_equal(agents_a, agents_b)
 
 
@@ -245,7 +240,7 @@ def test_window_larger_than_split_straddles_boundaries(env_factory, encoder):
 
 def test_window_never_fills_across_runs(encoder):
     """window > T: no report ever fires, but ``finish`` must carry the
-    full partial buffer across every run boundary."""
+    partial window (its fill and held item) across every run boundary."""
     n_agents, n_interactions, seed = 6, 10, 12
     kwargs = dict(encoder=encoder, p=1.0, window=50, max_reports=1)
     seq_agents, seq_sessions = make_population(
@@ -253,7 +248,7 @@ def test_window_never_fills_across_runs(encoder):
     )
     for agent, session in zip(seq_agents, seq_sessions):
         _simulate_agent(agent, session, n_interactions)
-    assert all(len(a.participation._buffer) == n_interactions for a in seq_agents)
+    assert all(a.participation.fill == n_interactions for a in seq_agents)
 
     fleet_agents, fleet_sessions = make_population(
         _ml_env, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed, **kwargs
@@ -315,7 +310,7 @@ def test_traced_horizon_is_planned_once(encoder):
 def test_deployment_loop_collects_mid_window():
     """Fig. 1 loop on the multilabel workload, one held fleet whose
     round length (10) the participation window (6) does not divide:
-    every round's collection lands mid-window, partial buffers carry
+    every round's collection lands mid-window, partial windows carry
     across rounds (and therefore across run boundaries), and all round
     stats match the sequential engine."""
     config = P2BConfig(

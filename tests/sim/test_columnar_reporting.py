@@ -10,19 +10,23 @@ collection round flows arrays end-to-end (``drain_report_batches`` →
   permutes an identically ordered batch with an identical draw);
 * ``ShufflerStats`` and the crowd-blending audit;
 * the central server's policy state and counters;
-* per-agent RNG streams, counters, report budgets and the
-  participation buffers left behind for future (object-path) rounds;
+* per-agent RNG streams, counters, report budgets and the open
+  participation windows (fill, pick, held item) left behind for future
+  (object-path) rounds;
 * multi-round ``DeploymentLoop`` trajectories, refusals, window
   straddling and budget exhaustion included.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.bandits import CodeLinUCB, LinUCB
-from repro.core import P2BConfig, P2BSystem
+from repro.core import P2BConfig, P2BSystem, RandomizedParticipation
 from repro.core.config import AgentMode
 from repro.core.payload import drain_report_batches
 from repro.core.rounds import DeploymentLoop
@@ -32,6 +36,7 @@ from repro.experiments.runner import _simulate_agent, run_setting
 from repro.sim import FleetRunner
 from repro.utils.rng import spawn_seeds
 
+from _participation import assert_participation_equal
 from _recording import record_counts
 from _released import record_released
 from _testkit import assert_states_equal
@@ -63,6 +68,21 @@ def _system_population(mode, config, seed=0, n_agents=N_AGENTS, env_seed=7):
     return system, agents, sessions
 
 
+def _arrays_reachable(obj) -> int:
+    """Arrays reachable from ``obj``'s attributes through containers."""
+    count, seen, stack = 0, set(), [vars(obj)]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            count += 1
+        elif isinstance(o, (list, tuple, dict)):
+            stack.extend(gc.get_referents(o))
+    return count
+
+
 def _assert_collect_identical(seq, fleet):
     """Run both systems' collection rounds and pin every observable."""
     s_sys, s_agents = seq
@@ -83,17 +103,9 @@ def _assert_collect_identical(seq, fleet):
         assert sa.n_interactions == fa.n_interactions
         assert sa.total_reward == fa.total_reward
         if sa.participation is not None:
-            assert sa.participation.reports_sent == fa.participation.reports_sent
-            assert sa.participation.windows_seen == fa.participation.windows_seen
             # same keyed coin stream, advanced to the same counter
             assert sa.participation._key == fa.participation._key
-            assert sa.participation._draws == fa.participation._draws
-            assert len(sa.participation._buffer) == len(fa.participation._buffer)
-            for (c1, a1, r1), (c2, a2, r2) in zip(
-                sa.participation._buffer, fa.participation._buffer
-            ):
-                np.testing.assert_array_equal(c1, c2)
-                assert a1 == a2 and r1 == r2
+            assert_participation_equal(sa.participation, fa.participation, sa.agent_id)
     return out_f
 
 
@@ -177,13 +189,43 @@ class TestColumnarCollectGolden:
         out = _assert_collect_identical((s_sys, s_agents), (f_sys, f_agents))
         assert out.n_reports == 0
         # the partial windows survive identically for future rounds
-        assert all(
-            len(a.participation._buffer) == HORIZON for a in f_agents
-        )
+        assert all(a.participation.fill == HORIZON for a in f_agents)
+
+    def test_run_shorter_than_window_holds_one_item(self, monkeypatch):
+        """A device holds at most one interaction of its open window,
+        however many it has seen: offered contexts on the sequential
+        path die unless picked, and a fleet agent's participation state
+        reaches at most one context after two runs inside one window."""
+        config = _config(window=40, p=0.9)
+        s_sys, s_agents, s_sessions = _system_population(AgentMode.WARM_PRIVATE, config)
+        f_sys, f_agents, f_sessions = _system_population(AgentMode.WARM_PRIVATE, config)
+        offered: dict[int, list] = {}
+        offer = RandomizedParticipation.offer
+
+        def watched(self, item):
+            offered.setdefault(id(self), []).append(weakref.ref(item[0]))
+            return offer(self, item)
+
+        monkeypatch.setattr(RandomizedParticipation, "offer", watched)
+        for a, s in zip(s_agents, s_sessions):
+            _simulate_agent(a, s, HORIZON)
+        monkeypatch.undo()
+        runner = FleetRunner(f_agents, f_sessions)
+        runner.run(HORIZON // 2)
+        runner.run(HORIZON - HORIZON // 2)
+        gc.collect()
+        for sa, fa in zip(s_agents, f_agents):
+            refs = offered[id(sa.participation)]
+            assert len(refs) == HORIZON
+            assert sum(r() is not None for r in refs) <= 1
+            assert fa.participation.fill == HORIZON
+            assert _arrays_reachable(fa.participation) <= 1
+            assert_participation_equal(sa.participation, fa.participation, sa.agent_id)
+        assert any(a.participation._held is not None for a in f_agents)
 
     def test_two_fleet_runs_before_collect(self):
         """Windows straddling two runs: the second run adopts partial
-        buffers and its first boundary can sample pre-run items."""
+        windows and its first boundary can report a pre-run item."""
         config = _config(window=5, p=0.8, max_reports_per_user=4, shuffler_threshold=1)
         s_sys, s_agents, s_sessions = _system_population(AgentMode.WARM_PRIVATE, config)
         f_sys, f_agents, f_sessions = _system_population(AgentMode.WARM_PRIVATE, config)

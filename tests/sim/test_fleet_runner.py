@@ -14,6 +14,7 @@ from repro.experiments.runner import run_setting
 from repro.sim import FleetRunner, fleet_supported
 from repro.utils.exceptions import ConfigError
 
+from _participation import assert_participation_equal
 from _testkit import N_FEATURES, make_population, simulate_sequential
 
 
@@ -173,9 +174,7 @@ class TestBatchDrainInterplay:
     def test_participation_budgets_advance_identically(self, kmeans_encoder):
         seq_agents, fleet_agents, _ = self._run_both(kmeans_encoder)
         for sa, fa in zip(seq_agents, fleet_agents):
-            assert sa.participation.reports_sent == fa.participation.reports_sent
-            assert sa.participation.windows_seen == fa.participation.windows_seen
-            assert len(sa.participation._buffer) == len(fa.participation._buffer)
+            assert_participation_equal(sa.participation, fa.participation, sa.agent_id)
 
     def test_metadata_stripped_through_collect(self, kmeans_encoder):
         """System-level: collect() over fleet-run agents anonymizes."""
