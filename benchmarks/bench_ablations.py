@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import EncodedReport, P2BConfig, Shuffler
+from repro.core import P2BConfig, Shuffler
 from repro.data import SyntheticPreferenceEnvironment
 from repro.encoding import GridEncoder, KMeansEncoder, LSHEncoder
 from repro.experiments import participation_sweep
@@ -136,10 +136,11 @@ def test_ablation_shuffler_threshold(benchmark, record_figure):
     def run():
         rng = np.random.default_rng(0)
         codes = rng.integers(0, 16, size=600)
-        reports = [EncodedReport(code=int(c), action=0, reward=0.0) for c in codes]
+        actions = np.zeros(600, dtype=np.intp)
+        rewards = np.zeros(600)
         rows = []
         for threshold in (1, 10, 30, 60):
-            released, stats = Shuffler(threshold, seed=0).process(reports)
+            *_, stats = Shuffler(threshold, seed=0).process_arrays(codes, actions, rewards)
             rows.append(
                 {
                     "threshold_l": threshold,

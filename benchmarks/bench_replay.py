@@ -151,7 +151,12 @@ def _assert_prefix_identical(seq_agents, fleet_agents):
             np.testing.assert_array_equal(
                 np.asarray(state_seq[key]), np.asarray(state_fleet[key])
             )
-        assert sa.outbox == fa.outbox
+        assert (sa.report_log is None) == (fa.report_log is None)
+        if sa.report_log is not None:
+            rows_seq = sa.report_log.rows(sa.report_row)
+            rows_fleet = fa.report_log.rows(fa.report_row)
+            for col in ("codes", "contexts", "actions", "rewards", "interaction_indices"):
+                np.testing.assert_array_equal(getattr(rows_seq, col), getattr(rows_fleet, col))
 
 
 def _throughputs(make_population, n_fleet=N_AGENTS, n_seq=N_SEQ_AGENTS, *, exactness="bit"):

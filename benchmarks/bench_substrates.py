@@ -13,7 +13,7 @@ import pytest
 
 from repro.bandits import CodeLinUCB, LinUCB
 from repro.clustering import KMeans, MiniBatchKMeans
-from repro.core import EncodedReport, Shuffler
+from repro.core import Shuffler
 from repro.encoding import KMeansEncoder
 
 
@@ -78,12 +78,11 @@ def test_bench_code_linucb_server_batch(benchmark):
 
 def test_bench_shuffler_batch(benchmark):
     rng = np.random.default_rng(0)
-    reports = [
-        EncodedReport(code=int(c), action=0, reward=1.0, metadata={"agent_id": str(i)})
-        for i, c in enumerate(rng.integers(0, 64, size=2000))
-    ]
+    codes = rng.integers(0, 64, size=2000)
+    actions = np.zeros(2000, dtype=np.intp)
+    rewards = np.ones(2000)
     shuffler = Shuffler(threshold=10, seed=0)
-    released, stats = benchmark(shuffler.process, reports)
+    *_, stats = benchmark(shuffler.process_arrays, codes, actions, rewards)
     assert stats.n_received == 2000
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import EncodedReport, Shuffler
+from repro import Shuffler
 from repro.privacy import (
     PrivacyReport,
     advanced_composition,
@@ -53,15 +53,16 @@ def main() -> None:
 
     print("=== the shuffler enforces crowd-blending operationally ===")
     rng = np.random.default_rng(0)
-    batch = [
-        EncodedReport(code=int(c), action=0, reward=1.0, metadata={"agent_id": f"u{i}"})
-        for i, c in enumerate(rng.integers(0, 6, size=200))
-    ]
+    # 200 reports as (code, action, reward) columns: the shuffler sees
+    # no sender, so there is no metadata to strip
+    codes = rng.integers(0, 6, size=200)
+    actions = np.zeros(200, dtype=np.intp)
+    rewards = np.ones(200)
     shuffler = Shuffler(threshold=25, seed=0)
-    released, stats = shuffler.process(batch)
+    released_codes, _, _, stats = shuffler.process_arrays(codes, actions, rewards)
     print(f"  received {stats.n_received}, released {stats.n_released} "
           f"(dropped {stats.n_dropped} below l={shuffler.threshold})")
-    audit = verify_crowd_blending([r.code for r in released], 25)
+    audit = verify_crowd_blending(released_codes, 25)
     print(f"  audit: satisfied={audit.satisfied}, smallest crowd={audit.smallest}")
     print()
 

@@ -47,14 +47,12 @@ from .bandits import (
 )
 from .core import (
     AgentMode,
-    EncodedReport,
     LocalAgent,
     NonPrivateServer,
     P2BConfig,
     P2BSystem,
     PrivateServer,
     RandomizedParticipation,
-    RawReport,
     Shuffler,
 )
 from .data import (
@@ -91,8 +89,6 @@ __all__ = [
     "PrivateServer",
     "NonPrivateServer",
     "RandomizedParticipation",
-    "EncodedReport",
-    "RawReport",
     # bandits
     "BanditPolicy",
     "LinUCB",

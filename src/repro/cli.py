@@ -92,7 +92,7 @@ def _render_serve(args) -> str:
         interrupted = True
     finally:
         # graceful shutdown on SIGINT and end-of-requests alike: drain
-        # every outbox and flush the async buffer (nothing a device
+        # every pending report row and flush the async buffer (nothing a device
         # already handed over is silently lost)
         shutdown_outcome = service.shutdown()
     stats = service.stats

@@ -3,13 +3,7 @@
 from .agent import LocalAgent
 from .config import AgentMode, P2BConfig
 from .participation import RandomizedParticipation, StackedParticipation
-from .payload import (
-    EncodedReport,
-    RawReport,
-    ReportBatch,
-    ReportLog,
-    drain_report_batches,
-)
+from .payload import ReportBatch, ReportLog, drain_report_batches
 from .rounds import DeploymentLoop, RoundStats
 from .server import NonPrivateServer, PrivateServer
 from .shuffler import Shuffler, ShufflerStats
@@ -21,8 +15,6 @@ __all__ = [
     "P2BConfig",
     "RandomizedParticipation",
     "StackedParticipation",
-    "EncodedReport",
-    "RawReport",
     "ReportBatch",
     "ReportLog",
     "drain_report_batches",

@@ -23,9 +23,10 @@ warm-nonprivate     raw ``x ∈ R^d``          context rows
 warm-private        one-hot code ``∈ R^k``   code rows
 ==================  =======================  =====================
 
-:attr:`LocalAgent.outbox` shows the pending rows as
-:class:`~repro.core.payload.RawReport` /
-:class:`~repro.core.payload.EncodedReport` objects.
+An agent's pending reports are its rows of ``report_log`` at
+``report_row``: :meth:`~repro.core.payload.ReportLog.rows` reads them
+in place, and :func:`~repro.core.payload.drain_report_batches` takes
+them (the network send).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from ..utils.exceptions import ConfigError
 from ..utils.validation import check_vector
 from .config import AgentMode
 from .participation import RandomizedParticipation
-from .payload import EncodedReport, RawReport, ReportBatch, ReportLog
+from .payload import ReportLog
 
 __all__ = ["LocalAgent"]
 
@@ -51,8 +52,8 @@ class LocalAgent:
     Parameters
     ----------
     agent_id:
-        Identifier carried only in report *metadata* (stripped by the
-        shuffler); exists so tests can prove anonymization happens.
+        Identifier of this device.  It never enters a report: a report
+        row names its agent by store row only.
     policy:
         The bandit policy.  Its ``n_features`` must equal the raw
         context dimension (cold / warm-nonprivate) or the codebook size
@@ -160,9 +161,9 @@ class LocalAgent:
         Split out of :meth:`learn` so the fleet engine
         (:mod:`repro.sim`), which applies the policy update through
         stacked state instead of ``policy.update``, shares this exact
-        code path — participation RNG consumption, report metadata
-        (including ``interaction_index``), and encode-at-report-time all
-        live only here.
+        code path — participation draws, the report row (one append to
+        ``report_log``, with its lifetime interaction index) and
+        encode-at-report-time all live only here.
         """
         self.n_interactions += 1
         self.total_reward += float(reward)
@@ -177,12 +178,8 @@ class LocalAgent:
             payload = self.encoder.encode(s_ctx)  # type: ignore[union-attr]
         else:
             payload = s_ctx
-        self._log_report(payload, s_action, s_reward, self.n_interactions)
-
-    def _log_report(self, payload, action: int, reward: float, index: int) -> None:
-        """Append one report row (code or context) to this agent's store."""
         self.report_log.append(  # type: ignore[union-attr]
-            [self.report_row], [payload], [action], [reward], [index]
+            [self.report_row], [payload], [s_action], [s_reward], [self.n_interactions]
         )
 
     def step(self, context: np.ndarray, reward_fn) -> tuple[int, float]:
@@ -194,56 +191,6 @@ class LocalAgent:
         return action, reward
 
     # ------------------------------------------------------------------ #
-    @property
-    def outbox(self) -> list[EncodedReport | RawReport]:
-        """Pending reports as objects: a read-only view of this agent's rows.
-
-        Same reports, same metadata, same order as the rows collection
-        (:meth:`~repro.core.system.P2BSystem.collect`) drains; reading
-        the view leaves the rows in place.  Each read scans the whole
-        store the agent shares with its system, so reading a
-        population's outboxes one by one is quadratic: bulk reads go
-        through :func:`~repro.core.payload.drain_report_batches`.
-        """
-        if self.report_log is None:
-            return []
-        return self._as_reports(self.report_log.rows(self.report_row))
-
-    @outbox.setter
-    def outbox(self, reports: list[EncodedReport | RawReport]) -> None:
-        """Replace this agent's pending rows with ``reports``, in order.
-
-        A report without an ``interaction_index`` in its metadata keeps
-        its position, with index ``-1``.
-        """
-        reports = list(reports)
-        self.drain_outbox()
-        if not reports:
-            return
-        if self.report_log is None:
-            raise ConfigError("cold agents hold no reports")
-        encoded = self.report_log.kind == "encoded"
-        expected = EncodedReport if encoded else RawReport
-        for r in reports:
-            if not isinstance(r, expected):
-                raise TypeError(f"{self.mode} agents hold {expected.__name__} objects")
-            index = r.metadata.get("interaction_index", -1)
-            self._log_report(r.code if encoded else r.context, r.action, r.reward, index)
-
-    def drain_outbox(self) -> list[EncodedReport | RawReport]:
-        """Remove and return all pending reports (the network send).
-
-        Like :attr:`outbox`, this scans the whole shared store.
-        """
-        if self.report_log is None:
-            return []
-        return self._as_reports(self.report_log.take(np.array([self.report_row]), np.array([0])))
-
-    def _as_reports(self, rows: ReportBatch) -> list[EncodedReport | RawReport]:
-        """Objects for rows of this agent labelled 0, with its metadata."""
-        rows.agent_ids = (self.agent_id,)
-        return rows.to_reports()
-
     def warm_start(self, model_state: Mapping[str, Any]) -> None:
         """Initialize the local policy from a central-model snapshot."""
         self.policy.set_state(model_state)

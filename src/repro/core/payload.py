@@ -1,109 +1,32 @@
-"""Report payloads exchanged between agents, shuffler, and server.
+"""Reports exchanged between agents, shuffler, and server, as rows.
 
-Two payload types model the paper's two data-sharing regimes:
+A report is the P2B tuple ``(y_t, a_t, r_{t,a})`` (paper §3.2), or, in
+the warm-non-private baseline, the original context in place of the
+code (§5, "local agents communicate the observed context to the server
+in its original form").  Reports exist only as rows of parallel
+columns, a :class:`ReportBatch`, from the device to the server.  Each
+pending report is one row of a :class:`ReportLog` (its system's report
+store), and :func:`drain_report_batches` takes a population's rows in
+one pass.
 
-* :class:`EncodedReport` — the P2B tuple ``(y_t, a_t, r_{t,a})``
-  (paper §3.2) plus transport metadata.  The *metadata is exactly what
-  the shuffler strips* (§3.3 "Anonymization: eliminating all the
-  received metadata (e.g. IP address)"), so it is kept in a separate,
-  explicitly-droppable field rather than mixed into the tuple.
-* :class:`RawReport` — the warm-non-private baseline's payload carrying
-  the original context vector (§5, "local agents communicate the
-  observed context to the server in its original form").
-
-Both are immutable; equality ignores metadata so that tests can assert
-"the shuffler changed nothing but transport information".
-
-Pending reports are not kept as objects: each is one row of a
-:class:`ReportLog` (its system's report store), and the objects are the
-view :attr:`~repro.core.agent.LocalAgent.outbox` builds from those rows.
-Rows are validated where they enter the pipeline, by the shuffler
+The transport metadata (who reported, at which lifetime interaction)
+rides in separate columns, ``agent_rows`` and
+``interaction_indices``.  The shuffler's anonymization (§3.3,
+"eliminating all the received metadata (e.g. IP address)") is taking
+the payload, action and reward columns and leaving those behind.  Rows
+are validated where they enter the pipeline, by the shuffler
 (``Shuffler.process_arrays``/``buffer_arrays``) and the servers'
 ``ingest_arrays``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..utils.validation import check_scalar, check_vector
-
-__all__ = [
-    "EncodedReport",
-    "RawReport",
-    "ReportBatch",
-    "ReportLog",
-    "drain_report_batches",
-    "encoded_reports_to_arrays",
-    "encoded_reports_from_arrays",
-]
-
-
-@dataclass(frozen=True)
-class EncodedReport:
-    """The P2B interaction tuple ``(y, a, r)`` with transport metadata.
-
-    Attributes
-    ----------
-    code:
-        Encoded context ``y ∈ {0, …, k-1}``.
-    action:
-        Action index ``a``.
-    reward:
-        Observed reward ``r``.
-    metadata:
-        Transport-level information (agent id, timestamps, ...) that the
-        shuffler removes before anything reaches the server.
-    """
-
-    code: int
-    action: int
-    reward: float
-    metadata: Mapping[str, Any] = field(default_factory=dict, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.code < 0:
-            raise ValueError(f"code must be non-negative, got {self.code}")
-        if self.action < 0:
-            raise ValueError(f"action must be non-negative, got {self.action}")
-        check_scalar(self.reward, name="reward")
-
-    @property
-    def tuple3(self) -> tuple[int, int, float]:
-        """The bare paper tuple ``(y, a, r)``."""
-        return (self.code, self.action, self.reward)
-
-
-@dataclass(frozen=True)
-class RawReport:
-    """Non-private payload carrying the context in its original form."""
-
-    context: np.ndarray
-    action: int
-    reward: float
-    metadata: Mapping[str, Any] = field(default_factory=dict, compare=False)
-
-    def __post_init__(self) -> None:
-        ctx = check_vector(self.context, name="context")
-        object.__setattr__(self, "context", ctx)
-        if self.action < 0:
-            raise ValueError(f"action must be non-negative, got {self.action}")
-        check_scalar(self.reward, name="reward")
-
-    def __eq__(self, other: object) -> bool:  # ndarray needs custom equality
-        if not isinstance(other, RawReport):
-            return NotImplemented
-        return (
-            np.array_equal(self.context, other.context)
-            and self.action == other.action
-            and self.reward == other.reward
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.context.tobytes(), self.action, self.reward))
+__all__ = ["ReportBatch", "ReportLog", "drain_report_batches"]
 
 
 @dataclass
@@ -111,16 +34,13 @@ class ReportBatch:
     """Struct-of-arrays form of a pending-report batch.
 
     The columnar pipeline's working representation from device to
-    server: ``m`` reports are ``m`` rows across parallel arrays instead
-    of ``m`` payload objects.  Exactly one of :attr:`codes` (encoded
-    batches) and :attr:`contexts` (raw batches) is set.
+    server: ``m`` reports are ``m`` rows across parallel arrays.
+    Exactly one of :attr:`codes` (encoded batches) and :attr:`contexts`
+    (raw batches) is set.
 
     ``agent_rows`` and ``interaction_indices`` carry the transport
-    metadata in columnar form (who reported, at which lifetime
-    interaction); like object metadata they are dropped the moment the
-    batch enters the shuffler.  ``agent_ids`` (optional) maps agent
-    rows to identifiers so :meth:`to_reports` can rebuild the object
-    view — metadata included — bit-identically to the scalar path.
+    metadata (who reported, at which lifetime interaction); they are
+    dropped the moment the batch enters the shuffler.
     """
 
     actions: np.ndarray  #: (m,) intp
@@ -129,7 +49,6 @@ class ReportBatch:
     interaction_indices: np.ndarray  #: (m,) intp — per-agent lifetime index
     codes: np.ndarray | None = None  #: (m,) intp, encoded batches only
     contexts: np.ndarray | None = None  #: (m, d) float64, raw batches only
-    agent_ids: Sequence[str] | None = None  #: agent_row -> identifier
 
     def __post_init__(self) -> None:
         if (self.codes is None) == (self.contexts is None):
@@ -175,12 +94,11 @@ class ReportBatch:
             interaction_indices=self.interaction_indices[order],
             codes=self.codes[order] if self.codes is not None else None,
             contexts=self.contexts[order] if self.contexts is not None else None,
-            agent_ids=self.agent_ids,
         )
 
     @staticmethod
     def concat(batches: Sequence["ReportBatch"], kind: str) -> "ReportBatch":
-        """Row-concatenate batches of one kind (ids are not merged)."""
+        """Row-concatenate batches of one kind."""
         batches = [b for b in batches if len(b)]
         if not batches:
             return ReportBatch.empty(kind)
@@ -195,45 +113,6 @@ class ReportBatch:
             contexts=np.concatenate([b.contexts for b in batches]) if kind == "raw" else None,
         )
 
-    def to_reports(self) -> list["EncodedReport | RawReport"]:
-        """Object view: the exact reports the scalar path would have built.
-
-        Metadata (``agent_id`` + ``interaction_index``) is attached when
-        :attr:`agent_ids` is present, as
-        :meth:`~repro.core.agent.LocalAgent.record_interaction` records
-        it; otherwise the reports are metadata-free (the
-        post-anonymization form), as is a row with interaction index
-        ``-1`` (one put through the ``outbox`` setter without metadata).
-        """
-        out: list[EncodedReport | RawReport] = []
-        for i in range(len(self)):
-            metadata: Mapping[str, Any] = {}
-            index = int(self.interaction_indices[i])
-            if self.agent_ids is not None and index >= 0:
-                metadata = {
-                    "agent_id": self.agent_ids[int(self.agent_rows[i])],
-                    "interaction_index": index,
-                }
-            if self.codes is not None:
-                out.append(
-                    EncodedReport(
-                        code=int(self.codes[i]),
-                        action=int(self.actions[i]),
-                        reward=float(self.rewards[i]),
-                        metadata=metadata,
-                    )
-                )
-            else:
-                out.append(
-                    RawReport(
-                        context=self.contexts[i].copy(),
-                        action=int(self.actions[i]),
-                        reward=float(self.rewards[i]),
-                        metadata=metadata,
-                    )
-                )
-        return out
-
 
 class ReportLog:
     """Columnar store of a population's pending reports.
@@ -246,8 +125,7 @@ class ReportLog:
     hand-built agent keeps a private one-row log.  The sequential
     path appends one row per report, a fleet shard one chunk per
     round.  The store keeps no per-agent state: a store row is a bare
-    label, and an agent attaches its own identifier to the reports it
-    reads.
+    label, never the agent's identifier.
 
     Appends may run concurrently (pooled fleet shards): each is one
     ``list.append`` of a whole chunk, and the rows of one agent only
@@ -341,9 +219,9 @@ def drain_report_batches(agents: Iterable) -> tuple[ReportBatch, ReportBatch]:
 
     Returns ``(encoded, raw)`` batches holding every pending report of
     ``agents`` — each agent's rows of its ``report_log`` at its
-    ``report_row`` — in exactly the order of concatenated per-agent
-    ``drain_outbox`` calls: agent-major by the given agent order, and
-    append (chronological) order within each agent.  ``agent_rows``
+    ``report_row`` — in exactly the order of concatenated one-agent
+    ``drain_report_batches([agent])`` calls: agent-major by the given
+    agent order, and append (chronological) order within each agent.  ``agent_rows``
     holds the agents' positions in ``agents``.  The agents are grouped
     by log, each log gives up their rows with one mask, and one stable
     sort on position orders the result.  Taken rows leave their logs.
@@ -370,46 +248,3 @@ def drain_report_batches(agents: Iterable) -> tuple[ReportBatch, ReportBatch]:
             batch = batch.take(np.argsort(batch.agent_rows, kind="stable"))
         out.append(batch)
     return out[0], out[1]
-
-
-def encoded_reports_to_arrays(
-    reports: Sequence[EncodedReport],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Struct-of-arrays view of an encoded batch: ``(codes, actions, rewards)``.
-
-    The columnar form is the shuffler's and fleet engine's working
-    representation; metadata is deliberately *not* carried over, so
-    converting to arrays is itself an anonymization step.
-    """
-    n = len(reports)
-    codes = np.empty(n, dtype=np.intp)
-    actions = np.empty(n, dtype=np.intp)
-    rewards = np.empty(n, dtype=np.float64)
-    for i, r in enumerate(reports):
-        codes[i] = r.code
-        actions[i] = r.action
-        rewards[i] = r.reward
-    return codes, actions, rewards
-
-
-def encoded_reports_from_arrays(
-    codes: np.ndarray, actions: np.ndarray, rewards: np.ndarray
-) -> list[EncodedReport]:
-    """Rebuild metadata-free :class:`EncodedReport` objects from arrays.
-
-    Round-trips exactly with :func:`encoded_reports_to_arrays` modulo
-    metadata (which array form never carries): codes and actions are
-    integers, rewards the same float64 values.
-    """
-    codes = np.asarray(codes, dtype=np.intp).ravel()
-    actions = np.asarray(actions, dtype=np.intp).ravel()
-    rewards = np.asarray(rewards, dtype=np.float64).ravel()
-    if not (codes.shape[0] == actions.shape[0] == rewards.shape[0]):
-        raise ValueError(
-            "codes, actions and rewards must have matching lengths: "
-            f"{codes.shape[0]}, {actions.shape[0]}, {rewards.shape[0]}"
-        )
-    return [
-        EncodedReport(code=int(c), action=int(a), reward=float(r))
-        for c, a, r in zip(codes, actions, rewards)
-    ]

@@ -90,8 +90,7 @@ class PrivateServer(_ServerBase):
 
         The device → shuffler → server pipeline's terminal stage; codes
         become one-hot indicators (or codebook centroids via the
-        batched decode) and feed ``update_batch`` — no report objects
-        anywhere.
+        batched decode) and feed ``update_batch``.
         """
         codes = np.asarray(codes, dtype=np.intp).ravel()
         actions = np.asarray(actions, dtype=np.intp).ravel()

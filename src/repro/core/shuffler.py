@@ -3,9 +3,10 @@
 Performs, in order, the three PROCHLO-style operations the paper
 specifies:
 
-1. **Anonymization** — every received report is stripped of all
-   metadata (the in-process stand-in for discarding IP addresses and
-   enclave attestation; see DESIGN.md substitutions).
+1. **Anonymization** — only the ``(code, action, reward)`` columns
+   of a report batch enter; its metadata columns never do (the
+   in-process stand-in for discarding IP addresses and enclave
+   attestation; see DESIGN.md substitutions).
 2. **Shuffling** — batch order is randomized, destroying arrival-order
    correlations.
 3. **Thresholding** — tuples whose encoded context appears fewer than
@@ -21,18 +22,12 @@ must always pass — a property test pins this).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ..privacy.crowd_blending import CrowdBlendingAudit, verify_crowd_blending
 from ..utils.rng import ensure_rng
 from ..utils.validation import check_positive_int
-from .payload import (
-    EncodedReport,
-    encoded_reports_from_arrays,
-    encoded_reports_to_arrays,
-)
 
 __all__ = ["Shuffler", "ShufflerStats"]
 
@@ -157,28 +152,6 @@ class Shuffler:
             codes, actions, rewards = codes[keep], actions[keep], rewards[keep]
         audit = verify_crowd_blending(codes, self.threshold)
         return (codes, actions, rewards), retained, codes_received, codes_released, audit
-
-    def process(
-        self, reports: Sequence[EncodedReport]
-    ) -> tuple[list[EncodedReport], ShufflerStats]:
-        """Run one batch through the three-stage pipeline.
-
-        Implemented over the columnar representation: converting to
-        arrays *is* the anonymization step (array form carries no
-        metadata), and shuffling/thresholding become one permutation
-        plus one ``unique`` call instead of per-report Python work.
-
-        Returns
-        -------
-        (released, stats)
-            ``released`` is the anonymized, shuffled, thresholded batch;
-            ``stats.audit`` is the crowd-blending audit of the release
-            (guaranteed satisfied by construction).
-        """
-        codes, actions, rewards = encoded_reports_to_arrays(reports)
-        r_codes, r_actions, r_rewards, stats = self.process_arrays(codes, actions, rewards)
-        released = encoded_reports_from_arrays(r_codes, r_actions, r_rewards)
-        return released, stats
 
     def process_arrays(
         self, codes: np.ndarray, actions: np.ndarray, rewards: np.ndarray

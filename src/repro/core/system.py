@@ -238,7 +238,7 @@ class P2BSystem:
         return codes, actions, rewards
 
     def collect(self, agents: Iterable[LocalAgent]) -> CollectionResult:
-        """Drain agent outboxes and run one collection round.
+        """Drain the agents' pending report rows and run one collection round.
 
         Private mode: reports pass through the shuffler as one batch
         (:meth:`Shuffler.process_arrays`); only the released
@@ -256,7 +256,7 @@ class P2BSystem:
         return 0 if self.shuffler is None else self.shuffler.n_pending
 
     def collect_async(self, agents: Iterable[LocalAgent]) -> CollectionResult:
-        """Drain outboxes into the shuffler's buffer; release what's ready.
+        """Drain pending report rows into the shuffler's buffer; release what's ready.
 
         The asynchronous analogue of :meth:`collect` — devices report
         on their own clocks, so ``agents`` may be *any* subset of the

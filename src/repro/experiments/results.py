@@ -106,7 +106,7 @@ class CurveSink:
 class NullSink:
     """Discard every column — run the fleet for its side effects only.
 
-    For phases that need learning, participation, and outboxes but
+    For phases that need learning, participation, and report rows but
     never read the result matrices (e.g. the contributor phase of
     ``run_setting``), this drops the O(n x T) result memory outright.
     """

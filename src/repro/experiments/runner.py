@@ -344,8 +344,8 @@ def run_setting(
                 )
             for agent, session in zip(contributors, sessions):
                 _simulate_agent(agent, session, t_contrib)
-        # one columnar collection route for either engine: fleet-run
-        # contributors drain log rows, sequential ones report objects
+        # one columnar collection route for either engine: every
+        # contributor's reports are rows of the system's log
         outcome = system.collect(contributors)
         n_reports, n_released = outcome.n_reports, outcome.n_released
 

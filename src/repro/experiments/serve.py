@@ -238,7 +238,7 @@ class FleetService:
         self._inflight -= 1
 
     def shutdown(self) -> CollectionResult:
-        """Graceful shutdown: drain outboxes, flush the buffer, close.
+        """Graceful shutdown: drain pending report rows, flush the buffer, close.
 
         Every pending report is collected asynchronously and the
         shuffler's threshold-fill buffer is flushed (stragglers whose
@@ -346,7 +346,7 @@ class FleetService:
     # ------------------------------------------------------------------ #
     # asynchronous collection and model distribution
     def collect(self) -> CollectionResult:
-        """Drain every outbox into the async buffer; release what's ready."""
+        """Drain every pending report row into the async buffer; release what's ready."""
         self._check_open()
         outcome = self._guarded(self.system.collect_async, self.fleet.agents)
         self._n_reports += outcome.n_reports

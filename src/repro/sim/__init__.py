@@ -17,7 +17,7 @@ The sequential-vs-fleet contract
 The sequential loop **is the specification**; the fleet engine is an
 optimization that must be observationally identical.  Results are
 guaranteed *bit-identical* — same action sequences, same rewards, same
-final policy states, same outbox reports and released histograms —
+final policy states, same pending report rows and released histograms —
 whenever:
 
 1. every agent's policy has ``supports_fleet = True`` (the policy
@@ -97,12 +97,13 @@ item: a step of the walk, or the policy's own item if taken before the run),
 and reports land, one chunk per round, in the agents' system's
 :class:`~repro.core.payload.ReportLog` — the one store the sequential
 engine appends to row by row — with codes gathered from the plan-time
-batch encodings, never re-encoded.  ``agent.outbox`` is a read-only
-object view of an agent's rows.  Collection has one route for every
+batch encodings, never re-encoded.  Rows are the only form a report
+takes.  Collection has one route for every
 population: :meth:`~repro.core.system.P2BSystem.collect` takes the
 agents' rows with one mask per log and one stable sort on agent
-position — the order of concatenated per-agent ``drain_outbox``
-calls — and flows them through ``Shuffler.process_arrays`` into
+position — the order of concatenated one-agent
+``drain_report_batches([agent])`` calls — and flows them through
+``Shuffler.process_arrays`` into
 ``ingest_arrays``, so the released tuples, stats, audit and any armed
 corruption tap are the same whichever engine recorded the reports.
 

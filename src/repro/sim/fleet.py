@@ -805,9 +805,6 @@ class _Shard:
         """This shard runs on a row-table walk of replay sessions."""
         return self._plan_path == "traced"
 
-    #: every traced shard gathers through a row table ("indexed")
-    indexed = traced
-
     def _col(self, t):
         """Result-matrix column for global step ``t`` (scalar or array).
 
@@ -1330,9 +1327,10 @@ class FleetRunner:
 
         Accepts what :meth:`member_indices` accepts.  Shards losing
         members are released now and rebuilt on the next run; untouched
-        shards keep their stacked state.  Departing agents keep any
-        unsent outbox reports — drain them before (or after) removal;
-        the shuffler's async buffer holds whatever was already collected.
+        shards keep their stacked state.  Departing agents keep their
+        pending report rows in their log — drain them before (or after)
+        removal; the shuffler's async buffer holds whatever was already
+        collected.
         """
         doomed = set(self.member_indices(agents))
         if not doomed:
@@ -1467,8 +1465,9 @@ class FleetRunner:
 
         Side effects match the sequential loop exactly: policies learn
         (state is written back into each agent's policy object),
-        participation budgets advance, and outboxes fill with the same
-        reports carrying the same metadata.
+        participation budgets advance, and the report logs gain the
+        same rows (payload, action, reward, interaction index) in the
+        same per-agent order.
 
         ``warm_start`` (a central-model snapshot, as
         :meth:`~repro.core.agent.LocalAgent.warm_start` takes) makes the
@@ -1503,7 +1502,7 @@ class FleetRunner:
         restartable: the horizon executes in segments of that many
         rounds, and after each segment a versioned snapshot — the
         pickled population (policy state, RNG streams, participation
-        counters, pending outboxes) plus the partial result matrices —
+        counters, pending report rows) plus the partial result matrices —
         is written atomically to ``checkpoint_path``.  A run killed
         mid-horizon continues via :meth:`resume`/:meth:`resume_run`
         with results **bit-identical** to the uninterrupted run
@@ -1769,7 +1768,7 @@ class FleetRunner:
         """Rebuild a fleet from a snapshot written by :meth:`checkpoint`.
 
         The returned runner holds the unpickled population (identical
-        RNG streams, counters, outboxes) under the engine knobs the
+        RNG streams, counters, pending report rows) under the engine knobs the
         snapshot was taken with (engine keys this release no longer
         knows are ignored, so older snapshots stay loadable); when the
         snapshot was mid-run,

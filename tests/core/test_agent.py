@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bandits import LinUCB
-from repro.core import AgentMode, EncodedReport, LocalAgent, RandomizedParticipation, RawReport
+from repro.core import AgentMode, LocalAgent, RandomizedParticipation, drain_report_batches
 from repro.encoding import KMeansEncoder
 from repro.utils.exceptions import ConfigError
 
@@ -82,7 +82,9 @@ class TestReporting:
         for _ in range(50):
             x = _ctx(rng)
             agent.learn(x, agent.act(x), 1.0)
-        assert agent.drain_outbox() == []
+        assert agent.report_log is None
+        enc, raw = drain_report_batches([agent])
+        assert len(enc) == len(raw) == 0
 
     def test_private_reports_encoded(self, rng, encoder):
         agent = LocalAgent(
@@ -95,11 +97,10 @@ class TestReporting:
         for _ in range(5):
             x = _ctx(rng)
             agent.learn(x, agent.act(x), 0.5)
-        out = agent.drain_outbox()
-        assert len(out) == 1
-        assert isinstance(out[0], EncodedReport)
-        assert out[0].metadata["agent_id"] == "u7"
-        assert 0 <= out[0].code < 8
+        enc, raw = drain_report_batches([agent])
+        assert len(enc) == 1 and len(raw) == 0
+        assert list(enc.interaction_indices) == [5]  # reported as its window closed
+        assert 0 <= enc.codes[0] < 8
 
     def test_nonprivate_reports_raw_context(self, rng):
         agent = LocalAgent(
@@ -113,9 +114,25 @@ class TestReporting:
             x = _ctx(rng)
             contexts.append(x)
             agent.learn(x, agent.act(x), 0.5)
-        out = agent.drain_outbox()
-        assert len(out) == 1 and isinstance(out[0], RawReport)
-        assert any(np.array_equal(out[0].context, c) for c in contexts)
+        enc, raw = drain_report_batches([agent])
+        assert len(raw) == 1 and len(enc) == 0
+        assert any(np.array_equal(raw.contexts[0], c) for c in contexts)
+
+    def test_nonprivate_row_keeps_a_copy_of_the_context(self, rng):
+        """A pending raw row is the context as it was observed: a caller
+        that reuses its context buffer afterwards cannot change it."""
+        agent = LocalAgent(
+            "u",
+            LinUCB(3, 4, seed=0),
+            mode=AgentMode.WARM_NONPRIVATE,
+            participation=RandomizedParticipation(p=1.0, window=1, seed=0),
+        )
+        x = _ctx(rng)
+        seen = x.copy()
+        agent.learn(x, 0, 0.5)
+        x[:] = -1.0  # the caller overwrites its buffer in place
+        pending = agent.report_log.rows(agent.report_row)
+        np.testing.assert_array_equal(pending.contexts, [seen])
 
     def test_report_budget_respected(self, rng, encoder):
         agent = LocalAgent(
@@ -128,9 +145,9 @@ class TestReporting:
         for _ in range(20):
             x = _ctx(rng)
             agent.learn(x, agent.act(x), 0.5)
-        assert len(agent.drain_outbox()) == 1
+        assert len(drain_report_batches([agent])[0]) == 1
 
-    def test_drain_empties_outbox(self, rng, encoder):
+    def test_drain_takes_the_rows(self, rng, encoder):
         agent = LocalAgent(
             "u",
             LinUCB(3, 8, seed=0),
@@ -140,8 +157,9 @@ class TestReporting:
         )
         x = _ctx(rng)
         agent.learn(x, 0, 1.0)
-        assert len(agent.drain_outbox()) == 1
-        assert agent.drain_outbox() == []
+        assert len(agent.report_log.rows(agent.report_row)) == 1  # reading leaves it
+        assert len(drain_report_batches([agent])[0]) == 1
+        assert len(drain_report_batches([agent])[0]) == 0
 
 
 class TestLearningAndWarmStart:

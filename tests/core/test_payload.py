@@ -5,66 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bandits import CodeLinUCB
+from repro.bandits import CodeLinUCB, LinUCB
 from repro.core import (
-    EncodedReport,
     LocalAgent,
     RandomizedParticipation,
-    RawReport,
     ReportBatch,
     ReportLog,
+    Shuffler,
     drain_report_batches,
 )
-
-
-class TestEncodedReport:
-    def test_tuple3(self):
-        r = EncodedReport(code=5, action=2, reward=0.7)
-        assert r.tuple3 == (5, 2, 0.7)
-
-    def test_equality_ignores_metadata(self):
-        a = EncodedReport(code=1, action=0, reward=1.0, metadata={"agent_id": "u1"})
-        b = EncodedReport(code=1, action=0, reward=1.0, metadata={"agent_id": "u2"})
-        assert a == b
-
-    def test_frozen(self):
-        r = EncodedReport(code=1, action=0, reward=1.0)
-        with pytest.raises(AttributeError):
-            r.code = 2  # type: ignore[misc]
-
-    def test_negative_code_rejected(self):
-        with pytest.raises(ValueError):
-            EncodedReport(code=-1, action=0, reward=0.0)
-
-    def test_negative_action_rejected(self):
-        with pytest.raises(ValueError):
-            EncodedReport(code=0, action=-2, reward=0.0)
-
-    def test_nan_reward_rejected(self):
-        from repro.utils.exceptions import ValidationError
-
-        with pytest.raises(ValidationError):
-            EncodedReport(code=0, action=0, reward=float("nan"))
-
-
-class TestRawReport:
-    def test_context_copied_and_validated(self):
-        r = RawReport(context=[0.5, 0.5], action=1, reward=0.0)
-        assert isinstance(r.context, np.ndarray)
-
-    def test_equality_by_value(self):
-        a = RawReport(context=np.array([1.0, 2.0]), action=0, reward=0.5, metadata={"id": 1})
-        b = RawReport(context=np.array([1.0, 2.0]), action=0, reward=0.5, metadata={"id": 2})
-        assert a == b
-
-    def test_inequality(self):
-        a = RawReport(context=np.array([1.0, 2.0]), action=0, reward=0.5)
-        b = RawReport(context=np.array([1.0, 2.1]), action=0, reward=0.5)
-        assert a != b
-
-    def test_hashable(self):
-        a = RawReport(context=np.array([1.0]), action=0, reward=0.5)
-        assert len({a, a}) == 1
 
 
 def _encoded_batch(codes, rows, inter):
@@ -93,13 +42,15 @@ class TestReportBatch:
         assert batch.kind == "encoded" and len(batch) == 2
         assert ReportBatch.empty("raw", n_features=3).kind == "raw"
 
-    def test_to_reports_metadata(self):
-        batch = _encoded_batch([4, 5], [1, 0], [3, 7])
-        batch.agent_ids = ("alice", "bob")
-        reports = batch.to_reports()
-        assert reports[0].metadata == {"agent_id": "bob", "interaction_index": 3}
-        assert reports[1].metadata == {"agent_id": "alice", "interaction_index": 7}
-        assert [r.code for r in reports] == [4, 5]
+    def test_take_carries_the_metadata_columns(self):
+        """Who reported and when ride along with their rows under a
+        gather, as separate columns the shuffler never takes."""
+        batch = _encoded_batch([4, 5, 6], [1, 0, 2], [3, 7, 9])
+        taken = batch.take(np.array([2, 0]))
+        assert list(taken.codes) == [6, 4]
+        assert list(taken.agent_rows) == [2, 1]
+        assert list(taken.interaction_indices) == [9, 3]
+        assert list(taken.actions) == [2, 0]
 
     def test_concat_and_take(self):
         a = _encoded_batch([1], [0], [1])
@@ -172,6 +123,38 @@ class TestReportLog:
         assert len(log) == 2  # reading leaves the rows in place
         assert list(log.rows(5).codes) == [4]
 
+    def test_append_stores_canonical_dtypes(self):
+        """Python scalars in, intp and float64 columns out: the one row
+        form that both engines append and that tests compare bitwise."""
+        enc, raw = ReportLog("encoded"), ReportLog("raw")
+        _append(enc, 0, 3, 1, 1, 2)  # an int reward
+        _append(raw, 0, [1, 0], 1, 0.5, 2)
+        e, r = enc.rows(0), raw.rows(0)
+        assert e.codes.dtype == e.actions.dtype == e.interaction_indices.dtype == np.intp
+        assert e.rewards.dtype == r.contexts.dtype == np.float64
+        assert e.contexts is None and r.codes is None and r.contexts.shape == (1, 2)
+
+    @pytest.mark.parametrize(
+        "code, action, reward",
+        [(-1, 0, 1.0), (2, -2, 1.0), (2, 0, float("nan"))],
+        ids=["negative-code", "negative-action", "nan-reward"],
+    )
+    def test_malformed_row_is_quarantined_by_the_shuffler(self, code, action, reward):
+        """The log stores rows as given; a malformed one is refused
+        where rows enter the pipeline, and only the clean rows release."""
+        log = ReportLog("encoded")
+        _append(log, 0, 2, 1, 0.5, 1)
+        _append(log, 0, code, action, reward, 2)
+        _append(log, 0, 2, 0, 0.25, 3)
+        assert len(log) == 3
+        enc, _ = drain_report_batches([_AgentStub(log, 0)])
+        r_codes, r_actions, r_rewards, stats = Shuffler(threshold=1, seed=0).process_arrays(
+            enc.codes, enc.actions, enc.rewards
+        )
+        assert stats.n_quarantined == 1 and stats.n_released == 2
+        assert sorted(zip(r_actions.tolist(), r_rewards.tolist())) == [(0, 0.25), (1, 0.5)]
+        assert set(r_codes.tolist()) == {2}
+
     def test_enroll_gives_new_rows(self):
         log = ReportLog("raw")
         assert (log.enroll(), log.enroll(), log.enroll()) == (0, 1, 2)
@@ -204,17 +187,20 @@ class _AgentStub:
         self.report_log, self.report_row = log, row
 
 
-def _private_agent(agent_id="a"):
-    """A hand-built warm-private agent: it holds a private one-row log."""
+def _hand_built_agent(mode, agent_id="a"):
+    """A hand-built warm agent: it holds a private one-row log."""
     from repro.encoding import KMeansEncoder
 
+    participation = RandomizedParticipation(p=1.0, window=1, max_reports=3, seed=0)
+    if mode == "warm-nonprivate":
+        return LocalAgent(agent_id, LinUCB(3, 3, seed=0), mode=mode, participation=participation)
     encoder = KMeansEncoder(n_codes=4, n_features=3, n_fit_samples=200, seed=0).fit()
     return LocalAgent(
         agent_id,
         CodeLinUCB(n_arms=3, n_features=4, seed=0),
-        mode="warm-private",
+        mode=mode,
         encoder=encoder,
-        participation=RandomizedParticipation(p=1.0, window=1, seed=0),
+        participation=participation,
     )
 
 
@@ -261,23 +247,28 @@ class TestDrainReportBatches:
         assert list(enc.codes) == [3, 1] and list(enc.agent_rows) == [0, 1]
         assert list(log.rows(1).codes) == [2]  # an agent left out keeps its rows
 
-    @pytest.mark.parametrize("object_first", [True, False])
-    def test_object_without_interaction_index_keeps_outbox_position(self, object_first):
-        """An object set through the ``outbox`` setter may carry no
-        metadata: its row keeps its outbox position (index -1)."""
-        agent = _private_agent()
-        entries = [
-            EncodedReport(code=2, action=1, reward=0.5),
-            EncodedReport(code=5, action=0, reward=1.0, metadata={"interaction_index": 7}),
-        ]
-        if not object_first:
-            entries.reverse()
-        agent.outbox = entries
-        assert agent.outbox[0 if object_first else 1].metadata == {}
-        enc, _ = drain_report_batches([agent])
-        expected = [(2, -1), (5, 7)] if object_first else [(5, 7), (2, -1)]
-        assert list(zip(enc.codes.tolist(), enc.interaction_indices.tolist())) == expected
-        assert agent.outbox == []
+    @pytest.mark.parametrize("mode", ["warm-private", "warm-nonprivate"])
+    def test_hand_built_agent_drains_its_private_log(self, mode):
+        """An agent no system enrolled appends to its private one-row
+        log, each row tagged with its lifetime interaction index;
+        reading leaves the rows in place, draining takes them."""
+        agent = _hand_built_agent(mode)
+        x = np.array([0.2, 0.5, 0.3])
+        for _ in range(3):
+            agent.learn(x, 1, 0.5)
+        if mode == "warm-private":
+            column, expected = "codes", [agent.encoder.encode(x)] * 3
+        else:
+            column, expected = "contexts", [x] * 3
+        pending = agent.report_log.rows(agent.report_row)
+        assert list(pending.interaction_indices) == [1, 2, 3]
+        np.testing.assert_array_equal(getattr(pending, column), expected)
+        enc, raw = drain_report_batches([agent])
+        drained = enc if mode == "warm-private" else raw
+        assert len(enc) + len(raw) == len(drained) == 3
+        np.testing.assert_array_equal(getattr(drained, column), expected)
+        assert list(drained.agent_rows) == [0, 0, 0]
+        assert len(agent.report_log) == 0
 
     def test_raw_rows_share_one_batch(self):
         log = ReportLog("raw")

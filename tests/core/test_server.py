@@ -6,35 +6,26 @@ import numpy as np
 import pytest
 
 from repro.bandits import LinUCB
-from repro.core import (
-    EncodedReport,
-    NonPrivateServer,
-    PrivateServer,
-    RawReport,
-    ReportLog,
-    drain_report_batches,
-)
+from repro.core import NonPrivateServer, PrivateServer, ReportLog, drain_report_batches
 from repro.encoding import KMeansEncoder
 from repro.utils.exceptions import ValidationError
 
 
 class _Device:
     """One device's pending reports, as the collection drain reads them:
-    its rows in a report log."""
+    its rows in a report log, appended one at a time as the sequential
+    path appends them."""
 
-    def __init__(self, reports):
-        encoded = isinstance(reports[0], EncodedReport)
-        self.report_log, self.report_row = ReportLog("encoded" if encoded else "raw"), 0
-        for r in reports:
-            self.report_log.append(
-                [0], [r.code if encoded else r.context], [r.action], [r.reward], [-1]
-            )
+    def __init__(self, kind, payload, actions, rewards):
+        self.report_log, self.report_row = ReportLog(kind), 0
+        for i, (y, a, r) in enumerate(zip(payload, actions, rewards)):
+            self.report_log.append([0], [y], [a], [r], [i + 1])
 
 
-def _drained(reports):
-    """The report columns collection hands the server for ``reports``."""
-    encoded, raw = drain_report_batches([_Device(reports)])
-    return encoded if len(encoded) else raw
+def _drained(kind, payload, actions, rewards):
+    """The report columns collection hands the server for these rows."""
+    encoded, raw = drain_report_batches([_Device(kind, payload, actions, rewards)])
+    return encoded if kind == "encoded" else raw
 
 
 @pytest.fixture(scope="module")
@@ -105,31 +96,23 @@ class TestPrivateServer:
 
 
 class TestIngestArrays:
-    """Report objects drained to columns train the server bit-identically
+    """Report rows drained from a log train the server bit-identically
     to the same columns handed over directly."""
 
-    def _batch(self, rng, n=40):
-        codes = rng.integers(0, 4, size=n)
-        actions = rng.integers(0, 2, size=n)
-        rewards = rng.random(n)
-        reports = [
-            EncodedReport(code=int(c), action=int(a), reward=float(r))
-            for c, a, r in zip(codes, actions, rewards)
-        ]
-        return codes, actions, rewards, reports
-
     @pytest.mark.parametrize("context_mode", ["one-hot", "centroid"])
-    def test_private_arrays_match_objects(self, encoder, rng, context_mode):
-        codes, actions, rewards, reports = self._batch(rng)
+    def test_private_drained_rows_match_arrays(self, encoder, rng, context_mode):
+        codes = rng.integers(0, 4, size=40)
+        actions = rng.integers(0, 2, size=40)
+        rewards = rng.random(40)
         dim = 4 if context_mode == "one-hot" else 3
-        s_obj = PrivateServer(LinUCB(2, dim, seed=0), encoder, context_mode=context_mode)
+        s_rows = PrivateServer(LinUCB(2, dim, seed=0), encoder, context_mode=context_mode)
         s_arr = PrivateServer(LinUCB(2, dim, seed=0), encoder, context_mode=context_mode)
-        drained = _drained(reports)
-        s_obj.ingest_arrays(drained.codes, drained.actions, drained.rewards)
+        drained = _drained("encoded", codes, actions, rewards)
+        s_rows.ingest_arrays(drained.codes, drained.actions, drained.rewards)
         s_arr.ingest_arrays(codes, actions, rewards)
-        assert s_obj.n_tuples_ingested == s_arr.n_tuples_ingested
-        assert s_obj.n_batches == s_arr.n_batches
-        st1, st2 = s_obj.model_snapshot(), s_arr.model_snapshot()
+        assert s_rows.n_tuples_ingested == s_arr.n_tuples_ingested
+        assert s_rows.n_batches == s_arr.n_batches
+        st1, st2 = s_rows.model_snapshot(), s_arr.model_snapshot()
         for key in st1:
             np.testing.assert_array_equal(
                 np.asarray(st1[key]), np.asarray(st2[key]), err_msg=key
@@ -155,21 +138,17 @@ class TestIngestArrays:
         with pytest.raises(ValidationError, match="matching lengths"):
             server.ingest_arrays(np.array([1]), np.array([0, 1]), np.array([1.0]))
 
-    def test_nonprivate_arrays_match_objects(self, rng):
+    def test_nonprivate_drained_rows_match_arrays(self, rng):
         contexts = rng.dirichlet(np.ones(3), size=20)
         actions = rng.integers(0, 2, size=20)
         rewards = rng.random(20)
-        reports = [
-            RawReport(context=c, action=int(a), reward=float(r))
-            for c, a, r in zip(contexts, actions, rewards)
-        ]
-        s_obj = NonPrivateServer(LinUCB(2, 3, seed=0))
+        s_rows = NonPrivateServer(LinUCB(2, 3, seed=0))
         s_arr = NonPrivateServer(LinUCB(2, 3, seed=0))
-        drained = _drained(reports)
-        s_obj.ingest_arrays(drained.contexts, drained.actions, drained.rewards)
+        drained = _drained("raw", contexts, actions, rewards)
+        s_rows.ingest_arrays(drained.contexts, drained.actions, drained.rewards)
         s_arr.ingest_arrays(contexts, actions, rewards)
-        assert s_obj.n_tuples_ingested == s_arr.n_tuples_ingested
-        st1, st2 = s_obj.model_snapshot(), s_arr.model_snapshot()
+        assert s_rows.n_tuples_ingested == s_arr.n_tuples_ingested
+        st1, st2 = s_rows.model_snapshot(), s_arr.model_snapshot()
         for key in st1:
             np.testing.assert_array_equal(
                 np.asarray(st1[key]), np.asarray(st2[key]), err_msg=key
@@ -181,6 +160,17 @@ class TestIngestArrays:
             server.ingest_arrays(np.ones((2, 4)), np.zeros(2, np.intp), np.ones(2))
         with pytest.raises(ValidationError, match="2-D"):
             server.ingest_arrays(np.ones(3), np.zeros(1, np.intp), np.ones(1))
+
+
+    def test_nonprivate_drained_nonfinite_context_refused(self):
+        """Raw rows skip the shuffler, so the server is where a pending
+        context with a NaN entry is refused, before any update."""
+        contexts = np.array([[0.2, 0.3, 0.5], [np.nan, 0.5, 0.5]])
+        drained = _drained("raw", contexts, [0, 1], [1.0, 0.0])
+        server = NonPrivateServer(LinUCB(2, 3, seed=0))
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            server.ingest_arrays(drained.contexts, drained.actions, drained.rewards)
+        assert server.n_tuples_ingested == 0
 
 
 class TestNonPrivateServer:

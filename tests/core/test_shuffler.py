@@ -2,78 +2,96 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EncodedReport, Shuffler
+from repro.core import ReportLog, Shuffler, drain_report_batches
 
 
-def _reports(codes, agent_ids=None):
-    ids = agent_ids or [f"u{i}" for i in range(len(codes))]
-    return [
-        EncodedReport(code=c, action=0, reward=1.0, metadata={"agent_id": a})
-        for c, a in zip(codes, ids)
-    ]
+def _columns(codes):
+    """A report batch as the shuffler receives it: ``(code, action,
+    reward)`` columns, and nothing that names a sender."""
+    codes = np.asarray(codes, dtype=np.intp)
+    return codes, np.zeros(codes.size, dtype=np.intp), np.ones(codes.size)
 
 
 class TestAnonymization:
     def test_all_metadata_removed(self):
-        sh = Shuffler(threshold=1, seed=0)
-        released, _ = sh.process(_reports([1, 1, 2, 2]))
-        assert all(r.metadata == {} for r in released)
+        """The release is bare ``(code, action, reward)`` columns: two
+        logs holding the same tuples from different store rows, at
+        different interaction indices, release the same bytes."""
+        released = []
+        for rows, indices in (([0, 1, 2, 3], [1, 1, 2, 5]), ([7, 7, 9, 4], [30, 2, 8, 8])):
+            log = ReportLog("encoded")
+            log.append(rows, [1, 1, 2, 2], [0, 1, 1, 0], [1.0, 0.5, 0.25, 0.0], indices)
+            drained, _ = drain_report_batches(
+                [SimpleNamespace(report_log=log, report_row=r) for r in dict.fromkeys(rows)]
+            )
+            *columns, _ = Shuffler(threshold=1, seed=0).process_arrays(
+                drained.codes, drained.actions, drained.rewards
+            )
+            released.append(columns)
+        assert len(released[0]) == 3  # nothing beside the tuple leaves the shuffler
+        for got, want in zip(*released):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_tuples_unchanged(self):
         sh = Shuffler(threshold=1, seed=0)
-        released, _ = sh.process(_reports([3, 3]))
-        assert all(r.tuple3 == (3, 0, 1.0) for r in released)
+        r_codes, r_actions, r_rewards, _ = sh.process_arrays(*_columns([3, 3]))
+        assert list(zip(r_codes.tolist(), r_actions.tolist(), r_rewards.tolist())) == [
+            (3, 0, 1.0),
+            (3, 0, 1.0),
+        ]
 
 
 class TestShuffling:
     def test_order_randomized(self):
         codes = list(range(50)) * 2  # every code appears twice
         sh = Shuffler(threshold=1, seed=0)
-        released, _ = sh.process(_reports(codes))
-        assert [r.code for r in released] != codes
+        r_codes, *_ = sh.process_arrays(*_columns(codes))
+        assert r_codes.tolist() != codes
 
     def test_content_preserved_when_no_thresholding(self):
         codes = [1, 1, 2, 2, 3, 3]
         sh = Shuffler(threshold=1, seed=0)
-        released, _ = sh.process(_reports(codes))
-        assert sorted(r.code for r in released) == sorted(codes)
+        r_codes, *_ = sh.process_arrays(*_columns(codes))
+        assert sorted(r_codes.tolist()) == sorted(codes)
 
 
 class TestThresholding:
     def test_rare_codes_dropped(self):
         codes = [1] * 5 + [2] * 2
         sh = Shuffler(threshold=3, seed=0)
-        released, stats = sh.process(_reports(codes))
-        assert {r.code for r in released} == {1}
+        r_codes, _, _, stats = sh.process_arrays(*_columns(codes))
+        assert set(r_codes.tolist()) == {1}
         assert stats.n_dropped == 2
         assert stats.codes_received == 2 and stats.codes_released == 1
 
     def test_exact_threshold_released(self):
         codes = [7] * 3
         sh = Shuffler(threshold=3, seed=0)
-        released, _ = sh.process(_reports(codes))
-        assert len(released) == 3
+        r_codes, *_ = sh.process_arrays(*_columns(codes))
+        assert r_codes.size == 3
 
     def test_empty_batch(self):
         sh = Shuffler(threshold=5, seed=0)
-        released, stats = sh.process([])
-        assert released == [] and stats.n_received == 0
+        r_codes, _, _, stats = sh.process_arrays(*_columns([]))
+        assert r_codes.size == 0 and stats.n_received == 0
         assert stats.audit.satisfied
 
     def test_all_dropped(self):
         sh = Shuffler(threshold=10, seed=0)
-        released, stats = sh.process(_reports([1, 2, 3]))
-        assert released == [] and stats.n_dropped == 3
+        r_codes, _, _, stats = sh.process_arrays(*_columns([1, 2, 3]))
+        assert r_codes.size == 0 and stats.n_dropped == 3
 
 
 class TestCrowdBlendingInvariant:
     def test_release_always_satisfies_audit(self):
         sh = Shuffler(threshold=4, seed=0)
-        _, stats = sh.process(_reports([1] * 6 + [2] * 3 + [3] * 4))
+        *_, stats = sh.process_arrays(*_columns([1] * 6 + [2] * 3 + [3] * 4))
         assert stats.audit.satisfied
         stats.audit.raise_if_violated()
 
@@ -83,11 +101,11 @@ class TestCrowdBlendingInvariant:
         """For any input batch, every released code appears >= threshold
         times — the mechanism-level crowd-blending guarantee."""
         sh = Shuffler(threshold=threshold, seed=0)
-        released, stats = sh.process(_reports(codes))
+        r_codes, _, _, stats = sh.process_arrays(*_columns(codes))
         assert stats.audit.satisfied
         from collections import Counter
 
-        counts = Counter(r.code for r in released)
+        counts = Counter(r_codes.tolist())
         assert all(c >= threshold for c in counts.values())
 
     @given(st.lists(st.integers(0, 5), max_size=60), st.integers(1, 6))
@@ -97,38 +115,14 @@ class TestCrowdBlendingInvariant:
         from collections import Counter
 
         sh = Shuffler(threshold=threshold, seed=0)
-        released, _ = sh.process(_reports(codes))
+        r_codes, *_ = sh.process_arrays(*_columns(codes))
         counts = Counter(codes)
         expected = sorted(c for c in codes if counts[c] >= threshold)
-        assert sorted(r.code for r in released) == expected
+        assert sorted(r_codes.tolist()) == expected
 
 
 class TestColumnarPath:
-    """process_arrays is the implementation; the object path must be a
-    faithful wrapper around it."""
-
-    def test_array_path_matches_object_path(self):
-        import numpy as np
-
-        codes = [0, 0, 0, 1, 1, 2, 5, 5, 5, 5]
-        reports = [
-            EncodedReport(code=c, action=i % 3, reward=float(i) / 10, metadata={"u": i})
-            for i, c in enumerate(codes)
-        ]
-        released_obj, stats_obj = Shuffler(threshold=3, seed=7).process(reports)
-        r_codes, r_actions, r_rewards, stats_arr = Shuffler(threshold=3, seed=7).process_arrays(
-            np.array(codes), np.arange(len(codes)) % 3, np.arange(len(codes)) / 10
-        )
-        assert [r.code for r in released_obj] == list(r_codes)
-        assert [r.action for r in released_obj] == list(r_actions)
-        assert [r.reward for r in released_obj] == list(r_rewards)
-        assert stats_obj.n_released == stats_arr.n_released
-        assert stats_obj.codes_released == stats_arr.codes_released
-        assert stats_obj.audit.satisfied and stats_arr.audit.satisfied
-
     def test_array_path_empty_batch_consumes_no_rng(self):
-        import numpy as np
-
         from repro.utils.rng import rng_state_digest
 
         shuffler = Shuffler(threshold=2, seed=0)
@@ -139,8 +133,6 @@ class TestColumnarPath:
 
     def test_huge_sparse_code_space_no_dense_allocation(self):
         """LSH-style 2^30 code ids must not blow up thresholding."""
-        import numpy as np
-
         codes = np.array([2**30 - 1] * 4 + [123456789] * 2, dtype=np.intp)
         r_codes, _, _, stats = Shuffler(threshold=3, seed=1).process_arrays(
             codes, np.zeros(6, dtype=np.intp), np.ones(6)
@@ -151,8 +143,6 @@ class TestColumnarPath:
     def test_stats_pinned_after_single_unique_refactor(self):
         """Satellite pin: ShufflerStats field-for-field golden values
         (the one-unique-call thresholding must not change any stat)."""
-        import numpy as np
-
         codes = np.array([4, 4, 4, 9, 9, 2, 7, 7, 7, 7, 2], dtype=np.intp)
         _, _, _, stats = Shuffler(threshold=3, seed=5).process_arrays(
             codes, np.zeros(codes.size, dtype=np.intp), np.ones(codes.size)
@@ -170,8 +160,6 @@ class TestColumnarPath:
     def test_audit_accepts_ndarrays_natively(self):
         """Satellite: the audit consumes code arrays without a Python
         list round trip, with identical results."""
-        import numpy as np
-
         from repro.privacy import verify_crowd_blending
 
         codes = np.array([1, 1, 1, 2, 2, 5], dtype=np.intp)
@@ -179,53 +167,6 @@ class TestColumnarPath:
         from_list = verify_crowd_blending(codes.tolist(), 3)
         assert from_array == from_list
         assert from_array.violations == {2: 2, 5: 1}
-
-    def test_mid_stream_object_array_interleaving(self):
-        """Satellite: one shuffler serving object and array batches
-        alternately stays stream-identical to an all-object twin (each
-        non-empty batch consumes exactly one permutation draw)."""
-        import numpy as np
-
-        batches = [
-            [3, 3, 1],
-            [],
-            [2, 2, 2, 2],
-            [5, 3, 5, 5, 3],
-            [],
-            [0, 0],
-        ]
-        mixed = Shuffler(threshold=2, seed=42)
-        pure = Shuffler(threshold=2, seed=42)
-        for i, codes in enumerate(batches):
-            released_obj, stats_obj = pure.process(_reports(codes))
-            if i % 2 == 0:  # alternate entry points on the *same* stream
-                arr = np.asarray(codes, dtype=np.intp)
-                r_codes, r_actions, r_rewards, stats_arr = mixed.process_arrays(
-                    arr, np.zeros(arr.size, dtype=np.intp), np.ones(arr.size)
-                )
-                assert [r.code for r in released_obj] == list(map(int, r_codes))
-            else:
-                released_mixed, stats_arr = mixed.process(_reports(codes))
-                assert released_mixed == released_obj
-            assert stats_obj == stats_arr
-
-    def test_report_array_round_trip(self):
-        import numpy as np
-
-        from repro.core.payload import (
-            encoded_reports_from_arrays,
-            encoded_reports_to_arrays,
-        )
-
-        reports = [
-            EncodedReport(code=3, action=1, reward=0.5, metadata={"agent_id": "x"}),
-            EncodedReport(code=7, action=0, reward=1.0, metadata={}),
-        ]
-        codes, actions, rewards = encoded_reports_to_arrays(reports)
-        np.testing.assert_array_equal(codes, [3, 7])
-        rebuilt = encoded_reports_from_arrays(codes, actions, rewards)
-        assert rebuilt == reports  # equality ignores metadata
-        assert all(r.metadata == {} for r in rebuilt)  # arrays strip it
 
 
 class TestQuarantine:

@@ -57,7 +57,7 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             P2BSystem(_config(), mode="tepid", seed=0)
 
-    def test_agent_ids_unique(self):
+    def test_new_agent_identifiers_unique(self):
         system = P2BSystem(_config(), mode=AgentMode.COLD, seed=0)
         ids = {system.new_agent().agent_id for _ in range(10)}
         assert len(ids) == 10
@@ -114,15 +114,16 @@ class TestPrivatePipeline:
         assert system.privacy_report().l == 2
 
     def test_server_never_sees_raw_contexts(self, rng):
-        """Type-level check: everything ingested is an EncodedReport."""
+        """Private agents' pending reports are code rows: the system's
+        log has no context column, and a drain yields no raw batch."""
+        from repro.core import drain_report_batches
+
         system = P2BSystem(_config(), mode=AgentMode.WARM_PRIVATE, seed=4)
         agents = _run_agents(system, n_agents=50, n_interactions=5, rng=rng)
-        reports = []
-        for a in agents:
-            reports.extend(a.outbox)
-        from repro.core import EncodedReport
-
-        assert all(isinstance(r, EncodedReport) for r in reports)
+        assert system.report_log.kind == "encoded"
+        encoded, raw = drain_report_batches(agents)
+        assert len(encoded) > 0 and encoded.contexts is None
+        assert len(raw) == 0
 
     def test_reproducible_given_seed(self, rng):
         def run(seed):

@@ -105,15 +105,6 @@ def assert_states_equal(policy_a, policy_b, label: str = "") -> None:
         )
 
 
-def assert_outboxes_equal(agents_a, agents_b) -> None:
-    """Reports and their metadata (pre-shuffler) must match exactly."""
-    for a, b in zip(agents_a, agents_b):
-        box_a, box_b = list(a.outbox), list(b.outbox)
-        assert box_a == box_b
-        for ra, rb in zip(box_a, box_b):
-            assert ra.metadata == rb.metadata
-
-
 def make_kmeans_encoder():
     from repro.encoding.kmeans_encoder import KMeansEncoder
 

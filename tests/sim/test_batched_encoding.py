@@ -32,7 +32,8 @@ from repro.encoding import KMeansEncoder, LSHEncoder
 from repro.sim import FleetResult, FleetRunner
 from repro.utils.rng import spawn_seeds
 
-from _testkit import assert_outboxes_equal, assert_states_equal
+from _recording import assert_pending_rows_equal
+from _testkit import assert_states_equal
 
 N_ACTIONS = 4
 N_FEATURES = 5
@@ -59,7 +60,7 @@ def _assert_fleet_matches(seq, fleet, result, seq_rewards, seq_actions):
     for i, (sa, fa) in enumerate(zip(seq, fleet)):
         assert sa.total_reward == fa.total_reward
         assert_states_equal(sa.policy, fa.policy, label=f"agent {i}")
-    assert_outboxes_equal(seq, fleet)
+    assert_pending_rows_equal(seq, fleet)
 
 
 # --------------------------------------------------------------------- #

@@ -14,7 +14,7 @@ import pytest
 from repro.bandits import UCB1, EpsilonGreedy, LinUCB
 from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode, P2BConfig
-from repro.core.payload import EncodedReport, drain_report_batches
+from repro.core.payload import drain_report_batches
 from repro.core.rounds import DeploymentLoop
 from repro.core.system import P2BSystem
 from repro.data.synthetic import SyntheticPreferenceEnvironment
@@ -24,7 +24,8 @@ from repro.sim import EngineConfig, FleetRunner
 from repro.sim.faults import FAULTS_ENV_VAR
 from repro.utils.rng import spawn_seeds
 
-from _testkit import assert_outboxes_equal, assert_states_equal
+from _recording import assert_pending_rows_equal
+from _testkit import assert_states_equal
 
 N_ACTIONS = 4
 N_FEATURES = 5
@@ -61,7 +62,7 @@ class TestEnvKnobChaos:
         np.testing.assert_array_equal(base.actions, chaos.actions)
         for a, b in zip(agents_a, agents_b):
             assert_states_equal(a.policy, b.policy, a.agent_id)
-        assert_outboxes_equal(agents_a, agents_b)
+        assert_pending_rows_equal(agents_a, agents_b)
 
     def test_run_setting_under_chaos_quarantines_and_completes(self, monkeypatch):
         """The full two-phase experiment pipeline under an armed plan:
@@ -183,13 +184,10 @@ def _drained_rows(agents):
     )
 
 
-def _outbox_rows(agents):
-    """The reference: concatenated per-agent ``drain_outbox()`` calls."""
-    return [
-        (pos, r.metadata.get("interaction_index", -1), r.code, r.action, r.reward)
-        for pos, agent in enumerate(agents)
-        for r in agent.drain_outbox()
-    ]
+def _per_agent_rows(agents):
+    """The reference: concatenated one-agent ``drain_report_batches``
+    calls, each agent's rows labelled with its position."""
+    return [(pos, *row[1:]) for pos, agent in enumerate(agents) for row in _drained_rows([agent])]
 
 
 class TestCorruptionEnginesAgree:
@@ -258,26 +256,21 @@ class TestCorruptionEnginesAgree:
         # the server policy's state is the central model snapshot
         assert_states_equal(seq.system.server.policy, fleet.system.server.policy, "central")
 
-    def test_drain_rows_follow_outbox_order(self):
-        """An object prefix from scalar steps, a fleet run, more scalar
-        steps: the drained rows equal a twin's ``drain_outbox()`` calls.
-        An object set through the ``outbox`` setter without metadata
-        keeps its outbox position (interaction index -1)."""
+    def test_drain_rows_follow_per_agent_order(self):
+        """Rows from scalar steps, a fleet run, more scalar steps: one
+        drain of the population equals a twin's one-agent drains,
+        concatenated."""
         populations = [_reporting_population(6) for _ in range(2)]
-        bare = EncodedReport(code=0, action=1, reward=0.5)
         for agents, sessions in populations:
             _simulate_agent(agents[0], sessions[0], 4)
             FleetRunner(agents, sessions).run(7)
             _simulate_agent(agents[0], sessions[0], 5)
-            first, *rest = agents[1].outbox
-            agents[1].outbox = [first, bare, *rest]
         (agents, _), (twins, _) = populations
         # scalar prefix, fleet rows and scalar suffix share one store
         log = agents[0].report_log
         assert all(a.report_log is log for a in agents)
-        indices = [r.metadata["interaction_index"] for r in agents[0].outbox]
+        indices = log.rows(agents[0].report_row).interaction_indices.tolist()
         assert indices[0] <= 4 < 11 < indices[-1]
         rows = _drained_rows(agents)
-        assert rows == _outbox_rows(twins)
-        assert [row for row in rows if row[0] == 1][1] == (1, -1, 0, 1, 0.5)
-        assert len(log) == 0 and all(not a.outbox for a in agents)
+        assert rows == _per_agent_rows(twins)
+        assert len(log) == 0 and len(twins[0].report_log) == 0

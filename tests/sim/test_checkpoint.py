@@ -26,7 +26,8 @@ from repro.utils.rng import spawn_seeds
 from repro.utils.serialization import state_from_bytes, state_to_bytes
 
 from _participation import assert_participation_equal
-from _testkit import assert_outboxes_equal, assert_states_equal, join_runs, run_split
+from _recording import assert_pending_rows_equal
+from _testkit import assert_states_equal, join_runs, run_split
 
 N_ACTIONS = 4
 N_FEATURES = 5
@@ -100,7 +101,7 @@ def _assert_run_identical(base, resumed_result, agents_base, agents_resumed):
     np.testing.assert_array_equal(base.actions, resumed_result.actions)
     for a, b in zip(agents_base, agents_resumed):
         assert_states_equal(a.policy, b.policy, a.agent_id)
-    assert_outboxes_equal(agents_base, agents_resumed)
+    assert_pending_rows_equal(agents_base, agents_resumed)
 
 
 class TestGoldenCrashAndResume:
@@ -255,10 +256,8 @@ class TestHeldAndChurned:
         np.testing.assert_array_equal(live.actions, again.actions)
         # the drifting shard records columnar: the reports pending
         # across the snapshot plus the resumed run's match the live ones
-        live_reports = [r for a in live_service.fleet.agents for r in a.drain_outbox()]
-        resumed_reports = [r for a in resumed.agents for r in a.drain_outbox()]
-        assert live_reports and live_reports == resumed_reports
-        assert [r.metadata for r in live_reports] == [r.metadata for r in resumed_reports]
+        assert len(live_service.system.report_log) > 0
+        assert_pending_rows_equal(live_service.fleet.agents, resumed.agents)
 
     def test_context_blob_round_trips(self, tmp_path):
         path = tmp_path / "fleet.ckpt"
@@ -469,8 +468,7 @@ class TestValidationAndCorruption:
         path = tmp_path / "fleet.ckpt"
         agents, sessions = _population(8, n_agents=3)
         FleetRunner(agents, sessions).checkpoint(path)
-        dropped = {"shard": 0, "n_agents": 1, "agent_ids": ["u0"], "attempts": 3,
-                   "error": "RuntimeError: boom"}
+        dropped = {"shard": 0, "n_agents": 1, "attempts": 3, "error": "RuntimeError: boom"}
         self._with_dropped(path, [dropped])
         with pytest.raises(CheckpointError, match="dropped"):
             load_checkpoint(path)

@@ -35,7 +35,8 @@ from repro.sim.fleet import _Shard
 from repro.utils.rng import spawn_seeds
 
 from _participation import assert_participation_equal
-from _testkit import assert_outboxes_equal, assert_states_equal, join_runs, run_split
+from _recording import assert_pending_rows_equal
+from _testkit import assert_states_equal, join_runs, run_split
 
 N_ACTIONS = 5
 N_FEATURES = 6
@@ -131,7 +132,7 @@ def _assert_agents_identical(agents_a, agents_b):
         assert_states_equal(a.policy, b.policy)
         if a.participation is not None:
             assert_participation_equal(a.participation, b.participation, a.agent_id)
-    assert_outboxes_equal(agents_a, agents_b)
+    assert_pending_rows_equal(agents_a, agents_b)
 
 
 # --------------------------------------------------------------------- #
@@ -229,7 +230,7 @@ def test_window_larger_than_split_straddles_boundaries(env_factory, encoder):
     )
     for agent, session in zip(seq_agents, seq_sessions):
         _simulate_agent(agent, session, n_interactions)
-    assert any(a.outbox for a in seq_agents)
+    assert any(len(a.report_log) for a in seq_agents)
 
     fleet_agents, fleet_sessions = make_population(
         env_factory, _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed, **kwargs

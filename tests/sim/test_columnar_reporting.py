@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ import pytest
 from repro.bandits import CodeLinUCB, LinUCB
 from repro.core import P2BConfig, P2BSystem, RandomizedParticipation
 from repro.core.config import AgentMode
-from repro.core.payload import drain_report_batches
+from repro.core.payload import ReportLog, drain_report_batches
 from repro.core.rounds import DeploymentLoop
 from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_dataset
 from repro.data.synthetic import SyntheticPreferenceEnvironment
@@ -37,7 +38,7 @@ from repro.sim import FleetRunner
 from repro.utils.rng import spawn_seeds
 
 from _participation import assert_participation_equal
-from _recording import record_counts
+from _recording import assert_pending_rows_equal, record_counts
 from _released import record_released
 from _testkit import assert_states_equal
 
@@ -124,7 +125,7 @@ class TestColumnarCollectGolden:
         FleetRunner(f_agents, f_sessions).run(HORIZON)
         if mode != AgentMode.COLD:
             # the fast path must actually be engaged, not a fallback
-            assert counts == {"objects": 0, "record_interaction": 0}
+            assert counts == {"record_interaction": 0}
             assert len(f_sys.report_log) > 0
         _assert_collect_identical((s_sys, s_agents), (f_sys, f_agents))
 
@@ -148,19 +149,16 @@ class TestColumnarCollectGolden:
             _simulate_agent(a, s, HORIZON)
         FleetRunner(f_agents, f_sessions).run(HORIZON)
 
-        seq_reports = [r for a in s_agents for r in a.drain_outbox()]
-        released, stats_s = s_sys.shuffler.process(seq_reports)
-        batches = drain_report_batches(f_agents)
-        assert batches is not None
-        enc, raw = batches
-        assert len(raw) == 0 and len(enc) == len(seq_reports)
-        codes, actions, rewards, stats_f = f_sys.shuffler.process_arrays(
-            enc.codes, enc.actions, enc.rewards
+        s_enc, _ = drain_report_batches(s_agents)
+        *released_s, stats_s = s_sys.shuffler.process_arrays(
+            s_enc.codes, s_enc.actions, s_enc.rewards
         )
+        enc, raw = drain_report_batches(f_agents)
+        assert len(raw) == 0 and len(enc) == len(s_enc) > 0
+        *released_f, stats_f = f_sys.shuffler.process_arrays(enc.codes, enc.actions, enc.rewards)
         assert stats_s == stats_f
-        assert [r.tuple3 for r in released] == [
-            (int(c), int(a), float(r)) for c, a, r in zip(codes, actions, rewards)
-        ]
+        for got, want in zip(released_f, released_s):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_refusals_and_exhaustion(self):
         """p = 0 (all refusals) and tight budgets behave identically."""
@@ -238,8 +236,8 @@ class TestColumnarCollectGolden:
 
     def test_object_path_interleaving(self, monkeypatch):
         """A sequential prefix (scalar rows) followed by a fleet run
-        (chunk rows) in one store: they drain to one batch in outbox
-        order and still match the all-sequential reference exactly."""
+        (chunk rows) in one store: they drain to one batch in per-agent
+        append order and still match the all-sequential reference exactly."""
         config = _config(shuffler_threshold=1)
         s_sys, s_agents, s_sessions = _system_population(AgentMode.WARM_PRIVATE, config)
         f_sys, f_agents, f_sessions = _system_population(AgentMode.WARM_PRIVATE, config)
@@ -251,28 +249,49 @@ class TestColumnarCollectGolden:
         n_prefix = len(f_sys.report_log)
         counts = record_counts(monkeypatch)
         FleetRunner(f_agents, f_sessions).run(HORIZON)
-        assert counts == {"objects": 0, "record_interaction": 0}
+        assert counts == {"record_interaction": 0}
         assert 0 < n_prefix < len(f_sys.report_log)
         _assert_collect_identical((s_sys, s_agents), (f_sys, f_agents))
 
 
-class TestOutboxView:
+class TestPendingRowsRead:
     @pytest.mark.parametrize("mode", [AgentMode.WARM_PRIVATE, AgentMode.WARM_NONPRIVATE])
-    def test_reading_outbox_leaves_collection_unchanged(self, mode):
-        """The object view is read-only: reading every outbox twice and
-        then collecting releases the same tuples, with the same
-        ShufflerStats and server state, as collecting unread."""
+    def test_reading_rows_leaves_collection_unchanged(self, mode):
+        """``ReportLog.rows`` is read-only: reading every agent's rows
+        twice and then collecting releases the same tuples, with the
+        same ShufflerStats and server state, as collecting unread."""
         config = _config(shuffler_threshold=1)
         a_sys, a_agents, a_sessions = _system_population(mode, config)
         b_sys, b_agents, b_sessions = _system_population(mode, config)
         for agents, sessions in ((a_agents, a_sessions), (b_agents, b_sessions)):
             _simulate_agent(agents[0], sessions[0], 4)  # scalar rows, then chunk rows
             FleetRunner(agents, sessions).run(HORIZON)
-        views = [[a.outbox for a in b_agents] for _ in range(2)]
-        assert views[0] == views[1] and any(views[0])
-        assert len(b_sys.report_log) == len(a_sys.report_log)
+        n_read = sum(len(b_sys.report_log.rows(a.report_row)) for a in b_agents)
+        assert_pending_rows_equal(b_agents, b_agents)  # a second read of every row
+        assert n_read > 0 and len(b_sys.report_log) == len(a_sys.report_log)
         out = _assert_collect_identical((a_sys, a_agents), (b_sys, b_agents))
-        assert out.n_reports == sum(len(box) for box in views[0])
+        assert out.n_reports == n_read
+
+    @pytest.mark.parametrize(
+        "column, change",
+        [
+            ("codes", {"code": 2}),
+            ("rewards", {"reward": np.nextafter(0.1, 1.0)}),
+            ("interaction_indices", {"index": 5}),
+        ],
+    )
+    def test_rows_helper_compares_bits(self, column, change):
+        """``assert_pending_rows_equal`` compares bits: one changed code,
+        a reward one ulp off or a shifted interaction index fails it."""
+
+        def agent(code=3, reward=0.1, index=4):
+            log = ReportLog("encoded")
+            log.append([0], [code], [1], [reward], [index])
+            return SimpleNamespace(report_log=log, report_row=0)
+
+        assert_pending_rows_equal([agent()], [agent()])
+        with pytest.raises(AssertionError, match=column):
+            assert_pending_rows_equal([agent()], [agent(**change)])
 
 
 class TestColumnarTracedSessions:
@@ -293,7 +312,7 @@ class TestColumnarTracedSessions:
             _simulate_agent(a, s, 10)
         counts = record_counts(monkeypatch)
         FleetRunner(f_agents, f_sessions).run(10)
-        assert counts == {"objects": 0, "record_interaction": 0}
+        assert counts == {"record_interaction": 0}
         _assert_collect_identical((s_sys, s_agents), (f_sys, f_agents))
 
 
@@ -364,7 +383,7 @@ class TestNoPerAgentRecordLoop:
         )
         monkeypatch.setattr(LocalAgent, "record_interaction", boom)
         FleetRunner(f_agents, f_sessions).run(HORIZON)
-        assert sum(len(a.outbox) for a in f_agents) > 0
+        assert len(f_sys.report_log) > 0
 
     def test_central_policy_used(self):
         # sanity: warm-private populations stack CodeLinUCB / LinUCB

@@ -21,6 +21,7 @@ import pytest
 
 from repro.bandits import UCB1, CodeLinUCB, EpsilonGreedy, LinUCB, LinearThompsonSampling
 from repro.core.config import AgentMode, P2BConfig
+from repro.core.payload import drain_report_batches
 from repro.core.rounds import DeploymentLoop
 from repro.core.shuffler import Shuffler
 from repro.data.synthetic import SyntheticPreferenceEnvironment
@@ -30,9 +31,9 @@ from repro.encoding.lsh import LSHEncoder
 from repro.experiments.runner import run_setting
 from repro.sim import EngineConfig, FleetRunner
 
+from _recording import assert_pending_rows_equal
 from _testkit import (
     N_FEATURES,
-    assert_outboxes_equal,
     assert_states_equal,
     make_population,
     simulate_sequential,
@@ -95,7 +96,7 @@ def test_fleet_matches_sequential_per_policy(factory, mode, private_context, kme
         assert sa.n_interactions == fa.n_interactions
         assert sa.total_reward == fa.total_reward
         assert_states_equal(sa.policy, fa.policy, label=f"{factory.__name__}/{mode}")
-    assert_outboxes_equal(seq_agents, fleet_agents)
+    assert_pending_rows_equal(seq_agents, fleet_agents)
 
 
 def test_fleet_actions_match_sequential_actions(kmeans_encoder):
@@ -118,7 +119,7 @@ def test_fleet_actions_match_sequential_actions(kmeans_encoder):
 
 
 def test_released_histograms_identical_through_shuffler(kmeans_encoder):
-    """Both engines' outboxes produce the same shuffler release."""
+    """Both engines' pending rows produce the same shuffler release."""
     n_agents, seed = 30, 17
     seq_agents, seq_sessions = make_population(
         _code_linucb, AgentMode.WARM_PRIVATE, n_agents, seed, encoder=kmeans_encoder
@@ -130,15 +131,20 @@ def test_released_histograms_identical_through_shuffler(kmeans_encoder):
     runner = FleetRunner(fleet_agents, fleet_sessions)
     runner.run(12)
 
-    seq_reports = [r for a in seq_agents for r in a.drain_outbox()]
-    fleet_reports = [r for a in runner.agents for r in a.drain_outbox()]
-    assert seq_reports == fleet_reports
+    assert_pending_rows_equal(seq_agents, runner.agents)
+    seq_encoded, _ = drain_report_batches(seq_agents)
+    fleet_encoded, _ = drain_report_batches(runner.agents)
 
-    released_seq, stats_seq = Shuffler(threshold=2, seed=123).process(seq_reports)
-    released_fleet, stats_fleet = Shuffler(threshold=2, seed=123).process(fleet_reports)
-    assert released_seq == released_fleet
-    assert stats_seq.n_released == stats_fleet.n_released
-    assert Counter(r.code for r in released_seq) == Counter(r.code for r in released_fleet)
+    *released_seq, stats_seq = Shuffler(threshold=2, seed=123).process_arrays(
+        seq_encoded.codes, seq_encoded.actions, seq_encoded.rewards
+    )
+    *released_fleet, stats_fleet = Shuffler(threshold=2, seed=123).process_arrays(
+        fleet_encoded.codes, fleet_encoded.actions, fleet_encoded.rewards
+    )
+    for got, want in zip(released_seq, released_fleet):
+        np.testing.assert_array_equal(got, want)
+    assert stats_seq == stats_fleet
+    assert Counter(released_seq[0].tolist()) == Counter(released_fleet[0].tolist())
     assert stats_seq.audit.satisfied and stats_fleet.audit.satisfied
 
 

@@ -34,6 +34,7 @@ from repro.bandits.kernels import linear_scores, ucb_explore
 from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode
 from repro.core.participation import RandomizedParticipation
+from repro.core.payload import drain_report_batches
 from repro.data.multilabel import MultilabelBanditEnvironment, make_multilabel_dataset
 from repro.experiments.results import CurveSink, NullSink
 from repro.sim import (
@@ -51,8 +52,8 @@ from repro.sim.fleet import _Shard
 from repro.utils.exceptions import ConfigError
 from repro.utils.rng import spawn_seeds
 
+from _recording import assert_pending_rows_equal
 from _testkit import (
-    assert_outboxes_equal,
     assert_states_equal,
     make_population,
 )
@@ -154,7 +155,7 @@ class TestFastDegeneratesToBit:
         np.testing.assert_array_equal(r_bit.actions, r_fast.actions)
         for x, y in zip(a_bit, a_fast):
             assert_states_equal(x.policy, y.policy)
-        assert_outboxes_equal(a_bit, a_fast)
+        assert_pending_rows_equal(a_bit, a_fast)
 
 
 # --------------------------------------------------------------------- #
@@ -414,7 +415,7 @@ class TestResultSinks:
         # streaming changes nothing observable on the agents
         for x, y in zip(agents_m, agents_s):
             assert_states_equal(x.policy, y.policy)
-        assert_outboxes_equal(agents_m, agents_s)
+        assert_pending_rows_equal(agents_m, agents_s)
 
     def test_curve_sink_threaded_matches_serial(self):
         agents_a, sessions_a = self._mixed_population(8)
@@ -432,7 +433,7 @@ class TestResultSinks:
         assert FleetRunner(agents_s, sessions_s).run(12, sink=NullSink()) is None
         for x, y in zip(agents_m, agents_s):
             assert_states_equal(x.policy, y.policy)
-        assert_outboxes_equal(agents_m, agents_s)
+        assert_pending_rows_equal(agents_m, agents_s)
 
     def test_pooled_sink_run_equals_serial(self):
         """Two shards stream from two threads into one sink; with two
@@ -451,7 +452,7 @@ class TestResultSinks:
         np.testing.assert_array_equal(pooled.curve, serial.curve)
         for x, y in zip(agents_u, agents_s):
             assert_states_equal(x.policy, y.policy)
-        assert_outboxes_equal(agents_u, agents_s)
+        assert_pending_rows_equal(agents_u, agents_s)
 
 
 # --------------------------------------------------------------------- #
@@ -471,7 +472,7 @@ class TestEmptyPopulation:
         else:
             assert result.expected is None
         assert result.expected_mask.shape == (0,)
-        assert [r for a in runner.agents for r in a.drain_outbox()] == []
+        assert all(len(batch) == 0 for batch in drain_report_batches(runner.agents))
 
     def test_empty_run_with_sink(self):
         sink = CurveSink()
@@ -526,7 +527,7 @@ class TestPlanBytesAccounting:
         ]
         for shard in shards:
             shard.prepare(10)
-        assert all(shard.indexed for shard in shards)
+        assert all(shard.traced for shard in shards)
         table = shards[0]._row_table
         assert shards[1]._row_table is table  # the PR-5 aliasing
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.bandits import EpsilonGreedy, LinUCB, RandomPolicy
 from repro.core.agent import LocalAgent
+from repro.core.payload import ReportBatch, drain_report_batches
 from repro.core.config import AgentMode, P2BConfig
 from repro.core.system import P2BSystem
 from repro.data.synthetic import SyntheticPreferenceEnvironment
@@ -159,17 +160,17 @@ class TestBatchDrainInterplay:
 
     def test_batch_drain_matches_per_agent_drains(self, kmeans_encoder):
         seq_agents, fleet_agents, runner = self._run_both(kmeans_encoder)
-        per_agent = [a.drain_outbox() for a in seq_agents]
-        batched = [r for a in runner.agents for r in a.drain_outbox()]
-        flat = [r for box in per_agent for r in box]
-        assert batched == flat
-        for a, b in zip(flat, batched):
-            assert a.metadata == b.metadata
-            assert "agent_id" in b.metadata and "interaction_index" in b.metadata
+        per_agent = [drain_report_batches([a])[0] for a in seq_agents]
+        batched, raw = drain_report_batches(runner.agents)
+        flat = ReportBatch.concat(per_agent, "encoded")
+        assert len(raw) == 0 and len(batched) > 0
+        for col in ("codes", "actions", "rewards", "interaction_indices"):
+            np.testing.assert_array_equal(getattr(batched, col), getattr(flat, col))
+        positions = np.repeat(np.arange(len(seq_agents)), [len(b) for b in per_agent])
+        np.testing.assert_array_equal(batched.agent_rows, positions)
         # draining is destructive on both paths
-        assert all(not a.outbox for a in seq_agents)
-        assert all(not a.outbox for a in fleet_agents)
-        assert [r for a in runner.agents for r in a.drain_outbox()] == []
+        assert all(len(a.report_log) == 0 for a in seq_agents + fleet_agents)
+        assert len(drain_report_batches(runner.agents)[0]) == 0
 
     def test_participation_budgets_advance_identically(self, kmeans_encoder):
         seq_agents, fleet_agents, _ = self._run_both(kmeans_encoder)
@@ -194,9 +195,10 @@ class TestBatchDrainInterplay:
         agents = [system.new_agent() for _ in range(20)]
         sessions = [env.new_user(i) for i in range(20)]
         FleetRunner(agents, sessions).run(9)
-        assert any(a.outbox for a in agents)
-        assert all(r.metadata for a in agents for r in a.outbox)
+        pending = system.report_log.rows  # who reported, and when, ride as columns
+        assert any(len(pending(a.report_row)) for a in agents)
+        assert all((pending(a.report_row).interaction_indices > 0).all() for a in agents)
         outcome = system.collect(agents)
-        assert outcome.n_reports > 0
+        assert outcome.n_reports > 0 and len(system.report_log) == 0
         assert outcome.shuffler_stats is not None
         assert outcome.shuffler_stats.audit.satisfied

@@ -29,7 +29,8 @@ from repro.experiments.runner import run_setting
 from repro.sim import EngineConfig, FleetRunner
 from repro.utils.rng import spawn_seeds
 
-from _testkit import N_FEATURES, assert_outboxes_equal, assert_states_equal
+from _recording import assert_pending_rows_equal
+from _testkit import N_FEATURES, assert_states_equal
 
 N_ACTIONS = 4
 
@@ -63,7 +64,7 @@ def _assert_runs_identical(result_a, result_b, agents_a, agents_b):
         np.testing.assert_array_equal(result_a.expected_mask, result_b.expected_mask)
     for a, b in zip(agents_a, agents_b):
         assert_states_equal(a.policy, b.policy)
-    assert_outboxes_equal(agents_a, agents_b)
+    assert_pending_rows_equal(agents_a, agents_b)
 
 
 class TestThreadBackend:

@@ -39,7 +39,8 @@ from repro.sim.fleet import _Shard
 from repro.utils.exceptions import DataError
 from repro.utils.rng import rng_state_digest, spawn_seeds
 
-from _testkit import assert_outboxes_equal, assert_states_equal
+from _recording import assert_pending_rows_equal
+from _testkit import assert_states_equal
 
 N_ACTIONS = 5
 N_FEATURES = 6
@@ -209,7 +210,7 @@ def test_fleet_matches_sequential_on_replay(
         assert sa.n_interactions == fa.n_interactions
         assert sa.total_reward == fa.total_reward
         assert_states_equal(sa.policy, fa.policy, label=f"{mode}/{private_context}")
-    assert_outboxes_equal(seq_agents, fleet_agents)
+    assert_pending_rows_equal(seq_agents, fleet_agents)
 
 
 def test_refusing_participation_reports_identical(replay_encoder):
@@ -227,8 +228,8 @@ def test_refusing_participation_reports_identical(replay_encoder):
     for agent, session in zip(seq_agents, seq_sessions):
         _simulate_agent(agent, session, 12)
     FleetRunner(fleet_agents, fleet_sessions).run(12)
-    assert_outboxes_equal(seq_agents, fleet_agents)
-    assert any(a.outbox == [] for a in fleet_agents)  # refusals happened
+    assert_pending_rows_equal(seq_agents, fleet_agents)
+    assert any(len(a.report_log) == 0 for a in fleet_agents)  # refusals happened
 
 
 @pytest.mark.parametrize("measure", ["realized", "expected"])

@@ -20,16 +20,17 @@ from repro.bandits import CodeLinUCB, EpsilonGreedy, LinUCB, LinearThompsonSampl
 from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode
 from repro.core.participation import RandomizedParticipation
+from repro.core.payload import drain_report_batches
 from repro.core.shuffler import Shuffler
 from repro.data.synthetic import SyntheticPreferenceEnvironment
 from repro.encoding.kmeans_encoder import KMeansEncoder
 from repro.sim import FleetRunner, fleet_supported, shard_indices, shard_key
 from repro.utils.rng import spawn_seeds
 
+from _recording import assert_pending_rows_equal
 from _testkit import (
     N_ACTIONS,
     N_FEATURES,
-    assert_outboxes_equal,
     assert_states_equal,
     make_population,
     simulate_sequential,
@@ -218,7 +219,7 @@ class TestMixedEquivalence:
             assert sa.n_interactions == fa.n_interactions
             assert sa.total_reward == fa.total_reward
             assert_states_equal(sa.policy, fa.policy, label=f"agent-{i}")
-        assert_outboxes_equal(seq_agents, fleet_agents)
+        assert_pending_rows_equal(seq_agents, fleet_agents)
 
     def test_released_histograms_identical_through_shuffler(
         self, kmeans_encoder, small_encoder
@@ -226,21 +227,19 @@ class TestMixedEquivalence:
         seq_agents, _, _, fleet_agents, runner, _ = self._run_both(
             kmeans_encoder, small_encoder
         )
-        seq_reports = [r for a in seq_agents for r in a.drain_outbox()]
-        fleet_reports = [r for a in runner.agents for r in a.drain_outbox()]
-        assert seq_reports == fleet_reports
-
-        from repro.core.payload import EncodedReport
-
-        seq_encoded = [r for r in seq_reports if isinstance(r, EncodedReport)]
-        fleet_encoded = [r for r in fleet_reports if isinstance(r, EncodedReport)]
-        released_seq, stats_seq = Shuffler(threshold=2, seed=9).process(seq_encoded)
-        released_fleet, stats_fleet = Shuffler(threshold=2, seed=9).process(fleet_encoded)
-        assert released_seq == released_fleet
-        assert stats_seq.n_released == stats_fleet.n_released
-        assert Counter(r.code for r in released_seq) == Counter(
-            r.code for r in released_fleet
+        assert_pending_rows_equal(seq_agents, runner.agents)
+        seq_encoded, _ = drain_report_batches(seq_agents)
+        fleet_encoded, _ = drain_report_batches(runner.agents)
+        *released_seq, stats_seq = Shuffler(threshold=2, seed=9).process_arrays(
+            seq_encoded.codes, seq_encoded.actions, seq_encoded.rewards
         )
+        *released_fleet, stats_fleet = Shuffler(threshold=2, seed=9).process_arrays(
+            fleet_encoded.codes, fleet_encoded.actions, fleet_encoded.rewards
+        )
+        for got, want in zip(released_seq, released_fleet):
+            np.testing.assert_array_equal(got, want)
+        assert stats_seq == stats_fleet
+        assert Counter(released_seq[0].tolist()) == Counter(released_fleet[0].tolist())
 
     def test_construction_order_does_not_change_outcomes(
         self, kmeans_encoder, small_encoder

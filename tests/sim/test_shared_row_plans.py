@@ -38,7 +38,8 @@ from repro.sim import EngineConfig, FleetRunner
 from repro.sim.fleet import _Shard
 from repro.utils.rng import spawn_seeds
 
-from _testkit import assert_outboxes_equal, assert_states_equal, join_runs, run_split
+from _recording import assert_pending_rows_equal
+from _testkit import assert_states_equal, join_runs, run_split
 
 N_ACTIONS = 5
 N_FEATURES = 6
@@ -249,7 +250,7 @@ def test_indexed_fleet_matches_sequential(
         assert sa.n_interactions == fa.n_interactions
         assert sa.total_reward == fa.total_reward
         assert_states_equal(sa.policy, fa.policy, label=f"{mode}/{private_context}")
-    assert_outboxes_equal(seq_agents, fleet_agents)
+    assert_pending_rows_equal(seq_agents, fleet_agents)
 
 
 def test_expected_channel_matches_sequential():
@@ -282,7 +283,7 @@ def test_auto_picks_indexed_for_one_dataset():
     sessions = [env.new_user(s) for s in spawn_seeds(3, 4)]
     shard = _Shard(np.arange(4), _cold_agents(4, 0), sessions)
     shard.prepare(6)
-    assert shard.indexed and shard.traced and not shard.stationary
+    assert shard.traced and not shard.stationary
 
 
 _OTHER_DATASET = make_multilabel_dataset(90, N_FEATURES, N_ACTIONS, n_clusters=3, seed=5)
@@ -338,7 +339,7 @@ def test_mixed_dataset_shard_concatenates_tables(
 
     probe = _Shard(np.arange(n_agents), *build())
     probe.prepare(5)
-    assert probe.indexed and probe.traced
+    assert probe.traced
     assert probe._row_table.n_rows == _ML_DATASET.n_samples + _OTHER_DATASET.n_samples
     # both multilabel tables alias their expected channel: so does the join
     assert probe._row_table.expected is probe._row_table.action_rewards
@@ -362,7 +363,7 @@ def test_mixed_dataset_shard_concatenates_tables(
         assert sa.n_interactions == fa.n_interactions
         assert sa.total_reward == fa.total_reward
         assert_states_equal(sa.policy, fa.policy)
-    assert_outboxes_equal(seq_agents, fleet_agents)
+    assert_pending_rows_equal(seq_agents, fleet_agents)
 
 
 def test_multilabel_and_criteo_share_one_shard(encoder):
@@ -384,7 +385,7 @@ def test_multilabel_and_criteo_share_one_shard(encoder):
     np.testing.assert_array_equal(seq_actions, result.actions)
     for sa, fa in zip(seq_agents, fleet_agents):
         assert_states_equal(sa.policy, fa.policy)
-    assert_outboxes_equal(seq_agents, fleet_agents)
+    assert_pending_rows_equal(seq_agents, fleet_agents)
 
 
 class _NoTruthSession(MultilabelUserSession):
@@ -419,7 +420,7 @@ def test_mixed_expected_channels_are_masked_per_agent():
 
     probe = _Shard(np.arange(n_agents), *build())
     probe.prepare(3)
-    assert probe.indexed
+    assert probe.traced
     assert probe._row_table.expected is not probe._row_table.action_rewards
 
     seq_agents, seq_sessions = build()

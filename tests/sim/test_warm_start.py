@@ -15,10 +15,10 @@ import itertools
 
 import numpy as np
 import pytest
+from _recording import assert_pending_rows_equal
 from _testkit import (
     N_ACTIONS,
     N_FEATURES,
-    assert_outboxes_equal,
     assert_states_equal,
     make_population,
 )
@@ -61,7 +61,7 @@ def _scalar_warm_start(agents, state):
 def _assert_same(result, ref, agents, ref_agents):
     np.testing.assert_array_equal(result.rewards, ref.rewards)
     np.testing.assert_array_equal(result.actions, ref.actions)
-    assert_outboxes_equal(agents, ref_agents)
+    assert_pending_rows_equal(agents, ref_agents)
     for a, b in zip(agents, ref_agents):
         assert_states_equal(a.policy, b.policy, a.agent_id)
         if isinstance(a.policy, LinUCB):  # theta is derived, not in get_state

@@ -33,7 +33,8 @@ from repro.sim import EngineConfig, FleetRunner, StackedLinUCBFast, load_checkpo
 from repro.sim.faults import FAULTS_ENV_VAR
 from repro.utils.rng import spawn_seeds
 
-from _testkit import N_FEATURES, assert_outboxes_equal, assert_states_equal
+from _recording import assert_pending_rows_equal
+from _testkit import N_FEATURES, assert_states_equal
 
 N_ACTIONS = 4
 SEED = 5
@@ -198,7 +199,7 @@ def _assert_matches_ref(ref_result, ref_agents, result, agents):
     np.testing.assert_array_equal(ref_result.expected_mask, result.expected_mask)
     for a, b in zip(ref_agents, agents):
         assert_states_equal(a.policy, b.policy, a.agent_id)
-    assert_outboxes_equal(ref_agents, agents)
+    assert_pending_rows_equal(ref_agents, agents)
 
 
 @pytest.mark.parametrize(("exactness", "workers"), GRID)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AgentMode, P2BConfig, P2BSystem
+from repro.core import AgentMode, P2BConfig, P2BSystem, drain_report_batches
 from repro.data import SyntheticPreferenceEnvironment
 from repro.privacy import epsilon_from_p, verify_crowd_blending
 from repro.utils.serialization import state_from_json, state_to_json
@@ -43,23 +43,30 @@ def _pipeline(p=0.5, threshold=3, n_agents=120, seed=0, private_context="one-hot
 
 
 class TestPrivacyInvariants:
-    def test_outbox_reports_carry_only_codes(self):
+    def test_pending_rows_carry_only_codes(self):
         """Pre-shuffler payloads contain a code, never the raw context."""
         _, agents = _pipeline()
         for agent in agents:
-            for report in agent.outbox:
-                assert not hasattr(report, "context")
-                assert isinstance(report.code, int)
+            rows = agent.report_log.rows(agent.report_row)
+            assert rows.contexts is None
+            assert rows.codes.dtype == np.intp
+            assert ((rows.codes >= 0) & (rows.codes < 8)).all()
 
     def test_shuffler_strips_all_agent_identities(self):
         system, agents = _pipeline()
-        ids_before = {r.metadata.get("agent_id") for a in agents for r in a.outbox}
-        assert len(ids_before) > 1  # metadata really was attached
-        reports = []
-        for a in agents:
-            reports.extend(a.drain_outbox())
-        released, _ = system.shuffler.process(reports)
-        assert all(r.metadata == {} for r in released)
+        drained, _ = drain_report_batches(agents)
+        assert len(np.unique(drained.agent_rows)) > 1  # the drain knows who reported
+        *released, stats = system.shuffler.process_arrays(
+            drained.codes, drained.actions, drained.rewards
+        )
+        # the release is bare (code, action, reward) tuples, a sub-multiset
+        # of what was sent, with no column naming a sender
+        assert len(released) == 3 and stats.n_released > 0
+        sent = sorted(
+            zip(drained.codes.tolist(), drained.actions.tolist(), drained.rewards.tolist())
+        )
+        for row in zip(*(col.tolist() for col in released)):
+            sent.remove(row)
 
     def test_released_batch_satisfies_crowd_blending(self):
         system, agents = _pipeline(threshold=4)
@@ -74,7 +81,7 @@ class TestPrivacyInvariants:
     def test_property_empirical_participation_below_p_budget(self, p):
         """No agent ever reports more than once; the report rate tracks p."""
         _, agents = _pipeline(p=p, n_agents=300, seed=int(p * 100))
-        counts = [len(a.outbox) for a in agents]
+        counts = [len(a.report_log.rows(a.report_row)) for a in agents]
         assert max(counts) <= 1
         rate = float(np.mean(counts))
         assert abs(rate - p) < 0.12
@@ -136,6 +143,6 @@ class TestFailureInjection:
     def test_double_collect_is_idempotent_on_drained_outboxes(self):
         system, agents = _pipeline()
         first = system.collect(agents)
-        second = system.collect(agents)  # outboxes already drained
+        second = system.collect(agents)  # rows already drained
         assert second.n_reports == 0
         assert system.server.n_tuples_ingested == first.n_released

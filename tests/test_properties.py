@@ -14,16 +14,19 @@ randomized inputs rather than fixed examples:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import EncodedReport, RandomizedParticipation, Shuffler
+from repro.core import RandomizedParticipation, Shuffler
 from repro.encoding import GridEncoder, KMeansEncoder, LSHEncoder, quantize_simplex
 from repro.privacy import composition_rank, context_cardinality, verify_crowd_blending
 from repro.utils.serialization import state_from_json, state_to_json, states_equal
 
+from _recording import assert_pending_rows_equal
 from _released import record_released
 
 
@@ -110,25 +113,25 @@ def test_property_all_encoders_deterministic(seed):
 def test_property_pipeline_release_invariants(p, window, threshold, seed):
     rng = np.random.default_rng(seed)
     n_users = 60
-    reports = []
+    codes = []
     for u in range(n_users):
         part = RandomizedParticipation(p=p, window=window, max_reports=1, seed=seed + u)
         code = int(rng.integers(0, 5))
         for t in range(12):
             if part.offer((code, 0, 1.0)) is not None:
-                reports.append(
-                    EncodedReport(code=code, action=0, reward=1.0, metadata={"u": u})
-                )
+                codes.append(code)
     # budget: at most one report per user
-    assert len(reports) <= n_users
-    released, stats = Shuffler(threshold, seed=seed).process(reports)
+    assert len(codes) <= n_users
+    r_codes, r_actions, r_rewards, stats = Shuffler(threshold, seed=seed).process_arrays(
+        np.array(codes, dtype=np.intp), np.zeros(len(codes), dtype=np.intp), np.ones(len(codes))
+    )
     # crowd-blending holds on whatever was released
-    audit = verify_crowd_blending([r.code for r in released], threshold)
+    audit = verify_crowd_blending(r_codes, threshold)
     assert audit.satisfied
-    # anonymization held
-    assert all(r.metadata == {} for r in released)
     # release is a sub-multiset of the reports
     assert stats.n_released <= stats.n_received
+    released = Counter(r_codes.tolist())
+    assert all(released[c] <= codes.count(c) for c in released)
 
 
 @given(st.floats(0.05, 0.95), st.integers(0, 2**31 - 1))
@@ -242,7 +245,7 @@ def test_property_fleet_matches_sequential(seed, kind, mode, n_agents, n_interac
             np.testing.assert_array_equal(
                 np.asarray(state_seq[key]), np.asarray(state_fleet[key])
             )
-        assert [r for r in sa.outbox] == [r for r in fa.outbox]
+    assert_pending_rows_equal(seq_agents, fleet_agents)
 
 
 @given(
