@@ -43,6 +43,17 @@ class _ServerBase:
         """Deep snapshot of the central model, safe to hand to agents."""
         return self.policy.get_state()
 
+    def _check_outcomes(self, actions: np.ndarray, rewards: np.ndarray) -> None:
+        """Refuse, before any update, an action outside the arms or a non-finite reward."""
+        n_arms = self.policy.n_arms
+        if actions.min() < 0 or actions.max() >= n_arms:
+            raise ValidationError(
+                f"batch contains actions outside [0, {n_arms}): "
+                f"[{int(actions.min())}, {int(actions.max())}]"
+            )
+        if not np.isfinite(rewards).all():
+            raise ValidationError("batch contains a NaN or infinite reward")
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{type(self).__name__}(tuples={self.n_tuples_ingested}, "
@@ -105,10 +116,12 @@ class PrivateServer(_ServerBase):
             self.n_batches += 1
             return
         k = self.encoder.n_codes
-        if codes.max(initial=0) >= k:
+        bad = codes[(codes < 0) | (codes >= k)]
+        if bad.size:
             raise ValidationError(
-                f"batch contains code {int(codes.max())} outside the codebook of size {k}"
+                f"batch contains code {int(bad[0])} outside the codebook of size {k}"
             )
+        self._check_outcomes(actions, rewards)
         if self.context_mode == "one-hot":
             contexts = np.zeros((n, k), dtype=np.float64)
             contexts[np.arange(n), codes] = 1.0
@@ -146,6 +159,7 @@ class NonPrivateServer(_ServerBase):
                 f"batch context dimension {contexts.shape[1]} does not match "
                 f"central policy n_features {self.policy.n_features}"
             )
+        self._check_outcomes(actions, rewards)
         self.policy.update_batch(contexts, actions, rewards)
         self.n_tuples_ingested += contexts.shape[0]
         self.n_batches += 1

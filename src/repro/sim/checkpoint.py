@@ -8,9 +8,10 @@ needs:
 
 * the **population pickle** — every agent with its policy state, RNG
   streams (generators, keys and draw counters), participation state
-  (counters and the open window's one held item) and report store handle (the log holding its pending rows), and every
-  session with its walk cursors (pickle round-trips ``numpy``
-  ``Generator`` state exactly);
+  (counters and the open window's one held item) and report store
+  handle (the log holding its pending rows), and every session with
+  its walk cursors (pickle round-trips ``numpy`` ``Generator`` state
+  exactly);
 * the **partial result matrices** and the progress cursor
   (``completed`` of ``n_interactions`` rounds) of an in-flight run;
 * the **engine knobs** the run was started with, so ``resume`` rebuilds

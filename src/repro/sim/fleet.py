@@ -385,6 +385,7 @@ class _Shard:
         # deterministic encoder-group caches (survive restacks and runs)
         self._enc_groups: list[np.ndarray] | None = None
         self._agent_group: np.ndarray | None = None
+        self._group_encoders: list = []
         # traced shards: the row table the walk indexes and its per-row
         # encoding tables.  Both persist while the sessions walk the same
         # source tables (held by reference, compared with ``is`` — the
@@ -401,12 +402,61 @@ class _Shard:
         # each member's report store, as an index into the distinct
         # logs (one in practice: a system's agents share a shard key),
         # and its row there — held across runs like the stack
-        logs = {id(a.report_log): a.report_log for a in agents if a.report_log is not None}
-        self._logs = list(logs.values())
-        slot = {key: k for k, key in enumerate(logs)}
-        self._log_of = np.array([slot.get(id(a.report_log), -1) for a in agents], dtype=np.intp)
-        self._log_rows = np.array([a.report_row for a in agents], dtype=np.intp)
+        self._logs: list = []
+        for name, a in self._bind_logs(agents).items():
+            setattr(self, name, a)
         self._reset_run_state()
+
+    def _bind_logs(self, agents: list[LocalAgent]) -> dict[str, np.ndarray]:
+        """Each agent's log slot in :attr:`_logs` (-1: none) and its row there."""
+        for a in agents:
+            if a.report_log is not None and all(a.report_log is not g for g in self._logs):
+                self._logs.append(a.report_log)
+        slot = {id(log): k for k, log in enumerate(self._logs)}
+        return {
+            "_log_of": np.array([slot.get(id(a.report_log), -1) for a in agents], dtype=np.intp),
+            "_log_rows": np.array([a.report_row for a in agents], dtype=np.intp),
+        }
+
+    # ------------------------------------------------------------------ #
+    # membership: joins append, departures compact; every per-agent array
+    # moves with its member (the stack's rows move in StackedPolicies)
+    _AGENT_ARRAYS = ("_cache_valid", "_cached_code", "_cached_ctx", "_cached_rep")
+
+    def _members(self, agents: list[LocalAgent], sessions: list[UserSession], arrays) -> None:
+        self.agents, self.sessions, self.n = agents, sessions, len(agents)
+        for name, a in arrays.items():
+            setattr(self, name, a)
+        self._rows = np.arange(self.n)
+        self._X = self._enc_groups = None
+
+    def join(self, agents: list[LocalAgent], sessions: list[UserSession]) -> None:
+        """Append newcomers after the members; their encode-cache rows start invalid."""
+        tails = self._bind_logs(agents)
+        arrays = {
+            name: np.concatenate(
+                [a, tails.get(name, np.zeros((len(agents), *a.shape[1:]), a.dtype))]
+            )
+            for name in (*self._AGENT_ARRAYS, *tails)
+            if (a := getattr(self, name)) is not None
+        }
+        self._members(self.agents + agents, self.sessions + sessions, arrays)
+
+    def leave(self, keep: np.ndarray) -> None:
+        """Compact to the members ``keep`` (ascending), stack included.
+
+        A stack that cannot compact (the fast tier) restacks at the
+        next run.
+        """
+        arrays = {
+            name: a[keep]
+            for name in (*self._AGENT_ARRAYS, "_log_of", "_log_rows")
+            if (a := getattr(self, name)) is not None
+        }
+        kept = keep.tolist()
+        self._members([self.agents[j] for j in kept], [self.sessions[j] for j in kept], arrays)
+        if not self.stacked.remove(keep):
+            self._sync = None
 
     def _reset_run_state(self) -> None:
         """Clear every per-run field (a held shard runs many times).
@@ -460,11 +510,9 @@ class _Shard:
     def writeback(self) -> None:
         """Hand the stacked state to the policies and end the run.
 
-        The stack copies into output buffers it keeps for its lifetime
-        (:meth:`~repro.sim.stacked.StackedPolicies._writeback_rows`):
-        each policy holds one row of each, decoupled from the stack, and
-        later writebacks refill the same buffers in place.  Per-run
-        buffers are released (a held shard carries none between runs).
+        See :meth:`~repro.sim.stacked.StackedPolicies._writeback_rows`.
+        Per-run buffers are released (a held shard carries none between
+        runs).
         """
         self.stacked.writeback()
         self._reset_run_state()
@@ -494,18 +542,10 @@ class _Shard:
                     return False
         return True
 
-    def load_state(self, state) -> bool:
-        """Load a warm-start snapshot into a stack that mirrors its policies.
-
-        The stacked equivalent of every member calling
-        ``LocalAgent.warm_start(state)``: the policies take it at this
-        run's writeback.  False (nothing changed) when the stack does not
-        mirror its policies or cannot load ``state``.
-        """
-        if not (self.mirrors_policies() and self.stacked.load_state(state)):
-            return False
+    def load(self, arrays) -> None:
+        """Every member's ``LocalAgent.warm_start``, stacked (``stacked.load``)."""
+        self.stacked.load(arrays)
         self._sync = "loaded"
-        return True
 
     def reusable(self) -> bool:
         """Whether the next run may step the held stack without restacking."""
@@ -514,8 +554,9 @@ class _Shard:
     def restack(self) -> None:
         """Rebuild only the stacked policy state from the policies.
 
-        The old stack is released first so peak memory never holds two;
-        encoder groups, acting encodings and row tables are kept.
+        Members may hold rows of the old stack until this run's
+        writeback, so a restack briefly holds two.  Encoder groups,
+        acting encodings and row tables are kept.
         """
         self.stacked = None
         self._sync = None
@@ -599,11 +640,17 @@ class _Shard:
         group agents by the encoder they actually hold; stationary
         segments, traced rows and the generic path's refreshes all
         reuse this one grouping (``_agent_group`` maps agent -> group).
+        A member change regroups; per-row code tables survive it while
+        the groups' encoders stay the same.
         """
         if self._enc_groups is None:
             groups: dict[int, list[int]] = {}
             for j in range(self.n):
                 groups.setdefault(id(self.agents[j].encoder), []).append(j)
+            encoders = [self.agents[m[0]].encoder for m in groups.values()]
+            if list(map(id, encoders)) != list(map(id, self._group_encoders)):
+                self._row_codes = self._row_reps = self._row_encoded = None
+            self._group_encoders = encoders
             self._enc_groups = [np.asarray(m, dtype=np.intp) for m in groups.values()]
             self._agent_group = np.empty(self.n, dtype=np.intp)
             for g, members in enumerate(self._enc_groups):
@@ -619,9 +666,10 @@ class _Shard:
         """
         if self.mode != AgentMode.WARM_PRIVATE:
             return
+        n_groups = len(self._encoder_groups())
         if self._row_codes is not None:
-            return  # same source tables: rows already encoded stay encoded
-        shape = (len(self._encoder_groups()), self._row_table.n_rows)
+            return  # same source tables and encoders: encoded rows stay encoded
+        shape = (n_groups, self._row_table.n_rows)
         self._row_codes = np.zeros(shape, dtype=np.intp)
         self._row_encoded = np.zeros(shape, dtype=bool)
         if self.private_context == "centroid":
@@ -1190,29 +1238,31 @@ class FleetRunner:
     restack.  One rule, checked when a run builds its shards, decides
     what is reused:
 
-    * a changed member list — churn, or a :meth:`run_subset` covering
-      part of a shard — builds a new shard;
-    * otherwise the held stacked state is reused only if, for every
-      member, ``agent.policy`` is still the object it was stacked
-      from, ``policy.t`` and its draw counter equal the stacked ones,
-      and the policy still holds, by identity, the very rows the
-      shard's last writeback handed it.  ``set_state``/``warm_start``
-      and another runner's writeback replace those arrays, a scalar
-      ``update`` advances ``t`` and a scalar ``select`` the draw
-      counter; when any check fails, the shard restacks only
-      its policy state and keeps its deterministic encoding and
-      row-table caches.
+    * a held shard whose members lead the run's shard members, in
+      order, is kept: the rest join it and only they are stacked, into
+      spare rows (:meth:`add_agents`); departures compacted it already
+      (:meth:`remove_agents`).  Any other member list — a
+      :meth:`run_subset` covering part of a shard — builds a new shard;
+    * the held stacked state is reused only if, for every held member,
+      ``agent.policy`` is still the object it was stacked from,
+      ``policy.t`` and its draw counter equal the stacked ones, and the
+      policy still holds, by identity, the very rows the shard's last
+      writeback handed it.  ``set_state``/``warm_start`` and another
+      runner's writeback replace those arrays, a scalar ``update``
+      advances ``t`` and a scalar ``select`` the draw counter; when any
+      check fails — or on the fast tier, which cannot append or
+      compact, after any member change — the shard restacks only its
+      policy state and keeps its encoding and row-table caches.
 
-    A held stack keeps its writeback output buffers while the shard is
-    held: every policy holds one row of each, and each writeback
-    refills them in place, so a policy's arrays keep their identity
-    across runs (and change value, as a scalar policy's do when it
-    learns).  ``run(n, warm_start=state)`` is exactly every member
-    calling ``LocalAgent.warm_start(state)``, then ``run(n)``: a held
-    stack that mirrors its policies loads ``state`` stacked
-    (:meth:`~repro.sim.stacked.StackedPolicies.load_state`) and the
-    policies catch up at the run's writeback; every other member
-    warm-starts scalar-side before its shard stacks.
+    On the bit tier the held stack *is* the policy state: each policy's
+    arrays are views of its stack row (the :mod:`repro.sim` contract);
+    the fast tier copies into output buffers it refills in place.
+    ``run(n, warm_start=state)`` is exactly every member calling
+    ``LocalAgent.warm_start(state)``, then ``run(n)``: a held stack that
+    mirrors its policies loads ``state`` stacked
+    (:meth:`~repro.sim.stacked.StackedPolicies.load`), and every other
+    member — newcomers included — warm-starts scalar-side before its
+    shard stacks.
 
     Reuse is bitwise identical to restacking on every tier:
     ``writeback`` leaves the policies equal to the stack, every run
@@ -1257,11 +1307,6 @@ class FleetRunner:
         self._shards: dict[tuple, _Shard] = {}
 
     @property
-    def _shard_index_groups(self) -> list[np.ndarray]:
-        """Shard membership as index arrays (ordered by first appearance)."""
-        return [np.asarray(idx, dtype=np.intp) for idx in self._groups.values()]
-
-    @property
     def n_shards(self) -> int:
         """Number of stacked states this population partitions into."""
         return len(self._groups)
@@ -1273,10 +1318,10 @@ class FleetRunner:
     ) -> None:
         """Enroll ``agents`` mid-deployment (incremental re-sharding).
 
-        Only the shards the newcomers land in are rebuilt on the next
-        run; every untouched shard keeps its held stacked state.
-        Surviving agents keep their objects — and therefore their
-        ``spawn_seeds`` RNG streams — untouched.
+        The next run appends them to the held shards they land in (the
+        reuse rule of the class docstring).  Surviving agents keep their
+        objects — and therefore their ``spawn_seeds`` RNG streams —
+        untouched.
         """
         agents = list(agents)
         sessions = list(sessions)
@@ -1325,9 +1370,10 @@ class FleetRunner:
     def remove_agents(self, agents: Sequence[LocalAgent]) -> None:
         """Retire ``agents`` mid-deployment (incremental re-sharding).
 
-        Accepts what :meth:`member_indices` accepts.  Shards losing
-        members are released now and rebuilt on the next run; untouched
-        shards keep their stacked state.  Departing agents keep their
+        Accepts what :meth:`member_indices` accepts.  A held shard that
+        loses members compacts now, in member order, keeping its stack
+        and encode cache; each departed policy gets its own copy of its
+        state.  Departing agents keep their
         pending report rows in their log — drain them before (or after)
         removal; the shuffler's async buffer holds whatever was already
         collected.
@@ -1343,13 +1389,16 @@ class FleetRunner:
             old_to_new[i] = len(keep_agents)
             keep_agents.append(agent)
             keep_sessions.append(session)
+        gone = {id(self.agents[i]) for i in doomed}
+        for key, shard in list(self._shards.items()):
+            keep = [j for j, a in enumerate(shard.agents) if id(a) not in gone]
+            if len(keep) < shard.n:
+                shard.leave(np.asarray(keep, dtype=np.intp))
+                if not keep:
+                    del self._shards[key]
         new_groups: dict[tuple, list[int]] = {}
         for key, members in self._groups.items():
             survivors = [old_to_new[i] for i in members if i not in doomed]
-            if len(survivors) < len(members):
-                # a shard that lost members is never reused: release its
-                # stack (and the departed agents) now
-                self._shards.pop(key, None)
             if survivors:
                 new_groups[key] = survivors
         self.agents = keep_agents
@@ -1358,22 +1407,25 @@ class FleetRunner:
 
     # ------------------------------------------------------------------ #
     def _held_shard(self, key: tuple, members: list[int]) -> _Shard | None:
-        """The shard held under ``key`` if its member list is *identity*-
-        equal to ``members`` (same objects, same order), else ``None``."""
+        """The shard held under ``key`` if its members are, by identity,
+        the first of ``members`` in order (the rest join it), else ``None``."""
         shard = self._shards.get(key)
-        if shard is None or len(shard.agents) != len(members):
+        if shard is None or shard.n > len(members):
             return None
         if any(a is not self.agents[i] for a, i in zip(shard.agents, members)):
             return None
         return shard
 
-    def _build_shard(self, key: tuple, members: list[int], rows: list[int]) -> _Shard:
+    def _build_shard(
+        self, key: tuple, members: list[int], rows: list[int], shard: _Shard | None
+    ) -> _Shard:
         """The shard of one execution spec, held under its group ``key``.
 
-        Applies the reuse rule of the class docstring: a changed member
-        list builds a new shard; a held shard whose stack no longer
-        mirrors its policies (nor holds this run's warm-start snapshot)
-        restacks, one that does restarts.  Global indices may have
+        Applies the reuse rule of the class docstring to ``shard``, the
+        spec's :meth:`_held_shard`: a held stack that no longer mirrors
+        its policies (nor holds this run's warm-start snapshot), or
+        cannot append the newcomers, restacks; one that does restarts.
+        Global indices may have
         shifted under churn, so they (and the session bindings) are
         refreshed on every run.  ``rows`` are the result-matrix rows the
         shard writes (subset runs write at subset-local positions).
@@ -1381,21 +1433,22 @@ class FleetRunner:
         idx = np.asarray(rows, dtype=np.intp)
         agents = [self.agents[i] for i in members]
         sessions = [self.sessions[i] for i in members]
-        shard = self._held_shard(key, members)
         if shard is None:
-            # release the old stack before stacking the new membership
+            # release the old shard before stacking the new membership
             self._shards.pop(key, None)
-            shard = _Shard(
-                idx,
-                agents,
-                sessions,
-                exactness=self.exactness,
-            )
-            self._shards[key] = shard
-        elif shard.reusable():
-            shard.stacked.restart()
+            shard = self._shards[key] = _Shard(idx, agents, sessions, exactness=self.exactness)
         else:
-            shard.restack()
+            reuse = shard.reusable()
+            if shard.n < len(agents):
+                newcomers = agents[shard.n :]
+                shard.join(newcomers, sessions[shard.n :])
+                reuse = reuse and shard.stacked.views and shard.stacked.append(
+                    stack_policies([a.policy for a in newcomers], exactness=self.exactness)
+                )
+            if reuse:
+                shard.stacked.restart()
+            else:
+                shard.restack()
         shard.indices = idx
         shard.sessions = sessions
         return shard
@@ -1604,8 +1657,9 @@ class FleetRunner:
             return self._empty_result(
                 n_interactions, track_expected=track_expected, sink=sink
             )
+        held = [self._held_shard(key, members) for key, members, _ in specs]
         if warm_start is not None:
-            self._warm_start(specs, warm_start)
+            self._warm_start(specs, held, warm_start)
         # streaming runs keep only a ring of result columns
         result_window = None if sink is None else self._result_window(n_interactions)
         width = n_interactions if result_window is None else result_window
@@ -1631,7 +1685,7 @@ class FleetRunner:
                 with sink_lock:
                     sink.emit(t, rows, rewards[rows, tc], exp, expected_ok[rows])
 
-        shards = [self._build_shard(*spec) for spec in specs]
+        shards = [self._build_shard(*spec, shard) for spec, shard in zip(specs, held)]
 
         def run_shard(shard: _Shard) -> None:
             _run_shard_horizon(
@@ -1661,25 +1715,25 @@ class FleetRunner:
             expected_mask=expected_ok,
         )
 
-    def _warm_start(self, specs: list[tuple], state) -> None:
+    def _warm_start(self, specs: list[tuple], held: list, state) -> None:
         """Warm-start every spec member with ``state`` before any shard steps.
 
         The outcome is every member's ``LocalAgent.warm_start(state)``
-        in population order.  A held shard whose stack mirrors its
-        members loads ``state`` stacked (:meth:`_Shard.load_state`), and
-        its policies catch up at the run's writeback.  Every other member
-        warm-starts scalar-side now, so its shard stacks from the
-        warm-started policies.  When a member's ``set_state`` refuses,
-        the loaded members before it warm-start scalar-side, the loaded
-        shards are released (their stacks hold the snapshot, their
-        policies may not), and the error propagates.
+        in population order.  The members of a ``held`` shard whose
+        stack mirrors them load ``state`` stacked (:meth:`_Shard.load`);
+        every other member — newcomers included — warm-starts
+        scalar-side first, so no stack has changed when a member's
+        ``set_state`` refuses: the stack members before it then
+        warm-start scalar-side, and the error propagates.
         """
-        loaded: dict[tuple, list[int]] = {}
-        for key, members, _ in specs:
-            shard = self._held_shard(key, members)
-            if shard is not None and shard.load_state(state):
-                loaded[key] = members
-        on_stack = {i for members in loaded.values() for i in members}
+        loads = []
+        on_stack: set[int] = set()
+        for (_, members, _), shard in zip(specs, held):
+            mirrors = shard is not None and shard.mirrors_policies()
+            arrays = shard.stacked.state_to_load(state) if mirrors else None
+            if arrays is not None:
+                loads.append((shard, arrays))
+                on_stack.update(members[: shard.n])
         order = sorted(i for _, members, _ in specs for i in members)
         for pos, i in enumerate(order):
             if i in on_stack:
@@ -1690,9 +1744,9 @@ class FleetRunner:
                 for j in order[:pos]:
                     if j in on_stack:
                         self.agents[j].warm_start(state)
-                for key in loaded:
-                    self._shards.pop(key, None)
                 raise
+        for shard, arrays in loads:
+            shard.load(arrays)
 
     # ------------------------------------------------------------------ #
     # checkpoint / resume

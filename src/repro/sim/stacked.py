@@ -87,17 +87,23 @@ def _uniform(values, what: str):
 class StackedPolicies(abc.ABC):
     """Base class: ``n`` same-kind policies as one stacked state.
 
-    Subclasses stack in ``__init__``, mutate only their stacked arrays
-    during the run, and copy state back into the policy objects in
-    :meth:`writeback` through :meth:`_writeback_rows`, the one
-    writeback path.  Each policy's key and draw counter are stacked as
-    :attr:`keys` and :attr:`draws`; writeback hands the counters back
-    with ``t``.
+    Subclasses stack in ``__init__`` and mutate their stacked arrays in
+    place.  On the bit tier (:attr:`views`) the stack *is* the policies'
+    state: :meth:`writeback` hands each policy views of its row of the
+    :attr:`row_state` arrays once, then only ``t`` and the counters;
+    joins :meth:`append` rows and departures :meth:`remove` them.  The
+    fast tier's float32/COO state cannot be a view of float64 policy
+    arrays: its writeback copies out, and it restacks on member change.
     """
 
     #: True when the stacked select/update consume integer codes
     #: (one-hot specialists) rather than dense context rows.
     wants_codes: bool = False
+    #: True when the policies hold views of their stack rows (bit tier)
+    views: bool = True
+    #: the arrays each policy holds a row of; other agent-axis arrays
+    row_state: tuple[str, ...] = ()
+    agent_state: tuple[str, ...] = ("keys", "draws", "t")
 
     def __init__(self, policies: Sequence[BanditPolicy]) -> None:
         policies = list(policies)
@@ -115,10 +121,12 @@ class StackedPolicies(abc.ABC):
         self.keys = np.array([p._key for p in policies], dtype=np.uint64)
         self.draws = np.array([p._draws for p in policies], dtype=np.uint64)
         self.t = np.array([p.t for p in policies], dtype=np.int64)
-        # writeback output: one buffer per handed attribute, allocated
-        # by the first writeback, and the row of it each policy holds
-        self._out: dict[str, np.ndarray] = {}
+        # the rows handed to the leading policies so far (newcomers take
+        # theirs at the next writeback); on the fast tier, rows of `_out`
         self.held_rows: dict[str, list[np.ndarray]] = {}
+        self._out: dict[str, np.ndarray] = {}
+        # each agent-axis array's storage, spare rows after the live ones
+        self._store: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
@@ -135,9 +143,9 @@ class StackedPolicies(abc.ABC):
     def update(self, contexts: np.ndarray, actions: np.ndarray, rewards: np.ndarray) -> None:
         """One update per agent (row ``i`` updates agent ``i``'s state)."""
 
-    @abc.abstractmethod
     def writeback(self) -> None:
-        """Copy stacked state back into the underlying policy objects."""
+        """Hand the stacked state to the policy objects (:meth:`_writeback_rows`)."""
+        self._writeback_rows({name: getattr(self, name) for name in self.row_state})
 
     def restart(self) -> None:
         """Reset state held only on the stack to what a fresh stack holds.
@@ -148,22 +156,33 @@ class StackedPolicies(abc.ABC):
         """
 
     def load_state(self, state: Mapping[str, Any]) -> bool:
-        """Give every agent ``state``, as ``n`` ``set_state`` calls would.
+        """:meth:`state_to_load`, then :meth:`load`; whether the stack took ``state``."""
+        arrays = self.state_to_load(state)
+        if arrays is not None:
+            self.load(arrays)
+        return arrays is not None
 
-        Returns whether the stack took it.  A stack that cannot load
-        ``state`` bitwise — a header or hyperparameter ``set_state``
-        would refuse or change, a mismatched shape, or a stacker
-        without a stacked load (this base class, the fast tier) —
-        returns False and is left untouched; the caller then
-        warm-starts the policies scalar-side and restacks.  The policies
-        themselves take the state at the next :meth:`writeback`.
+    def state_to_load(self, state: Mapping[str, Any]) -> dict[str, np.ndarray] | None:
+        """The stacked arrays ``n`` ``set_state(state)`` calls would leave.
+
+        ``None`` when the stack cannot load ``state`` bitwise — a header
+        or hyperparameter ``set_state`` would refuse or change, a
+        mismatched shape, or a stacker without a stacked load (this base
+        class, the fast tier); the caller then warm-starts the policies
+        scalar-side and restacks.  Writes nothing.
         """
-        return False
+        return None
+
+    def load(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Broadcast :meth:`state_to_load`'s arrays into every agent's row
+        (``t`` reaches the policies at the next :meth:`writeback`)."""
+        for name, value in arrays.items():
+            getattr(self, name)[...] = value
 
     def _loadable(
         self, state: Mapping[str, Any], hyper: dict[str, float], shapes: dict
     ) -> dict[str, np.ndarray] | None:
-        """``state``'s arrays as ``set_state`` converts them, or ``None``.
+        """``state``'s arrays as ``set_state`` converts them, and ``t``, or ``None``.
 
         ``None`` when ``set_state`` would refuse the header, lacks a key,
         or would set a hyperparameter other than the stack's (``hyper``);
@@ -178,7 +197,7 @@ class StackedPolicies(abc.ABC):
             return None
         if any(float(state[k]) != v for k, v in hyper.items()):
             return None
-        arrays = {}
+        arrays = {"t": np.int64(int(state["t"]))}
         for key, (shape, dtype) in shapes.items():
             a = np.array(state[key], dtype=dtype)
             if a.size != int(np.prod(shape)):
@@ -186,30 +205,99 @@ class StackedPolicies(abc.ABC):
             arrays[key] = a.reshape(shape)
         return arrays
 
+    def _storage(self, name: str) -> np.ndarray:
+        """Attribute ``name``'s storage: its rows, then spare rows."""
+        return self._store.setdefault(name, getattr(self, name))
+
+    def append(self, other: StackedPolicies) -> bool:
+        """Append ``other``'s agents' rows into spare capacity (doubling when full).
+
+        Growing moves every row, so every policy takes its rows again at
+        the next :meth:`writeback`.  False, changing nothing, on the fast
+        tier.
+        """
+        if not self.views:
+            return False
+        n, m = self.n_agents, self.n_agents + other.n_agents
+        for name in self.agent_state + self.row_state:
+            store = self._storage(name)
+            if m > len(store):
+                grown = np.empty((max(m, 2 * len(store)), *store.shape[1:]), dtype=store.dtype)
+                grown[:n] = store[:n]
+                store = self._store[name] = grown
+                self.held_rows.pop(name, None)
+            store[n:m] = getattr(other, name)
+            setattr(self, name, store[:m])
+        self.policies += other.policies
+        self.n_agents = m
+        return True
+
+    def remove(self, keep: np.ndarray) -> bool:
+        """Compact the stack in place to the rows ``keep`` (ascending).
+
+        A departed policy holding its rows first gets its own copy, so
+        nothing this stack does later moves it; a kept policy holding a
+        row that moves is re-pointed.  False, changing nothing, on the
+        fast tier.
+        """
+        if not self.views:
+            return False
+        keep = np.asarray(keep, dtype=np.intp)
+        n, m = self.n_agents, keep.size
+        kept = np.zeros(n, dtype=bool)
+        kept[keep] = True
+        held = {name: self.held_rows.get(name, []) for name in self.row_state}
+        for name, rows in held.items():
+            for i in np.flatnonzero(~kept[: len(rows)]).tolist():
+                if getattr(self.policies[i], name) is rows[i]:
+                    setattr(self.policies[i], name, rows[i].copy())
+        first = int(np.argmin(kept)) if m < n else n  # rows before it stay
+        for name in self.agent_state + self.row_state:
+            live = self._storage(name)
+            live[first:m] = live[keep[first:]]
+            setattr(self, name, live[:m])
+        for name, rows in held.items():
+            # rows handed out so far: a prefix of the members, as is its image
+            handed = int(np.count_nonzero(keep < len(rows)))
+            live = getattr(self, name)
+            moved = list(live[first:handed])
+            for i, row in zip(keep[first:handed].tolist(), moved):
+                if getattr(self.policies[i], name) is rows[i]:
+                    setattr(self.policies[i], name, row)
+            self.held_rows[name] = rows[: min(first, handed)] + moved
+        self.policies = [self.policies[i] for i in keep.tolist()]
+        self.n_agents = m
+        return True
+
+    # ------------------------------------------------------------------ #
     def _buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        """The writeback output buffer of attribute ``name``."""
+        """The fast tier's writeback copy buffer of attribute ``name``."""
         out = self._out.get(name)
         if out is None:
             out = self._out[name] = np.empty(shape, dtype=dtype)
-            self.held_rows[name] = list(out)
         return out
 
     def _writeback_rows(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Set ``policy_i.<name>`` to row ``i`` of each array, ``t`` and the draw counter.
+        """Hand each policy its row of ``arrays``, ``t`` and the draw counter.
 
-        Each array is copied into an output buffer of its own (an array
-        that already *is* that buffer is not), so a held stack stepping
-        on after writeback never moves what the policies hold, and no
-        two agents share a row.  The first writeback allocates the
-        buffers and hands every policy its rows; later ones copy in
-        place and hand a row again only to a policy that no longer holds
-        it (one that took ``set_state`` since).
+        On the bit tier ``arrays`` are the stack's own: a policy's arrays
+        *are* its rows, and no two agents share one.  A row is handed
+        once, and again only to a policy that no longer holds it (one
+        that took ``set_state`` since).  The fast tier first copies each
+        array into an output buffer it keeps (unless it *is* that
+        buffer), and policies hold rows of those.
         """
+        if not self.views:
+            copies = {}
+            for name, a in arrays.items():
+                copies[name] = out = self._buffer(name, a.shape, a.dtype)
+                if out is not a:
+                    np.copyto(out, a)
+            arrays = copies
         for name, a in arrays.items():
-            out = self._buffer(name, a.shape, a.dtype)
-            if out is not a:
-                np.copyto(out, a)
-            for p, row in zip(self.policies, self.held_rows[name]):
+            rows = self.held_rows.setdefault(name, [])
+            rows += list(a[len(rows) :])
+            for p, row in zip(self.policies, rows):
                 if getattr(p, name) is not row:
                     setattr(p, name, row)
         for p, t, draws in zip(self.policies, self.t.tolist(), self.draws.tolist()):
@@ -235,6 +323,8 @@ class StackedPolicies(abc.ABC):
 class _StackedDenseLinear(StackedPolicies):
     """Shared stacking for the dense ridge family (LinUCB, eps-greedy)."""
 
+    row_state = ("A_inv", "b", "theta")
+
     def __init__(self, policies: Sequence[BanditPolicy]) -> None:
         super().__init__(policies)
         self.ridge = _uniform([p.ridge for p in policies], "ridge")
@@ -255,12 +345,11 @@ class _StackedDenseLinear(StackedPolicies):
         self.theta[idx, actions] = theta_refresh(A_sel, b_sel)
         self.t += 1
 
-    def _writeback_dense(self, **arrays: np.ndarray) -> None:
-        self._writeback_rows(dict(A_inv=self.A_inv, b=self.b, theta=self.theta, **arrays))
-
 
 class StackedLinUCB(_StackedDenseLinear):
     """``n`` independent :class:`~repro.bandits.linucb.LinUCB` agents."""
+
+    row_state = (*_StackedDenseLinear.row_state, "arm_counts")
 
     def __init__(self, policies: Sequence[LinUCB]) -> None:
         super().__init__(policies)
@@ -279,7 +368,7 @@ class StackedLinUCB(_StackedDenseLinear):
         self._dense_update(contexts, actions, rewards)
         self.arm_counts[np.arange(self.n_agents), actions] += 1
 
-    def load_state(self, state: Mapping[str, Any]) -> bool:
+    def state_to_load(self, state: Mapping[str, Any]) -> dict[str, np.ndarray] | None:
         A, d = self.n_arms, self.n_features
         arrays = self._loadable(
             state,
@@ -290,18 +379,10 @@ class StackedLinUCB(_StackedDenseLinear):
                 "arm_counts": ((A,), np.int64),
             },
         )
-        if arrays is None:
-            return False
-        self.A_inv[...] = arrays["A_inv"]
-        self.b[...] = arrays["b"]
-        # one refresh of the snapshot: the theta each set_state computes
-        self.theta[...] = theta_refresh(arrays["A_inv"], arrays["b"])
-        self.arm_counts[...] = arrays["arm_counts"]
-        self.t[...] = int(state["t"])
-        return True
-
-    def writeback(self) -> None:
-        self._writeback_dense(arm_counts=self.arm_counts)
+        if arrays is not None:
+            # one refresh of the snapshot: the theta each set_state computes
+            arrays["theta"] = theta_refresh(arrays["A_inv"], arrays["b"])
+        return arrays
 
 
 class StackedLinUCBFast(StackedLinUCB):
@@ -327,11 +408,14 @@ class StackedLinUCBFast(StackedLinUCB):
       mean to one ``(n, d)`` dot — ``O(n A d^2)`` scoring becomes
       ``O(n (A + d))`` per fixed-context round.
 
-    :meth:`writeback` (inherited) leaves float32 arrays on the scalar
-    policies — every LinUCB operation accepts them, mirroring
+    :meth:`writeback` copies float32 arrays out to the scalar policies
+    (float32 state cannot be a view of float64 policy arrays) — every
+    LinUCB operation accepts them, mirroring
     :class:`StackedCodeLinUCBFast`'s convention; ``set_state``
     round-trips restore float64.
     """
+
+    views = False
 
     def __init__(self, policies: Sequence[LinUCB]) -> None:
         super().__init__(policies)
@@ -380,13 +464,15 @@ class StackedLinUCBFast(StackedLinUCB):
     def restart(self) -> None:
         self._ctx_cache = self._means = self._quads = None
 
-    def load_state(self, state: Mapping[str, Any]) -> bool:
+    def state_to_load(self, state: Mapping[str, Any]) -> None:
         # float32 posteriors load through the scalar path and a restack
-        return False
+        return None
 
 
 class StackedEpsilonGreedy(_StackedDenseLinear):
     """``n`` independent :class:`~repro.bandits.epsilon_greedy.EpsilonGreedy` agents."""
+
+    agent_state = (*StackedPolicies.agent_state, "epsilon")
 
     def __init__(self, policies: Sequence[EpsilonGreedy]) -> None:
         super().__init__(policies)
@@ -407,7 +493,7 @@ class StackedEpsilonGreedy(_StackedDenseLinear):
     def writeback(self) -> None:
         for p, epsilon in zip(self.policies, self.epsilon.tolist()):
             p.epsilon = epsilon
-        self._writeback_dense()
+        super().writeback()
 
 
 class StackedThompson(_StackedDenseLinear):
@@ -434,9 +520,6 @@ class StackedThompson(_StackedDenseLinear):
     def update(self, contexts, actions, rewards) -> None:
         self._dense_update(contexts, actions, rewards)
 
-    def writeback(self) -> None:
-        self._writeback_dense()
-
 
 class StackedCodeLinUCB(StackedPolicies):
     """``n`` independent :class:`~repro.bandits.code_linucb.CodeLinUCB` agents.
@@ -447,6 +530,7 @@ class StackedCodeLinUCB(StackedPolicies):
     """
 
     wants_codes = True
+    row_state = ("counts", "sums")
 
     def __init__(self, policies: Sequence[CodeLinUCB]) -> None:
         super().__init__(policies)
@@ -472,22 +556,13 @@ class StackedCodeLinUCB(StackedPolicies):
         self.sums[idx, actions, codes] += rewards
         self.t += 1
 
-    def load_state(self, state: Mapping[str, Any]) -> bool:
+    def state_to_load(self, state: Mapping[str, Any]) -> dict[str, np.ndarray] | None:
         shape = (self.n_arms, self.n_features)
-        arrays = self._loadable(
+        return self._loadable(
             state,
             {"alpha": self.alpha, "ridge": self.ridge},
             {"counts": (shape, np.float64), "sums": (shape, np.float64)},
         )
-        if arrays is None:
-            return False
-        self.counts[...] = arrays["counts"]
-        self.sums[...] = arrays["sums"]
-        self.t[...] = int(state["t"])
-        return True
-
-    def writeback(self) -> None:
-        self._writeback_rows({"counts": self.counts, "sums": self.sums})
 
 
 class StackedCodeLinUCBFast(StackedPolicies):
@@ -525,6 +600,7 @@ class StackedCodeLinUCBFast(StackedPolicies):
     """
 
     wants_codes = True
+    views = False
 
     #: occupancy (touched cells / total cells) above which the COO
     #: state densifies to float32 tables; class attribute so tests can
@@ -679,6 +755,8 @@ class StackedCodeLinUCBFast(StackedPolicies):
 class StackedUCB1(StackedPolicies):
     """``n`` independent :class:`~repro.bandits.ucb1.UCB1` agents (context-free)."""
 
+    row_state = ("counts", "sums")
+
     def __init__(self, policies: Sequence[UCB1]) -> None:
         super().__init__(policies)
         self.c = _uniform([p.c for p in policies], "c")
@@ -706,9 +784,6 @@ class StackedUCB1(StackedPolicies):
         self.counts[idx, actions] += 1
         self.sums[idx, actions] += rewards
         self.t += 1
-
-    def writeback(self) -> None:
-        self._writeback_rows({"counts": self.counts, "sums": self.sums})
 
 
 _STACKERS: dict[str, type[StackedPolicies]] = {

@@ -139,6 +139,58 @@ class TestFleetRounds:
         for agent, _ in loop._users:
             assert agent.policy.t == pulled_t + loop.interactions_per_round
 
+    @pytest.mark.parametrize(
+        "private_context,kind", [("one-hot", CodeLinUCB), ("centroid", LinUCB)]
+    )
+    def test_newcomers_join_the_held_stack(self, monkeypatch, private_context, kind):
+        """A round with 50 held users and 5 newcomers warm-starts only the
+        newcomers scalar-side, stacks only them onto the held stack, and
+        matches the sequential spec bitwise."""
+        import repro.sim.fleet as fleet_module
+
+        loops = {
+            engine: _loop(max_reports=5, engine=engine, private_context=private_context)
+            for engine in ("fleet", "sequential")
+        }
+        for loop in loops.values():
+            loop.run_round(new_users=50)
+            loop.run_round()
+        fleet = loops["fleet"]
+        assert fleet.system.server.n_tuples_ingested
+        (shard,) = fleet._fleet._shards.values()
+        stack = shard.stacked
+        warm, stacked = [], []
+        real_warm, real_stack = LocalAgent.warm_start, fleet_module.stack_policies
+        monkeypatch.setattr(
+            LocalAgent, "warm_start", lambda self, s: (warm.append(self), real_warm(self, s))
+        )
+        monkeypatch.setattr(
+            fleet_module,
+            "stack_policies",
+            lambda policies, **kw: (stacked.append(policies), real_stack(policies, **kw))[1],
+        )
+        fleet.run_round(new_users=5)
+        monkeypatch.undo()
+        newcomers = [agent for agent, _ in fleet._users[50:]]
+        assert len(warm) == 5 and set(map(id, warm)) == set(map(id, newcomers))
+        assert [[id(p) for p in ps] for ps in stacked] == [[id(a.policy) for a in newcomers]]
+        assert shard.stacked is stack
+        assert all(type(agent.policy) is kind for agent in newcomers)
+        loops["sequential"].run_round(new_users=5)
+        for loop in loops.values():
+            loop.run_round(new_users=3)
+        seq = loops["sequential"]
+        assert fleet.rounds == seq.rounds
+        assert fleet.privacy_report() == seq.privacy_report()
+        for (a, _), (b, _) in zip(fleet._users, seq._users, strict=True):
+            for key, value in a.policy.get_state().items():
+                np.testing.assert_array_equal(
+                    np.asarray(value), np.asarray(b.policy.get_state()[key]), err_msg=key
+                )
+        snap_fleet, snap_seq = fleet.system.model_snapshot(), seq.system.model_snapshot()
+        for key in snap_seq:
+            np.testing.assert_array_equal(np.asarray(snap_fleet[key]), np.asarray(snap_seq[key]))
+
     def test_only_newcomers_are_checked(self, monkeypatch):
         checked = []
         real = repro.sim.fleet_supported

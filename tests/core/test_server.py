@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bandits import LinUCB
+from repro.bandits import CodeLinUCB, LinUCB
 from repro.core import NonPrivateServer, PrivateServer, ReportLog, drain_report_batches
 from repro.encoding import KMeansEncoder
 from repro.utils.exceptions import ValidationError
@@ -171,6 +171,48 @@ class TestIngestArrays:
         with pytest.raises(ValidationError, match="NaN or infinite"):
             server.ingest_arrays(drained.contexts, drained.actions, drained.rewards)
         assert server.n_tuples_ingested == 0
+
+
+def _assert_refused_unchanged(server, columns):
+    """``ingest_arrays(*columns)`` raises and leaves the model untouched."""
+    before = server.model_snapshot()
+    counters = (server.n_tuples_ingested, server.n_batches)
+    with pytest.raises(ValidationError):
+        server.ingest_arrays(*columns)
+    assert (server.n_tuples_ingested, server.n_batches) == counters
+    after = server.model_snapshot()
+    assert after.keys() == before.keys()
+    for key in before:
+        np.testing.assert_array_equal(np.asarray(after[key]), np.asarray(before[key]), key)
+
+
+#: one bad column each, next to good rows: (codes, actions, rewards)
+_BAD_PRIVATE = {
+    "negative-code": ([1, -1], [0, 1], [1.0, 0.0]),
+    "nan-reward": ([1, 2], [0, 1], [1.0, np.nan]),
+    "infinite-reward": ([1, 2], [0, 1], [np.inf, 0.0]),
+    "negative-action": ([1, 2], [0, -1], [1.0, 0.0]),
+    "action-past-the-arms": ([1, 2], [2, 0], [1.0, 0.0]),
+}
+
+
+class TestIngestRefusals:
+    """A malformed batch raises ``ValidationError`` before any update."""
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_PRIVATE))
+    @pytest.mark.parametrize("central", [LinUCB, CodeLinUCB])
+    def test_private_model_unchanged(self, encoder, rng, central, bad):
+        server = PrivateServer(central(2, 4, seed=0), encoder)
+        server.ingest_arrays(rng.integers(0, 4, 30), rng.integers(0, 2, 30), rng.random(30))
+        codes, actions, rewards = (np.array(c) for c in _BAD_PRIVATE[bad])
+        _assert_refused_unchanged(server, (codes, actions, rewards))
+
+    @pytest.mark.parametrize("bad", ["nan-reward", "infinite-reward", "negative-action"])
+    def test_nonprivate_model_unchanged(self, rng, bad):
+        server = NonPrivateServer(LinUCB(2, 3, seed=0))
+        server.ingest_arrays(rng.dirichlet(np.ones(3), 30), rng.integers(0, 2, 30), rng.random(30))
+        _, actions, rewards = (np.array(c) for c in _BAD_PRIVATE[bad])
+        _assert_refused_unchanged(server, (rng.dirichlet(np.ones(3), 2), actions, rewards))
 
 
 class TestNonPrivateServer:

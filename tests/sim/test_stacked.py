@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -136,14 +138,27 @@ class TestStackedStepEquivalence:
         for p in pols:
             assert p.epsilon == pytest.approx(0.45)
 
-    def test_writeback_copies_do_not_alias(self):
-        pols = _population(LinUCB, 3, seed=6)
+    @pytest.mark.parametrize(
+        "cls", [LinUCB, EpsilonGreedy, LinearThompsonSampling, CodeLinUCB, UCB1]
+    )
+    def test_bit_tier_policy_arrays_are_its_stack_row(self, cls):
+        """After writeback a bit-tier policy's arrays are views of its
+        stack row: a later stacked step moves them, and no two policies
+        share memory."""
+        pols = _population(cls, 3, seed=6)
         stacked = stack_policies(pols)
-        stacked.update(np.eye(4)[:3], np.zeros(3, dtype=np.intp), np.ones(3))
+        rng = np.random.default_rng(0)
+        _step(stacked, rng)
         stacked.writeback()
-        before = pols[0].A_inv.copy()
-        stacked.update(np.eye(4)[:3], np.ones(3, dtype=np.intp), np.ones(3))
-        np.testing.assert_array_equal(before, pols[0].A_inv)
+        _step(stacked, rng)
+        for i, p in enumerate(pols):
+            for name in stacked.row_state:
+                row = getattr(stacked, name)[i]
+                assert np.shares_memory(getattr(p, name), row), name
+                np.testing.assert_array_equal(getattr(p, name), row, err_msg=name)
+        for p, q in itertools.combinations(pols, 2):
+            for name in stacked.row_state:
+                assert not np.shares_memory(getattr(p, name), getattr(q, name)), name
 
 
 def _step(stacked, rng):

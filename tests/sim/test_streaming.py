@@ -16,6 +16,7 @@ import weakref
 
 import numpy as np
 import pytest
+from _recording import assert_pending_rows_equal
 from _testkit import assert_states_equal, make_population
 
 from repro.bandits import EpsilonGreedy, LinUCB, LinearThompsonSampling
@@ -223,6 +224,59 @@ class TestShardReuse:
         np.testing.assert_array_equal(r_h.rewards, r_f.rewards)
         for a, b in zip(held.agents, f_agents[1:]):
             assert_states_equal(a.policy, b.policy)
+
+    @pytest.mark.parametrize("exactness", ["bit", "fast"])
+    @pytest.mark.parametrize("mode", [AgentMode.COLD, AgentMode.WARM_PRIVATE])
+    def test_shard_losing_and_gaining_members_matches_fresh(
+        self, mode, exactness, kmeans_encoder
+    ):
+        """One held shard loses and gains members over several runs; each
+        run matches a fresh runner over the same agents bitwise, and the
+        shard — its stack on the bit tier — is never rebuilt."""
+        dim = kmeans_encoder.n_codes if mode == AgentMode.WARM_PRIVATE else None
+
+        def population():
+            return make_population(
+                lambda a, f, s: _linucb(a, dim or f, s),
+                mode,
+                14,
+                seed=31,
+                encoder=kmeans_encoder,
+                max_reports=50,
+            )
+
+        (h_agents, h_sessions), (f_agents, f_sessions) = population(), population()
+        config = EngineConfig(exactness=exactness)
+        held = FleetRunner(h_agents[:6], h_sessions[:6], config=config)
+        members = list(range(6))
+        schedule = [
+            (3, [], []),
+            (2, [1, 4], [6, 7]),
+            (4, [0], [8, 9, 10]),
+            (1, [10], []),  # the tail leaves
+            (3, [], [11, 12, 13]),
+            (2, [2, 3, 6], []),
+        ]
+        shard = stack = None
+        for steps, leaving, joining in schedule:
+            held.remove_agents([h_agents[i] for i in leaving])
+            held.add_agents([h_agents[i] for i in joining], [h_sessions[i] for i in joining])
+            members = [i for i in members if i not in leaving] + joining
+            r_held = held.run(steps)
+            r_fresh = FleetRunner(
+                [f_agents[i] for i in members], [f_sessions[i] for i in members], config=config
+            ).run(steps)
+            np.testing.assert_array_equal(r_held.rewards, r_fresh.rewards)
+            np.testing.assert_array_equal(r_held.actions, r_fresh.actions)
+            (current,) = held._shards.values()
+            assert shard in (None, current)
+            if exactness == "bit":
+                assert stack in (None, current.stacked)
+            shard, stack = current, current.stacked
+        assert [a.agent_id for a in held.agents] == [f_agents[i].agent_id for i in members]
+        for i in range(14):
+            assert_states_equal(h_agents[i].policy, f_agents[i].policy, h_agents[i].agent_id)
+        assert_pending_rows_equal(h_agents, f_agents)
 
     @pytest.mark.parametrize(
         "config",

@@ -3,7 +3,8 @@
 One serial reference per exactness tier; every ``exactness ×
 n_workers`` combination must reproduce it bitwise — results, mid-run
 checkpoint snapshots, resumed runs, shuffler statistics (with and
-without seeded report corruption), and a held runner's reused stacks.  The fast tier's contract is bitwise identity to
+without seeded report corruption), and a held runner's reused stacks.
+The fast tier's contract is bitwise identity to
 a serial fast run with the *same* checkpoint cadence (every segment
 starts from the float32 score caches a fresh stack would hold), so its
 checkpoint test compares against that run.  The worker axis is
