@@ -119,19 +119,17 @@ sorts rows by agent.
 Held policy state
 -----------------
 
-A :class:`~repro.sim.fleet.FleetRunner` holds each shard between runs,
-and on the bit tier the stacked arrays *are* the members' policy state:
-after a writeback each policy's arrays are views of its stack row, and
-later writebacks hand back only ``t``, the draw counter and epsilon.
-Joins stack only the newcomers, appended into spare rows that double
-when full; departures compact the shard in place, in member order —
-rows, encode cache and report-log slots alike.  At every restack, join,
-leave and warm start (``tests/sim/test_aliasing.py``) no two agents'
-arrays share memory, ``get_state``, ``model_snapshot`` and checkpoints
-are copies, and a departed policy gets its own copy before its row is
-reused.  So a policy's arrays change while its shard steps, and a run
-that raises leaves them mid-run.  The fast tier copies its float32/COO
-state out at writeback and restacks on any member change.
+A :class:`~repro.sim.fleet.FleetRunner` holds each shard between runs.
+On the bit tier its stacked arrays *are* the members' policy state:
+each policy's arrays are views of its stack row, so a writeback hands
+back only ``t``, the draw counter and epsilon.  Joins stack only the
+newcomers, into spare rows that double when full; departures compact
+the shard in place, in member order, encode cache and report-log slots
+included.  No two agents' arrays share memory, ``get_state``,
+``model_snapshot`` and checkpoints are copies, and a departed policy
+gets its own copy before its row is reused (``tests/sim/test_aliasing.py``).
+A run that raises leaves its members' arrays mid-run.  The fast tier
+copies its float32/COO state out and restacks on any member change.
 
 Exactness tiers
 ---------------

@@ -542,9 +542,9 @@ class _Shard:
                     return False
         return True
 
-    def load(self, arrays) -> None:
-        """Every member's ``LocalAgent.warm_start``, stacked (``stacked.load``)."""
-        self.stacked.load(arrays)
+    def load_state(self, state) -> None:
+        """Every member's ``LocalAgent.warm_start(state)``, stacked."""
+        self.stacked.load_state(state)
         self._sync = "loaded"
 
     def reusable(self) -> bool:
@@ -1260,7 +1260,7 @@ class FleetRunner:
     ``run(n, warm_start=state)`` is exactly every member calling
     ``LocalAgent.warm_start(state)``, then ``run(n)``: a held stack that
     mirrors its policies loads ``state`` stacked
-    (:meth:`~repro.sim.stacked.StackedPolicies.load`), and every other
+    (:meth:`~repro.sim.stacked.StackedPolicies.load_state`), and every other
     member — newcomers included — warm-starts scalar-side before its
     shard stacks.
 
@@ -1720,7 +1720,7 @@ class FleetRunner:
 
         The outcome is every member's ``LocalAgent.warm_start(state)``
         in population order.  The members of a ``held`` shard whose
-        stack mirrors them load ``state`` stacked (:meth:`_Shard.load`);
+        stack mirrors them load ``state`` stacked (:meth:`_Shard.load_state`);
         every other member — newcomers included — warm-starts
         scalar-side first, so no stack has changed when a member's
         ``set_state`` refuses: the stack members before it then
@@ -1730,9 +1730,8 @@ class FleetRunner:
         on_stack: set[int] = set()
         for (_, members, _), shard in zip(specs, held):
             mirrors = shard is not None and shard.mirrors_policies()
-            arrays = shard.stacked.state_to_load(state) if mirrors else None
-            if arrays is not None:
-                loads.append((shard, arrays))
+            if mirrors and shard.stacked.state_to_load(state) is not None:
+                loads.append(shard)
                 on_stack.update(members[: shard.n])
         order = sorted(i for _, members, _ in specs for i in members)
         for pos, i in enumerate(order):
@@ -1745,8 +1744,8 @@ class FleetRunner:
                     if j in on_stack:
                         self.agents[j].warm_start(state)
                 raise
-        for shard, arrays in loads:
-            shard.load(arrays)
+        for shard in loads:
+            shard.load_state(state)
 
     # ------------------------------------------------------------------ #
     # checkpoint / resume

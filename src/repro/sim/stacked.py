@@ -156,28 +156,27 @@ class StackedPolicies(abc.ABC):
         """
 
     def load_state(self, state: Mapping[str, Any]) -> bool:
-        """:meth:`state_to_load`, then :meth:`load`; whether the stack took ``state``."""
+        """Give every agent ``state``, as ``n`` ``set_state`` calls would.
+
+        Broadcasts :meth:`state_to_load`'s arrays into every row and
+        returns True, or returns False untouched when that is ``None``.
+        ``t`` reaches the policies at the next :meth:`writeback`.
+        """
         arrays = self.state_to_load(state)
-        if arrays is not None:
-            self.load(arrays)
+        for name, value in (arrays or {}).items():
+            getattr(self, name)[...] = value
         return arrays is not None
 
     def state_to_load(self, state: Mapping[str, Any]) -> dict[str, np.ndarray] | None:
-        """The stacked arrays ``n`` ``set_state(state)`` calls would leave.
+        """The stacked arrays ``n`` ``set_state(state)`` calls would leave;
+        writes nothing.
 
         ``None`` when the stack cannot load ``state`` bitwise — a header
         or hyperparameter ``set_state`` would refuse or change, a
         mismatched shape, or a stacker without a stacked load (this base
-        class, the fast tier); the caller then warm-starts the policies
-        scalar-side and restacks.  Writes nothing.
+        class, the fast tier): the policies then warm-start scalar-side.
         """
         return None
-
-    def load(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Broadcast :meth:`state_to_load`'s arrays into every agent's row
-        (``t`` reaches the policies at the next :meth:`writeback`)."""
-        for name, value in arrays.items():
-            getattr(self, name)[...] = value
 
     def _loadable(
         self, state: Mapping[str, Any], hyper: dict[str, float], shapes: dict
@@ -210,12 +209,8 @@ class StackedPolicies(abc.ABC):
         return self._store.setdefault(name, getattr(self, name))
 
     def append(self, other: StackedPolicies) -> bool:
-        """Append ``other``'s agents' rows into spare capacity (doubling when full).
-
-        Growing moves every row, so every policy takes its rows again at
-        the next :meth:`writeback`.  False, changing nothing, on the fast
-        tier.
-        """
+        """Append ``other``'s agents' rows into spare capacity, which doubles
+        when full (moving every row); False, changing nothing, on the fast tier."""
         if not self.views:
             return False
         n, m = self.n_agents, self.n_agents + other.n_agents
@@ -235,10 +230,9 @@ class StackedPolicies(abc.ABC):
     def remove(self, keep: np.ndarray) -> bool:
         """Compact the stack in place to the rows ``keep`` (ascending).
 
-        A departed policy holding its rows first gets its own copy, so
-        nothing this stack does later moves it; a kept policy holding a
-        row that moves is re-pointed.  False, changing nothing, on the
-        fast tier.
+        A departed policy holding its rows first gets its own copy; a kept
+        one holding a row that moves is re-pointed.  False, changing
+        nothing, on the fast tier.
         """
         if not self.views:
             return False
@@ -257,7 +251,7 @@ class StackedPolicies(abc.ABC):
             live[first:m] = live[keep[first:]]
             setattr(self, name, live[:m])
         for name, rows in held.items():
-            # rows handed out so far: a prefix of the members, as is its image
+            # rows are handed to a prefix of the members; its survivors lead
             handed = int(np.count_nonzero(keep < len(rows)))
             live = getattr(self, name)
             moved = list(live[first:handed])
@@ -280,12 +274,10 @@ class StackedPolicies(abc.ABC):
     def _writeback_rows(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Hand each policy its row of ``arrays``, ``t`` and the draw counter.
 
-        On the bit tier ``arrays`` are the stack's own: a policy's arrays
-        *are* its rows, and no two agents share one.  A row is handed
-        once, and again only to a policy that no longer holds it (one
-        that took ``set_state`` since).  The fast tier first copies each
-        array into an output buffer it keeps (unless it *is* that
-        buffer), and policies hold rows of those.
+        On the bit tier ``arrays`` are the stack's own, so a policy's
+        arrays *are* its rows; a row is handed again only to a policy that
+        no longer holds it (one that took ``set_state`` since).  The fast
+        tier hands rows of output buffers it keeps and copies into.
         """
         if not self.views:
             copies = {}

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from _testkit import N_ACTIONS, N_FEATURES, make_population
 
-from repro.bandits import UCB1, CodeLinUCB, EpsilonGreedy, LinearThompsonSampling, LinUCB
+from repro.bandits import UCB1, CodeLinUCB, EpsilonGreedy, LinUCB, LinearThompsonSampling
 from repro.core.config import AgentMode, P2BConfig
 from repro.core.system import P2BSystem
 from repro.data.synthetic import SyntheticPreferenceEnvironment
