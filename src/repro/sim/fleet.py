@@ -375,7 +375,8 @@ class _Shard:
         self.stacked = stack_policies([a.policy for a in agents], exactness=exactness)
         self._rows = np.arange(self.n)
         # each agent's last context and its encoding (warm-private
-        # only) — survive restacks and runs: encoders are deterministic,
+        # only) — survive restacks, runs and churn (rows move with their
+        # agents, see join/leave): encoders are deterministic,
         # and _encode_contexts validates each row against the context
         # at hand; the (n, d) arrays are allocated on first use
         self._cache_valid = np.zeros(self.n, dtype=bool)
@@ -1373,10 +1374,9 @@ class FleetRunner:
         Accepts what :meth:`member_indices` accepts.  A held shard that
         loses members compacts now, in member order, keeping its stack
         and encode cache; each departed policy gets its own copy of its
-        state.  Departing agents keep their
-        pending report rows in their log — drain them before (or after)
-        removal; the shuffler's async buffer holds whatever was already
-        collected.
+        state.  Departing agents keep their pending report rows in their
+        log — drain them before (or after) removal; the shuffler's async
+        buffer holds whatever was already collected.
         """
         doomed = set(self.member_indices(agents))
         if not doomed:
