@@ -33,8 +33,9 @@ perfbench-test:
 # off, numpy's float64 log/cos take another code path (the Box-Muller
 # of the keyed reward noise and of Thompson's posterior normals), so
 # the length-1 == block contract, the Thompson select == select_batch
-# checks and the synthetic/drift fleet == sequential suites are
-# checked there too.
+# checks, the synthetic/drift fleet == sequential suites and both forms
+# of the participation coins and picks (scalar offer, stacked step, the
+# columnar recording pipeline) are checked there too.
 # On a CPU with none of these features the rerun would test the default
 # dispatch again, so the target says so (a CI warning) and skips it.
 KEYED_DISPATCH_OFF := AVX512_SPR AVX512_ICL X86_V4
@@ -47,7 +48,8 @@ keyed-dispatch:
 			tests/bandits/test_keyed.py tests/bandits/test_other_policies.py \
 			tests/bandits/test_batch_apis.py tests/data/test_synthetic.py \
 			tests/data/test_drift.py tests/sim/test_equivalence.py \
-			tests/sim/test_chunked_plans.py; \
+			tests/sim/test_chunked_plans.py tests/core/test_participation.py \
+			tests/sim/test_columnar_reporting.py; \
 	else \
 		echo "::warning::keyed-dispatch SKIPPED: this CPU has none of $(KEYED_DISPATCH_OFF)"; \
 	fi

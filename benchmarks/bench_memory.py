@@ -213,14 +213,14 @@ def _tier_run_record(n_agents, exactness):
     """Drive one shard end to end on the given tier; account its state.
 
     Mirrors the streaming (``ResultSink``) engine path: the result
-    matrices are a small column ring (participation window + 1), so the
-    record reflects what a curve-only caller at scale actually holds —
-    plan walk, ring, and stacked policy state.  ``state_nbytes`` is
+    matrices are a one-column ring, so the record reflects what a
+    curve-only caller at scale actually holds — plan walk, ring, and
+    stacked policy state.  ``state_nbytes`` is
     snapshotted after the last step, *before* writeback (the in-flight
     number the tier exists to shrink).
     """
     agents, sessions = _population(n_agents)
-    width = min(10 + 1, N_INTERACTIONS)  # config.window + 1
+    width = 1  # the streaming path's one-column ring
     shard = _Shard(
         np.arange(n_agents, dtype=np.intp),
         agents,
@@ -231,11 +231,10 @@ def _tier_run_record(n_agents, exactness):
     actions = np.empty((n_agents, width), dtype=np.intp)
     expected_ok = np.zeros(n_agents, dtype=bool)
     t0 = time.perf_counter()
-    shard.prepare(N_INTERACTIONS, result_window=width)
+    shard.prepare(N_INTERACTIONS)
     for t in range(N_INTERACTIONS):
         shard.step(t, rewards, actions, None, expected_ok)
     state_bytes = shard.stacked.state_nbytes()
-    shard.finish(rewards, actions)
     shard.stacked.writeback()
     elapsed = time.perf_counter() - t0
     peak_rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -27,7 +27,32 @@ from ..utils.rng import ensure_rng
 from ..utils.validation import check_in_range, check_positive_int, check_vector
 from .keyed import NAN_SCORES, STREAM_TIEBREAK, draw_key, keyed_index
 
-__all__ = ["BanditPolicy", "argmax_random_tiebreak"]
+__all__ = ["BanditPolicy", "argmax_random_tiebreak", "check_batch"]
+
+
+def check_batch(policy, contexts, actions, rewards) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A batch update's ``(contexts, actions, rewards)`` as arrays, checked.
+
+    Every batch update calls this before it writes anything, so a
+    refused batch leaves the policy untouched: the row counts must
+    match and every action must lie in ``[0, n_arms)``.  A context-free
+    policy may pass ``None`` contexts.
+    """
+    if contexts is not None:
+        contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
+    actions = np.asarray(actions, dtype=np.intp).ravel()
+    rewards = np.asarray(rewards, dtype=np.float64).ravel()
+    rows = [len(a) for a in (contexts, actions, rewards) if a is not None]
+    if len(set(rows)) > 1:
+        raise ValidationError(
+            f"contexts, actions and rewards must have matching first dimensions: {rows}"
+        )
+    if actions.size and (actions.min() < 0 or actions.max() >= policy.n_arms):
+        raise ValidationError(
+            f"actions must lie in [0, {policy.n_arms}), got range "
+            f"[{int(actions.min())}, {int(actions.max())}]"
+        )
+    return contexts, actions, rewards
 
 
 def grouped_ridge_update(
@@ -50,23 +75,8 @@ def grouped_ridge_update(
     from ..utils.validation import check_matrix
     from .kernels import mat_vec, sherman_morrison
 
-    X = check_matrix(
-        np.atleast_2d(np.asarray(contexts, dtype=np.float64)),
-        name="contexts",
-        n_cols=policy.n_features,
-    )
-    actions = np.asarray(actions, dtype=np.intp).ravel()
-    rewards = np.asarray(rewards, dtype=np.float64).ravel()
-    if not (X.shape[0] == actions.shape[0] == rewards.shape[0]):
-        raise ValidationError(
-            "contexts, actions and rewards must have matching first dimensions: "
-            f"{X.shape[0]}, {actions.shape[0]}, {rewards.shape[0]}"
-        )
-    if actions.size and (actions.min() < 0 or actions.max() >= policy.n_arms):
-        raise ValidationError(
-            f"actions must lie in [0, {policy.n_arms}), got range "
-            f"[{int(actions.min())}, {int(actions.max())}]"
-        )
+    X, actions, rewards = check_batch(policy, contexts, actions, rewards)
+    check_matrix(X, name="contexts", n_cols=policy.n_features)
     for a in np.unique(actions):
         rows = np.flatnonzero(actions == a)
         A_inv = policy.A_inv[a]
@@ -185,14 +195,7 @@ class BanditPolicy(abc.ABC):
         rank-1 operation and batches in P2B are modest — but the method
         exists so the server code is policy-agnostic.
         """
-        contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-        actions = np.asarray(actions, dtype=np.intp).ravel()
-        rewards = np.asarray(rewards, dtype=np.float64).ravel()
-        if not (contexts.shape[0] == actions.shape[0] == rewards.shape[0]):
-            raise ValidationError(
-                "contexts, actions and rewards must have matching first dimensions: "
-                f"{contexts.shape[0]}, {actions.shape[0]}, {rewards.shape[0]}"
-            )
+        contexts, actions, rewards = check_batch(self, contexts, actions, rewards)
         for x, a, r in zip(contexts, actions, rewards):
             self.update(x, int(a), float(r))
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..utils.exceptions import ValidationError
 from ..utils.validation import check_scalar
-from .base import BanditPolicy
+from .base import BanditPolicy, check_batch
 from .keyed import tiebreak_rows
 
 __all__ = ["CodeLinUCB"]
@@ -159,13 +159,7 @@ class CodeLinUCB(BanditPolicy):
 
     def update_batch(self, contexts, actions, rewards) -> None:
         """Vectorized batch ingestion (the server's hot path)."""
-        contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-        actions = np.asarray(actions, dtype=np.intp).ravel()
-        rewards = np.asarray(rewards, dtype=np.float64).ravel()
-        if not (contexts.shape[0] == actions.shape[0] == rewards.shape[0]):
-            raise ValidationError(
-                "contexts, actions and rewards must have matching first dimensions"
-            )
+        contexts, actions, rewards = check_batch(self, contexts, actions, rewards)
         if contexts.shape[0] == 0:
             return
         codes = np.argmax(contexts, axis=1)

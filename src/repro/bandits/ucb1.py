@@ -13,7 +13,7 @@ import numpy as np
 
 from ..utils.exceptions import ValidationError
 from ..utils.validation import check_scalar
-from .base import BanditPolicy
+from .base import BanditPolicy, check_batch
 from .keyed import tiebreak_rows
 
 __all__ = ["UCB1"]
@@ -78,8 +78,7 @@ class UCB1(BanditPolicy):
         self.t += 1
 
     def update_batch(self, contexts, actions, rewards) -> None:
-        actions = np.asarray(actions, dtype=np.intp).ravel()
-        rewards = np.asarray(rewards, dtype=np.float64).ravel()
+        _, actions, rewards = check_batch(self, contexts, actions, rewards)
         np.add.at(self.counts, actions, 1)
         np.add.at(self.sums, actions, rewards)
         self.t += actions.shape[0]

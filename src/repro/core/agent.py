@@ -23,7 +23,10 @@ warm-nonprivate     raw ``x ∈ R^d``          context rows
 warm-private        one-hot code ``∈ R^k``   code rows
 ==================  =======================  =====================
 
-An agent's pending reports are its rows of ``report_log`` at
+An agent's lifetime counters are its row of :class:`AgentCounters`
+columns, as its participation is a row of
+:class:`~repro.core.participation.StackedParticipation` columns; its
+pending reports are its rows of ``report_log`` at
 ``report_row``: :meth:`~repro.core.payload.ReportLog.rows` reads them
 in place, and :func:`~repro.core.payload.drain_report_batches` takes
 them (the network send).
@@ -39,11 +42,18 @@ from ..bandits.base import BanditPolicy
 from ..encoding.base import Encoder
 from ..utils.exceptions import ConfigError
 from ..utils.validation import check_vector
+from .columns import Column, Columns
 from .config import AgentMode
 from .participation import RandomizedParticipation
 from .payload import ReportLog
 
-__all__ = ["LocalAgent"]
+__all__ = ["AgentCounters", "LocalAgent"]
+
+
+class AgentCounters(Columns):
+    """``n`` agents' lifetime counters, one row each."""
+
+    fields = {"n_interactions": np.int64, "total_reward": np.float64}
 
 
 class LocalAgent:
@@ -78,6 +88,10 @@ class LocalAgent:
     >>> a = agent.act(np.array([0.4, 0.3, 0.2, 0.1]))
     >>> agent.learn(np.array([0.4, 0.3, 0.2, 0.1]), a, reward=1.0)
     """
+
+    #: lifetime interactions and summed reward: its AgentCounters row
+    n_interactions = Column()
+    total_reward = Column()
 
     def __init__(
         self,
@@ -125,8 +139,7 @@ class LocalAgent:
             kind = "encoded" if mode == AgentMode.WARM_PRIVATE else "raw"
             self.report_log = ReportLog(kind)
             self.report_row = self.report_log.enroll()
-        self.n_interactions = 0
-        self.total_reward = 0.0
+        AgentCounters.bind(self)
 
     # ------------------------------------------------------------------ #
     def acting_context(self, context: np.ndarray) -> np.ndarray:
@@ -158,26 +171,27 @@ class LocalAgent:
     def record_interaction(self, context: np.ndarray, action: int, reward: float) -> None:
         """Post-update bookkeeping: counters plus the reporting pipeline.
 
-        Split out of :meth:`learn` so the fleet engine
-        (:mod:`repro.sim`), which applies the policy update through
-        stacked state instead of ``policy.update``, shares this exact
-        code path — participation draws, the report row (one append to
-        ``report_log``, with its lifetime interaction index) and
-        encode-at-report-time all live only here.
+        This is the specification the fleet engine (:mod:`repro.sim`)
+        records by in columns: a held interaction's payload is its code
+        (warm-private, encoded when the window keeps it) or its context,
+        and a report is one ``report_log`` row with its lifetime
+        interaction index.
         """
         self.n_interactions += 1
         self.total_reward += float(reward)
-        if self.mode == AgentMode.COLD or self.participation is None:
+        part = self.participation
+        if self.mode == AgentMode.COLD or part is None:
             return
-        ctx = np.asarray(context, dtype=np.float64)
-        sampled = self.participation.offer((ctx.copy(), int(action), float(reward)))
+        item = None
+        if part.holds_next:
+            payload = np.asarray(context, dtype=np.float64)
+            if self.mode == AgentMode.WARM_PRIVATE:
+                payload = self.encoder.encode(payload)  # type: ignore[union-attr]
+            item = (payload, int(action), float(reward))
+        sampled = part.offer(item)
         if sampled is None:
             return
-        s_ctx, s_action, s_reward = sampled
-        if self.mode == AgentMode.WARM_PRIVATE:
-            payload = self.encoder.encode(s_ctx)  # type: ignore[union-attr]
-        else:
-            payload = s_ctx
+        payload, s_action, s_reward = sampled
         self.report_log.append(  # type: ignore[union-attr]
             [self.report_row], [payload], [s_action], [s_reward], [self.n_interactions]
         )

@@ -22,17 +22,22 @@ Each device's coin and within-window index are keyed draws
 (:mod:`repro.bandits.keyed`) of a ``uint64`` key, drawn once from the
 device's generator, and a counter that advances once per window.  A
 keyed draw does not depend on when it is evaluated, so the device draws
-both when a window *opens* and keeps only the picked interaction: a
-window holds one item, never ``T``.  These are the draws a device that
-buffered the window would take at its close, so Eq. 3's ``p`` and the
-uniform pick are unchanged; the stacked fleet takes every device's
-draws in one array expression, bitwise as the device would.
+both when a window *opens* (its first interaction) and keeps only the
+picked interaction: a window holds one item, never ``T``.  These are
+the draws a device that buffered the window would take at its close,
+so Eq. 3's ``p`` and the uniform pick are unchanged; the stacked fleet
+takes every device's draws in one array expression, bitwise as the
+device would.
+
+A device's state is its row of :class:`StackedParticipation` columns
+(:mod:`repro.core.columns`): :meth:`RandomizedParticipation.offer` and
+:meth:`StackedParticipation.step` are the one-row and ``n``-row forms
+of the same transition on them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generic, Sequence, TypeVar
+from typing import Any
 
 import numpy as np
 
@@ -45,15 +50,94 @@ from ..bandits.keyed import (
 )
 from ..utils.rng import ensure_rng
 from ..utils.validation import check_positive_int, check_probability
+from .columns import Column, Columns
 
-__all__ = ["RandomizedParticipation", "StackedParticipation"]
+__all__ = ["RandomizedParticipation", "StackedParticipation", "UNDRAWN"]
 
-T_co = TypeVar("T_co")
+#: the ``pick`` of a window whose coin is not drawn yet (it has not opened)
+UNDRAWN = -2
 
 
-@dataclass
-class RandomizedParticipation(Generic[T_co]):
-    """Bernoulli participation policy holding one item per window.
+class StackedParticipation(Columns):
+    """``n`` devices' participation state, one row each, stepped per round.
+
+    Row ``j`` is the state of the device bound to it: its parameters
+    (``p``, ``window``, ``max_reports``: per-device, need not be
+    uniform), keyed stream (``keys``, ``draws``), report counters, the
+    open window's fill level and ``pick`` (its within-window index,
+    ``-1`` when its coin came up tails, :data:`UNDRAWN` before it
+    opens), and the held item — ``held_payload`` (a code or a context
+    row, allocated by the first item held), ``held_action`` and
+    ``held_reward``, meaningful where ``0 <= pick < fill``.
+    """
+
+    fields = {
+        "p": np.float64,
+        "window": np.intp,
+        "max_reports": np.intp,
+        "keys": np.uint64,
+        "draws": np.uint64,
+        "fill": np.intp,
+        "pick": np.intp,
+        "reports_sent": np.intp,
+        "windows_seen": np.intp,
+        "held_action": np.intp,
+        "held_reward": np.float64,
+    }
+    lazy = ("held_payload",)
+
+    def hold(self, rows, payload, actions, rewards) -> None:
+        """Hold the items ``(payload, action, reward)`` at ``rows``."""
+        if self.held_payload is None:
+            like = np.asarray(payload)
+            self._allocate("held_payload", like if np.ndim(rows) else like[None])
+        self.held_payload[rows] = payload
+        self.held_action[rows] = actions
+        self.held_reward[rows] = rewards
+
+    def item(self, row: int) -> tuple:
+        """Row ``row``'s held item as ``(payload, action, reward)``, a copy."""
+        payload = self.held_payload[row]
+        payload = payload.copy() if payload.ndim else payload.item()
+        return payload, int(self.held_action[row]), float(self.held_reward[row])
+
+    def step(self, payload, actions, rewards) -> np.ndarray:
+        """Offer every device this step's item: row ``j`` of each argument.
+
+        One ``offer`` call per device: budget-exhausted devices are
+        skipped, opening windows draw, devices at their pick hold the
+        item, and filled windows close.  Returns the rows that report
+        this step; each report is the row's held item (valid until its
+        next hold).
+        """
+        active = self.reports_sent < self.max_reports
+        opening = np.flatnonzero(active & (self.pick == UNDRAWN))
+        if opening.size:  # one keyed coin per opening window, a keyed pick on heads
+            keys, counters = self.keys[opening], self.draws[opening]
+            heads = keyed_uniform(keys, STREAM_PARTICIPATE, counters) < self.p[opening]
+            self.pick[opening] = -1
+            hit = opening[heads]
+            self.pick[hit] = keyed_index(
+                keys[heads], STREAM_WINDOW_INDEX, counters[heads], self.window[hit]
+            )
+        taking = np.flatnonzero(active & (self.fill == self.pick))
+        if taking.size:
+            self.hold(taking, payload[taking], actions[taking], rewards[taking])
+        self.fill[active] += 1
+        closing = np.flatnonzero(active & (self.fill >= self.window))
+        if closing.size == 0:
+            return closing
+        reported = closing[self.pick[closing] >= 0]
+        self.reports_sent[reported] += 1
+        self.windows_seen[closing] += 1
+        self.draws[closing] += 1
+        self.fill[closing] = 0
+        self.pick[closing] = UNDRAWN
+        return reported
+
+
+class RandomizedParticipation:
+    """One device's Bernoulli participation, holding one item per window.
 
     Parameters
     ----------
@@ -70,73 +154,96 @@ class RandomizedParticipation(Generic[T_co]):
         :meth:`reset` never rewinds: a re-enrolled device does not
         replay an earlier coin).
 
-    The state of the open window is its fill level ``fill``, the index
-    ``_pick`` drawn when it opened (``-1`` when its coin came up tails)
-    and the one item ``_held`` at that index once offered.
+    Its attributes read and write its row of :class:`StackedParticipation`
+    columns; :meth:`state` copies the row, :attr:`held` its held item.
 
     Examples
     --------
     >>> part = RandomizedParticipation(p=1.0, window=2, seed=0)
-    >>> part.offer("t0") is None
+    >>> part.offer((10, 0, 1.0)) is None
     True
-    >>> part.offer("t1") in ("t0", "t1")
+    >>> part.offer((11, 1, 0.0)) in ((10, 0, 1.0), (11, 1, 0.0))
     True
     """
 
-    p: float = 0.5
-    window: int = 10
-    max_reports: int = 1
-    seed: int | np.random.Generator | None = None
+    p = Column()
+    window = Column()
+    max_reports = Column()
+    fill = Column()
+    pick = Column()
+    reports_sent = Column()
+    windows_seen = Column()
+    _key = Column("keys")
+    _draws = Column("draws")
 
-    fill: int = field(default=0, init=False)
-    _pick: int = field(default=-1, init=False, repr=False)
-    _held: T_co | None = field(default=None, init=False, repr=False)
-    _key: np.uint64 = field(init=False, repr=False)
-    _draws: int = field(default=0, init=False, repr=False)
-    reports_sent: int = field(default=0, init=False)
-    windows_seen: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        check_probability(self.p, name="p")
-        check_positive_int(self.window, name="window")
-        check_positive_int(self.max_reports, name="max_reports", minimum=0)
-        self._key = draw_key(ensure_rng(self.seed))
+    def __init__(self, p: float = 0.5, window: int = 10, max_reports: int = 1, seed=None) -> None:
+        check_probability(p, name="p")
+        check_positive_int(window, name="window")
+        check_positive_int(max_reports, name="max_reports", minimum=0)
+        StackedParticipation.bind(self)
+        self.p, self.window, self.max_reports = p, window, max_reports
+        self.pick = UNDRAWN
+        self._key = draw_key(ensure_rng(seed))
 
     @property
     def exhausted(self) -> bool:
         """True once the report budget is spent."""
         return self.reports_sent >= self.max_reports
 
-    def offer(self, item: T_co) -> T_co | None:
+    @property
+    def holds_next(self) -> bool:
+        """Whether the next :meth:`offer` keeps its item (the window's
+        pick; a window about to open draws it now, as the offer would)."""
+        return not self.exhausted and self.fill == self._drawn_pick()
+
+    def _drawn_pick(self) -> int:
+        """The open window's pick, drawn first if the window is opening."""
+        cols, row = self._cols, self._row
+        pick = cols.pick[row]
+        if pick == UNDRAWN:
+            key, counter = cols.keys[row], cols.draws[row]
+            pick = -1
+            if keyed_uniform(key, STREAM_PARTICIPATE, counter)[0] < cols.p[row]:
+                pick = keyed_index(key, STREAM_WINDOW_INDEX, counter, cols.window[row])[0]
+            cols.pick[row] = pick
+        return pick
+
+    @property
+    def held(self) -> tuple | None:
+        """The open window's held item ``(payload, action, reward)``, or ``None``."""
+        return self._cols.item(self._row) if 0 <= self.pick < self.fill else None
+
+    def offer(self, item: tuple | None) -> tuple | None:
         """Count one interaction; maybe emit a report.
 
-        Returns the window's picked item when (a) this interaction
-        closes a window of ``window`` interactions, (b) the
-        Bernoulli(``p``) coin drawn when that window opened landed
-        heads, and (c) the report budget is not exhausted — otherwise
-        ``None``.  Only the picked item is kept; windows are disjoint
-        (each interaction gets at most one chance to be reported).
+        ``item`` is the interaction as ``(payload, action, reward)``,
+        the payload a code or a context row; it is read only when the
+        window keeps it (:attr:`holds_next`), so a caller may pass
+        ``None`` otherwise.  Returns the window's held item when (a)
+        this interaction closes a window of ``window`` interactions,
+        (b) the Bernoulli(``p``) coin drawn when that window opened
+        landed heads, and (c) the report budget is not exhausted —
+        otherwise ``None``.  Windows are disjoint (each interaction
+        gets at most one chance to be reported).
         """
-        if self.exhausted:
+        cols, row = self._cols, self._row
+        if cols.reports_sent[row] >= cols.max_reports[row]:
             return None
-        if self.fill == 0:  # a window opens: draw its coin, and its pick on heads
-            key, counter = self._key, self._draws
-            self._pick = -1
-            if keyed_uniform(key, STREAM_PARTICIPATE, counter)[0] < self.p:
-                self._pick = int(keyed_index(key, STREAM_WINDOW_INDEX, counter, self.window)[0])
-        if self.fill == self._pick:
-            self._held = item
-        self.fill += 1
-        if self.fill < self.window:
+        if cols.fill[row] == self._drawn_pick():
+            cols.hold(row, *item)
+        cols.fill[row] += 1
+        if cols.fill[row] < cols.window[row]:
             return None
-        self.windows_seen += 1
-        self._draws += 1
-        self.fill = 0
-        held, self._held = self._held, None
-        if self._pick < 0:
-            return None
-        self.reports_sent += 1
-        return held
+        # the window closes: report its item on heads
+        sent = None
+        if cols.pick[row] >= 0:
+            sent = cols.item(row)
+            cols.reports_sent[row] += 1
+        cols.windows_seen[row] += 1
+        cols.draws[row] += 1
+        cols.fill[row] = 0
+        cols.pick[row] = UNDRAWN
+        return sent
 
     def reset(self) -> None:
         """Drop the open window and clear the budget (a fresh enrollment).
@@ -146,97 +253,13 @@ class RandomizedParticipation(Generic[T_co]):
         a coin of a window the device closed.
         """
         self.fill = 0
-        self._pick = -1
-        self._held = None
+        self.pick = UNDRAWN
         self.reports_sent = 0
         self.windows_seen = 0
 
-
-class StackedParticipation:
-    """``n`` independent :class:`RandomizedParticipation` policies, stepped per round.
-
-    The fleet engine's columnar reporting path: fill levels, picks,
-    report budgets and window counters live in stacked arrays and
-    advance with vectorized masks, and the coin and pick of every agent
-    whose window opens this step are one keyed draw over the stacked
-    :attr:`keys` and :attr:`draws`.  Counters advance once per window,
-    and exhausted or mid-window agents draw nothing, so a stacked run is
-    bit-interchangeable with the scalar call sequence.
-
-    Construction *adopts* the scalar policies mid-stream (fill levels,
-    picks, budgets, keys and draw counters), so a population that
-    already ran on the object path (a previous deployment round, a
-    partial window) continues exactly where the scalar calls left off.
-    The stack holds no items, only :attr:`held_at`, the step each agent
-    took its held item at; an item taken before adoption stays the
-    scalar policy's ``_held``.  Writing state and items back is the
-    caller's job (it owns the item data; see
-    ``repro.sim.fleet._Shard.finish``).
-
-    Per-agent parameters need not be uniform: ``p``, ``window`` and
-    ``max_reports`` are all arrays.
-    """
-
-    def __init__(self, policies: Sequence[RandomizedParticipation]) -> None:
-        policies = list(policies)
-        if not policies:
-            raise ValueError("StackedParticipation needs at least one policy")
-        self.n = len(policies)
-        self.p = np.array([pol.p for pol in policies], dtype=np.float64)
-        self.window = np.array([pol.window for pol in policies], dtype=np.intp)
-        self.max_reports = np.array([pol.max_reports for pol in policies], dtype=np.intp)
-        self.keys = np.array([pol._key for pol in policies], dtype=np.uint64)
-        self.draws = np.array([pol._draws for pol in policies], dtype=np.uint64)
-        self.fill = np.array([pol.fill for pol in policies], dtype=np.intp)
-        self.pick = np.array([pol._pick for pol in policies], dtype=np.intp)
-        self.reports_sent = np.array([pol.reports_sent for pol in policies], dtype=np.intp)
-        self.windows_seen = np.array([pol.windows_seen for pol in policies], dtype=np.intp)
-        #: steps since adoption, and the step each open window took its
-        #: held item at (-1: none since adoption; any held item is then
-        #: the scalar policy's ``_held``)
-        self.t = 0
-        self.held_at = np.full(self.n, -1, dtype=np.intp)
-
-    def step(self) -> tuple[np.ndarray, np.ndarray]:
-        """Advance every agent's window by one interaction.
-
-        Equivalent to one ``offer`` call per agent: budget-exhausted
-        agents are skipped (no draw — the scalar early return), agents
-        whose window opens draw their coin and pick, agents at their
-        pick take this step's item, and agents whose window fills close
-        it.
-
-        Returns
-        -------
-        (reported, sampled)
-            ``reported`` is a boolean mask of agents that emitted a
-            report this step; ``sampled[j]`` (valid where ``reported``)
-            is the step since adoption of the reported item, or ``-1``
-            for the item the scalar policy held at adoption.
-        """
-        active = self.reports_sent < self.max_reports
-        opening = np.flatnonzero(active & (self.fill == 0))
-        if opening.size:
-            keys, counters = self.keys[opening], self.draws[opening]
-            heads = keyed_uniform(keys, STREAM_PARTICIPATE, counters) < self.p[opening]
-            self.pick[opening] = -1
-            hit = opening[heads]
-            self.pick[hit] = keyed_index(
-                keys[heads], STREAM_WINDOW_INDEX, counters[heads], self.window[hit]
-            )
-        self.held_at[active & (self.fill == self.pick)] = self.t
-        self.fill[active] += 1
-        self.t += 1
-        reported = np.zeros(self.n, dtype=bool)
-        sampled = np.full(self.n, -1, dtype=np.intp)
-        closing = np.flatnonzero(active & (self.fill >= self.window))
-        if closing.size:
-            self.windows_seen[closing] += 1
-            self.draws[closing] += 1
-            self.fill[closing] = 0
-            hit = closing[self.pick[closing] >= 0]
-            self.reports_sent[hit] += 1
-            reported[hit] = True
-            sampled[hit] = self.held_at[hit]
-            self.held_at[closing] = -1
-        return reported, sampled
+    def state(self) -> dict[str, Any]:
+        """A copy of this device's row: parameters, keyed stream
+        (``keys``, ``draws``), window, counters and :attr:`held` item."""
+        names = [name for name in self._cols.fields if not name.startswith("held_")]
+        state = {name: getattr(self._cols, name).item(self._row) for name in names}
+        return {**state, "held": self.held}

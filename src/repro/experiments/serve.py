@@ -363,13 +363,13 @@ class FleetService:
     def refresh(self) -> None:
         """Push the current central model to every device (Fig. 1 arrow).
 
-        ``warm_start`` replaces every policy's arrays, so by the
-        :class:`~repro.sim.FleetRunner` shard-reuse rule the next request
-        restacks the policy state (and keeps the encoding caches).
+        Every device holds the model when this returns, as after its own
+        ``warm_start``, so a departure or a checkpoint before the next
+        request sees it.  Held stacks load it in place
+        (:meth:`~repro.sim.FleetRunner.warm_start`), so the next request
+        reuses them without a restack.
         """
         self._check_open()
         if self.system.server is None or not self.system.server.n_tuples_ingested:
             return
-        snapshot = self.system.model_snapshot()
-        for agent in self.fleet.agents:
-            agent.warm_start(snapshot)
+        self.fleet.warm_start(self.system.model_snapshot())

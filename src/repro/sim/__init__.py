@@ -88,17 +88,16 @@ one segment per epoch); slice-by-slice planning is exact by the plan
 contract, so consecutive runs on one held fleet equal one longer
 horizon bitwise.
 
-The *reporting* pipeline is columnar on the same plan-capable shards:
-participation advances through
-:class:`~repro.core.participation.StackedParticipation` (vectorized
-window/budget masks, and the Bernoulli coin and within-window pick as
-one keyed draw over every agent whose window opens; a window holds one
-item: a step of the walk, or the policy's own item if taken before the run),
-and reports land, one chunk per round, in the agents' system's
-:class:`~repro.core.payload.ReportLog` — the one store the sequential
-engine appends to row by row — with codes gathered from the plan-time
-batch encodings, never re-encoded.  Rows are the only form a report
-takes.  Collection has one route for every
+The *reporting* pipeline is columnar on every shard: participation
+advances through :class:`~repro.core.participation.StackedParticipation`
+(vectorized window/budget masks, and the Bernoulli coin and
+within-window pick as one keyed draw over every agent whose window
+opens; a window holds one item — its code or context, action and
+reward — in held-item columns), and reports land, one chunk per round,
+in the agents' system's :class:`~repro.core.payload.ReportLog` — the
+one store the sequential engine appends to row by row — with codes
+from the batch encodings, never encoded one agent at a time.  Rows are
+the only form a report takes.  Collection has one route for every
 population: :meth:`~repro.core.system.P2BSystem.collect` takes the
 agents' rows with one mask per log and one stable sort on agent
 position — the order of concatenated one-agent
@@ -130,6 +129,26 @@ included.  No two agents' arrays share memory, ``get_state``,
 gets its own copy before its row is reused (``tests/sim/test_aliasing.py``).
 A run that raises leaves its members' arrays mid-run.  The fast tier
 copies its float32/COO state out and restacks on any member change.
+
+Held participation state
+------------------------
+
+A device's participation state (paper §3.1: its open window's fill
+level, coin and pick, the held item as payload, action and reward, its
+keyed draw counter and report budget) and an agent's lifetime counters
+are one row each of :mod:`repro.core.columns` stores that the scalar
+objects read and write.  A device outside any fleet holds a private
+one-row store, as a hand-built agent holds a private one-row report
+log.  A held shard binds its members' rows once, with its policy
+stack's membership machinery: a join appends the newcomers' rows into
+spare rows, a departure compacts in member order, re-points the members
+that moved and gives each departed member its own copy of its row.  So
+a run neither adopts nor writes back this state, and a scalar
+``record_interaction`` between runs — the one-row form of the same
+transition — writes the row the next run steps.  A member another shard
+took since (a second runner, a partial-shard subset run) makes the held
+shard gather every member's row afresh, a copy: no two agents share a
+row (``tests/sim/test_aliasing.py``).
 
 Exactness tiers
 ---------------

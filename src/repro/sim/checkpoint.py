@@ -64,8 +64,10 @@ CHECKPOINT_MAGIC = "repro-fleet-checkpoint"
 #: 4 = synthetic sessions draw their reward noise keyed, too;
 #: 5 = Thompson policies draw their posterior normals keyed and hold no
 #: Cholesky cache; 6 = agents hold a report store handle, not an outbox
-#: list; 7 = participation holds one item per window, not a buffer)
-CHECKPOINT_VERSION = 7
+#: list; 7 = participation holds one item per window, not a buffer;
+#: 8 = agents and their participation are rows of counter and
+#: participation columns, the held item a payload, action and reward)
+CHECKPOINT_VERSION = 8
 
 
 @dataclass(frozen=True)

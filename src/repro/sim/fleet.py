@@ -2,124 +2,53 @@
 
 :class:`FleetRunner` drives ``n`` ``(LocalAgent, UserSession)`` pairs
 on stacked arrays (:mod:`repro.sim.stacked`).  Agents are partitioned
-into **shards** by :func:`shard_key` — (mode, private-context, codebook
-size, policy kind and hyperparameters) — and each shard steps its
-agents round-major on its own stacked state: every agent of the shard
-performs interaction ``t`` before any performs ``t + 1``.  Because
-every agent owns independent random streams — keyed draw counters for
-its tie-breaks, exploration and participation coins, Thompson normals
-and its synthetic reward noise (:mod:`repro.bandits.keyed`), generators
-for its drift boundaries and dataset walks — round-major stepping
-draws each stream in exactly the order the sequential agent-major loop
-does, so the two engines are
-interchangeable; ``tests/sim/`` pins the equivalence bit-for-bit.
+into **shards** by :func:`shard_key`, and each shard steps its agents
+round-major on its own stacked state: every agent of the shard performs
+interaction ``t`` before any performs ``t + 1``.  One function,
+:func:`_run_shard_horizon`, runs a shard's whole horizon (prepare,
+``step`` x T, writeback), and the runner maps it over the shards —
+serially or on a thread pool.  The :mod:`repro.sim` package docstring
+states the contract this implements: bit-identity with the sequential
+loop, the plan fast paths, columnar reporting, held policy and
+participation state, and parallel shard stepping.
 
-Execution is **shard-major**: one function, :func:`_run_shard_horizon`,
-runs a shard's whole horizon (prepare, ``step`` x T, finish,
-writeback), and the runner maps it over the shards — serially or on a
-thread pool.  Shards share no RNG stream and
-no mutable state, so shard order (like agent order) is unobservable: a
-mixed LinUCB + Thompson + epsilon-greedy population, warm-private and
-cold side by side, produces bit-identical actions, rewards, policy
-states and reports to the sequential loop.
+Plans
+-----
 
-Plan fast paths
----------------
+A shard whose sessions are all ``has_reward_plan`` (synthetic,
+stationary or drifting) plans each environment's sessions in one
+:meth:`~repro.data.environment.Environment.plan_block` call and holds
+an ``(S, d)`` / ``(S, A)`` table of segment contexts and means (the
+means from one batched ``mean_rewards`` call per environment), the
+``(n, T)`` noise block and an ``(n, T)`` step-to-segment walk; rewards
+become one gather + clip per round.  A shard whose sessions are all
+``has_trace_plan`` (dataset replay) holds one ``(n, T)`` row-index walk
+into the per-dataset :class:`~repro.data.environment.TraceRowTable`, or
+into one shard-private concatenation when its sessions walk several
+datasets (each agent's walk offset into its dataset's block).  Any
+other shard steps its sessions per round.  A run plans its whole
+horizon once; planning consecutive slices is exact by the plan
+contract, so consecutive runs on one held fleet equal one longer
+sequential horizon.
 
-Per-round session calls vanish entirely for shards whose sessions can
-pre-materialize their horizon (capability flags on
-:class:`~repro.data.environment.UserSession`):
+Encoding
+--------
 
-* ``has_reward_plan`` — synthetic sessions, stationary or drifting,
-  pre-realize their keyed reward noise in one
-  :meth:`~repro.data.environment.Environment.plan_block` call per
-  environment (a :class:`~repro.data.environment.RewardBlock`): the
-  ``(n, T)`` noise in one array expression, and a single segment per
-  session, or one per drift epoch, the environment walking each
-  session's boundaries inside the call.  The shard holds an
-  ``(S, d)`` / ``(S, A)`` segment table of contexts and means — the
-  means from one batched ``mean_rewards`` call per environment, never
-  one per boundary — the ``(n, T)`` noise block and an ``(n, T)``
-  step-to-segment walk; rewards become one gather + clip per round,
-  and warm-private shards encode the segments in one ``encode_batch``
-  call per encoder (a segment continuing an agent's cached context is
-  not re-encoded);
-* ``has_trace_plan`` — dataset-replay sessions (multilabel, Criteo)
-  walk rows of a per-dataset
-  :class:`~repro.data.environment.TraceRowTable`.  The shard holds one
-  ``(n, T)`` row-index walk and gathers contexts, rewards, expected
-  rewards — and, warm-private, codes and centroid representations —
-  through row tables that exist once per dataset, not once per agent.
-  A shard whose sessions walk several datasets gathers through one
-  shard-private concatenation of their tables (each agent's walk
-  offset into its dataset's block; the gathered values are the same).
-  Each distinct row is encoded at most once per encoder, however many
-  agents and steps visit it.
-
-A shard mixing plan-capable and plan-less sessions falls back to the
-generic per-round session loop — still bit-identical, just slower.
-
-Each run plans its whole horizon once, before its first step.
-Planning a horizon in consecutive slices is exact by the plan contract
-(it consumes session streams identically to one full plan), which is
-what makes consecutive ``run`` calls on one held fleet equal one
-longer sequential horizon.  Either ``(n, T)``
-walk plus its tables regenerates any past step, so report gathers and
-``finish``'s held-item gather need no history tail.
-
-What stays per-agent Python (all O(1) per agent per round):
-
-* session calls (``next_context`` / ``reward``) on *unplanned* shards —
-  environments are arbitrary stateful objects with their own
-  generators;
-* participation offers and report appends on *unplanned* shards —
-  routed through :meth:`~repro.core.agent.LocalAgent.record_interaction`,
-  the same method the sequential path uses (and which encodes each
-  report's context, one agent at a time).  Plan-capable shards —
-  stationary, drifting and traced — instead record **columnar**:
-  window/budget masks and the keyed coin and pick, drawn as each
-  window opens, advance through
-  :class:`~repro.core.participation.StackedParticipation`, and report
-  payloads are gathered through the walk — codes from the plan-time
-  batch encodings, actions/rewards from the result matrices — and
-  appended to the agents' :class:`~repro.core.payload.ReportLog` (their
-  system's) in one chunk per round, the same store the scalar path
-  appends to row by row.  The one scalar encode left is a report of an
-  item held since before its run.
-
-Acting-time encoding is never per-agent Python: encoders are
-deterministic (the ``eps_bar = 0`` premise), so re-encoding an
-unchanged context is pure waste.  Each shard caches the last context
+Encoders are deterministic (the ``eps_bar = 0`` premise), so re-encoding
+an unchanged context is pure waste.  Each shard caches the last context
 and code of every agent in arrays, and encodes only what that cache
 misses in one :meth:`Encoder.encode_batch` call per encoder (row-exact
 by contract; centroids come from the equally row-exact
-``decode_batch``).  Stationary shards encode at plan time: each new
-segment once, so fixed-preference populations (the paper's synthetic
-benchmark) encode once per agent total and drifting ones once per
-epoch.  *Traced* shards batch-encode each newly visited row at plan
-time; the generic path finds its stale agents with one vectorized
-comparison per round.
+``decode_batch``).  Stationary shards encode each new segment at plan
+time, so fixed-preference populations encode once per agent and
+drifting ones once per epoch; traced shards encode each newly visited
+dataset row once per encoder; the generic path finds its stale agents
+with one vectorized comparison per round.  Report payloads are these
+codes: no agent is ever encoded on its own.
 
-Everything O(d²)–O(k·d²) — scoring, Thompson posterior draws,
-Sherman–Morrison updates — runs as stacked kernel calls, one set per
-shard per round, and every keyed draw (tie-breaks, coins, normals) is
-one array expression per shard per round.
-
-Parallel shard stepping
------------------------
-
-Shards share no mutable state but their systems' report logs —
-disjoint agents, disjoint result rows, per-agent RNG/session — and
-they never synchronize.  Pooled shards append to a shared log without
-a lock: each agent's rows come from its one shard, in order, each
-append is one ``list.append`` of a whole chunk, and the drain sorts
-rows by agent.  So a serial run is a plain ``map`` of
-:func:`_run_shard_horizon` over the shards and
-``EngineConfig(n_workers=k)`` makes it a thread-pool map
-of the same function (no per-round barrier or submit overhead; the
-einsum kernels release the GIL, so compute-bound shards overlap).
-Threads are the only parallel backend: every shard mutates the
-caller's own agent and session objects in place.
+What stays per-agent Python is O(1) per agent per round: session calls
+(``next_context`` / ``reward``) on unplanned shards, whose
+environments are arbitrary stateful objects with their own generators.
 """
 
 from __future__ import annotations
@@ -131,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.agent import LocalAgent
+from ..core.agent import AgentCounters, LocalAgent
 from ..core.config import AgentMode
 from ..core.participation import StackedParticipation
 from ..data.environment import RewardBlock, TraceRowTable, UserSession
@@ -347,7 +276,8 @@ class FleetResult:
 class _Shard:
     """One stackable subpopulation with its own stacked state.
 
-    Owns the per-shard context/encoding caches and — when every session
+    Holds its members' policy stack and counter and participation
+    columns, the per-shard context/encoding caches and — when every session
     in the shard advertises a plan capability — the plan
     materialization: an ``(n, T)`` walk into a segment table of
     reward plans (one segment per stationary stretch: per session, or
@@ -398,14 +328,16 @@ class _Shard:
         self._row_codes: np.ndarray | None = None  # (groups, n_rows) intp
         self._row_reps: np.ndarray | None = None  # (groups, n_rows, d)
         self._row_encoded: np.ndarray | None = None  # (groups, n_rows) bool
-        # raw contexts, allocated on the first generic-path round
-        self._X: np.ndarray | None = None
         # each member's report store, as an index into the distinct
         # logs (one in practice: a system's agents share a shard key),
         # and its row there — held across runs like the stack
         self._logs: list = []
         for name, a in self._bind_logs(agents).items():
             setattr(self, name, a)
+        # each member's counters and participation: rows bound once, held
+        self._counts: AgentCounters | None = None
+        self._part: StackedParticipation | None = None
+        self._bind_columns()
         self._reset_run_state()
 
     def _bind_logs(self, agents: list[LocalAgent]) -> dict[str, np.ndarray]:
@@ -419,9 +351,30 @@ class _Shard:
             "_log_rows": np.array([a.report_row for a in agents], dtype=np.intp),
         }
 
+    def _columns(self, agents: list[LocalAgent]):
+        """``(attribute, store class, bound objects)`` of each held column store."""
+        yield "_counts", AgentCounters, agents
+        if self.mode != AgentMode.COLD:
+            yield "_part", StackedParticipation, [a.participation for a in agents]
+
+    def _bind_columns(self) -> None:
+        """Make the members' counters and participation rows of this shard.
+
+        Members stay bound across runs, so a held shard only checks
+        them.  A member another shard took since (a second runner, a
+        partial-shard subset run), or one given a new participation
+        object, makes the shard gather every member's current row
+        afresh — a copy, so no two agents ever share a row.
+        """
+        for name, cls, members in self._columns(self.agents):
+            if getattr(self, name) is None or not getattr(self, name).holds(members):
+                setattr(self, name, cls(0))
+                getattr(self, name).join(members)
+
     # ------------------------------------------------------------------ #
     # membership: joins append, departures compact; every per-agent array
-    # moves with its member (the stack's rows move in StackedPolicies)
+    # moves with its member (the stack's rows move in StackedPolicies,
+    # counter and participation rows in their Columns)
     _AGENT_ARRAYS = ("_cache_valid", "_cached_code", "_cached_ctx", "_cached_rep")
 
     def _members(self, agents: list[LocalAgent], sessions: list[UserSession], arrays) -> None:
@@ -429,11 +382,13 @@ class _Shard:
         for name, a in arrays.items():
             setattr(self, name, a)
         self._rows = np.arange(self.n)
-        self._X = self._enc_groups = None
+        self._enc_groups = None
 
     def join(self, agents: list[LocalAgent], sessions: list[UserSession]) -> None:
         """Append newcomers after the members; their encode-cache rows start invalid."""
         tails = self._bind_logs(agents)
+        for name, _, members in self._columns(agents):
+            getattr(self, name).join(members)
         arrays = {
             name: np.concatenate(
                 [a, tails.get(name, np.zeros((len(agents), *a.shape[1:]), a.dtype))]
@@ -447,8 +402,11 @@ class _Shard:
         """Compact to the members ``keep`` (ascending), stack included.
 
         A stack that cannot compact (the fast tier) restacks at the
-        next run.
+        next run.  Each departed member keeps its own copy of its
+        counter and participation rows.
         """
+        for name, _, members in self._columns(self.agents):
+            getattr(self, name).leave(members, keep)
         arrays = {
             name: a[keep]
             for name in (*self._AGENT_ARRAYS, "_log_of", "_log_rows")
@@ -462,24 +420,19 @@ class _Shard:
     def _reset_run_state(self) -> None:
         """Clear every per-run field (a held shard runs many times).
 
-        Deterministic caches — stacked policy state, acting-encoding
-        caches, encoder groups, row tables and their per-row code
+        Members' state — stacked policy state, counter and
+        participation columns — and deterministic caches — acting
+        encodings, encoder groups, row tables and their per-row code
         tables — survive; plan materializations (walks, segment tables,
-        noise) and the columnar-recording state are strictly per-run and
-        reset here
-        (``prepare`` calls this first and ``writeback`` last, so a
-        reused shard can never see a previous run's plan path or
-        recording buffers, nor hold them between runs).
+        noise) are strictly per-run and reset here (``prepare`` calls
+        this first and ``writeback`` last, so a reused shard can never
+        see a previous run's plan, nor hold it between runs).
         """
         # what the stack holds besides run progress: "written" — the
         # state its last writeback handed the policies; "loaded" — a
         # warm-start snapshot the policies take at this run's writeback;
         # None — neither (mid-run, or after a failed run)
         self._sync: str | None = None
-        # when streaming into a ResultSink the result matrices are a
-        # ring of this many columns (covering every lookback the
-        # reporting pipeline performs); None = full-horizon matrices
-        self._colmod: int | None = None
         # which plan fast path this shard runs on (None = generic loop)
         self._plan_path: str | None = None
         # the full-horizon (n, T) walk: row-table indices on traced
@@ -500,11 +453,6 @@ class _Shard:
         self._row_offset: np.ndarray | None = None  # (n,) intp
         self._trace_expected_ok: np.ndarray | None = None
         self._trace_expected_is_rewards = False
-        # columnar reporting state (plan-capable shards only)
-        self._horizon = 0
-        self._base_inter: np.ndarray | None = None
-        self._reward_acc: np.ndarray | None = None
-        self._part: StackedParticipation | None = None
 
     # ------------------------------------------------------------------ #
     # stacked policy state (the reuse rule is documented on FleetRunner)
@@ -564,39 +512,25 @@ class _Shard:
         self.stacked = stack_policies([a.policy for a in self.agents], exactness=self._exactness)
 
     # ------------------------------------------------------------------ #
-    def prepare(
-        self,
-        n_interactions: int,
-        *,
-        result_window: int | None = None,
-    ) -> None:
-        """Pick the plan fast path, plan the whole horizon, record columnar.
+    def prepare(self, n_interactions: int) -> None:
+        """Bind the members' rows, pick the plan path and plan the horizon.
 
         Capability *flags* decide the path (never method-identity
-        probing, which silently kicked plan-inheriting subclasses off
-        the fast path, and never try/except, which could consume a
-        session's stream on failure).  Either plan is one ``(n, T)``
-        walk — into the per-run segment table of stationary and
-        drifting sessions, or into the traced row tables — so the
-        per-round session loops and the per-agent reporting loop both
-        collapse into gathers through it.  The plan contract (pinned by
-        ``tests/sim``) makes this exact, and pre-realizing one shard
-        before another is unobservable because session streams are
-        per-agent.  Shards mixing plan-capable and plan-less sessions
-        take the generic per-round path.
+        probing, which kicked plan-inheriting subclasses off the fast
+        path, nor try/except, which could consume a session's stream).
+        Either plan is one ``(n, T)`` walk, so the per-round session
+        loops collapse into gathers through it; the plan contract
+        (pinned by ``tests/sim``) makes this exact.  Shards mixing
+        plan-capable and plan-less sessions take the generic path.
         """
         self._reset_run_state()
-        self._colmod = result_window
-        self._horizon = n_interactions
+        self._bind_columns()
         if all(s.has_reward_plan for s in self.sessions):
             self._plan_path = "stationary"
             self._plan_segments(n_interactions)
         elif all(s.has_trace_plan for s in self.sessions):
             self._plan_path = "traced"
             self._plan_trace(n_interactions)
-        else:
-            return
-        self._init_batch_recording()
 
     def _bind_row_table(self) -> None:
         """Bind the row table this shard's walks index into.
@@ -824,26 +758,6 @@ class _Shard:
                 self._row_reps[g, new] = encoder.decode_batch(codes)
             self._row_encoded[g, new] = True
 
-    def _init_batch_recording(self) -> None:
-        """Switch this shard's reporting pipeline to the columnar path.
-
-        Plan-capable shards keep their whole context history in the
-        walk and its tables — segments whose context may change at
-        any drift boundary, or dataset rows — so a report's item, at the
-        step :class:`StackedParticipation` recorded, and its plan-time
-        code are a pure gather through the walk (an item held since
-        before the run is the scalar policy's ``_held``, which the run
-        leaves untouched).  The per-agent ``record_interaction`` loop is
-        replaced by :class:`StackedParticipation` masks plus per-round
-        appends to the members' report logs.  Counters (``n_interactions``,
-        ``total_reward``) accumulate in shard arrays, written back by
-        :meth:`finish` in the scalar accumulation order.
-        """
-        self._base_inter = np.array([a.n_interactions for a in self.agents], dtype=np.intp)
-        self._reward_acc = np.array([a.total_reward for a in self.agents], dtype=np.float64)
-        if self.mode != AgentMode.COLD:
-            self._part = StackedParticipation([a.participation for a in self.agents])
-
     @property
     def stationary(self) -> bool:
         """This shard runs on pre-realized stationary reward plans."""
@@ -853,15 +767,6 @@ class _Shard:
     def traced(self) -> bool:
         """This shard runs on a row-table walk of replay sessions."""
         return self._plan_path == "traced"
-
-    def _col(self, t):
-        """Result-matrix column for global step ``t`` (scalar or array).
-
-        Identity without a result ring; ``t % result_window`` with one.
-        Only result-matrix reads/writes map through this — plan arrays
-        always index by global step.
-        """
-        return t if self._colmod is None else t % self._colmod
 
     def plan_nbytes(self, *, seen: set[int] | None = None) -> dict[str, int]:
         """Bytes currently held by this shard's plan materialization.
@@ -916,17 +821,20 @@ class _Shard:
         touched objects — sessions, agents, stacked state, caches — are
         owned by this shard alone.
         """
-        tc = self._col(t)  # result-matrix column (ring when streaming)
+        tc = t % rewards.shape[1]  # result column: a one-column ring when streaming
+        # each agent's report payload (its code or context), acting representation
         if self._walk is not None:
             # every gather goes through the walk: segment or row tables
             walk_t = self._walk[:, t]
             if self.stationary:
                 acting = self._seg_acting[walk_t]
+                payload = acting if self._seg_code is None else self._seg_code[walk_t]
             else:
-                acting = self._indexed_acting(walk_t)
+                payload, acting = self._indexed_acting(walk_t)
+        elif self.mode == AgentMode.WARM_PRIVATE:
+            payload, acting = self._encode_contexts(self._next_contexts(), self._rows, self._rows)
         else:
-            X = self._next_contexts()
-            acting = self._refresh_acting(X)
+            payload = acting = self._next_contexts()
 
         acts = self.stacked.select(acting)
         actions[self.indices, tc] = acts
@@ -967,67 +875,27 @@ class _Shard:
             rewards[self.indices, tc] = r
 
         self.stacked.update(acting, acts, r)
-
-        # reporting pipeline: columnar for plan-capable shards, the
-        # scalar record_interaction loop otherwise
-        if self._plan_path is not None:
-            self._record_batch(t, acts, r, rewards, actions)
-        else:
-            for j in range(self.n):
-                self.agents[j].record_interaction(X[j], int(acts[j]), float(r[j]))
+        self._record_batch(payload, acts, r)
 
     # ------------------------------------------------------------------ #
-    def _record_batch(
-        self,
-        t: int,
-        acts: np.ndarray,
-        r: np.ndarray,
-        rewards: np.ndarray,
-        actions: np.ndarray,
-    ) -> None:
-        """Columnar stand-in for the per-agent ``record_interaction`` loop.
-
-        Counters accumulate in shard arrays; participation advances
-        through :class:`StackedParticipation` (vectorized masks and
-        keyed draws); report payloads are
-        *gathered* through the walk — codes from the plan-time batch
-        encodings (segment codes / per-row code tables), contexts from
-        the segment or row table, sampled actions/rewards from the
-        already filled result matrices — instead of re-encoded or
-        re-built per report.
+    def _record_batch(self, payload: np.ndarray, acts: np.ndarray, r: np.ndarray) -> None:
+        """``record_interaction`` for every member, on its counter and
+        participation rows: the windows that keep this step's item
+        (``payload`` row — code or context — action, reward) hold it, and
+        each report is its held item with its lifetime interaction index.
         """
-        self._reward_acc += r
-        if self._part is None:  # cold shard: counters only
+        counts = self._counts
+        counts.n_interactions[:] += 1
+        counts.total_reward[:] += r
+        part = self._part
+        if part is None:  # cold shard: counters only
             return
-        fired, sampled = self._part.step()
-        rows = np.flatnonzero(fired)
+        rows = part.step(payload, acts, r)
         if rows.size == 0:
             return
-        # the step of each report's item; -1: taken before this run
-        sample_t = sampled[rows]
-        inter_idx = self._base_inter[rows] + (t + 1)
-        acts_s = np.empty(rows.size, dtype=np.intp)
-        rew_s = np.empty(rows.size, dtype=np.float64)
-        fresh = sample_t >= 0
-        f_rows, f_t = rows[fresh], sample_t[fresh]
-        g_rows = self.indices[f_rows]
-        f_c = self._col(f_t)  # ring columns still hold steps >= t - window + 1
-        acts_s[fresh] = actions[g_rows, f_c]
-        rew_s[fresh] = rewards[g_rows, f_c]
-        private = self.mode == AgentMode.WARM_PRIVATE
-        if private:
-            payload = np.empty(rows.size, dtype=np.intp)
-            payload[fresh] = self._codes_at(f_rows, f_t)
-        else:
-            payload = np.empty((rows.size, self._walk_contexts().shape[1]), dtype=np.float64)
-            payload[fresh] = self._contexts_at(f_rows, f_t)
-        for i in np.flatnonzero(~fresh):
-            # rare first-window case: the item predates this run and is
-            # the scalar policy's held item — resolve it exactly as the
-            # scalar path would (encode at report time)
-            agent = self.agents[rows[i]]
-            ctx, acts_s[i], rew_s[i] = agent.participation._held
-            payload[i] = agent.encoder.encode(ctx) if private else ctx
+        inter_idx = counts.n_interactions[rows]
+        payload = part.held_payload[rows]
+        acts_s, rew_s = part.held_action[rows], part.held_reward[rows]
         # one append per log: group the fired rows once by their log
         owner = self._log_of[rows]
         order = np.argsort(owner, kind="stable")
@@ -1036,109 +904,25 @@ class _Shard:
                 self._log_rows[rows[m]], payload[m], acts_s[m], rew_s[m], inter_idx[m]
             )
 
-    def finish(self, rewards: np.ndarray, actions: np.ndarray) -> None:
-        """Write columnar bookkeeping back into the scalar objects.
-
-        After this, agents and their participation policies are in
-        byte-for-byte the state the sequential loop would have left:
-        counters, report budgets, fill levels and picks, and each open
-        window's held item — gathered through the walk when it was
-        taken during this run, the scalar policy's own when its window
-        opened before the run, none otherwise — so a later object-path
-        round, or a drifting session's next epoch, continues
-        identically.
-        """
-        if self._plan_path is None:
-            return
-        n_inter = (self._base_inter + self._horizon).tolist()
-        totals = self._reward_acc.tolist()
-        part = self._part
-        if part is None:  # cold shard: counters only
-            for agent, n, total in zip(self.agents, n_inter, totals):
-                agent.n_interactions, agent.total_reward = n, total
-            return
-        took = part.held_at >= 0
-        rows = np.flatnonzero(took)
-        steps = part.held_at[rows]
-        g, c = self.indices[rows], self._col(steps)
-        ctx = np.asarray(self._contexts_at(rows, steps), dtype=np.float64)
-        taken = zip(ctx, actions[g, c].tolist(), rewards[g, c].tolist())
-        # a window opened during this run holds no pre-run item
-        dropped = (part.fill <= part.t) & ~took
-        counters = (part.fill, part.pick, part.draws, part.reports_sent, part.windows_seen)
-        state = np.stack(counters, axis=1, dtype=np.int64).tolist()
-        for agent, n, total, took_j, dropped_j, state_j in zip(
-            self.agents, n_inter, totals, took.tolist(), dropped.tolist(), state
-        ):
-            agent.n_interactions, agent.total_reward = n, total
-            pol = agent.participation
-            pol.fill, pol._pick, pol._draws, pol.reports_sent, pol.windows_seen = state_j
-            if took_j:
-                ctx_j, action, reward = next(taken)
-                pol._held = (ctx_j.copy(), action, reward)
-            elif dropped_j:
-                pol._held = None
-
     # ------------------------------------------------------------------ #
     def _next_contexts(self) -> np.ndarray:
-        if self._X is None:
-            first = self.sessions[0].next_context()
-            self._X = np.empty((self.n, first.shape[0]), dtype=np.float64)
-            self._X[0] = first
-            for j in range(1, self.n):
-                self._X[j] = self.sessions[j].next_context()
-        else:
-            for j in range(self.n):
-                self._X[j] = self.sessions[j].next_context()
-        return self._X
+        """One generic-path round of contexts, one row per session."""
+        return np.array([s.next_context() for s in self.sessions], dtype=np.float64)
 
-    def _indexed_acting(self, rows_t: np.ndarray) -> np.ndarray:
-        """Acting representation for one step of a traced shard.
-
-        Every form is a gather through the row tables — raw contexts
-        from the row table, codes / centroid
-        representations from the per-row encoding tables filled by
-        :meth:`_encode_new_rows`.
+    def _indexed_acting(self, rows_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Report payloads and acting representation for one traced step:
+        gathers through the row table (raw contexts) and the per-row
+        encoding tables :meth:`_encode_new_rows` fills (codes, centroids).
         """
         if self.mode != AgentMode.WARM_PRIVATE:
-            return self._row_table.contexts[rows_t]
+            contexts = self._row_table.contexts[rows_t]
+            return contexts, contexts
         codes = self._row_codes[self._agent_group, rows_t]
         if self.stacked.wants_codes:
-            return codes
+            return codes, codes
         if self.private_context == "centroid":
-            return self._row_reps[self._agent_group, rows_t]
-        return self.agents[0].encoder.one_hot_batch(codes)  # type: ignore[union-attr]
-
-    def _walk_contexts(self) -> np.ndarray:
-        """The context table this shard's walk indexes."""
-        return self._seg_ctx if self.stationary else self._row_table.contexts
-
-    def _codes_at(self, agent_rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """Plan-time codes of ``(shard-local agent, global step)`` pairs.
-
-        Serves the columnar report-payload gathers through the full
-        walk (any step): traced shards read the per-row code tables,
-        stationary shards the segment codes.  Codes are never
-        re-encoded on any path.
-        """
-        walked = self._walk[agent_rows, steps]
-        if self.stationary:
-            return self._seg_code[walked]
-        return self._row_codes[self._agent_group[agent_rows], walked]
-
-    def _contexts_at(self, agent_rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """Raw contexts of ``(shard-local agent, global step)`` pairs.
-
-        A gather through the walk; serves the raw report payloads and
-        :meth:`finish`'s held-item gather.
-        """
-        return self._walk_contexts()[self._walk[agent_rows, steps]]
-
-    def _refresh_acting(self, X: np.ndarray) -> np.ndarray:
-        """Acting representation for one generic-path round of contexts."""
-        if self.mode != AgentMode.WARM_PRIVATE:
-            return X
-        return self._encode_contexts(X, self._rows, self._rows)[1]
+            return codes, self._row_reps[self._agent_group, rows_t]
+        return codes, self.agents[0].encoder.one_hot_batch(codes)  # type: ignore[union-attr]
 
 
 def _concat_row_tables(tables: Sequence[TraceRowTable]) -> TraceRowTable:
@@ -1194,22 +978,20 @@ def _run_shard_horizon(
     expected: np.ndarray | None,
     expected_ok: np.ndarray,
     *,
-    result_window: int | None = None,
     emit=None,
 ) -> None:
-    """Run one shard's whole horizon: prepare, step x T, finish, writeback.
+    """Run one shard's whole horizon: prepare, step x T, writeback.
 
     The one loop body — serial and thread-pool runs both call it.
     Outcomes land in the given result matrices at the shard's rows;
     ``emit(rows, t)``, when given, streams each round's columns as soon
     as they are written.
     """
-    shard.prepare(n_interactions, result_window=result_window)
+    shard.prepare(n_interactions)
     for t in range(n_interactions):
         shard.step(t, rewards, actions, expected, expected_ok)
         if emit is not None:
             emit(shard.indices, t)
-    shard.finish(rewards, actions)
     shard.writeback()
 
 
@@ -1453,22 +1235,6 @@ class FleetRunner:
         shard.sessions = sessions
         return shard
 
-    def _result_window(self, n_interactions: int) -> int:
-        """Ring width for streaming runs: every lookback fits.
-
-        The columnar reporting pipeline reads at most ``window - 1``
-        steps behind the current interaction (report items and
-        ``finish``'s held-item gather), so a ring of ``max(window)``
-        columns — plus one for slack, capped at the horizon — retains
-        every step a later read can touch.
-        """
-        windows = [
-            int(a.participation.window)
-            for a in self.agents
-            if a.participation is not None
-        ]
-        return min(max(windows, default=1) + 1, n_interactions)
-
     def _empty_result(
         self, n_interactions: int, *, track_expected: bool, sink
     ) -> FleetResult | None:
@@ -1660,9 +1426,9 @@ class FleetRunner:
         held = [self._held_shard(key, members) for key, members, _ in specs]
         if warm_start is not None:
             self._warm_start(specs, held, warm_start)
-        # streaming runs keep only a ring of result columns
-        result_window = None if sink is None else self._result_window(n_interactions)
-        width = n_interactions if result_window is None else result_window
+        # streaming runs keep one result column: each round is emitted
+        # as soon as it ends, and nothing reads a past round back
+        width = n_interactions if sink is None else 1
 
         rewards = np.empty((n_rows, width), dtype=np.float64)
         # shard members share n_arms (it is part of the shard key)
@@ -1689,8 +1455,7 @@ class FleetRunner:
 
         def run_shard(shard: _Shard) -> None:
             _run_shard_horizon(
-                shard, n_interactions, rewards, actions_mat, expected, expected_ok,
-                result_window=result_window, emit=emit,
+                shard, n_interactions, rewards, actions_mat, expected, expected_ok, emit=emit
             )
 
         n_workers = min(self.n_workers, len(shards))
@@ -1715,7 +1480,17 @@ class FleetRunner:
             expected_mask=expected_ok,
         )
 
-    def _warm_start(self, specs: list[tuple], held: list, state) -> None:
+    def warm_start(self, state) -> None:
+        """Every member's ``LocalAgent.warm_start(state)``, now: held
+        stacks that mirror their members load it (as ``run(warm_start=)``
+        does, :meth:`_warm_start`) and write it back at once, so the next
+        run reuses them without a restack."""
+        specs = self._full_specs()
+        held = [self._held_shard(key, members) for key, members, _ in specs]
+        for shard in self._warm_start(specs, held, state):
+            shard.writeback()
+
+    def _warm_start(self, specs: list[tuple], held: list, state) -> list[_Shard]:
         """Warm-start every spec member with ``state`` before any shard steps.
 
         The outcome is every member's ``LocalAgent.warm_start(state)``
@@ -1724,7 +1499,9 @@ class FleetRunner:
         every other member — newcomers included — warm-starts
         scalar-side first, so no stack has changed when a member's
         ``set_state`` refuses: the stack members before it then
-        warm-start scalar-side, and the error propagates.
+        warm-start scalar-side, and the error propagates.  Returns the
+        shards that loaded ``state``; their policies take it at the
+        shard's next writeback.
         """
         loads = []
         on_stack: set[int] = set()
@@ -1746,6 +1523,7 @@ class FleetRunner:
                 raise
         for shard in loads:
             shard.load_state(state)
+        return loads
 
     # ------------------------------------------------------------------ #
     # checkpoint / resume
@@ -1901,8 +1679,8 @@ class FleetRunner:
 
         Segmented execution composes bit-identically with one full run —
         the plan contract makes slice-by-slice planning exact, and
-        ``finish`` leaves agents in the sequential state at every
-        boundary (the segmented-composition property ``tests/sim`` pins)
+        agents are in the sequential state at every boundary (the
+        segmented-composition property ``tests/sim`` pins)
         — so the concatenated columns equal the uninterrupted run's.
         ``prefix`` (a loaded ``FleetCheckpoint``) seeds completed
         columns when resuming; ``expected_mask`` is ANDed across

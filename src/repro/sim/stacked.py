@@ -47,6 +47,7 @@ from ..bandits.keyed import tiebreak_rows
 from ..bandits.linucb import LinUCB
 from ..bandits.thompson import LinearThompsonSampling, posterior_scores
 from ..bandits.ucb1 import UCB1
+from ..core.columns import RowStorage
 from ..utils.exceptions import ConfigError, ValidationError
 
 __all__ = [
@@ -84,7 +85,7 @@ def _uniform(values, what: str):
     return first
 
 
-class StackedPolicies(abc.ABC):
+class StackedPolicies(RowStorage, abc.ABC):
     """Base class: ``n`` same-kind policies as one stacked state.
 
     Subclasses stack in ``__init__`` and mutate their stacked arrays in
@@ -204,25 +205,14 @@ class StackedPolicies(abc.ABC):
             arrays[key] = a.reshape(shape)
         return arrays
 
-    def _storage(self, name: str) -> np.ndarray:
-        """Attribute ``name``'s storage: its rows, then spare rows."""
-        return self._store.setdefault(name, getattr(self, name))
-
     def append(self, other: StackedPolicies) -> bool:
         """Append ``other``'s agents' rows into spare capacity, which doubles
         when full (moving every row); False, changing nothing, on the fast tier."""
         if not self.views:
             return False
         n, m = self.n_agents, self.n_agents + other.n_agents
-        for name in self.agent_state + self.row_state:
-            store = self._storage(name)
-            if m > len(store):
-                grown = np.empty((max(m, 2 * len(store)), *store.shape[1:]), dtype=store.dtype)
-                grown[:n] = store[:n]
-                store = self._store[name] = grown
-                self.held_rows.pop(name, None)
-            store[n:m] = getattr(other, name)
-            setattr(self, name, store[:m])
+        for name in self._append_rows(self.agent_state + self.row_state, other, n, m):
+            self.held_rows.pop(name, None)
         self.policies += other.policies
         self.n_agents = m
         return True
@@ -246,10 +236,7 @@ class StackedPolicies(abc.ABC):
                 if getattr(self.policies[i], name) is rows[i]:
                     setattr(self.policies[i], name, rows[i].copy())
         first = int(np.argmin(kept)) if m < n else n  # rows before it stay
-        for name in self.agent_state + self.row_state:
-            live = self._storage(name)
-            live[first:m] = live[keep[first:]]
-            setattr(self, name, live[:m])
+        self._keep_rows(self.agent_state + self.row_state, keep, first)
         for name, rows in held.items():
             # rows are handed to a prefix of the members; its survivors lead
             handed = int(np.count_nonzero(keep < len(rows)))

@@ -17,6 +17,7 @@ from repro.bandits import (
     LinUCB,
     LinearThompsonSampling,
 )
+from repro.utils.exceptions import ValidationError
 
 ALL_POLICIES = [LinUCB, EpsilonGreedy, LinearThompsonSampling, CodeLinUCB, UCB1]
 
@@ -133,3 +134,25 @@ def test_update_many_validates_actions_upfront(cls):
     after = policy.get_state()
     for key in before:
         np.testing.assert_array_equal(np.asarray(before[key]), np.asarray(after[key]))
+
+
+@pytest.mark.parametrize("method", ["update_batch", "update_many"])
+@pytest.mark.parametrize("cls", ALL_POLICIES, ids=lambda c: c.kind)
+@pytest.mark.parametrize(
+    "actions, n_rewards",
+    [([0, -1], 2), ([0, 3], 2), ([0, 1], 3)],
+    ids=["negative-action", "action-past-last-arm", "length-mismatch"],
+)
+def test_refused_batch_writes_nothing(cls, method, actions, n_rewards):
+    """A batch with an action outside ``[0, n_arms)`` or mismatched
+    lengths is refused before any row is applied: ``get_state()`` and
+    ``t`` are unchanged (one shared check in ``bandits/base.py``)."""
+    policy = cls(n_arms=3, n_features=4, seed=0)
+    X = _contexts(cls, np.random.default_rng(5), 2)
+    before = policy.get_state()
+    with pytest.raises(ValidationError):
+        getattr(policy, method)(X, np.array(actions), np.ones(n_rewards))
+    after = policy.get_state()
+    assert policy.t == 0 and after.keys() == before.keys()
+    for key, value in before.items():
+        np.testing.assert_array_equal(np.asarray(after[key]), np.asarray(value), err_msg=key)

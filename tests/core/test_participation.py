@@ -1,8 +1,13 @@
-"""Tests for repro.core.participation — the privacy-critical sampler."""
+"""Tests for repro.core.participation — the privacy-critical sampler.
+
+Items are ``(payload, action, reward)`` triples, the form a device
+holds: a payload is a code (an int) or a context row.
+"""
 
 from __future__ import annotations
 
 import gc
+import pickle
 import weakref
 
 import numpy as np
@@ -22,50 +27,69 @@ from repro.utils.exceptions import ValidationError
 from repro.utils.rng import ensure_rng, spawn_seeds
 
 
+def _item(k: int) -> tuple:
+    """A distinct interaction: payload ``k``, an action and a reward."""
+    return (k, k % 3, k / 8)
+
+
 class TestBasicBehaviour:
     def test_no_report_before_window(self):
         part = RandomizedParticipation(p=1.0, window=5, seed=0)
-        assert all(part.offer(i) is None for i in range(4))
+        assert all(part.offer(_item(i)) is None for i in range(4))
 
     def test_report_at_window_with_p_one(self):
         part = RandomizedParticipation(p=1.0, window=3, seed=0)
-        part.offer(0), part.offer(1)
-        assert part.offer(2) in (0, 1, 2)
+        part.offer(_item(0)), part.offer(_item(1))
+        assert part.offer(_item(2)) in [_item(i) for i in range(3)]
 
     def test_never_reports_with_p_zero(self):
         part = RandomizedParticipation(p=0.0, window=2, max_reports=10, seed=0)
-        assert all(part.offer(i) is None for i in range(100))
+        assert all(part.offer(_item(i)) is None for i in range(100))
         assert part.windows_seen == 50
 
     def test_max_reports_budget(self):
         part = RandomizedParticipation(p=1.0, window=1, max_reports=3, seed=0)
-        sent = [part.offer(i) for i in range(10)]
+        sent = [part.offer(_item(i)) for i in range(10)]
         assert sum(s is not None for s in sent) == 3
         assert part.exhausted
 
     def test_buffer_resets_after_flip(self):
         """Windows are disjoint: an old item can't be reported later."""
         part = RandomizedParticipation(p=1.0, window=2, max_reports=5, seed=0)
-        part.offer("a")
-        first = part.offer("b")
-        assert first in ("a", "b")
-        part.offer("c")
-        second = part.offer("d")
-        assert second in ("c", "d")
+        part.offer(_item(0))
+        first = part.offer(_item(1))
+        assert first in (_item(0), _item(1))
+        part.offer(_item(2))
+        second = part.offer(_item(3))
+        assert second in (_item(2), _item(3))
 
     def test_reset(self):
         part = RandomizedParticipation(p=1.0, window=1, max_reports=1, seed=0)
-        part.offer(0)
+        part.offer(_item(0))
         assert part.exhausted
         part.reset()
         assert not part.exhausted
-        assert part.offer(1) is not None
+        assert part.offer(_item(1)) is not None
 
     def test_invalid_params(self):
         with pytest.raises(ValidationError):
             RandomizedParticipation(p=1.5)
         with pytest.raises(ValidationError):
             RandomizedParticipation(window=0)
+
+    def test_item_is_read_only_when_kept(self):
+        """``holds_next`` says whether an offer keeps its item; any other
+        offer may pass ``None``, as ``LocalAgent.record_interaction``
+        does instead of encoding an interaction no window keeps."""
+        part = RandomizedParticipation(p=0.6, window=4, max_reports=50, seed=2)
+        ref = RandomizedParticipation(p=0.6, window=4, max_reports=50, seed=2)
+        for k in range(80):
+            kept = part.holds_next
+            out = part.offer(_item(k) if kept else None)
+            assert out == ref.offer(_item(k))
+            if kept:  # held in the open window, or reported as it closed
+                assert _item(k) in (part.held, out)
+        assert part.state() == ref.state()
 
 
 class TestSamplingStatistics:
@@ -77,7 +101,7 @@ class TestSamplingStatistics:
         for i in range(n_agents):
             part = RandomizedParticipation(p=p, window=5, max_reports=1, seed=i)
             for t in range(5):
-                if part.offer(t) is not None:
+                if part.offer(_item(t)) is not None:
                     sent += 1
         rate = sent / n_agents
         assert rate == pytest.approx(p, abs=0.025)
@@ -87,14 +111,14 @@ class TestSamplingStatistics:
         for i in range(3000):
             part = RandomizedParticipation(p=1.0, window=4, seed=i)
             for t in range(4):
-                out = part.offer(t)
-            counts[out] += 1
+                out = part.offer(_item(t))
+            counts[out[0]] += 1
         assert counts.min() > 600  # ~750 expected each
 
     def test_reproducible_given_seed(self):
         def run(seed):
             part = RandomizedParticipation(p=0.5, window=3, max_reports=2, seed=seed)
-            return [part.offer(i) for i in range(12)]
+            return [part.offer(_item(i)) for i in range(12)]
 
         assert run(7) == run(7)
         assert run(7) != run(8)
@@ -103,7 +127,7 @@ class TestSamplingStatistics:
     @settings(max_examples=50)
     def test_property_budget_never_exceeded(self, p, window, budget):
         part = RandomizedParticipation(p=p, window=window, max_reports=budget, seed=0)
-        sent = sum(part.offer(i) is not None for i in range(200))
+        sent = sum(part.offer(_item(i)) is not None for i in range(200))
         assert sent <= budget
 
 
@@ -151,20 +175,34 @@ class _BufferedParticipation:
 def _assert_matches_reference(pol, ref):
     """Counters agree, and the one held item is the reference buffer's
     item at the pick (none before the pick or on tails)."""
-    assert pol._key == ref._key
-    assert (pol._draws, pol.reports_sent, pol.windows_seen) == (
+    state = pol.state()
+    assert state["keys"] == ref._key
+    assert (state["draws"], state["reports_sent"], state["windows_seen"]) == (
         ref._draws,
         ref.reports_sent,
         ref.windows_seen,
     )
-    assert pol.fill == len(ref._buffer)
-    if 0 <= pol._pick < pol.fill:
-        assert pol._held is ref._buffer[pol._pick]
+    assert state["fill"] == len(ref._buffer)
+    if 0 <= state["pick"] < state["fill"]:
+        assert state["held"] == ref._buffer[state["pick"]]
     else:
-        assert pol._held is None
+        assert state["held"] is None
 
 
 _SPEC = st.tuples(st.sampled_from([0.0, 0.3, 0.5, 1.0]), st.integers(1, 6), st.integers(0, 3))
+
+
+def _stack(policies) -> StackedParticipation:
+    """A store holding ``policies``' rows, each policy bound to its row."""
+    stacked = StackedParticipation(0)
+    stacked.join(policies)
+    return stacked
+
+
+def _step(stacked, t):
+    """Offer every device the item of step ``t``; the reporting rows."""
+    n = stacked.n
+    return stacked.step(np.full(n, t), np.zeros(n, dtype=np.intp), np.zeros(n))
 
 
 class TestOneItemFormMatchesReference:
@@ -182,8 +220,8 @@ class TestOneItemFormMatchesReference:
         for t in range(n_offers):
             if t in resets:
                 pol.reset(), ref.reset()
-            item = object()
-            assert pol.offer(item) is ref.offer(item)
+            item = _item(t)
+            assert pol.offer(item) == ref.offer(item)
             _assert_matches_reference(pol, ref)
 
     @given(
@@ -195,7 +233,7 @@ class TestOneItemFormMatchesReference:
     )
     @settings(max_examples=100, deadline=None)
     def test_stacked_matches_buffered_reference(self, specs, seed, n_prefix, resets, horizon):
-        """A scalar prefix (with resets), adoption, then stacked steps:
+        """A scalar prefix (with resets), a join, then stacked steps:
         every report, and the final state, is the reference's."""
         seeds = spawn_seeds(seed, len(specs))
         pols = [
@@ -207,26 +245,18 @@ class TestOneItemFormMatchesReference:
             for pol, ref in zip(pols, refs):
                 if t in resets:
                     pol.reset(), ref.reset()
-                assert pol.offer(("pre", t)) == ref.offer(("pre", t))
-        stacked = StackedParticipation(pols)
+                assert pol.offer(_item(1000 + t)) == ref.offer(_item(1000 + t))
+        stacked = _stack(pols)
         for t in range(horizon):
-            reported, sampled = stacked.step()
-            for j, (pol, ref) in enumerate(zip(pols, refs)):
-                expected = ref.offer(("run", t))
-                if not reported[j]:
+            reported = set(_step(stacked, t).tolist())
+            for j, ref in enumerate(refs):
+                expected = ref.offer((t, 0, 0.0))
+                if j not in reported:
                     assert expected is None
-                elif sampled[j] >= 0:
-                    assert expected == ("run", sampled[j])
-                else:  # the item the scalar policy held at adoption
-                    assert expected == pol._held and expected[0] == "pre"
-        for j, ref in enumerate(refs):
-            assert stacked.keys[j] == ref._key
-            assert _stacked_state(stacked, j) == (
-                len(ref._buffer),
-                ref._draws,
-                ref.reports_sent,
-                ref.windows_seen,
-            )
+                else:  # this run's step, or an item held before the join
+                    assert expected == stacked.item(j)
+        for pol, ref in zip(pols, refs):
+            _assert_matches_reference(pol, ref)
 
 
 class TestHeldItemsOnly:
@@ -236,21 +266,25 @@ class TestHeldItemsOnly:
     def test_scalar_window_of_1000_keeps_at_most_one_item(self):
         pol = RandomizedParticipation(p=1.0, window=1000, max_reports=1, seed=3)
         refs = []
-        for _ in range(999):
-            item = np.zeros(4)
+        for k in range(999):
+            item = np.full(4, float(k))
             refs.append(weakref.ref(item))
-            assert pol.offer(item) is None
+            assert pol.offer((item, 0, 0.0)) is None
             del item
         gc.collect()
-        alive = [r for r in refs if r() is not None]
-        assert len(alive) <= 1
+        # the held item is a copy in the device's row: no offered
+        # array stays alive, and the row holds the picked one
+        assert all(r() is None for r in refs)
         assert pol.fill == 999
-        if alive:
-            assert alive[0]() is pol._held
+        held = pol.held
+        if pol.pick < 999:
+            np.testing.assert_array_equal(held[0], np.full(4, float(pol.pick)))
+        else:
+            assert held is None
 
 
 # --------------------------------------------------------------------- #
-# StackedParticipation: the columnar pipeline's vectorized sampler
+# StackedParticipation: the columns and their vectorized step
 # --------------------------------------------------------------------- #
 def _population(specs, seed=0):
     """One RandomizedParticipation per (p, window, max_reports) spec."""
@@ -260,63 +294,39 @@ def _population(specs, seed=0):
     ]
 
 
-def _scalar_offers(policies, horizon):
-    """Reference: ``(reported, item)`` matrices per (agent, t).
+def _scalar_offers(policies, horizon, start=0):
+    """Reference: ``(reported, payload)`` matrices per (agent, t).
 
-    Items are the step indices themselves, so ``item`` pins *which*
-    interaction each report sampled (0 where not ``reported``).
+    Payloads are the step indices ``start + t``, so ``payload`` pins
+    *which* interaction each report sampled (0 where not ``reported``).
     """
     reported = np.zeros((len(policies), horizon), dtype=bool)
     out = np.zeros((len(policies), horizon), dtype=np.intp)
     for j, pol in enumerate(policies):
         for t in range(horizon):
-            sampled = pol.offer(t)
+            sampled = pol.offer((start + t, 0, 0.0))
             if sampled is not None:
                 reported[j, t] = True
-                out[j, t] = sampled
+                out[j, t] = sampled[0]
     return reported, out
 
 
-def _stacked_offers(stacked, horizon):
-    """Same matrices through StackedParticipation.step().
-
-    Sampled steps count from adoption: -1 is the item the scalar policy
-    held when it was adopted.
-    """
+def _stacked_offers(stacked, horizon, start=0):
+    """Same matrices through StackedParticipation.step()."""
     reported = np.zeros((stacked.n, horizon), dtype=bool)
     out = np.zeros((stacked.n, horizon), dtype=np.intp)
     for t in range(horizon):
-        fired, sampled = stacked.step()
-        rows = np.flatnonzero(fired)
+        rows = _step(stacked, start + t)
         reported[rows, t] = True
-        out[rows, t] = sampled[rows]
+        out[rows, t] = stacked.held_payload[rows]
     return reported, out
 
 
-def _stacked_state(stacked, j):
-    """Agent ``j``'s fill level and counters, as Python ints."""
-    return (
-        int(stacked.fill[j]),
-        int(stacked.draws[j]),
-        int(stacked.reports_sent[j]),
-        int(stacked.windows_seen[j]),
-    )
-
-
-def _assert_same_streams(scalar, stacked):
-    """Counters, keys, draw counters and picks agree policy by policy."""
-    for j, pol in enumerate(scalar):
-        assert _stacked_state(stacked, j) == (
-            pol.fill,
-            pol._draws,
-            pol.reports_sent,
-            pol.windows_seen,
-        )
-        # same key, and the stacked path advanced each counter exactly
-        # as the scalar call sequence did: once per window
-        assert stacked.keys[j] == pol._key
-        assert pol._draws == pol.windows_seen
-        assert stacked.pick[j] == pol._pick
+def _assert_same_streams(scalar, joined):
+    """Every device's state agrees; counters advanced once per window."""
+    for a, b in zip(scalar, joined):
+        assert a.state() == b.state()
+        assert a._draws == a.windows_seen
 
 
 class TestStackedParticipation:
@@ -333,97 +343,134 @@ class TestStackedParticipation:
     def test_matches_scalar_offers_and_streams(self):
         horizon = 30
         scalar = _population(self.SPECS, seed=3)
-        stacked = StackedParticipation(_population(self.SPECS, seed=3))
+        joined = _population(self.SPECS, seed=3)
+        stacked = _stack(joined)
         rep_s, out_s = _scalar_offers(scalar, horizon)
         rep_a, out_a = _stacked_offers(stacked, horizon)
         np.testing.assert_array_equal(rep_s, rep_a)
         np.testing.assert_array_equal(out_s, out_a)
         assert rep_s.any() and not rep_s.all()
-        _assert_same_streams(scalar, stacked)
+        _assert_same_streams(scalar, joined)
         assert stacked.draws.sum() > 0
+
+    def test_joined_device_is_its_store_row(self):
+        """One state, two forms: a joined device's scalar offers and the
+        stacked steps advance the same row, interleaved in any order."""
+        scalar = _population(self.SPECS, seed=5)
+        joined = _population(self.SPECS, seed=5)
+        stacked = _stack(joined)
+        for t in range(24):
+            if t % 3 == 0:
+                rep_a, out_a = _stacked_offers(stacked, 1, start=t)
+            else:
+                rep_a, out_a = _scalar_offers(joined, 1, start=t)
+            rep_s, out_s = _scalar_offers(scalar, 1, start=t)
+            np.testing.assert_array_equal(rep_s, rep_a)
+            np.testing.assert_array_equal(out_s, out_a)
+        _assert_same_streams(scalar, joined)
+        for j, pol in enumerate(joined):
+            assert pol.fill == stacked.fill[j] and pol.pick == stacked.pick[j]
 
     def test_exhausted_agents_consume_no_rng(self):
         pol = RandomizedParticipation(p=0.8, window=3, max_reports=0, seed=1)
         key = pol._key
-        stacked = StackedParticipation([pol])
-        for _ in range(20):
-            reported, _ = stacked.step()
-            assert not reported.any()
+        stacked = _stack([pol])
+        for t in range(20):
+            assert _step(stacked, t).size == 0
         assert stacked.keys[0] == key and stacked.draws[0] == 0
         assert stacked.reports_sent[0] == 0 and stacked.fill[0] == 0
-        assert stacked.held_at[0] == -1
+        assert stacked.held_payload is None and pol.held is None
 
     def test_window_longer_than_horizon_never_fires(self):
         pols = _population([(1.0, 40, 1)] * 3, seed=2)
-        stacked = StackedParticipation(pols)
-        for _ in range(10):
-            reported, _ = stacked.step()
-            assert not reported.any()
+        stacked = _stack(pols)
+        for t in range(10):
+            assert _step(stacked, t).size == 0
         assert (stacked.fill == 10).all()
-        # no window closed, and each open window drew its pick at the
-        # first step: an in-run item is held iff the pick fell in it
+        # no window closed, and each open window drew its pick when it
+        # opened: the step at the pick is held iff it fell in the run
         assert (stacked.draws == 0).all() and (stacked.windows_seen == 0).all()
         assert (stacked.pick >= 0).all()
-        np.testing.assert_array_equal(
-            stacked.held_at, np.where(stacked.pick < 10, stacked.pick, -1)
-        )
+        for pol in pols:
+            assert pol.held == ((pol.pick, 0, 0.0) if pol.pick < 10 else None)
 
-    def test_mid_stream_adoption_continues_scalar_state(self):
-        """Adopting policies with partial windows / spent budgets mid-run
+    def test_mid_stream_join_continues_scalar_state(self):
+        """Joining devices with partial windows / spent budgets mid-run
         reproduces the scalar continuation exactly."""
         horizon_pre, horizon_post = 7, 20
         scalar = _population(self.SPECS, seed=9)
-        adopted = _population(self.SPECS, seed=9)
+        joined = _population(self.SPECS, seed=9)
         pre_s = _scalar_offers(scalar, horizon_pre)
-        pre_a = _scalar_offers(adopted, horizon_pre)  # object path prefix
+        pre_a = _scalar_offers(joined, horizon_pre)  # scalar prefix
         np.testing.assert_array_equal(pre_s[0], pre_a[0])
         np.testing.assert_array_equal(pre_s[1], pre_a[1])
-        stacked = StackedParticipation(adopted)
-        assert (stacked.fill == [p.fill for p in adopted]).all()
-        assert (stacked.pick == [p._pick for p in adopted]).all()
-        held0 = [p._held for p in adopted]
-        rep_s, post_s = _scalar_offers(scalar, horizon_post)
-        # the stacked continuation counts steps from adoption; -1 is the
-        # item the scalar policy held at adoption ("no report" is the
-        # mask, not the index)
-        rep_a, post_a = _stacked_offers(stacked, horizon_post)
+        before = [p.state() for p in joined]
+        stacked = _stack(joined)
+        assert [p.state() for p in joined] == before
+        rep_s, post_s = _scalar_offers(scalar, horizon_post, start=horizon_pre)
+        rep_a, post_a = _stacked_offers(stacked, horizon_post, start=horizon_pre)
         np.testing.assert_array_equal(rep_s, rep_a)
-        # scalar offers used step indices 0..horizon_post-1 in the post
-        # phase too; an item held from the pre phase is its pre-phase
-        # step, the one the adopted policy still holds untouched
-        for j, t in zip(*np.nonzero(rep_s)):
-            s_val, a_val = post_s[j, t], post_a[j, t]
-            if a_val >= 0:
-                assert s_val == a_val
-            else:
-                assert s_val == held0[j] == adopted[j]._held
-                assert s_val == horizon_pre - adopted[j].fill + adopted[j]._pick
-        _assert_same_streams(scalar, stacked)
+        # a report of an item held before the join is its pre-join step
+        np.testing.assert_array_equal(post_s, post_a)
+        _assert_same_streams(scalar, joined)
 
-    def test_adoption_sampling_last_pre_buffer_item(self):
-        """A report of the last pre-adoption item (stacked index -1, the
-        adopted policy's held item) is a report, not silence: find a
-        seed whose window picked it, and check it against the scalar
+    def test_join_then_report_last_pre_join_item(self):
+        """A report of the last pre-join item (held in the device's row
+        before the join) is a report, not silence: find a seed whose
+        window picked it, and check it against the scalar
         continuation."""
         for seed in range(200):
             scalar = _population([(1.0, 4, 1)], seed=seed)[0]
-            adopted = _population([(1.0, 4, 1)], seed=seed)
-            for pol in (scalar, adopted[0]):
-                pol.offer("pre0"), pol.offer("pre1")
-            stacked = StackedParticipation(adopted)
-            assert scalar.offer("post0") is None
-            sampled = scalar.offer("post1")
-            assert not stacked.step()[0].any()
-            reported, at = stacked.step()
-            assert reported[0] and sampled is not None
-            if at[0] == -1 and adopted[0]._pick == 1:
-                assert sampled == adopted[0]._held == "pre1"
+            joined = _population([(1.0, 4, 1)], seed=seed)
+            for pol in (scalar, joined[0]):
+                pol.offer((0, 0, 0.0)), pol.offer((1, 0, 0.0))
+            stacked = _stack(joined)
+            pick = joined[0].pick
+            assert scalar.offer((2, 0, 0.0)) is None
+            sampled = scalar.offer((3, 0, 0.0))
+            assert _step(stacked, 2).size == 0
+            rows = _step(stacked, 3)
+            assert rows.tolist() == [0] and sampled is not None
+            if pick == 1:
+                assert sampled == stacked.item(0) == (1, 0, 0.0)
                 return
-        pytest.fail("no seed in range(200) sampled the last pre-adoption item")
+        pytest.fail("no seed in range(200) sampled the last pre-join item")
 
-    def test_empty_population_rejected(self):
-        with pytest.raises(ValueError):
-            StackedParticipation([])
+    def test_empty_store_steps_to_no_reports(self):
+        stacked = StackedParticipation(0)
+        stacked.join([])
+        assert stacked.n == 0
+        assert _step(stacked, 0).size == 0
+
+
+class TestOneRowState:
+    """A device that never joined a store holds a private one-row store;
+    a departed device and a copy hold their own rows."""
+
+    def test_pickle_is_a_copy(self):
+        pols = _population([(0.7, 3, 5)] * 4, seed=6)
+        stacked = _stack(pols)
+        for t in range(5):
+            _step(stacked, t)
+        copy = pickle.loads(pickle.dumps(pols[2]))
+        assert copy.state() == pols[2].state()
+        assert copy._cols is not stacked
+        before = pols[2].state()
+        copy.offer((99, 0, 0.0))
+        assert pols[2].state() == before
+
+    def test_departed_row_is_a_copy(self):
+        pols = _population([(0.7, 3, 5)] * 4, seed=8)
+        stacked = _stack(pols)
+        for t in range(4):
+            _step(stacked, t)
+        gone = pols[1].state()
+        stacked.leave(pols, np.array([0, 2, 3]))
+        assert pols[1].state() == gone and pols[1]._cols is not stacked
+        for t in range(4, 10):
+            _step(stacked, t)
+        assert pols[1].state() == gone
+        assert [p._row for p in (pols[0], pols[2], pols[3])] == [0, 1, 2]
 
 
 class TestKeyedCoin:
@@ -433,10 +480,9 @@ class TestKeyedCoin:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_stacked_coin_rate_within_5_sigma(self, p):
         n_agents, n_windows = 1000, 100  # 10^5 agent-windows
-        pols = _population([(p, 1, n_windows)] * n_agents, seed=17)
-        stacked = StackedParticipation(pols)
-        for _ in range(n_windows):
-            stacked.step()
+        stacked = _stack(_population([(p, 1, n_windows)] * n_agents, seed=17))
+        for t in range(n_windows):
+            _step(stacked, t)
         n = int(stacked.windows_seen.sum())
         assert n == n_agents * n_windows
         rate = stacked.reports_sent.sum() / n
@@ -444,12 +490,12 @@ class TestKeyedCoin:
 
     def test_reset_does_not_replay_coins(self):
         def coins(pol, n):
-            return [pol.offer(i) is not None for i in range(n)]
+            return [pol.offer(_item(i)) is not None for i in range(n)]
 
         pol = RandomizedParticipation(p=0.5, window=1, max_reports=1000, seed=4)
         first = coins(pol, 64)
         pol.reset()
-        assert pol._draws == 64  # the counter does not rewind
+        assert pol.state()["draws"] == 64  # the counter does not rewind
         again = coins(pol, 64)
         assert first != again
         # a fresh device on the same seed replays the first 64 coins:

@@ -101,8 +101,53 @@ class TestLifecycle:
                 continue  # RNG bit generators stay per-agent
             for other in states[1:]:
                 np.testing.assert_array_equal(ref, np.asarray(other[key]), err_msg=key)
-        # and the next request still runs (the refreshed policies restack)
+        # and the next request still runs, on the held stacks
         assert service.interact(2).rewards.shape == (12, 2)
+
+    def test_refresh_loads_held_stacks(self, monkeypatch):
+        """``refresh`` is every device's ``warm_start`` at once — a
+        departure or checkpoint before the next request sees the model
+        — and the next request steps the held stacks: no
+        ``stack_policies`` call, bitwise the per-device path."""
+        import repro.sim.fleet as fleet_module
+
+        services = []
+        for _ in range(2):
+            service = FleetService(_config(p=0.9), _env(), seed=3)
+            service.arrive(12)
+            for _ in range(3):
+                service.interact(6)
+                service.collect()
+            service.flush()
+            services.append(service)
+        held, spec = services
+        assert held.system.server.n_tuples_ingested > 0
+        held.refresh()
+        snapshot = spec.system.model_snapshot()
+        for agent in spec.fleet.agents:
+            agent.warm_start(snapshot)
+        for a, b in zip(held.fleet.agents, spec.fleet.agents, strict=True):
+            sa, sb = a.policy.get_state(), b.policy.get_state()
+            for key in sb:
+                np.testing.assert_array_equal(np.asarray(sa[key]), np.asarray(sb[key]), key)
+        stacked = []
+        real_stack = fleet_module.stack_policies
+        monkeypatch.setattr(
+            fleet_module,
+            "stack_policies",
+            lambda policies, **kw: (stacked.append(policies), real_stack(policies, **kw))[1],
+        )
+        r_held = held.interact(4)
+        monkeypatch.undo()
+        assert stacked == []
+        r_spec = spec.interact(4)
+        np.testing.assert_array_equal(r_held.rewards, r_spec.rewards)
+        np.testing.assert_array_equal(r_held.actions, r_spec.actions)
+        for a, b in zip(held.fleet.agents, spec.fleet.agents, strict=True):
+            sa, sb = a.policy.get_state(), b.policy.get_state()
+            for key in sb:
+                np.testing.assert_array_equal(np.asarray(sa[key]), np.asarray(sb[key]), key)
+            assert (a.policy.t, a.policy._draws) == (b.policy.t, b.policy._draws)
 
     def test_depart_resolves_members_once(self):
         """Departures go through FleetRunner.member_indices: an index

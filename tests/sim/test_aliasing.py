@@ -1,7 +1,8 @@
-"""Policy state never aliases across agents or into snapshots.
+"""Member state never aliases across agents or into snapshots.
 
 The fleet engine keeps every member's policy state on a stacked array
-between runs.  Whatever form that takes, three invariants hold at every
+between runs, and its counters and participation state as rows of
+held columns.  Whatever form that takes, three invariants hold at every
 membership boundary — restack, join, leave and warm start:
 
 * no two agents' policy arrays share memory (``np.shares_memory``);
@@ -10,6 +11,10 @@ membership boundary — restack, join, leave and warm start:
 * a departed agent's policy state does not move when its old shard runs
   on, compacts or takes newcomers, and shares no memory with any stack
   the runner still holds.
+
+For counter and participation rows: no two agents are bound to one row,
+a departed agent keeps its own copy of its rows, and under repeated
+arrive/depart the held columns stay within twice the live members.
 """
 
 from __future__ import annotations
@@ -228,3 +233,94 @@ class TestWarmStart:
         assert_no_shared_memory(agents)
         for key, value in kept.items():
             np.testing.assert_array_equal(np.asarray(snapshot[key]), value, err_msg=key)
+
+
+# --------------------------------------------------------------------- #
+# counter and participation rows
+# --------------------------------------------------------------------- #
+#: warm-private members hold counter and participation rows, cold ones
+#: counter rows only
+ROW_POPULATIONS = ["code_linucb", "linucb"]
+
+
+def _rows(agents) -> list[tuple]:
+    """Every ``(store, row)`` an agent's counters or participation is."""
+    rows = [(id(a._cols), a._row) for a in agents]
+    rows += [
+        (id(a.participation._cols), a.participation._row)
+        for a in agents
+        if a.participation is not None
+    ]
+    return rows
+
+
+def _bookkeeping(agent) -> tuple:
+    part = agent.participation
+    return agent.n_interactions, agent.total_reward, None if part is None else part.state()
+
+
+def _held_columns(runner) -> list:
+    return [
+        store
+        for shard in runner._shards.values()
+        for store in (shard._counts, shard._part)
+        if store is not None
+    ]
+
+
+@pytest.mark.parametrize("name", ROW_POPULATIONS)
+class TestBookkeepingRows:
+    def test_no_two_agents_share_a_row(self, name, kmeans_encoder):
+        runner, agents = _fleet(name, kmeans_encoder, n=8)
+        steps = [
+            lambda: runner.run(3),
+            lambda: runner.add_agents(*_newcomers(name, kmeans_encoder, 3, seed=80)),
+            lambda: runner.run(2),
+            lambda: runner.remove_agents([agents[2], agents[5]]),
+            # a second runner over part of the population takes their
+            # rows; the first gathers them back at its next run
+            lambda: FleetRunner(runner.agents[:3], runner.sessions[:3]).run(2),
+            lambda: runner.run(2),
+            lambda: runner.run_subset(agents[3:5], 2),
+            lambda: runner.run(1),
+        ]
+        for step in steps:
+            step()
+            rows = _rows(runner.agents)
+            assert len(set(rows)) == len(rows)
+        # the held shard is bound to every member after its run
+        for shard in runner._shards.values():
+            assert shard._counts.holds(shard.agents)
+
+    def test_departed_rows_stay_put(self, name, kmeans_encoder):
+        runner, agents = _fleet(name, kmeans_encoder, n=8)
+        runner.run(4)
+        departed = [agents[0], agents[3], agents[7]]
+        frozen = [_bookkeeping(a) for a in departed]
+        runner.remove_agents(departed)
+        runner.run(3)
+        runner.add_agents(*_newcomers(name, kmeans_encoder, 4, seed=81))
+        runner.run(3)
+        runner.remove_agents([agents[1]])
+        runner.run(2)
+        held = _held_columns(runner)
+        for agent, before in zip(departed, frozen):
+            assert _bookkeeping(agent) == before
+            assert agent._cols.n == 1 and all(agent._cols is not c for c in held)
+            if agent.participation is not None:
+                assert all(agent.participation._cols is not c for c in held)
+        rows = _rows(departed + runner.agents)
+        assert len(set(rows)) == len(rows)
+
+    def test_columns_stay_bounded_under_churn(self, name, kmeans_encoder):
+        runner, agents = _fleet(name, kmeans_encoder, n=6)
+        runner.run(2)
+        for cycle in range(25):
+            runner.add_agents(*_newcomers(name, kmeans_encoder, 2, seed=100 + cycle))
+            runner.remove_agents(runner.agents[:2])
+            runner.run(2)
+            (shard,) = runner._shards.values()
+            for store in _held_columns(runner):
+                assert store.n == shard.n == 6
+                capacity = max(len(store._storage(name)) for name in store.names())
+                assert capacity <= 2 * store.n

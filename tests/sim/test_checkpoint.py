@@ -329,7 +329,7 @@ class TestValidationAndCorruption:
         state = state_from_bytes(path.read_bytes())
         state["version"] = 3
         path.write_bytes(state_to_bytes(state))
-        assert CHECKPOINT_VERSION == 7
+        assert CHECKPOINT_VERSION == 8
         with pytest.raises(CheckpointError, match="format version 3"):
             load_checkpoint(path)
 
@@ -390,13 +390,13 @@ class TestValidationAndCorruption:
         with pytest.raises(CheckpointError, match="format version 5"):
             load_checkpoint(path)
 
-    def test_version_6_checkpoint_refused(self, tmp_path, monkeypatch):
-        """Version 6 predates the one-item participation window: its
-        pickled policies carry a buffer of every interaction of the open
-        window, so it must not load.  At the current version a
-        population whose windows are offset (agents that joined at
-        different times, as under serving churn) resumes bit-identically
-        with windows open across the snapshot."""
+    @staticmethod
+    def _resume_with_open_windows(tmp_path, monkeypatch):
+        """A mid-run snapshot of a population whose windows are offset
+        (agents that joined at different times, as under serving churn)
+        resumes bit-identically with windows open across it: results,
+        policy states, pending rows, participation state (held items
+        included) and counters.  Returns the snapshot's path."""
         from repro.core import P2BConfig, P2BSystem
         from repro.experiments.runner import _simulate_agent
 
@@ -434,15 +434,40 @@ class TestValidationAndCorruption:
         resumed = FleetRunner.resume(path)
         held = [a.participation for a in resumed.agents]
         assert {p.fill for p in held} == {0, 1, 2, 3}  # every offset open
-        assert any(p._held is not None for p in held)
+        assert any(p.held is not None for p in held)
         _assert_run_identical(base, resumed.resume_run(), agents_a, resumed.agents)
         for a, b in zip(agents_a, resumed.agents):
             assert_participation_equal(a.participation, b.participation, a.agent_id)
+            assert (a.n_interactions, a.total_reward) == (b.n_interactions, b.total_reward)
+        return path
+
+    def test_version_6_checkpoint_refused(self, tmp_path, monkeypatch):
+        """Version 6 predates the one-item participation window: its
+        pickled policies carry a buffer of every interaction of the open
+        window, so it must not load; the current version resumes with
+        windows open across the snapshot."""
+        path = self._resume_with_open_windows(tmp_path, monkeypatch)
         state = state_from_bytes(path.read_bytes())
         state["version"] = 6
         path.write_bytes(state_to_bytes(state))
         with pytest.raises(CheckpointError, match="format version 6"):
             load_checkpoint(path)
+
+    def test_version_7_checkpoint_refused(self, tmp_path, monkeypatch):
+        """Version 7 pickles each participation window's held item as a
+        ``(context, action, reward)`` attribute and each agent's counters
+        as attributes; version 8 pickles the participation and counter
+        columns the devices are rows of (a held code, not a context, on
+        warm-private devices).  A v7 file is refused naming both
+        versions; a v8 snapshot taken mid-run, windows open, resumes
+        bitwise."""
+        path = self._resume_with_open_windows(tmp_path, monkeypatch)
+        state = state_from_bytes(path.read_bytes())
+        state["version"] = 7
+        path.write_bytes(state_to_bytes(state))
+        with pytest.raises(CheckpointError, match="format version 7") as refused:
+            load_checkpoint(path)
+        assert "reads version 8" in str(refused.value)
 
     @staticmethod
     def _with_dropped(path, dropped):

@@ -19,8 +19,6 @@ collection round flows arrays end-to-end (``drain_report_batches`` →
 
 from __future__ import annotations
 
-import gc
-import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -67,21 +65,6 @@ def _system_population(mode, config, seed=0, n_agents=N_AGENTS, env_seed=7):
     agents = [system.new_agent() for _ in range(n_agents)]
     sessions = [env.new_user(s) for s in spawn_seeds(seed + 1, n_agents)]
     return system, agents, sessions
-
-
-def _arrays_reachable(obj) -> int:
-    """Arrays reachable from ``obj``'s attributes through containers."""
-    count, seen, stack = 0, set(), [vars(obj)]
-    while stack:
-        o = stack.pop()
-        if id(o) in seen:
-            continue
-        seen.add(id(o))
-        if isinstance(o, np.ndarray):
-            count += 1
-        elif isinstance(o, (list, tuple, dict)):
-            stack.extend(gc.get_referents(o))
-    return count
 
 
 def _assert_collect_identical(seq, fleet):
@@ -191,9 +174,10 @@ class TestColumnarCollectGolden:
 
     def test_run_shorter_than_window_holds_one_item(self, monkeypatch):
         """A device holds at most one interaction of its open window,
-        however many it has seen: offered contexts on the sequential
-        path die unless picked, and a fleet agent's participation state
-        reaches at most one context after two runs inside one window."""
+        however many it has seen: the sequential path hands its
+        participation only the interaction the window keeps, and a
+        fleet device's held item after two runs inside one window is its
+        one row of the held-item columns, equal to the sequential one."""
         config = _config(window=40, p=0.9)
         s_sys, s_agents, s_sessions = _system_population(AgentMode.WARM_PRIVATE, config)
         f_sys, f_agents, f_sessions = _system_population(AgentMode.WARM_PRIVATE, config)
@@ -201,7 +185,7 @@ class TestColumnarCollectGolden:
         offer = RandomizedParticipation.offer
 
         def watched(self, item):
-            offered.setdefault(id(self), []).append(weakref.ref(item[0]))
+            offered.setdefault(id(self), []).append(item)
             return offer(self, item)
 
         monkeypatch.setattr(RandomizedParticipation, "offer", watched)
@@ -211,15 +195,16 @@ class TestColumnarCollectGolden:
         runner = FleetRunner(f_agents, f_sessions)
         runner.run(HORIZON // 2)
         runner.run(HORIZON - HORIZON // 2)
-        gc.collect()
         for sa, fa in zip(s_agents, f_agents):
-            refs = offered[id(sa.participation)]
-            assert len(refs) == HORIZON
-            assert sum(r() is not None for r in refs) <= 1
+            items = offered[id(sa.participation)]
+            assert len(items) == HORIZON
+            assert sum(item is not None for item in items) <= 1
             assert fa.participation.fill == HORIZON
-            assert _arrays_reachable(fa.participation) <= 1
             assert_participation_equal(sa.participation, fa.participation, sa.agent_id)
-        assert any(a.participation._held is not None for a in f_agents)
+        held = [a.participation.held for a in f_agents]
+        assert any(h is not None for h in held)
+        # a warm-private device holds its item's code, not its context
+        assert all(type(h[0]) is int for h in held if h is not None)
 
     def test_two_fleet_runs_before_collect(self):
         """Windows straddling two runs: the second run adopts partial
@@ -251,6 +236,58 @@ class TestColumnarCollectGolden:
         FleetRunner(f_agents, f_sessions).run(HORIZON)
         assert counts == {"record_interaction": 0}
         assert 0 < n_prefix < len(f_sys.report_log)
+        _assert_collect_identical((s_sys, s_agents), (f_sys, f_agents))
+
+
+class TestFleetAndScalarAlternate:
+    """The held shard's columns are the members' state, so a population
+    may step through fleet runs and scalar ``record_interaction`` calls
+    in any order: every boundary leaves the all-sequential state."""
+
+    @pytest.mark.parametrize(
+        "mode", [AgentMode.WARM_PRIVATE, AgentMode.WARM_NONPRIVATE, AgentMode.COLD]
+    )
+    def test_alternation_matches_all_sequential(self, mode):
+        config = _config(window=5, p=0.8, max_reports_per_user=6, shuffler_threshold=1)
+        s_sys, s_agents, s_sessions = _system_population(mode, config)
+        f_sys, f_agents, f_sessions = _system_population(mode, config)
+        held = FleetRunner(f_agents, f_sessions)
+        half = slice(0, N_AGENTS, 2)
+
+        def scalar(agents, sessions, n):
+            for a, s in zip(agents, sessions):
+                _simulate_agent(a, s, n)
+
+        # (fleet step, steps, the agents it moves); windows of 5 straddle
+        # every boundary below
+        plan = [
+            (lambda n: held.run(n), 3, slice(None)),
+            (lambda n: scalar(f_agents, f_sessions, n), 4, slice(None)),
+            (lambda n: held.run(n), 6, slice(None)),
+            (lambda n: scalar(f_agents[half], f_sessions[half], n), 2, half),
+            # a second runner takes every row; the held one gathers back
+            (lambda n: FleetRunner(f_agents, f_sessions).run(n), 4, slice(None)),
+            (lambda n: held.run(n), 2, slice(None)),
+            (lambda n: held.run_subset(f_agents[half], n), 3, half),
+            (lambda n: held.run(n), 4, slice(None)),
+        ]
+        open_windows = 0
+        for step, n, moved in plan:
+            step(n)
+            scalar(s_agents[moved], s_sessions[moved], n)
+            for sa, fa in zip(s_agents, f_agents):
+                assert (sa.n_interactions, sa.total_reward) == (
+                    fa.n_interactions,
+                    fa.total_reward,
+                ), sa.agent_id
+                if sa.participation is not None:
+                    assert_participation_equal(sa.participation, fa.participation, sa.agent_id)
+                    open_windows += fa.participation.fill > 0
+            assert_pending_rows_equal(s_agents, f_agents)
+        for sa, fa in zip(s_agents, f_agents):
+            assert_states_equal(sa.policy, fa.policy, sa.agent_id)
+        if mode != AgentMode.COLD:
+            assert open_windows > 0
         _assert_collect_identical((s_sys, s_agents), (f_sys, f_agents))
 
 

@@ -144,7 +144,7 @@ def test_property_report_rate_concentrates_around_p(p, seed):
     for u in range(n_users):
         part = RandomizedParticipation(p=p, window=3, max_reports=1, seed=seed + u)
         for t in range(3):
-            if part.offer(t) is not None:
+            if part.offer((t, 0, 0.0)) is not None:
                 sent += 1
     rate = sent / n_users
     # 4-sigma band for a binomial(n_users, p)
