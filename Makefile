@@ -33,9 +33,9 @@ perfbench-test:
 # off, numpy's float64 log/cos take another code path (the Box-Muller
 # of the keyed reward noise and of Thompson's posterior normals), so
 # the length-1 == block contract, the Thompson select == select_batch
-# checks, the synthetic/drift fleet == sequential suites and both forms
-# of the participation coins and picks (scalar offer, stacked step, the
-# columnar recording pipeline) are checked there too.
+# checks, the fleet == sequential harness and both forms of the
+# participation coins and picks (scalar offer, stacked step) are
+# checked there too.
 # On a CPU with none of these features the rerun would test the default
 # dispatch again, so the target says so (a CI warning) and skips it.
 KEYED_DISPATCH_OFF := AVX512_SPR AVX512_ICL X86_V4
@@ -47,25 +47,24 @@ keyed-dispatch:
 		NPY_DISABLE_CPU_FEATURES="$(KEYED_DISPATCH_OFF)" $(PY) -m pytest -q \
 			tests/bandits/test_keyed.py tests/bandits/test_other_policies.py \
 			tests/bandits/test_batch_apis.py tests/data/test_synthetic.py \
-			tests/data/test_drift.py tests/sim/test_equivalence.py \
-			tests/sim/test_chunked_plans.py tests/core/test_participation.py \
-			tests/sim/test_columnar_reporting.py; \
+			tests/data/test_drift.py tests/sim/test_harness.py \
+			tests/core/test_participation.py; \
 	else \
 		echo "::warning::keyed-dispatch SKIPPED: this CPU has none of $(KEYED_DISPATCH_OFF)"; \
 	fi
 
 # chaos smoke: seeded report corruption on the collection path
 # (quarantined tuples, collection keeps going, the crowd-blending audit
-# passes, the sequential and fleet engines agree under the tap), the
-# report-store drain order (tests/core/test_payload.py: it feeds the
-# shuffler permutation those engine comparisons depend on), the
+# passes), the fleet == sequential harness (the engines agree under the
+# tap), the report-store drain order (tests/core/test_payload.py: it
+# feeds the shuffler permutation those engine comparisons depend on), the
 # shuffler's own validation suite and the async-collection suite (so
 # quarantine is checked on both shuffler entry points), then the
 # deterministic counter report (benchmarks/chaos_summary.py; CI pipes
 # it into the step summary)
 chaos:
 	$(PY) -m pytest tests/sim/test_chaos.py::TestCorruptionChaos \
-		tests/sim/test_chaos.py::TestCorruptionEnginesAgree \
+		tests/sim/test_harness.py \
 		tests/core/test_payload.py \
 		tests/core/test_shuffler.py tests/core/test_async_collection.py -q
 	$(PY) benchmarks/chaos_summary.py

@@ -333,14 +333,20 @@ class FleetService:
         an empty population).
         """
         self._check_open()
-        self._n_requests += 1
+        return self._guarded(self._interact, n_steps, None if subset is None else list(subset))
+
+    def _interact(self, n_steps: int, subset: list | None) -> FleetResult | None:
+        """One request body.  The request and its agent-steps count only
+        when it finishes — a refused request never, a timed-out one once
+        it drains."""
         if subset is None:
-            result = self._guarded(self.fleet.run, n_steps)
-            self._n_interactions += self.n_agents * n_steps
+            result = self.fleet.run(n_steps)
+            n_agents = self.n_agents
         else:
-            subset = list(subset)
-            result = self._guarded(self.fleet.run_subset, subset, n_steps)
-            self._n_interactions += len(subset) * n_steps
+            result = self.fleet.run_subset(subset, n_steps)
+            n_agents = len(subset)
+        self._n_requests += 1
+        self._n_interactions += n_agents * n_steps
         return result
 
     # ------------------------------------------------------------------ #

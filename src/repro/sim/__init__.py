@@ -181,12 +181,17 @@ When any condition fails — a policy without fleet support
 (``RandomPolicy``) — ``engine="auto"`` callers fall back to the
 sequential loop; ``engine="fleet"`` raises.
 
-``tests/sim/`` enforces the contract with seeded equivalence suites
-over every supported policy × encoder × mode combination plus mixed
-populations (``test_sharding.py``), dataset-replay populations
-(``test_replay_plans.py``) and parallel shard stepping
-(``test_parallel.py``); ``tests/test_properties.py`` fuzzes it over
-random seeds and random synthetic/replay population mixtures.
+One differential harness enforces the contract
+(``tests/sim/_testkit.py``, cases in ``tests/sim/test_harness.py``): a
+case is a population mix — policy kind × mode × private context ×
+session kind × codebook — and a schedule of ops (runs, subset runs,
+arrivals and departures, warm starts, scalar rounds on the same agents,
+checkpoint and resume, collection under an armed corruption plan),
+played through the sequential spec and through one held
+:class:`~repro.sim.fleet.FleetRunner` at every worker count and compared
+bitwise (the ``stat_equiv`` bands for fast-tier kinds).  A table of
+named cases runs in tier-1, and a hypothesis strategy over cases fuzzes
+the same contract.
 """
 
 from .checkpoint import (

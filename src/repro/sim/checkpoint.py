@@ -26,7 +26,7 @@ not a fleet checkpoint at all) with a
 
 The matrices stored here are ordinary owned arrays, and a
 checkpointed run resumes bit-identically at any worker count
-(``tests/sim/test_worker_invariance.py`` pins this).  Engine knobs
+(the ``crash`` op of ``tests/sim/test_harness.py`` pins this).  Engine knobs
 added after a snapshot was written restore to their defaults
 (``resume`` reads them with ``.get``), and knobs a release no longer
 has (the retired worker-backend choice, say) are ignored, so old

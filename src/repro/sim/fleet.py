@@ -1126,11 +1126,17 @@ class FleetRunner:
         ``members`` holds agent objects (matched by identity) or
         non-negative population indices.  Raises
         :class:`~repro.utils.exceptions.ConfigError` on an agent outside
-        this fleet, an index out of range, or a repeated member.
+        this fleet, an index out of range, a bool (Python or numpy: not
+        an index, though ``int`` accepts one) or a repeated member.
         """
         by_id = {id(a): i for i, a in enumerate(self.agents)}
         idx: list[int] = []
         for a in members:
+            if isinstance(a, (bool, np.bool_)):
+                raise ConfigError(
+                    f"fleet members are agents or integer indices, got "
+                    f"{type(a).__name__} {a!r}"
+                )
             if isinstance(a, (int, np.integer)):
                 i = int(a)
                 if not 0 <= i < len(self.agents):

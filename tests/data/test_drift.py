@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bandits.linucb import LinUCB
 from repro.core import P2BConfig, P2BSystem
 from repro.core.agent import LocalAgent
 from repro.core.config import AgentMode
@@ -38,19 +37,6 @@ def _env(**kwargs):
     kwargs.setdefault("epoch_length", EPOCH)
     kwargs.setdefault("seed", 7)
     return DriftingSyntheticEnvironment(n_actions=N_ACTIONS, n_features=N_FEATURES, **kwargs)
-
-
-def _population(n_agents: int, seed: int):
-    env = _env()
-    agents, sessions = [], []
-    for i, s in enumerate(spawn_seeds(seed, n_agents)):
-        policy_seed, session_seed = s.spawn(2)
-        policy = LinUCB(
-            n_arms=N_ACTIONS, n_features=N_FEATURES, alpha=1.0, seed=policy_seed
-        )
-        agents.append(LocalAgent(f"agent-{i}", policy, mode=AgentMode.COLD))
-        sessions.append(env.new_user(session_seed))
-    return agents, sessions
 
 
 def _sequential(agents, sessions, n):
@@ -188,60 +174,6 @@ class TestOneCallPlan:
             session.next_context()
             session.reward(0)
         assert calls == [(N_FEATURES,)] * 2
-
-
-class TestFleetBitIdentity:
-    @pytest.mark.parametrize("split", [None, 1, 3, EPOCH, EPOCH + 5, 64])
-    def test_fleet_matches_sequential_across_split_runs(self, split):
-        """The horizon as consecutive ``run(split)`` calls on one held
-        fleet (``None`` = one run), with run boundaries before, at and
-        after the drift boundaries: boundaries walked inside one plan
-        and run re-plans compose exactly."""
-        seq_agents, seq_sessions = _population(5, seed=17)
-        fleet_agents, fleet_sessions = _population(5, seed=17)
-
-        seq_rewards = _sequential(seq_agents, seq_sessions, HORIZON)
-        rewards = _run_fleet(FleetRunner(fleet_agents, fleet_sessions), split)
-
-        np.testing.assert_array_equal(seq_rewards, rewards)
-        for a, b in zip(seq_agents, fleet_agents):
-            _assert_states_equal(a.policy, b.policy)
-
-    def test_mixed_drifting_and_stationary_population(self):
-        """Drifting agents shard with stationary ones; both stay exact."""
-        from repro.data.synthetic import SyntheticPreferenceEnvironment
-
-        stationary_env = SyntheticPreferenceEnvironment(
-            n_actions=N_ACTIONS, n_features=N_FEATURES, seed=7
-        )
-
-        def build():
-            agents, sessions = _population(3, seed=23)
-            for i, s in enumerate(spawn_seeds(99, 3)):
-                policy_seed, session_seed = s.spawn(2)
-                agents.append(
-                    LocalAgent(
-                        f"stat-{i}",
-                        LinUCB(
-                            n_arms=N_ACTIONS,
-                            n_features=N_FEATURES,
-                            alpha=1.0,
-                            seed=policy_seed,
-                        ),
-                        mode=AgentMode.COLD,
-                    )
-                )
-                sessions.append(stationary_env.new_user(session_seed))
-            return agents, sessions
-
-        seq_agents, seq_sessions = build()
-        fleet_agents, fleet_sessions = build()
-        seq_rewards = _sequential(seq_agents, seq_sessions, 2 * EPOCH)
-        # three runs of 4 on one held fleet: run boundaries fall between
-        # the drift boundaries
-        runner = FleetRunner(fleet_agents, fleet_sessions)
-        rewards = np.concatenate([runner.run(4).rewards for _ in range(3)], axis=1)
-        np.testing.assert_array_equal(seq_rewards, rewards)
 
 
 # --------------------------------------------------------------------- #

@@ -18,7 +18,7 @@ from repro.data import DriftingSyntheticEnvironment
 from repro.experiments import FleetService, ServeStats
 from repro.experiments.runner import EngineConfig
 from repro.sim import FleetRunner
-from repro.utils.exceptions import ConfigError
+from repro.utils.exceptions import ConfigError, ValidationError
 
 N_ACTIONS = 4
 N_FEATURES = 6
@@ -162,11 +162,29 @@ class TestLifecycle:
             assert service.n_agents == 4
         with pytest.raises(ConfigError, match="unique"):
             service.depart([agents[1], 1])
+        with pytest.raises(ConfigError, match="bool"):
+            service.depart([np.True_])
         service.depart([0])
         stats = service.stats
         assert stats.n_departed == 1
         assert stats.n_arrived - stats.n_departed == stats.n_agents == 3
         assert service.fleet.agents == agents[1:]
+
+    def test_refused_requests_are_not_counted(self):
+        """A request counts, with its agent-steps, only once its body
+        finishes: a refused horizon, member or bool index leaves the
+        counters alone."""
+        service = FleetService(_config(), _env(), seed=4)
+        service.arrive(2)
+        with pytest.raises(ValidationError, match="n_interactions"):
+            service.interact(0)
+        with pytest.raises(ConfigError, match="out of range"):
+            service.interact(2, [7])
+        with pytest.raises(ConfigError, match="bool"):
+            service.interact(2, [True])
+        assert (service.stats.n_requests, service.stats.n_interactions) == (0, 0)
+        service.interact(3, [1])
+        assert (service.stats.n_requests, service.stats.n_interactions) == (1, 3)
 
     def test_engine_config_validation(self):
         with pytest.raises(ConfigError, match="sequential"):
@@ -321,8 +339,10 @@ class TestHardening:
         # graceful shutdown joins the draining request, then flushes
         service.shutdown()
         assert service.status()["state"] == "closed"
-        # the drained request really ran: its interactions landed
+        # the drained request really ran: its interactions landed, and
+        # it counts once (the refused one never does)
         assert service.fleet.agents[0].n_interactions == 2
+        assert (service.stats.n_requests, service.stats.n_interactions) == (1, 8)
 
     def test_shutdown_flushes_pending_and_is_idempotent(self):
         service = FleetService(_config(), _env(), seed=5)

@@ -1,13 +1,13 @@
-"""Fixtures for the fleet/sequential equivalence suite."""
+"""Fixtures for the fleet/sequential suites."""
 
 from __future__ import annotations
 
 import pytest
 
-from _testkit import make_kmeans_encoder
+from _testkit import encoder
 
 
 @pytest.fixture(scope="package")
 def kmeans_encoder():
     """One fitted codebook shared across the suite (fitting dominates runtime)."""
-    return make_kmeans_encoder()
+    return encoder("kmeans")

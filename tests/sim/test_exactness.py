@@ -54,8 +54,12 @@ from repro.utils.rng import spawn_seeds
 
 from _recording import assert_pending_rows_equal
 from _testkit import (
+    NONPRIVATE,
+    WORKERS,
+    Member,
     assert_states_equal,
     make_population,
+    population,
 )
 from stat_equiv import assert_statistically_equivalent
 
@@ -581,3 +585,50 @@ class TestHarnessPlumbing:
         assert fast.cumulative_curve.shape == bit.cumulative_curve.shape
         assert abs(fast.mean_reward - bit.mean_reward) <= 0.1
         assert fast.n_reports > 0
+
+
+# --------------------------------------------------------------------- #
+# a held fast stack restarts as a fresh one would
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("n_workers", WORKERS)
+def test_held_fast_stack_scores_like_a_fresh_one(n_workers, monkeypatch):
+    """A held runner's second run reuses its stacks, which ``restart()``
+    resets to what a fresh stack holds (the LinUCB score cache included);
+    a fresh runner over the same agents after the first run restacks.
+    Both must score bitwise alike — a stale score cache moves only
+    float32 rounding, which results alone rarely show."""
+    config = EngineConfig(n_workers=n_workers, exactness="fast")
+    members = [Member("linucb"), Member("linucb", NONPRIVATE, "multilabel"), Member("ucb1")] * 4
+    agents, sessions = population(members, p=0.9, seed=5)
+    f_agents, f_sessions = population(members, p=0.9, seed=5)
+    held = FleetRunner(agents, sessions, config=config)
+    held.run(7)
+    FleetRunner(f_agents, f_sessions, config=config).run(7)
+    stacks = [shard.stacked for shard in held._shards.values()]
+
+    scored: dict[int, list] = {}
+    real_scores = StackedLinUCBFast.scores
+
+    def recording_scores(stack, contexts):
+        out = real_scores(stack, contexts)
+        scored.setdefault(id(stack.policies[0]), []).append(out.copy())
+        return out
+
+    def scores_by_agent(population):
+        by_agent = {i: scored.pop(id(a.policy)) for i, a in enumerate(population)
+                    if id(a.policy) in scored}
+        assert not scored
+        return by_agent
+
+    monkeypatch.setattr(StackedLinUCBFast, "scores", recording_scores)
+    result = held.run(5)
+    held_scores = scores_by_agent(agents)
+    assert [shard.stacked for shard in held._shards.values()] == stacks
+    fresh = FleetRunner(f_agents, f_sessions, config=config).run(5)
+    fresh_scores = scores_by_agent(f_agents)
+    np.testing.assert_array_equal(result.rewards, fresh.rewards)
+    assert held_scores.keys() == fresh_scores.keys() and held_scores
+    for i, calls in held_scores.items():
+        assert len(calls) == len(fresh_scores[i]) == 5
+        for got, want in zip(calls, fresh_scores[i]):
+            np.testing.assert_array_equal(got, want)

@@ -2,21 +2,20 @@
 
 Streaming deployments grow and shrink their population mid-run.  The
 engine re-shards *incrementally* — only shards whose membership changed
-restack — and surviving agents keep their policy objects and RNG
-streams, so a fixed-population run interleaved with churn of *other*
-agents stays bit-identical to a run that never saw the churn.
+restack.  That churned, subset and outside-changed runs reproduce the
+sequential spec is the harness's (``test_harness.py``) to check; these
+tests pin membership (shard keys, member resolution and its
+refusals), release of departed agents, and which stacks are reused.
 """
 
 from __future__ import annotations
 
-import copy
 import gc
 import itertools
 import weakref
 
 import numpy as np
 import pytest
-from _recording import assert_pending_rows_equal
 from _testkit import assert_states_equal, make_population
 
 from repro.bandits import EpsilonGreedy, LinUCB, LinearThompsonSampling
@@ -73,20 +72,6 @@ class TestArrivals:
         result = fleet.run(5)
         assert result.rewards.shape == (6, 5)
 
-    def test_arrivals_match_from_scratch_fleet(self):
-        whole_agents, whole_sessions = _pop(6, seed=4)
-        grown_agents, grown_sessions = _pop(6, seed=4)
-
-        whole = FleetRunner(whole_agents, whole_sessions)
-        grown = FleetRunner(grown_agents[:4], grown_sessions[:4])
-        grown.add_agents(grown_agents[4:], grown_sessions[4:])
-
-        r_whole = whole.run(8)
-        r_grown = grown.run(8)
-        np.testing.assert_array_equal(r_whole.rewards, r_grown.rewards)
-        for a, b in zip(whole_agents, grown_agents):
-            assert_states_equal(a.policy, b.policy)
-
     def test_misaligned_arrival_rejected(self):
         agents, sessions = _pop(3)
         fleet = FleetRunner(agents, sessions)
@@ -95,29 +80,6 @@ class TestArrivals:
 
 
 class TestDepartures:
-    def test_departure_by_object_and_index_agree(self):
-        a1, s1 = _pop(5, seed=8)
-        a2, s2 = _pop(5, seed=8)
-        by_obj = FleetRunner(a1, s1)
-        by_idx = FleetRunner(a2, s2)
-        by_obj.remove_agents([a1[1], a1[3]])
-        by_idx.remove_agents([1, 3])
-        np.testing.assert_array_equal(by_obj.run(6).rewards, by_idx.run(6).rewards)
-
-    def test_survivors_keep_their_streams(self):
-        """Removal must not perturb surviving agents' results."""
-        ref_agents, ref_sessions = _pop(5, seed=8)
-        churn_agents, churn_sessions = _pop(5, seed=8)
-
-        keep = [0, 2, 4]
-        ref = FleetRunner(
-            [ref_agents[i] for i in keep], [ref_sessions[i] for i in keep]
-        )
-        churned = FleetRunner(churn_agents, churn_sessions)
-        churned.remove_agents([1, 3])
-
-        np.testing.assert_array_equal(ref.run(7).rewards, churned.run(7).rewards)
-
     def test_departed_agents_are_released(self):
         """A shard that loses members frees its stack at removal, so the
         runner keeps no departed policy alive until its next run."""
@@ -130,22 +92,12 @@ class TestDepartures:
         gc.collect()
         assert departed() is None
 
-    def test_shrink_to_empty_short_circuits(self):
-        agents, sessions = _pop(3)
-        fleet = FleetRunner(agents, sessions)
-        fleet.remove_agents(list(range(3)))
-        assert fleet.n_shards == 0
-        result = fleet.run(4)
-        # the PR 6 empty-population short-circuit: (0, T) shapes, no pool
-        assert result.rewards.shape == (0, 4)
-        assert result.actions.shape == (0, 4)
-
 
 class TestMemberResolution:
     """remove_agents and run_subset resolve members one way
     (FleetRunner.member_indices) and refuse a bad list before acting:
     an agent outside the fleet, an index out of range (negative
-    included) or a repeated member."""
+    included), a bool (Python or numpy) or a repeated member."""
 
     BAD = {
         "stranger": (lambda agents, stranger: [agents[1], stranger], "not in this fleet"),
@@ -154,6 +106,8 @@ class TestMemberResolution:
         "index_twice": (lambda agents, stranger: [2, 2], "unique"),
         "agent_twice": (lambda agents, stranger: [agents[3], agents[3]], "unique"),
         "agent_and_index": (lambda agents, stranger: [agents[0], 0], "unique"),
+        "bool": (lambda agents, stranger: [True], "bool"),
+        "numpy_bool": (lambda agents, stranger: [np.False_, 2], "bool"),
     }
 
     def test_indices_follow_the_given_order(self):
@@ -191,138 +145,26 @@ class TestMemberResolution:
 class TestShardReuse:
     """A runner holds its shards between runs (FleetRunner's reuse rule)."""
 
-    def test_held_runner_matches_fresh_across_runs(self):
-        """Held stacked state must be bitwise-invisible."""
-        h_agents, h_sessions = _pop(6, seed=13)
-        f_agents, f_sessions = _pop(6, seed=13)
-
-        held = FleetRunner(h_agents, h_sessions)
-        r1 = held.run(5)
-        r2 = held.run(5)
-
-        fresh1 = FleetRunner(f_agents, f_sessions).run(5)
-        fresh2 = FleetRunner(f_agents, f_sessions).run(5)
-
-        np.testing.assert_array_equal(r1.rewards, fresh1.rewards)
-        np.testing.assert_array_equal(r2.rewards, fresh2.rewards)
-        for a, b in zip(h_agents, f_agents):
-            assert_states_equal(a.policy, b.policy)
-
-    def test_held_churn_matches_fresh(self):
-        h_agents, h_sessions = _pop(6, seed=21)
-        f_agents, f_sessions = _pop(6, seed=21)
-
-        held = FleetRunner(h_agents[:4], h_sessions[:4])
-        held.run(3)
-        held.add_agents(h_agents[4:], h_sessions[4:])
-        held.remove_agents([0])
-        r_h = held.run(3)
-
-        FleetRunner(f_agents[:4], f_sessions[:4]).run(3)
-        r_f = FleetRunner(f_agents[1:], f_sessions[1:]).run(3)
-
-        np.testing.assert_array_equal(r_h.rewards, r_f.rewards)
-        for a, b in zip(held.agents, f_agents[1:]):
-            assert_states_equal(a.policy, b.policy)
-
     @pytest.mark.parametrize("exactness", ["bit", "fast"])
-    @pytest.mark.parametrize("mode", [AgentMode.COLD, AgentMode.WARM_PRIVATE])
-    def test_shard_losing_and_gaining_members_matches_fresh(
-        self, mode, exactness, kmeans_encoder
-    ):
-        """One held shard loses and gains members over several runs; each
-        run matches a fresh runner over the same agents bitwise, and the
-        shard — its stack on the bit tier — is never rebuilt."""
-        dim = kmeans_encoder.n_codes if mode == AgentMode.WARM_PRIVATE else None
-
-        def population():
-            return make_population(
-                lambda a, f, s: _linucb(a, dim or f, s),
-                mode,
-                14,
-                seed=31,
-                encoder=kmeans_encoder,
-                max_reports=50,
-            )
-
-        (h_agents, h_sessions), (f_agents, f_sessions) = population(), population()
-        config = EngineConfig(exactness=exactness)
-        held = FleetRunner(h_agents[:6], h_sessions[:6], config=config)
-        members = list(range(6))
-        schedule = [
-            (3, [], []),
-            (2, [1, 4], [6, 7]),
-            (4, [0], [8, 9, 10]),
-            (1, [10], []),  # the tail leaves
-            (3, [], [11, 12, 13]),
-            (2, [2, 3, 6], []),
-        ]
+    def test_churned_shard_is_never_rebuilt(self, exactness):
+        """One held shard loses and gains members over several runs (the
+        harness case ``churn_cold`` pins the results); the shard — and
+        its stack on the bit tier, which appends and compacts in place —
+        is never rebuilt."""
+        agents, sessions = _pop(14, seed=31)
+        held = FleetRunner(agents[:6], sessions[:6], config=EngineConfig(exactness=exactness))
         shard = stack = None
-        for steps, leaving, joining in schedule:
-            held.remove_agents([h_agents[i] for i in leaving])
-            held.add_agents([h_agents[i] for i in joining], [h_sessions[i] for i in joining])
-            members = [i for i in members if i not in leaving] + joining
-            r_held = held.run(steps)
-            r_fresh = FleetRunner(
-                [f_agents[i] for i in members], [f_sessions[i] for i in members], config=config
-            ).run(steps)
-            np.testing.assert_array_equal(r_held.rewards, r_fresh.rewards)
-            np.testing.assert_array_equal(r_held.actions, r_fresh.actions)
+        for steps, leaving, joining in [
+            (3, [], []), (2, [1, 4], [6, 7]), (4, [0], [8, 9, 10]), (3, [2, 3, 6], [11, 12]),
+        ]:
+            held.remove_agents([agents[i] for i in leaving])
+            held.add_agents([agents[i] for i in joining], [sessions[i] for i in joining])
+            held.run(steps)
             (current,) = held._shards.values()
             assert shard in (None, current)
             if exactness == "bit":
                 assert stack in (None, current.stacked)
             shard, stack = current, current.stacked
-        assert [a.agent_id for a in held.agents] == [f_agents[i].agent_id for i in members]
-        for i in range(14):
-            assert_states_equal(h_agents[i].policy, f_agents[i].policy, h_agents[i].agent_id)
-        assert_pending_rows_equal(h_agents, f_agents)
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            EngineConfig(),
-            EngineConfig(n_workers=2),
-        ],
-        ids=["serial", "threads"],
-    )
-    @pytest.mark.parametrize(
-        "change",
-        ["set_state", "warm_start", "learn", "other_runner", "subset", "new_policy"],
-    )
-    def test_outside_change_matches_fresh_runner(self, change, config):
-        """After any change made outside the held runner, its next run
-        equals a fresh FleetRunner over the same agents and sessions:
-        rewards, actions and every policy state, bitwise."""
-        h_agents, h_sessions = _mixed(9, seed=5)
-        f_agents, f_sessions = _mixed(9, seed=5)
-        held = FleetRunner(h_agents, h_sessions, config=config)
-        held.run(3)
-        FleetRunner(f_agents, f_sessions).run(3)
-
-        for agents, sessions in ((h_agents, h_sessions), (f_agents, f_sessions)):
-            if change == "set_state":  # LinUCB agent 3 takes agent 0's state
-                agents[3].policy.set_state(agents[0].policy.get_state())
-            elif change == "warm_start":
-                agents[6].warm_start(agents[0].policy.get_state())
-            elif change == "learn":  # one scalar step of Thompson agent 1
-                x = sessions[1].next_context()
-                action = agents[1].act(x)
-                agents[1].learn(x, action, sessions[1].reward(action))
-            elif change == "other_runner":
-                FleetRunner(agents, sessions).run(2)
-            elif change == "new_policy":  # same state, another object
-                agents[4].policy = copy.deepcopy(agents[4].policy)
-        if change == "subset":  # two of the three LinUCB agents
-            held.run_subset([h_agents[0], h_agents[3]], 2)
-            FleetRunner([f_agents[0], f_agents[3]], [f_sessions[0], f_sessions[3]]).run(2)
-
-        r_held = held.run(3)
-        r_fresh = FleetRunner(f_agents, f_sessions).run(3)
-        np.testing.assert_array_equal(r_held.rewards, r_fresh.rewards)
-        np.testing.assert_array_equal(r_held.actions, r_fresh.actions)
-        for a, b in zip(h_agents, f_agents):
-            assert_states_equal(a.policy, b.policy, a.agent_id)
 
     def test_restacks_only_what_changed(self, monkeypatch):
         """Reuse is real: an unchanged shard never restacks, an outside
