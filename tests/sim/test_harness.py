@@ -10,6 +10,14 @@ contract.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import inspect
+import re
+import sys
+import textwrap
+
+import numpy as np
 import pytest
 from _testkit import (
     COLD,
@@ -22,11 +30,19 @@ from _testkit import (
     WORKERS,
     Case,
     Member,
+    _Side,
+    assert_equivalent,
     check,
+    play,
     spec_outcome,
 )
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from repro.core import payload, system
+from repro.sim import EngineConfig, FleetRunner
+from repro.sim.fleet import _Shard
+from repro.sim.stacked import StackedLinUCB
 
 M = Member
 TRACED = ("multilabel", "multilabel_b")
@@ -375,6 +391,226 @@ def test_case_exercises_its_collection(name):
         assert sum(r.n_reports for r in rounds) > 0
     if case.faults is not None:
         assert outcome.systems[PRIVATE]["quarantined"] > 0
+
+
+# ---------------------------------------------------------------------- #
+# the table reaches every axis of the harness
+def _reached(axis):
+    members = [m for case in CASES.values() for m in case.members]
+    private = [m for m in members if m.mode == PRIVATE]
+    return {
+        "op": {op[0] for case in CASES.values() for op in case.ops},
+        "kind": {m.kind for m in members},
+        "mode": {m.mode for m in members},
+        "session": {m.session for m in members},
+        "context": {m.context for m in private},
+        "encoder": {m.encoder for m in private},
+        "exactness": {case.exactness for case in CASES.values()},
+    }[axis]
+
+
+AXES = (
+    [("op", name[3:]) for name in vars(_Side) if name.startswith("op_")]
+    + [("kind", kind) for kind in KINDS]
+    + [("mode", mode) for mode in (COLD, NONPRIVATE, PRIVATE)]
+    + [("session", session) for session in ENVIRONMENTS]
+    + [("context", context) for context in ("one-hot", "centroid")]
+    + [("encoder", name) for name in ("kmeans", "twin", "small", "lsh", "grid")]
+    + [("exactness", tier) for tier in ("bit", "fast")]
+)
+
+
+@pytest.mark.parametrize("axis,value", AXES, ids=[f"{a}-{v}" for a, v in AXES])
+def test_table_reaches(axis, value):
+    """Every op, policy kind, mode, session kind, private context,
+    codebook and tier appears in some named case: the tier-1 table never
+    leaves an axis to the fuzzer alone (encoders and contexts count on
+    private members only, the ones that use them)."""
+    assert value in _reached(axis)
+
+
+# ---------------------------------------------------------------------- #
+# the comparison sees every field of an outcome
+#: one small case whose outcome fills every field: linear and Thompson
+#: policies, a drifting session, reporting members with rows still pending,
+#: a collection that releases and quarantines
+SENSOR = Case(
+    (M("code_linucb", PRIVATE), M("linucb", NONPRIVATE), M("thompson", PRIVATE),
+     M("epsilon_greedy", COLD, "drifting")) * 2,
+    _runs(8) + (("collect",),) + _runs(4),
+    p=1.0,
+    window=2,
+    max_reports=6,
+    threshold=1,
+    faults=FAULTS,
+    seed=4,
+)
+
+#: a field of ``Outcome`` (its path under ``assert_same``'s ``outcome``) and
+#: the outcome position it lives at
+FIELDS = {
+    "ops[0][1].rewards": ("ops", 0, 1, "rewards"),
+    "ops[0][1].actions": ("ops", 0, 1, "actions"),
+    "ops[0][1].expected": ("ops", 0, 1, "expected"),
+    "ops[0][1].mask": ("ops", 0, 1, "mask"),
+    "ops[1][1]": ("ops", 1, 1),
+    "members[0].policy": ("members", 0, "policy"),
+    "members[1].theta": ("members", 1, "theta"),
+    "members[2].draws": ("members", 2, "draws"),
+    "members[3].policy_rng": ("members", 3, "policy_rng"),
+    "members[3].session_rng": ("members", 3, "session_rng"),
+    "members[3].session": ("members", 3, "session"),
+    "members[0].counters": ("members", 0, "counters"),
+    "members[0].participation": ("members", 0, "participation"),
+    "members[0].rows": ("members", 0, "rows"),
+    "members[1].rows": ("members", 1, "rows"),
+    "systems.warm-private.released": ("systems", PRIVATE, "released"),
+    "systems.warm-private.server": ("systems", PRIVATE, "server"),
+    "systems.warm-private.ingested": ("systems", PRIVATE, "ingested"),
+    "systems.warm-private.quarantined": ("systems", PRIVATE, "quarantined"),
+    "systems.warm-private.privacy": ("systems", PRIVATE, "privacy"),
+    "systems.warm-nonprivate.pending": ("systems", NONPRIVATE, "pending"),
+}
+
+
+def _nudged(x):
+    """A copy of ``x`` with its first changeable leaf changed by the least
+    step of its type, or ``None`` when it holds none."""
+    if isinstance(x, np.ndarray):
+        if x.size == 0 or x.dtype.kind not in "biuf":
+            return None
+        y = x.copy()
+        flat = y.reshape(-1)
+        if y.dtype.kind == "b":
+            flat[0] = not flat[0]
+        elif y.dtype.kind == "f":
+            flat[0] = np.nextafter(flat[0], np.inf)
+        else:
+            flat[0] += 1
+        return y
+    if isinstance(x, (bool, np.bool_)):
+        return type(x)(not x)
+    if isinstance(x, (int, np.integer)):
+        return type(x)(x + 1)
+    if isinstance(x, (float, np.floating)):
+        return type(x)(np.nextafter(x, np.inf))
+    if isinstance(x, str):
+        return x + "!"
+    if isinstance(x, bytes):
+        return x + b"!"
+    if isinstance(x, dict):
+        for key, value in x.items():
+            if (new := _nudged(value)) is not None:
+                return {**x, key: new}
+    elif isinstance(x, (list, tuple)):
+        for k, value in enumerate(x):
+            if (new := _nudged(value)) is not None:
+                return type(x)([*x[:k], new, *x[k + 1 :]])
+    elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+        for field in dataclasses.fields(x):
+            if (new := _nudged(getattr(x, field.name))) is not None:
+                return dataclasses.replace(x, **{field.name: new})
+    return None
+
+
+def _replaced(node, where):
+    """``node`` with the leaf at path ``where`` nudged (containers along
+    the path are changed in place, tuples rebuilt)."""
+    if not where:
+        new = _nudged(node)
+        assert new is not None, "the field holds nothing to compare"
+        return new
+    key, rest = where[0], where[1:]
+    if isinstance(node, tuple):
+        return tuple(_replaced(v, rest) if k == key else v for k, v in enumerate(node))
+    node[key] = _replaced(node[key], rest)
+    return node
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_assert_equivalent_sees(field):
+    """Changing one field of the spec's outcome by its least step makes
+    :func:`assert_equivalent` fail, naming that field: the comparison is
+    bitwise on everything it promises to compare."""
+    spec = spec_outcome(SENSOR)
+    assert_equivalent(SENSOR, spec, copy.deepcopy(spec))
+    with pytest.raises(AssertionError, match=re.escape(f"outcome.{field}")):
+        got = copy.deepcopy(spec)
+        where = FIELDS[field]
+        setattr(got, where[0], _replaced(getattr(got, where[0]), where[1:]))
+        assert_equivalent(SENSOR, spec, got)
+
+
+# ---------------------------------------------------------------------- #
+# the table catches a broken fleet
+def _recompiled(func, old, new):
+    """``func`` compiled from its source with the single occurrence of
+    ``old`` replaced by ``new``, in its module's namespace."""
+    func = inspect.unwrap(func)
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, f"{func.__qualname__}: {old!r} is not in its source"
+    namespace = dict(vars(sys.modules[func.__module__]))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"), namespace)
+    return namespace[func.__name__]
+
+
+MUTANTS = {
+    # stacked LinUCB never counts an arm
+    "arm_counts": (
+        "between_runs_checkpoint", (StackedLinUCB, "update"),
+        "self.arm_counts[np.arange(self.n_agents), actions] += 1", "pass",
+    ),
+    # a held shard always steps its stack, in sync with its policies or not
+    "reuse": (
+        "fleet_and_scalar_alternate", (FleetRunner, "_build_shard"),
+        "reuse = shard.reusable()", "reuse = True",
+    ),
+    # subset rows come back in population, not subset, order
+    "subset": (
+        "outside_changes", (FleetRunner, "run_subset"),
+        "enumerate(idx)", "enumerate(sorted(idx))",
+    ),
+    # a shard that loses members keeps its old report-log rows
+    "churn": (
+        "churn_private", (_Shard, "leave"),
+        '"_log_of", "_log_rows")', '"_log_of")',
+    ),
+    # held stacks never load a warm-start state
+    "warm_start": (
+        "warm_held_stacks", (FleetRunner, "_warm_start"),
+        "shard.load_state(state)", "pass",
+    ),
+    # a resumed run drops the rewards of the segments before the crash
+    "resume": (
+        "crash_mid_horizon", (FleetRunner, "_run_checkpointed"),
+        "parts_r = [] if prefix is None else [prefix.rewards]", "parts_r = []",
+    ),
+    # drained report rows of one agent lose their order
+    "corruption": (
+        "corrupted_collect", (payload, "drain_report_batches"),
+        'kind="stable"', 'kind="quicksort"', system,
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_table_catches(mutant, monkeypatch):
+    """Each mutant of the fleet's paths (arm counting, shard reuse, subset
+    order, churn, warm start, resume, report draining) makes its named
+    case fail, while the same source recompiled unmutated passes: both
+    sides play under the mutant, as a mutated checkout would."""
+    name, (owner, attr), old, new, *importers = MUTANTS[mutant]
+    case, engine, func = CASES[name], EngineConfig(n_workers=1), getattr(owner, attr)
+
+    def patch(replacement):
+        for target in (owner, *importers):  # a module-level function: where it is imported too
+            monkeypatch.setattr(target, attr, _recompiled(func, old, replacement))
+
+    patch(old)
+    assert_equivalent(case, play(case), play(case, engine))
+    patch(new)
+    with pytest.raises(AssertionError):
+        assert_equivalent(case, play(case), play(case, engine))
 
 
 # ---------------------------------------------------------------------- #
