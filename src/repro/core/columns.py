@@ -14,11 +14,42 @@ member gets its own copy of its row.
 
 from __future__ import annotations
 
+import mmap
 from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Column", "Columns", "RowStorage"]
+__all__ = ["Column", "Columns", "RowStorage", "own_pages", "stack_rows"]
+
+#: arrays of at least this many bytes get pages of their own
+OWN_PAGES_MIN_BYTES = 1 << 20
+
+
+def own_pages(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised array on private anonymous memory pages of its own.
+
+    A shard's stacked tables are long-lived and several MiB each.  From
+    the C heap, a rebuilt fleet's tables land in the hole its
+    predecessor's left or grow the heap past it, depending on the
+    process's address layout, so the peak memory of one run differed
+    from process to process by the tables' size.  Pages of their own
+    are mapped when allocated and unmapped when the last view goes; the
+    mapping is private, so a forked worker process gets copy-on-write
+    pages as it would of the heap.  Arrays under
+    :data:`OWN_PAGES_MIN_BYTES` come from ``np.empty``.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    if nbytes < OWN_PAGES_MIN_BYTES:
+        return np.empty(shape, dtype=dtype)
+    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(pages, dtype=dtype).reshape(shape)
+
+
+def stack_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.stack(arrays)`` into :func:`own_pages` storage."""
+    dtype = np.result_type(*{a.dtype for a in arrays})
+    return np.stack(arrays, out=own_pages((len(arrays), *arrays[0].shape), dtype))
 
 
 class RowStorage:
@@ -36,7 +67,7 @@ class RowStorage:
         for name in names:
             store = self._storage(name)
             if m > len(store):
-                grown = np.empty((max(m, 2 * len(store)), *store.shape[1:]), dtype=store.dtype)
+                grown = own_pages((max(m, 2 * len(store)), *store.shape[1:]), store.dtype)
                 grown[:n] = store[:n]
                 store = self._store[name] = grown
                 moved.append(name)

@@ -47,7 +47,7 @@ from ..bandits.keyed import tiebreak_rows
 from ..bandits.linucb import LinUCB
 from ..bandits.thompson import LinearThompsonSampling, posterior_scores
 from ..bandits.ucb1 import UCB1
-from ..core.columns import RowStorage
+from ..core.columns import RowStorage, stack_rows
 from ..utils.exceptions import ConfigError, ValidationError
 
 __all__ = [
@@ -307,9 +307,9 @@ class _StackedDenseLinear(StackedPolicies):
     def __init__(self, policies: Sequence[BanditPolicy]) -> None:
         super().__init__(policies)
         self.ridge = _uniform([p.ridge for p in policies], "ridge")
-        self.A_inv = np.stack([p.A_inv for p in policies])  # (n, k, d, d)
-        self.b = np.stack([p.b for p in policies])  # (n, k, d)
-        self.theta = np.stack([p.theta for p in policies])  # (n, k, d)
+        self.A_inv = stack_rows([p.A_inv for p in policies])  # (n, k, d, d)
+        self.b = stack_rows([p.b for p in policies])  # (n, k, d)
+        self.theta = stack_rows([p.theta for p in policies])  # (n, k, d)
 
     def _dense_update(
         self, contexts: np.ndarray, actions: np.ndarray, rewards: np.ndarray
@@ -333,7 +333,7 @@ class StackedLinUCB(_StackedDenseLinear):
     def __init__(self, policies: Sequence[LinUCB]) -> None:
         super().__init__(policies)
         self.alpha = _uniform([p.alpha for p in policies], "alpha")
-        self.arm_counts = np.stack([p.arm_counts for p in policies])
+        self.arm_counts = stack_rows([p.arm_counts for p in policies])
 
     def scores(self, contexts: np.ndarray) -> np.ndarray:
         means = linear_scores(self.theta, contexts)
@@ -515,8 +515,8 @@ class StackedCodeLinUCB(StackedPolicies):
         super().__init__(policies)
         self.alpha = _uniform([p.alpha for p in policies], "alpha")
         self.ridge = _uniform([p.ridge for p in policies], "ridge")
-        self.counts = np.stack([p.counts for p in policies])  # (n, A, k)
-        self.sums = np.stack([p.sums for p in policies])  # (n, A, k)
+        self.counts = stack_rows([p.counts for p in policies])  # (n, A, k)
+        self.sums = stack_rows([p.sums for p in policies])  # (n, A, k)
 
     def scores_for_codes(self, codes: np.ndarray) -> np.ndarray:
         idx = np.arange(self.n_agents)
@@ -739,8 +739,8 @@ class StackedUCB1(StackedPolicies):
     def __init__(self, policies: Sequence[UCB1]) -> None:
         super().__init__(policies)
         self.c = _uniform([p.c for p in policies], "c")
-        self.counts = np.stack([p.counts for p in policies])  # (n, A) int64
-        self.sums = np.stack([p.sums for p in policies])  # (n, A)
+        self.counts = stack_rows([p.counts for p in policies])  # (n, A) int64
+        self.sums = stack_rows([p.sums for p in policies])  # (n, A)
 
     def scores(self) -> np.ndarray:
         scores = np.full((self.n_agents, self.n_arms), np.inf)
