@@ -22,12 +22,14 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from ..utils.columns import ArrayColumn, Column, Rows
 from ..utils.exceptions import ValidationError
 from ..utils.rng import ensure_rng
-from ..utils.validation import check_in_range, check_positive_int, check_vector
+from ..utils.validation import check_in_range, check_matrix, check_positive_int, check_vector
+from .kernels import linear_scores, mat_vec, sherman_morrison, theta_refresh
 from .keyed import NAN_SCORES, STREAM_TIEBREAK, draw_key, keyed_index
 
-__all__ = ["BanditPolicy", "argmax_random_tiebreak", "check_batch"]
+__all__ = ["BanditPolicy", "RidgePolicy", "argmax_random_tiebreak", "check_batch"]
 
 
 def check_batch(policy, contexts, actions, rewards) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -72,9 +74,6 @@ def grouped_ridge_update(
     extras (LinUCB's ``arm_counts``).
     Returns the number of rows applied.
     """
-    from ..utils.validation import check_matrix
-    from .kernels import mat_vec, sherman_morrison
-
     X, actions, rewards = check_batch(policy, contexts, actions, rewards)
     check_matrix(X, name="contexts", n_cols=policy.n_features)
     for a in np.unique(actions):
@@ -127,10 +126,22 @@ class BanditPolicy(abc.ABC):
         (:mod:`repro.bandits.keyed`).  Neither the key nor the counter is part of
         :meth:`get_state`, so policies warm-started from one snapshot
         keep their own streams.
+
+    A policy's state — its key, draw counter, ``t`` and the arrays a
+    subclass declares as :class:`~repro.utils.columns.ArrayColumn`
+    attributes — is its row of a :class:`~repro.utils.columns.Rows`
+    store: a private one-row store, or its fleet shard's stack
+    (:mod:`repro.sim.stacked`).
     """
 
     #: registry key used by state serialization; subclasses override.
     kind: str = "abstract"
+
+    #: the keyed-draw key, the draw counter (one per select call) and the
+    #: number of updates observed: this policy's row of its store
+    _key = Column("keys")
+    _draws = Column("draws")
+    t = Column()
 
     #: whether the fleet engine (:mod:`repro.sim`) can stack this
     #: policy's state and step many instances with vectorized kernels.
@@ -171,9 +182,23 @@ class BanditPolicy(abc.ABC):
         self.n_arms = check_positive_int(n_arms, name="n_arms")
         self.n_features = check_positive_int(n_features, name="n_features")
         self._rng = ensure_rng(seed)
-        self._key = draw_key(self._rng)
-        self._draws = 0  # keyed draw counter: one per select call
-        self.t = 0  # total updates observed
+        self._cols, self._row = Rows(
+            keys=np.array([draw_key(self._rng)], dtype=np.uint64),
+            draws=np.zeros(1, dtype=np.uint64),
+            t=np.zeros(1, dtype=np.int64),
+        ), 0
+
+    def _hold(self, **state) -> None:
+        """Add ``state``, a new policy's initial arrays, to its one-row store."""
+        held = self._cols
+        self._cols = Rows(
+            **{name: getattr(held, name) for name in held.names()},
+            **{name: np.asarray(value)[None] for name, value in state.items()},
+        )
+
+    def __getstate__(self) -> dict:
+        # a pickle or deep copy carries this policy's own row, never its stack
+        return {**vars(self), "_cols": self._cols.take([self._row]), "_row": 0}
 
     # ------------------------------------------------------------------ #
     # core interface
@@ -232,14 +257,14 @@ class BanditPolicy(abc.ABC):
     # ------------------------------------------------------------------ #
     def _next_draws(self, n: int) -> np.ndarray:
         """Counters for the next ``n`` select calls, advancing the counter."""
-        counters = np.arange(self._draws, self._draws + n, dtype=np.uint64)
-        self._draws += n
-        return counters
+        first = self._draws
+        self._draws = first + n
+        return np.arange(first, first + n, dtype=np.uint64)
 
     def _tiebreak(self, scores: np.ndarray) -> int:
         """:func:`argmax_random_tiebreak` at this policy's next counter."""
         counter = self._draws
-        self._draws += 1
+        self._draws = counter + 1
         return argmax_random_tiebreak(scores, self._key, counter)
 
     def _check_context(self, context: np.ndarray) -> np.ndarray:
@@ -264,6 +289,28 @@ class BanditPolicy(abc.ABC):
     @abc.abstractmethod
     def set_state(self, state: Mapping[str, Any]) -> None:
         """Restore parameters from :meth:`get_state` output."""
+
+    def _load(self, hyper: Mapping[str, float], **state) -> None:
+        """``set_state``'s body: set the hyperparameters ``hyper`` and write
+        ``state`` (``t`` and every state array) into this policy's row, in
+        place — unless a hyperparameter changes (a stack holds them
+        uniform) or a row's dtype differs (a fast-tier float32 copy): the
+        policy then moves to a one-row store of its own."""
+        store, row = self._cols, self._row
+        state = {name: np.asarray(value) for name, value in state.items()}
+        moves = any(getattr(self, k) != v for k, v in hyper.items()) or any(
+            getattr(store, name).dtype != value.dtype for name, value in state.items()
+        )
+        for k, v in hyper.items():
+            setattr(self, k, v)
+        if moves:
+            store = store.take([row])
+            self._cols, self._row = store, 0
+            for name, value in state.items():
+                setattr(store, name, value[None])
+        else:
+            for name, value in state.items():
+                getattr(store, name)[row] = value
 
     def _state_header(self) -> dict[str, Any]:
         return {
@@ -300,3 +347,43 @@ class BanditPolicy(abc.ABC):
             f"{type(self).__name__}(n_arms={self.n_arms}, "
             f"n_features={self.n_features}, t={self.t})"
         )
+
+
+class RidgePolicy(BanditPolicy):
+    """A linear policy over per-arm ridge statistics (LinUCB,
+    epsilon-greedy, Thompson sampling): per arm ``a``, ``A_inv[a] =
+    (ridge I + sum x x^T)^{-1}``, ``b[a] = sum r x`` and ``theta[a] =
+    A_inv[a] b[a]``, rows of the policy's store."""
+
+    A_inv = ArrayColumn()
+    b = ArrayColumn()
+    theta = ArrayColumn()
+
+    def _hold_prior(self, **state) -> None:
+        """Hold the prior ``A_inv = I / ridge``, ``b = theta = 0``, and ``state``."""
+        A, d = self.n_arms, self.n_features
+        prior = np.repeat((np.eye(d) / self.ridge)[None, :, :], A, axis=0)
+        self._hold(A_inv=prior, b=np.zeros((A, d)), theta=np.zeros((A, d)), **state)
+
+    def expected_rewards(self, context: np.ndarray) -> np.ndarray:
+        """Exploitation-only estimates ``theta_a . x``."""
+        return linear_scores(self.theta, self._check_context(context))
+
+    def _ridge_update(self, context: np.ndarray, action: int, reward: float) -> int:
+        """Rank-1 Sherman–Morrison update of arm ``action`` and of ``t``;
+        returns the arm."""
+        x = self._check_context(context)
+        a = self._check_action(action)
+        A_inv = sherman_morrison(self.A_inv[a], x)
+        b = self.b
+        b[a] += float(reward) * x
+        self.theta[a] = mat_vec(A_inv, b[a])
+        self.t += 1
+        return a
+
+    def _ridge_state(self, state: Mapping[str, Any]) -> dict[str, np.ndarray]:
+        """``state``'s ``A_inv`` and ``b``, as ``set_state`` takes them, and their ``theta``."""
+        A, d = self.n_arms, self.n_features
+        A_inv = np.array(state["A_inv"], dtype=np.float64).reshape(A, d, d)
+        b = np.array(state["b"], dtype=np.float64).reshape(A, d)
+        return {"A_inv": A_inv, "b": b, "theta": theta_refresh(A_inv, b)}

@@ -32,6 +32,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from ..utils.columns import ArrayColumn
 from ..utils.exceptions import ValidationError
 from ..utils.validation import check_scalar
 from .base import BanditPolicy, check_batch
@@ -56,6 +57,10 @@ class CodeLinUCB(BanditPolicy):
     kind = "code_linucb"
     supports_fleet = True
 
+    #: counts[a, y]: observations of arm a under code y; sums[a, y]: reward totals
+    counts = ArrayColumn()
+    sums = ArrayColumn()
+
     def __init__(
         self,
         n_arms: int,
@@ -68,10 +73,8 @@ class CodeLinUCB(BanditPolicy):
         super().__init__(n_arms, n_features, seed=seed)
         self.alpha = check_scalar(alpha, name="alpha", minimum=0.0)
         self.ridge = check_scalar(ridge, name="ridge", minimum=0.0, include_min=False)
-        # counts[a, y] — observations of arm a under code y
-        self.counts = np.zeros((self.n_arms, self.n_features), dtype=np.float64)
-        # sums[a, y] — reward totals
-        self.sums = np.zeros((self.n_arms, self.n_features), dtype=np.float64)
+        shape = (self.n_arms, self.n_features)
+        self._hold(counts=np.zeros(shape), sums=np.zeros(shape))
 
     def _fleet_hyperparams(self) -> tuple:
         return (self.alpha, self.ridge)
@@ -185,12 +188,10 @@ class CodeLinUCB(BanditPolicy):
 
     def set_state(self, state: Mapping[str, Any]) -> None:
         self._check_state_header(state)
-        self.alpha = float(state["alpha"])
-        self.ridge = float(state["ridge"])
-        self.counts = np.array(state["counts"], dtype=np.float64).reshape(
-            self.n_arms, self.n_features
+        shape = (self.n_arms, self.n_features)
+        self._load(
+            {"alpha": float(state["alpha"]), "ridge": float(state["ridge"])},
+            counts=np.array(state["counts"], dtype=np.float64).reshape(shape),
+            sums=np.array(state["sums"], dtype=np.float64).reshape(shape),
+            t=int(state["t"]),
         )
-        self.sums = np.array(state["sums"], dtype=np.float64).reshape(
-            self.n_arms, self.n_features
-        )
-        self.t = int(state["t"])

@@ -17,9 +17,10 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from ..utils.columns import Column
 from ..utils.validation import check_matrix, check_probability, check_scalar
-from .base import BanditPolicy, grouped_ridge_update
-from .kernels import linear_scores, mat_vec, sherman_morrison, theta_refresh
+from .base import RidgePolicy, grouped_ridge_update
+from .kernels import linear_scores
 from .keyed import (
     STREAM_EXPLORE_ARM,
     STREAM_EXPLORE_COIN,
@@ -44,7 +45,7 @@ def epsilon_greedy_rows(scores: np.ndarray, epsilon, keys, counters) -> np.ndarr
     return np.where(explore, arms, tiebreak_rows(scores, keys, counters))
 
 
-class EpsilonGreedy(BanditPolicy):
+class EpsilonGreedy(RidgePolicy):
     """Linear epsilon-greedy policy.
 
     Parameters
@@ -61,6 +62,9 @@ class EpsilonGreedy(BanditPolicy):
     kind = "epsilon_greedy"
     supports_fleet = True
 
+    #: the exploration probability: decaying state
+    epsilon = Column()
+
     def __init__(
         self,
         n_arms: int,
@@ -72,21 +76,13 @@ class EpsilonGreedy(BanditPolicy):
         seed=None,
     ) -> None:
         super().__init__(n_arms, n_features, seed=seed)
-        self.epsilon = check_probability(epsilon, name="epsilon")
         self.decay = check_scalar(decay, name="decay", minimum=0.0, maximum=1.0, include_min=False)
         self.ridge = check_scalar(ridge, name="ridge", minimum=0.0, include_min=False)
-        d = self.n_features
-        self.A_inv = np.repeat((np.eye(d) / self.ridge)[None, :, :], self.n_arms, axis=0)
-        self.b = np.zeros((self.n_arms, d))
-        self.theta = np.zeros((self.n_arms, d))
+        self._hold_prior(epsilon=np.float64(check_probability(epsilon, name="epsilon")))
 
     def _fleet_hyperparams(self) -> tuple:
         # epsilon is decaying *state* (stacked per-agent), not a shard key
         return (self.decay, self.ridge)
-
-    def expected_rewards(self, context: np.ndarray) -> np.ndarray:
-        x = self._check_context(context)
-        return linear_scores(self.theta, x)
 
     def select(self, context: np.ndarray) -> int:
         scores = self.expected_rewards(context)[None, :]
@@ -99,13 +95,8 @@ class EpsilonGreedy(BanditPolicy):
         return epsilon_greedy_rows(scores, self.epsilon, self._key, self._next_draws(X.shape[0]))
 
     def update(self, context: np.ndarray, action: int, reward: float) -> None:
-        x = self._check_context(context)
-        a = self._check_action(action)
-        A_inv = sherman_morrison(self.A_inv[a], x)
-        self.b[a] += float(reward) * x
-        self.theta[a] = mat_vec(A_inv, self.b[a])
+        self._ridge_update(context, action, reward)
         self.epsilon *= self.decay
-        self.t += 1
 
     def update_many(self, contexts, actions, rewards) -> None:
         """Sequential-exact batch update (see :func:`grouped_ridge_update`).
@@ -114,8 +105,10 @@ class EpsilonGreedy(BanditPolicy):
         once per row (``epsilon * decay**n`` would round differently).
         """
         n = grouped_ridge_update(self, contexts, actions, rewards)
+        epsilon = self.epsilon
         for _ in range(n):
-            self.epsilon *= self.decay
+            epsilon *= self.decay
+        self.epsilon = epsilon
         self.t += n
 
     def get_state(self) -> dict[str, Any]:
@@ -131,12 +124,9 @@ class EpsilonGreedy(BanditPolicy):
 
     def set_state(self, state: Mapping[str, Any]) -> None:
         self._check_state_header(state)
-        self.epsilon = float(state["epsilon"])
-        self.decay = float(state["decay"])
-        self.ridge = float(state["ridge"])
-        self.A_inv = np.array(state["A_inv"], dtype=np.float64).reshape(
-            self.n_arms, self.n_features, self.n_features
+        self._load(
+            {"decay": float(state["decay"]), "ridge": float(state["ridge"])},
+            epsilon=float(state["epsilon"]),
+            **self._ridge_state(state),
+            t=int(state["t"]),
         )
-        self.b = np.array(state["b"], dtype=np.float64).reshape(self.n_arms, self.n_features)
-        self.t = int(state["t"])
-        self.theta = theta_refresh(self.A_inv, self.b)

@@ -39,15 +39,16 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from ..utils.columns import ArrayColumn
 from ..utils.validation import check_matrix, check_scalar
-from .base import BanditPolicy, grouped_ridge_update
-from .kernels import linear_scores, mat_vec, sherman_morrison, theta_refresh, ucb_explore
+from .base import RidgePolicy, grouped_ridge_update
+from .kernels import linear_scores, ucb_explore
 from .keyed import tiebreak_rows
 
 __all__ = ["LinUCB"]
 
 
-class LinUCB(BanditPolicy):
+class LinUCB(RidgePolicy):
     """Disjoint linear UCB policy.
 
     Parameters
@@ -72,6 +73,9 @@ class LinUCB(BanditPolicy):
     kind = "linucb"
     supports_fleet = True
 
+    #: per arm: its update count
+    arm_counts = ArrayColumn()
+
     def __init__(
         self,
         n_arms: int,
@@ -84,12 +88,7 @@ class LinUCB(BanditPolicy):
         super().__init__(n_arms, n_features, seed=seed)
         self.alpha = check_scalar(alpha, name="alpha", minimum=0.0)
         self.ridge = check_scalar(ridge, name="ridge", minimum=0.0, include_min=False)
-        d = self.n_features
-        # A_inv[a] == inverse of (ridge*I + sum x x^T) for arm a
-        self.A_inv = np.repeat((np.eye(d) / self.ridge)[None, :, :], self.n_arms, axis=0)
-        self.b = np.zeros((self.n_arms, d))
-        self.theta = np.zeros((self.n_arms, d))
-        self.arm_counts = np.zeros(self.n_arms, dtype=np.int64)
+        self._hold_prior(arm_counts=np.zeros(self.n_arms, dtype=np.int64))
 
     def _fleet_hyperparams(self) -> tuple:
         return (self.alpha, self.ridge)
@@ -101,11 +100,6 @@ class LinUCB(BanditPolicy):
         means = linear_scores(self.theta, x)
         explore = ucb_explore(x, self.A_inv)
         return means + self.alpha * np.sqrt(explore)
-
-    def expected_rewards(self, context: np.ndarray) -> np.ndarray:
-        """Exploitation-only estimates ``theta_a . x``."""
-        x = self._check_context(context)
-        return linear_scores(self.theta, x)
 
     def select(self, context: np.ndarray) -> int:
         """UCB action for ``context`` (ties broken at random)."""
@@ -121,14 +115,7 @@ class LinUCB(BanditPolicy):
 
     def update(self, context: np.ndarray, action: int, reward: float) -> None:
         """Rank-1 Sherman–Morrison update of arm ``action``'s statistics."""
-        x = self._check_context(context)
-        a = self._check_action(action)
-        r = float(reward)
-        A_inv = sherman_morrison(self.A_inv[a], x)
-        self.b[a] += r * x
-        self.theta[a] = mat_vec(A_inv, self.b[a])
-        self.arm_counts[a] += 1
-        self.t += 1
+        self.arm_counts[self._ridge_update(context, action, reward)] += 1
 
     def update_many(self, contexts, actions, rewards) -> None:
         """Sequential-exact batch update (see :func:`grouped_ridge_update`)."""
@@ -162,12 +149,9 @@ class LinUCB(BanditPolicy):
 
     def set_state(self, state: Mapping[str, Any]) -> None:
         self._check_state_header(state)
-        self.alpha = float(state["alpha"])
-        self.ridge = float(state["ridge"])
-        self.A_inv = np.array(state["A_inv"], dtype=np.float64).reshape(
-            self.n_arms, self.n_features, self.n_features
+        self._load(
+            {"alpha": float(state["alpha"]), "ridge": float(state["ridge"])},
+            **self._ridge_state(state),
+            arm_counts=np.array(state["arm_counts"], dtype=np.int64).reshape(self.n_arms),
+            t=int(state["t"]),
         )
-        self.b = np.array(state["b"], dtype=np.float64).reshape(self.n_arms, self.n_features)
-        self.arm_counts = np.array(state["arm_counts"], dtype=np.int64).reshape(self.n_arms)
-        self.t = int(state["t"])
-        self.theta = theta_refresh(self.A_inv, self.b)

@@ -46,8 +46,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..utils.validation import check_matrix, check_scalar
-from .base import BanditPolicy, grouped_ridge_update
-from .kernels import linear_scores, mat_vec, sherman_morrison, theta_refresh, ucb_explore
+from .base import RidgePolicy, grouped_ridge_update
+from .kernels import linear_scores, ucb_explore
 from .keyed import STREAM_POSTERIOR, keyed_normal, tiebreak_rows
 
 __all__ = ["LinearThompsonSampling", "posterior_scores"]
@@ -69,7 +69,7 @@ def posterior_scores(theta, A_inv, x, v: float, keys, counters) -> np.ndarray:
     return linear_scores(theta, x) + v * np.sqrt(ucb_explore(x, A_inv)) * z
 
 
-class LinearThompsonSampling(BanditPolicy):
+class LinearThompsonSampling(RidgePolicy):
     """Per-arm Gaussian posterior sampling over linear reward models.
 
     All float math routes through :mod:`repro.bandits.kernels` and every
@@ -100,10 +100,7 @@ class LinearThompsonSampling(BanditPolicy):
         super().__init__(n_arms, n_features, seed=seed)
         self.v = check_scalar(v, name="v", minimum=0.0)
         self.ridge = check_scalar(ridge, name="ridge", minimum=0.0, include_min=False)
-        d = self.n_features
-        self.A_inv = np.repeat((np.eye(d) / self.ridge)[None, :, :], self.n_arms, axis=0)
-        self.b = np.zeros((self.n_arms, d))
-        self.theta = np.zeros((self.n_arms, d))
+        self._hold_prior()
 
     def _fleet_hyperparams(self) -> tuple:
         return (self.v, self.ridge)
@@ -120,10 +117,6 @@ class LinearThompsonSampling(BanditPolicy):
         x = self._check_context(context)
         return self._scores_at(x, self._next_draws(1)[0])
 
-    def expected_rewards(self, context: np.ndarray) -> np.ndarray:
-        x = self._check_context(context)
-        return linear_scores(self.theta, x)
-
     def select(self, context: np.ndarray) -> int:
         x = self._check_context(context)
         return self._tiebreak(self._scores_at(x, self._draws))
@@ -139,12 +132,7 @@ class LinearThompsonSampling(BanditPolicy):
         return tiebreak_rows(scores, self._key, counters)
 
     def update(self, context: np.ndarray, action: int, reward: float) -> None:
-        x = self._check_context(context)
-        a = self._check_action(action)
-        A_inv = sherman_morrison(self.A_inv[a], x)
-        self.b[a] += float(reward) * x
-        self.theta[a] = mat_vec(A_inv, self.b[a])
-        self.t += 1
+        self._ridge_update(context, action, reward)
 
     def update_many(self, contexts, actions, rewards) -> None:
         """Sequential-exact batch update (see :func:`grouped_ridge_update`)."""
@@ -157,11 +145,8 @@ class LinearThompsonSampling(BanditPolicy):
 
     def set_state(self, state: Mapping[str, Any]) -> None:
         self._check_state_header(state)
-        self.v = float(state["v"])
-        self.ridge = float(state["ridge"])
-        self.A_inv = np.array(state["A_inv"], dtype=np.float64).reshape(
-            self.n_arms, self.n_features, self.n_features
+        self._load(
+            {"v": float(state["v"]), "ridge": float(state["ridge"])},
+            **self._ridge_state(state),
+            t=int(state["t"]),
         )
-        self.b = np.array(state["b"], dtype=np.float64).reshape(self.n_arms, self.n_features)
-        self.t = int(state["t"])
-        self.theta = theta_refresh(self.A_inv, self.b)

@@ -11,6 +11,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from ..utils.columns import ArrayColumn
 from ..utils.exceptions import ValidationError
 from ..utils.validation import check_scalar
 from .base import BanditPolicy, check_batch
@@ -31,13 +32,16 @@ class UCB1(BanditPolicy):
     kind = "ucb1"
     supports_fleet = True
 
+    #: per arm: plays and reward totals
+    counts = ArrayColumn()
+    sums = ArrayColumn()
+
     def __init__(
         self, n_arms: int, n_features: int = 1, *, c: float = np.sqrt(2.0), seed=None
     ) -> None:
         super().__init__(n_arms, n_features, seed=seed)
         self.c = check_scalar(c, name="c", minimum=0.0)
-        self.counts = np.zeros(self.n_arms, dtype=np.int64)
-        self.sums = np.zeros(self.n_arms, dtype=np.float64)
+        self._hold(counts=np.zeros(self.n_arms, dtype=np.int64), sums=np.zeros(self.n_arms))
 
     def _fleet_hyperparams(self) -> tuple:
         return (self.c,)
@@ -45,17 +49,19 @@ class UCB1(BanditPolicy):
     def ucb_scores(self, context: np.ndarray | None = None) -> np.ndarray:
         """UCB1 index per arm; unplayed arms get +inf (forced first plays)."""
         scores = np.full(self.n_arms, np.inf)
-        played = self.counts > 0
+        counts = self.counts
+        played = counts > 0
         if played.any():
-            means = self.sums[played] / self.counts[played]
+            means = self.sums[played] / counts[played]
             total = max(self.t, 1)
-            bonus = self.c * np.sqrt(np.log(total) / self.counts[played])
+            bonus = self.c * np.sqrt(np.log(total) / counts[played])
             scores[played] = means + bonus
         return scores
 
     def expected_rewards(self, context: np.ndarray | None = None) -> np.ndarray:
+        counts = self.counts
         with np.errstate(invalid="ignore", divide="ignore"):
-            means = np.where(self.counts > 0, self.sums / np.maximum(self.counts, 1), 0.0)
+            means = np.where(counts > 0, self.sums / np.maximum(counts, 1), 0.0)
         return means
 
     def select(self, context: np.ndarray | None = None) -> int:
@@ -90,7 +96,9 @@ class UCB1(BanditPolicy):
 
     def set_state(self, state: Mapping[str, Any]) -> None:
         self._check_state_header(state)
-        self.c = float(state["c"])
-        self.counts = np.array(state["counts"], dtype=np.int64).reshape(self.n_arms)
-        self.sums = np.array(state["sums"], dtype=np.float64).reshape(self.n_arms)
-        self.t = int(state["t"])
+        self._load(
+            {"c": float(state["c"])},
+            counts=np.array(state["counts"], dtype=np.int64).reshape(self.n_arms),
+            sums=np.array(state["sums"], dtype=np.float64).reshape(self.n_arms),
+            t=int(state["t"]),
+        )

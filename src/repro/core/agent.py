@@ -40,9 +40,9 @@ import numpy as np
 
 from ..bandits.base import BanditPolicy
 from ..encoding.base import Encoder
+from ..utils.columns import Column, Columns
 from ..utils.exceptions import ConfigError
 from ..utils.validation import check_vector
-from .columns import Column, Columns
 from .config import AgentMode
 from .participation import RandomizedParticipation
 from .payload import ReportLog
@@ -137,7 +137,7 @@ class LocalAgent:
         self.report_row = 0
         if mode != AgentMode.COLD:
             kind = "encoded" if mode == AgentMode.WARM_PRIVATE else "raw"
-            self.report_log = ReportLog(kind)
+            self.report_log = ReportLog(kind, n_features=policy.n_features)
             self.report_row = self.report_log.enroll()
         AgentCounters.bind(self)
 

@@ -30,7 +30,7 @@ takes every device's draws in one array expression, bitwise as the
 device would.
 
 A device's state is its row of :class:`StackedParticipation` columns
-(:mod:`repro.core.columns`): :meth:`RandomizedParticipation.offer` and
+(:mod:`repro.utils.columns`): :meth:`RandomizedParticipation.offer` and
 :meth:`StackedParticipation.step` are the one-row and ``n``-row forms
 of the same transition on them.
 """
@@ -48,9 +48,9 @@ from ..bandits.keyed import (
     keyed_index,
     keyed_uniform,
 )
+from ..utils.columns import Column, Columns
 from ..utils.rng import ensure_rng
 from ..utils.validation import check_positive_int, check_probability
-from .columns import Column, Columns
 
 __all__ = ["RandomizedParticipation", "StackedParticipation", "UNDRAWN"]
 

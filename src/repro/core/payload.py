@@ -97,11 +97,14 @@ class ReportBatch:
         )
 
     @staticmethod
-    def concat(batches: Sequence["ReportBatch"], kind: str) -> "ReportBatch":
-        """Row-concatenate batches of one kind."""
+    def concat(
+        batches: Sequence["ReportBatch"], kind: str, *, n_features: int = 0
+    ) -> "ReportBatch":
+        """Row-concatenate batches of one kind (no rows: an empty batch
+        whose raw payload is ``n_features`` wide)."""
         batches = [b for b in batches if len(b)]
         if not batches:
-            return ReportBatch.empty(kind)
+            return ReportBatch.empty(kind, n_features=n_features)
         if any(b.kind != kind for b in batches):
             raise ValueError("cannot concatenate batches of different kinds")
         return ReportBatch(
@@ -132,13 +135,15 @@ class ReportLog:
     ever come from one caller, in order.  Reads and takes happen
     between runs.  A taken row leaves the store, so its size is bounded
     by the pending reports, not by history or by how many agents ever
-    enrolled.
+    enrolled.  A raw log's contexts are ``n_features`` wide, so a read
+    has that width whether or not the log has held a row.
     """
 
-    def __init__(self, kind: str) -> None:
+    def __init__(self, kind: str, *, n_features: int = 0) -> None:
         if kind not in ("encoded", "raw"):
             raise ValueError(f"kind must be 'encoded' or 'raw', got {kind!r}")
         self.kind = kind
+        self.n_features = n_features
         self._n_enrolled = 0
         self._chunks: list[ReportBatch] = []
 
@@ -174,7 +179,9 @@ class ReportLog:
     def _stored(self) -> ReportBatch:
         """Every stored row as one batch, in append order."""
         if len(self._chunks) != 1:
-            self._chunks = [ReportBatch.concat(self._chunks, self.kind)]
+            self._chunks = [
+                ReportBatch.concat(self._chunks, self.kind, n_features=self.n_features)
+            ]
         return self._chunks[0]
 
     def _select(self, agent_rows: np.ndarray, positions: np.ndarray):
@@ -241,9 +248,11 @@ def drain_report_batches(agents: Iterable) -> tuple[ReportBatch, ReportBatch]:
         parts[log.kind].append(
             log.take(np.asarray(rows, dtype=np.intp), np.asarray(positions, dtype=np.intp))
         )
+    # an empty raw drain keeps its logs' payload width
+    width = max((log.n_features for log, _, _ in by_log.values() if log.kind == "raw"), default=0)
     out = []
     for kind in ("encoded", "raw"):
-        batch = ReportBatch.concat(parts[kind], kind)
+        batch = ReportBatch.concat(parts[kind], kind, n_features=width)
         if len(batch):
             batch = batch.take(np.argsort(batch.agent_rows, kind="stable"))
         out.append(batch)

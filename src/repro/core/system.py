@@ -148,7 +148,10 @@ class P2BSystem:
         #: have none
         self.report_log: ReportLog | None = None
         if mode != AgentMode.COLD:
-            self.report_log = ReportLog("encoded" if mode == AgentMode.WARM_PRIVATE else "raw")
+            self.report_log = ReportLog(
+                "encoded" if mode == AgentMode.WARM_PRIVATE else "raw",
+                n_features=config.n_features,
+            )
         #: optional chaos plan corrupting collected batches (see
         #: :mod:`repro.sim.faults`); ``REPRO_FAULTS`` arms one globally
         self.fault_plan = None

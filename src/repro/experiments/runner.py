@@ -20,7 +20,6 @@ every setting faces the same users in the same order.
 
 from __future__ import annotations
 
-import pickle
 from contextlib import contextmanager
 from typing import Callable
 
@@ -307,22 +306,21 @@ def run_setting(
                 # the phase context makes the snapshot self-contained:
                 # everything _resume_setting needs to finish the whole
                 # setting — the system (pre-collection), the environment
-                # mid-walk, and the evaluation workload arguments
-                context = pickle.dumps(
-                    {
-                        "phase": "contrib",
-                        "system": system,
-                        "env": env,
-                        "mode": mode,
-                        "cfg": cfg,
-                        "n_contributors": n_contributors,
-                        "n_eval_agents": n_eval_agents,
-                        "eval_interactions": eval_interactions,
-                        "eval_users_seed": eval_users_seed,
-                        "measure": measure,
-                        "checkpoint_every": checkpoint_every,
-                    }
-                )
+                # mid-walk, and the evaluation workload arguments; it
+                # pickles with the contributors, so they share its system
+                context = {
+                    "phase": "contrib",
+                    "system": system,
+                    "env": env,
+                    "mode": mode,
+                    "cfg": cfg,
+                    "n_contributors": n_contributors,
+                    "n_eval_agents": n_eval_agents,
+                    "eval_interactions": eval_interactions,
+                    "eval_users_seed": eval_users_seed,
+                    "measure": measure,
+                    "checkpoint_every": checkpoint_every,
+                }
                 runner.run(
                     t_contrib,
                     checkpoint_every=checkpoint_every,
@@ -428,21 +426,19 @@ def _eval_phase(
             # phase context for restarts of *this* phase: the system is
             # snapshotted post-collection, so privacy accounting and
             # collection counters survive the restart
-            context = pickle.dumps(
-                {
-                    "phase": "eval",
-                    "system": system,
-                    "mode": mode,
-                    "cfg": cfg,
-                    "n_contributors": n_contributors,
-                    "n_eval_agents": n_eval_agents,
-                    "eval_interactions": eval_interactions,
-                    "measure": measure,
-                    "n_reports": n_reports,
-                    "n_released": n_released,
-                    "checkpoint_every": checkpoint_every,
-                }
-            )
+            context = {
+                "phase": "eval",
+                "system": system,
+                "mode": mode,
+                "cfg": cfg,
+                "n_contributors": n_contributors,
+                "n_eval_agents": n_eval_agents,
+                "eval_interactions": eval_interactions,
+                "measure": measure,
+                "n_reports": n_reports,
+                "n_released": n_released,
+                "checkpoint_every": checkpoint_every,
+            }
             result = fleet.run(
                 eval_interactions,
                 track_expected=want_expected,
@@ -544,7 +540,7 @@ def _resume_setting(
 ) -> ExperimentResult:
     """Finish a :func:`run_setting` interrupted mid-phase.
 
-    The snapshot's context blob says which phase was in flight and
+    The snapshot's context says which phase was in flight and
     carries everything needed to finish the setting: a ``contrib``
     snapshot resumes the contributor horizon, collects, and runs the
     evaluation phase through the normal code path; an ``eval`` snapshot
@@ -554,15 +550,14 @@ def _resume_setting(
     from ..utils.exceptions import CheckpointError, ConfigError
 
     runner = FleetRunner.resume(path)
-    blob = runner.resume_context
-    if blob is None:
+    ctx = runner.resume_context
+    if ctx is None:
         raise CheckpointError(
             f"checkpoint {str(path)!r} carries no run_setting context — it "
             "was written by FleetRunner directly; finish it with "
             "FleetRunner.resume(path).resume_run() instead"
         )
     try:
-        ctx = pickle.loads(blob)
         phase = ctx["phase"]
     except Exception as exc:
         raise CheckpointError(

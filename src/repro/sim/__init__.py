@@ -119,16 +119,21 @@ Held policy state
 -----------------
 
 A :class:`~repro.sim.fleet.FleetRunner` holds each shard between runs.
-On the bit tier its stacked arrays *are* the members' policy state:
-each policy's arrays are views of its stack row, so a writeback hands
-back only ``t``, the draw counter and epsilon.  Joins stack only the
-newcomers, into spare rows that double when full; departures compact
-the shard in place, in member order, encode cache and report-log slots
-included.  No two agents' arrays share memory, ``get_state``,
-``model_snapshot`` and checkpoints are copies, and a departed policy
-gets its own copy before its row is reused (``tests/sim/test_aliasing.py``).
-A run that raises leaves its members' arrays mid-run.  The fast tier
-copies its float32/COO state out and restacks on any member change.
+On the bit tier its stack *is* the members' policy state: each policy's
+key, draw counter, ``t`` and arrays are its row of the stack (a
+:class:`~repro.utils.columns.Rows` store; outside any shard, a private
+one-row store), which scalar steps, ``set_state`` and stacked warm
+starts write in place.  So a run hands nothing back, and the stack is
+reused while every member's policy is still bound to its row; a second
+runner, a replaced policy or a changed shared hyperparameter restacks.
+Joins stack only the newcomers, into spare rows that double when full;
+departures compact the shard in place, in member order, encode cache
+and report-log slots included.  No two agents' arrays share memory,
+``get_state``, ``model_snapshot`` and checkpoints are copies, and a
+departed policy gets its own copy of its row
+(``tests/sim/test_aliasing.py``).  A run that raises leaves its members'
+state mid-run.  The fast tier copies its float32/COO state out after
+each run and restacks on any member change.
 
 Held participation state
 ------------------------
@@ -136,7 +141,7 @@ Held participation state
 A device's participation state (paper §3.1: its open window's fill
 level, coin and pick, the held item as payload, action and reward, its
 keyed draw counter and report budget) and an agent's lifetime counters
-are one row each of :mod:`repro.core.columns` stores that the scalar
+are one row each of :mod:`repro.utils.columns` stores that the scalar
 objects read and write.  A device outside any fleet holds a private
 one-row store, as a hand-built agent holds a private one-row report
 log.  A held shard binds its members' rows once, with its policy

@@ -6,18 +6,19 @@ encoding of one :class:`FleetCheckpoint`, written atomically (temp file
 good snapshot.  The payload carries everything a bit-identical restart
 needs:
 
-* the **population pickle** — every agent with its policy state, RNG
-  streams (generators, keys and draw counters), participation state
-  (counters and the open window's one held item) and report store
-  handle (the log holding its pending rows), and every session with
-  its walk cursors (pickle round-trips ``numpy`` ``Generator`` state
-  exactly);
+* the **population pickle** — every agent with its policy state (its
+  own row, never its shard's stack), RNG streams (generators, keys and
+  draw counters), participation state (counters and the open window's
+  one held item) and report store handle (the log holding its pending
+  rows), every session with its walk cursors (pickle round-trips
+  ``numpy`` ``Generator`` state exactly), and an opaque **caller
+  context** object (``run_setting`` stores its collection phase there).
+  One pickle holds them all, so what the context shares with the agents
+  — a system's report log and encoder — is still shared on resume;
 * the **partial result matrices** and the progress cursor
   (``completed`` of ``n_interactions`` rounds) of an in-flight run;
 * the **engine knobs** the run was started with, so ``resume`` rebuilds
-  an equivalently configured :class:`~repro.sim.fleet.FleetRunner`;
-* an opaque **caller context** blob (``run_setting`` stores its
-  collection-phase state there).
+  an equivalently configured :class:`~repro.sim.fleet.FleetRunner`.
 
 ``CHECKPOINT_VERSION`` gates the format: :func:`load_checkpoint`
 refuses files written by a different version (or by anything that is
@@ -66,8 +67,10 @@ CHECKPOINT_MAGIC = "repro-fleet-checkpoint"
 #: Cholesky cache; 6 = agents hold a report store handle, not an outbox
 #: list; 7 = participation holds one item per window, not a buffer;
 #: 8 = agents and their participation are rows of counter and
-#: participation columns, the held item a payload, action and reward)
-CHECKPOINT_VERSION = 8
+#: participation columns, the held item a payload, action and reward;
+#: 9 = policies are rows of their state store, and the caller context
+#: pickles with the population)
+CHECKPOINT_VERSION = 9
 
 
 @dataclass(frozen=True)
@@ -81,10 +84,9 @@ class FleetCheckpoint:
     actions: np.ndarray  #: completed action columns, (n_agents, completed)
     expected: np.ndarray | None  #: completed expected columns, or None
     expected_ok: np.ndarray  #: per-agent expected-row validity so far
-    population: bytes  #: pickle of ``(agents, sessions)``
+    population: bytes  #: pickle of ``(agents, sessions, context)``
     engine: dict  #: the runner's engine knobs (see ``_engine_dict``)
     checkpoint_every: int | None  #: cadence the run was snapshotting at
-    context: bytes | None  #: opaque caller blob (e.g. collection state)
 
 
 def save_checkpoint(path, ckpt: FleetCheckpoint) -> None:
@@ -102,7 +104,6 @@ def save_checkpoint(path, ckpt: FleetCheckpoint) -> None:
         "n_interactions": int(ckpt.n_interactions),
         "track_expected": bool(ckpt.track_expected),
         "has_expected": ckpt.expected is not None,
-        "has_context": ckpt.context is not None,
         "rewards": np.asarray(ckpt.rewards, dtype=np.float64),
         "actions": np.asarray(ckpt.actions, dtype=np.intp),
         "expected_ok": np.asarray(ckpt.expected_ok, dtype=bool),
@@ -112,8 +113,6 @@ def save_checkpoint(path, ckpt: FleetCheckpoint) -> None:
     }
     if ckpt.expected is not None:
         state["expected"] = np.asarray(ckpt.expected, dtype=np.float64)
-    if ckpt.context is not None:
-        state["context"] = np.frombuffer(ckpt.context, dtype=np.uint8)
     blob = state_to_bytes(state)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
@@ -187,9 +186,6 @@ def load_checkpoint(path) -> FleetCheckpoint:
                 None
                 if state.get("checkpoint_every") is None
                 else int(state["checkpoint_every"])
-            ),
-            context=(
-                state["context"].tobytes() if state.get("has_context") else None
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -301,7 +301,6 @@ class _Shard:
         self.n = len(agents)
         self.mode = agents[0].mode
         self.private_context = agents[0].private_context
-        self._exactness = exactness
         self.stacked = stack_policies([a.policy for a in agents], exactness=exactness)
         self._rows = np.arange(self.n)
         # each agent's last context and its encoding (warm-private
@@ -403,10 +402,12 @@ class _Shard:
 
         A stack that cannot compact (the fast tier) restacks at the
         next run.  Each departed member keeps its own copy of its
-        counter and participation rows.
+        policy, counter and participation rows.
         """
         for name, _, members in self._columns(self.agents):
             getattr(self, name).leave(members, keep)
+        if self.stacked.views:
+            self.stacked.leave([a.policy for a in self.agents], keep)
         arrays = {
             name: a[keep]
             for name in (*self._AGENT_ARRAYS, "_log_of", "_log_rows")
@@ -414,8 +415,6 @@ class _Shard:
         }
         kept = keep.tolist()
         self._members([self.agents[j] for j in kept], [self.sessions[j] for j in kept], arrays)
-        if not self.stacked.remove(keep):
-            self._sync = None
 
     def _reset_run_state(self) -> None:
         """Clear every per-run field (a held shard runs many times).
@@ -428,11 +427,6 @@ class _Shard:
         this first and ``writeback`` last, so a reused shard can never
         see a previous run's plan, nor hold it between runs).
         """
-        # what the stack holds besides run progress: "written" — the
-        # state its last writeback handed the policies; "loaded" — a
-        # warm-start snapshot the policies take at this run's writeback;
-        # None — neither (mid-run, or after a failed run)
-        self._sync: str | None = None
         # which plan fast path this shard runs on (None = generic loop)
         self._plan_path: str | None = None
         # the full-horizon (n, T) walk: row-table indices on traced
@@ -457,59 +451,11 @@ class _Shard:
     # ------------------------------------------------------------------ #
     # stacked policy state (the reuse rule is documented on FleetRunner)
     def writeback(self) -> None:
-        """Hand the stacked state to the policies and end the run.
-
-        See :meth:`~repro.sim.stacked.StackedPolicies._writeback_rows`.
-        Per-run buffers are released (a held shard carries none between
-        runs).
-        """
+        """End the run: the fast tier copies its state out to the policies
+        (a bit-tier stack already is their state), and per-run buffers
+        are released (a held shard carries none between runs)."""
         self.stacked.writeback()
         self._reset_run_state()
-        self._sync = "written"
-
-    def mirrors_policies(self) -> bool:
-        """Whether the stack still holds exactly its agents' policy state.
-
-        Valid only from a writeback until the next prepare or load, and
-        only while every member still holds its stacked policy object,
-        that policy's ``t`` and draw counter equal the stacked ones (a
-        scalar ``select`` advances the counter without touching ``t``),
-        and it holds the very rows the writeback handed it (compared by
-        identity).
-        """
-        if self._sync != "written":
-            return False
-        stacked = self.stacked
-        held = list(stacked.held_rows.items())
-        for i, (agent, policy, t, draws) in enumerate(
-            zip(self.agents, stacked.policies, stacked.t.tolist(), stacked.draws.tolist())
-        ):
-            if agent.policy is not policy or policy.t != t or policy._draws != draws:
-                return False
-            for name, rows in held:
-                if getattr(policy, name, None) is not rows[i]:
-                    return False
-        return True
-
-    def load_state(self, state) -> None:
-        """Every member's ``LocalAgent.warm_start(state)``, stacked."""
-        self.stacked.load_state(state)
-        self._sync = "loaded"
-
-    def reusable(self) -> bool:
-        """Whether the next run may step the held stack without restacking."""
-        return self._sync == "loaded" or self.mirrors_policies()
-
-    def restack(self) -> None:
-        """Rebuild only the stacked policy state from the policies.
-
-        Members may hold rows of the old stack until this run's
-        writeback, so a restack briefly holds two.  Encoder groups,
-        acting encodings and row tables are kept.
-        """
-        self.stacked = None
-        self._sync = None
-        self.stacked = stack_policies([a.policy for a in self.agents], exactness=self._exactness)
 
     # ------------------------------------------------------------------ #
     def prepare(self, n_interactions: int) -> None:
@@ -1026,33 +972,33 @@ class FleetRunner:
       spare rows (:meth:`add_agents`); departures compacted it already
       (:meth:`remove_agents`).  Any other member list — a
       :meth:`run_subset` covering part of a shard — builds a new shard;
-    * the held stacked state is reused only if, for every held member,
-      ``agent.policy`` is still the object it was stacked from,
-      ``policy.t`` and its draw counter equal the stacked ones, and the
-      policy still holds, by identity, the very rows the shard's last
-      writeback handed it.  ``set_state``/``warm_start`` and another
-      runner's writeback replace those arrays, a scalar ``update``
-      advances ``t`` and a scalar ``select`` the draw counter; when any
-      check fails — or on the fast tier, which cannot append or
-      compact, after any member change — the shard restacks only its
-      policy state and keeps its encoding and row-table caches.
+    * on the bit tier the held stack *is* its members' policy state:
+      each policy's key, draw counter, ``t`` and arrays are its row of
+      the stack, which scalar ``select``/``update`` and ``set_state``
+      write in place (the :mod:`repro.sim` contract).  Nothing is handed
+      back after a run and nothing needs comparing before one: the stack
+      is reused while every held member's ``agent.policy`` is still
+      bound to its row (:meth:`~repro.sim.stacked.StackedPolicies.holds`).
+      A second runner's stack, a replaced policy object or a
+      ``set_state`` that changes a hyperparameter the stack holds
+      uniform rebind a member, and the shard restacks only its policy
+      state, keeping its encoding and row-table caches;
+    * the fast tier's float32 state is copied out to the policies after
+      each run and restacks after any member change — a scalar step,
+      ``set_state``, or a join or departure, which it cannot append or
+      compact.
 
-    On the bit tier the held stack *is* the policy state: each policy's
-    arrays are views of its stack row (the :mod:`repro.sim` contract);
-    the fast tier copies into output buffers it refills in place.
     ``run(n, warm_start=state)`` is exactly every member calling
     ``LocalAgent.warm_start(state)``, then ``run(n)``: a held stack that
-    mirrors its policies loads ``state`` stacked
-    (:meth:`~repro.sim.stacked.StackedPolicies.load_state`), and every other
-    member — newcomers included — warm-starts scalar-side before its
-    shard stacks.
+    holds its members loads ``state`` stacked
+    (:meth:`~repro.sim.stacked.StackedPolicies.load_state`), and every
+    other member — newcomers included — warm-starts scalar-side before
+    its shard stacks.
 
-    Reuse is bitwise identical to restacking on every tier:
-    ``writeback`` leaves the policies equal to the stack, every run
+    Reuse is bitwise identical to restacking on every tier: every run
     resets all per-run state, and a reused stack resets what it holds
     beyond the policies (the fast tier's score caches) as a fresh stack
-    would.  Editing a policy's arrays in place, outside
-    ``update``/``set_state``, is outside this contract.
+    would.
     """
 
     def __init__(
@@ -1069,9 +1015,11 @@ class FleetRunner:
         self.sessions = list(sessions)
         self.n_workers = config.n_workers
         self.exactness = config.exactness
-        # set by resume(): the loaded checkpoint resume_run() continues
+        # set by resume(): the loaded checkpoint resume_run() continues,
+        # and the caller context it was written with
         self._resume_ckpt = None
         self._resume_path = None
+        self.resume_context = None
         if len(self.agents) != len(self.sessions):
             raise ConfigError(
                 f"agents ({len(self.agents)}) and sessions ({len(self.sessions)}) "
@@ -1210,10 +1158,9 @@ class FleetRunner:
         """The shard of one execution spec, held under its group ``key``.
 
         Applies the reuse rule of the class docstring to ``shard``, the
-        spec's :meth:`_held_shard`: a held stack that no longer mirrors
-        its policies (nor holds this run's warm-start snapshot), or
-        cannot append the newcomers, restacks; one that does restarts.
-        Global indices may have
+        spec's :meth:`_held_shard`: a held stack that no longer holds its
+        members' policies, or cannot append the newcomers (the fast
+        tier), restacks; one that does restarts.  Global indices may have
         shifted under churn, so they (and the session bindings) are
         refreshed on every run.  ``rows`` are the result-matrix rows the
         shard writes (subset runs write at subset-local positions).
@@ -1226,17 +1173,20 @@ class FleetRunner:
             self._shards.pop(key, None)
             shard = self._shards[key] = _Shard(idx, agents, sessions, exactness=self.exactness)
         else:
-            reuse = shard.reusable()
+            reuse = shard.stacked.holds([a.policy for a in shard.agents])
             if shard.n < len(agents):
                 newcomers = agents[shard.n :]
                 shard.join(newcomers, sessions[shard.n :])
-                reuse = reuse and shard.stacked.views and shard.stacked.append(
-                    stack_policies([a.policy for a in newcomers], exactness=self.exactness)
-                )
+                reuse = reuse and shard.stacked.views
+                if reuse:
+                    policies = [a.policy for a in newcomers]
+                    stacked = stack_policies(policies, exactness=self.exactness)
+                    shard.stacked.append(stacked, policies)
             if reuse:
                 shard.stacked.restart()
-            else:
-                shard.restack()
+            else:  # restack only the policy state, keeping the encode caches
+                policies = [a.policy for a in agents]
+                shard.stacked = stack_policies(policies, exactness=self.exactness)
         shard.indices = idx
         shard.sessions = sessions
         return shard
@@ -1283,13 +1233,14 @@ class FleetRunner:
         sink=None,
         checkpoint_every: int | None = None,
         checkpoint_path=None,
-        checkpoint_context: bytes | None = None,
+        checkpoint_context=None,
         warm_start=None,
     ) -> FleetResult | None:
         """Run ``n_interactions`` rounds over the whole population.
 
         Side effects match the sequential loop exactly: policies learn
-        (state is written back into each agent's policy object),
+        (a bit-tier policy's state is its row of the stack; the fast
+        tier copies its state out after the run),
         participation budgets advance, and the report logs gain the
         same rows (payload, action, reward, interaction index) in the
         same per-agent order.
@@ -1334,9 +1285,10 @@ class FleetRunner:
         (segmented execution is exact by the plan contract; the
         fast exactness tier is bit-identical to an uninterrupted run
         using the same checkpoint cadence).  ``checkpoint_context``
-        is an opaque caller blob stored alongside (``run_setting``
-        keeps its collection phase there).  Checkpointing does not
-        compose with a ``sink``.
+        is an opaque caller object pickled with the population
+        (``run_setting`` keeps its collection phase there), so what it
+        shares with the agents stays shared on resume.  Checkpointing
+        does not compose with a ``sink``.
         """
         n_interactions = check_positive_int(n_interactions, name="n_interactions")
         if sink is None:
@@ -1488,32 +1440,33 @@ class FleetRunner:
 
     def warm_start(self, state) -> None:
         """Every member's ``LocalAgent.warm_start(state)``, now: held
-        stacks that mirror their members load it (as ``run(warm_start=)``
-        does, :meth:`_warm_start`) and write it back at once, so the next
-        run reuses them without a restack."""
+        stacks that hold their members load it in place (as
+        ``run(warm_start=)`` does, :meth:`_warm_start`), and the next run
+        reuses them without a restack."""
         specs = self._full_specs()
         held = [self._held_shard(key, members) for key, members, _ in specs]
-        for shard in self._warm_start(specs, held, state):
-            shard.writeback()
+        self._warm_start(specs, held, state)
 
-    def _warm_start(self, specs: list[tuple], held: list, state) -> list[_Shard]:
+    def _warm_start(self, specs: list[tuple], held: list, state) -> None:
         """Warm-start every spec member with ``state`` before any shard steps.
 
         The outcome is every member's ``LocalAgent.warm_start(state)``
         in population order.  The members of a ``held`` shard whose
-        stack mirrors them load ``state`` stacked (:meth:`_Shard.load_state`);
-        every other member — newcomers included — warm-starts
-        scalar-side first, so no stack has changed when a member's
-        ``set_state`` refuses: the stack members before it then
-        warm-start scalar-side, and the error propagates.  Returns the
-        shards that loaded ``state``; their policies take it at the
-        shard's next writeback.
+        stack holds them load ``state`` stacked
+        (:meth:`~repro.sim.stacked.StackedPolicies.load_state`), which is
+        their state at once; every other member — newcomers included —
+        warm-starts scalar-side first, so no stack has changed when a
+        member's ``set_state`` refuses: the stack members before it then
+        warm-start scalar-side, and the error propagates.
         """
         loads = []
         on_stack: set[int] = set()
         for (_, members, _), shard in zip(specs, held):
-            mirrors = shard is not None and shard.mirrors_policies()
-            if mirrors and shard.stacked.state_to_load(state) is not None:
+            if (
+                shard is not None
+                and shard.stacked.holds([a.policy for a in shard.agents])
+                and shard.stacked.state_to_load(state) is not None
+            ):
                 loads.append(shard)
                 on_stack.update(members[: shard.n])
         order = sorted(i for _, members, _ in specs for i in members)
@@ -1528,8 +1481,7 @@ class FleetRunner:
                         self.agents[j].warm_start(state)
                 raise
         for shard in loads:
-            shard.load_state(state)
-        return loads
+            shard.stacked.load_state(state)
 
     # ------------------------------------------------------------------ #
     # checkpoint / resume
@@ -1552,15 +1504,15 @@ class FleetRunner:
         expected: np.ndarray | None = None,
         expected_ok: np.ndarray | None = None,
         checkpoint_every: int | None = None,
-        context: bytes | None = None,
+        context=None,
     ) -> None:
         """Write a versioned on-disk snapshot of this fleet to ``path``.
 
         The snapshot carries the pickled population — every agent with
         its policy state, RNG streams, participation counters and
         report log (its pending rows), and every session with its walk
-        cursors —
-        plus this runner's engine knobs and, for an in-flight run, the
+        cursors — and the caller's ``context`` in the same pickle, plus
+        this runner's engine knobs and, for an in-flight run, the
         partial result matrices and progress cursor.  Writes are atomic
         (temp file + ``os.replace``), so a crash mid-write leaves the
         previous snapshot intact.  :meth:`run` calls this automatically
@@ -1571,7 +1523,7 @@ class FleetRunner:
 
         n = len(self.agents)
         try:
-            population = pickle.dumps((self.agents, self.sessions))
+            population = pickle.dumps((self.agents, self.sessions, context))
         except Exception as exc:  # pickle errors vary by payload
             raise CheckpointError(
                 "checkpointing pickles the population, which failed: "
@@ -1596,7 +1548,6 @@ class FleetRunner:
                 population=population,
                 engine=self._engine_dict(),
                 checkpoint_every=checkpoint_every,
-                context=context,
             ),
         )
 
@@ -1605,7 +1556,8 @@ class FleetRunner:
         """Rebuild a fleet from a snapshot written by :meth:`checkpoint`.
 
         The returned runner holds the unpickled population (identical
-        RNG streams, counters, pending report rows) under the engine knobs the
+        RNG streams, counters, pending report rows) and caller context
+        (:attr:`resume_context`) under the engine knobs the
         snapshot was taken with (engine keys this release no longer
         knows are ignored, so older snapshots stay loadable); when the
         snapshot was mid-run,
@@ -1616,7 +1568,7 @@ class FleetRunner:
 
         ckpt = load_checkpoint(path)
         try:
-            agents, sessions = pickle.loads(ckpt.population)
+            agents, sessions, context = pickle.loads(ckpt.population)
         except Exception as exc:
             raise CheckpointError(
                 f"checkpoint {str(path)!r} holds an unreadable population "
@@ -1630,12 +1582,8 @@ class FleetRunner:
         runner = cls(agents, sessions, config=config)
         runner._resume_ckpt = ckpt
         runner._resume_path = path
+        runner.resume_context = context
         return runner
-
-    @property
-    def resume_context(self) -> bytes | None:
-        """The caller context blob of the loaded snapshot (after :meth:`resume`)."""
-        return None if self._resume_ckpt is None else self._resume_ckpt.context
 
     def resume_run(
         self,
@@ -1673,13 +1621,13 @@ class FleetRunner:
             track_expected=ckpt.track_expected,
             every=min(every or remaining, remaining),
             path=path,
-            context=ckpt.context,
+            context=self.resume_context,
             prefix=ckpt,
         )
 
     def _run_checkpointed(
         self, n_total: int, *, track_expected: bool, every: int,
-        path, context: bytes | None, prefix, warm_start=None,
+        path, context, prefix, warm_start=None,
     ) -> FleetResult:
         """Execute a horizon in ``every``-round segments, snapshotting each.
 

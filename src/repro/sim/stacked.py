@@ -45,10 +45,11 @@ from ..bandits.kernels import (
 )
 from ..bandits.keyed import tiebreak_rows
 from ..bandits.linucb import LinUCB
+from ..bandits.state import policy_from_state
 from ..bandits.thompson import LinearThompsonSampling, posterior_scores
 from ..bandits.ucb1 import UCB1
-from ..core.columns import RowStorage, stack_rows
-from ..utils.exceptions import ConfigError, ValidationError
+from ..utils.columns import Rows, stack_rows
+from ..utils.exceptions import ConfigError, ReproError
 
 __all__ = [
     "StackedPolicies",
@@ -85,26 +86,26 @@ def _uniform(values, what: str):
     return first
 
 
-class StackedPolicies(RowStorage, abc.ABC):
+class StackedPolicies(Rows, abc.ABC):
     """Base class: ``n`` same-kind policies as one stacked state.
 
-    Subclasses stack in ``__init__`` and mutate their stacked arrays in
-    place.  On the bit tier (:attr:`views`) the stack *is* the policies'
-    state: :meth:`writeback` hands each policy views of its row of the
-    :attr:`row_state` arrays once, then only ``t`` and the counters;
-    joins :meth:`append` rows and departures :meth:`remove` them.  The
-    fast tier's float32/COO state cannot be a view of float64 policy
-    arrays: its writeback copies out, and it restacks on member change.
+    Stacking gathers each policy's row of :attr:`columns` (its key, draw
+    counter, ``t`` and state arrays); subclasses take the shared
+    hyperparameters in :meth:`_stack` and step the arrays in place.  On
+    the bit tier (:attr:`views`) the stack *is* the policies' state:
+    stacking binds each policy to its row, which its scalar methods then
+    read and write; joins :meth:`append` rows and departures
+    :meth:`~repro.utils.columns.Rows.leave`.  Nothing is handed back.
+    The fast tier copies out instead (:class:`_CopyOut`).
     """
 
     #: True when the stacked select/update consume integer codes
     #: (one-hot specialists) rather than dense context rows.
     wants_codes: bool = False
-    #: True when the policies hold views of their stack rows (bit tier)
+    #: True when the stack is the policies' state (bit tier)
     views: bool = True
-    #: the arrays each policy holds a row of; other agent-axis arrays
-    row_state: tuple[str, ...] = ()
-    agent_state: tuple[str, ...] = ("keys", "draws", "t")
+    #: the agent-axis arrays a policy's row spans
+    columns: tuple[str, ...] = ("keys", "draws", "t")
 
     def __init__(self, policies: Sequence[BanditPolicy]) -> None:
         policies = list(policies)
@@ -115,19 +116,26 @@ class StackedPolicies(RowStorage, abc.ABC):
             raise ConfigError(
                 f"cannot stack mixed policy types: {sorted(c.__name__ for c in kinds)}"
             )
-        self.policies = policies
-        self.n_agents = len(policies)
+        #: what every stacked policy shares: type, shape, hyperparameters
+        self.fleet_key = policies[0].fleet_key()
+        self.n = len(policies)
         self.n_arms = _uniform([p.n_arms for p in policies], "n_arms")
         self.n_features = _uniform([p.n_features for p in policies], "n_features")
-        self.keys = np.array([p._key for p in policies], dtype=np.uint64)
-        self.draws = np.array([p._draws for p in policies], dtype=np.uint64)
-        self.t = np.array([p.t for p in policies], dtype=np.int64)
-        # the rows handed to the leading policies so far (newcomers take
-        # theirs at the next writeback); on the fast tier, rows of `_out`
-        self.held_rows: dict[str, list[np.ndarray]] = {}
-        self._out: dict[str, np.ndarray] = {}
+        for name in self.columns:
+            rows = [getattr(p._cols, name)[p._row] for p in policies]
+            setattr(self, name, stack_rows(rows) if np.ndim(rows[0]) else np.array(rows))
+        self._stack(policies)
         # each agent-axis array's storage, spare rows after the live ones
         self._store: dict[str, np.ndarray] = {}
+        if self.views:
+            for row, p in enumerate(policies):
+                p._cols, p._row = self, row
+        else:
+            self.policies = policies
+
+    @abc.abstractmethod
+    def _stack(self, policies: Sequence[BanditPolicy]) -> None:
+        """Take the shared hyperparameters, refusing mixed ones."""
 
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
@@ -145,144 +153,57 @@ class StackedPolicies(RowStorage, abc.ABC):
         """One update per agent (row ``i`` updates agent ``i``'s state)."""
 
     def writeback(self) -> None:
-        """Hand the stacked state to the policy objects (:meth:`_writeback_rows`)."""
-        self._writeback_rows({name: getattr(self, name) for name in self.row_state})
+        """End a run (the bit tier's stack already is the policies' state)."""
+
+    def holds(self, policies: Sequence[BanditPolicy]) -> bool:
+        """Whether this stack is still the state of ``policies``: each is
+        bound to its row here, in order."""
+        return len(policies) == self.n and all(
+            p._cols is self and p._row == row for row, p in enumerate(policies)
+        )
 
     def restart(self) -> None:
-        """Reset state held only on the stack to what a fresh stack holds.
-
-        A held shard whose stack still mirrors its policies calls this
-        instead of restacking, so reuse is bitwise identical to a
-        restack on every tier.  Bit-tier stacks hold nothing else.
-        """
+        """Reset what only the stack holds (none on the bit tier) to a
+        fresh stack's, so reuse is bitwise a restack."""
 
     def load_state(self, state: Mapping[str, Any]) -> bool:
-        """Give every agent ``state``, as ``n`` ``set_state`` calls would.
-
-        Broadcasts :meth:`state_to_load`'s arrays into every row and
-        returns True, or returns False untouched when that is ``None``.
-        ``t`` reaches the policies at the next :meth:`writeback`.
-        """
-        arrays = self.state_to_load(state)
-        for name, value in (arrays or {}).items():
+        """Give every agent ``state``, as ``n`` ``set_state`` calls would:
+        :meth:`state_to_load`'s row, broadcast; False, untouched, if none."""
+        row = self.state_to_load(state)
+        for name, value in (row or {}).items():
             getattr(self, name)[...] = value
-        return arrays is not None
+        return row is not None
 
     def state_to_load(self, state: Mapping[str, Any]) -> dict[str, np.ndarray] | None:
-        """The stacked arrays ``n`` ``set_state(state)`` calls would leave;
-        writes nothing.
-
-        ``None`` when the stack cannot load ``state`` bitwise — a header
-        or hyperparameter ``set_state`` would refuse or change, a
-        mismatched shape, or a stacker without a stacked load (this base
-        class, the fast tier): the policies then warm-start scalar-side.
-        """
-        return None
-
-    def _loadable(
-        self, state: Mapping[str, Any], hyper: dict[str, float], shapes: dict
-    ) -> dict[str, np.ndarray] | None:
-        """``state``'s arrays as ``set_state`` converts them, and ``t``, or ``None``.
-
-        ``None`` when ``set_state`` would refuse the header, lacks a key,
-        or would set a hyperparameter other than the stack's (``hyper``);
-        ``shapes`` maps each array key to the ``(shape, dtype)`` one
-        policy holds it in.
-        """
+        """The row ``set_state(state)`` leaves a stacked policy (its key and
+        counter aside), as a policy built from ``state`` holds it; ``None``
+        on the fast tier, or if ``set_state`` would refuse ``state`` or
+        change a shared hyperparameter (the policies then warm-start
+        scalar-side)."""
+        if not self.views:
+            return None
         try:
-            self.policies[0]._check_state_header(state)
-        except ValidationError:
+            probe = policy_from_state(state, seed=0)
+        except (ReproError, KeyError, TypeError, ValueError):
             return None
-        if any(k not in state for k in ("t", *hyper, *shapes)):
+        if probe.fleet_key() != self.fleet_key:
             return None
-        if any(float(state[k]) != v for k, v in hyper.items()):
-            return None
-        arrays = {"t": np.int64(int(state["t"]))}
-        for key, (shape, dtype) in shapes.items():
-            a = np.array(state[key], dtype=dtype)
-            if a.size != int(np.prod(shape)):
-                return None
-            arrays[key] = a.reshape(shape)
-        return arrays
+        return {
+            name: getattr(probe._cols, name)[0]
+            for name in self.columns
+            if name not in ("keys", "draws")  # each agent keeps its own stream
+        }
 
-    def append(self, other: StackedPolicies) -> bool:
-        """Append ``other``'s agents' rows into spare capacity, which doubles
-        when full (moving every row); False, changing nothing, on the fast tier."""
-        if not self.views:
-            return False
-        n, m = self.n_agents, self.n_agents + other.n_agents
-        for name in self._append_rows(self.agent_state + self.row_state, other, n, m):
-            self.held_rows.pop(name, None)
-        self.policies += other.policies
-        self.n_agents = m
-        return True
-
-    def remove(self, keep: np.ndarray) -> bool:
-        """Compact the stack in place to the rows ``keep`` (ascending).
-
-        A departed policy holding its rows first gets its own copy; a kept
-        one holding a row that moves is re-pointed.  False, changing
-        nothing, on the fast tier.
-        """
-        if not self.views:
-            return False
-        keep = np.asarray(keep, dtype=np.intp)
-        n, m = self.n_agents, keep.size
-        kept = np.zeros(n, dtype=bool)
-        kept[keep] = True
-        held = {name: self.held_rows.get(name, []) for name in self.row_state}
-        for name, rows in held.items():
-            for i in np.flatnonzero(~kept[: len(rows)]).tolist():
-                if getattr(self.policies[i], name) is rows[i]:
-                    setattr(self.policies[i], name, rows[i].copy())
-        first = int(np.argmin(kept)) if m < n else n  # rows before it stay
-        self._keep_rows(self.agent_state + self.row_state, keep, first)
-        for name, rows in held.items():
-            # rows are handed to a prefix of the members; its survivors lead
-            handed = int(np.count_nonzero(keep < len(rows)))
-            live = getattr(self, name)
-            moved = list(live[first:handed])
-            for i, row in zip(keep[first:handed].tolist(), moved):
-                if getattr(self.policies[i], name) is rows[i]:
-                    setattr(self.policies[i], name, row)
-            self.held_rows[name] = rows[: min(first, handed)] + moved
-        self.policies = [self.policies[i] for i in keep.tolist()]
-        self.n_agents = m
-        return True
+    def append(self, other: StackedPolicies, policies: Sequence[BanditPolicy]) -> None:
+        """Append ``other``, the stack of ``policies``, into spare rows that
+        double when full, and bind each policy to its row here."""
+        n, m = self.n, self.n + other.n
+        self._append_rows(self.columns, other, n, m)
+        self.n = m
+        for row, p in enumerate(policies, n):
+            p._cols, p._row = self, row
 
     # ------------------------------------------------------------------ #
-    def _buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        """The fast tier's writeback copy buffer of attribute ``name``."""
-        out = self._out.get(name)
-        if out is None:
-            out = self._out[name] = np.empty(shape, dtype=dtype)
-        return out
-
-    def _writeback_rows(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Hand each policy its row of ``arrays``, ``t`` and the draw counter.
-
-        On the bit tier ``arrays`` are the stack's own, so a policy's
-        arrays *are* its rows; a row is handed again only to a policy that
-        no longer holds it (one that took ``set_state`` since).  The fast
-        tier hands rows of output buffers it keeps and copies into.
-        """
-        if not self.views:
-            copies = {}
-            for name, a in arrays.items():
-                copies[name] = out = self._buffer(name, a.shape, a.dtype)
-                if out is not a:
-                    np.copyto(out, a)
-            arrays = copies
-        for name, a in arrays.items():
-            rows = self.held_rows.setdefault(name, [])
-            rows += list(a[len(rows) :])
-            for p, row in zip(self.policies, rows):
-                if getattr(p, name) is not row:
-                    setattr(p, name, row)
-        for p, t, draws in zip(self.policies, self.t.tolist(), self.draws.tolist()):
-            p.t = t
-            p._draws = draws
-
     def state_nbytes(self) -> int:
         """Bytes of stacked policy-state arrays currently held.
 
@@ -299,22 +220,59 @@ class StackedPolicies(RowStorage, abc.ABC):
         )
 
 
+class _CopyOut:
+    """The fast tier's copy path: float32/COO state cannot be the
+    policies' float64 rows, so ``writeback`` copies it, ``t`` and the
+    counters out into a store it refills in place, bound to the policies
+    at the first writeback.  Any member change restacks."""
+
+    views = False
+    _out: Rows | None = None
+
+    def holds(self, policies: Sequence[BanditPolicy]) -> bool:
+        """Whether ``policies`` still hold the last copy unchanged: a
+        scalar step moves their ``t`` or counter there, and ``set_state``
+        moves a policy off it (restoring float64 tables)."""
+        out = self._out
+        return (
+            out is not None
+            and len(policies) == self.n
+            and all(p is q and p._cols is out for p, q in zip(policies, self.policies))
+            and np.array_equal(out.t, self.t)
+            and np.array_equal(out.draws, self.draws)
+        )
+
+    def _copy_out(self, **tables: tuple) -> Rows:
+        """The copy store, ``t`` and counters written; the caller fills its
+        ``tables`` (``name=(shape, dtype)``)."""
+        out = self._out
+        if out is None:
+            out = self._out = Rows(
+                keys=self.keys.copy(),
+                draws=self.draws.copy(),
+                t=self.t.copy(),
+                **{name: np.empty(shape, dtype) for name, (shape, dtype) in tables.items()},
+            )
+            for row, p in enumerate(self.policies):
+                p._cols, p._row = out, row
+        else:
+            np.copyto(out.draws, self.draws)
+            np.copyto(out.t, self.t)
+        return out
+
+
 class _StackedDenseLinear(StackedPolicies):
     """Shared stacking for the dense ridge family (LinUCB, eps-greedy)."""
 
-    row_state = ("A_inv", "b", "theta")
+    columns = (*StackedPolicies.columns, "A_inv", "b", "theta")
 
-    def __init__(self, policies: Sequence[BanditPolicy]) -> None:
-        super().__init__(policies)
+    def _stack(self, policies: Sequence[BanditPolicy]) -> None:
         self.ridge = _uniform([p.ridge for p in policies], "ridge")
-        self.A_inv = stack_rows([p.A_inv for p in policies])  # (n, k, d, d)
-        self.b = stack_rows([p.b for p in policies])  # (n, k, d)
-        self.theta = stack_rows([p.theta for p in policies])  # (n, k, d)
 
     def _dense_update(
         self, contexts: np.ndarray, actions: np.ndarray, rewards: np.ndarray
     ) -> None:
-        idx = np.arange(self.n_agents)
+        idx = np.arange(self.n)
         A_sel = self.A_inv[idx, actions]  # gather copies (n, d, d)
         sherman_morrison(A_sel, contexts)
         b_sel = self.b[idx, actions]
@@ -328,12 +286,11 @@ class _StackedDenseLinear(StackedPolicies):
 class StackedLinUCB(_StackedDenseLinear):
     """``n`` independent :class:`~repro.bandits.linucb.LinUCB` agents."""
 
-    row_state = (*_StackedDenseLinear.row_state, "arm_counts")
+    columns = (*_StackedDenseLinear.columns, "arm_counts")
 
-    def __init__(self, policies: Sequence[LinUCB]) -> None:
-        super().__init__(policies)
+    def _stack(self, policies: Sequence[LinUCB]) -> None:
+        super()._stack(policies)
         self.alpha = _uniform([p.alpha for p in policies], "alpha")
-        self.arm_counts = stack_rows([p.arm_counts for p in policies])
 
     def scores(self, contexts: np.ndarray) -> np.ndarray:
         means = linear_scores(self.theta, contexts)
@@ -345,26 +302,10 @@ class StackedLinUCB(_StackedDenseLinear):
 
     def update(self, contexts, actions, rewards) -> None:
         self._dense_update(contexts, actions, rewards)
-        self.arm_counts[np.arange(self.n_agents), actions] += 1
-
-    def state_to_load(self, state: Mapping[str, Any]) -> dict[str, np.ndarray] | None:
-        A, d = self.n_arms, self.n_features
-        arrays = self._loadable(
-            state,
-            {"alpha": self.alpha, "ridge": self.ridge},
-            {
-                "A_inv": ((A, d, d), np.float64),
-                "b": ((A, d), np.float64),
-                "arm_counts": ((A,), np.int64),
-            },
-        )
-        if arrays is not None:
-            # one refresh of the snapshot: the theta each set_state computes
-            arrays["theta"] = theta_refresh(arrays["A_inv"], arrays["b"])
-        return arrays
+        self.arm_counts[np.arange(self.n), actions] += 1
 
 
-class StackedLinUCBFast(StackedLinUCB):
+class StackedLinUCBFast(_CopyOut, StackedLinUCB):
     """``fast``-tier LinUCB: float32 dense posteriors + incremental UCB.
 
     The bit stacker's scoring cost is the ``(n, A, d, d)`` quadratic
@@ -394,10 +335,8 @@ class StackedLinUCBFast(StackedLinUCB):
     round-trips restore float64.
     """
 
-    views = False
-
-    def __init__(self, policies: Sequence[LinUCB]) -> None:
-        super().__init__(policies)
+    def _stack(self, policies: Sequence[LinUCB]) -> None:
+        super()._stack(policies)
         self.A_inv = self.A_inv.astype(np.float32)
         self.b = self.b.astype(np.float32)
         self.theta = self.theta.astype(np.float32)
@@ -432,7 +371,7 @@ class StackedLinUCBFast(StackedLinUCB):
             # scored with: every unpulled arm's mean/quad is untouched,
             # the pulled arm's follow from the rank-1 identity + the
             # already-refreshed theta row
-            idx = np.arange(self.n_agents)
+            idx = np.arange(self.n)
             self._quads[idx, actions] = sm_quad_downdate(self._quads[idx, actions])
             self._means[idx, actions] = vec_dot(self.theta[idx, actions], ctx32)
         else:
@@ -443,21 +382,22 @@ class StackedLinUCBFast(StackedLinUCB):
     def restart(self) -> None:
         self._ctx_cache = self._means = self._quads = None
 
-    def state_to_load(self, state: Mapping[str, Any]) -> None:
-        # float32 posteriors load through the scalar path and a restack
-        return None
+    def writeback(self) -> None:
+        tables = {name: getattr(self, name) for name in ("A_inv", "b", "theta", "arm_counts")}
+        out = self._copy_out(**{name: (a.shape, a.dtype) for name, a in tables.items()})
+        for name, a in tables.items():
+            np.copyto(getattr(out, name), a)
 
 
 class StackedEpsilonGreedy(_StackedDenseLinear):
     """``n`` independent :class:`~repro.bandits.epsilon_greedy.EpsilonGreedy` agents."""
 
-    agent_state = (*StackedPolicies.agent_state, "epsilon")
+    columns = (*_StackedDenseLinear.columns, "epsilon")
 
-    def __init__(self, policies: Sequence[EpsilonGreedy]) -> None:
-        super().__init__(policies)
+    def _stack(self, policies: Sequence[EpsilonGreedy]) -> None:
+        super()._stack(policies)
+        # epsilon is *state* (it decays), a column; decay is shared
         self.decay = _uniform([p.decay for p in policies], "decay")
-        # epsilon is *state* (it decays), so it stays per-agent
-        self.epsilon = np.array([p.epsilon for p in policies], dtype=np.float64)
 
     def select(self, contexts: np.ndarray) -> np.ndarray:
         scores = linear_scores(self.theta, contexts)
@@ -469,11 +409,6 @@ class StackedEpsilonGreedy(_StackedDenseLinear):
         self._dense_update(contexts, actions, rewards)
         self.epsilon *= self.decay
 
-    def writeback(self) -> None:
-        for p, epsilon in zip(self.policies, self.epsilon.tolist()):
-            p.epsilon = epsilon
-        super().writeback()
-
 
 class StackedThompson(_StackedDenseLinear):
     """``n`` independent :class:`~repro.bandits.thompson.LinearThompsonSampling` agents.
@@ -484,8 +419,8 @@ class StackedThompson(_StackedDenseLinear):
     evaluates, so every row is bitwise that agent's own draw.
     """
 
-    def __init__(self, policies: Sequence[LinearThompsonSampling]) -> None:
-        super().__init__(policies)
+    def _stack(self, policies: Sequence[LinearThompsonSampling]) -> None:
+        super()._stack(policies)
         self.v = _uniform([p.v for p in policies], "v")
 
     def sample_scores(self, contexts: np.ndarray) -> np.ndarray:
@@ -509,17 +444,14 @@ class StackedCodeLinUCB(StackedPolicies):
     """
 
     wants_codes = True
-    row_state = ("counts", "sums")
+    columns = (*StackedPolicies.columns, "counts", "sums")
 
-    def __init__(self, policies: Sequence[CodeLinUCB]) -> None:
-        super().__init__(policies)
+    def _stack(self, policies: Sequence[CodeLinUCB]) -> None:
         self.alpha = _uniform([p.alpha for p in policies], "alpha")
         self.ridge = _uniform([p.ridge for p in policies], "ridge")
-        self.counts = stack_rows([p.counts for p in policies])  # (n, A, k)
-        self.sums = stack_rows([p.sums for p in policies])  # (n, A, k)
 
     def scores_for_codes(self, codes: np.ndarray) -> np.ndarray:
-        idx = np.arange(self.n_agents)
+        idx = np.arange(self.n)
         counts_g = self.counts[idx, :, codes]  # (n, A)
         sums_g = self.sums[idx, :, codes]
         denom = self.ridge + counts_g
@@ -530,21 +462,13 @@ class StackedCodeLinUCB(StackedPolicies):
         return self._tiebreak(self.scores_for_codes(codes))
 
     def update(self, codes, actions, rewards) -> None:
-        idx = np.arange(self.n_agents)
+        idx = np.arange(self.n)
         self.counts[idx, actions, codes] += 1.0
         self.sums[idx, actions, codes] += rewards
         self.t += 1
 
-    def state_to_load(self, state: Mapping[str, Any]) -> dict[str, np.ndarray] | None:
-        shape = (self.n_arms, self.n_features)
-        return self._loadable(
-            state,
-            {"alpha": self.alpha, "ridge": self.ridge},
-            {"counts": (shape, np.float64), "sums": (shape, np.float64)},
-        )
 
-
-class StackedCodeLinUCBFast(StackedPolicies):
+class StackedCodeLinUCBFast(_CopyOut, StackedPolicies):
     """Memory-lean ``fast``-tier stacking of :class:`CodeLinUCB` agents.
 
     The bit stacker holds two dense ``(n, A, k)`` float64 tables — the
@@ -579,15 +503,13 @@ class StackedCodeLinUCBFast(StackedPolicies):
     """
 
     wants_codes = True
-    views = False
 
     #: occupancy (touched cells / total cells) above which the COO
     #: state densifies to float32 tables; class attribute so tests can
     #: pin either representation.
     densify_occupancy = 0.25
 
-    def __init__(self, policies: Sequence[CodeLinUCB]) -> None:
-        super().__init__(policies)
+    def _stack(self, policies: Sequence[CodeLinUCB]) -> None:
         self.alpha = _uniform([p.alpha for p in policies], "alpha")
         self.ridge = _uniform([p.ridge for p in policies], "ridge")
         A, k = self.n_arms, self.n_features
@@ -627,17 +549,17 @@ class StackedCodeLinUCBFast(StackedPolicies):
         """
         A = self.n_arms
         base = (
-            np.arange(self.n_agents, dtype=np.int64) * self.n_features
+            np.arange(self.n, dtype=np.int64) * self.n_features
             + np.asarray(codes, dtype=np.int64)
         ) * A
         lo = np.searchsorted(self._keys, base)
         hi = np.searchsorted(self._keys, base + A)
         lens = hi - lo
-        counts_g = np.zeros((self.n_agents, A), dtype=np.float32)
-        sums_g = np.zeros((self.n_agents, A), dtype=np.float32)
+        counts_g = np.zeros((self.n, A), dtype=np.float32)
+        sums_g = np.zeros((self.n, A), dtype=np.float32)
         total = int(lens.sum())
         if total:
-            rows = np.repeat(np.arange(self.n_agents), lens)
+            rows = np.repeat(np.arange(self.n), lens)
             pos = np.repeat(lo, lens) + (
                 np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
             )
@@ -649,7 +571,7 @@ class StackedCodeLinUCBFast(StackedPolicies):
     def scores_for_codes(self, codes: np.ndarray) -> np.ndarray:
         # same expression as the bit stacker, computed in float32
         if self._dense_counts is not None:
-            idx = np.arange(self.n_agents)
+            idx = np.arange(self.n)
             counts_g = self._dense_counts[idx, :, codes]
             sums_g = self._dense_sums[idx, :, codes]
         else:
@@ -662,7 +584,7 @@ class StackedCodeLinUCBFast(StackedPolicies):
         return self._tiebreak(self.scores_for_codes(codes))
 
     def update(self, codes, actions, rewards) -> None:
-        idx = np.arange(self.n_agents)
+        idx = np.arange(self.n)
         if self._dense_counts is not None:
             self._dense_counts[idx, actions, codes] += np.float32(1.0)
             self._dense_sums[idx, actions, codes] += rewards.astype(np.float32)
@@ -702,11 +624,11 @@ class StackedCodeLinUCBFast(StackedPolicies):
         return i, rem - y * A, y
 
     def _maybe_densify(self) -> None:
-        n_cells = self.n_agents * self.n_arms * self.n_features
+        n_cells = self.n * self.n_arms * self.n_features
         if self._keys.size < self.densify_occupancy * n_cells:
             return
         i, a, y = self._cells()
-        counts = np.zeros((self.n_agents, self.n_arms, self.n_features), dtype=np.float32)
+        counts = np.zeros((self.n, self.n_arms, self.n_features), dtype=np.float32)
         sums = np.zeros_like(counts)
         counts[i, a, y] = self._counts
         sums[i, a, y] = self._sums
@@ -716,34 +638,30 @@ class StackedCodeLinUCBFast(StackedPolicies):
         self._sums = np.empty(0, dtype=np.float32)
 
     def writeback(self) -> None:
+        shape = (self.n, self.n_arms, self.n_features)
+        out = self._copy_out(counts=(shape, np.float32), sums=(shape, np.float32))
         if self._dense_counts is not None:
-            self._writeback_rows({"counts": self._dense_counts, "sums": self._dense_sums})
+            np.copyto(out.counts, self._dense_counts)
+            np.copyto(out.sums, self._dense_sums)
             return
-        # scatter the COO cells straight into the zeroed output buffers
-        shape = (self.n_agents, self.n_arms, self.n_features)
+        # scatter the COO cells straight into the zeroed tables
         cells = self._cells()
-        arrays = {}
         for name, values in (("counts", self._counts), ("sums", self._sums)):
-            out = self._buffer(name, shape, np.float32)
-            out.fill(0.0)
-            out[cells] = values
-            arrays[name] = out
-        self._writeback_rows(arrays)
+            table = getattr(out, name)
+            table.fill(0.0)
+            table[cells] = values
 
 
 class StackedUCB1(StackedPolicies):
     """``n`` independent :class:`~repro.bandits.ucb1.UCB1` agents (context-free)."""
 
-    row_state = ("counts", "sums")
+    columns = (*StackedPolicies.columns, "counts", "sums")
 
-    def __init__(self, policies: Sequence[UCB1]) -> None:
-        super().__init__(policies)
+    def _stack(self, policies: Sequence[UCB1]) -> None:
         self.c = _uniform([p.c for p in policies], "c")
-        self.counts = stack_rows([p.counts for p in policies])  # (n, A) int64
-        self.sums = stack_rows([p.sums for p in policies])  # (n, A)
 
     def scores(self) -> np.ndarray:
-        scores = np.full((self.n_agents, self.n_arms), np.inf)
+        scores = np.full((self.n, self.n_arms), np.inf)
         played = self.counts > 0
         if played.any():
             means = np.zeros_like(self.sums)
@@ -759,7 +677,7 @@ class StackedUCB1(StackedPolicies):
         return self._tiebreak(self.scores())
 
     def update(self, contexts, actions, rewards) -> None:
-        idx = np.arange(self.n_agents)
+        idx = np.arange(self.n)
         self.counts[idx, actions] += 1
         self.sums[idx, actions] += rewards
         self.t += 1

@@ -1,15 +1,17 @@
-"""Per-device state as rows of shared columns.
+"""Per-member state as rows of shared columns.
 
 A held fleet shard keeps its members' policy state, participation
-windows and lifetime counters as arrays with one row per member.
-:class:`RowStorage` is the membership machinery they share: joins
-append rows into spare capacity that doubles when full, departures
-compact in member order.  :class:`Columns` binds member objects to rows:
-each holds ``(_cols, _row)`` and reads and writes its row through
-:class:`Column` attributes, so the columns *are* the members' state.  A
-member outside any shard holds a private one-row store; joining copies
-its row into the shard's store and binds it there, and a departing
-member gets its own copy of its row.
+windows and lifetime counters as arrays with one row per member: a
+:class:`Rows` store.  Each member holds ``(_cols, _row)`` and reads and
+writes its row through :class:`Column` (a scalar) and
+:class:`ArrayColumn` (a view) attributes, so the store *is* the
+members' state.  Joins append rows into spare capacity that doubles
+when full, departures compact in member order.  A member outside any
+shard holds a private one-row store; joining copies its row into the
+shard's store and binds it there, and a departing member gets its own
+copy of its row.  :class:`Columns` keeps its scalar columns in one
+record array; a stacked policy state (:mod:`repro.sim.stacked`) is a
+:class:`Rows` too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Column", "Columns", "RowStorage", "own_pages", "stack_rows"]
+__all__ = ["ArrayColumn", "Column", "Columns", "Rows", "own_pages", "stack_rows"]
 
 #: arrays of at least this many bytes get pages of their own
 OWN_PAGES_MIN_BYTES = 1 << 20
@@ -52,38 +54,6 @@ def stack_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack(arrays, out=own_pages((len(arrays), *arrays[0].shape), dtype))
 
 
-class RowStorage:
-    """Agent-axis arrays held as the live rows ``[:n]`` of storage with spare rows."""
-
-    _store: dict[str, np.ndarray]
-
-    def _storage(self, name: str) -> np.ndarray:
-        return self._store.setdefault(name, getattr(self, name))
-
-    def _append_rows(self, names: Iterable[str], other, n: int, m: int) -> list[str]:
-        """Put ``other``'s arrays in rows ``[n, m)``; a full storage doubles
-        (moving every row).  Returns the names whose storage moved."""
-        moved = []
-        for name in names:
-            store = self._storage(name)
-            if m > len(store):
-                grown = own_pages((max(m, 2 * len(store)), *store.shape[1:]), store.dtype)
-                grown[:n] = store[:n]
-                store = self._store[name] = grown
-                moved.append(name)
-            store[n:m] = getattr(other, name)
-            setattr(self, name, store[:m])
-        return moved
-
-    def _keep_rows(self, names: Iterable[str], keep: np.ndarray, first: int) -> None:
-        """Compact in place to the rows ``keep`` (ascending); rows before
-        ``first`` stay where they are."""
-        for name in names:
-            live = self._storage(name)
-            live[first : keep.size] = live[keep[first:]]
-            setattr(self, name, live[: keep.size])
-
-
 class Column:
     """A member attribute that is its row of the store column of that name."""
 
@@ -102,8 +72,88 @@ class Column:
         getattr(obj._cols, self.column)[obj._row] = value
 
 
-class Columns(RowStorage):
-    """``n`` members' state: one row per member of each column.
+class ArrayColumn(Column):
+    """A member attribute that is a view of its row of the store array of
+    that name: in-place writes land in the store, and assigning copies in."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return getattr(obj._cols, self.column)[obj._row]
+
+
+class Rows:
+    """``n`` members' state: named arrays sharing a leading row axis.
+
+    Each array is the live rows ``[:n]`` of storage with spare rows.
+    Each member bound here holds ``(_cols, _row)``: this store and its
+    row.  The base form holds the arrays it is given, one attribute
+    each; subclasses name theirs in :meth:`names`.
+    """
+
+    _store: dict[str, np.ndarray]
+
+    def __init__(self, **arrays: np.ndarray) -> None:
+        self.columns = tuple(arrays)
+        self._store = {}
+        for name, a in arrays.items():
+            setattr(self, name, a)
+        self.n = len(arrays[self.columns[0]])
+
+    def __getstate__(self) -> dict:
+        # a pickle holds the live rows only (a view pickles as a copy)
+        return {**vars(self), "_store": {}}
+
+    def names(self) -> list[str]:
+        """Every agent-axis array the store holds."""
+        return list(self.columns)
+
+    def take(self, rows) -> Rows:
+        """A new store holding copies of ``rows``, in order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return Rows(**{name: getattr(self, name)[rows] for name in self.names()})
+
+    def _storage(self, name: str) -> np.ndarray:
+        return self._store.setdefault(name, getattr(self, name))
+
+    def _append_rows(self, names: Iterable[str], other, n: int, m: int) -> None:
+        """Put ``other``'s arrays in rows ``[n, m)``; a full storage doubles
+        (moving every row)."""
+        for name in names:
+            store = self._storage(name)
+            if m > len(store):
+                grown = own_pages((max(m, 2 * len(store)), *store.shape[1:]), store.dtype)
+                grown[:n] = store[:n]
+                store = self._store[name] = grown
+            store[n:m] = getattr(other, name)
+            setattr(self, name, store[:m])
+
+    def leave(self, members: Sequence, keep: np.ndarray) -> None:
+        """Compact in place to the rows ``keep`` (ascending) of ``members``
+        (one per row): a departed member bound here first gets its own
+        copy of its row, and a kept member that moves is re-pointed."""
+        kept = np.zeros(self.n, dtype=bool)
+        kept[keep] = True
+        for i in np.flatnonzero(~kept).tolist():
+            if members[i]._cols is self:
+                members[i]._cols, members[i]._row = self.take([i]), 0
+        first = int(np.argmin(kept)) if keep.size < self.n else self.n  # rows before stay
+        for name in self.names():
+            live = self._storage(name)
+            live[first : keep.size] = live[keep[first:]]
+            setattr(self, name, live[: keep.size])
+        self.n = keep.size
+        for row, i in enumerate(keep[first:].tolist(), first):
+            if members[i]._cols is self:
+                members[i]._row = row
+
+    def holds(self, members: Sequence) -> bool:
+        """Whether every one of ``members`` is bound to this store."""
+        return all(m._cols is self for m in members)
+
+
+class Columns(Rows):
+    """Rows whose scalar columns are the fields of one record array.
 
     Subclasses name their ``(n,)`` columns and dtypes in :attr:`fields`,
     the fields of one record array (a row is one allocation, each column
@@ -125,10 +175,6 @@ class Columns(RowStorage):
         self.n, self._store, self._rec = n, {}, np.zeros(n, dtype=self._dtype)
         for name in self.lazy:
             setattr(self, name, None)
-
-    def __getstate__(self) -> dict:
-        # a pickle holds the live rows only (a view pickles as a copy)
-        return {**vars(self), "_store": {}}
 
     @classmethod
     def bind(cls, member) -> None:
@@ -182,23 +228,3 @@ class Columns(RowStorage):
         self.n = m
         for row, member in enumerate(members, n):
             member._cols, member._row = self, row
-
-    def leave(self, members: Sequence, keep: np.ndarray) -> None:
-        """Compact to the rows ``keep`` (ascending) of ``members`` (one per
-        row): a departed member bound here first gets its own copy of its
-        row, and a kept member that moves is re-pointed."""
-        kept = np.zeros(self.n, dtype=bool)
-        kept[keep] = True
-        for i in np.flatnonzero(~kept).tolist():
-            if members[i]._cols is self:
-                members[i]._cols, members[i]._row = self.take([i]), 0
-        first = int(np.argmin(kept)) if keep.size < self.n else self.n
-        self._keep_rows(self.names(), keep, first)
-        self.n = keep.size
-        for row, i in enumerate(keep[first:].tolist(), first):
-            if members[i]._cols is self:
-                members[i]._row = row
-
-    def holds(self, members: Sequence) -> bool:
-        """Whether every one of ``members`` is bound to this store."""
-        return all(m._cols is self for m in members)

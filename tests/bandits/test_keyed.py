@@ -158,10 +158,10 @@ def _ucb1_population(seed, n_agents=6, n_arms=8):
 
 class TestHeldShardReuse:
     def test_scalar_act_between_held_runs_matches_sequential(self):
-        """A scalar ``act`` advances the draw counter but not ``t``; the
-        held shard must notice and restack, or its next tie-breaks draw
-        at stale counters.  UCB1 with 8 arms ties on every unplayed arm,
-        so both runs tie-break."""
+        """A scalar ``act`` advances the draw counter but not ``t``, in
+        the policy's row of the held stack: the next run's tie-breaks
+        draw at the advanced counters, not stale ones.  UCB1 with 8 arms
+        ties on every unplayed arm, so both runs tie-break."""
         x = np.full(3, 1.0 / 3)
         agents, sessions = _ucb1_population(4)
         runner = FleetRunner(agents, sessions)

@@ -8,6 +8,8 @@ import pytest
 from repro.bandits import CodeLinUCB, LinUCB
 from repro.core import (
     LocalAgent,
+    P2BConfig,
+    P2BSystem,
     RandomizedParticipation,
     ReportBatch,
     ReportLog,
@@ -154,6 +156,27 @@ class TestReportLog:
         assert stats.n_quarantined == 1 and stats.n_released == 2
         assert sorted(zip(r_actions.tolist(), r_rewards.tolist())) == [(0, 0.25), (1, 0.5)]
         assert set(r_codes.tolist()) == {2}
+
+    def test_empty_raw_read_has_the_payload_width(self):
+        """A never-used raw log and a drained one read ``(0, d)`` contexts:
+        the width is the log's, not its history's."""
+        never, drained = ReportLog("raw", n_features=3), ReportLog("raw", n_features=3)
+        _append(drained, 0, [0.1, 0.2, 0.7], 1, 0.5, 1)
+        drained.take(np.array([0]), np.array([0]))
+        for log in (never, drained):
+            assert log.rows(0).contexts.shape == (0, 3)
+
+    @pytest.mark.parametrize("mode", ["hand-built", "system"])
+    def test_agents_raw_log_has_the_context_width(self, mode):
+        agent = (
+            _hand_built_agent("warm-nonprivate")
+            if mode == "hand-built"
+            else P2BSystem(
+                P2BConfig(n_actions=2, n_features=3, n_codes=4), mode="warm-nonprivate", seed=0
+            ).new_agent()
+        )
+        assert agent.report_log.rows(agent.report_row).contexts.shape == (0, 3)
+        assert drain_report_batches([agent])[1].contexts.shape == (0, 3)
 
     def test_enroll_gives_new_rows(self):
         log = ReportLog("raw")

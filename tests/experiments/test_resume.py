@@ -89,6 +89,30 @@ class TestCheckpointedRun:
         )
         _assert_results_equal(base, resumed)
 
+    @pytest.mark.parametrize("crash_call, phase", [(2, "contrib"), (6, "eval")])
+    @pytest.mark.parametrize("mode", [AgentMode.WARM_PRIVATE, AgentMode.WARM_NONPRIVATE])
+    def test_resumed_agents_share_the_systems_report_log(
+        self, crash_call, phase, mode, tmp_path, monkeypatch
+    ):
+        """The phase context pickles with the population, so the resumed
+        agents report into their system's own log, which counts their
+        pending rows, and encode with its encoder."""
+        path = tmp_path / "run.ckpt"
+        restore = _crash_on_call(monkeypatch, crash_call)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            run_setting(
+                _env(), _config(window=2), mode, **KWARGS, contributor_interactions=6,
+                checkpoint_every=2, checkpoint_path=path,
+            )
+        restore()
+        runner = FleetRunner.resume(path)
+        assert runner.resume_context["phase"] == phase
+        system = runner.resume_context["system"]
+        assert all(a.report_log is system.report_log for a in runner.agents)
+        assert all(a.encoder is system.encoder for a in runner.agents)
+        pending = sum(len(system.report_log.rows(a.report_row)) for a in runner.agents)
+        assert len(system.report_log) == pending > 0
+
     def test_resume_of_finished_run_replays_the_result(self, tmp_path):
         path = tmp_path / "run.ckpt"
         full = run_setting(

@@ -439,8 +439,7 @@ class _Side:
                     state[name] = rng_state_digest(owner._rng)
             if log is not None:
                 rows = log.rows(agent.report_row)
-                # an empty read has no payload width until its log held a row
-                state["rows"] = {c: getattr(rows, c) for c in ROW_COLUMNS} if len(rows) else {}
+                state["rows"] = {c: getattr(rows, c) for c in ROW_COLUMNS}
             members.append(state)
         systems = {}
         for mode, system in self.systems.items():

@@ -60,8 +60,22 @@ def _fleet(name, encoder, n=6, seed=0):
     return FleetRunner(agents, sessions, config=config), agents
 
 
+#: each policy kind's live state arrays, read by name: a policy's state
+#: is its row of a store, which ``vars(policy)`` does not show
+STATE_ARRAYS = {
+    LinUCB: ("A_inv", "b", "theta", "arm_counts"),
+    EpsilonGreedy: ("A_inv", "b", "theta"),
+    LinearThompsonSampling: ("A_inv", "b", "theta"),
+    CodeLinUCB: ("counts", "sums"),
+    UCB1: ("counts", "sums"),
+}
+
+#: what a fast-tier stack keeps besides its columns
+FAST_ARRAYS = ("_keys", "_counts", "_sums", "_dense_counts", "_dense_sums", "_means", "_quads")
+
+
 def _arrays(policy) -> dict[str, np.ndarray]:
-    return {k: v for k, v in vars(policy).items() if isinstance(v, np.ndarray)}
+    return {name: getattr(policy, name) for name in STATE_ARRAYS[type(policy)]}
 
 
 def _frozen(policy) -> dict:
@@ -79,12 +93,16 @@ def _assert_unmoved(policy, frozen, label):
 
 
 def _stack_arrays(runner) -> list[np.ndarray]:
-    """Every array the runner's held stacks keep, buffers included."""
+    """Every array the runner's held stacks keep, by name: their columns
+    and spare-row storage, and the fast tier's tables and copy-out store."""
     out = []
     for shard in runner._shards.values():
-        for value in vars(shard.stacked).values():
-            values = value.values() if isinstance(value, dict) else [value]
-            out += [v for v in values if isinstance(v, np.ndarray)]
+        stack = shard.stacked
+        for store in (stack, getattr(stack, "_out", None)):
+            if store is not None:
+                out += [getattr(store, name) for name in store.names()]
+                out += list(store._store.values())
+        out += [a for name in FAST_ARRAYS if (a := getattr(stack, name, None)) is not None]
     return out
 
 
@@ -103,12 +121,28 @@ def _newcomers(name, encoder, n, seed):
 
 
 @pytest.mark.parametrize("name", sorted(POPULATIONS))
+def test_helpers_see_the_live_arrays(name, kmeans_encoder):
+    """The helpers these checks rest on find arrays on every population:
+    each policy's state arrays, and held stack arrays holding them (bit
+    tier: the stack rows; fast tier: its copy-out store)."""
+    runner, agents = _fleet(name, kmeans_encoder)
+    runner.run(2)
+    stack = _stack_arrays(runner)
+    assert stack
+    for agent in agents:
+        arrays = _arrays(agent.policy)
+        assert arrays and all(isinstance(a, np.ndarray) and a.size for a in arrays.values())
+        for key, array in arrays.items():
+            assert any(np.shares_memory(array, s) for s in stack), f"{agent.agent_id}.{key}"
+
+
+@pytest.mark.parametrize("name", sorted(POPULATIONS))
 class TestNoTwoAgentsShareMemory:
     def test_every_membership_boundary(self, name, kmeans_encoder):
         runner, agents = _fleet(name, kmeans_encoder)
         runner.run(3)
         assert_no_shared_memory(runner.agents)
-        # an outside set_state forces its shard to restack
+        # an outside set_state writes its row (the fast tier restacks)
         agents[3].policy.set_state(agents[0].policy.get_state())
         runner.run(2)
         assert_no_shared_memory(runner.agents)

@@ -149,17 +149,18 @@ class TestValidationAndCorruption:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("version", [3, 4, 5, 6, 7, 8])
     def test_older_format_versions_refused(self, version, tmp_path):
         """Each older version pickled state this release no longer reads:
         v3 synthetic sessions without a noise key, v4 Thompson policies
         with a Cholesky cache, v5 agents with an outbox list instead of a
         report-log row, v6 participation windows buffering every
         interaction, v7 held items and counters as attributes instead of
-        rows of the participation and counter columns.  A snapshot of
-        warm-private devices, windows open, is refused naming both
-        versions."""
-        assert CHECKPOINT_VERSION == 8
+        rows of the participation and counter columns, v8 policies
+        holding their arrays as attributes and the caller context apart
+        from the population.  A snapshot of warm-private devices,
+        windows open, is refused naming both versions."""
+        assert CHECKPOINT_VERSION == 9
         path = tmp_path / "old.ckpt"
         runner = FleetRunner(*population([Member("code_linucb", PRIVATE)] * 3, window=4))
         runner.run(2)

@@ -558,12 +558,13 @@ MUTANTS = {
     # stacked LinUCB never counts an arm
     "arm_counts": (
         "between_runs_checkpoint", (StackedLinUCB, "update"),
-        "self.arm_counts[np.arange(self.n_agents), actions] += 1", "pass",
+        "self.arm_counts[np.arange(self.n), actions] += 1", "pass",
     ),
-    # a held shard always steps its stack, in sync with its policies or not
+    # a held shard steps its stack after a second runner took its members
+    # and a member's policy object was replaced
     "reuse": (
-        "fleet_and_scalar_alternate", (FleetRunner, "_build_shard"),
-        "reuse = shard.reusable()", "reuse = True",
+        "outside_changes", (FleetRunner, "_build_shard"),
+        "reuse = shard.stacked.holds([a.policy for a in shard.agents])", "reuse = True",
     ),
     # subset rows come back in population, not subset, order
     "subset": (
@@ -578,7 +579,7 @@ MUTANTS = {
     # held stacks never load a warm-start state
     "warm_start": (
         "warm_held_stacks", (FleetRunner, "_warm_start"),
-        "shard.load_state(state)", "pass",
+        "shard.stacked.load_state(state)", "pass",
     ),
     # a resumed run drops the rewards of the segments before the crash
     "resume": (

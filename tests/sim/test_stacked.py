@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
+from _testkit import assert_states_equal
 
 from repro.bandits import UCB1, CodeLinUCB, EpsilonGreedy, LinUCB, LinearThompsonSampling
 from repro.sim import (
@@ -41,7 +44,7 @@ class TestDispatch:
     def test_stack_by_kind(self, cls, stacked_cls):
         stacked = stack_policies(_population(cls, 5))
         assert isinstance(stacked, stacked_cls)
-        assert stacked.n_agents == 5
+        assert stacked.n == 5
 
     def test_unsupported_policy_not_stackable(self):
         from repro.bandits import RandomPolicy
@@ -142,28 +145,66 @@ class TestStackedStepEquivalence:
         "cls", [LinUCB, EpsilonGreedy, LinearThompsonSampling, CodeLinUCB, UCB1]
     )
     def test_bit_tier_policy_arrays_are_its_stack_row(self, cls):
-        """After writeback a bit-tier policy's arrays are views of its
-        stack row: a later stacked step moves them, and no two policies
+        """From stacking on, a bit-tier policy's state is its stack row:
+        a stacked step moves it without a writeback, and no two policies
         share memory."""
         pols = _population(cls, 3, seed=6)
         stacked = stack_policies(pols)
         rng = np.random.default_rng(0)
         _step(stacked, rng)
-        stacked.writeback()
         _step(stacked, rng)
+        names = _STATE_ARRAYS[cls]
         for i, p in enumerate(pols):
-            for name in stacked.row_state:
+            assert (p.t, p._draws, p._key) == (stacked.t[i], stacked.draws[i], stacked.keys[i])
+            for name in names:
                 row = getattr(stacked, name)[i]
                 assert np.shares_memory(getattr(p, name), row), name
                 np.testing.assert_array_equal(getattr(p, name), row, err_msg=name)
         for p, q in itertools.combinations(pols, 2):
-            for name in stacked.row_state:
+            for name in names:
                 assert not np.shares_memory(getattr(p, name), getattr(q, name)), name
+
+    @pytest.mark.parametrize(
+        "cls", [LinUCB, EpsilonGreedy, LinearThompsonSampling, CodeLinUCB, UCB1]
+    )
+    def test_scalar_steps_write_the_stack(self, cls):
+        """A scalar select/update and ``set_state`` on a stacked policy
+        write its row of the stack, which still holds every policy."""
+        pols = _population(cls, 3, seed=6)
+        twins = _population(cls, 3, seed=6)
+        stacked = stack_policies(pols)
+        x = np.eye(4)[1]
+        for p in (pols[1], twins[1]):
+            p.update(x, p.select(x), 0.5)
+        for p in (pols[2], twins[2]):
+            p.set_state(_trained_state(cls, seed=3))
+        assert stacked.holds(pols)
+        restacked = stack_policies(twins)
+        for name in stacked.columns:
+            np.testing.assert_array_equal(
+                getattr(stacked, name), getattr(restacked, name), err_msg=name
+            )
+
+
+@pytest.mark.parametrize("cls", [LinUCB, EpsilonGreedy, LinearThompsonSampling, CodeLinUCB, UCB1])
+def test_pickled_member_carries_its_own_row(cls):
+    """A stacked policy pickles (and deep-copies) its own row, never its
+    stack's other or spare rows; the copy is a policy of its own."""
+    pols = _population(cls, 40, seed=1)
+    stacked = stack_policies(pols)
+    _step(stacked, np.random.default_rng(2))
+    alone = cls(n_arms=3, n_features=4, seed=0)
+    size = len(pickle.dumps(alone))
+    for copied in (pickle.loads(pickle.dumps(pols[7])), copy.deepcopy(pols[7])):
+        assert copied._cols is not stacked and copied._cols.n == 1
+        assert_states_equal(copied, pols[7])
+        assert (copied._key, copied._draws) == (pols[7]._key, pols[7]._draws)
+    assert len(pickle.dumps(pols[7])) < 2 * size
 
 
 def _step(stacked, rng):
     """One select + update of every agent, on inputs the stacker takes."""
-    n = stacked.n_agents
+    n = stacked.n
     if stacked.wants_codes:
         inputs = rng.integers(0, stacked.n_features, size=n).astype(np.intp)
     elif isinstance(stacked, StackedUCB1):
@@ -183,6 +224,15 @@ def _trained_state(cls, seed, **kwargs):
     return policy.get_state()
 
 
+#: each policy kind's state arrays, by name
+_STATE_ARRAYS = {
+    LinUCB: ("A_inv", "b", "theta", "arm_counts"),
+    EpsilonGreedy: ("A_inv", "b", "theta"),
+    LinearThompsonSampling: ("A_inv", "b", "theta"),
+    CodeLinUCB: ("counts", "sums"),
+    UCB1: ("counts", "sums"),
+}
+
 _STACK_STATE = {
     CodeLinUCB: ("counts", "sums", "t"),
     LinUCB: ("A_inv", "b", "theta", "arm_counts", "t"),
@@ -192,10 +242,13 @@ _STACK_STATE = {
 class TestLoadState:
     """``load_state`` == one ``set_state`` per agent, or False untouched."""
 
-    @pytest.mark.parametrize("cls", [CodeLinUCB, LinUCB])
+    @pytest.mark.parametrize(
+        "cls", [LinUCB, EpsilonGreedy, LinearThompsonSampling, CodeLinUCB, UCB1]
+    )
     def test_equals_scalar_set_state(self, cls):
         rng = np.random.default_rng(1)
-        loaded = stack_policies(_population(cls, 5, seed=2))
+        loaded_pols = _population(cls, 5, seed=2)
+        loaded = stack_policies(loaded_pols)
         for _ in range(3):
             _step(loaded, rng)
         state = _trained_state(cls, seed=9)
@@ -204,14 +257,12 @@ class TestLoadState:
         for p in scalar:
             p.set_state(state)
         restacked = stack_policies(scalar)
-        for name in _STACK_STATE[cls]:
+        for name in set(loaded.columns) - {"keys", "draws"}:  # the streams stay each agent's
             np.testing.assert_array_equal(
                 getattr(loaded, name), getattr(restacked, name), err_msg=name
             )
-        loaded.writeback()
-        for p, q in zip(loaded.policies, scalar):
-            for name in _STACK_STATE[cls]:
-                np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
+        for p, q in zip(loaded_pols, scalar):
+            assert_states_equal(p, q)
 
     @pytest.mark.parametrize("cls", [CodeLinUCB, LinUCB])
     @pytest.mark.parametrize(
@@ -250,66 +301,54 @@ class TestLoadState:
         stacked = stack_policies(_population(cls, 3), exactness="fast")
         assert not stacked.load_state(_trained_state(cls, seed=1))
 
-    @pytest.mark.parametrize("cls", [EpsilonGreedy, LinearThompsonSampling, UCB1])
-    def test_base_class_does_not_load(self, cls):
-        stacked = stack_policies(_population(cls, 3))
-        assert not stacked.load_state(cls(n_arms=3, n_features=4, seed=0).get_state())
+
+_FAST_CASES = [LinUCB, CodeLinUCB]
 
 
-_WRITEBACK_CASES = [
-    (LinUCB, "bit"),
-    (LinUCB, "fast"),
-    (EpsilonGreedy, "bit"),
-    (LinearThompsonSampling, "bit"),
-    (CodeLinUCB, "bit"),
-    (CodeLinUCB, "fast"),
-    (UCB1, "bit"),
-]
+class TestFastCopyOut:
+    """The fast tier copies its state out into one store it refills in place."""
 
-
-class TestInPlaceWriteback:
-    """A reused stack refills the buffers it handed out the first time."""
-
-    @pytest.mark.parametrize(
-        "cls,exactness", _WRITEBACK_CASES, ids=[f"{c.__name__}-{e}" for c, e in _WRITEBACK_CASES]
-    )
-    def test_second_writeback_keeps_identity_and_equals_restack(self, cls, exactness):
+    @pytest.mark.parametrize("cls", _FAST_CASES, ids=[c.__name__ for c in _FAST_CASES])
+    def test_second_writeback_refills_the_copy_and_equals_restack(self, cls):
         pols = _population(cls, 4, seed=7)
         twins = _population(cls, 4, seed=7)
-        stacked = stack_policies(pols, exactness=exactness)
-        twin = stack_policies(twins, exactness=exactness)
+        stacked = stack_policies(pols, exactness="fast")
+        twin = stack_policies(twins, exactness="fast")
+        assert not stacked.holds(pols)  # nothing is copied out before a writeback
         rng, twin_rng = np.random.default_rng(8), np.random.default_rng(8)
         _step(stacked, rng)
         _step(twin, twin_rng)
         stacked.writeback()
         twin.writeback()
-        names = list(stacked.held_rows)
-        assert names
-        held = [[getattr(p, name) for name in names] for p in pols]
+        out = stacked._out
+        assert all(p._cols is out for p in pols) and stacked.holds(pols)
         _step(stacked, rng)
         stacked.writeback()
         # the twin restacks from its policies instead of reusing its stack
-        twin = stack_policies(twins, exactness=exactness)
+        twin = stack_policies(twins, exactness="fast")
         _step(twin, twin_rng)
         twin.writeback()
-        for p, arrays, q in zip(pols, held, twins):
-            for name, array in zip(names, arrays):
-                assert getattr(p, name) is array, name
-                np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
-            assert p.t == q.t
+        assert stacked._out is out
+        for p, q in zip(pols, twins):
+            assert p._cols is out
+            for name in ("t", "_draws", *_STATE_ARRAYS[cls]):
+                np.testing.assert_array_equal(getattr(p, name), getattr(q, name), err_msg=name)
 
-    def test_policy_that_took_set_state_gets_its_row_back(self):
-        pols = _population(CodeLinUCB, 3, seed=2)
-        stacked = stack_policies(pols)
-        rng = np.random.default_rng(3)
-        _step(stacked, rng)
-        stacked.writeback()
-        rows = stacked.held_rows["counts"]
-        pols[1].set_state(_trained_state(CodeLinUCB, seed=4))
-        assert pols[1].counts is not rows[1]
-        _step(stacked, rng)
-        stacked.writeback()
-        assert pols[1].counts is rows[1]
-        assert pols[1].sums is stacked.held_rows["sums"][1]
-        np.testing.assert_array_equal(pols[1].counts, stacked.counts[1])
-        assert pols[1].t == int(stacked.t[1])
+    @pytest.mark.parametrize("cls", _FAST_CASES, ids=[c.__name__ for c in _FAST_CASES])
+    def test_any_member_change_breaks_the_copy(self, cls):
+        """A scalar select or update moves a counter, and ``set_state``
+        restores float64 tables of the policy's own."""
+        x = np.eye(4)[2]
+        changes = [
+            lambda p: p.select(x),
+            lambda p: p.update(x, 1, 0.5),
+            lambda p: p.set_state(_trained_state(cls, seed=1)),
+        ]
+        for change in changes:
+            pols = _population(cls, 3, seed=2)
+            stacked = stack_policies(pols, exactness="fast")
+            _step(stacked, np.random.default_rng(3))
+            stacked.writeback()
+            assert stacked.holds(pols)
+            change(pols[1])
+            assert not stacked.holds(pols)

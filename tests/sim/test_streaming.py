@@ -10,16 +10,28 @@ refusals), release of departed agents, and which stacks are reused.
 
 from __future__ import annotations
 
+import copy
 import gc
 import itertools
 import weakref
 
 import numpy as np
 import pytest
-from _testkit import assert_states_equal, make_population
+from _testkit import (
+    COLD,
+    PRIVATE,
+    Case,
+    Member,
+    assert_equivalent,
+    assert_states_equal,
+    make_population,
+    play,
+    population,
+)
 
 from repro.bandits import EpsilonGreedy, LinUCB, LinearThompsonSampling
 from repro.core.config import AgentMode
+from repro.experiments.runner import _simulate_agent
 from repro.sim import EngineConfig, FleetRunner
 from repro.utils.exceptions import ConfigError
 
@@ -166,10 +178,64 @@ class TestShardReuse:
                 assert stack in (None, current.stacked)
             shard, stack = current, current.stacked
 
+    @pytest.mark.parametrize(
+        "kind", ["linucb", "epsilon_greedy", "thompson", "ucb1", "code_linucb"]
+    )
+    def test_scalar_steps_and_set_state_keep_the_stack(self, kind, monkeypatch):
+        """The stack is the state: a held bit-tier shard survives scalar
+        select/update rounds and a same-hyperparameter set_state on its
+        members, stacks nothing more, and matches the sequential spec
+        bitwise."""
+        import repro.sim.fleet as fleet_module
+
+        stacked: list[int] = []
+        real_stack = fleet_module.stack_policies
+
+        def counting_stack(policies, **kwargs):
+            stacked.append(len(policies))
+            return real_stack(policies, **kwargs)
+
+        monkeypatch.setattr(fleet_module, "stack_policies", counting_stack)
+        mode = PRIVATE if kind == "code_linucb" else COLD
+        case = Case(
+            (Member(kind, mode),) * 6,
+            (
+                ("run", 3), ("scalar", (0, 2, 5), 2), ("set_state", 1, 4), ("run", 3),
+                ("scalar", (3,), 1), ("run", 2),
+            ),
+        )
+        spec = play(case)
+        got = play(case, EngineConfig())
+        assert stacked == [6]
+        assert_equivalent(case, spec, got)
+
+    @pytest.mark.parametrize("kind", ["linucb", "code_linucb"])
+    def test_fast_member_change_runs_like_a_fresh_runner(self, kind):
+        """A fast-tier held shard restacks after a scalar step or a
+        set_state on a member: it runs bitwise like a fresh fast runner
+        over the same agents."""
+        config = EngineConfig(exactness="fast")
+        members = [Member(kind, PRIVATE if kind == "code_linucb" else COLD)] * 5
+        h_agents, h_sessions = population(members, seed=3)
+        f_agents, f_sessions = population(members, seed=3)
+        held = FleetRunner(h_agents, h_sessions, config=config)
+        held.run(4)
+        FleetRunner(f_agents, f_sessions, config=config).run(4)
+        for agents, sessions in ((h_agents, h_sessions), (f_agents, f_sessions)):
+            _simulate_agent(agents[1], sessions[1], 2)
+            agents[3].policy.set_state(agents[0].policy.get_state())
+        got = held.run(4)
+        want = FleetRunner(f_agents, f_sessions, config=config).run(4)
+        np.testing.assert_array_equal(got.rewards, want.rewards)
+        np.testing.assert_array_equal(got.actions, want.actions)
+        for a, b in zip(h_agents, f_agents):
+            assert_states_equal(a.policy, b.policy, a.agent_id)
+            assert (a.policy._key, a.policy._draws) == (b.policy._key, b.policy._draws)
+
     def test_restacks_only_what_changed(self, monkeypatch):
-        """Reuse is real: an unchanged shard never restacks, an outside
-        set_state restacks just its own shard, and churn rebuilds just
-        the shard it lands in."""
+        """Reuse is real: an unchanged shard never restacks, nor does a
+        set_state, a replaced policy object restacks just its own shard,
+        and churn rebuilds just the shard it lands in."""
         import repro.sim.fleet as fleet_module
 
         stacked_kinds: list[str] = []
@@ -187,7 +253,11 @@ class TestShardReuse:
         stacked_kinds.clear()
         held.run(2)
         assert stacked_kinds == []
+        # a set_state writes its row of the stack, which stays the state
         agents[3].policy.set_state(agents[0].policy.get_state())
+        held.run(2)
+        assert stacked_kinds == []
+        agents[3].policy = copy.deepcopy(agents[3].policy)
         held.run(2)
         assert stacked_kinds == ["LinUCB"]
         stacked_kinds.clear()

@@ -1,4 +1,4 @@
-"""Own-pages storage for stacked agent-axis arrays (``repro.core.columns``)."""
+"""Own-pages storage for stacked agent-axis arrays (``repro.utils.columns``)."""
 
 import os
 import pickle
@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.columns import OWN_PAGES_MIN_BYTES, own_pages, stack_rows
+from repro.utils.columns import OWN_PAGES_MIN_BYTES, own_pages, stack_rows
 
 # rows of (10, 64) float64: 5 KiB each, so 1000 of them pass the threshold
 ROW_SHAPE = (10, 64)
